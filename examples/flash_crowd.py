@@ -79,7 +79,7 @@ def replay(trace, staging_fraction, migration):
             if outcome.accepted:
                 counters["accepted"] += 1
 
-    sim2.controller.on_decision = watch
+    sim2.controller.decision_hooks.append(watch)
     trace.schedule_on(sim2.engine, sim2.controller.submit)
     sim2.run()
     hit_total, hit_accepted = counters["total"], counters["accepted"]

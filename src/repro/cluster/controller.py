@@ -85,9 +85,6 @@ class DistributionController:
         #: The shared allocator instance — kept so elastic scale-out can
         #: wire a mid-run joiner's TransmissionManager identically.
         self._allocator = allocator
-        self._allocator_name = allocator.name
-        if tracer is not None:
-            allocator.obs_hook = self._on_allocate
         park_seconds = getattr(allocator, "park_seconds", 120.0)
         self.admission = AdmissionController(
             self.servers,
@@ -135,15 +132,6 @@ class DistributionController:
             self.engine, server, self._allocator, self.metrics,
             on_finish=self._on_finish, tracer=self.tracer,
         )
-
-    @property
-    def on_decision(self):
-        """Back-compat single-observer view of :attr:`decision_hooks`."""
-        return self.decision_hooks[0] if self.decision_hooks else None
-
-    @on_decision.setter
-    def on_decision(self, hook) -> None:
-        self.decision_hooks.append(hook)
 
     # ------------------------------------------------------------------
     def submit(self, video_id: int) -> AdmissionOutcome:
@@ -236,18 +224,6 @@ class DistributionController:
             )
         if self.prefix_tier is not None:
             self.prefix_tier.on_stream_finish(request, now)
-
-    def _on_allocate(self, server, requests, rates, now: float) -> None:
-        """Allocator obs hook: one ``sched.realloc`` record per pass."""
-        boosted = 0
-        for r in requests:
-            if rates[r.request_id] > r.view_bandwidth:
-                boosted += 1
-        self.tracer.emit(
-            TraceKind.SCHED_REALLOC, now,
-            server=server.server_id, allocator=self._allocator_name,
-            streams=len(rates), boosted=boosted,
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -112,7 +112,8 @@ class Request:
         self.video = video
         self.client = client
         # Hot-loop copies of video attributes (saves an indirection in
-        # the allocator's inner loop).
+        # the allocator's inner loop); every transfer computation reads
+        # ``size``, so swap the video through :meth:`set_video` only.
         self.size = video.size
         self.view_bandwidth = video.view_bandwidth
         self.arrival_time = float(arrival_time)
@@ -135,6 +136,12 @@ class Request:
         #: Number of VCR pauses performed so far.
         self.pauses = 0
 
+    def set_video(self, video: Video) -> None:
+        """Swap what is left to transfer (the prefix tier truncates a
+        request to its catch-up patch), keeping ``size`` in step."""
+        self.video = video
+        self.size = video.size
+
     # ------------------------------------------------------------------
     # Lazy integration
     # ------------------------------------------------------------------
@@ -151,7 +158,7 @@ class Request:
                 f"sync backwards: now={now} < last_sync={self.last_sync}"
             )
         delta = self.rate * dt
-        remaining = self.video.size - self.bytes_sent
+        remaining = self.size - self.bytes_sent
         if delta > remaining:
             delta = remaining
         self.bytes_sent += delta
@@ -166,7 +173,7 @@ class Request:
     @property
     def remaining(self) -> float:
         """Megabits still to transmit (as of last sync)."""
-        return max(0.0, self.video.size - self.bytes_sent)
+        return max(0.0, self.size - self.bytes_sent)
 
     @property
     def transmission_finished(self) -> bool:
@@ -181,7 +188,7 @@ class Request:
         """
         played_until = min(now, self.playback_pause_time)
         elapsed = max(0.0, played_until - self.playback_start)
-        return min(self.video.size, self.view_bandwidth * elapsed)
+        return min(self.size, self.view_bandwidth * elapsed)
 
     def buffer_occupancy(self, now: float) -> float:
         """Client staging buffer occupancy, Mb (>= 0 up to float noise)."""
@@ -190,7 +197,7 @@ class Request:
     def headroom(self, now: float) -> float:
         """Workahead the client can still absorb, Mb."""
         by_capacity = self.client.buffer_capacity - self.buffer_occupancy(now)
-        by_data = self.video.size - self.bytes_sent
+        by_data = self.size - self.bytes_sent
         return max(0.0, min(by_capacity, by_data))
 
     def projected_finish(self, now: float) -> float:
@@ -293,5 +300,5 @@ class Request:
         return (
             f"<Request #{self.request_id} video={self.video.video_id} "
             f"{self.state.value} srv={self.server_id} sent={self.bytes_sent:.1f}"
-            f"/{self.video.size:.1f}Mb rate={self.rate:.2f}>"
+            f"/{self.size:.1f}Mb rate={self.rate:.2f}>"
         )

@@ -35,11 +35,17 @@ transmission manager via :attr:`BandwidthAllocator.minimum_flow`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import math
+from typing import List, Sequence
 
 from repro.cluster.request import EPS_MB, Request
 from repro.cluster.server import DataServer
-from repro.core.schedulers import EPS_RATE, BandwidthAllocator
+from repro.core.schedulers import (
+    EPS_RATE,
+    BandwidthAllocator,
+    PassResult,
+    pour_in_order,
+)
 
 
 class IntermittentAllocator(BandwidthAllocator):
@@ -85,13 +91,14 @@ class IntermittentAllocator(BandwidthAllocator):
         self.resume_seconds = float(resume_seconds)
         self.refill_seconds = float(refill_seconds)
 
-    def allocate(
+    def _assign(
         self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> Dict[int, float]:
-        rates: Dict[int, float] = {}
+    ) -> PassResult:
+        moved = 0.0
         live: List[Request] = []
         for r in requests:
-            rates[r.request_id] = 0.0
+            moved += r.sync(now)
+            r.rate = 0.0
             if not now < r.paused_until:
                 live.append(r)
         pool = server.bandwidth
@@ -106,7 +113,7 @@ class IntermittentAllocator(BandwidthAllocator):
 
         order = sorted(live, key=lambda r: (buffered_seconds(r), r.request_id))
         for r in order:
-            if r.video.size - r.bytes_sent <= EPS_MB:
+            if r.size - r.bytes_sent <= EPS_MB:
                 continue  # nothing left to send
             if r.playback_pause_time <= now:
                 continue  # viewer paused: no drain, no urgency
@@ -114,17 +121,17 @@ class IntermittentAllocator(BandwidthAllocator):
                 continue  # parked: plays from its staging buffer
             if pool < r.view_bandwidth - EPS_RATE:
                 break  # genuinely over-committed; later streams starve
-            rates[r.request_id] = r.view_bandwidth
+            r.rate = r.view_bandwidth
             pool -= r.view_bandwidth
         # Spare pass: classic EFTF over everyone with headroom (a parked
         # stream can still absorb workahead when nobody needs the link).
         if pool > EPS_RATE:
             candidates = []
             for r in live:
-                extra_cap = r.client.receive_bandwidth - rates[r.request_id]
+                extra_cap = r.client.receive_bandwidth - r.rate
                 if extra_cap <= EPS_RATE:
                     continue
-                remaining = r.video.size - r.bytes_sent
+                remaining = r.size - r.bytes_sent
                 if remaining <= EPS_MB:
                     continue
                 played_until = min(now, r.playback_pause_time)
@@ -137,21 +144,15 @@ class IntermittentAllocator(BandwidthAllocator):
                 # regrows at its cap (see class docstring).
                 if head <= self.refill_seconds * r.view_bandwidth + EPS_MB:
                     continue
-                candidates.append((remaining, r.request_id, extra_cap))
+                candidates.append((remaining, r.request_id, r, extra_cap))
             candidates.sort()
-            for _remaining, rid, extra_cap in candidates:
-                extra = pool if pool < extra_cap else extra_cap
-                rates[rid] += extra
-                pool -= extra
-                if pool <= EPS_RATE:
-                    break
-        hook = self.obs_hook
-        if hook is not None:
-            hook(server, requests, rates, now)
-        return rates
+            pour_in_order(candidates, pool)
+        # Any stream may sit below b_view, so every boundary goes
+        # through the manager's general rule.
+        return moved, math.inf, requests
 
-    def _distribute_spare(self, rates, candidates, spare):  # pragma: no cover
+    def _distribute_spare_into(self, candidates, spare):  # pragma: no cover
         raise AssertionError(
-            "IntermittentAllocator overrides allocate(); the minimum-flow "
+            "IntermittentAllocator replaces _assign(); the minimum-flow "
             "spare hook is unused"
         )

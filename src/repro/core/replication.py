@@ -92,10 +92,10 @@ class DynamicReplicator:
     """Rejection-driven replica management.
 
     Wire it to a :class:`DistributionController` via
-    :meth:`observe` (the controller's ``on_decision`` hook), e.g.::
+    :meth:`observe` (one of the controller's ``decision_hooks``), e.g.::
 
         replicator = DynamicReplicator(engine, servers, placement, catalog)
-        controller.on_decision = replicator.observe
+        controller.decision_hooks.append(replicator.observe)
     """
 
     def __init__(

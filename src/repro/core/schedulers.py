@@ -19,21 +19,26 @@ optimal among minimum-flow algorithms.  The alternatives here exist to
 * :class:`LFTFAllocator` — anti-EFTF (latest finish first), a straw man
   that shows the greedy direction matters.
 
-Allocators receive requests whose state is already synced to ``now``.
-A paused stream (mid-migration switch gap) gets rate 0 — its playback
-is covered by the staging buffer, which the migration eligibility check
-guarantees.
+Allocation is **one pass per reallocation**
+(:meth:`BandwidthAllocator.allocate_into`): per stream it integrates the
+transfer to ``now``, sets the minimum-flow floor, tests spare candidacy
+and folds the stream's finish boundary into a running minimum; the
+subclass hook then hands out the spare.  A paused stream (mid-migration
+switch gap) gets rate 0 — its playback is covered by the staging
+buffer, which the migration eligibility check guarantees.
 
-Performance note: this is the simulator's innermost loop (profiled at
->50 % of wall time before optimisation), so the eligibility test is
-inlined arithmetic on request attributes rather than the readable
-``Request.headroom`` helper — the two are kept equivalent by tests.
+Performance note: this is the simulator's innermost loop, so the sync
+and eligibility arithmetic is inlined on request attributes rather than
+calling the readable ``Request.sync`` / ``Request.headroom`` helpers —
+a hypothesis property (``tests/test_schedulers.py``) pins the pass to a
+reference assembled from those helpers, float for float.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.request import EPS_MB, Request
 from repro.cluster.server import DataServer
@@ -47,9 +52,31 @@ EPS_RATE: float = 1e-9
 #: sort key (ascending remaining = earliest projected finish).
 Candidate = Tuple[float, int, Request, float]
 
+#: What one pass hands the transmission manager: Mb transferred while
+#: integrating to ``now``; the earliest boundary among streams playing
+#: at ``b_view``; and the *irregular* streams — switch-gap, VCR-paused,
+#: boosted — whose next boundary needs the manager's general rule.
+PassResult = Tuple[float, float, Sequence[Request]]
+
+
+def pour_in_order(candidates: Sequence[Candidate], spare: float) -> None:
+    """Greedy hand-out: each candidate in list order takes as much of
+    *spare* as its client can receive, until the spare is gone."""
+    for _remaining, _rid, r, extra_cap in candidates:
+        extra = spare if spare < extra_cap else extra_cap
+        r.rate += extra
+        spare -= extra
+        if spare <= EPS_RATE:
+            break
+
 
 class BandwidthAllocator(abc.ABC):
-    """Interface: map (server, synced unfinished requests, now) → rates."""
+    """Interface: set every stream's rate for (server, requests, now).
+
+    A minimum-flow allocator implements :meth:`_distribute_spare_into`
+    only; one outside that class (repro.core.intermittent) replaces
+    :meth:`_assign`.  Nobody overrides :meth:`allocate_into`.
+    """
 
     name: str = "abstract"
 
@@ -59,204 +86,127 @@ class BandwidthAllocator(abc.ABC):
     #: allocators (repro.core.intermittent) set this False.
     minimum_flow: bool = True
 
-    #: Optional observability hook, called as ``obs_hook(server,
-    #: requests, rates, now)`` after each allocation pass — the obs
-    #: tracer turns these into ``sched.realloc`` records.  This is the
-    #: simulator's hottest call site, so the off-path cost is kept to
-    #: one ``is None`` check.
-    obs_hook = None
-
-    #: Scratch list reused across :meth:`allocate` calls (the simulator
-    #: is single-threaded and allocators never retain the list beyond
-    #: one ``_distribute_spare`` call, so reuse is safe and avoids one
+    #: Scratch list reused across passes (the simulator is
+    #: single-threaded and allocators never retain the list beyond one
+    #: ``_distribute_spare_into`` call, so reuse is safe and avoids one
     #: list allocation per event).
     _scratch: Optional[List[Candidate]] = None
 
-    def allocate(
-        self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> Dict[int, float]:
-        """Return {request_id: rate} covering every request.
-
-        Guarantees (enforced here, not in subclasses):
-        * paused streams get 0;
-        * all other streams get >= view bandwidth (minimum flow);
-        * the sum never exceeds the server link.
-        """
-        rates: Dict[int, float] = {}
-        base = 0.0
-        live: List[Request] = []
-        live_append = live.append
-        for r in requests:
-            if now < r.paused_until:
-                rates[r.request_id] = 0.0
-                continue
-            vb = r.view_bandwidth
-            if r.playback_pause_time <= now:
-                # Viewer hit pause (VCR): nothing drains, so the floor
-                # is exempt once the staging buffer cannot absorb it —
-                # pumping on would overflow the client.
-                viewed = (r.playback_pause_time - r.playback_start) * vb
-                head = min(
-                    r.client.buffer_capacity - (r.bytes_sent - viewed),
-                    r.video.size - r.bytes_sent,
-                )
-                if head <= EPS_MB:
-                    rates[r.request_id] = 0.0
-                    continue
-            rates[r.request_id] = vb
-            base += vb
-            live_append(r)
-        if base > server.bandwidth + EPS_MB:
-            raise RuntimeError(
-                f"minimum-flow violated on server {server.server_id}: "
-                f"floor {base:.3f} > link {server.bandwidth:.3f} Mb/s"
-            )
-        spare = server.bandwidth - base
-        if spare > EPS_RATE and live:
-            candidates = self._scratch
-            if candidates is None:
-                candidates = []
-            else:
-                self._scratch = None  # guard against re-entrant use
-                candidates.clear()
-            append = candidates.append
-            for r in live:
-                vb = r.view_bandwidth
-                client = r.client
-                extra_cap = client.receive_bandwidth - vb
-                if extra_cap <= EPS_RATE:
-                    continue
-                sent = r.bytes_sent
-                remaining = r.video.size - sent
-                if remaining <= EPS_MB:
-                    continue
-                # Inline of Request.headroom: capacity-side headroom;
-                # the data side is covered by the `remaining` check.
-                # `played_until` freezes consumption during VCR pauses.
-                pause = r.playback_pause_time
-                played_until = now if now < pause else pause
-                head = client.buffer_capacity - (
-                    sent - (played_until - r.playback_start) * vb
-                )
-                if head <= EPS_MB:
-                    continue
-                append((remaining, r.request_id, r, extra_cap))
-            if candidates:
-                self._distribute_spare(rates, candidates, spare)
-            candidates.clear()  # drop Request refs before parking
-            self._scratch = candidates
-        hook = self.obs_hook
-        if hook is not None:
-            hook(server, requests, rates, now)
-        return rates
-
     def allocate_into(
         self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> None:
-        """Batched allocation: set ``r.rate`` on every request in place.
+    ) -> PassResult:
+        """The one allocation path: integrate every request to *now*
+        and set its ``rate`` in place.
 
-        The boundary-event hot path: one vectorized update of the whole
-        schedule instead of building a ``{request_id: rate}`` dict and
-        round-tripping it back onto the requests (two dict operations
-        per stream per event).  The arithmetic — floor sum order,
-        candidate order, spare distribution — is exactly
-        :meth:`allocate`'s; the equivalence is pinned by property tests
-        (``tests/test_schedulers.py``).
-
-        Subclasses that override :meth:`allocate` (the intermittent
-        allocator) and allocators with an ``obs_hook`` attached fall
-        back to the dict path automatically, so this is always safe to
-        call.
+        *requests* is the server's full active list; callers need not
+        sync first (a zero-``dt`` sync is an arithmetic no-op).
         """
-        if (
-            self.obs_hook is not None
-            or type(self).allocate is not BandwidthAllocator.allocate
-        ):
-            rates = self.allocate(server, requests, now)
-            for r in requests:
-                r.rate = rates[r.request_id]
-            return
+        return self._assign(server, requests, now)
+
+    def _assign(
+        self, server: DataServer, requests: Sequence[Request], now: float
+    ) -> PassResult:
+        """The minimum-flow pass, one loop over *requests*.
+
+        Guarantees (enforced here, not in subclasses):
+        * switch-gap streams get 0;
+        * all other streams get >= view bandwidth (minimum flow), bar
+          a VCR-paused viewer whose staging buffer is full;
+        * the sum never exceeds the server link.
+        """
+        moved = 0.0
         base = 0.0
-        live: List[Request] = []
-        live_append = live.append
+        # min of remaining / b_view over playing streams.  Adding `now`
+        # once at the end is bit-identical to a min of `now + quotient`
+        # (float addition is monotone); and since a min is order-free,
+        # a stream boosted later may stay folded in — its true
+        # boundary, found by the general rule, is earlier.
+        nearest = math.inf
+        irregular: List[Request] = []
+        candidates = self._scratch
+        if candidates is None:
+            candidates = []
+        else:
+            self._scratch = None  # guard against re-entrant use
+        append = candidates.append
         for r in requests:
+            # Inline of Request.sync (transfer reported once, by the
+            # caller, as `moved`).
+            sent = r.bytes_sent
+            remaining = r.size - sent
+            dt = now - r.last_sync
+            if dt > 0.0:
+                rate = r.rate
+                if rate > 0.0:
+                    delta = rate * dt
+                    if delta > remaining:
+                        delta = remaining
+                    r.bytes_sent = sent = sent + delta
+                    remaining = r.size - sent
+                    moved += delta
+                r.last_sync = now
+            elif dt < 0.0:
+                raise RuntimeError(
+                    f"sync backwards on server {server.server_id}: "
+                    f"{now} < {r.last_sync}"
+                )
             if now < r.paused_until:
                 r.rate = 0.0
+                irregular.append(r)
                 continue
             vb = r.view_bandwidth
-            if r.playback_pause_time <= now:
-                viewed = (r.playback_pause_time - r.playback_start) * vb
-                head = min(
-                    r.client.buffer_capacity - (r.bytes_sent - viewed),
-                    r.video.size - r.bytes_sent,
-                )
-                if head <= EPS_MB:
-                    r.rate = 0.0
-                    continue
+            playing = now < r.playback_pause_time
+            if playing:
+                played_until = now
+                quotient = remaining / vb
+                if quotient < nearest:
+                    nearest = quotient
+            else:
+                played_until = r.playback_pause_time
+                irregular.append(r)
+            # Inline of Request.headroom: the capacity side here, the
+            # data side is `remaining`.  `played_until` freezes
+            # consumption during VCR pauses.
+            client = r.client
+            roomy = remaining > EPS_MB and client.buffer_capacity - (
+                sent - (played_until - r.playback_start) * vb
+            ) > EPS_MB
+            if not (playing or roomy):
+                # Viewer hit pause (VCR) and the staging buffer cannot
+                # absorb more: nothing drains, so the floor is exempt —
+                # pumping on would overflow the client.
+                r.rate = 0.0
+                continue
             r.rate = vb
             base += vb
-            live_append(r)
-        if base > server.bandwidth + EPS_MB:
+            if roomy:
+                extra_cap = client.receive_bandwidth - vb
+                if extra_cap > EPS_RATE:
+                    append((remaining, r.request_id, r, extra_cap))
+        link = server.bandwidth
+        if base > link + EPS_MB:
             raise RuntimeError(
                 f"minimum-flow violated on server {server.server_id}: "
-                f"floor {base:.3f} > link {server.bandwidth:.3f} Mb/s"
+                f"floor {base:.3f} > link {link:.3f} Mb/s"
             )
-        spare = server.bandwidth - base
-        if spare > EPS_RATE and live:
-            candidates = self._scratch
-            if candidates is None:
-                candidates = []
-            else:
-                self._scratch = None  # guard against re-entrant use
-                candidates.clear()
-            append = candidates.append
-            for r in live:
-                vb = r.view_bandwidth
-                client = r.client
-                extra_cap = client.receive_bandwidth - vb
-                if extra_cap <= EPS_RATE:
-                    continue
-                sent = r.bytes_sent
-                remaining = r.video.size - sent
-                if remaining <= EPS_MB:
-                    continue
-                pause = r.playback_pause_time
-                played_until = now if now < pause else pause
-                head = client.buffer_capacity - (
-                    sent - (played_until - r.playback_start) * vb
-                )
-                if head <= EPS_MB:
-                    continue
-                append((remaining, r.request_id, r, extra_cap))
-            if candidates:
-                self._distribute_spare_into(candidates, spare)
-            candidates.clear()  # drop Request refs before parking
-            self._scratch = candidates
+        spare = link - base
+        if spare > EPS_RATE and candidates:
+            self._distribute_spare_into(candidates, spare)
+            for _remaining, _rid, r, _cap in candidates:
+                # VCR-paused streams are irregular already.
+                if r.rate != r.view_bandwidth and now < r.playback_pause_time:
+                    irregular.append(r)
+        candidates.clear()  # drop Request refs before parking
+        self._scratch = candidates
+        return moved, now + nearest, irregular
 
+    @abc.abstractmethod
     def _distribute_spare_into(
         self, candidates: List[Candidate], spare: float
     ) -> None:
-        """In-place twin of :meth:`_distribute_spare`: add spare onto
-        ``r.rate`` directly.
-
-        Generic fallback: run the dict-based hook over just the
-        candidates (a few entries) and write the results back.
-        Subclasses on the hot path (EFTF) override with a direct loop.
-        """
-        rates = {c[1]: c[2].rate for c in candidates}
-        self._distribute_spare(rates, candidates, spare)
-        for _remaining, rid, r, _cap in candidates:
-            r.rate = rates[rid]
-
-    @abc.abstractmethod
-    def _distribute_spare(
-        self,
-        rates: Dict[int, float],
-        candidates: List[Candidate],
-        spare: float,
-    ) -> None:
-        """Add *spare* bandwidth into *rates* (mutating) among eligible
-        *candidates*."""
+        """Add *spare* bandwidth onto ``r.rate`` of eligible
+        *candidates*, in place (each already holds its ``b_view``
+        floor; never exceed a candidate's ``extra_cap``)."""
 
 
 class EFTFAllocator(BandwidthAllocator):
@@ -270,26 +220,9 @@ class EFTFAllocator(BandwidthAllocator):
 
     name = "eftf"
 
-    def _distribute_spare(self, rates, candidates, spare):
-        candidates.sort()
-        for _remaining, rid, _r, extra_cap in candidates:
-            extra = spare if spare < extra_cap else extra_cap
-            rates[rid] += extra
-            spare -= extra
-            if spare <= EPS_RATE:
-                break
-
     def _distribute_spare_into(self, candidates, spare):
-        # Direct twin of _distribute_spare (the default allocator's
-        # per-boundary-event path): same sort, same caps, same
-        # early-out — writing r.rate instead of a dict slot.
         candidates.sort()
-        for _remaining, _rid, r, extra_cap in candidates:
-            extra = spare if spare < extra_cap else extra_cap
-            r.rate += extra
-            spare -= extra
-            if spare <= EPS_RATE:
-                break
+        pour_in_order(candidates, spare)
 
 
 class LFTFAllocator(BandwidthAllocator):
@@ -302,14 +235,9 @@ class LFTFAllocator(BandwidthAllocator):
 
     name = "lftf"
 
-    def _distribute_spare(self, rates, candidates, spare):
+    def _distribute_spare_into(self, candidates, spare):
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        for _remaining, rid, _r, extra_cap in candidates:
-            extra = spare if spare < extra_cap else extra_cap
-            rates[rid] += extra
-            spare -= extra
-            if spare <= EPS_RATE:
-                break
+        pour_in_order(candidates, spare)
 
 
 class ProportionalShareAllocator(BandwidthAllocator):
@@ -321,23 +249,20 @@ class ProportionalShareAllocator(BandwidthAllocator):
 
     name = "proportional"
 
-    def _distribute_spare(self, rates, candidates, spare):
+    def _distribute_spare_into(self, candidates, spare):
         # Water-filling: loop because capping one stream frees share for
         # the others.  Terminates in <= len(candidates) rounds.
-        remaining_cap = {rid: cap for _rem, rid, _r, cap in candidates}
-        pool = list(remaining_cap)
+        pool = [(r, cap) for _rem, _rid, r, cap in candidates]
         while spare > EPS_RATE and pool:
             share = spare / len(pool)
-            next_round: List[int] = []
-            for rid in pool:
-                cap = remaining_cap[rid]
+            next_round = []
+            for r, cap in pool:
                 extra = share if share < cap else cap
                 if extra > EPS_RATE:
-                    rates[rid] += extra
+                    r.rate += extra
                     spare -= extra
-                    remaining_cap[rid] = cap - extra
                     if cap - extra > EPS_RATE:
-                        next_round.append(rid)
+                        next_round.append((r, cap - extra))
             if len(next_round) == len(pool):
                 break  # nobody capped; share was fully dealt
             pool = next_round
@@ -352,7 +277,7 @@ class NoWorkaheadAllocator(BandwidthAllocator):
 
     name = "none"
 
-    def _distribute_spare(self, rates, candidates, spare):
+    def _distribute_spare_into(self, candidates, spare):
         return  # leave the spare idle
 
 

@@ -23,7 +23,7 @@ cancelled lazily and rescheduled.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis.metrics import MetricsSink
 from repro.cluster.request import EPS_MB, Request
@@ -107,82 +107,92 @@ class TransmissionManager:
     # ------------------------------------------------------------------
     # Core cycle
     # ------------------------------------------------------------------
-    def _sync_all(self, active, now: float) -> None:
+    def _sync_all(self, now: float) -> List[Request]:
         """Integrate every stream to *now*, batching the transfer
-        accounting into one metrics call per event.
+        accounting into one metrics call; returns the streams whose
+        transmission is finished.
 
         This is the inlined (hot-loop) equivalent of calling
-        ``Request.sync`` per stream; tests assert the two agree.
+        ``Request.sync`` and reading ``transmission_finished`` per
+        stream; tests assert the two agree.
         """
         total = 0.0
-        for r in active:
+        finished = []
+        for r in self.server.iter_active():
+            remaining = r.size - r.bytes_sent
             dt = now - r.last_sync
             if dt > 0.0:
                 rate = r.rate
                 if rate > 0.0:
                     delta = rate * dt
-                    remaining = r.video.size - r.bytes_sent
                     if delta > remaining:
                         delta = remaining
                     r.bytes_sent += delta
+                    remaining = r.size - r.bytes_sent
                     total += delta
+                r.last_sync = now
             elif dt < 0.0:
                 raise RuntimeError(
                     f"sync backwards on server {self.server.server_id}: "
                     f"{now} < {r.last_sync}"
                 )
-            r.last_sync = now
+            if remaining <= EPS_MB:
+                finished.append(r)
         if total > 0.0:
             self.metrics.record_bytes(self.server.server_id, total, now)
+        return finished
 
-    def reallocate(self, now: float, _synced_active=None) -> None:
-        """Sync state, apply the allocator, schedule the next boundary.
+    def reallocate(self, now: float) -> None:
+        """Apply the allocator and schedule the next boundary.
 
-        ``_synced_active`` is an internal fast path for callers (the
-        boundary handler) that already hold the active list with every
-        stream integrated to *now* — it skips re-listing and a
-        redundant zero-dt sync pass, which is pure overhead at one
-        reallocation per event.
-
-        The allocator runs through :meth:`BandwidthAllocator
-        .allocate_into`, which updates every stream's rate in one
-        batched pass (no per-stream rate-dict round-trip); when N
-        streams hit their boundaries at the same timestamp, this one
-        event re-integrates and re-allocates all of them together —
-        there is never more than one boundary event per server on the
-        agenda (pinned by tests).
+        One :meth:`BandwidthAllocator.allocate_into` pass integrates
+        every stream to *now*, reassigns every rate and finds the
+        boundary of the streams left playing at ``b_view``; only the
+        irregular few (boosted, switch-gap, VCR-paused) go through
+        :meth:`_next_boundary`.  When N streams hit their boundaries at
+        the same timestamp, one event re-integrates and re-allocates
+        all of them together — there is never more than one boundary
+        event per server on the agenda (pinned by tests).
         """
         self.reallocations += 1
-        if _synced_active is None:
-            active = list(self.server.iter_active())
-            self._sync_all(active, now)
-        else:
-            active = _synced_active
-        self.allocator.allocate_into(self.server, active, now)
-        self._schedule_boundary(now, active)
-
-    def _schedule_boundary(self, now: float, active) -> None:
+        server = self.server
+        active = list(server.iter_active())
+        moved, boundary, irregular = self.allocator.allocate_into(
+            server, active, now
+        )
+        if moved > 0.0:
+            self.metrics.record_bytes(server.server_id, moved, now)
+        if self.tracer is not None:
+            # Every stream off its b_view floor is irregular, so the
+            # boosted ones are counted there, not over the whole list.
+            self.tracer.emit(
+                TraceKind.SCHED_REALLOC, now,
+                server=server.server_id, allocator=self.allocator.name,
+                streams=len(active),
+                boosted=sum(r.rate > r.view_bandwidth for r in irregular),
+            )
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        boundary = self._next_boundary(now, active)
-        if boundary is not None and math.isfinite(boundary):
+        if irregular:
+            boundary = min(boundary, self._next_boundary(now, irregular))
+        if boundary < math.inf:
             self._event = self.engine.schedule_at(
                 max(boundary, now),
                 self._on_boundary,
                 kind=self._boundary_kind,
             )
 
-    def _next_boundary(self, now: float, active) -> Optional[float]:
-        """Earliest time any stream's linear evolution hits a wall.
+    def _next_boundary(self, now: float, streams) -> float:
+        """Earliest time any of *streams*' linear evolution hits a wall
+        (``inf`` if none does) — the general rule, for the streams the
+        allocator pass could not reduce to ``remaining / b_view``.
 
-        Inner-loop code: inlines ``Request.buffer_occupancy`` (kept
-        equivalent by tests) because this scan runs once per event over
-        every stream on the server.
+        Inlines ``Request.buffer_occupancy`` (kept equivalent by tests).
         """
         minimum_flow = self.allocator.minimum_flow
         best: float = math.inf
-        for r in active:
+        for r in streams:
             if now < r.paused_until:
                 t = r.paused_until
             else:
@@ -207,7 +217,7 @@ class TransmissionManager:
                     else:
                         t = math.inf  # idle until the viewer resumes
                 else:
-                    t = now + (r.video.size - sent) / rate
+                    t = now + (r.size - sent) / rate
                     surplus = rate - drain
                     if r.starved and surplus >= -EPS_RATE:
                         r.starved = False  # fed again; close the episode
@@ -233,7 +243,7 @@ class TransmissionManager:
                             t = t_empty
             if t < best:
                 best = t
-        return None if math.isinf(best) else best
+        return best
 
     def _drain_boundary(
         self, r: Request, now: float, rate: float, vb: float, sent: float
@@ -251,7 +261,7 @@ class TransmissionManager:
         (once per episode).  Callers guarantee the stream is *playing*
         (a VCR-paused viewer's buffer never drains).
         """
-        if r.video.size - sent <= EPS_MB:
+        if r.size - sent <= EPS_MB:
             return math.inf  # transmission done; nothing drains server-side
         buffer = sent - (now - r.playback_start) * vb
         if buffer <= EPS_MB:
@@ -276,42 +286,38 @@ class TransmissionManager:
     def _on_boundary(self) -> None:
         """Handle the scheduled boundary: complete finished streams, then
         rebalance (buffer-full and pause-end need no explicit handling —
-        the allocator sees the new state)."""
+        the allocator sees the new state).
+
+        The sync pre-pass is separate from the allocator's because the
+        finish callbacks must run before rates are reassigned (they may
+        admit or migrate onto this server).
+        """
         now = self.engine.now
         self._event = None
-        active = list(self.server.iter_active())
-        self._sync_all(active, now)
+        finished = self._sync_all(now)
         if self.tracer is not None:
-            self._trace_full_buffers(active, now)
-        finished = [r for r in active if r.transmission_finished]
-        if finished:
-            for r in finished:
-                self.server.detach(r)
-                r.mark_finished(now)
-                if self.on_finish is not None:
-                    self.on_finish(r)
-            # on_finish may admit/migrate onto this server, changing the
-            # active set — re-list (and re-sync the newcomers) normally.
-            self.reallocate(now)
-        else:
-            # Everything is already integrated to `now`; skip the
-            # redundant re-list + zero-dt sync pass.
-            self.reallocate(now, _synced_active=active)
+            self._trace_full_buffers(now)
+        for r in finished:
+            self.server.detach(r)
+            r.mark_finished(now)
+            if self.on_finish is not None:
+                self.on_finish(r)
+        self.reallocate(now)
 
-    def _trace_full_buffers(self, active, now: float) -> None:
+    def _trace_full_buffers(self, now: float) -> None:
         """Emit ``stream.buffer_full`` for boosted streams whose clients
         just ran out of headroom (the boundary that triggered us).
 
         Trace-only path: runs one extra scan per boundary event and only
         when a tracer is attached.
         """
-        for r in active:
+        for r in self.server.iter_active():
             vb = r.view_bandwidth
             playing = now < r.playback_pause_time
             if r.rate <= vb + EPS_RATE or not playing:
                 continue  # not boosted; can't have hit the buffer wall
             sent = r.bytes_sent
-            if r.video.size - sent <= EPS_MB:
+            if r.size - sent <= EPS_MB:
                 continue  # finishing, not filling
             headroom = r.client.buffer_capacity - (
                 sent - (now - r.playback_start) * vb
@@ -327,7 +333,7 @@ class TransmissionManager:
     # ------------------------------------------------------------------
     def flush(self, now: float) -> None:
         """Integrate all streams to *now* (end-of-simulation accounting)."""
-        self._sync_all(list(self.server.iter_active()), now)
+        self._sync_all(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

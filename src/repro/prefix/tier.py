@@ -267,8 +267,7 @@ class PrefixTier:
                 length=plan.patch_mb / request.view_bandwidth,
                 view_bandwidth=request.view_bandwidth,
             )
-            request.video = patch
-            request.size = patch.size
+            request.set_video(patch)
             self._pending[request.request_id] = chain
             return None
         self.metrics.record_arrival()
@@ -287,8 +286,7 @@ class PrefixTier:
             else:
                 # Rejected patch: restore the full transfer so a retry
                 # queue resubmits the real request.
-                request.video = chain.video
-                request.size = chain.video.size
+                request.set_video(chain.video)
             return
         if (
             outcome.accepted

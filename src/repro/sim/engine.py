@@ -36,7 +36,6 @@ general substrate (and is tested as one).
 
 from __future__ import annotations
 
-import warnings
 from heapq import heappush as _heappush
 from time import perf_counter
 from typing import Any, Callable, Iterator, List, Optional
@@ -82,8 +81,7 @@ class Engine:
 
     __slots__ = (
         "_now", "_sched", "_heap", "_seq", "_events_fired",
-        "_events_cancelled", "_running", "_trace_fns", "_trace_shim",
-        "profiler",
+        "_events_cancelled", "_running", "_trace_fns", "profiler",
     )
 
     def __init__(self, start_time: float = 0.0, scheduler=None) -> None:
@@ -105,7 +103,6 @@ class Engine:
         #: coexist here.  Manage via :meth:`add_trace`/:meth:`remove_trace`.
         #: The list object is never replaced (drain loops bind it once).
         self._trace_fns: List[Callable[[Event], None]] = []
-        self._trace_shim: Optional[Callable[[Event], None]] = None
         #: Optional :class:`repro.obs.profiler.EventProfiler`; when set,
         #: each callback's wall-clock is accounted per event kind.  The
         #: off-path cost is a single ``is None`` check.
@@ -153,31 +150,6 @@ class Engine:
     def remove_trace(self, fn: Callable[[Event], None]) -> None:
         """Unsubscribe *fn* (ValueError if not subscribed)."""
         self._trace_fns.remove(fn)
-        if fn is self._trace_shim:
-            self._trace_shim = None
-
-    @property
-    def trace(self) -> Optional[Callable[[Event], None]]:
-        """Deprecated single-subscriber view of the trace hooks.
-
-        Assigning replaces only the previously *assigned* hook;
-        subscribers added via :meth:`add_trace` are unaffected.  Use
-        :meth:`add_trace`/:meth:`remove_trace` in new code.
-        """
-        return self._trace_shim
-
-    @trace.setter
-    def trace(self, fn: Optional[Callable[[Event], None]]) -> None:
-        warnings.warn(
-            "Engine.trace is deprecated; use add_trace()/remove_trace()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._trace_shim is not None:
-            self._trace_fns.remove(self._trace_shim)
-        self._trace_shim = fn
-        if fn is not None:
-            self._trace_fns.append(fn)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next *live* event, or None if the agenda is empty.

@@ -55,6 +55,17 @@ def make_request(
     )
 
 
+def rates_of(
+    allocator: BandwidthAllocator,
+    server: DataServer,
+    requests: Sequence[Request],
+    now: float,
+) -> Dict[int, float]:
+    """Run *allocator*'s pass and read back ``{request_id: rate}``."""
+    allocator.allocate_into(server, requests, now)
+    return {r.request_id: r.rate for r in requests}
+
+
 @dataclass
 class MicroCluster:
     """A hand-wired cluster for direct core-layer tests.

@@ -67,8 +67,8 @@ class TestSubmit:
     def test_on_decision_hook(self):
         engine, controller = build_controller()
         seen = []
-        controller.on_decision = lambda outcome, req: seen.append(
-            (outcome, req.video.video_id)
+        controller.decision_hooks.append(
+            lambda outcome, req: seen.append((outcome, req.video.video_id))
         )
         controller.submit(1)
         assert seen == [(AdmissionOutcome.ACCEPTED, 1)]

@@ -156,19 +156,9 @@ class TestIntrospection:
         engine.run()
         assert seen == [(1.0, "ping")]
 
-    def test_deprecated_trace_shim_warns_and_still_works(self, engine):
-        # External users assigning the legacy single-subscriber slot
-        # must get a DeprecationWarning, and the hook must still fire.
-        seen = []
-        with pytest.warns(DeprecationWarning, match="Engine.trace"):
-            engine.trace = lambda ev: seen.append(ev.kind)
-        engine.schedule(1.0, lambda: None, kind="ping")
-        engine.run()
-        assert seen == ["ping"]
-
     def test_no_internal_caller_uses_deprecated_trace(self):
-        # The shim exists for external users only: a fully traced
-        # simulation run must not touch it.
+        # The Engine.trace shim is gone; a fully traced simulation run
+        # must not lean on any other deprecated entry point either.
         import warnings
 
         from repro import obs
@@ -226,34 +216,6 @@ class TestTraceSubscribers:
     def test_remove_unsubscribed_raises(self, engine):
         with pytest.raises(ValueError):
             engine.remove_trace(lambda ev: None)
-
-    def test_deprecated_trace_setter_warns_and_works(self, engine):
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: seen.append(ev.kind)
-        engine.schedule(1.0, lambda: None, kind="ping")
-        engine.run()
-        assert seen == ["ping"]
-
-    def test_shim_coexists_with_subscribers(self, engine):
-        calls = []
-        engine.add_trace(lambda ev: calls.append("sub"))
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: calls.append("shim1")
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: calls.append("shim2")  # replaces shim1
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        assert calls == ["sub", "shim2"]
-
-    def test_shim_getter_reflects_assignment(self, engine):
-        assert engine.trace is None
-        fn = lambda ev: None  # noqa: E731
-        with pytest.warns(DeprecationWarning):
-            engine.trace = fn
-        assert engine.trace is fn
-        engine.remove_trace(fn)
-        assert engine.trace is None
 
 
 class TestCancellationAccounting:

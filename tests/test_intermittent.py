@@ -8,7 +8,7 @@ from repro.core.admission import AdmissionOutcome
 from repro.core.intermittent import IntermittentAllocator
 from repro.core.schedulers import ALLOCATORS
 
-from conftest import build_micro_cluster, make_client, make_video
+from conftest import build_micro_cluster, make_client, make_video, rates_of
 
 
 def intermittent_cluster(bandwidth=3.0, n_videos=1, length=1000.0):
@@ -63,7 +63,7 @@ class TestAllocation:
         a.bytes_sent = (now * a.view_bandwidth) + 200.0 * a.view_bandwidth
         b.bytes_sent = (now * b.view_bandwidth) + 10.0 * b.view_bandwidth
         a.last_sync = b.last_sync = now
-        rates = alloc.allocate(srv, [a, b], now)
+        rates = rates_of(alloc, srv, [a, b], now)
         assert rates[b.request_id] >= b.view_bandwidth
         # a is parked for the base pass but absorbs the leftover spare:
         assert rates[a.request_id] == pytest.approx(
@@ -78,7 +78,7 @@ class TestAllocation:
         parked = attach_banked(cluster, 200.0, now, receive=1.0)
         needy1 = attach_banked(cluster, 5.0, now, receive=1.0)
         needy2 = attach_banked(cluster, 5.0, now, receive=1.0)
-        rates = alloc.allocate(srv, [parked, needy1, needy2], now)
+        rates = rates_of(alloc, srv, [parked, needy1, needy2], now)
         assert rates[needy1.request_id] == pytest.approx(1.0)
         assert rates[needy2.request_id] == pytest.approx(1.0)
         assert rates[parked.request_id] == pytest.approx(0.0)
@@ -94,7 +94,7 @@ class TestAllocation:
             attach_banked(cluster, banked, now, receive=1.0)
             for banked in (5.0, 30.0, 60.0)  # all below park threshold
         ]
-        rates = alloc.allocate(srv, streams, now)
+        rates = rates_of(alloc, srv, streams, now)
         assert rates[streams[0].request_id] == pytest.approx(1.0)
         assert rates[streams[1].request_id] == pytest.approx(1.0)
         assert rates[streams[2].request_id] == pytest.approx(0.0)
@@ -110,7 +110,7 @@ class TestAllocation:
         # Banked 149 Mb of a 150 Mb buffer → headroom 1 Mb < 5 s × 1 Mb/s.
         r.bytes_sent = now * r.view_bandwidth + 149.0
         r.last_sync = now
-        rates = alloc.allocate(srv, [r], now)
+        rates = rates_of(alloc, srv, [r], now)
         # Needy pass feeds it (banked 149 s > park? 149 > 100 → parked!).
         # Parked + no refill headroom → fully idle.
         assert rates[r.request_id] == pytest.approx(0.0)

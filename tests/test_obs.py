@@ -381,6 +381,80 @@ class TestSimulationIntegration:
         assert plain.events_fired == result.events_fired
 
 
+class TestWatchingChangesNothing:
+    """Attaching a tracer must not change the code path or the result:
+    the ``sched.realloc`` record is read back off the requests after
+    the one allocator pass both runs take."""
+
+    @staticmethod
+    def config(duration):
+        from repro.cluster.system import SMALL_SYSTEM
+        from repro.core.migration import MigrationPolicy
+        from repro.simulation import SimulationConfig
+
+        return SimulationConfig(
+            system=SMALL_SYSTEM, theta=0.5, placement="even",
+            migration=MigrationPolicy.paper_default(), staging_fraction=0.2,
+            scheduler="eftf", duration=duration, warmup=0.0, seed=3,
+            client_receive_bandwidth=30.0,
+        )
+
+    def test_same_result_same_allocator_path(self, monkeypatch):
+        import dataclasses
+
+        from repro.core.schedulers import BandwidthAllocator, EFTFAllocator
+        from repro.simulation import Simulation
+
+        calls = []
+
+        def spy(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args):
+                calls.append(method)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        spy(BandwidthAllocator, "allocate_into")
+        spy(BandwidthAllocator, "_assign")
+        spy(EFTFAllocator, "_distribute_spare_into")
+
+        def run(tracer):
+            del calls[:]
+            result = dataclasses.asdict(
+                Simulation(self.config(3600.0), tracer=tracer).run()
+            )
+            result.pop("provenance")  # wall-clock stamps
+            return result, list(calls)
+
+        plain, plain_calls = run(None)
+        tracer = Tracer()
+        traced, traced_calls = run(tracer)
+        assert traced == plain
+        assert traced_calls == plain_calls
+        assert "_distribute_spare_into" in plain_calls
+        assert tracer.counts[TraceKind.SCHED_REALLOC] == plain_calls.count(
+            "allocate_into"
+        )
+
+    def test_sched_realloc_records_match_golden(self):
+        # Written by the dict-path `obs_hook` this record used to come
+        # from (tests/golden/README.md): same bytes from the fused pass.
+        from pathlib import Path
+
+        from repro.simulation import Simulation
+
+        tracer = Tracer()
+        Simulation(self.config(900.0), tracer=tracer).run()
+        lines = [
+            rec.to_json() + "\n"
+            for rec in tracer.records_of(TraceKind.SCHED_REALLOC)
+        ]
+        golden = Path(__file__).parent / "golden" / "sched_realloc_small.jsonl"
+        assert "".join(lines) == golden.read_text()
+
+
 class TestExportSidecar:
     def test_sweep_to_csv_writes_meta_sidecar(self, tmp_path):
         from repro.analysis.export import metadata_path, sweep_to_csv

@@ -487,6 +487,40 @@ class TestTierEndToEnd:
         assert result.arrivals == result.accepted + result.rejected
         assert result.chained <= result.accepted
 
+    def test_rejected_patch_retries_with_full_size(self):
+        # A request truncated to its catch-up patch and then rejected
+        # must go back to the full transfer — `video` and the `size`
+        # every transfer computation reads — so a retry sends it all.
+        policy = PrefixPolicy(
+            strategy="none", batching="patch", window_seconds=180.0,
+        )
+        reset_request_ids()
+        sim = Simulation(prefix_config(
+            policy, migration=MigrationPolicy.disabled(),
+        ))
+        sim._arrivals.stop()
+        engine, controller = sim.engine, sim.controller
+        decided = []
+        controller.decision_hooks.append(
+            lambda outcome, request: decided.append(request)
+        )
+        full = sim.catalog[0]
+        assert controller.submit(0).accepted          # the leader
+        engine.run_until(30.0)
+        while controller.submit(0).accepted:          # 30 s patches
+            assert decided[-1].size < full.size
+        assert sim.metrics.patched > 0
+        rejected = decided[-1]
+        assert rejected.video is full
+        assert rejected.size == full.size
+
+        engine.run_until(100.0)                       # patches drain
+        rejected.prepare_retry(engine.now)
+        assert controller.resubmit(rejected).accepted
+        engine.run_until(hours(2))
+        assert rejected.state is RequestState.FINISHED
+        assert rejected.bytes_sent == pytest.approx(full.size)
+
     def test_migration_drags_chained_children(self):
         # DRM coherence: parents migrate mid-run while chains ride the
         # playout relay; strict invariants must stay silent.

@@ -28,7 +28,7 @@ from repro.core.schedulers import ALLOCATORS
 from repro.sim.engine import Engine
 from repro.workload.zipf import ZipfPopularity
 
-from conftest import make_client, make_request, make_video
+from conftest import make_client, make_request, make_video, rates_of
 
 
 class TestEngineProperties:
@@ -145,7 +145,7 @@ class TestAllocatorProperties:
     @given(request_population(), st.sampled_from(MINFLOW))
     def test_minimum_flow_and_conservation(self, population, name):
         server, requests, now = population
-        rates = ALLOCATORS[name]().allocate(server, requests, now)
+        rates = rates_of(ALLOCATORS[name](), server, requests, now)
         assert set(rates) == {r.request_id for r in requests}
         total = sum(rates.values())
         assert total <= server.bandwidth + 1e-6
@@ -163,7 +163,7 @@ class TestAllocatorProperties:
         better-buffered one transmits at base rate."""
         server, requests, now = population
         alloc = ALLOCATORS["intermittent"]()
-        rates = alloc.allocate(server, requests, now)
+        rates = rates_of(alloc, server, requests, now)
         assert set(rates) == {r.request_id for r in requests}
         assert sum(rates.values()) <= server.bandwidth + 1e-6
         for r in requests:
@@ -173,7 +173,7 @@ class TestAllocatorProperties:
     @given(request_population())
     def test_eftf_boosts_only_streams_with_headroom(self, population):
         server, requests, now = population
-        rates = ALLOCATORS["eftf"]().allocate(server, requests, now)
+        rates = rates_of(ALLOCATORS["eftf"](), server, requests, now)
         for r in requests:
             if rates[r.request_id] > r.view_bandwidth + 1e-9:
                 assert r.headroom(now) > EPS_MB
@@ -185,7 +185,7 @@ class TestAllocatorProperties:
         less remaining data must be saturated (cap or spare ran out —
         which shows as *some* extra given)."""
         server, requests, now = population
-        rates = ALLOCATORS["eftf"]().allocate(server, requests, now)
+        rates = rates_of(ALLOCATORS["eftf"](), server, requests, now)
         boosted = {
             r.request_id: rates[r.request_id] - r.view_bandwidth
             for r in requests

@@ -1,19 +1,28 @@
 """Unit tests for the minimum-flow bandwidth allocators."""
 
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.metrics import SimulationMetrics
+from repro.cluster.request import EPS_MB
 from repro.cluster.server import DataServer
 from repro.core.schedulers import (
     ALLOCATORS,
+    EPS_RATE,
     EFTFAllocator,
     LFTFAllocator,
     NoWorkaheadAllocator,
     ProportionalShareAllocator,
 )
 
-from conftest import make_client, make_request, make_video
+from repro.core.transmission import TransmissionManager
+from repro.sim.engine import Engine
+
+from conftest import make_client, make_request, make_video, rates_of
 
 
 def server(bandwidth=10.0):
@@ -43,7 +52,7 @@ class TestMinimumFlow:
     def test_every_live_request_gets_view_bandwidth(self):
         srv = server(bandwidth=10.0)
         reqs = [attached_request(srv) for _ in range(3)]
-        rates = NoWorkaheadAllocator().allocate(srv, reqs, 0.0)
+        rates = rates_of(NoWorkaheadAllocator(), srv, reqs, 0.0)
         for r in reqs:
             assert rates[r.request_id] == pytest.approx(r.view_bandwidth)
 
@@ -51,14 +60,14 @@ class TestMinimumFlow:
         srv = server(bandwidth=10.0)
         r = attached_request(srv)
         r.paused_until = 5.0
-        rates = EFTFAllocator().allocate(srv, [r], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [r], 0.0)
         assert rates[r.request_id] == 0.0
 
     def test_pause_expiry_restores_flow(self):
         srv = server(bandwidth=10.0)
         r = attached_request(srv)
         r.paused_until = 5.0
-        rates = EFTFAllocator().allocate(srv, [r], 5.0)
+        rates = rates_of(EFTFAllocator(), srv, [r], 5.0)
         assert rates[r.request_id] >= r.view_bandwidth
 
     def test_overcommit_raises(self):
@@ -66,7 +75,7 @@ class TestMinimumFlow:
         reqs = [attached_request(srv) for _ in range(2)]
         extra = make_request(video=make_video(video_id=0))
         with pytest.raises(RuntimeError):
-            EFTFAllocator().allocate(srv, reqs + [extra], 0.0)
+            rates_of(EFTFAllocator(), srv, reqs + [extra], 0.0)
 
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
     def test_total_never_exceeds_link(self, name):
@@ -76,7 +85,7 @@ class TestMinimumFlow:
                              receive_bandwidth=4.0, buffer_capacity=50.0)
             for i in range(4)
         ]
-        rates = ALLOCATORS[name]().allocate(srv, reqs, 0.0)
+        rates = rates_of(ALLOCATORS[name](), srv, reqs, 0.0)
         assert sum(rates.values()) <= srv.bandwidth + 1e-9
         for r in reqs:
             assert rates[r.request_id] >= r.view_bandwidth - 1e-12
@@ -87,7 +96,7 @@ class TestEFTF:
         srv = server(bandwidth=5.0)
         near = attached_request(srv, remaining=10.0)
         far = attached_request(srv, remaining=90.0)
-        rates = EFTFAllocator().allocate(srv, [near, far], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [near, far], 0.0)
         # 2 Mb/s base + 3 spare, all to the near-finished stream.
         assert rates[near.request_id] == pytest.approx(4.0)
         assert rates[far.request_id] == pytest.approx(1.0)
@@ -96,7 +105,7 @@ class TestEFTF:
         srv = server(bandwidth=10.0)
         near = attached_request(srv, remaining=10.0, receive_bandwidth=3.0)
         far = attached_request(srv, remaining=90.0)
-        rates = EFTFAllocator().allocate(srv, [near, far], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [near, far], 0.0)
         assert rates[near.request_id] == pytest.approx(3.0)  # capped
         # Leftover spills to the next-earliest:
         assert rates[far.request_id] == pytest.approx(7.0)
@@ -112,21 +121,21 @@ class TestEFTF:
         far.last_sync = 40.0   # far: sent 50 viewed 40 → also full.
         # Give far headroom by enlarging its buffer:
         far.client = make_client(buffer_capacity=30.0)
-        rates = EFTFAllocator().allocate(srv, [near, far], 40.0)
+        rates = rates_of(EFTFAllocator(), srv, [near, far], 40.0)
         assert rates[near.request_id] == pytest.approx(1.0)
         assert rates[far.request_id] == pytest.approx(4.0)
 
     def test_skips_receive_capped_at_view_rate(self):
         srv = server(bandwidth=5.0)
         r = attached_request(srv, remaining=50.0, receive_bandwidth=1.0)
-        rates = EFTFAllocator().allocate(srv, [r], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [r], 0.0)
         assert rates[r.request_id] == pytest.approx(1.0)
 
     def test_deterministic_tie_break_by_id(self):
         srv = server(bandwidth=3.0)
         a = attached_request(srv, remaining=50.0, receive_bandwidth=3.0)
         b = attached_request(srv, remaining=50.0, receive_bandwidth=3.0)
-        rates = EFTFAllocator().allocate(srv, [b, a], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [b, a], 0.0)
         # Equal remaining → lower request id wins the spare.
         assert rates[a.request_id] > rates[b.request_id]
 
@@ -134,7 +143,7 @@ class TestEFTF:
         srv = server(bandwidth=5.0)
         done = attached_request(srv, remaining=0.0)
         live = attached_request(srv, remaining=50.0)
-        rates = EFTFAllocator().allocate(srv, [done, live], 0.0)
+        rates = rates_of(EFTFAllocator(), srv, [done, live], 0.0)
         assert rates[done.request_id] == pytest.approx(1.0)  # min flow only
         assert rates[live.request_id] == pytest.approx(4.0)
 
@@ -144,9 +153,16 @@ class TestLFTF:
         srv = server(bandwidth=5.0)
         near = attached_request(srv, remaining=10.0)
         far = attached_request(srv, remaining=90.0)
-        rates = LFTFAllocator().allocate(srv, [near, far], 0.0)
+        rates = rates_of(LFTFAllocator(), srv, [near, far], 0.0)
         assert rates[far.request_id] == pytest.approx(4.0)
         assert rates[near.request_id] == pytest.approx(1.0)
+
+    def test_deterministic_tie_break_by_id(self):
+        srv = server(bandwidth=3.0)
+        a = attached_request(srv, remaining=50.0, receive_bandwidth=3.0)
+        b = attached_request(srv, remaining=50.0, receive_bandwidth=3.0)
+        rates = rates_of(LFTFAllocator(), srv, [b, a], 0.0)
+        assert rates[a.request_id] > rates[b.request_id]
 
 
 class TestProportionalShare:
@@ -154,7 +170,7 @@ class TestProportionalShare:
         srv = server(bandwidth=10.0)
         a = attached_request(srv, remaining=10.0)
         b = attached_request(srv, remaining=90.0)
-        rates = ProportionalShareAllocator().allocate(srv, [a, b], 0.0)
+        rates = rates_of(ProportionalShareAllocator(), srv, [a, b], 0.0)
         assert rates[a.request_id] == pytest.approx(5.0)
         assert rates[b.request_id] == pytest.approx(5.0)
 
@@ -162,7 +178,7 @@ class TestProportionalShare:
         srv = server(bandwidth=10.0)
         capped = attached_request(srv, remaining=50.0, receive_bandwidth=2.0)
         open_ = attached_request(srv, remaining=50.0)
-        rates = ProportionalShareAllocator().allocate(srv, [capped, open_], 0.0)
+        rates = rates_of(ProportionalShareAllocator(), srv, [capped, open_], 0.0)
         assert rates[capped.request_id] == pytest.approx(2.0)
         assert rates[open_.request_id] == pytest.approx(8.0)
 
@@ -172,7 +188,7 @@ class TestProportionalShare:
             attached_request(srv, remaining=50.0, receive_bandwidth=2.0)
             for _ in range(3)
         ]
-        rates = ProportionalShareAllocator().allocate(srv, reqs, 0.0)
+        rates = rates_of(ProportionalShareAllocator(), srv, reqs, 0.0)
         assert sum(rates.values()) == pytest.approx(6.0)
 
 
@@ -180,7 +196,7 @@ class TestNoWorkahead:
     def test_spare_always_idle(self):
         srv = server(bandwidth=10.0)
         reqs = [attached_request(srv, remaining=50.0) for _ in range(2)]
-        rates = NoWorkaheadAllocator().allocate(srv, reqs, 0.0)
+        rates = rates_of(NoWorkaheadAllocator(), srv, reqs, 0.0)
         assert sum(rates.values()) == pytest.approx(2.0)
 
 
@@ -210,59 +226,239 @@ class TestInlinedEligibilityEquivalence:
         assert r.headroom(now) == pytest.approx(expected)
 
 
+# ----------------------------------------------------------------------
+# The fused pass against a readable reference
+# ----------------------------------------------------------------------
+def _greedy(rates, order, spare):
+    for r in order:
+        extra = min(spare, r.client.receive_bandwidth - rates[r.request_id])
+        rates[r.request_id] += extra
+        spare -= extra
+        if spare <= EPS_RATE:
+            break
+
+
+def _water_fill(rates, pool, spare):
+    caps = {
+        r.request_id: r.client.receive_bandwidth - r.view_bandwidth
+        for r in pool
+    }
+    while spare > EPS_RATE and pool:
+        share = spare / len(pool)
+        still_open = []
+        for r in pool:
+            extra = min(share, caps[r.request_id])
+            if extra > EPS_RATE:
+                rates[r.request_id] += extra
+                spare -= extra
+                caps[r.request_id] -= extra
+                if caps[r.request_id] > EPS_RATE:
+                    still_open.append(r)
+        if len(still_open) == len(pool):
+            break
+        pool = still_open
+
+
+def _minimum_flow_rates(name, link, requests, now):
+    """Figure 2, the readable way: floor, then the policy's spare."""
+    rates = {}
+    floor = 0.0
+    for r in requests:
+        idle = r.is_paused(now) or (
+            r.playback_paused and r.headroom(now) <= EPS_MB
+        )
+        rates[r.request_id] = 0.0 if idle else r.view_bandwidth
+        if not idle:
+            floor += r.view_bandwidth
+    spare = link - floor
+    eligible = [
+        r for r in requests
+        if rates[r.request_id] > 0.0
+        and r.headroom(now) > EPS_MB
+        and r.client.receive_bandwidth - r.view_bandwidth > EPS_RATE
+    ]
+    if spare > EPS_RATE:
+        if name == "eftf":
+            eligible.sort(key=lambda r: (r.remaining, r.request_id))
+            _greedy(rates, eligible, spare)
+        elif name == "lftf":
+            eligible.sort(key=lambda r: (-r.remaining, r.request_id))
+            _greedy(rates, eligible, spare)
+        elif name == "proportional":
+            _water_fill(rates, eligible, spare)
+        else:
+            assert name == "none"
+    return rates
+
+
+def _intermittent_rates(alloc, link, requests, now):
+    """Park the well-buffered, feed the neediest, then EFTF the rest."""
+    def banked_seconds(r):
+        return r.buffer_occupancy(now) / r.view_bandwidth
+
+    rates = {r.request_id: 0.0 for r in requests}
+    live = [r for r in requests if not r.is_paused(now)]
+    pool = link
+    for r in sorted(live, key=lambda r: (banked_seconds(r), r.request_id)):
+        if (
+            r.transmission_finished
+            or r.playback_paused
+            or banked_seconds(r) >= alloc.park_seconds
+        ):
+            continue
+        if pool < r.view_bandwidth - EPS_RATE:
+            break
+        rates[r.request_id] = r.view_bandwidth
+        pool -= r.view_bandwidth
+    if pool > EPS_RATE:
+        eligible = [
+            r for r in live
+            if r.client.receive_bandwidth - rates[r.request_id] > EPS_RATE
+            and not r.transmission_finished
+            and r.client.buffer_capacity - r.buffer_occupancy(now)
+            > alloc.refill_seconds * r.view_bandwidth + EPS_MB
+        ]
+        eligible.sort(key=lambda r: (r.remaining, r.request_id))
+        _greedy(rates, eligible, pool)
+    return rates
+
+
+def _next_wall(r, rate, now, resume_seconds):
+    """When *r*'s linear evolution at *rate* next needs attention."""
+    if r.is_paused(now):
+        return r.paused_until  # switch-gap end
+    vb = r.view_bandwidth
+    drain = 0.0 if r.playback_paused else vb
+    starving = math.inf
+    if rate < drain - EPS_RATE and not r.transmission_finished:
+        # Intermittent only: wake before the buffer drains to the
+        # resume level (or, already below it, before it empties).
+        buffer = r.buffer_occupancy(now)
+        level = resume_seconds * vb
+        if buffer > level + EPS_MB:
+            starving = now + (buffer - level) / (drain - rate)
+        elif buffer > EPS_MB:
+            starving = now + buffer / (drain - rate)
+    if rate <= EPS_RATE:
+        return starving
+    finish = (
+        r.projected_finish(now) if rate == vb else now + r.remaining / rate
+    )
+    full = math.inf
+    if rate - drain > EPS_RATE and r.client.buffer_capacity < math.inf:
+        room = max(0.0, r.client.buffer_capacity - r.buffer_occupancy(now))
+        full = now + room / (rate - drain)
+    return min(finish, full, starving)
+
+
+def build_allocator(name):
+    """The registered allocator; the intermittent one with thresholds
+    low enough that the generated streams do get parked and resumed."""
+    if name == "intermittent":
+        return ALLOCATORS[name](
+            park_seconds=20.0, resume_seconds=5.0, refill_seconds=2.0
+        )
+    return ALLOCATORS[name]()
+
+
+def reference_step(name, link, requests, now):
+    """One reallocation assembled from the readable ``Request`` helpers;
+    returns ``({request_id: rate}, Mb moved, next boundary)``."""
+    moved = 0.0
+    for r in requests:
+        moved += r.sync(now)
+    alloc = build_allocator(name)
+    if name == "intermittent":
+        rates = _intermittent_rates(alloc, link, requests, now)
+    else:
+        rates = _minimum_flow_rates(name, link, requests, now)
+    resume = getattr(alloc, "resume_seconds", 0.0)
+    walls = [
+        _next_wall(r, rates[r.request_id], now, resume) for r in requests
+    ]
+    return rates, moved, min(walls)
+
+
+@st.composite
+def schedule_states(draw):
+    """A server's schedule just before a reallocation at ``now``: every
+    stream last synced at ``then <= now`` (or just arrived), holding
+    the rate it was given then.  No stream has underrun by ``now``."""
+    now = draw(st.floats(0.0, 50.0))
+    then = max(0.0, now - draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))))
+    requests = []
+    for i in range(draw(st.integers(1, 10))):
+        vb = draw(st.sampled_from([1.0, 1.5, 3.0]))
+        start = draw(st.floats(0.0, then))
+        kind = draw(st.sampled_from(["playing", "vcr", "gap", "finished"]))
+        r = make_request(
+            video=make_video(
+                video_id=i, view_bandwidth=vb,
+                length=(now - start) + draw(st.floats(1.0, 150.0)),
+            ),
+            client=make_client(
+                draw(st.one_of(st.just(0.0), st.just(math.inf),
+                               st.floats(0.5, 200.0))),
+                draw(st.one_of(st.just(math.inf), st.floats(vb, 50.0))),
+            ),
+            arrival_time=start,
+        )
+        played_until = now
+        if kind == "vcr":
+            played_until = draw(st.floats(start, then))
+            r.playback_pause_time = played_until
+            r.pauses = 1
+        if kind == "gap":
+            r.paused_until = now + draw(st.floats(0.1, 10.0))
+        elif draw(st.booleans()):
+            r.paused_until = then  # a switch gap that has ended
+        viewed = min(r.size, vb * (played_until - start))
+        r.bytes_sent = (
+            r.size if kind == "finished" else draw(st.floats(viewed, r.size))
+        )
+        r.rate = draw(st.sampled_from([0.0, vb, 2.5 * vb]))
+        r.last_sync = now if draw(st.booleans()) else then
+        requests.append(r)
+    floor = 0.0
+    for r in requests:
+        floor += r.view_bandwidth
+    return now, floor, draw(st.floats(0.3, 3.0)), requests
+
+
 class TestAllocateIntoEquivalence:
-    """allocate_into (the batched in-place path TransmissionManager
-    drives) must write exactly the rates allocate (the reference dict
-    path) returns — for every registered allocator and a state mix
-    covering paused, VCR-paused, buffer-limited and finishing streams.
+    """The one fused pass TransmissionManager drives — sync, floor,
+    candidates, spare, horizon — must produce exactly what the readable
+    reference does: bit-equality, not approx, because the pass must keep
+    the reference's float operations and their order.
     """
 
-    def _populate(self, srv, now=10.0):
-        reqs = []
-        # Plain stream, lots remaining.
-        reqs.append(attached_request(srv, remaining=90.0))
-        # Nearly finished (earliest finish under EFTF).
-        reqs.append(attached_request(srv, remaining=5.0))
-        # Buffer-limited (small headroom caps its boost).
-        reqs.append(attached_request(srv, remaining=60.0,
-                                     buffer_capacity=12.0))
-        # Receive-bandwidth-limited client.
-        reqs.append(attached_request(srv, remaining=70.0,
-                                     receive_bandwidth=1.5))
-        # Migration-paused until beyond `now`.
-        paused = attached_request(srv, remaining=50.0)
-        paused.paused_until = now + 5.0
-        reqs.append(paused)
-        # VCR-paused viewer (stopped playing at t=2).
-        vcr = attached_request(srv, remaining=40.0, buffer_capacity=30.0)
-        vcr.playback_pause_time = 2.0
-        reqs.append(vcr)
-        for r in reqs:
-            r.last_sync = now
-        return reqs
-
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
-    def test_matches_reference_dict_path(self, name):
-        now = 10.0
-        ref_srv, into_srv = server(), server()
-        ref_reqs = self._populate(ref_srv, now)
-        into_reqs = self._populate(into_srv, now)
-
-        expected = ALLOCATORS[name]().allocate(ref_srv, ref_reqs, now)
-        ALLOCATORS[name]().allocate_into(into_srv, into_reqs, now)
-        for ref_r, into_r in zip(ref_reqs, into_reqs):
-            # Bit-equality, not approx: the batched path must preserve
-            # the reference's float operation order exactly.
-            assert into_r.rate == expected[ref_r.request_id]
-
-    def test_obs_hook_still_fires_through_allocate_into(self):
-        srv = server()
-        reqs = self._populate(srv)
-        alloc = EFTFAllocator()
-        seen = []
-        alloc.obs_hook = lambda server, requests, rates, now: seen.append(
-            (len(rates), now)
+    @settings(max_examples=80, deadline=None)
+    @given(state=schedule_states())
+    def test_matches_reference_dict_path(self, name, state):
+        now, floor, headroom, requests = state
+        # Only the intermittent allocator may be over-committed (some
+        # streams then starve); a minimum-flow link covers its floor.
+        link = floor * (headroom if name == "intermittent" else max(1.0, headroom))
+        expected_rates, moved, wall = reference_step(
+            name, link, [copy.copy(r) for r in requests], now
         )
-        alloc.allocate_into(srv, reqs, 10.0)
-        assert seen and seen[0][1] == 10.0
-        assert all(r.rate >= 0.0 for r in reqs)
+        expected_sent = {
+            r.request_id: min(r.bytes_sent + r.rate * (now - r.last_sync), r.size)
+            for r in requests
+        }
+
+        engine = Engine(start_time=now)
+        srv = DataServer(0, bandwidth=link, disk_capacity=1e9)
+        metrics = SimulationMetrics()
+        manager = TransmissionManager(engine, srv, build_allocator(name), metrics)
+        for r in requests:
+            srv.store_replica(r.video)
+            srv.attach(r)
+        manager.reallocate(now)
+
+        assert {r.request_id: r.rate for r in requests} == expected_rates
+        assert {r.request_id: r.bytes_sent for r in requests} == expected_sent
+        assert all(r.last_sync == now for r in requests)
+        assert metrics.total_megabits == moved
+        assert engine.peek_time() == (None if wall == math.inf else wall)
