@@ -209,10 +209,6 @@ class DataServer:
         """Unfinished streams in deterministic (insertion) order."""
         return self.active.values()
 
-    def migratable_requests(self) -> List[Request]:
-        """Streams that could in principle move (unfinished, attached)."""
-        return list(self.active.values())
-
     # ------------------------------------------------------------------
     # Failure model
     # ------------------------------------------------------------------

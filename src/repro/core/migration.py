@@ -20,7 +20,7 @@ is *paused* (rate 0) on the target server until the gap ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.cluster.request import Request
 from repro.cluster.server import DataServer
@@ -121,14 +121,23 @@ def _eligible(
     ):
         return False
     if policy.switch_delay > 0.0:
+        # Streams on other servers are not synced to `now` during a
+        # search: project the transfer instead of reading a stale one.
+        sent = min(
+            request.size,
+            request.bytes_sent + request.rate * (now - request.last_sync),
+        )
         needed = policy.switch_delay * request.view_bandwidth
-        if request.buffer_occupancy(now) < needed:
+        if sent - request.bytes_viewed(now) < needed:
             return False
     return True
 
 
 #: Slot predicate: can *server* take *request* right now?  The default
-#: is the minimum-flow test; overbooked admission passes its own.
+#: is the minimum-flow test; overbooked admission passes its own.  It
+#: must not mutate and must give the same answer for the same
+#: ``(server, request)`` for the duration of one search — the search
+#: relies on it.
 SlotTest = Callable[[DataServer, Request], bool]
 
 
@@ -153,7 +162,9 @@ def find_migration_chain(
     recursively free a slot on ``T`` (up to ``max_chain_length`` moves).
 
     Iteration order is deterministic (server id, then request id), so
-    runs are reproducible.
+    runs are reproducible.  The cluster is frozen until
+    :func:`execute_chain`, so what one path learns about a server is
+    shared with every later path of the same search (:func:`_free_slot`).
 
     Returns:
         Steps in execution order (deepest first), or None.  The *last*
@@ -173,10 +184,12 @@ def find_migration_chain(
     # Deterministic preference: fewest active streams first (they are
     # typically all full here, so this mostly falls back to id order).
     entry_holders.sort(key=lambda s: (s.active_count, s.server_id))
+    movable_of: Dict[int, List[Request]] = {}
+    no_direct: Set[int] = set()
     for holder in entry_holders:
         chain = _free_slot(
-            holder, servers, placement, policy, now, depth=1,
-            visited={holder.server_id}, slot_test=slot_test,
+            holder, servers, placement, policy, now, 1,
+            {holder.server_id}, slot_test, movable_of, no_direct,
         )
         if chain is not None:
             return chain
@@ -190,48 +203,64 @@ def _free_slot(
     policy: MigrationPolicy,
     now: float,
     depth: int,
-    visited: set,
-    slot_test: SlotTest = _minflow_slot_test,
+    visited: Set[int],
+    slot_test: SlotTest,
+    movable_of: Dict[int, List[Request]],
+    no_direct: Set[int],
 ) -> Optional[List[MigrationStep]]:
-    """Free one minimum-flow slot on *server* using <= remaining moves."""
-    if depth > policy.max_chain_length:
-        return None
-    movable = [
-        r for r in server.iter_active() if _eligible(r, policy, now)
-    ]
-    movable.sort(key=lambda r: r.request_id)
-    # Pass 1: a direct move (keeps chains as short as possible).
-    for r in movable:
-        for tid in placement.holders(r.video.video_id):
-            if tid == server.server_id or tid in visited or tid not in servers:
-                continue
-            target = servers[tid]
-            if target.up and slot_test(target, r):
-                return [MigrationStep(r, server.server_id, tid)]
-    # Pass 2: recurse — displace a stream from a full target first.
+    """Free one minimum-flow slot on *server* using <= remaining moves.
+
+    *movable_of* (server id -> eligible streams by request id) and
+    *no_direct* (servers whose eligible streams have no open target
+    anywhere) live for one search: a revisit skips what they answer.
+    """
+    sid = server.server_id
+    movable = movable_of.get(sid)
+    if movable is None:
+        movable = movable_of[sid] = [
+            r for r in server.iter_active() if _eligible(r, policy, now)
+        ]
+        movable.sort(key=lambda r: r.request_id)
+    # Pass 1: a direct move (keeps chains as short as possible).  A
+    # larger `visited` only removes targets, so a server with no open
+    # target at all — on the path or off it — never gets one later.
+    if sid not in no_direct:
+        open_on_path = False
+        for r in movable:
+            for tid in placement.holders(r.video.video_id):
+                if tid == sid or tid not in servers:
+                    continue
+                target = servers[tid]
+                if target.up and slot_test(target, r):
+                    if tid not in visited:
+                        return [MigrationStep(r, sid, tid)]
+                    open_on_path = True
+        if not open_on_path:
+            no_direct.add(sid)
+    # Pass 2: recurse — displace a stream from a full target first.  A
+    # second stream pointing at the same target would ask the identical
+    # question, and the first asker has the lowest request id.
     if depth < policy.max_chain_length:
+        tried: Set[int] = set()
         for r in movable:
             for tid in placement.holders(r.video.video_id):
                 if (
-                    tid == server.server_id
+                    tid == sid
                     or tid in visited
+                    or tid in tried
                     or tid not in servers
                     or not servers[tid].up
                     or not servers[tid].accepting
                 ):
                     continue
+                tried.add(tid)
                 sub = _free_slot(
-                    servers[tid],
-                    servers,
-                    placement,
-                    policy,
-                    now,
-                    depth + 1,
-                    visited | {tid},
-                    slot_test=slot_test,
+                    servers[tid], servers, placement, policy, now,
+                    depth + 1, visited | {tid}, slot_test,
+                    movable_of, no_direct,
                 )
                 if sub is not None:
-                    return sub + [MigrationStep(r, server.server_id, tid)]
+                    return sub + [MigrationStep(r, sid, tid)]
     return None
 
 

@@ -1,14 +1,20 @@
 """Unit tests for DRM chain search and execution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import migration
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
     MigrationPolicy,
+    MigrationStep,
+    _eligible,
+    _minflow_slot_test,
     find_migration_chain,
 )
 
-from conftest import build_micro_cluster, make_client, make_video
+from conftest import build_micro_cluster, make_client, make_request, make_video
 
 
 class TestMigrationPolicy:
@@ -173,6 +179,222 @@ class TestChainSearch:
         assert chain is None
 
 
+def reference_chain_search(
+    video_id, servers, placement, policy, now, slot_test=_minflow_slot_test
+):
+    """The plain depth-limited DFS the search was before it shared work
+    between paths: every visit rebuilds the server's eligible list and
+    every stream recurses into its targets.  Kept as the oracle."""
+    if not policy.enabled:
+        return None
+    entry_holders = [
+        servers[sid]
+        for sid in placement.holders(video_id)
+        if sid in servers and servers[sid].up and servers[sid].accepting
+    ]
+    entry_holders.sort(key=lambda s: (s.active_count, s.server_id))
+    for holder in entry_holders:
+        chain = _reference_free_slot(
+            holder, servers, placement, policy, now, depth=1,
+            visited={holder.server_id}, slot_test=slot_test,
+        )
+        if chain is not None:
+            return chain
+    return None
+
+
+def _reference_free_slot(
+    server, servers, placement, policy, now, depth, visited, slot_test
+):
+    if depth > policy.max_chain_length:
+        return None
+    movable = [
+        r for r in server.iter_active() if _eligible(r, policy, now)
+    ]
+    movable.sort(key=lambda r: r.request_id)
+    # Pass 1: a direct move (keeps chains as short as possible).
+    for r in movable:
+        for tid in placement.holders(r.video.video_id):
+            if tid == server.server_id or tid in visited or tid not in servers:
+                continue
+            target = servers[tid]
+            if target.up and slot_test(target, r):
+                return [MigrationStep(r, server.server_id, tid)]
+    # Pass 2: recurse — displace a stream from a full target first.
+    if depth < policy.max_chain_length:
+        for r in movable:
+            for tid in placement.holders(r.video.video_id):
+                if (
+                    tid == server.server_id
+                    or tid in visited
+                    or tid not in servers
+                    or not servers[tid].up
+                    or not servers[tid].accepting
+                ):
+                    continue
+                sub = _reference_free_slot(
+                    servers[tid],
+                    servers,
+                    placement,
+                    policy,
+                    now,
+                    depth + 1,
+                    visited | {tid},
+                    slot_test=slot_test,
+                )
+                if sub is not None:
+                    return sub + [MigrationStep(r, server.server_id, tid)]
+    return None
+
+
+def _strict_slot_test(server, request):
+    """A pure custom predicate that depends on both arguments."""
+    return (
+        server.has_slot_for(request)
+        and (server.server_id + request.request_id) % 3 != 0
+    )
+
+
+NOW = 10.0
+
+
+@st.composite
+def search_cases(draw):
+    """A random micro-cluster frozen at ``NOW``, mostly full, plus a
+    policy, a slot test and the video to search for."""
+    n_servers = draw(st.integers(3, 6))
+    slots = draw(st.lists(st.integers(1, 6), min_size=n_servers,
+                          max_size=n_servers))
+    n_videos = draw(st.integers(2, 8))
+    videos = [
+        make_video(video_id=v, view_bandwidth=draw(st.sampled_from([1.0, 2.0])))
+        for v in range(n_videos)
+    ]
+    holders = {
+        v: draw(st.lists(st.integers(0, n_servers - 1), min_size=2,
+                         max_size=3, unique=True))
+        for v in range(n_videos)
+    }
+    policy = MigrationPolicy(
+        enabled=True,
+        max_chain_length=draw(st.sampled_from([1, 2, 3])),
+        max_hops_per_request=draw(st.sampled_from([0, 1, 1, None, None])),
+        switch_delay=draw(st.sampled_from([0.0, 5.0])),
+    )
+    cluster = build_micro_cluster(
+        server_specs=[(float(n), 1e9) for n in slots],
+        videos=videos, holders=holders, migration=policy,
+    )
+    streams = []  # (server, request), in request-id order
+    for sid, server in cluster.servers.items():
+        state = draw(st.sampled_from(["up"] * 8 + ["down", "draining"]))
+        if state == "down":
+            server.up = False
+            continue
+        server.accepting = state == "up"
+        held = sorted(server.holdings)
+        room = float(slots[sid]) - draw(st.sampled_from([0, 0, 0, 0, 1]))
+        while held:
+            video = videos[draw(st.sampled_from(held))]
+            if video.view_bandwidth > room:
+                break
+            room -= video.view_bandwidth
+            r = make_request(video=video)
+            r.hops = draw(st.sampled_from([0, 0, 0, 1, 2]))
+            if draw(st.integers(0, 9)) == 0:
+                r.paused_until = NOW + 1.0
+            # Buffer fill as of the stream's last sync, and a boost
+            # since then that only a projection to NOW can see.
+            vb = video.view_bandwidth
+            r.last_sync = NOW - draw(st.sampled_from([0.0, 4.0]))
+            r.rate = vb * draw(st.sampled_from([1.0, 2.0]))
+            r.bytes_sent = (
+                vb * r.last_sync + vb * draw(st.sampled_from([0.0, 2.0, 8.0, 8.0]))
+            )
+            streams.append((server, r))
+    # Insertion order is not request-id order; the search must sort.
+    for i in draw(st.permutations(range(len(streams)))):
+        server, r = streams[i]
+        server.attach(r)
+    servers = dict(cluster.servers)
+    if draw(st.integers(0, 7)) == 0:  # a departed member still in the map
+        del servers[draw(st.integers(0, n_servers - 1))]
+    slot_test = draw(st.sampled_from([_minflow_slot_test, _strict_slot_test]))
+    video_id = draw(st.integers(0, n_videos - 1))
+    return video_id, servers, cluster.placement, policy, slot_test
+
+
+def _triples(chain):
+    if chain is None:
+        return None
+    return [(s.request.request_id, s.source_id, s.target_id) for s in chain]
+
+
+class TestSharedSearchAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases())
+    def test_same_chain_as_plain_dfs(self, case):
+        video_id, servers, placement, policy, slot_test = case
+        got = find_migration_chain(
+            video_id, servers, placement, policy, NOW, slot_test=slot_test
+        )
+        want = reference_chain_search(
+            video_id, servers, placement, policy, NOW, slot_test=slot_test
+        )
+        assert _triples(got) == _triples(want)
+
+    def test_each_server_walked_once_per_search(self, monkeypatch):
+        """Saturated 5 x 33 cluster, chain length 2, the only open
+        server three moves from either entry holder: the failed search
+        looks at each stream once and enters each server at most once
+        per entry holder, however many streams point at it."""
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+        videos = [make_video(video_id=v) for v in range(len(pairs))]
+        policy = MigrationPolicy(
+            enabled=True, max_chain_length=2, max_hops_per_request=None
+        )
+        cluster = build_micro_cluster(
+            server_specs=[(33.0, 1e9)] * 5,
+            videos=videos,
+            holders={v: list(p) for v, p in enumerate(pairs)},
+            migration=policy,
+        )
+        for sid, server in cluster.servers.items():
+            held = sorted(server.holdings)
+            for i in range(32 if sid == 4 else 33):
+                server.attach(make_request(video=videos[held[i % len(held)]]))
+        n_streams = sum(s.active_count for s in cluster.servers.values())
+
+        calls = {"_eligible": 0, "_free_slot": 0}
+
+        def counted(name):
+            real = getattr(migration, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(migration, name, wrapper)
+
+        counted("_eligible")
+        counted("_free_slot")
+        # Video 0 lives on {0, 1}: two entry holders; 0 -> 2 -> 3 -> 4.
+        assert find_migration_chain(
+            0, cluster.servers, cluster.placement, policy, NOW
+        ) is None
+        assert 0 < calls["_eligible"] <= n_streams
+        assert 2 <= calls["_free_slot"] <= 2 * len(cluster.servers)
+        longer = MigrationPolicy(
+            enabled=True, max_chain_length=3, max_hops_per_request=None
+        )
+        chain = find_migration_chain(
+            0, cluster.servers, cluster.placement, longer, NOW
+        )
+        assert [(s.source_id, s.target_id) for s in chain] == [
+            (3, 4), (2, 3), (0, 2),
+        ]
+
+
 class TestSwitchDelay:
     def test_requires_buffer_coverage(self):
         cluster = chain_cluster(switch_delay=5.0)
@@ -183,6 +405,31 @@ class TestSwitchDelay:
             cluster.admission.migration_policy, now=1.0,
         )
         assert chain is None
+
+    def test_buffer_is_projected_to_now_not_read_at_last_sync(self):
+        """A stream boosted since its server's last event has more
+        staged than its synced ``bytes_sent`` says."""
+        videos = [make_video(video_id=i) for i in range(2)]
+        cluster = build_micro_cluster(
+            server_specs=[(2.0, 1e9), (2.0, 1e9)],
+            videos=videos,
+            holders={0: [0, 1], 1: [0]},
+            migration=MigrationPolicy(
+                enabled=True, max_hops_per_request=1, switch_delay=5.0,
+            ),
+        )
+        a, _ = cluster.submit(0, client=make_client(buffer_capacity=1e9))
+        cluster.engine.run_until(10.0)
+        # Alone at 2 Mb/s since t=0 and not synced since: 20 Mb sent by
+        # t=10 against 10 Mb viewed covers the 5 Mb gap; the stale
+        # reading (0 Mb sent) does not.
+        assert (a.rate, a.last_sync, a.bytes_sent) == (2.0, 0.0, 0.0)
+        chain = find_migration_chain(
+            1, cluster.servers, cluster.placement,
+            cluster.admission.migration_policy, now=10.0,
+        )
+        assert chain is not None and chain[0].request is a
+        assert (a.last_sync, a.bytes_sent) == (0.0, 0.0)  # not mutated
 
     def test_buffered_stream_migrates_and_pauses(self):
         # video 0 on {0,1}; videos 1 and 2 only on server 0 so the

@@ -122,7 +122,6 @@ class TestActiveSet:
         for r in reqs:
             s.attach(r)
         assert list(s.iter_active()) == reqs
-        assert s.migratable_requests() == reqs
 
 
 class TestFailure:
