@@ -1,14 +1,11 @@
 """Performance benchmark harness (``repro-vod bench``).
 
-Three measurements, written to ``BENCH_perf.json`` (schema
-``repro-bench-perf/2``) so successive PRs accumulate a perf trajectory:
+Two measurements, written to ``BENCH_perf.json`` (schema
+``repro-bench-perf/3``) so successive PRs accumulate a perf trajectory:
 
 * **engine microbenchmark** — raw events/sec of the DES core on a
   self-perpetuating event chain interleaved with cancelled handles
   (exercising both the fire path and the lazy-cancellation skip path);
-* **scheduler microbenchmark** — push/pop throughput of each agenda
-  implementation (heap vs calendar queue) at several queue depths,
-  pinning down the depth crossover between the two;
 * **sweep benchmark** — wall time of a Figure-4-shaped
   (θ × variant × trial) sweep executed serially (``REPRO_WORKERS=1``)
   versus through the chunked parallel executor on a pre-warmed
@@ -31,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import random
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,25 +36,17 @@ from repro.experiments import fig4_drm
 from repro.experiments.base import THETA_GRID_COARSE, warm_pool
 from repro.obs.provenance import run_provenance
 from repro.sim.engine import Engine
-from repro.sim.scheduler import SCHEDULERS
 
 #: Default output path (repo root when invoked from a checkout).
 DEFAULT_OUT = "BENCH_perf.json"
 
-#: Current report schema.  /2 added ``cpu_usable``, the ``scheduler``
-#: section, per-scheduler engine naming, and the sweep skip field.
-SCHEMA = "repro-bench-perf/2"
+#: Current report schema.  /2 added ``cpu_usable`` and the sweep skip
+#: field; /3 dropped the ``scheduler`` section and the engine's
+#: ``scheduler`` field (there is one agenda).
+SCHEMA = "repro-bench-perf/3"
 
 #: Events per engine-microbenchmark repetition.
 ENGINE_EVENTS = 200_000
-
-#: Queue depths probed by the scheduler microbenchmark — shallow (a
-#: typical per-server agenda), mid, and deep (where the calendar queue
-#: overtakes the heap's O(log n) sift).
-SCHEDULER_DEPTHS = (256, 4096, 32768)
-
-#: Push/pop pairs per scheduler-microbenchmark measurement.
-SCHEDULER_OPS = 100_000
 
 #: Fidelity of the sweep benchmark (matches REPRO_BENCH_SCALE's
 #: default, so the sweep leg mirrors the committed bench artifacts).
@@ -105,9 +93,7 @@ def _workers_env(value: Optional[int]):
 
 
 def engine_benchmark(
-    n_events: int = ENGINE_EVENTS,
-    repeats: int = 3,
-    scheduler: Optional[str] = None,
+    n_events: int = ENGINE_EVENTS, repeats: int = 3
 ) -> Dict[str, object]:
     """Measure raw engine throughput (best of *repeats*).
 
@@ -119,13 +105,10 @@ def engine_benchmark(
     Args:
         n_events: live events per repetition.
         repeats: measurement repetitions (best is reported).
-        scheduler: agenda registry key (``"heap"``/``"calendar"``);
-            None follows ``REPRO_SCHEDULER`` / the heap default.
     """
-    name = scheduler or os.environ.get("REPRO_SCHEDULER", "heap")
     best = 0.0
     for _ in range(repeats):
-        engine = Engine(scheduler=name)
+        engine = Engine()
         remaining = [n_events]
 
         def tick() -> None:
@@ -143,59 +126,8 @@ def engine_benchmark(
     return {
         "events": n_events,
         "repeats": repeats,
-        "scheduler": name,
         "events_per_sec": round(best, 1),
     }
-
-
-def scheduler_benchmark(
-    depths=SCHEDULER_DEPTHS, ops: int = SCHEDULER_OPS, repeats: int = 3
-) -> Dict[str, object]:
-    """Push/pop throughput of each registered agenda at several depths.
-
-    The classic *hold* workload: pre-fill the queue to *depth*, then
-    repeatedly pop the minimum and push a replacement a random offset
-    later, keeping the depth constant — the steady state a long
-    simulation puts its agenda in.  Offsets come from a fixed-seed RNG
-    so every scheduler (and every run) sees the identical sequence, and
-    scale with depth so the agenda spans a time window proportional to
-    its size — the regime deep agendas occur in (many event sources
-    spread across the horizon; depth-N entries packed into a constant
-    window would degenerate any bucketed structure, and time values
-    don't affect the heap's comparisons either way).
-
-    Returns one row per depth with ``<name>_ops_per_sec`` for every
-    registered scheduler (an "op" is one pop+push pair).
-    """
-    rows: List[Dict[str, object]] = []
-    for depth in depths:
-        row: Dict[str, object] = {"depth": depth}
-        for name in sorted(SCHEDULERS.names()):
-            cls = SCHEDULERS.get(name)
-            spread = depth / 8.0
-            offsets = [
-                o * spread
-                for o in random.Random(12345).choices(
-                    [0.5, 1.0, 1.7, 2.3, 5.0], k=1024
-                )
-            ]
-            best = 0.0
-            for _ in range(repeats):
-                sched = cls()
-                seq = 0
-                for i in range(depth):
-                    seq += 1
-                    sched.push((offsets[i % 1024] * i / depth, seq, None))
-                t0 = perf_counter()
-                for i in range(ops):
-                    t, _, _ = sched.pop()
-                    seq += 1
-                    sched.push((t + offsets[i % 1024], seq, None))
-                elapsed = perf_counter() - t0
-                best = max(best, ops / elapsed)
-            row[f"{name}_ops_per_sec"] = round(best, 1)
-        rows.append(row)
-    return {"ops": ops, "repeats": repeats, "results": rows}
 
 
 def sweep_benchmark(
@@ -293,12 +225,6 @@ def run_bench(
     engine = engine_benchmark(
         n_events=ENGINE_EVENTS // 4 if quick else ENGINE_EVENTS
     )
-    if progress is not None:
-        progress("bench: scheduler push/pop microbenchmark ...")
-    scheduler = scheduler_benchmark(
-        depths=SCHEDULER_DEPTHS[:2] if quick else SCHEDULER_DEPTHS,
-        ops=SCHEDULER_OPS // 4 if quick else SCHEDULER_OPS,
-    )
     sweep = sweep_benchmark(quick=quick, seed=seed, progress=progress)
     report: Dict[str, object] = {
         "schema": SCHEMA,
@@ -306,7 +232,6 @@ def run_bench(
         "cpu_count": os.cpu_count(),
         "cpu_usable": usable_cpus(),
         "engine": engine,
-        "scheduler": scheduler,
         "sweep": sweep,
         "provenance": run_provenance(seed=seed, scale=sweep["shape"]["scale"]),
     }
@@ -322,17 +247,9 @@ def render_report(report: Dict[str, object]) -> str:
     engine = report["engine"]
     sweep = report["sweep"]
     lines = [
-        f"engine ({engine.get('scheduler', 'heap')} scheduler): "
-        f"{engine['events_per_sec']:,.0f} events/sec "
+        f"engine: {engine['events_per_sec']:,.0f} events/sec "
         f"({engine['events']} events, best of {engine['repeats']})",
     ]
-    for row in report.get("scheduler", {}).get("results", []):
-        pairs = ", ".join(
-            f"{key[:-len('_ops_per_sec')]} {value:,.0f} ops/sec"
-            for key, value in row.items()
-            if key.endswith("_ops_per_sec")
-        )
-        lines.append(f"scheduler hold @depth {row['depth']}: {pairs}")
     shape = (
         f"sweep ({sweep['shape']['figure']}, {sweep['shape']['system']} "
         f"system, {sweep['shape']['tasks']} tasks): "
@@ -371,8 +288,8 @@ def compare_reports(
     engine events/sec dropped by more than *threshold* (the gating
     metric: events/sec is hardware-comparable within one host class,
     while sweep wall times also move with load and task shape, so those
-    are reported but never gate).  Tolerates schema /1 baselines (no
-    ``scheduler`` section, no ``cpu_usable``).
+    are reported but never gate).  Tolerates older-schema baselines
+    (/1 has no ``cpu_usable``; a /2 ``scheduler`` section is ignored).
     """
 
     def pct(new: float, old: float) -> str:
@@ -389,23 +306,6 @@ def compare_reports(
         f"({pct(cur_eps, base_eps)})"
         + (f"  ** REGRESSION (> {threshold:.0%} drop) **" if regressed else "")
     )
-
-    base_rows = {
-        row["depth"]: row
-        for row in baseline.get("scheduler", {}).get("results", [])
-    }
-    for row in current.get("scheduler", {}).get("results", []):
-        base_row = base_rows.get(row["depth"])
-        if base_row is None:
-            continue
-        for key, value in row.items():
-            if not key.endswith("_ops_per_sec") or key not in base_row:
-                continue
-            name = key[: -len("_ops_per_sec")]
-            lines.append(
-                f"scheduler {name} @depth {row['depth']}: {value:,.0f} vs "
-                f"{base_row[key]:,.0f} ({pct(value, base_row[key])})"
-            )
 
     for field, label in (
         ("serial_seconds", "sweep serial seconds"),

@@ -3,15 +3,9 @@
 A small, deterministic, SimPy-class engine built from scratch (the offline
 environment has no SimPy).  It provides:
 
-* :class:`~repro.sim.engine.Engine` — the event loop: a pluggable agenda
-  with stable FIFO tie-breaking at equal timestamps, O(1) lazy
+* :class:`~repro.sim.engine.Engine` — the event loop: a binary-heap
+  agenda with stable FIFO tie-breaking at equal timestamps, O(1) lazy
   cancellation, and bounded runs (``run_until``).
-* :mod:`~repro.sim.scheduler` — the agenda implementations behind the
-  engine: a binary heap (default) and a calendar queue for very deep
-  agendas, registered in :data:`~repro.sim.scheduler.SCHEDULERS` and
-  selectable via ``Engine(scheduler=...)`` or ``REPRO_SCHEDULER``.
-  Every implementation pops the identical ``(time, seq)`` sequence
-  (hypothesis-tested), so the choice never affects results.
 * :class:`~repro.sim.events.Event` — a scheduled callback handle.
 * :mod:`~repro.sim.process` — generator-based processes and periodic
   timers layered on the engine, used by workload generators.
@@ -21,26 +15,15 @@ environment has no SimPy).  It provides:
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, EventState
-from repro.sim.process import PeriodicTimer, Process, ProcessExit
+from repro.sim.process import PeriodicTimer, Process
 from repro.sim.rng import RandomStreams
-from repro.sim.scheduler import (
-    SCHEDULERS,
-    CalendarScheduler,
-    EventScheduler,
-    HeapScheduler,
-)
 
 __all__ = [
-    "CalendarScheduler",
     "Engine",
     "Event",
-    "EventScheduler",
     "EventState",
-    "HeapScheduler",
     "PeriodicTimer",
     "Process",
-    "ProcessExit",
     "RandomStreams",
-    "SCHEDULERS",
     "SimulationError",
 ]

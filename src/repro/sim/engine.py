@@ -1,18 +1,19 @@
 """The discrete-event simulation engine.
 
-The engine owns the simulation clock and delegates the event agenda to
-a pluggable :class:`~repro.sim.scheduler.EventScheduler` (a binary heap
-by default; a calendar queue for very deep agendas — select via
-``Engine(scheduler=...)`` or the ``REPRO_SCHEDULER`` environment
-variable).  Design decisions that matter for the reproduction:
+The engine owns the simulation clock and the event agenda: one binary
+heap (``heapq``) of ``(time, seq, event)`` tuples.  The model keeps one
+pending boundary event per data server plus a few arrival/fault/VCR
+timers, so the agenda stays tens to a few hundred entries deep — the
+regime where the C-compared heap is the fastest structure there is
+(docs/PERFORMANCE.md, "The agenda").  Design decisions that matter for
+the reproduction:
 
 * **Determinism** — events at equal timestamps fire in scheduling order
-  (FIFO via a sequence counter).  Agenda entries are ``(time, seq,
-  event)`` tuples, so every ordering comparison runs in C and every
-  scheduler implementation pops the identical ``(time, seq)`` sequence
-  (enforced by a hypothesis property).  Combined with named RNG
-  substreams (:mod:`repro.sim.rng`) this makes every experiment
-  bit-reproducible from its seed.
+  (FIFO via a sequence counter).  ``seq`` is unique per engine, so the
+  tuple comparison runs in C on the ``(time, seq)`` prefix and never
+  reaches the event object.  Combined with named RNG substreams
+  (:mod:`repro.sim.rng`) this makes every experiment bit-reproducible
+  from its seed.
 * **Lazy cancellation** — the admission/EFTF machinery reschedules a
   request's "next event" every time its bandwidth allocation changes; a
   naive in-structure removal would be O(n).  Cancelled events are
@@ -21,14 +22,13 @@ variable).  Design decisions that matter for the reproduction:
   ``t`` even if the agenda empties earlier, so utilization denominators
   are well-defined.
 
-Hot-path notes: ``run_until`` dispatches to the scheduler's
-:meth:`~repro.sim.scheduler.EventScheduler.drain` loop (specialized per
-structure — see that module's docstring for why), and ``schedule``
-constructs :class:`Event` handles without a Python-level ``__init__``
-call.  Engine state accessed per event lives in ``__slots__``.  The
-``_trace_fns`` list object is never reassigned after construction —
-drain loops bind it once and rely on mutations (``add_trace`` /
-``remove_trace``) staying visible mid-run.
+Hot-path notes: ``run_until`` is the simulator's outermost loop and is
+written as one fused pass (pop-first, counters batched in locals), and
+``schedule`` constructs :class:`Event` handles without a Python-level
+``__init__`` call.  Engine state accessed per event lives in
+``__slots__``.  The ``_trace_fns`` list object is never reassigned
+after construction — ``run_until`` binds it once and relies on
+mutations (``add_trace`` / ``remove_trace``) staying visible mid-run.
 
 The engine deliberately knows nothing about video servers; it is a
 general substrate (and is tested as one).
@@ -36,16 +36,11 @@ general substrate (and is tested as one).
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event, EventState
-from repro.sim.scheduler import (
-    EventScheduler,
-    HeapScheduler,
-    resolve_scheduler,
-)
 
 #: Module-level bindings: the hot paths test ``event._state is
 #: _PENDING`` directly rather than through the ``Event.pending``
@@ -53,6 +48,7 @@ from repro.sim.scheduler import (
 #: events), and build handles via ``object.__new__`` (skipping the
 #: ``Event.__init__`` frame, also measurable).
 _PENDING = EventState.PENDING
+_FIRED = EventState.FIRED
 _new_event = object.__new__
 
 
@@ -65,10 +61,6 @@ class Engine:
 
     Args:
         start_time: initial clock value.
-        scheduler: agenda implementation — an
-            :class:`~repro.sim.scheduler.EventScheduler` instance, a
-            registry key (``"heap"``, ``"calendar"``), or None to use
-            ``REPRO_SCHEDULER`` / the heap default.
 
     Example:
         >>> eng = Engine()
@@ -80,20 +72,15 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_sched", "_heap", "_seq", "_events_fired",
+        "_now", "_heap", "_seq", "_events_fired",
         "_events_cancelled", "_running", "_trace_fns", "profiler",
     )
 
-    def __init__(self, start_time: float = 0.0, scheduler=None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._sched: EventScheduler = resolve_scheduler(scheduler)
-        #: Fast-path seam: when the agenda is a plain HeapScheduler,
-        #: ``schedule``/``schedule_at`` push straight onto its list with
-        #: the C ``heappush`` instead of a Python method call.  Any
-        #: subclass (or other scheduler) goes through ``push()``.
-        self._heap = (
-            self._sched._heap if type(self._sched) is HeapScheduler else None
-        )
+        #: The agenda: a ``heapq`` list of ``(time, seq, event)``
+        #: entries, cancelled handles included until they surface.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._events_fired = 0
         self._events_cancelled = 0
@@ -101,7 +88,7 @@ class Engine:
         #: Subscribers called as ``fn(event)`` just before each event
         #: fires — debugging, test instrumentation, and the obs tracer
         #: coexist here.  Manage via :meth:`add_trace`/:meth:`remove_trace`.
-        #: The list object is never replaced (drain loops bind it once).
+        #: The list object is never replaced (``run_until`` binds it once).
         self._trace_fns: List[Callable[[Event], None]] = []
         #: Optional :class:`repro.obs.profiler.EventProfiler`; when set,
         #: each callback's wall-clock is accounted per event kind.  The
@@ -117,11 +104,6 @@ class Engine:
         return self._now
 
     @property
-    def scheduler(self) -> EventScheduler:
-        """The agenda implementation in use."""
-        return self._sched
-
-    @property
     def events_fired(self) -> int:
         """Number of events executed so far."""
         return self._events_fired
@@ -135,7 +117,7 @@ class Engine:
     def pending_count(self) -> int:
         """Number of events currently on the agenda (including cancelled
         handles not yet popped)."""
-        return len(self._sched)
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Trace subscribers
@@ -156,15 +138,14 @@ class Engine:
 
         Pops and discards dead (cancelled) handles encountered on the way.
         """
-        sched = self._sched
-        while True:
-            entry = sched.peek()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             if entry[2]._state is _PENDING:
                 return entry[0]
-            sched.pop()
+            _heappop(heap)
             self._events_cancelled += 1
+        return None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -203,11 +184,7 @@ class Engine:
         event.payload = payload
         event.kind = kind
         event._state = _PENDING
-        heap = self._heap
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            self._sched.push((time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(
@@ -231,11 +208,7 @@ class Engine:
         event.payload = payload
         event.kind = kind
         event._state = _PENDING
-        heap = self._heap
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            self._sched.push((time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     # ------------------------------------------------------------------
@@ -247,11 +220,9 @@ class Engine:
         Returns:
             True if an event fired, False if the agenda was empty.
         """
-        sched = self._sched
-        while True:
-            entry = sched.pop()
-            if entry is None:
-                return False
+        heap = self._heap
+        while heap:
+            entry = _heappop(heap)
             event = entry[2]
             if event._state is not _PENDING:
                 self._events_cancelled += 1
@@ -269,6 +240,7 @@ class Engine:
                 event._fire()
                 profiler.record(event.kind, perf_counter() - t0)
             return True
+        return False
 
     def run_until(self, until: float) -> None:
         """Run events with ``time <= until`` and leave the clock at *until*.
@@ -276,13 +248,13 @@ class Engine:
         Events scheduled exactly at *until* do fire.  The clock never
         moves backwards: if *until* is in the past this raises.
 
-        This is the simulator's outermost hot loop; the actual pass is
-        the scheduler's :meth:`~repro.sim.scheduler.EventScheduler.drain`,
-        specialized per agenda structure.  The contract (identical for
-        every scheduler, enforced by tests): each agenda head is
-        examined exactly once — dead handles are popped and counted,
-        the first live head beyond *until* ends the run while staying
-        on the agenda, and everything else fires.
+        This is the simulator's outermost hot loop.  Each agenda head
+        is examined exactly once — dead handles are popped and counted
+        (even beyond *until*), the first live head beyond *until* ends
+        the run while staying on the agenda, and everything else fires.
+        The counters are batched in locals and written back even when a
+        callback raises (and before trace subscribers run, so they read
+        current values).
         """
         if not until >= self._now:
             raise SimulationError(
@@ -291,10 +263,44 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
+        # Pop-first (no separate peek), one push-back per call for the
+        # single overshoot entry.
+        heap = self._heap
+        pop = _heappop
+        trace_fns = self._trace_fns  # list identity is stable
+        fired = self._events_fired
+        cancelled = self._events_cancelled
+        timer = perf_counter
         try:
-            self._sched.drain(self, until)
+            while heap:
+                entry = pop(heap)
+                event = entry[2]
+                if event._state is not _PENDING:
+                    cancelled += 1
+                    continue
+                t = entry[0]
+                if t > until:
+                    _heappush(heap, entry)  # stays on the agenda
+                    break
+                self._now = t
+                if trace_fns:
+                    self._events_fired = fired
+                    self._events_cancelled = cancelled
+                    for fn in trace_fns:
+                        fn(event)
+                fired += 1
+                event._state = _FIRED
+                profiler = self.profiler
+                if profiler is None:
+                    event.callback()
+                else:
+                    t0 = timer()
+                    event.callback()
+                    profiler.record(event.kind, timer() - t0)
             self._now = float(until)
         finally:
+            self._events_fired = fired
+            self._events_cancelled = cancelled
             self._running = False
 
     def run(self) -> None:
@@ -313,9 +319,7 @@ class Engine:
     # ------------------------------------------------------------------
     def iter_pending(self) -> Iterator[Event]:
         """Yield pending events in an unspecified order (debug only)."""
-        return (
-            entry[2] for entry in self._sched.entries() if entry[2].pending
-        )
+        return (entry[2] for entry in self._heap if entry[2].pending)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

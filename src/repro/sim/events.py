@@ -13,7 +13,7 @@ it when popped, so cancel is O(1) and the heap never needs re-sifting.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class EventState(enum.Enum):
@@ -34,7 +34,7 @@ class Event:
         time: absolute simulation time at which the event fires.
         seq: engine-assigned tie-break sequence number.
         callback: zero-argument callable invoked at ``time`` (payload is
-            bound by the scheduler via ``functools.partial`` or a closure).
+            bound by the caller via ``functools.partial`` or a closure).
         payload: optional opaque annotation, useful for tracing.
         kind: optional string tag for tracing/statistics.
     """
@@ -82,19 +82,6 @@ class Event:
         self._state = EventState.FIRED
         self.callback()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Tuple-free compare: heapq calls this O(log n) times per push
-        # and pop, so the two-tuple allocation was measurable.  Times
-        # are never NaN (the engine rejects NaN at scheduling), so this
-        # is exactly ``(time, seq) < (other.time, other.seq)``.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" kind={self.kind!r}" if self.kind else ""
         return f"<Event t={self.time:.6g} seq={self.seq} {self._state.value}{tag}>"
-
-
-# Convenience alias used in type hints.
-OptionalEvent = Optional[Event]

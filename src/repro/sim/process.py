@@ -15,10 +15,6 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event
 
 
-class ProcessExit(Exception):
-    """Throw inside a process generator to terminate it early."""
-
-
 class Process:
     """Drive a generator of delays on an engine.
 

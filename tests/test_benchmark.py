@@ -12,14 +12,6 @@ class TestEngineBenchmark:
         report = benchmark.engine_benchmark(n_events=2000, repeats=1)
         assert report["events"] == 2000
         assert report["events_per_sec"] > 0
-        assert report["scheduler"] == "heap"
-
-    def test_scheduler_selection_is_recorded(self):
-        report = benchmark.engine_benchmark(
-            n_events=500, repeats=1, scheduler="calendar"
-        )
-        assert report["scheduler"] == "calendar"
-        assert report["events_per_sec"] > 0
 
     def test_exercises_cancellation_path(self):
         # The workload schedules one cancelled handle per ten events;
@@ -39,20 +31,6 @@ class TestEngineBenchmark:
         engine.run_until(101.0)
         assert engine.events_fired == 100
         assert engine.events_cancelled > 0
-
-
-class TestSchedulerBenchmark:
-    def test_rows_cover_every_registered_scheduler(self):
-        report = benchmark.scheduler_benchmark(
-            depths=(64,), ops=500, repeats=1
-        )
-        assert report["ops"] == 500
-        (row,) = report["results"]
-        assert row["depth"] == 64
-        from repro.sim.scheduler import SCHEDULERS
-
-        for name in SCHEDULERS.names():
-            assert row[f"{name}_ops_per_sec"] > 0
 
 
 class TestUsableCpus:
@@ -76,18 +54,16 @@ class TestRunBench:
         # value so the whole bench stays in unit-test territory.
         monkeypatch.setattr(benchmark, "ENGINE_EVENTS", 4000)
         monkeypatch.setattr(benchmark, "QUICK_SWEEP_SCALE", 0.0005)
-        monkeypatch.setattr(benchmark, "SCHEDULER_OPS", 400)
         out = tmp_path / "perf.json"
         report = benchmark.run_bench(quick=True, out=str(out))
         on_disk = json.loads(out.read_text())
-        assert on_disk["schema"] == "repro-bench-perf/2"
+        assert on_disk["schema"] == "repro-bench-perf/3"
         assert on_disk["sweep"]["identical"] is True
         assert on_disk["sweep"]["serial_seconds"] > 0
         assert on_disk["sweep"]["parallel_workers"] >= 2
         assert on_disk["cpu_count"] == report["cpu_count"]
         assert on_disk["cpu_usable"] >= 1
         assert "events_per_sec" in on_disk["engine"]
-        assert on_disk["scheduler"]["results"]
         # The timing-comparison shape is host-dependent but always
         # self-consistent: either both timings or an explicit skip.
         sweep = on_disk["sweep"]
@@ -118,18 +94,6 @@ class TestRunBench:
             "cpu_usable": 4,
             "engine": {
                 "events_per_sec": 123456.0, "events": 1000, "repeats": 3,
-                "scheduler": "heap",
-            },
-            "scheduler": {
-                "ops": 1000,
-                "repeats": 3,
-                "results": [
-                    {
-                        "depth": 256,
-                        "heap_ops_per_sec": 2000.0,
-                        "calendar_ops_per_sec": 1000.0,
-                    }
-                ],
             },
             "sweep": {
                 "shape": {"figure": "fig4", "system": "small", "tasks": 10},
@@ -143,7 +107,6 @@ class TestRunBench:
         text = benchmark.render_report(report)
         assert "123,456" in text
         assert "4.00x" in text
-        assert "depth 256" in text
         assert "identical: True" in text
 
     def test_render_report_shows_the_skip(self):
@@ -152,7 +115,6 @@ class TestRunBench:
             "cpu_usable": 1,
             "engine": {
                 "events_per_sec": 1000.0, "events": 100, "repeats": 1,
-                "scheduler": "heap",
             },
             "sweep": {
                 "shape": {"figure": "fig4", "system": "tiny", "tasks": 4},
@@ -169,7 +131,7 @@ class TestRunBench:
         assert "identical: True" in text
 
 
-def _report(eps, schema="repro-bench-perf/2", **sweep_overrides):
+def _report(eps, schema="repro-bench-perf/3", **sweep_overrides):
     sweep = {
         "shape": {"figure": "fig4", "system": "small", "tasks": 10},
         "serial_seconds": 8.0,
@@ -183,21 +145,7 @@ def _report(eps, schema="repro-bench-perf/2", **sweep_overrides):
         "schema": schema,
         "quick": True,
         "cpu_count": 4,
-        "engine": {
-            "events_per_sec": eps, "events": 1000, "repeats": 3,
-            "scheduler": "heap",
-        },
-        "scheduler": {
-            "ops": 1000,
-            "repeats": 3,
-            "results": [
-                {
-                    "depth": 256,
-                    "heap_ops_per_sec": 2000.0,
-                    "calendar_ops_per_sec": 1000.0,
-                }
-            ],
-        },
+        "engine": {"events_per_sec": eps, "events": 1000, "repeats": 3},
         "sweep": sweep,
     }
 
@@ -225,7 +173,6 @@ class TestCompareReports:
 
     def test_tolerates_schema_v1_baseline(self):
         baseline = _report(1_000_000.0, schema="repro-bench-perf/1")
-        del baseline["scheduler"]
         lines, regressed = benchmark.compare_reports(
             _report(1_000_000.0), baseline
         )

@@ -6,6 +6,9 @@ experiment — must reject an unknown key with an error that names the
 bad key *and* lists the valid choices, never a bare ``KeyError``.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.registry import (
@@ -177,3 +180,29 @@ class TestConcreteRegistries:
         assert set(names) == {"fig4", "fig5", "fig7"}
         for name in names:
             assert EXPERIMENTS.get(name).trace_config is not None
+
+
+class TestDocumentedKnobsExist:
+    def test_every_documented_env_var_is_read_by_the_code(self):
+        # A knob that is deleted from the code must leave the docs' knob
+        # tables too.  "Read by the code" = the name occurs as a string
+        # literal (comments and docstrings do not count) under
+        # src/repro, or benchmarks/ for the bench-suite scale knob.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        docs = [root / "README.md", root / "DESIGN.md"]
+        docs += sorted((root / "docs").glob("*.md"))
+        documented = {
+            name: doc.name
+            for doc in docs
+            for name in re.findall(r"REPRO_[A-Z_]+", doc.read_text())
+        }
+        assert "REPRO_WORKERS" in documented  # the scan finds the tables
+        read = set()
+        for tree in ("src/repro", "benchmarks"):
+            for source in (root / tree).rglob("*.py"):
+                read.update(
+                    re.findall(r"""["'](REPRO_[A-Z_]+)["']""",
+                               source.read_text())
+                )
+        stale = {n: d for n, d in documented.items() if n not in read}
+        assert not stale, f"documented but read nowhere: {stale}"
