@@ -10,14 +10,13 @@ import numpy as np
 from repro.cluster.system import SMALL_SYSTEM
 from repro.experiments.ablation import run_ablation
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 GRID = [-0.5, 0.0, 0.5, 1.0]
 
 
-def test_scheduler_ablation(benchmark):
-    result = run_once(
-        benchmark, run_ablation,
+def test_scheduler_ablation():
+    result = run_ablation(
         system=SMALL_SYSTEM, theta_values=GRID, scale=BENCH_SCALE,
     )
     emit("")

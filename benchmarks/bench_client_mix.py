@@ -10,14 +10,13 @@ import numpy as np
 from repro.cluster.system import SMALL_SYSTEM
 from repro.experiments.client_mix import run_client_mix_series
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def test_client_mix(benchmark):
-    result = run_once(
-        benchmark, run_client_mix_series,
+def test_client_mix():
+    result = run_client_mix_series(
         system=SMALL_SYSTEM, legacy_fractions=FRACTIONS, scale=BENCH_SCALE,
     )
     emit("")

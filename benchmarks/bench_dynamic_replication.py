@@ -11,14 +11,13 @@ import numpy as np
 from repro.cluster.system import LARGE_SYSTEM
 from repro.experiments.dynamic_replication import run_dynamic_replication
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 GRID = [-1.5, -1.0, -0.5, 0.0]
 
 
-def test_dynamic_replication_large_system(benchmark):
-    result = run_once(
-        benchmark, run_dynamic_replication,
+def test_dynamic_replication_large_system():
+    result = run_dynamic_replication(
         system=LARGE_SYSTEM, theta_values=GRID, scale=BENCH_SCALE,
     )
     emit("")

@@ -1,7 +1,7 @@
 """FIG3 — the Figure 3 system-parameter table.
 
 Regenerates the parameter table for the two reference systems and
-benchmarks the static phase (catalog + placement + wiring) of each.
+runs the static phase (catalog + placement + wiring) of each.
 """
 
 from repro.analysis.report import render_table
@@ -9,7 +9,7 @@ from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM
 from repro.simulation import Simulation, SimulationConfig
 from repro.units import mb_to_gb
 
-from conftest import emit, run_once
+from conftest import emit
 
 
 def figure3_table() -> str:
@@ -34,7 +34,7 @@ def figure3_table() -> str:
 
 
 def build_both_systems() -> tuple:
-    """The timed unit: full static build (catalog, placement, servers)."""
+    """Full static build (catalog, placement, servers)."""
     sims = []
     for system in (SMALL_SYSTEM, LARGE_SYSTEM):
         sims.append(
@@ -47,8 +47,8 @@ def build_both_systems() -> tuple:
     return tuple(sims)
 
 
-def test_fig3_system_table(benchmark):
-    small, large = run_once(benchmark, build_both_systems)
+def test_fig3_system_table():
+    small, large = build_both_systems()
     emit("")
     emit(figure3_table())
     # The built systems must honour the table.

@@ -10,12 +10,11 @@ import numpy as np
 from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM
 from repro.experiments.fig4_drm import run_fig4
 
-from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit, run_once
+from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit
 
 
-def test_fig4_small_system(benchmark):
-    result = run_once(
-        benchmark, run_fig4,
+def test_fig4_small_system():
+    result = run_fig4(
         system=SMALL_SYSTEM, theta_values=BENCH_THETA_GRID,
         scale=BENCH_SCALE,
     )
@@ -29,9 +28,8 @@ def test_fig4_small_system(benchmark):
     assert (migr >= no_migr - 0.02).all()
 
 
-def test_fig4_large_system(benchmark):
-    result = run_once(
-        benchmark, run_fig4,
+def test_fig4_large_system():
+    result = run_fig4(
         system=LARGE_SYSTEM, theta_values=BENCH_THETA_GRID,
         scale=BENCH_SCALE,
     )

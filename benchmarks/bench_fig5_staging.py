@@ -11,7 +11,7 @@ import numpy as np
 from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM
 from repro.experiments.fig5_staging import run_fig5
 
-from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit, run_once
+from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit
 
 
 def _gains(result):
@@ -21,9 +21,8 @@ def _gains(result):
     return zero, twenty, full
 
 
-def test_fig5_small_system(benchmark):
-    result = run_once(
-        benchmark, run_fig5,
+def test_fig5_small_system():
+    result = run_fig5(
         system=SMALL_SYSTEM, theta_values=BENCH_THETA_GRID,
         scale=BENCH_SCALE,
     )
@@ -36,9 +35,8 @@ def test_fig5_small_system(benchmark):
     assert (twenty.mean() - zero.mean()) >= 0.75 * (full.mean() - zero.mean())
 
 
-def test_fig5_large_system(benchmark):
-    result = run_once(
-        benchmark, run_fig5,
+def test_fig5_large_system():
+    result = run_fig5(
         system=LARGE_SYSTEM, theta_values=BENCH_THETA_GRID,
         scale=BENCH_SCALE,
     )
@@ -49,22 +47,17 @@ def test_fig5_large_system(benchmark):
     assert (full.mean() - twenty.mean()) < 0.05
 
 
-def test_fig5_small_gains_more_than_large(benchmark):
+def test_fig5_small_gains_more_than_large():
     """Cross-panel claim: 'The benefit from client staging is more
     pronounced for the smaller video server.'"""
-
-    def both():
-        small = run_fig5(
-            system=SMALL_SYSTEM, theta_values=[0.27],
-            fractions=(0.0, 0.2), scale=BENCH_SCALE,
-        )
-        large = run_fig5(
-            system=LARGE_SYSTEM, theta_values=[0.27],
-            fractions=(0.0, 0.2), scale=BENCH_SCALE,
-        )
-        return small, large
-
-    small, large = run_once(benchmark, both)
+    small = run_fig5(
+        system=SMALL_SYSTEM, theta_values=[0.27],
+        fractions=(0.0, 0.2), scale=BENCH_SCALE,
+    )
+    large = run_fig5(
+        system=LARGE_SYSTEM, theta_values=[0.27],
+        fractions=(0.0, 0.2), scale=BENCH_SCALE,
+    )
     small_gain = small.means("20% buffer")[0] - small.means("0% buffer")[0]
     large_gain = large.means("20% buffer")[0] - large.means("0% buffer")[0]
     emit("")

@@ -10,12 +10,11 @@ from repro.cluster.system import SMALL_SYSTEM
 from repro.core.policies import PAPER_POLICIES
 from repro.experiments.fig7_policies import policy_matrix_table, run_fig7
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 
-def test_fig6_policy_matrix_snapshot(benchmark):
-    result = run_once(
-        benchmark, run_fig7,
+def test_fig6_policy_matrix_snapshot():
+    result = run_fig7(
         system=SMALL_SYSTEM, theta_values=[0.27], scale=BENCH_SCALE,
     )
     emit("")

@@ -10,7 +10,7 @@ import numpy as np
 from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM
 from repro.experiments.fig7_policies import run_fig7
 
-from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit, run_once
+from conftest import BENCH_SCALE, BENCH_THETA_GRID, emit
 
 
 def _check_shapes(result, grid):
@@ -28,9 +28,8 @@ def _check_shapes(result, grid):
     assert p5[skewed].mean() > p1[skewed].mean()
 
 
-def test_fig7_small_system(benchmark):
-    result = run_once(
-        benchmark, run_fig7,
+def test_fig7_small_system():
+    result = run_fig7(
         system=SMALL_SYSTEM, theta_values=BENCH_THETA_GRID,
         scale=BENCH_SCALE,
     )
@@ -39,10 +38,9 @@ def test_fig7_small_system(benchmark):
     _check_shapes(result, BENCH_THETA_GRID)
 
 
-def test_fig7_large_system(benchmark):
+def test_fig7_large_system():
     grid = [-1.5, -1.0, 0.0, 0.5, 1.0]  # coarser: 8 policies × large system
-    result = run_once(
-        benchmark, run_fig7,
+    result = run_fig7(
         system=LARGE_SYSTEM, theta_values=grid, scale=BENCH_SCALE,
     )
     emit("")

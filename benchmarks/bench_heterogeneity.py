@@ -12,14 +12,13 @@ from repro.experiments.heterogeneity import (
     run_heterogeneity,
 )
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 COUNTS = (5, 10, 20)
 
 
-def test_heterogeneity(benchmark):
-    result = run_once(
-        benchmark, run_heterogeneity,
+def test_heterogeneity():
+    result = run_heterogeneity(
         server_counts=COUNTS, spread=0.5, scale=BENCH_SCALE,
     )
     emit("")

@@ -11,14 +11,13 @@ import numpy as np
 from repro.cluster.system import SMALL_SYSTEM
 from repro.experiments.interactivity_vcr import run_interactivity
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 PAUSES = (0.0, 1.0, 2.0, 4.0)
 
 
-def test_vcr_interactivity(benchmark):
-    result = run_once(
-        benchmark, run_interactivity,
+def test_vcr_interactivity():
+    result = run_interactivity(
         system=SMALL_SYSTEM, pauses_per_hour=PAUSES, scale=BENCH_SCALE,
     )
     emit("")

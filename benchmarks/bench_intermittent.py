@@ -15,14 +15,13 @@ from repro.experiments.intermittent_burst import (
     run_intermittent_burst,
 )
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 MULTIPLIERS = (1.0, 1.5, 2.0, 3.0)
 
 
-def test_intermittent_vs_minflow_under_bursts(benchmark):
-    result = run_once(
-        benchmark, run_intermittent_burst,
+def test_intermittent_vs_minflow_under_bursts():
+    result = run_intermittent_burst(
         system=SMALL_SYSTEM, multipliers=MULTIPLIERS, scale=BENCH_SCALE,
     )
     emit("")

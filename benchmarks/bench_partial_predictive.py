@@ -11,14 +11,13 @@ import numpy as np
 from repro.cluster.system import LARGE_SYSTEM
 from repro.experiments.partial_predictive import run_partial_predictive
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 GRID = [-1.5, -1.0, -0.5, 0.0]
 
 
-def test_partial_predictive_large_system(benchmark):
-    result = run_once(
-        benchmark, run_partial_predictive,
+def test_partial_predictive_large_system():
+    result = run_partial_predictive(
         system=LARGE_SYSTEM, theta_values=GRID, scale=BENCH_SCALE,
     )
     emit("")

@@ -10,14 +10,13 @@ import numpy as np
 
 from repro.experiments.svbr import render_svbr, run_svbr
 
-from conftest import BENCH_SCALE, emit, run_once
+from conftest import BENCH_SCALE, emit
 
 SVBR_GRID = (5, 10, 20, 33, 50, 100)
 
 
-def test_svbr_vs_erlang_b(benchmark):
-    result = run_once(
-        benchmark, run_svbr,
+def test_svbr_vs_erlang_b():
+    result = run_svbr(
         svbr_values=SVBR_GRID,
         # One-server runs are cheap; stretch the duration for a tighter
         # match with the analytic steady state.

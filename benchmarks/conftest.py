@@ -1,10 +1,9 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-artifact suite.
 
-Each ``bench_*`` file regenerates one paper artifact (table or figure)
-and prints the rows/series the paper reports, while pytest-benchmark
-times the regeneration.  Every benchmark runs a single round (an
-experiment is already an aggregate of trials — re-running it for timing
-statistics would multiply minutes of wall time for no insight).
+Each ``bench_*`` file regenerates one paper artifact (table or figure),
+prints the rows/series the paper reports and asserts the shape the
+paper claims.  Every experiment runs once and is not timed: perf
+numbers come from ``bench/run.py`` (see bench/README.md).
 
 Scale: benches default to ``REPRO_BENCH_SCALE`` (default 0.003 →
 1 trial × 4 measured hours per point).  Raise it to approach the
@@ -51,12 +50,6 @@ def emit(text: str) -> None:
     print(text)
     with open(RESULTS_FILE, "a") as fh:
         fh.write(text + "\n")
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run *fn* exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
 
 
 @pytest.fixture

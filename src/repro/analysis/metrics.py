@@ -316,12 +316,6 @@ class SimulationMetrics:
         """Arrivals net of retry resubmissions (one per real viewer)."""
         return self.arrivals - self.retries
 
-    @property
-    def backoff_success_ratio(self) -> float:
-        """Fraction of scheduled retries that ended in admission
-        (1.0 when no retries were needed)."""
-        return self.retry_successes / self.retries if self.retries else 1.0
-
     def availability(self, pending_retries: int = 0) -> float:
         """Fraction of distinct requests not permanently denied service.
 

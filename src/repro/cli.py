@@ -12,7 +12,6 @@ Subcommands regenerate each reproduced artifact::
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json
     repro-vod trace fig5 --trace-out fig5.jsonl     # structured trace
-    repro-vod bench --quick                         # perf benchmark
     repro-vod chaos availability                    # availability vs MTBF
     repro-vod chaos soak --hours 8                  # invariant-checked run
 
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import List, Optional
@@ -137,28 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--outdir", default="results", help="output directory")
     _add_common(p)
-
-    p = sub.add_parser(
-        "bench",
-        help="performance benchmark: engine events/sec + serial-vs-"
-             "parallel sweep wall time (writes BENCH_perf.json)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="tiny-system smoke variant (seconds instead of minutes)",
-    )
-    p.add_argument(
-        "--out", default="BENCH_perf.json", metavar="PATH",
-        help="JSON report path (default: BENCH_perf.json)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root random seed")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress lines")
-    p.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="print per-metric deltas against a baseline BENCH_perf.json"
-             " and exit non-zero if engine events/sec regressed >20%%",
-    )
 
     # -- chaos: modes and flags from the chaos registry ----------------
     p = sub.add_parser(
@@ -365,31 +341,6 @@ def _main(args) -> int:
     return rc
 
 
-def _cmd_bench(args) -> int:
-    """``repro bench``: measure, print a summary, write the JSON."""
-    from repro import benchmark
-
-    report = benchmark.run_bench(
-        quick=args.quick, out=args.out, seed=args.seed,
-        progress=_progress(args.quiet),
-    )
-    print(benchmark.render_report(report))
-    print(f"wrote {args.out}")
-    rc = 0 if report["sweep"]["identical"] else 1
-    if args.compare is not None:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        lines, regressed = benchmark.compare_reports(report, baseline)
-        print(f"-- compare vs {args.compare} --")
-        for line in lines:
-            print(line)
-        if regressed:
-            rc = rc or 2
-    # Absent --compare, timing is machine noise; only a broken
-    # determinism gate fails.
-    return rc
-
-
 def _run_config(args) -> SimulationConfig:
     """The ``repro run`` config: a scenario file or the config flags.
 
@@ -480,9 +431,6 @@ def _cmd_list() -> int:
 def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list()
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     if args.command == "run":
         config = _run_config(args)

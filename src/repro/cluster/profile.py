@@ -21,7 +21,7 @@ into measurement noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -107,11 +107,6 @@ class ClusterProfile:
     def total_bandwidth(self) -> float:
         """Cluster effective egress, Mb/s."""
         return float(sum(p.bandwidth for p in self.profiles))
-
-    def bandwidth_weight(self, server_id: int) -> float:
-        """This server's share of effective cluster egress, in [0, 1]."""
-        total = self.total_bandwidth
-        return self.profile_for(server_id).bandwidth / total if total else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -242,20 +237,3 @@ def identity_profile(system: "SystemConfig") -> ClusterProfile:
         )
     )
     return ClusterProfile(profiles=profiles, calibrated=False)
-
-
-def profile_of(
-    server_id: int,
-    profile: Optional[ClusterProfile],
-    bandwidth: float,
-    storage: float,
-) -> ServerProfile:
-    """The profile for *server_id*, or an identity one when absent."""
-    if profile is not None:
-        try:
-            return profile.profile_for(server_id)
-        except KeyError:
-            pass
-    return ServerProfile(
-        server_id=server_id, bandwidth=float(bandwidth), storage=float(storage)
-    )

@@ -116,13 +116,7 @@ class FailoverManager:
                 server=server_id, orphans=len(orphans),
             )
         report = FailoverReport(server_id=server_id, time=now)
-        for request in orphans:
-            request.rate = 0.0
-            if self._relocate(request, now):
-                report.relocated.append(request.request_id)
-            else:
-                self._drop(request, server_id, now)
-                report.dropped.append(request.request_id)
+        self._rehome(orphans, report, now)
         self.reports.append(report)
         for hook in self.on_fail:
             hook(report)
@@ -171,14 +165,8 @@ class FailoverManager:
         while server.reserved_bandwidth > server.bandwidth + EPS_MB and active:
             victim = active.pop()  # newest admission first
             server.detach(victim)
-            victim.rate = 0.0
             victims.append(victim)
-        for request in victims:
-            if self._relocate(request, now, exclude=server_id):
-                report.relocated.append(request.request_id)
-            else:
-                self._drop(request, server_id, now)
-                report.dropped.append(request.request_id)
+        self._rehome(victims, report, now, exclude=server_id)
         manager.reallocate(now)
         if self.tracer is not None:
             self.tracer.emit(
@@ -224,7 +212,6 @@ class FailoverManager:
         ]
         for request in orphans:
             server.detach(request)
-            request.rate = 0.0
         server.drop_replica(video)
         self.placement.remove_holder(video.video_id, server_id)
         if self.tracer is not None:
@@ -232,18 +219,29 @@ class FailoverManager:
                 TraceKind.SERVER_REPLICA_LOSS, now,
                 server=server_id, video=video.video_id, orphans=len(orphans),
             )
-        for request in orphans:
-            if self._relocate(request, now):
-                report.relocated.append(request.request_id)
-            else:
-                self._drop(request, server_id, now)
-                report.dropped.append(request.request_id)
+        self._rehome(orphans, report, now)
         if server.up:
             manager.reallocate(now)
         self.reports.append(report)
         return report
 
     # ------------------------------------------------------------------
+    def _rehome(
+        self,
+        requests: List[Request],
+        report: FailoverReport,
+        now: float,
+        exclude: Optional[int] = None,
+    ) -> None:
+        """Relocate each detached stream or drop it, filling *report*."""
+        for request in requests:
+            request.rate = 0.0
+            if self._relocate(request, now, exclude=exclude):
+                report.relocated.append(request.request_id)
+            else:
+                self._drop(request, report.server_id, now)
+                report.dropped.append(request.request_id)
+
     def _drop(self, request: Request, server_id: int, now: float) -> None:
         """Mark an unrescuable orphan dropped and notify subscribers."""
         request.mark_dropped(now)

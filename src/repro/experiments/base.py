@@ -259,6 +259,22 @@ def _retry_cell(
         raise SweepCellError(cell, cause) from retry_exc
 
 
+def usable_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    ``os.cpu_count`` reports the host's logical CPUs even when a
+    cgroup / affinity mask (CI runners, containers) restricts the
+    process to fewer, which would oversubscribe the pool there.
+    Prefers the affinity mask where the platform exposes it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+    return os.cpu_count() or 1
+
+
 def _worker_count() -> int:
     if obs_active():
         # Tracing/profiling aggregate in-process (JSONL appends and the
@@ -275,7 +291,7 @@ def _worker_count() -> int:
                 f"{env!r}"
             ) from None
         return max(1, value)
-    return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 def trial_seeds(trials: int, base_seed: int = 0) -> List[int]:

@@ -21,6 +21,7 @@ from repro.cluster.system import (
     SYSTEMS,
     SystemConfig,
 )
+from repro.core.migration import MigrationPolicy
 from repro.core.policies import PAPER_POLICIES, Policy
 from repro.experiments.base import (
     ExperimentScale,

@@ -90,10 +90,6 @@ class PlacementResult:
     requested_copies: np.ndarray
     shortfall: int = 0
 
-    @property
-    def placed_copies(self) -> int:
-        return self.placement.total_copies()
-
 
 class PlacementPolicy(abc.ABC):
     """Interface: decide per-video replica counts, then place them.

@@ -420,15 +420,6 @@ class ChaosPlane:
         self.restores.append(server_id)
 
     # -- accounting ----------------------------------------------------
-    def affected_requests(self) -> Dict[str, List[int]]:
-        """Request ids failovers touched: relocated vs dropped."""
-        relocated: List[int] = []
-        dropped: List[int] = []
-        for report in self.failures:
-            relocated.extend(report.relocated)
-            dropped.extend(report.dropped)
-        return {"relocated": relocated, "dropped": dropped}
-
     def report(self) -> Dict[str, Any]:
         """JSON-ready plane summary (the ops ``chaos`` verb's body)."""
         return {

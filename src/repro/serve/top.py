@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 import time as _time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
 from repro.obs.tracer import iter_jsonl
 from repro.serve.ops import ops_query_sync
@@ -289,13 +289,3 @@ def run_trace(
         if interval > 0:
             _time.sleep(interval)
     return len(samples)
-
-
-def iter_frames(
-    samples: List[Dict[str, Any]], source: str = "trace"
-) -> Iterator[str]:
-    """Rendered frames of a sample series (library/test convenience)."""
-    prev: Optional[Dict[str, Any]] = None
-    for sample in samples:
-        yield render_top(sample, prev, source=source)
-        prev = sample

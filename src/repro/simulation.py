@@ -58,7 +58,7 @@ from repro.faults import (
 from repro.placement import PLACEMENTS
 from repro.placement.base import PlacementResult
 from repro.prefix import PrefixPolicy, PrefixTier
-from repro.serialize import check_fields
+from repro.serialize import check_fields, require
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ARRIVALS, calibrated_arrival_rate
@@ -275,12 +275,8 @@ class SimulationConfig:
         """
         check_fields(cls, data)
         data = dict(data)
-        try:
-            system = data.pop("system")
-        except KeyError:
-            raise ValueError(
-                "SimulationConfig dict is missing required key 'system'"
-            ) from None
+        system = require(data, "system", cls)
+        del data["system"]
         if isinstance(system, str):
             system = SYSTEMS.get(system)
         elif isinstance(system, Mapping):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import SMALL_SYSTEM, SimulationConfig
 from repro.cli import build_parser, main
+from repro.experiments.registry import EXPERIMENTS, trace_experiments
 
 
 class TestParser:
@@ -10,7 +12,7 @@ class TestParser:
         parser = build_parser()
         for cmd in ("fig4", "fig5", "fig6", "fig7", "svbr", "partial",
                     "het", "ablation", "replication", "burst", "vcr",
-                    "mix", "run", "all", "bench"):
+                    "mix", "run", "all"):
             args = parser.parse_args(
                 [cmd] if cmd == "fig6" else [cmd]
             )
@@ -67,6 +69,11 @@ class TestRegistryDrivenCLI:
         for name in trace_experiments():
             args = parser.parse_args(["trace", name])
             assert args.experiment == name
+
+    @pytest.mark.parametrize("name", trace_experiments())
+    def test_every_trace_config_builds(self, name):
+        config = EXPERIMENTS.get(name).trace_config(SMALL_SYSTEM, 0, 0.0005)
+        assert isinstance(config, SimulationConfig)
 
     def test_chaos_modes_come_from_chaos_registry(self):
         from repro.experiments.registry import CHAOS_EXPERIMENTS
@@ -130,20 +137,6 @@ class TestMain:
         code = main(["svbr", "--scale", "0.0005", "--quiet"])
         assert code == 0
         assert "erlang-B" in capsys.readouterr().out
-
-    def test_bench_quick_writes_json(self, tmp_path, capsys, monkeypatch):
-        from repro import benchmark as perf
-
-        # Shrink the workload to unit-test size; the real sizes run in
-        # the benchmark suite and CI smoke job.
-        monkeypatch.setattr(perf, "ENGINE_EVENTS", 4000)
-        monkeypatch.setattr(perf, "QUICK_SWEEP_SCALE", 0.0005)
-        out = tmp_path / "perf.json"
-        code = main(["bench", "--quick", "--out", str(out), "--quiet"])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "identical: True" in stdout
-        assert out.exists()
 
 
 class TestChaosCLI:

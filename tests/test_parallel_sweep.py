@@ -299,3 +299,21 @@ class TestEnvValidation:
     def test_explicit_scale_still_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")  # malformed but unused
         assert resolve_scale(0.001).scale == 0.001
+
+
+class TestUsableCpus:
+    def test_at_least_one(self):
+        assert base_mod.usable_cpus() >= 1
+
+    def test_prefers_affinity_mask(self, monkeypatch):
+        import os
+
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("platform has no sched_getaffinity")
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}
+        )
+        assert base_mod.usable_cpus() == 3
+        # ...and it is what sizes the pool when REPRO_WORKERS is unset.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert base_mod._worker_count() == 3

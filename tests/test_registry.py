@@ -206,3 +206,39 @@ class TestDocumentedKnobsExist:
                 )
         stale = {n: d for n, d in documented.items() if n not in read}
         assert not stale, f"documented but read nowhere: {stale}"
+
+
+class TestDocumentedCommandsExist:
+    def test_every_documented_verb_is_a_subcommand(self):
+        # A verb that is deleted from the CLI must leave the docs and CI
+        # too.  ``repro-vod X`` and ``python -m repro X`` count anywhere;
+        # the bare ``repro X`` spelling only where it is quoted as a
+        # command (after a backtick, a ``$`` prompt or a double quote),
+        # so prose such as "from repro import" does not.
+        from repro.cli import build_parser
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        docs = [root / name for name in (
+            "README.md", "DESIGN.md", "EXPERIMENTS.md",
+            "scenarios/README.md", ".github/workflows/ci.yml",
+        )]
+        docs += sorted((root / "docs").glob("*.md"))
+        pattern = re.compile(
+            r'(?:repro-vod|python3? -m repro|(?:`|\$ |")repro)'
+            r"[ \t]+([a-z][\w-]*)"
+        )
+        documented = {
+            verb: doc.name
+            for doc in docs
+            for verb in pattern.findall(doc.read_text())
+        }
+        assert "run" in documented  # the scan finds the examples
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        stale = {
+            v: d for v, d in documented.items()
+            if v not in subparsers.choices
+        }
+        assert not stale, f"documented but not a subcommand: {stale}"
