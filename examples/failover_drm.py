@@ -41,10 +41,9 @@ def main() -> None:
         sim.engine,
         sim.controller.servers,
         sim.controller.managers,
-        sim.controller.placement_map
-        if hasattr(sim.controller, "placement_map")
-        else sim.placement_result.placement,
+        sim.placement_result.placement,
         sim.controller.metrics,
+        sim.controller.on_drop,
     )
 
     # Schedule the outage as simulation events.

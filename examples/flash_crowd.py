@@ -61,29 +61,20 @@ def replay(trace, staging_fraction, migration):
     )
     sim = Simulation(config)
     sim._arrivals.stop()  # replace live arrivals with the fixed trace
-    trace.schedule_on(sim.engine, sim.controller.submit)
-    result = sim.run()
-
-    # How did requests for the surprise hit fare?
-    hit_total = hit_accepted = 0
-
-    # Count from the decision log we kept via metrics: re-derive by
-    # replaying the bookkeeping — simplest is to re-run with a hook.
-    sim2 = Simulation(config)
-    sim2._arrivals.stop()
-    counters = {"total": 0, "accepted": 0}
+    hit = {"total": 0, "accepted": 0}
 
     def watch(outcome, request):
+        """How did requests for the surprise hit fare?"""
         if request.video.video_id == SURPRISE_HIT:
-            counters["total"] += 1
+            hit["total"] += 1
             if outcome.accepted:
-                counters["accepted"] += 1
+                hit["accepted"] += 1
 
-    sim2.controller.decision_hooks.append(watch)
-    trace.schedule_on(sim2.engine, sim2.controller.submit)
-    sim2.run()
-    hit_total, hit_accepted = counters["total"], counters["accepted"]
-    return result, hit_total, hit_accepted
+    # A plain callable on the controller's decision notifications.
+    sim.controller.on_decision.append(watch)
+    trace.schedule_on(sim.engine, sim.controller.submit)
+    result = sim.run()
+    return result, hit["total"], hit["accepted"]
 
 
 def main() -> None:

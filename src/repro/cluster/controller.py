@@ -13,9 +13,10 @@ object workload generators talk to.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import SimulationMetrics
+from repro.cluster.membership import ClusterMembership
 from repro.cluster.request import Request, RequestState
 from repro.cluster.server import DataServer
 from repro.core.admission import AdmissionController, AdmissionOutcome
@@ -28,9 +29,25 @@ from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
 from repro.workload.catalog import VideoCatalog
 
+#: What ``submit`` / ``resubmit`` return: the request and its decision.
+Decided = Tuple[Request, AdmissionOutcome]
+
 
 class DistributionController:
-    """Admission front-end plus per-run bookkeeping.
+    """Admission front-end, per-run bookkeeping, and the one publisher
+    of request-lifecycle notifications (docs/ARCHITECTURE.md, "Request
+    lifecycle").  :meth:`subscribe` fills four attributes:
+
+    * :attr:`intercept` — the single pre-admission stage, ``(request,
+      now) -> outcome | None``, offered every fresh arrival (never a
+      retry); a non-None outcome is the decision;
+    * :attr:`on_decision` — list of ``(outcome, request)``, called after
+      every admission decision, first attempts and retries alike;
+    * :attr:`on_finish` — list of ``(request, now)``, called when a
+      server-backed stream's transmission completes;
+    * :attr:`on_drop` — list of ``(request)``, called when a live stream
+      is lost mid-flight; the failover manager is handed this very list
+      and publishes into it.
 
     Args:
         engine: the simulation engine.
@@ -42,6 +59,8 @@ class DistributionController:
             client populations.
         allocator: spare-bandwidth policy shared by all servers.
         migration_policy: DRM configuration.
+        membership: the cluster's lifecycle ledger, carried for the
+            serve layer (its gateway reconciles tasks on the epoch).
         metrics: optional pre-built metrics object (a fresh one is
             created by default).
         tracer: optional :class:`repro.obs.tracer.Tracer`; when given,
@@ -58,6 +77,7 @@ class DistributionController:
         client_profile,
         allocator: BandwidthAllocator,
         migration_policy: MigrationPolicy,
+        membership: ClusterMembership,
         metrics: Optional[SimulationMetrics] = None,
         admission_mode: str = "minflow",
         tracer: Optional[Tracer] = None,
@@ -65,6 +85,7 @@ class DistributionController:
         self.engine = engine
         self.catalog = catalog
         self.placement = placement
+        self.membership = membership
         self.metrics = metrics if metrics is not None else SimulationMetrics()
         self.tracer = tracer
         if callable(client_profile):
@@ -78,7 +99,7 @@ class DistributionController:
         self.managers: Dict[int, TransmissionManager] = {
             s.server_id: TransmissionManager(
                 engine, s, allocator, self.metrics,
-                on_finish=self._on_finish, tracer=tracer,
+                on_finish=self._stream_finished, tracer=tracer,
             )
             for s in servers
         }
@@ -102,18 +123,30 @@ class DistributionController:
         #: Completed requests kept for post-run analysis (finished or
         #: dropped); rejected requests are only counted.
         self.completed: List[Request] = []
-        #: Optional prefix-cache / stream-sharing tier
-        #: (:class:`repro.prefix.PrefixTier`).  When set, fresh arrivals
-        #: are offered to the tier before normal admission: a chained
-        #: admission short-circuits the pipeline, a patch admission
-        #: falls through with a truncated transfer.
-        self.prefix_tier = None
-        #: Per-admission observers ``(outcome, request)`` — used by the
-        #: dynamic replicator, tests and trace tooling.  Append freely;
-        #: hooks run in order after each decision.
-        self.decision_hooks: List[
-            Callable[[AdmissionOutcome, Request], None]
-        ] = []
+        self.intercept: Optional[Callable] = None
+        self.on_decision: List[Callable] = []
+        self.on_finish: List[Callable] = []
+        self.on_drop: List[Callable] = []
+
+    def subscribe(self, observer) -> None:
+        """Register whichever of ``intercept`` / ``on_decision`` /
+        ``on_finish`` / ``on_drop`` *observer* defines.
+
+        Handlers are resolved once, here, so publishing stays a bare
+        loop over bound methods in subscription order.
+        """
+        intercept = getattr(observer, "intercept", None)
+        if intercept is not None:
+            if self.intercept is not None:
+                raise ValueError(
+                    f"{type(observer).__name__}: the pre-admission stage "
+                    f"already has a provider"
+                )
+            self.intercept = intercept
+        for name in ("on_decision", "on_finish", "on_drop"):
+            handler = getattr(observer, name, None)
+            if handler is not None:
+                getattr(self, name).append(handler)
 
     def add_server(self, server: DataServer) -> None:
         """Wire a mid-run joiner into the cluster (elastic scale-out).
@@ -130,59 +163,48 @@ class DistributionController:
         self.servers[sid] = server
         self.managers[sid] = TransmissionManager(
             self.engine, server, self._allocator, self.metrics,
-            on_finish=self._on_finish, tracer=self.tracer,
+            on_finish=self._stream_finished, tracer=self.tracer,
         )
 
     # ------------------------------------------------------------------
-    def submit(self, video_id: int) -> AdmissionOutcome:
-        """Handle one arriving request for *video_id* at the current time."""
-        now = self.engine.now
-        video = self.catalog[video_id]
+    def submit(self, video_id: int) -> Decided:
+        """Handle one arriving request for *video_id* at the current
+        time; returns the request it became and the decision."""
         request = Request(
-            video=video,
+            video=self.catalog[video_id],
             client=self._profile_for(video_id),
-            arrival_time=now,
+            arrival_time=self.engine.now,
         )
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceKind.REQUEST_ARRIVE, now,
-                request=request.request_id, video=video_id,
-            )
-        if self.prefix_tier is not None:
-            chained = self.prefix_tier.intercept(request, now)
-            if chained is not None:
-                self._after_decision(chained, request, now)
-                return chained
-        outcome = self.admission.submit(request, now)
-        self._after_decision(outcome, request, now)
-        return outcome
+        return self._decide(request, False)
 
-    def resubmit(self, request: Request) -> AdmissionOutcome:
+    def resubmit(self, request: Request) -> Decided:
         """Re-run admission for a retry-queue resubmission.
 
         The caller (:class:`repro.faults.retry.RetryQueue`) has already
         reset the request via :meth:`Request.prepare_retry`.  Every
-        attempt counts as an arrival, is traced like one, and runs the
-        decision hooks — so a re-rejection flows straight back into the
-        retry queue's own hook.
+        attempt counts as an arrival, is traced like one and published
+        to :attr:`on_decision` — so a re-rejection flows straight back
+        into the retry queue — but skips the pre-admission stage.
         """
+        return self._decide(request, True)
+
+    def _decide(self, request: Request, retry: bool) -> Decided:
+        """Trace the arrival, decide, trace and publish the decision."""
         now = self.engine.now
-        if self.tracer is not None:
-            self.tracer.emit(
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
                 TraceKind.REQUEST_ARRIVE, now,
                 request=request.request_id, video=request.video.video_id,
             )
-        outcome = self.admission.submit(request, now, retry=True)
-        self._after_decision(outcome, request, now)
-        return outcome
-
-    def _after_decision(
-        self, outcome: AdmissionOutcome, request: Request, now: float
-    ) -> None:
-        """Shared post-admission tracing + decision hooks."""
-        if self.tracer is not None:
+        outcome = None
+        if self.intercept is not None and not retry:
+            outcome = self.intercept(request, now)
+        if outcome is None:
+            outcome = self.admission.submit(request, now, retry)
+        if tracer is not None:
             if outcome.accepted:
-                self.tracer.emit(
+                tracer.emit(
                     TraceKind.REQUEST_ADMIT, now,
                     request=request.request_id,
                     video=request.video.video_id,
@@ -192,7 +214,7 @@ class DistributionController:
                     ),
                 )
             else:
-                self.tracer.emit(
+                tracer.emit(
                     TraceKind.REQUEST_REJECT, now,
                     request=request.request_id,
                     video=request.video.video_id,
@@ -202,10 +224,12 @@ class DistributionController:
                         else "saturated"
                     ),
                 )
-        for hook in self.decision_hooks:
-            hook(outcome, request)
+        for notify in self.on_decision:
+            notify(outcome, request)
+        return request, outcome
 
-    def _on_finish(self, request: Request) -> None:
+    def _stream_finished(self, request: Request) -> None:
+        """A transmission manager completed *request*'s transfer."""
         self.metrics.record_finish()
         self.completed.append(request)
         now = self.engine.now
@@ -222,8 +246,8 @@ class DistributionController:
                 TraceKind.REQUEST_FINISH, now,
                 request=request.request_id, server=request.server_id,
             )
-        if self.prefix_tier is not None:
-            self.prefix_tier.on_stream_finish(request, now)
+        for notify in self.on_finish:
+            notify(request, now)
 
     # ------------------------------------------------------------------
     @property

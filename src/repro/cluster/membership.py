@@ -24,7 +24,7 @@ events, so membership history is part of the deterministic replay.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 #: Transitions a server may take (initial registration is not a
 #: transition; seed servers start ACTIVE at epoch 0).
@@ -62,15 +62,14 @@ class ClusterMembership:
     """Lifecycle state per server id plus the cluster epoch.
 
     The epoch starts at 0 (the seed membership) and increments once per
-    lifecycle transition.  Hooks — ``(server_id, state, epoch)`` — fire
-    after each transition; the serve layer's gateway registers one to
-    spawn/retire supervised server tasks.
+    lifecycle transition.  Nothing is notified: the serve layer's
+    gateway polls :attr:`epoch` after every policy advance and
+    spawns/retires supervised server tasks when it has moved.
     """
 
     def __init__(self) -> None:
         self.states: Dict[int, ServerLifecycle] = {}
         self.epoch = 0
-        self.hooks: List[Callable[[int, ServerLifecycle, int], None]] = []
 
     # ------------------------------------------------------------------
     def register(
@@ -88,7 +87,7 @@ class ClusterMembership:
             raise ValueError(f"server {server_id} already a member")
         self.states[server_id] = state
         if state is not ServerLifecycle.ACTIVE:
-            self._bump(server_id, state)
+            self.epoch += 1
 
     def transition(self, server_id: int, state: ServerLifecycle) -> None:
         """Move *server_id* to *state*, enforcing the lifecycle order."""
@@ -101,12 +100,7 @@ class ClusterMembership:
                 f"{current.value} -> {state.value}"
             )
         self.states[server_id] = state
-        self._bump(server_id, state)
-
-    def _bump(self, server_id: int, state: ServerLifecycle) -> None:
         self.epoch += 1
-        for hook in self.hooks:
-            hook(server_id, state, self.epoch)
 
     # ------------------------------------------------------------------
     def state(self, server_id: int) -> ServerLifecycle:

@@ -52,8 +52,9 @@ from repro.workload.catalog import VideoCatalog
 from repro.workload.zipf import ZipfPopularity
 
 #: What fires scale-outs beyond the scenario's declared events.  A
-#: registry value is a factory ``(scaler) -> hook | None`` where the
-#: hook observes every admission decision.
+#: registry value is a factory ``(scaler) -> handler | None``; the
+#: handler becomes the scaler's ``on_decision`` and so hears every
+#: admission decision once the scaler is subscribed to the controller.
 SCALE_TRIGGERS: Registry = Registry("scale trigger")
 
 #: How a joiner is seeded with replicas before activating.  A registry
@@ -251,8 +252,8 @@ class ElasticScaler:
 
     Built by the simulation's ``observers`` stage when the config has
     an :class:`ElasticPolicy`; :meth:`start` schedules the declared
-    events and installs the trigger, :meth:`observe` is appended to the
-    controller's decision hooks.
+    events, and subscribing the scaler to the controller wires the
+    trigger's decision handler, if it has one.
 
     Attributes:
         scale_outs / scale_ins: events executed so far.
@@ -291,7 +292,9 @@ class ElasticScaler:
         self._default_disk = sum(
             s.disk_capacity for s in servers.values()
         ) / len(servers)
-        self._hook = None
+        #: The trigger's decision handler — None for one that watches
+        #: nothing, in which case subscribing the scaler adds nothing.
+        self.on_decision = SCALE_TRIGGERS.get(policy.trigger)(self)
         self._rejections: Deque[float] = deque()
         self._cooldown_until = float("-inf")
         #: Per-draining-server bookkeeping: moved count + in-flight
@@ -303,7 +306,7 @@ class ElasticScaler:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule the declared events and install the trigger."""
+        """Schedule the declared events."""
         now = self.engine.now
         for event in self.policy.events:
             delay = max(0.0, event.time - now)
@@ -317,12 +320,6 @@ class ElasticScaler:
                     delay, lambda e=event: self._scale_in(e),
                     kind="elastic:scale_in",
                 )
-        self._hook = SCALE_TRIGGERS.get(self.policy.trigger)(self)
-
-    def observe(self, outcome: AdmissionOutcome, request: Request) -> None:
-        """Controller decision hook (drives the ``"load"`` trigger)."""
-        if self._hook is not None:
-            self._hook(outcome, request)
 
     def _observe_rejection(
         self, outcome: AdmissionOutcome, request: Request

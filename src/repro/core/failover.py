@@ -57,6 +57,9 @@ class FailoverManager:
         placement: the replica map (holdings survive a failure — the
             disk is intact, the node is just down).
         metrics: run counters (dropped streams are recorded).
+        on_drop: the controller's drop-notification list, shared by
+            reference like *servers*/*managers*; each stream lost
+            mid-flight is published to it once marked and counted.
         rescue_policy: chain bounds used when making room for orphans;
             defaults to chain length 1 with unlimited hops.
         tracer: optional obs tracer for fail/recover/drop records.
@@ -69,6 +72,7 @@ class FailoverManager:
         managers: Dict[int, TransmissionManager],
         placement: PlacementMap,
         metrics: SimulationMetrics,
+        on_drop: List[Callable[[Request], None]],
         rescue_policy: Optional[MigrationPolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -77,13 +81,10 @@ class FailoverManager:
         self.managers = managers
         self.placement = placement
         self.metrics = metrics
+        self.on_drop = on_drop
         self.rescue_policy = rescue_policy or MigrationPolicy.unlimited_hops()
         self.tracer = tracer
         self.reports: List[FailoverReport] = []
-        #: Called with each stream lost mid-flight (after it is marked
-        #: dropped and counted) — the graceful-degradation retry queue
-        #: registers here to capture failure orphans.
-        self.on_drop: List[Callable[[Request], None]] = []
         #: Called with the :class:`FailoverReport` of each *actual*
         #: server failure (idempotent re-fails do not fire).  The live
         #: chaos plane registers here to mirror a virtual crash into
@@ -243,7 +244,7 @@ class FailoverManager:
                 report.dropped.append(request.request_id)
 
     def _drop(self, request: Request, server_id: int, now: float) -> None:
-        """Mark an unrescuable orphan dropped and notify subscribers."""
+        """Mark an unrescuable orphan dropped and publish the drop."""
         request.mark_dropped(now)
         self.metrics.record_drop()
         if self.tracer is not None:
@@ -251,8 +252,8 @@ class FailoverManager:
                 TraceKind.REQUEST_DROP, now,
                 request=request.request_id, server=server_id,
             )
-        for hook in self.on_drop:
-            hook(request)
+        for notify in self.on_drop:
+            notify(request)
 
     def _relocate(
         self, request: Request, now: float, exclude: Optional[int] = None

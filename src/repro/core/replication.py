@@ -91,11 +91,11 @@ class ReplicationPolicy:
 class DynamicReplicator:
     """Rejection-driven replica management.
 
-    Wire it to a :class:`DistributionController` via
-    :meth:`observe` (one of the controller's ``decision_hooks``), e.g.::
+    Subscribe it to a :class:`DistributionController`'s decision
+    notifications (:meth:`on_decision`), e.g.::
 
         replicator = DynamicReplicator(engine, servers, placement, catalog)
-        controller.decision_hooks.append(replicator.observe)
+        controller.subscribe(replicator)
     """
 
     def __init__(
@@ -118,8 +118,8 @@ class DynamicReplicator:
         self.failed_attempts = 0
 
     # ------------------------------------------------------------------
-    def observe(self, outcome: AdmissionOutcome, request: Request) -> None:
-        """Controller hook: feed every admission decision in."""
+    def on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
+        """Controller notification: every admission decision."""
         if outcome is not AdmissionOutcome.REJECTED:
             return
         vid = request.video.video_id

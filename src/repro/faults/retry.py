@@ -2,10 +2,10 @@
 
 Without this, a rejected or failure-orphaned request is simply gone —
 fine for the paper's steady-state utilization measurements, wrong for a
-server facing *schedules* of failures.  The queue observes every
-admission decision (via the controller's ``decision_hooks``) and every
-mid-flight drop (via the failover manager's ``on_drop`` hooks), and
-resubmits victims after exponential backoff with per-request jitter:
+server facing *schedules* of failures.  Once subscribed to the
+controller the queue hears every admission decision (``on_decision``)
+and every mid-flight drop (``on_drop``), and resubmits victims after
+exponential backoff with per-request jitter:
 
 * the **delay** for attempt *k* is ``base_delay * 2**(k-1)`` capped at
   ``max_delay``, scaled by a uniform jitter factor in
@@ -34,7 +34,6 @@ from typing import Dict, Optional
 from repro.cluster.controller import DistributionController
 from repro.cluster.request import EPS_MB, Request
 from repro.core.admission import AdmissionOutcome
-from repro.core.failover import FailoverManager
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
@@ -98,10 +97,10 @@ class RetryPolicy:
 class _Entry:
     __slots__ = ("request", "attempt", "event", "delay")
 
-    def __init__(self, request: Request, attempt: int, event) -> None:
+    def __init__(self, request: Request) -> None:
         self.request = request
-        self.attempt = attempt
-        self.event = event
+        self.attempt = 1
+        self.event = None
         self.delay = 0.0
 
 
@@ -114,7 +113,6 @@ class RetryQueue:
             :meth:`DistributionController.resubmit`).
         streams: the run's RNG substream factory (jitter draws).
         policy: backoff configuration.
-        failover: when given, mid-flight drops are captured too.
         tracer: optional obs tracer (``request.retry`` /
             ``request.retry_exhaust`` records).
     """
@@ -125,7 +123,6 @@ class RetryQueue:
         controller: DistributionController,
         streams: RandomStreams,
         policy: Optional[RetryPolicy] = None,
-        failover: Optional[FailoverManager] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
@@ -135,9 +132,6 @@ class RetryQueue:
         self.tracer = tracer
         self.metrics = controller.metrics
         self._entries: Dict[int, _Entry] = {}
-        controller.decision_hooks.append(self._on_decision)
-        if failover is not None:
-            failover.on_drop.append(self._on_drop)
 
     # ------------------------------------------------------------------
     @property
@@ -146,9 +140,9 @@ class RetryQueue:
         return len(self._entries)
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Controller notifications
     # ------------------------------------------------------------------
-    def _on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
+    def on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
         entry = self._entries.get(request.request_id)
         if outcome.accepted:
             if entry is not None:
@@ -164,23 +158,23 @@ class RetryQueue:
                 request.pause_playback(self.engine.now)
             self._reschedule(entry)
         else:
-            self._enqueue(request, first_attempt=1)
+            self._enqueue(request)
 
-    def _on_drop(self, request: Request) -> None:
-        """Failover dropped a live stream: stall the viewer, queue it."""
+    def on_drop(self, request: Request) -> None:
+        """A live stream was dropped: stall the viewer, queue it."""
         now = self.engine.now
         if request.bytes_sent > EPS_MB:
             request.pause_playback(now)
-        self._enqueue(request, first_attempt=1)
+        self._enqueue(request)
 
     # ------------------------------------------------------------------
     # Queue mechanics
     # ------------------------------------------------------------------
-    def _enqueue(self, request: Request, first_attempt: int) -> None:
+    def _enqueue(self, request: Request) -> None:
         if len(self._entries) >= self.policy.max_pending:
             self._exhaust(request, attempts=0, reason="queue_full")
             return
-        entry = _Entry(request, first_attempt, None)
+        entry = _Entry(request)
         self._entries[request.request_id] = entry
         self._schedule(entry)
 
@@ -226,7 +220,7 @@ class RetryQueue:
         request.prepare_retry(now)
         if request.playback_paused:
             # Optimistically resume; a re-rejection re-pauses at the
-            # same instant in `_on_decision` (net identity — the outage
+            # same instant in `on_decision` (net identity — the outage
             # has already been folded into `playback_start`).
             request.resume_playback(now)
         self.controller.resubmit(request)

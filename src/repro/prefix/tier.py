@@ -3,7 +3,7 @@
 :class:`PrefixPolicy` is the frozen config block (round-trips through
 ``to_dict``/``from_dict`` like every other policy); :class:`PrefixTier`
 is the runtime that sits between the distribution controller's front
-door and normal admission:
+door and normal admission (``controller.subscribe(tier)``):
 
 * at build time it computes a replication plan (via the
   :data:`~repro.prefix.cache.PREFIX_STRATEGIES` strategy named in the
@@ -13,9 +13,10 @@ door and normal admission:
   :data:`~repro.prefix.chaining.BATCHING` policy decides whether to
   chain it onto a live stream, open a truncated catch-up patch, or
   decline and let normal admission run;
-* it rides the controller's decision hooks (:meth:`PrefixTier.observe`)
-  to track stream leaders and commit patch chains, and the finish/drop
-  notifications to complete or sever chains coherently (a DRM-migrated
+* it hears every decision (:meth:`PrefixTier.on_decision`) to track
+  stream leaders and commit patch chains, and every finish / drop
+  (:meth:`PrefixTier.on_finish`, :meth:`PrefixTier.on_drop`) to
+  complete or sever chains coherently (a DRM-migrated
   parent drags its children along for free — the relay follows the
   parent's *playout*, which migration never disturbs).
 
@@ -243,7 +244,7 @@ class PrefixTier:
         Returns ``ACCEPTED_CHAINED`` for a pure chain (the request never
         reaches normal admission), or None to fall through — possibly
         with the request truncated to a catch-up patch, in which case
-        :meth:`observe` completes or cancels the chain once the
+        :meth:`on_decision` completes or cancels the chain once the
         admission decision lands.
         """
         video_id = request.video.video_id
@@ -275,9 +276,10 @@ class PrefixTier:
         self._commit(chain, now, patched=False)
         return AdmissionOutcome.ACCEPTED_CHAINED
 
-    def observe(self, outcome: AdmissionOutcome, request: Request) -> None:
-        """Controller decision hook: commit/cancel pending patch chains
-        and track stream leaders."""
+    def on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
+        """Controller notification: commit/cancel pending patch chains
+        and track stream leaders.  Subscribed first: the retry queue
+        must see a rejected patch already restored to the full video."""
         chain = self._pending.pop(request.request_id, None)
         now = self.engine.now
         if chain is not None:
@@ -322,8 +324,8 @@ class PrefixTier:
     # ------------------------------------------------------------------
     # Lifecycle notifications
     # ------------------------------------------------------------------
-    def on_stream_finish(self, request: Request, now: float) -> None:
-        """Controller ``_on_finish`` hook: patch completions + parent
+    def on_finish(self, request: Request, now: float) -> None:
+        """Controller notification: patch completions + parent
         transmission completions."""
         chain = self._chains.get(request.request_id)
         if chain is not None and not chain.merged:
@@ -346,8 +348,8 @@ class PrefixTier:
                     self._schedule_child_finish(child_chain)
                 # un-merged patch chains reschedule at merge time
 
-    def on_stream_drop(self, request: Request) -> None:
-        """Failover ``on_drop`` hook: sever chains touching *request*."""
+    def on_drop(self, request: Request) -> None:
+        """Controller notification: sever chains touching *request*."""
         now = self.engine.now
         chain = self._chains.pop(request.request_id, None)
         if chain is not None and not chain.finished:

@@ -108,15 +108,9 @@ class PolicyBridge:
         self.engine = self.sim.engine
         self.controller = self.sim.controller
         self.decisions: List[Decision] = []
-        self._migrations_seen = 0
-        self._last_request: Optional[Request] = None
-        self.controller.decision_hooks.append(self._capture)
         self._finalized = False
 
     # ------------------------------------------------------------------
-    def _capture(self, outcome: AdmissionOutcome, request: Request) -> None:
-        self._last_request = request
-
     @property
     def now(self) -> float:
         """The policy engine's virtual clock."""
@@ -156,10 +150,7 @@ class PolicyBridge:
         self.advance(time)
         metrics = self.controller.metrics
         migrations_before = metrics.migrations
-        outcome = self.controller.submit(video_id)
-        request = self._last_request
-        assert request is not None  # decision hook always fires
-        self._migrations_seen = metrics.migrations
+        request, outcome = self.controller.submit(video_id)
         decision = Decision(
             index=len(self.decisions),
             time=time,

@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.cluster.membership import ClusterMembership, ServerLifecycle
+from repro.cluster.membership import ServerLifecycle
 from repro.cluster.request import Request, RequestState
 from repro.obs.spans import SpanPhase
 from repro.serve.bridge import Decision, ParityError, PolicyBridge
@@ -305,10 +305,6 @@ class ClusterGateway:
         """Supervisor predicate (``_stopping`` is bound after ``sup``)."""
         return self._stopping.is_set()
 
-    def _membership(self) -> Optional[ClusterMembership]:
-        """The policy core's membership ledger (None on old configs)."""
-        return getattr(self.bridge.controller, "membership", None)
-
     def _register_server_gauges(self, sid: int) -> None:
         """Register the per-server load gauges for *sid* (idempotent
         via :attr:`_instrumented_servers`)."""
@@ -351,9 +347,7 @@ class ClusterGateway:
         )
         for sid in self.bridge.controller.servers:
             self._spawn_server_task(sid)
-        membership = self._membership()
-        if membership is not None:
-            self._membership_epoch = membership.epoch
+        self._membership_epoch = self.bridge.controller.membership.epoch
         if self.tracer is not None:
             self._tasks.append(
                 self.sup.spawn(
@@ -707,8 +701,8 @@ class ClusterGateway:
         not reaped here; their loops retire themselves (see
         :meth:`_server_loop`).
         """
-        membership = self._membership()
-        if membership is None or membership.epoch == self._membership_epoch:
+        membership = self.bridge.controller.membership
+        if membership.epoch == self._membership_epoch:
             return
         self._membership_epoch = membership.epoch
         for sid in self.bridge.controller.servers:
@@ -729,16 +723,14 @@ class ClusterGateway:
         supervision without a restart).
         """
         name = f"serve.server.{server_id}"
-        membership = self._membership()
+        membership = self.bridge.controller.membership
         while not self._stopping.is_set():
             await asyncio.sleep(self.serve.tick)
             self.sup.beat(name)
             if not self.clock.anchored:
                 continue
             if (
-                membership is not None
-                and server_id in membership.states
-                and membership.state(server_id) is ServerLifecycle.DEPARTED
+                membership.state(server_id) is ServerLifecycle.DEPARTED
                 and self._server_row(server_id)["sessions"] == 0
             ):
                 return
@@ -955,13 +947,12 @@ class ClusterGateway:
 
     def _server_rows(self) -> Dict[str, Dict[str, Any]]:
         """Per-server load rows, annotated with the membership lifecycle
-        state when the policy core tracks one."""
-        membership = self._membership()
+        state."""
+        membership = self.bridge.controller.membership
         rows: Dict[str, Dict[str, Any]] = {}
         for sid in self.bridge.controller.servers:
             row: Dict[str, Any] = dict(self._server_row(sid))
-            if membership is not None and sid in membership.states:
-                row["state"] = membership.state(sid).value
+            row["state"] = membership.state(sid).value
             rows[str(sid)] = row
         return rows
 
@@ -1056,11 +1047,7 @@ class ClusterGateway:
                     (50.0, 95.0, 99.0)
                 ).items()
             },
-            "membership": (
-                self._membership().to_dict()
-                if self._membership() is not None
-                else None
-            ),
+            "membership": self.bridge.controller.membership.to_dict(),
             "cache": self._cache_stats(),
             "servers": self._server_rows(),
         }
@@ -1113,11 +1100,7 @@ class ClusterGateway:
                 "parity_clamps": self._parity_clamps,
                 "handshake_errors": self._handshake_errors,
                 "open_sessions": len(self.sessions),
-                "membership": (
-                    self._membership().to_dict()
-                    if self._membership() is not None
-                    else None
-                ),
+                "membership": self.bridge.controller.membership.to_dict(),
                 "supervisor": self.sup.report(),
                 "client_buffer_mb": self._h_buffer.snapshot(),
                 "chunk_latency_ms": self._h_latency.snapshot(),

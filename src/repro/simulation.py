@@ -383,7 +383,8 @@ class Simulation:
     prefix     ``prefix_tier`` (cache + chaining, warming scheduled)
     workload   ``arrival_rate``, arrival process, ``interactivity``
     faults     ``failover``, ``retry_queue``, ``fault_injector``
-    observers  ``invariant_checker``, ``replicator``, ``elastic_scaler``
+    observers  ``invariant_checker``, ``replicator``, ``elastic_scaler``;
+               every lifecycle observer subscribed to the controller
     ========== =====================================================
 
     The *stage_hooks* argument is the extension point: a mapping from
@@ -581,20 +582,18 @@ class Simulation:
             client_profile=profile,
             allocator=ALLOCATORS[config.scheduler](),
             migration_policy=config.migration,
+            membership=self.membership,
             metrics=SimulationMetrics(registry=self.registry),
             admission_mode=config.admission,
             tracer=self.tracer,
         )
-        # The serve layer reaches membership through the controller
-        # (PolicyBridge exposes it; the gateway reconciles tasks on it).
-        self.controller.membership = self.membership
 
     def _build_prefix(self) -> None:
         """Prefix-cache / stream-sharing tier (repro.prefix).
 
-        After: ``self.prefix_tier`` — wired into the controller's front
-        door and decision stream with cache warming scheduled — or None
-        when ``config.prefix`` is unset.
+        After: ``self.prefix_tier`` with cache warming scheduled — or
+        None when ``config.prefix`` is unset.  It fronts nothing until
+        the ``observers`` stage subscribes it to the controller.
         """
         config = self.config
         self.prefix_tier: Optional[PrefixTier] = None
@@ -611,8 +610,6 @@ class Simulation:
             strict=config.invariants or obs.env_invariants_enabled(),
             tracer=self.tracer,
         )
-        self.controller.prefix_tier = self.prefix_tier
-        self.controller.decision_hooks.append(self.prefix_tier.observe)
         self.prefix_tier.start()
 
     def _build_workload(self) -> None:
@@ -669,6 +666,7 @@ class Simulation:
                 managers=self.controller.managers,
                 placement=self.placement_result.placement,
                 metrics=self.metrics,
+                on_drop=self.controller.on_drop,
                 tracer=self.tracer,
             )
         self.retry_queue: Optional[RetryQueue] = None
@@ -678,7 +676,6 @@ class Simulation:
                 controller=self.controller,
                 streams=self.streams,
                 policy=config.retry,
-                failover=self.failover,
                 tracer=self.tracer,
             )
         self.fault_injector: Optional[FaultInjector] = None
@@ -694,11 +691,12 @@ class Simulation:
             self.fault_injector.start()
 
     def _build_observers(self) -> None:
-        """Decision observers and online checks.
+        """Online checks, the last observers, and every subscription.
 
-        After: ``self.invariant_checker`` (opt-in conservation checks)
-        and ``self.replicator`` (the dynamic-replication extension,
-        hooked into the controller's decision stream).
+        After: ``self.invariant_checker`` (opt-in conservation checks),
+        ``self.replicator`` (the dynamic-replication extension),
+        ``self.elastic_scaler``, and the controller's ``intercept`` /
+        ``on_decision`` / ``on_finish`` / ``on_drop`` filled in.
         """
         config = self.config
         self.invariant_checker: Optional[InvariantChecker] = None
@@ -717,7 +715,6 @@ class Simulation:
                 catalog=self.catalog,
                 policy=config.replication,
             )
-            self.controller.decision_hooks.append(self.replicator.observe)
 
         self.elastic_scaler: Optional[ElasticScaler] = None
         if config.elastic is not None:
@@ -735,12 +732,20 @@ class Simulation:
                 tracer=self.tracer,
             )
             self.elastic_scaler.start()
-            self.controller.decision_hooks.append(self.elastic_scaler.observe)
 
-        if self.prefix_tier is not None and self.failover is not None:
-            # Sever / cascade chained sessions when a parent stream is
-            # lost to a failure.
-            self.failover.on_drop.append(self.prefix_tier.on_stream_drop)
+        # Subscription order is notification order, and load-bearing.
+        # The tier is first: it restores a rejected patch to the full
+        # transfer before the retry queue queues it, and severs a
+        # dropped parent's chains before the parent is re-queued.  The
+        # rest schedule engine events from inside the notification (VCR
+        # pause, retry backoff, replica copy, scale-out), so their
+        # order fixes same-instant sequence numbers — every digest.
+        for observer in (
+            self.prefix_tier, self.interactivity, self.retry_queue,
+            self.replicator, self.elastic_scaler,
+        ):
+            if observer is not None:
+                self.controller.subscribe(observer)
 
     @property
     def metrics(self) -> SimulationMetrics:

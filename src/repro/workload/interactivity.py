@@ -36,8 +36,9 @@ class InteractivityModel:
 
     Args:
         engine: the simulation engine.
-        controller: the distribution controller (hooked via
-            ``decision_hooks``).
+        controller: the distribution controller; subscribe the model
+            to it (``controller.subscribe(model)``) so every admitted
+            stream gets a pause process via :meth:`on_decision`.
         rng: dedicated random stream.
         pause_hazard: per-second probability rate of a playing viewer
             pausing (e.g. ``1/1800`` = one pause per half hour watched).
@@ -69,10 +70,9 @@ class InteractivityModel:
         self.max_pauses_per_stream = max_pauses_per_stream
         self.pauses_executed = 0
         self.resumes_executed = 0
-        controller.decision_hooks.append(self._on_decision)
 
     # ------------------------------------------------------------------
-    def _on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
+    def on_decision(self, outcome: AdmissionOutcome, request: Request) -> None:
         if outcome.accepted:
             self._schedule_pause(request)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.client import ClientProfile
 from repro.cluster.controller import DistributionController
+from repro.cluster.membership import ClusterMembership
 from repro.cluster.server import DataServer
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import MigrationPolicy
@@ -28,6 +29,9 @@ def build_controller(n_servers=2, bandwidth=3.0, n_videos=2, profile=None):
         for s in servers:
             s.store_replica(v)
         holders[v.video_id] = tuple(s.server_id for s in servers)
+    membership = ClusterMembership()
+    for s in servers:
+        membership.register(s.server_id)
     controller = DistributionController(
         engine=engine,
         servers=servers,
@@ -36,6 +40,7 @@ def build_controller(n_servers=2, bandwidth=3.0, n_videos=2, profile=None):
         client_profile=profile or ClientProfile(),
         allocator=EFTFAllocator(),
         migration_policy=MigrationPolicy.disabled(),
+        membership=membership,
     )
     return engine, controller
 
@@ -43,8 +48,9 @@ def build_controller(n_servers=2, bandwidth=3.0, n_videos=2, profile=None):
 class TestSubmit:
     def test_submit_accepts_and_tracks(self):
         engine, controller = build_controller()
-        outcome = controller.submit(0)
+        request, outcome = controller.submit(0)
         assert outcome is AdmissionOutcome.ACCEPTED
+        assert request.server_id in controller.servers
         assert controller.active_count == 1
         assert controller.metrics.accepted == 1
 
@@ -67,11 +73,68 @@ class TestSubmit:
     def test_on_decision_hook(self):
         engine, controller = build_controller()
         seen = []
-        controller.decision_hooks.append(
+        controller.on_decision.append(
             lambda outcome, req: seen.append((outcome, req.video.video_id))
         )
         controller.submit(1)
         assert seen == [(AdmissionOutcome.ACCEPTED, 1)]
+
+    def test_subscribe_picks_up_the_handlers_an_observer_defines(self):
+        engine, controller = build_controller()
+        seen = []
+
+        class Watcher:
+            def on_decision(self, outcome, request):
+                seen.append(("decision", outcome, request.request_id))
+
+            def on_finish(self, request, now):
+                seen.append(("finish", request.request_id, now))
+
+        class DropOnly:
+            on_decision = None  # a trigger that watches nothing
+
+            def on_drop(self, request):
+                seen.append(("drop", request.request_id))
+
+        watcher, drop_only = Watcher(), DropOnly()
+        controller.subscribe(watcher)
+        controller.subscribe(drop_only)
+        assert controller.intercept is None
+        assert controller.on_decision == [watcher.on_decision]
+        assert controller.on_finish == [watcher.on_finish]
+        assert controller.on_drop == [drop_only.on_drop]
+
+        request, outcome = controller.submit(0)
+        engine.run_until(200.0)
+        rid = request.request_id
+        assert seen == [("decision", outcome, rid), ("finish", rid, 100.0)]
+
+    def test_intercept_decides_fresh_arrivals_but_not_retries(self):
+        engine, controller = build_controller()
+        offered = []
+
+        class Front:
+            def intercept(self, request, now):
+                offered.append(request.request_id)
+                return AdmissionOutcome.ACCEPTED_CHAINED
+
+        controller.subscribe(Front())
+        request, outcome = controller.submit(0)
+        assert outcome is AdmissionOutcome.ACCEPTED_CHAINED
+        assert request.server_id is None      # admission never ran
+        assert controller.resubmit(request)[1] is AdmissionOutcome.ACCEPTED
+        assert offered == [request.request_id]
+
+    def test_second_intercept_provider_rejected(self):
+        engine, controller = build_controller()
+
+        class Front:
+            def intercept(self, request, now):
+                return None
+
+        controller.subscribe(Front())
+        with pytest.raises(ValueError, match="pre-admission stage"):
+            controller.subscribe(Front())
 
     def test_finished_streams_recorded(self):
         engine, controller = build_controller()

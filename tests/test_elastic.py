@@ -45,27 +45,34 @@ class TestMembership:
         assert membership.epoch == 0
         assert membership.members(ServerLifecycle.ACTIVE) == [0, 1, 2]
 
-    def test_transitions_bump_epoch_and_fire_hooks(self):
+    def test_transitions_bump_epoch_and_record_state(self):
         membership = ClusterMembership()
         membership.register(0)
         seen = []
-        membership.hooks.append(
-            lambda sid, state, epoch: seen.append((sid, state, epoch))
-        )
+
+        def snapshot():
+            seen.append((membership.states[1], membership.epoch))
+
         membership.register(1, ServerLifecycle.JOINING)
-        membership.transition(1, ServerLifecycle.WARMING)
-        membership.transition(1, ServerLifecycle.ACTIVE)
-        membership.transition(1, ServerLifecycle.DRAINING)
-        membership.transition(1, ServerLifecycle.DEPARTED)
+        snapshot()
+        for state in (
+            ServerLifecycle.WARMING,
+            ServerLifecycle.ACTIVE,
+            ServerLifecycle.DRAINING,
+            ServerLifecycle.DEPARTED,
+        ):
+            membership.transition(1, state)
+            snapshot()
         assert membership.epoch == 5
-        assert [s for _, s, _ in seen] == [
+        assert [s for s, _ in seen] == [
             ServerLifecycle.JOINING,
             ServerLifecycle.WARMING,
             ServerLifecycle.ACTIVE,
             ServerLifecycle.DRAINING,
             ServerLifecycle.DEPARTED,
         ]
-        assert [e for _, _, e in seen] == [1, 2, 3, 4, 5]
+        assert [e for _, e in seen] == [1, 2, 3, 4, 5]
+        assert membership.states[0] is ServerLifecycle.ACTIVE
 
     def test_illegal_transitions_rejected(self):
         membership = ClusterMembership()

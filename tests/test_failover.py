@@ -23,6 +23,7 @@ def cluster_with_failover(holders, specs=None, rescue=None):
         cluster.managers,
         cluster.placement,
         cluster.metrics,
+        on_drop=[],
         rescue_policy=rescue,
     )
     return cluster, failover

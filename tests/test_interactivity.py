@@ -133,10 +133,10 @@ class TestInteractivityModel:
             videos=[make_video(video_id=0, length=200.0)],
             holders={0: [0]},
         )
-        # The micro-cluster has no DistributionController; adapt the
-        # hooks the model needs.
+        # The micro-cluster has no DistributionController; stand in
+        # for the one thing the model reads off it.  Tests deliver the
+        # decision notification by calling ``model.on_decision``.
         class _Shim:
-            decision_hooks = []
             managers = cluster.managers
 
         shim = _Shim()
@@ -167,8 +167,7 @@ class TestInteractivityModel:
     def test_pauses_and_resumes_fire(self):
         cluster, shim, model = self.build(hazard=1 / 5.0, mean_pause=5.0)
         r, outcome = cluster.submit(0, client=make_client(buffer_capacity=50.0))
-        for hook in shim.decision_hooks:
-            hook(outcome, r)
+        model.on_decision(outcome, r)
         cluster.engine.run_until(150.0)
         assert model.pauses_executed >= 1
         assert model.resumes_executed >= 1
@@ -178,8 +177,7 @@ class TestInteractivityModel:
             hazard=1 / 2.0, mean_pause=2.0, max_pauses=2
         )
         r, outcome = cluster.submit(0, client=make_client(buffer_capacity=50.0))
-        for hook in shim.decision_hooks:
-            hook(outcome, r)
+        model.on_decision(outcome, r)
         cluster.engine.run_until(500.0)
         assert r.pauses <= 2
 
@@ -187,7 +185,7 @@ class TestInteractivityModel:
         cluster, shim, model = self.build()
         r = make_request(video=cluster.catalog[0])
         r.mark_rejected()
-        model._on_decision(AdmissionOutcome.REJECTED, r)
+        model.on_decision(AdmissionOutcome.REJECTED, r)
         # No pause events scheduled for it:
         kinds = [e.kind for e in cluster.engine.iter_pending()]
         assert not any("vcr" in k for k in kinds)

@@ -32,6 +32,8 @@ from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
 from repro.cluster.request import EPS_MB, RequestState, reset_request_ids
+from repro.core.admission import AdmissionOutcome
+from repro.obs import TraceKind
 from repro.obs.tracer import Tracer
 from repro.prefix import (
     BATCHING,
@@ -501,13 +503,13 @@ class TestTierEndToEnd:
         sim._arrivals.stop()
         engine, controller = sim.engine, sim.controller
         decided = []
-        controller.decision_hooks.append(
+        controller.on_decision.append(
             lambda outcome, request: decided.append(request)
         )
         full = sim.catalog[0]
-        assert controller.submit(0).accepted          # the leader
+        assert controller.submit(0)[1].accepted       # the leader
         engine.run_until(30.0)
-        while controller.submit(0).accepted:          # 30 s patches
+        while controller.submit(0)[1].accepted:       # 30 s patches
             assert decided[-1].size < full.size
         assert sim.metrics.patched > 0
         rejected = decided[-1]
@@ -516,7 +518,7 @@ class TestTierEndToEnd:
 
         engine.run_until(100.0)                       # patches drain
         rejected.prepare_retry(engine.now)
-        assert controller.resubmit(rejected).accepted
+        assert controller.resubmit(rejected)[1].accepted
         engine.run_until(hours(2))
         assert rejected.state is RequestState.FINISHED
         assert rejected.bytes_sent == pytest.approx(full.size)
@@ -556,6 +558,94 @@ class TestTierEndToEnd:
         assert result.faults_injected > 0
         assert result.chained > 0
         assert result.chain_underruns == 0   # severed chains don't count
+        assert result.arrivals == result.accepted + result.rejected
+
+    def test_parent_drop_severs_children_before_requeueing_parent(self):
+        # prefix x retry x crash faults, driven by hand: a pure chain's
+        # parent is lost with every holder down.  The tier hears the
+        # drop first (severs the child, which is dropped for good — it
+        # has no server stream to re-admit), then the retry queue
+        # re-queues the parent.
+        from repro.faults import CrashFaults, FaultPlan, RetryPolicy
+
+        policy = PrefixPolicy(
+            strategy="popularity", batching="window", window_seconds=120.0,
+        )
+        tracer = Tracer()
+        reset_request_ids()
+        sim = Simulation(prefix_config(
+            policy, migration=MigrationPolicy.disabled(),
+            retry=RetryPolicy(base_delay=30.0, jitter=0.0),
+            # Injector on, but its first crash lies beyond the run.
+            faults=FaultPlan(crash=CrashFaults(mtbf=1e12, mttr=1.0)),
+        ), tracer=tracer)
+        sim._arrivals.stop()
+        engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
+        failover, queue = sim.failover, sim.retry_queue
+        engine.run_until(600.0)                       # cache warmed
+        parent, outcome = controller.submit(0)
+        assert outcome is AdmissionOutcome.ACCEPTED
+        engine.run_until(610.0)
+        child, outcome = controller.submit(0)
+        assert outcome is AdmissionOutcome.ACCEPTED_CHAINED
+        assert child.server_id is None
+
+        holders = list(sim.placement_result.placement.holders(0))
+        for sid in holders:
+            if sid != parent.server_id:
+                failover.fail_server(sid)             # empty: nothing moves
+        report = failover.fail_server(parent.server_id)
+        assert report.dropped == [parent.request_id]
+        assert parent.state is RequestState.DROPPED
+        assert child.state is RequestState.DROPPED
+        assert sim.metrics.dropped == 2
+        assert tier.feeds_severed == 1
+        assert list(queue._entries) == [parent.request_id]   # child is not
+        lifecycle = [
+            (r.kind, r.fields["request"], r.fields.get("server"))
+            for r in tracer.records()
+            if r.kind in (TraceKind.REQUEST_DROP, TraceKind.REQUEST_RETRY)
+        ]
+        assert lifecycle == [
+            (TraceKind.REQUEST_DROP, parent.request_id, report.server_id),
+            (TraceKind.REQUEST_DROP, child.request_id, None),
+            (TraceKind.REQUEST_RETRY, parent.request_id, None),
+        ]
+
+        for sid in holders:
+            failover.restore_server(sid)
+        engine.run_until(700.0)                       # backoff was 30 s
+        assert parent.state is RequestState.ACTIVE
+        assert parent.server_id in holders
+        assert queue.pending == 0
+        assert child.state is RequestState.DROPPED
+        metrics = sim.metrics
+        assert metrics.retries == 1
+        assert metrics.arrivals == 3
+        assert metrics.accepted + metrics.rejected == metrics.arrivals
+        tier.check_invariants()
+        assert tier.chain_underruns == 0
+
+    def test_prefix_retry_and_crash_faults_together(self):
+        from repro.faults import CrashFaults, FaultPlan, RetryPolicy
+
+        policy = PrefixPolicy(
+            strategy="popularity", batching="patch",
+            capacity_mb=60_000.0, prefix_seconds=90.0,
+            window_seconds=180.0,
+        )
+        result = run_fresh(prefix_config(
+            policy, theta=-0.5, load=1.3, invariants=True,
+            retry=RetryPolicy(),
+            faults=FaultPlan(
+                crash=CrashFaults(mtbf=hours(0.4), mttr=hours(0.1)),
+            ),
+        ))
+        assert result.faults_injected > 0
+        assert result.chained > 0
+        assert result.dropped > 0
+        assert result.retries > 0
+        assert result.chain_underruns == 0
         assert result.arrivals == result.accepted + result.rejected
 
     def test_same_seed_runs_byte_identical(self):

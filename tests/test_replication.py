@@ -42,21 +42,21 @@ class TestTrigger:
     def test_rejections_below_threshold_do_nothing(self):
         cluster, replicator = replicating_cluster()
         r, outcome = cluster.submit(0)
-        replicator.observe(AdmissionOutcome.REJECTED, r)
+        replicator.on_decision(AdmissionOutcome.REJECTED, r)
         assert replicator.in_flight == set()
 
     def test_threshold_commissions_copy(self):
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
-        replicator.observe(AdmissionOutcome.REJECTED, r)
-        replicator.observe(AdmissionOutcome.REJECTED, r)
+        replicator.on_decision(AdmissionOutcome.REJECTED, r)
+        replicator.on_decision(AdmissionOutcome.REJECTED, r)
         assert 0 in replicator.in_flight
 
     def test_accepts_do_not_count(self):
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
         for _ in range(10):
-            replicator.observe(AdmissionOutcome.ACCEPTED, r)
+            replicator.on_decision(AdmissionOutcome.ACCEPTED, r)
         assert replicator.in_flight == set()
 
     def test_no_replica_rejections_do_not_count(self):
@@ -65,7 +65,7 @@ class TestTrigger:
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
         for _ in range(10):
-            replicator.observe(AdmissionOutcome.REJECTED_NO_REPLICA, r)
+            replicator.on_decision(AdmissionOutcome.REJECTED_NO_REPLICA, r)
         assert replicator.in_flight == set()
 
 
@@ -73,8 +73,8 @@ class TestCopyLifecycle:
     def test_replica_published_after_transfer_delay(self):
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
-        replicator.observe(AdmissionOutcome.REJECTED, r)
-        replicator.observe(AdmissionOutcome.REJECTED, r)
+        replicator.on_decision(AdmissionOutcome.REJECTED, r)
+        replicator.on_decision(AdmissionOutcome.REJECTED, r)
         # Copy of video 0 (100 Mb at 10 Mb/s = 10 s) to server 1.
         assert cluster.placement.holders(0) == (0,)   # not yet published
         assert cluster.servers[1].holds(0)            # disk reserved
@@ -88,8 +88,8 @@ class TestCopyLifecycle:
         filler, _ = cluster.submit(0)      # fills server 0 (bw=1)
         victim, outcome = cluster.submit(0)
         assert outcome is AdmissionOutcome.REJECTED
-        replicator.observe(AdmissionOutcome.REJECTED, victim)
-        replicator.observe(AdmissionOutcome.REJECTED, victim)
+        replicator.on_decision(AdmissionOutcome.REJECTED, victim)
+        replicator.on_decision(AdmissionOutcome.REJECTED, victim)
         cluster.engine.run_until(11.0)
         _, outcome2 = cluster.submit(0)
         assert outcome2 is AdmissionOutcome.ACCEPTED  # lands on server 1
@@ -109,9 +109,9 @@ class TestCopyLifecycle:
 
         req0 = make_request(video=cluster.catalog[0])
         req1 = make_request(video=cluster.catalog[1])
-        replicator.observe(AdmissionOutcome.REJECTED, req0)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req0)
         assert replicator.in_flight == {0}
-        replicator.observe(AdmissionOutcome.REJECTED, req1)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req1)
         assert replicator.in_flight == {0}  # cap reached; 1 not started
 
     def test_duplicate_copy_not_started(self):
@@ -121,8 +121,8 @@ class TestCopyLifecycle:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         assert replicator.in_flight == {0}
         assert sum(1 for s in cluster.servers.values() if s.holds(0)) == 2
 
@@ -131,8 +131,8 @@ class TestCopyLifecycle:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         cluster.servers[1].fail()
         cluster.engine.run_until(20.0)
         assert replicator.replications == 0
@@ -154,7 +154,7 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         assert replicator.evictions == 1
         assert not cluster.servers[1].holds(1)
         assert cluster.placement.holders(1) == (0,)
@@ -171,7 +171,7 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         assert replicator.evictions == 0
         assert cluster.servers[1].holds(1)
         assert replicator.failed_attempts == 1
@@ -190,7 +190,7 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         assert replicator.evictions == 0
         assert cluster.servers[1].holds(1)
 
@@ -207,7 +207,7 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.observe(AdmissionOutcome.REJECTED, req)
+        replicator.on_decision(AdmissionOutcome.REJECTED, req)
         assert replicator.evictions == 0
         assert replicator.failed_attempts == 1
 

@@ -146,12 +146,79 @@ class TestRun:
 
         sim = Simulation(quick_config(replication=ReplicationPolicy()))
         assert sim.replicator is not None
-        assert sim.replicator.observe in sim.controller.decision_hooks
+        assert sim.controller.on_decision == [sim.replicator.on_decision]
 
     def test_invariants_hold_after_run(self):
         sim = Simulation(quick_config(migration=MigrationPolicy.paper_default()))
         sim.run()
         sim.controller.check_invariants()
+
+
+class TestLifecycleWiring:
+    """The controller's notification lists hold exactly the observers
+    ``Simulation`` declares, in the order it declares them."""
+
+    @staticmethod
+    def chaos():
+        from repro.faults import CrashFaults, FaultPlan, RetryPolicy
+
+        return dict(
+            retry=RetryPolicy(),
+            faults=FaultPlan(crash=CrashFaults(mtbf=hours(1), mttr=60.0)),
+        )
+
+    def test_everything_but_the_tier(self):
+        from repro.core.elastic import ElasticPolicy
+        from repro.core.replication import ReplicationPolicy
+
+        sim = Simulation(quick_config(
+            replication=ReplicationPolicy(),
+            elastic=ElasticPolicy(trigger="load"),
+            pause_hazard=1 / 600.0,
+            **self.chaos(),
+        ))
+        controller = sim.controller
+        assert controller.intercept is None
+        assert controller.on_decision == [
+            sim.interactivity.on_decision,
+            sim.retry_queue.on_decision,
+            sim.replicator.on_decision,
+            sim.elastic_scaler.on_decision,
+        ]
+        assert controller.on_finish == []
+        assert controller.on_drop == [sim.retry_queue.on_drop]
+        assert sim.failover.on_drop is controller.on_drop
+
+    def test_tier_first_on_every_list(self):
+        from repro.prefix import PrefixPolicy
+
+        sim = Simulation(quick_config(prefix=PrefixPolicy(), **self.chaos()))
+        controller, tier = sim.controller, sim.prefix_tier
+        assert controller.intercept == tier.intercept
+        assert controller.on_decision == [
+            tier.on_decision, sim.retry_queue.on_decision,
+        ]
+        assert controller.on_finish == [tier.on_finish]
+        assert controller.on_drop == [tier.on_drop, sim.retry_queue.on_drop]
+        assert sim.failover.on_drop is controller.on_drop
+
+    def test_scheduled_elastic_trigger_watches_nothing(self):
+        from repro.core.elastic import ElasticPolicy
+
+        sim = Simulation(quick_config(elastic=ElasticPolicy()))
+        assert sim.elastic_scaler is not None
+        assert sim.controller.on_decision == []
+
+    def test_policy_bridge_registers_no_observer(self):
+        from repro.serve.bridge import PolicyBridge
+
+        bridge = PolicyBridge(quick_config())
+        controller = bridge.controller
+        assert controller.intercept is None
+        assert controller.on_decision == []
+        assert controller.on_finish == [] and controller.on_drop == []
+        decision = bridge.submit(1.0, 0)
+        assert decision.accepted and decision.server in controller.servers
 
 
 class TestSystemPresetsRun:

@@ -40,6 +40,7 @@ def soak_run():
         sim.controller.managers,
         sim.placement_result.placement,
         sim.controller.metrics,
+        sim.controller.on_drop,
     )
     sim.engine.schedule_at(hours(3), lambda: failover.fail_server(1))
     sim.engine.schedule_at(hours(5), lambda: failover.restore_server(1))
