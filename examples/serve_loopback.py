@@ -2,19 +2,23 @@
 """Live serving walkthrough: gateway + load generator on loopback.
 
 The simulator's EFTF/DRM policy core can serve real TCP connections
-(docs/SERVING.md).  This example runs the whole loop in one process:
+(docs/SERVING.md).  This example puts the committed
+``scenarios/serve_loopback.json`` through the gate — the function
+behind ``repro-vod verify`` (docs/ROBUSTNESS.md, "The gate") — and
+reads its report back:
 
-1. load the committed ``scenarios/serve_loopback.json`` scenario;
-2. start a :class:`repro.serve.ClusterGateway` on an ephemeral
-   loopback port — the same :class:`~repro.simulation.SimulationConfig`
-   a virtual-time run would use, mounted on asyncio;
-3. replay the scenario's calibrated Poisson/Zipf arrival trace with
-   :class:`repro.serve.LoadGenerator` at 40x time compression, one
-   live client (staging buffer + underrun accounting) per arrival;
-4. drain the gateway and check the **parity contract**: the live
-   admit/reject/migrate decision sequence must be byte-identical to a
-   virtual-time replay of the same trace through the same
-   :class:`~repro.serve.PolicyBridge`.
+1. the **virtual leg** simulates the scenario twice at the same seed
+   and replays its calibrated Poisson/Zipf arrival trace through a
+   :class:`repro.serve.PolicyBridge`;
+2. the **live leg** starts a :class:`repro.serve.ClusterGateway` on an
+   ephemeral loopback port — the same
+   :class:`~repro.simulation.SimulationConfig`, mounted on asyncio —
+   and replays the same trace with :class:`repro.serve.LoadGenerator`
+   at 40x time compression, one live client (staging buffer + underrun
+   accounting) per arrival;
+3. the **checks** hold the run to the **parity contract**: the live
+   admit/reject/migrate decision digest must equal the virtual one,
+   with zero client underruns, parity clamps and leaked asyncio tasks.
 
 Takes a few wall seconds (~90 virtual seconds of cluster time).
 
@@ -22,19 +26,11 @@ Run:
     python examples/serve_loopback.py
 """
 
-import asyncio
 import pathlib
 import sys
 
+from repro.experiments.verify import verify
 from repro.scenario import load_scenario
-from repro.serve import (
-    ClusterGateway,
-    LoadGenerator,
-    PolicyBridge,
-    ServeConfig,
-)
-from repro.serve.bridge import decisions_digest
-from repro.serve.loadgen import arrival_trace
 
 SCENARIO = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -43,46 +39,30 @@ SCENARIO = (
 )
 
 
-async def serve_and_measure() -> int:
-    scenario = load_scenario(SCENARIO)
-    trace = arrival_trace(scenario.config)
-    print(
-        f"scenario {scenario.name!r}: "
-        f"{len(scenario.config.system.server_bandwidths)} servers, "
-        f"{len(trace)} arrivals over {trace.duration:.0f} virtual s"
-    )
-
-    gateway = ClusterGateway(scenario.config, ServeConfig(port=0))
-    await gateway.start()
-    print(f"gateway listening on 127.0.0.1:{gateway.port}")
-
-    report = await LoadGenerator(
-        ServeConfig(port=gateway.port), trace
-    ).run()
-    summary = await gateway.stop()
-
-    print(
-        f"sessions: {len(report.sessions)}  accepted: {report.accepted}  "
-        f"rejected: {report.rejected}  errors: {report.errors}"
-    )
-    print(
-        f"underruns: {report.underruns}  "
-        f"peak concurrency: {report.peak_concurrency}  "
-        f"delivered: {report.delivered_mb:.0f} Mb "
-        f"in {summary['serve']['chunks']} chunks"
-    )
-
-    reference = PolicyBridge(scenario.config).replay(trace)
-    parity = decisions_digest(reference) == decisions_digest(
-        gateway.bridge.decisions
-    )
-    print(f"sim-vs-live decision parity: {'OK' if parity else 'BROKEN'}")
-    print(f"gateway utilization summary: {summary['policy']}")
-    return 0 if parity and report.underruns == 0 and not report.errors else 1
-
-
 def main() -> int:
-    return asyncio.run(serve_and_measure())
+    report = verify(load_scenario(SCENARIO))
+    (live,) = report["live"]
+    load = live["load"]
+    print(f"scenario {report['scenario']!r}: legs {report['legs']}, "
+          f"checks {report['checks']}")
+    print(
+        f"sessions: {load['sessions']}  accepted: {load['accepted']}  "
+        f"rejected: {load['rejected']}  errors: {load['errors']}"
+    )
+    print(
+        f"underruns: {load['underruns']}  "
+        f"peak concurrency: {load['peak_concurrency']}  "
+        f"delivered: {load['delivered_mb']:.0f} Mb"
+    )
+    digests = report["digests"]
+    print(f"decision digests: virtual {digests['virtual']}, "
+          f"live {digests['live'][0]}")
+    print(f"gateway utilization summary: {live['summary']['policy']}")
+    for failure in report["failures"]:
+        print(f"FAILED: {failure}")
+    print(f"sim-vs-live decision parity: "
+          f"{'BROKEN' if report['failures'] else 'OK'}")
+    return 1 if report["failures"] else 0
 
 
 if __name__ == "__main__":

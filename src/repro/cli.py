@@ -11,6 +11,7 @@ Subcommands regenerate each reproduced artifact::
     repro-vod all --outdir results                  # everything + CSVs
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json
+    repro-vod verify scenarios/chaos_serve.json     # the gate (exit 1 on failure)
     repro-vod trace fig5 --trace-out fig5.jsonl     # structured trace
     repro-vod chaos availability                    # availability vs MTBF
     repro-vod chaos soak --hours 8                  # invariant-checked run
@@ -55,7 +56,7 @@ from repro.experiments.registry import (
 from repro.obs import profiler as profiling
 from repro.obs.runtime import PROFILE_VAR, TRACE_OUT_VAR
 from repro.placement import PLACEMENTS
-from repro.scenario import load_scenario
+from repro.scenario import load_scenario_or_exit
 from repro.simulation import Simulation, SimulationConfig, run_simulation
 from repro.units import hours
 
@@ -374,10 +375,7 @@ def _run_config(args) -> SimulationConfig:
             f"--scenario provides the full configuration; "
             f"drop the conflicting flag(s): {', '.join(overridden)}"
         )
-    try:
-        scenario = load_scenario(args.scenario)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    scenario = load_scenario_or_exit(args.scenario)
     print(
         f"scenario {scenario.name!r}"
         + (f": {scenario.description}" if scenario.description else ""),

@@ -47,10 +47,13 @@ Experiment index (DESIGN.md §3):
 * :mod:`repro.experiments.soak` — EXT-SOAK: one invariant-checked
   chaos run (``repro-vod chaos soak``; the CI chaos gate).
 * :mod:`repro.experiments.prefix` — EXT-PREFIX: the prefix-cache /
-  stream-sharing tier gate — the with/without-tier capacity figure,
-  the cache-hit-rate-vs-θ and batching-window sweeps, and the
-  same-seed determinism digest (``repro prefix``; the CI prefix-smoke
-  gate; docs/CACHING.md).
+  stream-sharing tier's with/without-tier capacity figure and its
+  cache-hit-rate-vs-θ and batching-window sweeps (``repro prefix``;
+  docs/CACHING.md).
+* :mod:`repro.experiments.verify` — the gate: one scenario through a
+  virtual leg, a live leg when it can be served, and the checks its
+  ``faults`` / ``elastic`` / ``prefix`` blocks select (``repro verify``;
+  the CI ``verify`` matrix; docs/ROBUSTNESS.md).
 """
 
 import importlib

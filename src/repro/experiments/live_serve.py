@@ -24,11 +24,10 @@ import asyncio
 import json
 import signal
 import sys
-from typing import Optional
 
 from repro import obs
 from repro.experiments.registry import ExperimentSpec, Progress, register
-from repro.scenario import Scenario, load_scenario
+from repro.scenario import Scenario, load_scenario_or_exit
 from repro.serve.config import ServeConfig
 from repro.serve.gateway import ClusterGateway
 from repro.serve.loadgen import LoadGenerator, arrival_trace
@@ -101,15 +100,6 @@ def _loadgen_arguments(p: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true",
         help="suppress the periodic progress reports",
     )
-
-
-def _scenario(path: Optional[str], command: str) -> Scenario:
-    if path is None:
-        raise SystemExit(f"repro {command}: --scenario FILE is required")
-    try:
-        return load_scenario(path)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
 
 
 # ----------------------------------------------------------------------
@@ -187,14 +177,15 @@ async def _serve_async(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace, progress: Progress) -> int:
-    return asyncio.run(_serve_async(_scenario(args.scenario, "serve"), args))
+    scenario = load_scenario_or_exit(args.scenario)
+    return asyncio.run(_serve_async(scenario, args))
 
 
 # ----------------------------------------------------------------------
 # repro loadgen
 # ----------------------------------------------------------------------
 def _cmd_loadgen(args: argparse.Namespace, progress: Progress) -> int:
-    scenario = _scenario(args.scenario, "loadgen")
+    scenario = load_scenario_or_exit(args.scenario)
     if args.port is None:
         raise SystemExit("repro loadgen: --port PORT is required "
                          "(the gateway's bound port)")

@@ -1,35 +1,30 @@
-"""EXT-PREFIX: the prefix-cache / stream-sharing gate — ``repro prefix``.
+"""EXT-PREFIX: the prefix-cache / stream-sharing figure — ``repro prefix``.
 
 Runs a committed scenario's ``prefix`` block (docs/CACHING.md) and
 produces the tier's headline figure plus two supporting sweeps:
 
 * the **capacity figure** — the scenario at its (≥100%) offered load
-  with the configured tier versus the ``none``-strategy/no-chaining
-  baseline, same seed.  The tier's rejection rate must be *strictly*
-  below the baseline's, and chained sessions must record zero
-  underruns;
+  with the configured tier versus the no-tier baseline, same seed;
 * the **hit-rate sweep** — cache hit rate across Zipf θ values (skew
   helps a popularity-ranked cache; uniform demand dilutes it);
 * the **window sweep** — shared/chained sessions and rejection rate
   across batching windows (bigger windows share more, bounded by the
-  cached prefix length under ``window`` batching);
-* the **determinism digest** — the whole report is computed twice at
-  the same seed; the two canonical-JSON digests must be byte-identical
-  (the CI prefix-smoke job's gate).
+  cached prefix length under ``window`` batching).
 
-Any audit failure exits 1.
+This verb only draws; the gate on the figure (tier strictly below the
+baseline, zero chained-session underruns, same-seed identity) is
+``repro verify`` (:mod:`repro.experiments.verify`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments.registry import ExperimentSpec, register
-from repro.scenario import load_scenario
+from repro.scenario import load_scenario_or_exit
 from repro.simulation import SimulationConfig, run_simulation
 
 #: Default committed scenario (see scenarios/prefix_zipf_overload.json).
@@ -41,7 +36,7 @@ DEFAULT_WINDOWS = (0.0, 10.0, 20.0, 45.0, 90.0)
 
 
 def result_row(result) -> Dict[str, Any]:
-    """The deterministic slice of one run's results (digest input)."""
+    """The deterministic slice of one run's results (JSON-ready)."""
     return {
         "arrivals": result.arrivals,
         "accepted": result.accepted,
@@ -102,12 +97,6 @@ def run_report(
     }
 
 
-def report_digest(report: Dict[str, Any]) -> str:
-    """Canonical-JSON SHA-256 of a report (the determinism gate)."""
-    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def render_figure(report: Dict[str, Any], load: float) -> List[str]:
     """The headline figure as plain text lines."""
     with_tier = report["figure"]["with_tier"]
@@ -125,45 +114,9 @@ def render_figure(report: Dict[str, Any], load: float) -> List[str]:
     return lines
 
 
-def audit(report: Dict[str, Any], digests: List[str]) -> List[str]:
-    """The gate: every way a prefix run can fail, as messages."""
-    problems: List[str] = []
-    with_tier = report["figure"]["with_tier"]
-    without = report["figure"]["without_tier"]
-    if not with_tier["rejection_ratio"] < without["rejection_ratio"]:
-        problems.append(
-            f"tier did not beat the baseline: rejection "
-            f"{with_tier['rejection_ratio']:.4f} (with) vs "
-            f"{without['rejection_ratio']:.4f} (without) — the capacity "
-            f"figure needs a strict improvement"
-        )
-    if not with_tier["chained"]:
-        problems.append(
-            "no session was ever chained — the batching window or the "
-            "cache never engaged (check the scenario's prefix block)"
-        )
-    for name, rows in (
-        ("figure", [with_tier, without]),
-        ("hit_rate_vs_theta", report["hit_rate_vs_theta"]),
-        ("window_sweep", report["window_sweep"]),
-    ):
-        underruns = sum(r["chain_underruns"] for r in rows)
-        if underruns:
-            problems.append(
-                f"{name}: {underruns} chained-session underrun(s) — a "
-                f"shared feed fell behind its playout"
-            )
-    if len(set(digests)) != 1:
-        problems.append(
-            f"same-seed reports diverged: digests {digests} — the tier "
-            f"broke run determinism"
-        )
-    return problems
-
-
 def run_prefix_cli(args, progress) -> int:
-    """Run the prefix gate over one scenario; audit and report."""
-    scenario = load_scenario(args.scenario)
+    """Draw the capacity figure and both sweeps for one scenario."""
+    scenario = load_scenario_or_exit(args.scenario)
     config = scenario.config
     if config.prefix is None:
         print(
@@ -172,43 +125,18 @@ def run_prefix_cli(args, progress) -> int:
             file=sys.stderr,
         )
         return 2
-    thetas = args.thetas if args.thetas else list(DEFAULT_THETAS)
-    windows = args.windows if args.windows else list(DEFAULT_WINDOWS)
-    reports = []
-    digests = []
-    for attempt in (1, 2):
-        report = run_report(config, thetas, windows)
-        reports.append(report)
-        digests.append(report_digest(report))
-        progress(
-            f"prefix pass {attempt}/2: digest {digests[-1][:12]}, "
-            f"rejection {report['figure']['with_tier']['rejection_ratio']:.4f} "
-            f"(with) vs "
-            f"{report['figure']['without_tier']['rejection_ratio']:.4f} "
-            f"(without)"
-        )
-    report = reports[0]
-    failures = audit(report, digests)
+    report = run_report(
+        config,
+        args.thetas if args.thetas else list(DEFAULT_THETAS),
+        args.windows if args.windows else list(DEFAULT_WINDOWS),
+    )
     for line in render_figure(report, config.load):
         print(line)
-    rendered = json.dumps(
-        {
-            "scenario": scenario.name,
-            "digests": digests,
-            "deterministic": len(set(digests)) == 1,
-            "failures": failures,
-            "report": report,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-    print(rendered)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
-    for failure in failures:
-        print(f"PREFIX FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    print(json.dumps(
+        {"scenario": scenario.name, "report": report},
+        indent=2, sort_keys=True,
+    ))
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -234,21 +162,14 @@ def _cli_arguments(parser) -> None:
         help="batching-window grid (seconds) for the window sweep "
              f"(default {','.join(map(str, DEFAULT_WINDOWS))})",
     )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the JSON report to PATH (the CI artifact)",
-    )
 
 
 register(ExperimentSpec(
     name="prefix",
-    help="prefix-cache / stream-sharing gate: run a scenario with the "
+    help="prefix-cache / stream-sharing figure: run a scenario with the "
          "tier and the no-tier baseline at the same (>=100%%) offered "
          "load, sweep cache hit rate over Zipf θ and sharing over the "
-         "batching window; the tier must strictly beat the baseline's "
-         "rejection rate with zero chained-session underruns, and two "
-         "same-seed passes must produce byte-identical reports (exit 1 "
-         "on any failure)",
+         "batching window (the gate on it is `repro verify`)",
     run_cli=run_prefix_cli,
     add_arguments=_cli_arguments,
     bare=True,

@@ -90,6 +90,18 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     )
 
 
+def load_scenario_or_exit(path: Union[str, Path, None]) -> Scenario:
+    """:func:`load_scenario` for CLI verbs: an absent argument or a
+    missing, truncated or mistyped file ends the process with a
+    one-line message (exit 1) instead of a traceback."""
+    if path is None:
+        raise SystemExit("a scenario FILE is required (see scenarios/)")
+    try:
+        return load_scenario(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
     """Write *scenario* as deterministic JSON (golden-test stable).
 

@@ -22,16 +22,16 @@ admission, DRM migration — on wall-clock asyncio connections:
 * :mod:`repro.serve.supervisor` — heartbeat + restart supervision of
   the gateway's loops (docs/ROBUSTNESS.md, "live chaos");
 * :mod:`repro.serve.chaos` — the live fault plane: toxic transports,
-  deterministic client-side faults, engine-crash mirroring, and the
-  ``repro chaos serve`` harness;
+  deterministic client-side faults, engine-crash mirroring, and
+  :func:`run_chaos_serve`, the live leg of ``repro verify``;
 * :mod:`repro.serve.top` — ``repro top``, a curses-free dashboard
   over the ops endpoint or a recorded trace.
 
 CLI surface: ``repro serve --scenario FILE``, ``repro loadgen
---scenario FILE``, ``repro chaos serve``, ``repro top`` and ``repro
+--scenario FILE``, ``repro verify FILE``, ``repro top`` and ``repro
 ops`` (registered through the experiment registry; see
 :mod:`repro.experiments.live_serve`,
-:mod:`repro.experiments.chaos_serve` and
+:mod:`repro.experiments.verify` and
 :mod:`repro.experiments.ops_tools`).
 """
 

@@ -30,7 +30,10 @@ a real transport has:
   report: the decision digest (for same-seed identity checks), every
   failover's affected sessions classified by how their client fared
   (migrated / recovered / lost / rejected), leaked-task and parity
-  accounting, and any invariant violation.
+  accounting, and any invariant violation.  It is the live leg of
+  ``repro verify`` for every scenario: with no fault plan the plane
+  stays unarmed and the same report comes back with nothing to
+  reconcile.
 
 Determinism contract (docs/ROBUSTNESS.md, "live chaos"): every fault
 *decision* — which server crashes when, which client cuts when, each
@@ -46,7 +49,7 @@ import asyncio
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.failover import FailoverReport
@@ -483,11 +486,10 @@ def reconcile(
                 recon["lost"].append(rid)
             elif outcome.outcome == "rejected":
                 recon["rejected"].append(rid)
-            elif outcome.accepted and outcome.reason != "dropped":
-                recon["recovered"].append(rid)
             elif outcome.accepted:
-                # No retry policy: the drop itself is the terminal
-                # reason and the client saw it — accounted, not lost.
+                # Finished via re-request — or, with no retry policy,
+                # the drop itself is the terminal reason and the client
+                # saw it: accounted, not lost.
                 recon["recovered"].append(rid)
             else:
                 recon["error"].append(rid)
@@ -499,25 +501,38 @@ def reconcile(
     }
 
 
+def leaked_tasks() -> List[str]:
+    """Names of the tasks still alive in the running loop besides the
+    caller — empty after a clean :meth:`ClusterGateway.stop`."""
+    current = asyncio.current_task()
+    return sorted(
+        task.get_name()
+        for task in asyncio.all_tasks()
+        if task is not current and not task.done()
+    )
+
+
 async def run_chaos_serve(
     config: SimulationConfig,
     serve: Optional[ServeConfig] = None,
     retry: Optional[RetryPolicy] = None,
     gateway_toxic: Optional[ToxicConfig] = None,
-    client_toxic: Optional[ToxicConfig] = None,
     cut_prob: float = 0.0,
-    cut_delay: Tuple[float, float] = (5.0, 30.0),
-    duration: Optional[float] = None,
     max_sessions: Optional[int] = None,
     postmortem: Union[str, Path] = "chaos_postmortem.jsonl",
     progress: Optional[Callable[[str], None]] = None,
+    probe: Optional[Callable[[ClusterGateway], Awaitable[None]]] = None,
 ) -> Dict[str, Any]:
-    """One full chaos serve: gateway + resilient loadgen + fault plane.
+    """The live leg: gateway + load generator on loopback, to the horizon.
 
-    Runs the scenario's committed fault plan live (engine crashes mirror
-    into gateway task kills), optional toxic transports on both sides,
-    and deterministic client-side cuts; then reconciles every affected
-    session and audits the runtime for leaks.
+    Serves the scenario's arrival trace over real TCP, advances the
+    policy engine to the horizon, stops the gateway and counts leaked
+    asyncio tasks.  When the scenario has a fault plan the chaos plane
+    is armed (engine crashes mirror into gateway task kills); a toxic
+    gateway-side transport, a client retry policy and deterministic
+    client-side cuts are opt-in through the keyword arguments.  *probe*,
+    when given, is awaited with the started gateway alongside the load
+    generator (the ops tests scrape the endpoint mid-run through it).
 
     Returns a JSON-ready report whose ``digest`` is the policy decision
     digest — byte-identical across same-seed runs of the same inputs —
@@ -551,15 +566,15 @@ async def run_chaos_serve(
         state=gateway.registry.snapshot,
     )
     gateway.recorder = recorder
-    plane = ChaosPlane(gateway).arm()
+    plane = ChaosPlane(gateway)
+    if gateway.bridge.sim.failover is not None:
+        plane.arm()
     await gateway.start()
 
     live = dataclasses.replace(serve, port=gateway.port)
-    trace = arrival_trace(config, duration, max_sessions)
-    streams = RandomStreams(seed=config.seed)
+    trace = arrival_trace(config, max_sessions=max_sessions)
     client_chaos = ClientChaos(
-        trace, streams, cut_prob=cut_prob, cut_delay=cut_delay,
-        toxic=client_toxic,
+        trace, RandomStreams(seed=config.seed), cut_prob=cut_prob
     )
     generator = LoadGenerator(
         live,
@@ -572,30 +587,28 @@ async def run_chaos_serve(
 
     violation: Optional[str] = None
     load = LoadReport()
+    loading = asyncio.ensure_future(generator.run())
     try:
-        load = await generator.run()
+        if probe is not None:
+            await probe(gateway)
+        load = await loading
     finally:
+        loading.cancel()  # still running only when the probe raised
         try:
-            # Every in-window fault must have fired before the report
-            # is cut, however far the wall-paced advance lagged; a
-            # no-op when the engine is already past the horizon.  The
-            # sleep lets the deferred kill callbacks land while the
-            # supervisor is still up.
+            # Every in-window fault and scale event must have fired
+            # before the report is cut, however far the wall-paced
+            # advance lagged; a no-op when the engine is already past
+            # the horizon.  The sleep lets the deferred kill callbacks
+            # land while the supervisor is still up.
             gateway.bridge.advance(plane.horizon)
             await asyncio.sleep(0)
             summary = await gateway.stop()
         except InvariantViolation as exc:
             violation = str(exc)
-            await _force_teardown(gateway)
+            await gateway.abort()
             summary = gateway.summary()
 
-    current = asyncio.current_task()
-    leaked = sorted(
-        task.get_name()
-        for task in asyncio.all_tasks()
-        if task is not current and not task.done()
-    )
-    report = {
+    return {
         "digest": summary["policy"]["decisions_sha"],
         "chaos": plane.report(),
         "reconciliation": reconcile(plane.failures, load.sessions),
@@ -603,23 +616,8 @@ async def run_chaos_serve(
         "summary": summary,
         "parity_clamps": summary["serve"]["parity_clamps"],
         "invariant_violation": violation,
-        "leaked_tasks": leaked,
+        "leaked_tasks": leaked_tasks(),
         "cuts_planned": client_chaos.cuts_planned,
         "postmortem": str(postmortem) if recorder.dumps else None,
         "postmortem_dumps": recorder.dumps,
     }
-    return report
-
-
-async def _force_teardown(gateway: ClusterGateway) -> None:
-    """Cancel whatever :meth:`ClusterGateway.stop` left running after a
-    fatal propagation (stop() aborts mid-await on the first re-raise)."""
-    tasks = [t for t in gateway._tasks if not t.done()]
-    tasks += [t for t in list(gateway._side_tasks) if not t.done()]
-    for task in tasks:
-        task.cancel()
-    for task in tasks:
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass

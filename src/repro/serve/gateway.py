@@ -40,6 +40,7 @@ docs/SERVING.md.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import heapq
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -63,6 +64,23 @@ from repro.simulation import SimulationConfig
 
 #: Below this many megabits a chunk is float noise, not data.
 _EPS_MB = 1e-9
+
+
+def serve_refusal(config: SimulationConfig) -> Optional[str]:
+    """Why the live gateway cannot serve *config*, or None when it can.
+
+    The gateway's row of the compatibility matrix as a function, so a
+    caller choosing between a live and a virtual-only run (``repro
+    verify``) can ask without constructing a gateway.
+    """
+    if config.prefix is not None and config.prefix.batching != "none":
+        return (
+            "the live gateway cannot serve chained sessions (a "
+            "chained admission has no server stream for the pacing "
+            "loop to drain); use prefix batching='none' for "
+            "cache-only operation, or run the scenario virtually"
+        )
+    return None
 
 
 class _VirtualClock:
@@ -213,13 +231,9 @@ class ClusterGateway:
             Callable[[asyncio.StreamWriter], asyncio.StreamWriter]
         ] = None,
     ) -> None:
-        if config.prefix is not None and config.prefix.batching != "none":
-            raise ValueError(
-                "the live gateway cannot serve chained sessions (a "
-                "chained admission has no server stream for the pacing "
-                "loop to drain); use prefix batching='none' for "
-                "cache-only operation, or run the scenario virtually"
-            )
+        refusal = serve_refusal(config)
+        if refusal is not None:
+            raise ValueError(refusal)
         self.config = config
         self.serve = serve if serve is not None else ServeConfig()
         self.tracer = tracer
@@ -421,6 +435,30 @@ class ClusterGateway:
             except asyncio.TimeoutError:  # pragma: no cover - defensive
                 task.cancel()
         return self.summary()
+
+    async def abort(self) -> None:
+        """Tear down without draining, after a fatal error.
+
+        :meth:`stop` awaits its tasks in order and re-raises the first
+        failure (an :class:`InvariantViolation` out of the policy loop),
+        leaving the rest running; this closes the listeners and cancels
+        whatever is left.  Safe after a partial :meth:`stop`.
+        """
+        self._stopping.set()
+        self._wake.set()
+        if self._server is not None:
+            self._server.close()
+        if self.ops is not None:
+            await self.ops.stop()
+        await self.sup.close()
+        # Finished tasks are awaited too: the one that failed still
+        # holds the exception nobody has retrieved.
+        tasks = [*self._tasks, *self._side_tasks]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
 
     # ------------------------------------------------------------------
     # Acceptor
@@ -847,9 +885,7 @@ class ClusterGateway:
             return
         session.closed = True
         session.end_reason = reason
-        for key, value in list(self.sessions.items()):
-            if value is session:
-                del self.sessions[key]
+        self.sessions.pop(session.key, None)
         wall = self._loop.time() if self._loop is not None else 0.0
         if reason == "drained":
             self.spans.record(

@@ -159,10 +159,18 @@ class TaskSupervisor:
         return entry.task
 
     def beat(self, name: str) -> None:
-        """Record one loop iteration (called from inside the loop)."""
+        """Record one loop iteration (called from inside the loop).
+
+        Also where a swallowed kill lands: ``asyncio.wait_for`` (3.11)
+        returns its inner result when that completes in the tick the
+        cancellation arrives, so a loop killed mid-send may not see it.
+        """
         entry = self._entries.get(name)
-        if entry is not None:
-            entry.last_beat = asyncio.get_running_loop().time()
+        if entry is None:
+            return
+        if entry.kill_reason is not None:
+            raise asyncio.CancelledError(entry.kill_reason)
+        entry.last_beat = asyncio.get_running_loop().time()
 
     def inject_crash(self, name: str, reason: str = "injected") -> bool:
         """Kill the named loop's running child as a live fault.
@@ -186,7 +194,10 @@ class TaskSupervisor:
     async def _run(self, entry: _Supervised) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            entry.last_beat = loop.time()
+            # A restart re-arms the deadline of a loop that beats; one
+            # that never has (the stats sampler) stays unmonitored.
+            if entry.last_beat is not None:
+                entry.last_beat = loop.time()
             entry.child = loop.create_task(
                 entry.factory(), name=f"{entry.name}.run"
             )

@@ -44,7 +44,7 @@ from repro.serve import (
     run_chaos_serve,
     write_frame,
 )
-from repro.serve.chaos import ClientChaos, reconcile
+from repro.serve.chaos import ClientChaos, leaked_tasks, reconcile
 from repro.serve.loadgen import SessionOutcome, _LiveClient
 from repro.sim.rng import RandomStreams
 from repro.workload.trace import RequestSpec, Trace
@@ -57,14 +57,6 @@ LOOPBACK_PATH = REPO / "scenarios" / "serve_loopback.json"
 def run(coro):
     """Run *coro* in a fresh event loop (tests stay plain functions)."""
     return asyncio.run(coro)
-
-
-def leaked_tasks():
-    """Tasks still alive in the current loop besides the caller."""
-    return [
-        t for t in asyncio.all_tasks()
-        if t is not asyncio.current_task() and not t.done()
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +357,63 @@ class TestTaskSupervisor:
         sup = run(scenario_run())
         assert sup.heartbeat_trips >= 1
         assert sup.trips >= 1
+
+    def test_a_swallowed_kill_lands_at_the_next_beat(self):
+        # asyncio.wait_for (3.11) can eat the cancellation of a loop
+        # killed mid-send; the kill must still become a trip.
+        async def scenario_run():
+            sup = TaskSupervisor(should_stop=lambda: False, restart_delay=0.0)
+            beats = []
+
+            async def deaf():
+                try:
+                    await asyncio.sleep(30.0)
+                except asyncio.CancelledError:
+                    if beats:
+                        raise
+                    # else: what wait_for does when its inner just finished
+                beats.append(len(beats))
+                sup.beat("deaf")
+                await asyncio.sleep(30.0)
+
+            task = sup.spawn("deaf", deaf)
+            await asyncio.sleep(0.01)
+            assert sup.inject_crash("deaf", "chaos")
+            for _ in range(200):
+                await asyncio.sleep(0.01)
+                if sup.trips:
+                    break
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return sup, beats
+
+        sup, beats = run(scenario_run())
+        assert sup.trips == 1 and sup.restarts == 1
+        assert beats == [0]  # the restarted loop was not killed again
+
+    def test_a_loop_that_never_beats_is_not_monitored(self):
+        # ServeConfig.heartbeat_timeout: "only loops that beat are
+        # monitored" — the gateway's stats sampler sleeps between
+        # samples and must not be tripped for it.
+        async def scenario_run():
+            sup = TaskSupervisor(
+                should_stop=lambda: False, heartbeat_timeout=0.05,
+                restart_delay=0.0, restart_limit=50,
+            )
+            quiet = sup.spawn("quiet", lambda: asyncio.sleep(0.4))
+            beating = sup.spawn("beating", lambda: asyncio.sleep(30.0))
+            sup.beat("beating")
+            await quiet
+            beating.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await beating
+            await sup.close()
+            return sup.report()
+
+        report = run(scenario_run())
+        assert report["tasks"]["quiet"]["trips"] == 0
+        assert report["tasks"]["beating"]["trips"] >= 1
 
     def test_trip_dumps_postmortem_with_task_fields(self, tmp_path):
         path = tmp_path / "postmortem.jsonl"
@@ -771,7 +820,7 @@ class TestChaosServeEndToEnd:
         injected link faults, resilient clients reconnecting — must
         reconcile every affected session, leak nothing, and produce
         byte-identical decision digests."""
-        from repro.experiments.chaos_serve import audit_report
+        from repro.experiments.verify import audit
 
         # Wide guard/slack: the clamp headroom for every arrival is
         # startup_slack + guard of wall seconds, and a loaded CI box
@@ -802,8 +851,13 @@ class TestChaosServeEndToEnd:
                 postmortem=tmp_path / f"pm_{tag}.jsonl",
             )))
 
+        # The gate's own checks, on exactly these two runs.
+        assert audit({
+            "checks": ["live", "faults"],
+            "live": reports,
+            "digests": {"live": [r["digest"] for r in reports]},
+        }) == []
         for report in reports:
-            assert audit_report(report) == []
             assert report["invariant_violation"] is None
             assert report["leaked_tasks"] == []
             assert report["parity_clamps"] == 0
@@ -823,6 +877,24 @@ class TestChaosServeEndToEnd:
             [f["t"] for f in reports[0]["chaos"]["failures"]]
             == [f["t"] for f in reports[1]["chaos"]["failures"]]
         )
+
+    def test_invariant_violation_is_reported_and_torn_down(
+        self, loopback, tmp_path, monkeypatch
+    ):
+        """stop() re-raising a violation out of the policy loop must not
+        strand the pacing tasks: the live leg aborts the gateway and
+        reports the violation with nothing leaked."""
+        async def violated_stop(gateway):
+            gateway.begin_drain()
+            raise InvariantViolation("capacity", "server 0", "over", 1.0, [])
+
+        monkeypatch.setattr(ClusterGateway, "stop", violated_stop)
+        report = run(run_chaos_serve(
+            loopback.config, max_sessions=3,
+            postmortem=tmp_path / "pm.jsonl",
+        ))
+        assert "[capacity] server 0" in report["invariant_violation"]
+        assert report["leaked_tasks"] == []
 
     def test_arming_requires_a_fault_plan(self, loopback):
         from repro.serve.chaos import ChaosPlane

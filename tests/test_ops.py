@@ -26,6 +26,7 @@ from repro.serve import (
     ServeConfig,
     ops_query,
     render_top,
+    run_chaos_serve,
     run_live,
     run_trace,
     trace_samples,
@@ -66,43 +67,31 @@ async def _wait_for_active(gateway, host, port, minimum, deadline=30.0):
 # The ops endpoint, live, mid-run
 # ----------------------------------------------------------------------
 class TestOpsEndpointLive:
-    def test_all_verbs_mid_run_and_parity_preserved(self, scenario):
+    def test_all_verbs_mid_run_and_parity_preserved(self, scenario, tmp_path):
         """The tentpole acceptance: every ops verb answers while ≥ 20
         sessions stream, the Prometheus export parses, and the
         telemetry plane does not perturb a single policy decision."""
 
-        async def scenario_run():
-            tracer = obs.Tracer()
-            serve = ServeConfig(port=0, ops_port=0, stats_interval=0.2)
-            gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
-            await gateway.start()
-            trace = arrival_trace(scenario.config)
-            loadgen = asyncio.create_task(
-                LoadGenerator(ServeConfig(port=gateway.port), trace).run()
-            )
+        seen = {}
 
-            health = await _wait_for_active(
-                gateway, serve.host, gateway.ops_port, 20
+        async def scrape(gateway):
+            host, port = gateway.serve.host, gateway.ops_port
+            seen["gateway"] = gateway
+            seen["health"] = await _wait_for_active(gateway, host, port, 20)
+            seen["stats"] = await ops_query(host, port, "stats")
+            seen["sessions"] = await ops_query(
+                host, port, "sessions", recent=10
             )
-            stats = await ops_query(serve.host, gateway.ops_port, "stats")
-            sessions = await ops_query(
-                serve.host, gateway.ops_port, "sessions", recent=10
-            )
-            prom = await ops_query(
-                serve.host, gateway.ops_port, "prometheus"
-            )
+            seen["prom"] = await ops_query(host, port, "prometheus")
 
-            report = await loadgen
-            summary = await gateway.stop()
-            leaked = [
-                t for t in asyncio.all_tasks()
-                if t is not asyncio.current_task() and not t.done()
-            ]
-            return (gateway, trace, report, summary, health, stats,
-                    sessions, prom, tracer, leaked)
-
-        (gateway, trace, report, summary, health, stats, sessions, prom,
-         tracer, leaked) = run(scenario_run())
+        report = run(run_chaos_serve(
+            scenario.config,
+            serve=ServeConfig(port=0, ops_port=0, stats_interval=0.2),
+            probe=scrape,
+            postmortem=tmp_path / "postmortem.jsonl",
+        ))
+        gateway, health, stats = seen["gateway"], seen["health"], seen["stats"]
+        sessions, prom, tracer = seen["sessions"], seen["prom"], gateway.tracer
 
         # -- health: the pacing gauges of a serving gateway ------------
         assert health["status"] == "serving"
@@ -142,17 +131,20 @@ class TestOpsEndpointLive:
         )
 
         # -- parity: telemetry did not change one decision -------------
-        assert report.errors == 0 and report.underruns == 0
-        reference = PolicyBridge(scenario.config).replay(trace)
+        load = report["load"]
+        assert load["errors"] == 0 and load["underruns"] == 0
+        reference = PolicyBridge(scenario.config).replay(
+            arrival_trace(scenario.config)
+        )
         assert decisions_digest(gateway.bridge.decisions) == (
             decisions_digest(reference)
         )
-        assert summary["serve"]["parity_clamps"] == 0
+        assert report["parity_clamps"] == 0
 
         # -- stats sampler fed the trace; nothing leaked ---------------
         assert tracer.counts.get(obs.TraceKind.SERVE_STATS, 0) >= 1
         assert tracer.counts.get(obs.TraceKind.SESSION_SPAN, 0) > 0
-        assert leaked == []
+        assert report["leaked_tasks"] == []
 
     def test_unknown_verb_answers_ops_error(self, scenario):
         async def scenario_run():

@@ -155,11 +155,9 @@ class TestConcreteRegistries:
 
         assert set(EXPERIMENTS.names()) >= {
             "fig4", "fig5", "fig6", "fig7", "svbr", "partial", "het",
-            "ablation", "replication", "burst", "vcr", "mix",
+            "ablation", "replication", "burst", "vcr", "mix", "verify",
         }
-        assert set(CHAOS_EXPERIMENTS.names()) == {
-            "availability", "serve", "soak",
-        }
+        assert set(CHAOS_EXPERIMENTS.names()) == {"availability", "soak"}
         with pytest.raises(UnknownKeyError, match="experiment 'fig9'.*fig4"):
             EXPERIMENTS.get("fig9")
         with pytest.raises(
@@ -214,31 +212,37 @@ class TestDocumentedCommandsExist:
         # too.  ``repro-vod X`` and ``python -m repro X`` count anywhere;
         # the bare ``repro X`` spelling only where it is quoted as a
         # command (after a backtick, a ``$`` prompt or a double quote),
-        # so prose such as "from repro import" does not.
+        # so prose such as "from repro import" does not.  ``chaos`` is
+        # followed by a mode, which must be a registered chaos mode.
         from repro.cli import build_parser
+        from repro.experiments.registry import CHAOS_EXPERIMENTS
 
         root = pathlib.Path(__file__).resolve().parent.parent
         docs = [root / name for name in (
             "README.md", "DESIGN.md", "EXPERIMENTS.md",
             "scenarios/README.md", ".github/workflows/ci.yml",
+            ".claude/skills/verify/SKILL.md",
         )]
         docs += sorted((root / "docs").glob("*.md"))
         pattern = re.compile(
             r'(?:repro-vod|python3? -m repro|(?:`|\$ |")repro)'
-            r"[ \t]+([a-z][\w-]*)"
+            r"[ \t]+([a-z][\w-]*)(?:[ \t]+([a-z][\w-]*))?"
         )
         documented = {
-            verb: doc.name
+            (verb, mode if verb == "chaos" else ""): doc.name
             for doc in docs
-            for verb in pattern.findall(doc.read_text())
+            for verb, mode in pattern.findall(doc.read_text())
         }
-        assert "run" in documented  # the scan finds the examples
+        # The scan finds the examples, sub-modes included.
+        assert ("run", "") in documented
+        assert ("chaos", "soak") in documented
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
         )
         stale = {
-            v: d for v, d in documented.items()
-            if v not in subparsers.choices
+            " ".join(key).strip(): doc for key, doc in documented.items()
+            if key[0] not in subparsers.choices
+            or (key[1] and key[1] not in CHAOS_EXPERIMENTS.names())
         }
         assert not stale, f"documented but not a subcommand: {stale}"

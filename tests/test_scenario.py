@@ -364,6 +364,36 @@ class TestGoldenScenario:
             main(["run", "--scenario", str(path)])
         assert "not valid JSON" in str(exc.value)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario"],
+        ["serve", "--scenario"],
+        ["loadgen", "--port", "1", "--scenario"],
+        ["verify"],
+        ["prefix"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("content, fragment", [
+        (None, "cannot read scenario"),
+        ('{"name": "cut", "config": {"system": "sma', "not valid JSON"),
+        ('{"config": {"system": "small"}, "confg": 1}',
+         "unknown scenario key(s) 'confg'"),
+        ('{"config": {"system": "small", "thetta": 0.1}}', "invalid config"),
+    ], ids=["missing", "truncated", "unknown-key", "unknown-config-key"])
+    def test_every_scenario_verb_exits_with_one_line(
+        self, tmp_path, argv, content, fragment
+    ):
+        # One typed path: whichever verb loads the file, a bad one ends
+        # the process with the loader's one-line message, no traceback.
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert fragment in message and str(path) in message
+
     def test_invalid_json_error_names_parse_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": nope}')
