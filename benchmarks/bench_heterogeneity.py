@@ -7,10 +7,7 @@ grows (variability spreads over more servers).
 
 import numpy as np
 
-from repro.experiments.heterogeneity import (
-    render_heterogeneity,
-    run_heterogeneity,
-)
+from repro.experiments.heterogeneity import TITLE, run_heterogeneity
 
 from conftest import BENCH_SCALE, emit
 
@@ -22,10 +19,10 @@ def test_heterogeneity():
         server_counts=COUNTS, spread=0.5, scale=BENCH_SCALE,
     )
     emit("")
-    emit(render_heterogeneity(result))
-    homo = np.array([s.mean for s in result["curves"]["homogeneous"]])
-    het_bw = np.array([s.mean for s in result["curves"]["het bandwidth"]])
-    het_disk = np.array([s.mean for s in result["curves"]["het storage"]])
+    emit(result.render(title=TITLE))
+    homo = np.array(result.means("homogeneous"))
+    het_bw = np.array(result.means("het bandwidth"))
+    het_disk = np.array(result.means("het storage"))
     # Bandwidth heterogeneity hurts more than storage heterogeneity
     # (averaged across system sizes; the paper notes storage effects are
     # statistically marginal).

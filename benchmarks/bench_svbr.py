@@ -8,7 +8,7 @@ validation of the simulator.
 
 import numpy as np
 
-from repro.experiments.svbr import render_svbr, run_svbr
+from repro.experiments.svbr import TITLE, run_svbr
 
 from conftest import BENCH_SCALE, emit
 
@@ -23,9 +23,9 @@ def test_svbr_vs_erlang_b():
         scale=max(BENCH_SCALE, 0.02),
     )
     emit("")
-    emit(render_svbr(result))
-    simulated = np.array([s.mean for s in result["simulated"]])
-    analytic = np.array(result["analytic"])
+    emit(result.render(title=TITLE))
+    simulated = np.array(result.means("simulated"))
+    analytic = np.array(result.means("erlang-B"))
     # Monotone in SVBR (both curves).
     assert (np.diff(analytic) > 0).all()
     assert simulated[-1] > simulated[0]

@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 import pathlib
 
-import pytest
-
 #: Bench fidelity (fraction of the paper's 5 trials × 1000 h).
 BENCH_SCALE: float = float(os.environ.get("REPRO_BENCH_SCALE", "0.003"))
 
@@ -50,8 +48,3 @@ def emit(text: str) -> None:
     print(text)
     with open(RESULTS_FILE, "a") as fh:
         fh.write(text + "\n")
-
-
-@pytest.fixture
-def bench_scale() -> float:
-    return BENCH_SCALE

@@ -8,52 +8,18 @@ hours per point — see DESIGN.md §5).  ``scale=1.0`` is full fidelity.
 
 **Registration is automatic.**  Importing this package imports every
 sibling module (the ``pkgutil`` walk below), and each module's
-self-registration block publishes an
-:class:`~repro.experiments.registry.ExperimentSpec` into
+closing :func:`~repro.experiments.registry.register_figure` (or, for
+a bespoke verb, :func:`~repro.experiments.registry.register`) call
+publishes an :class:`~repro.experiments.registry.ExperimentSpec` into
 :data:`~repro.experiments.registry.EXPERIMENTS` (or
 :data:`~repro.experiments.registry.CHAOS_EXPERIMENTS`).  The CLI builds
 its subcommands from those registries, so adding an experiment is
 writing one module here — no import list or dispatch table to edit
 anywhere (docs/ARCHITECTURE.md walks through it).
 
-Experiment index (DESIGN.md §3):
-
-* :mod:`repro.experiments.fig4_drm` — effect of dynamic request
-  migration (Figure 4).
-* :mod:`repro.experiments.fig5_staging` — effect of client staging
-  (Figure 5).
-* :mod:`repro.experiments.fig7_policies` — the P1–P8 policy comparison
-  (Figure 7, with the Figure 6 matrix).
-* :mod:`repro.experiments.svbr` — utilization vs server-to-view
-  bandwidth ratio with the Erlang-B analytic curve (EXT-SVBR).
-* :mod:`repro.experiments.partial_predictive` — partial predictive
-  placement (EXT-PP).
-* :mod:`repro.experiments.heterogeneity` — bandwidth/storage
-  heterogeneity (EXT-HET).
-* :mod:`repro.experiments.ablation` — scheduler ablation (EFTF vs
-  proportional vs LFTF) for the DESIGN.md design-choice callout.
-* :mod:`repro.experiments.dynamic_replication` — EXT-DR: the related
-  work's "resource intensive" alternative to DRM.
-* :mod:`repro.experiments.intermittent_burst` — EXT-INT: the
-  intermittent class the paper set aside (a supporting negative
-  result).
-* :mod:`repro.experiments.interactivity_vcr` — EXT-VCR: viewer
-  pause/resume, relaxing Theorem 1's no-pause assumption.
-* :mod:`repro.experiments.client_mix` — EXT-MIX: heterogeneous client
-  capabilities (partial staging rollout).
-* :mod:`repro.experiments.availability` — EXT-CHAOS: availability vs
-  MTBF under deterministic fault injection, EFTF+DRM vs no-DRM
-  (docs/ROBUSTNESS.md; ``repro-vod chaos availability``).
-* :mod:`repro.experiments.soak` — EXT-SOAK: one invariant-checked
-  chaos run (``repro-vod chaos soak``; the CI chaos gate).
-* :mod:`repro.experiments.prefix` — EXT-PREFIX: the prefix-cache /
-  stream-sharing tier's with/without-tier capacity figure and its
-  cache-hit-rate-vs-θ and batching-window sweeps (``repro prefix``;
-  docs/CACHING.md).
-* :mod:`repro.experiments.verify` — the gate: one scenario through a
-  virtual leg, a live leg when it can be served, and the checks its
-  ``faults`` / ``elastic`` / ``prefix`` blocks select (``repro verify``;
-  the CI ``verify`` matrix; docs/ROBUSTNESS.md).
+**The experiment index is not kept here**: ``repro list`` prints every
+registered verb with its help line, and DESIGN.md §3 maps each
+experiment ID to its module.
 """
 
 import importlib
@@ -65,7 +31,6 @@ from repro.experiments.base import (
     Variant,
     resolve_scale,
     run_sweep,
-    run_trials,
     trial_seeds,
 )
 
@@ -75,7 +40,6 @@ __all__ = [
     "Variant",
     "resolve_scale",
     "run_sweep",
-    "run_trials",
     "trial_seeds",
 ]
 

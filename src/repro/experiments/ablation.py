@@ -22,14 +22,13 @@ from typing import Callable, List, Optional, Sequence
 from repro.cluster.system import SMALL_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     THETA_GRID_COARSE,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 SCHEDULERS: Sequence[str] = ("eftf", "proportional", "lftf", "none")
@@ -45,15 +44,12 @@ def run_ablation(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Utilization vs θ for each spare-bandwidth scheduler."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     base = SimulationConfig(
         system=system,
         theta=0.0,
         placement="even",
         migration=MigrationPolicy.disabled(),
         staging_fraction=staging_fraction,
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         client_receive_bandwidth=30.0,
     )
@@ -62,46 +58,17 @@ def run_ablation(
         base,
         theta_values if theta_values is not None else THETA_GRID_COARSE,
         variants,
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_ablation(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(result.render(title="EXT-ABL: scheduler ablation"))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_ablation(scale=scale, seed=seed, progress=progress)
-    yield Artifact(
-        stem="ext_abl", title="EXT-ABL",
-        text=result.render(title="EXT-ABL"), sweep=result,
-    )
-
-
-register(ExperimentSpec(
-    name="ablation",
-    help="spare-bandwidth scheduler ablation",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "ablation",
+    "spare-bandwidth scheduler ablation",
+    run_ablation,
+    title="EXT-ABL: scheduler ablation",
+    stem="ext_abl",
     order=50,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_ablation(progress=print)
-    print()
-    print(result.render(title="EXT-ABL: spare-bandwidth scheduler ablation"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

@@ -16,7 +16,7 @@ relocation happens constantly.
 
 The x-axis is the per-server MTBF in *hours* — not a flat
 ``SimulationConfig`` field, so the sweep uses :func:`run_sweep`'s
-``x_apply`` hook to rebuild the nested plan per grid point.
+``cell_config`` hook to rebuild the nested plan per grid point.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
-from repro.cluster.system import SMALL_SYSTEM, SYSTEMS, SystemConfig
+from repro.cluster.system import SMALL_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     Variant,
     resolve_scale,
     run_sweep,
 )
 from repro.faults import CrashFaults, FaultPlan, RetryPolicy
-from repro.experiments.registry import ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 from repro.units import hours
 
@@ -53,15 +52,17 @@ def availability_variants() -> List[Variant]:
     ]
 
 
-def _apply_mtbf(config: SimulationConfig, mtbf_hours: float) -> SimulationConfig:
-    """Rebuild the nested fault plan for one x grid point."""
+def _mtbf_cell(
+    base: SimulationConfig, variant: Variant, mtbf_hours: float
+) -> SimulationConfig:
+    """One grid cell: the variant plus a fault plan with this MTBF."""
     return dataclasses.replace(
-        config,
+        variant.apply(base),
         faults=FaultPlan(
             crash=CrashFaults(
                 mtbf=hours(mtbf_hours), mttr=hours(MTTR_HOURS)
             ),
-            start=config.warmup,
+            start=base.warmup,
         ),
     )
 
@@ -75,15 +76,12 @@ def run_availability(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Sweep availability vs per-server MTBF, EFTF+DRM vs no-DRM."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     base = SimulationConfig(
         system=system,
         theta=theta,
         placement="even",
         staging_fraction=0.2,
         scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         retry=RetryPolicy(),
     )
@@ -91,42 +89,20 @@ def run_availability(
         base,
         mtbf_values if mtbf_values is not None else MTBF_GRID_HOURS,
         availability_variants(),
-        exp_scale,
+        resolve_scale(scale),
         metric="availability",
         x_field="mtbf_hours",
         base_seed=seed,
         progress=progress,
-        x_apply=_apply_mtbf,
+        cell_config=_mtbf_cell,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_availability(
-        system=SYSTEMS[args.system], scale=args.scale,
-        seed=args.seed, progress=progress,
-    )
-    print(result.render(
-        title=f"Availability vs MTBF ({args.system} system)"
-    ))
-    return 0
-
-
-register(ExperimentSpec(
-    name="availability",
-    help="availability vs MTBF, EFTF+DRM vs no-DRM",
-    run_cli=_cli_run,
-), chaos=True)
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_availability(progress=print)
-    print()
-    print(result.render(title="Availability vs MTBF (chaos, small system)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+register_figure(
+    "availability",
+    "availability vs MTBF, EFTF+DRM vs no-DRM",
+    run_availability,
+    title="Availability vs MTBF",
+    panels=True,
+    chaos=True,
+)

@@ -24,9 +24,9 @@ variants (common random numbers), which pairs the comparisons and
 sharpens curve separations at small trial counts — so parallel and
 serial execution are bit-identical (enforced by tests).  When
 ``REPRO_WORKERS=1`` or an observability switch is active
-(:func:`repro.obs.runtime.obs_active`), the sweep falls back to
-in-process serial execution in strict grid order so traces and
-profiles aggregate correctly in one process.
+(:func:`repro.obs.runtime.obs_active`), the same chunks run in-process
+in strict grid order instead — one collection loop either way — so
+traces and profiles aggregate correctly in one process.
 """
 
 from __future__ import annotations
@@ -40,7 +40,16 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.report import render_series
 from repro.analysis.stats import SummaryStats, summarize
@@ -139,12 +148,13 @@ class Variant:
 
 
 def _run_one(config: SimulationConfig) -> SimulationResult:
-    """Process-pool worker: module-level so it pickles."""
+    """One grid task (also the in-process retry)."""
     return Simulation(config).run()
 
 
 def _run_chunk(chunk, metric):
-    """Process-pool worker: run a chunk of ``(index, config)`` tasks.
+    """Run a chunk of ``(index, config)`` tasks — in a pool worker
+    (module-level so it pickles) or, serially, in this process.
 
     Returns compact ``(index, "ok", metric value)`` /
     ``(index, "err", exception)`` triples — one small list crosses the
@@ -157,7 +167,7 @@ def _run_chunk(chunk, metric):
     out = []
     for index, config in chunk:
         try:
-            value = getattr(Simulation(config).run(), metric)
+            value = getattr(_run_one(config), metric)
         except Exception as exc:
             out.append((index, "err", exc))
         else:
@@ -182,7 +192,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The process-persistent worker pool.
 
     Created lazily on first use and reused by every later parallel
-    sweep / trial run in this process, so worker warm-up (interpreter
+    sweep in this process, so worker warm-up (interpreter
     start, ``repro`` import) is paid exactly once.  Recreated when the
     requested worker count changes; discarded when broken or
     interrupted (see callers).
@@ -300,49 +310,14 @@ def trial_seeds(trials: int, base_seed: int = 0) -> List[int]:
     return [base_seed + i * _SEED_STRIDE for i in range(trials)]
 
 
-def _trial_configs(
-    config: SimulationConfig, trials: int, base_seed: int
-) -> List[SimulationConfig]:
-    return [
-        dataclasses.replace(config, seed=seed)
-        for seed in trial_seeds(trials, base_seed)
-    ]
-
-
-def run_trials(
-    config: SimulationConfig,
-    trials: int,
-    base_seed: int = 0,
-) -> List[SimulationResult]:
-    """Run *trials* independent replications of *config*.
-
-    Trial ``i`` uses seed ``base_seed + i * 7919`` — the same seeds are
-    shared by every variant in a sweep (common random numbers).  The
-    persistent process pool is used when multiple CPUs are available.
-    (Sweeps do not call this: :func:`run_sweep` parallelises over its
-    whole grid instead.)
-    """
-    configs = _trial_configs(config, trials, base_seed)
-    workers = min(_worker_count(), len(configs))
-    if workers <= 1:
-        return [_run_one(c) for c in configs]
-    try:
-        return list(_get_pool(workers).map(_run_one, configs))
-    except BrokenExecutor:
-        # A worker died mid-run (OOM kill, interpreter crash): discard
-        # the broken pool and finish in-process rather than losing the
-        # call.
-        shutdown_pool(wait=False)
-        return [_run_one(c) for c in configs]
-
-
 @dataclass
 class SweepResult:
     """A family of curves over a shared x grid.
 
     Attributes:
         x_label: the x-axis name (usually ``"theta"``).
-        x_values: the grid.
+        x_values: the grid, as the experiment declared it (integer
+            grids such as server counts stay integers).
         curves: variant label → per-x :class:`SummaryStats` of the
             measured metric.
         metric: which :class:`SimulationResult` field was measured.
@@ -380,6 +355,38 @@ class SweepResult:
 #: per cell before summarising.
 _CellKey = Tuple[int, int]
 
+#: One chunk's results: ``(task index, "ok" | "err", value | exception)``.
+_Outcomes = List[Tuple[int, str, object]]
+
+
+def _pooled(chunks, metric: str, workers: int) -> Iterator[_Outcomes]:
+    """Dispatch *chunks* to the persistent pool; yield each chunk's
+    outcomes as it completes (any order).
+
+    A chunk whose worker died before returning (or whose payload didn't
+    unpickle) comes back with every task marked failed, so the caller's
+    per-task in-process retry still completes the sweep; a broken pool
+    is discarded afterwards.
+    """
+    pool = _get_pool(workers)
+    futures = {
+        pool.submit(_run_chunk, chunk, metric): chunk for chunk in chunks
+    }
+    broken = False
+    try:
+        for future in as_completed(futures):
+            try:
+                outcomes = future.result()
+            except Exception as exc:
+                broken = broken or isinstance(exc, BrokenExecutor)
+                outcomes = [
+                    (index, "err", exc) for index, _config in futures[future]
+                ]
+            yield outcomes
+    finally:
+        if broken:
+            shutdown_pool(wait=False)
+
 
 def run_sweep(
     base: SimulationConfig,
@@ -390,37 +397,41 @@ def run_sweep(
     x_field: str = "theta",
     base_seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-    x_apply: Optional[
-        Callable[[SimulationConfig, float], SimulationConfig]
+    cell_config: Optional[
+        Callable[[SimulationConfig, Variant, float], SimulationConfig]
     ] = None,
 ) -> SweepResult:
     """Run a full (x × variant × trial) grid and summarise.
 
-    The grid is flattened into one task list, sliced into contiguous
-    chunks of several cells, and dispatched to the process-persistent
-    pool (workers warmed once, reused across sweeps), so every
-    independent simulation runs concurrently; measured values come back
-    as compact per-chunk payloads and are slotted by grid index, making
-    the output bit-identical to a serial run.  With one worker
+    The grid is flattened into one task list and sliced into contiguous
+    chunks.  With several workers the chunks (several cells each) go to
+    the process-persistent pool (workers warmed once, reused across
+    sweeps), so every independent simulation runs concurrently and a
+    worker ships one compact payload per chunk; with one worker
     (``REPRO_WORKERS=1``, a single CPU, or an active observability
-    switch) the tasks run in-process in strict grid order instead.
+    switch) the same chunks, one task each, run in-process in strict
+    grid order.  Either way one loop slots the measured values by
+    ``(cell, trial)`` and summarises (and reports) a cell once its last
+    trial lands, so the output is bit-identical across executors.
 
     Args:
         base: config template (duration/warmup are overwritten from
             *scale*).
-        x_values: grid for *x_field*.
+        x_values: the x grid, kept as given in the result.
         variants: the curves.
         scale: trial sizing.
         metric: SimulationResult attribute to record.
-        x_field: SimulationConfig field swept along x.
+        x_field: the axis label, and — without *cell_config* — the
+            SimulationConfig field swept along x.
         base_seed: root of the common-random-number seed ladder.
         progress: optional callback receiving one line per grid point
             (in completion order when parallel, grid order when serial).
-        x_apply: custom ``(config, x) -> config`` transform used instead
-            of ``replace(config, x_field=x)`` — for sweeps whose x-axis
-            is not a flat :class:`SimulationConfig` field (e.g. the MTBF
-            inside a nested :class:`~repro.faults.FaultPlan`);
-            ``x_field`` then only labels the axis.
+        cell_config: custom ``(base, variant, x) -> config`` used
+            instead of ``replace(variant.apply(base), x_field=x)`` — for
+            grids whose cells are not "variant overrides plus one flat
+            field" (the MTBF inside a nested
+            :class:`~repro.faults.FaultPlan`, a per-(count, kind)
+            system); ``x_field`` then only labels the axis.
 
     Failure semantics: a cell that raises is retried once in-process; a
     second failure raises :class:`SweepCellError` naming the exact
@@ -430,132 +441,76 @@ def run_sweep(
     base = dataclasses.replace(
         base, duration=scale.duration, warmup=scale.warmup
     )
+    if cell_config is None:
+        def cell_config(base, variant, x):
+            return dataclasses.replace(variant.apply(base), **{x_field: x})
+
     # Flatten the (x × variant × trial) grid into one task list.  The
     # seed ladder depends only on the trial index (common random
     # numbers), never on the grid position or completion order.
+    seeds = trial_seeds(scale.trials, base_seed)
     tasks: List[Tuple[_CellKey, int, SimulationConfig]] = []
     for xi, x in enumerate(x_values):
         for vi, variant in enumerate(variants):
-            if x_apply is not None:
-                config = x_apply(variant.apply(base), x)
-            else:
-                config = dataclasses.replace(
-                    variant.apply(base), **{x_field: x}
+            config = cell_config(base, variant, x)
+            for ti, seed in enumerate(seeds):
+                tasks.append(
+                    ((xi, vi), ti, dataclasses.replace(config, seed=seed))
                 )
-            for ti, trial_config in enumerate(
-                _trial_configs(config, scale.trials, base_seed)
-            ):
-                tasks.append(((xi, vi), ti, trial_config))
 
-    def describe_cell(key: _CellKey, ti: int) -> str:
-        xi, vi = key
-        return (
-            f"{x_field}={x_values[xi]!r}, "
-            f"variant={variants[vi].label!r}, trial={ti}"
-        )
-
-    def emit(key: _CellKey, stats: SummaryStats) -> None:
-        if progress is not None:
-            xi, vi = key
-            progress(
-                f"{x_field}={x_values[xi]:+.2f} "
-                f"{variants[vi].label:>24s}: "
-                f"{metric}={stats.mean:.4f}"
-            )
-
-    cell_stats: Dict[_CellKey, SummaryStats] = {}
+    # Contiguous grid-order chunks.  On the pool, several cells per
+    # submitted task amortize dispatch and result transport; in-process
+    # (required for obs aggregation: traces/profiles accumulate in this
+    # process) there is nothing to amortize, so one task per chunk keeps
+    # progress prompt.
     workers = min(_worker_count(), len(tasks))
-    chunk_size = 0
-    if workers <= 1:
-        # Serial fallback: in-process, strict grid order — required for
-        # obs aggregation (traces/profiles accumulate in this process).
-        values: List[float] = []
-        for key, ti, config in tasks:
-            try:
-                result = _run_one(config)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                result = _retry_cell(config, describe_cell(key, ti), exc)
-            values.append(getattr(result, metric))
-            if ti == scale.trials - 1:
-                cell_stats[key] = summarize(values)
-                emit(key, cell_stats[key])
-                values = []
-    else:
-        # Chunked dispatch on the process-persistent pool: contiguous
-        # grid-order slices of several cells per submitted task, so
-        # dispatch and result transport are amortized and a worker
-        # ships one compact payload per chunk.  Chunks complete in any
-        # order — measured values are slotted by (cell, trial) and each
-        # cell is summarised (and reported) once its last trial lands.
-        cell_values: Dict[_CellKey, List[Optional[float]]] = {}
-        cell_remaining: Dict[_CellKey, int] = {}
-        chunk_size = max(
-            1, -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
-        )
-        indexed = list(enumerate(tasks))
-        chunks = [
-            indexed[i:i + chunk_size]
-            for i in range(0, len(indexed), chunk_size)
-        ]
-        pool = _get_pool(workers)
-        broken = False
-        try:
-            futures = {
-                pool.submit(
-                    _run_chunk,
-                    [(gi, config) for gi, (_key, _ti, config) in chunk],
-                    metric,
-                ): chunk
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                try:
-                    outcomes = future.result()
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # Whole-chunk failure: the worker died before
-                    # returning (or the payload didn't unpickle).  Rerun
-                    # the chunk's cells in-process with the usual retry
-                    # semantics so the sweep still completes.
-                    if isinstance(exc, BrokenExecutor):
-                        broken = True
-                    outcomes = []
-                    for gi, (key, ti, config) in chunk:
-                        result = _retry_cell(
-                            config, describe_cell(key, ti), exc
-                        )
-                        outcomes.append(
-                            (gi, "ok", getattr(result, metric))
-                        )
-                for gi, status, value in outcomes:
-                    key, ti, config = tasks[gi]
-                    if status != "ok":
-                        # One in-process retry rescues a transient cell
-                        # failure without losing the rest of the sweep.
-                        result = _retry_cell(
-                            config, describe_cell(key, ti), value
-                        )
-                        value = getattr(result, metric)
-                    slots = cell_values.setdefault(
-                        key, [None] * scale.trials
+    parallel = workers > 1
+    chunk_size = (
+        max(1, -(-len(tasks) // (workers * _CHUNKS_PER_WORKER)))
+        if parallel
+        else 1
+    )
+    payload = [(gi, config) for gi, (_key, _ti, config) in enumerate(tasks)]
+    chunks = [
+        payload[i:i + chunk_size]
+        for i in range(0, len(payload), chunk_size)
+    ]
+    finished = (
+        _pooled(chunks, metric, workers)
+        if parallel
+        else (_run_chunk(chunk, metric) for chunk in chunks)
+    )
+
+    cell_values: Dict[_CellKey, List[Optional[float]]] = {}
+    cell_stats: Dict[_CellKey, SummaryStats] = {}
+    try:
+        for outcomes in finished:
+            for gi, status, value in outcomes:
+                (xi, vi), ti, config = tasks[gi]
+                x, label = x_values[xi], variants[vi].label
+                if status != "ok":
+                    # One in-process retry rescues a transient failure
+                    # without losing the rest of the sweep.
+                    cell = f"{x_field}={x!r}, variant={label!r}, trial={ti}"
+                    value = getattr(_retry_cell(config, cell, value), metric)
+                slots = cell_values.setdefault(
+                    (xi, vi), [None] * scale.trials
+                )
+                slots[ti] = value
+                if None in slots:
+                    continue
+                stats = cell_stats[xi, vi] = summarize(slots)
+                if progress is not None:
+                    x_text = f"{x:+.2f}" if isinstance(x, float) else f"{x}"
+                    progress(
+                        f"{x_field}={x_text} {label:>24s}: "
+                        f"{metric}={stats.mean:.4f}"
                     )
-                    slots[ti] = value
-                    left = cell_remaining.get(key, scale.trials) - 1
-                    cell_remaining[key] = left
-                    if left == 0:
-                        cell_stats[key] = summarize(slots)
-                        emit(key, cell_stats[key])
-        except KeyboardInterrupt:
-            # Cancel queued chunks and discard the pool (its workers may
-            # hold half-run simulations) instead of hanging on exit.
-            shutdown_pool(wait=False)
-            raise
-        if broken:
-            shutdown_pool(wait=False)
+    except KeyboardInterrupt:
+        # Cancel queued chunks and discard the pool (its workers may
+        # hold half-run simulations) instead of hanging on exit.
+        shutdown_pool(wait=False)
+        raise
 
     curves: Dict[str, List[SummaryStats]] = {
         variant.label: [
@@ -565,7 +520,7 @@ def run_sweep(
     }
     return SweepResult(
         x_label=x_field,
-        x_values=[float(x) for x in x_values],
+        x_values=list(x_values),
         curves=curves,
         metric=metric,
         scale=scale,
@@ -577,9 +532,9 @@ def run_sweep(
                 "metric": metric,
                 "x_field": x_field,
                 "workers": workers,
-                "executor": "serial" if workers <= 1 else "parallel",
-                "chunk_size": chunk_size or None,
-                "trial_seeds": trial_seeds(scale.trials, base_seed),
+                "executor": "parallel" if parallel else "serial",
+                "chunk_size": chunk_size if parallel else None,
+                "trial_seeds": seeds,
             },
         ),
     )

@@ -13,12 +13,18 @@ already pays, so a service can roll buffers out incrementally.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.system import SMALL_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
-from repro.experiments.base import ExperimentScale, SweepResult, resolve_scale
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.base import (
+    SweepResult,
+    Variant,
+    resolve_scale,
+    run_sweep,
+)
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: Fraction of clients WITHOUT a staging buffer.
@@ -42,84 +48,37 @@ def run_client_mix_series(
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """Utilization vs legacy-client fraction (x = legacy fraction).
-
-    Implemented directly rather than via ``run_sweep`` — the generic
-    machinery wants the x value to be a scalar config field, and
-    ``client_mix`` is structured.
-    """
-    import dataclasses
-
-    from repro.analysis.stats import summarize
-    from repro.experiments.base import run_trials
-
-    exp_scale: ExperimentScale = resolve_scale(scale)
+    """Utilization vs legacy-client fraction (x = legacy fraction)."""
     base = SimulationConfig(
         system=system,
         theta=theta,
         placement="even",
         migration=MigrationPolicy.paper_default(),
         scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         client_receive_bandwidth=30.0,
     )
-    stats = []
-    for frac in legacy_fractions:
-        config = dataclasses.replace(base, client_mix=mix_for(float(frac)))
-        results = run_trials(config, exp_scale.trials, base_seed=seed)
-        s = summarize([r.utilization for r in results])
-        stats.append(s)
-        if progress is not None:
-            progress(f"legacy={frac:.0%}: utilization={s.mean:.4f}")
-    return SweepResult(
-        x_label="legacy_fraction",
-        x_values=[float(f) for f in legacy_fractions],
-        curves={"utilization": stats},
-        metric="utilization",
-        scale=exp_scale,
+    return run_sweep(
+        base,
+        [float(frac) for frac in legacy_fractions],
+        [Variant("utilization")],
+        resolve_scale(scale),
+        x_field="legacy_fraction",
+        base_seed=seed,
+        progress=progress,
+        # client_mix is structured, not a scalar field x can be
+        # assigned to.
+        cell_config=lambda base, _variant, frac: dataclasses.replace(
+            base, client_mix=mix_for(frac)
+        ),
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_client_mix_series(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(result.render(
-        title="EXT-MIX: partial deployment of client staging"
-    ))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_client_mix_series(
-        scale=scale, seed=seed, progress=progress,
-    )
-    yield Artifact(
-        stem="ext_mix", title="EXT-MIX",
-        text=result.render(title="EXT-MIX"), sweep=result,
-    )
-
-
-register(ExperimentSpec(
-    name="mix",
-    help="heterogeneous client capabilities (EXT-MIX)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "mix",
+    "heterogeneous client capabilities (EXT-MIX)",
+    run_client_mix_series,
+    title="EXT-MIX: partial deployment of client staging",
+    stem="ext_mix",
     order=80,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_client_mix_series(progress=print)
-    print()
-    print(result.render(title="EXT-MIX: partial deployment of client staging"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

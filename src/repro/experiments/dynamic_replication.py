@@ -23,13 +23,12 @@ from repro.cluster.system import LARGE_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.core.replication import ReplicationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: θ grid focused on the regime where static even placement fails.
@@ -53,15 +52,12 @@ def run_dynamic_replication(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Utilization vs θ for static / replicating / oracle placements."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     base = SimulationConfig(
         system=system,
         theta=0.0,
         migration=MigrationPolicy.paper_default(),
         staging_fraction=0.2,
         scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         client_receive_bandwidth=30.0,
     )
@@ -69,52 +65,17 @@ def run_dynamic_replication(
         base,
         theta_values if theta_values is not None else SKEWED_THETA_GRID,
         VARIANTS,
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_dynamic_replication(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(result.render(
-        title="EXT-DR: dynamic replication vs static placement"
-    ))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_dynamic_replication(
-        scale=scale, seed=seed, progress=progress,
-    )
-    yield Artifact(
-        stem="ext_dr", title="EXT-DR",
-        text=result.render(title="EXT-DR"), sweep=result,
-    )
-
-
-register(ExperimentSpec(
-    name="replication",
-    help="dynamic replication vs static placement (EXT-DR)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "replication",
+    "dynamic replication vs static placement (EXT-DR)",
+    run_dynamic_replication,
+    title="EXT-DR: dynamic replication vs static placement",
+    stem="ext_dr",
     order=60,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_dynamic_replication(progress=print)
-    print()
-    print(result.render(
-        title="EXT-DR: dynamic replication vs static placement (large system)"
-    ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

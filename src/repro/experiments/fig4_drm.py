@@ -20,27 +20,16 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.cluster.system import (
-    LARGE_SYSTEM,
-    SMALL_SYSTEM,
-    SYSTEMS,
-    SystemConfig,
-)
+from repro.cluster.system import LARGE_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     THETA_GRID,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import (
-    Artifact,
-    ExperimentSpec,
-    add_system_argument,
-    register,
-)
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 
@@ -70,6 +59,18 @@ def variants_for(system_name: str) -> List[Variant]:
     ]
 
 
+def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
+    """The Section 4.2 setup every Figure 4 curve shares."""
+    return SimulationConfig(
+        system=system,
+        theta=0.0,
+        placement="even",
+        staging_fraction=0.0,
+        scheduler="eftf",
+        seed=seed,
+    )
+
+
 def run_fig4(
     system: SystemConfig = LARGE_SYSTEM,
     theta_values: Optional[List[float]] = None,
@@ -78,90 +79,24 @@ def run_fig4(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Reproduce one panel of Figure 4 (utilization vs θ)."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
-    base = SimulationConfig(
-        system=system,
-        theta=0.0,
-        placement="even",
-        staging_fraction=0.0,
-        scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-    )
     return run_sweep(
-        base,
+        base_config(system, seed),
         theta_values if theta_values is not None else THETA_GRID,
         variants_for(system.name),
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_trace_config(
-    system: SystemConfig, seed: int, scale: Optional[float]
-) -> SimulationConfig:
-    """One representative traced run: mid-theta, DRM on, no staging."""
-    exp_scale = resolve_scale(scale)
-    return SimulationConfig(
-        system=system,
-        theta=0.0,
-        placement="even",
-        scheduler="eftf",
-        migration=MigrationPolicy.paper_default(),
-        staging_fraction=0.0,
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-    )
-
-
-def _cli_run(args, progress) -> int:
-    result = run_fig4(
-        system=SYSTEMS[args.system], scale=args.scale,
-        seed=args.seed, progress=progress,
-    )
-    print(result.render(title=f"Figure 4 ({args.system} system)"))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        title = f"Figure 4 ({system.name})"
-        result = run_fig4(
-            system=system, scale=scale, seed=seed, progress=progress,
-        )
-        yield Artifact(
-            stem=f"fig4_{system.name}",
-            title=title,
-            text=result.render(title=title),
-            sweep=result,
-        )
-
-
-register(ExperimentSpec(
-    name="fig4",
-    help="effect of dynamic request migration (Figure 4)",
-    run_cli=_cli_run,
-    add_arguments=add_system_argument,
-    trace_config=_cli_trace_config,
-    artifacts=_cli_artifacts,
+register_figure(
+    "fig4",
+    "effect of dynamic request migration (Figure 4)",
+    run_fig4,
+    title="Figure 4",
+    stem="fig4",
     order=10,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        result = run_fig4(system=system, progress=print)
-        print()
-        print(result.render(title=f"Figure 4 ({system.name} system)"))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    panels=True,
+    # One representative traced run: mid-theta, DRM on, no staging.
+    trace=(base_config, variants_for("small")[1]),
+)

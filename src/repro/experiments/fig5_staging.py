@@ -14,27 +14,16 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.cluster.system import (
-    LARGE_SYSTEM,
-    SMALL_SYSTEM,
-    SYSTEMS,
-    SystemConfig,
-)
+from repro.cluster.system import LARGE_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     THETA_GRID,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import (
-    Artifact,
-    ExperimentSpec,
-    add_system_argument,
-    register,
-)
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: The paper's staging degrees (fraction of the mean video size).
@@ -48,6 +37,19 @@ def variants_for(fractions: Sequence[float] = BUFFER_FRACTIONS) -> List[Variant]
     ]
 
 
+def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
+    """The Section 4.3 setup every Figure 5 curve shares."""
+    return SimulationConfig(
+        system=system,
+        theta=0.0,
+        placement="even",
+        migration=MigrationPolicy.disabled(),
+        scheduler="eftf",
+        seed=seed,
+        client_receive_bandwidth=30.0,
+    )
+
+
 def run_fig5(
     system: SystemConfig = LARGE_SYSTEM,
     theta_values: Optional[List[float]] = None,
@@ -57,92 +59,24 @@ def run_fig5(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Reproduce one panel of Figure 5 (utilization vs θ per buffer)."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
-    base = SimulationConfig(
-        system=system,
-        theta=0.0,
-        placement="even",
-        migration=MigrationPolicy.disabled(),
-        scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-        client_receive_bandwidth=30.0,
-    )
     return run_sweep(
-        base,
+        base_config(system, seed),
         theta_values if theta_values is not None else THETA_GRID,
         variants_for(fractions),
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_trace_config(
-    system: SystemConfig, seed: int, scale: Optional[float]
-) -> SimulationConfig:
-    """One representative traced run: 20 % staging, no DRM."""
-    exp_scale = resolve_scale(scale)
-    return SimulationConfig(
-        system=system,
-        theta=0.0,
-        placement="even",
-        scheduler="eftf",
-        migration=MigrationPolicy.disabled(),
-        staging_fraction=0.2,
-        client_receive_bandwidth=30.0,
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-    )
-
-
-def _cli_run(args, progress) -> int:
-    result = run_fig5(
-        system=SYSTEMS[args.system], scale=args.scale,
-        seed=args.seed, progress=progress,
-    )
-    print(result.render(title=f"Figure 5 ({args.system} system)"))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        title = f"Figure 5 ({system.name})"
-        result = run_fig5(
-            system=system, scale=scale, seed=seed, progress=progress,
-        )
-        yield Artifact(
-            stem=f"fig5_{system.name}",
-            title=title,
-            text=result.render(title=title),
-            sweep=result,
-        )
-
-
-register(ExperimentSpec(
-    name="fig5",
-    help="effect of client staging (Figure 5)",
-    run_cli=_cli_run,
-    add_arguments=add_system_argument,
-    trace_config=_cli_trace_config,
-    artifacts=_cli_artifacts,
+register_figure(
+    "fig5",
+    "effect of client staging (Figure 5)",
+    run_fig5,
+    title="Figure 5",
+    stem="fig5",
     order=20,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        result = run_fig5(system=system, progress=print)
-        print()
-        print(result.render(title=f"Figure 5 ({system.name} system)"))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    panels=True,
+    # One representative traced run: 20 % staging, no DRM.
+    trace=(base_config, variants_for((0.2,))[0]),
+)

@@ -15,16 +15,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import render_table
-from repro.cluster.system import (
-    LARGE_SYSTEM,
-    SMALL_SYSTEM,
-    SYSTEMS,
-    SystemConfig,
-)
-from repro.core.migration import MigrationPolicy
+from repro.cluster.system import LARGE_SYSTEM, SystemConfig
 from repro.core.policies import PAPER_POLICIES, Policy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     THETA_GRID,
     Variant,
@@ -34,10 +27,9 @@ from repro.experiments.base import (
 from repro.experiments.registry import (
     Artifact,
     ExperimentSpec,
-    add_system_argument,
     register,
+    register_figure,
 )
-from repro.registry import RegistryError
 from repro.simulation import SimulationConfig
 
 
@@ -68,6 +60,17 @@ def policy_matrix_table() -> str:
     )
 
 
+def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
+    """What all eight policies share (each variant sets the rest)."""
+    return SimulationConfig(
+        system=system,
+        theta=0.0,
+        scheduler="eftf",
+        seed=seed,
+        client_receive_bandwidth=30.0,
+    )
+
+
 def run_fig7(
     system: SystemConfig = LARGE_SYSTEM,
     theta_values: Optional[List[float]] = None,
@@ -77,135 +80,60 @@ def run_fig7(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Reproduce one panel of Figure 7 (utilization vs θ per policy)."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     chosen: Dict[str, Policy] = (
         {name: PAPER_POLICIES[name] for name in policies}
         if policies is not None
         else PAPER_POLICIES
     )
-    base = SimulationConfig(
-        system=system,
-        theta=0.0,
-        scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-        client_receive_bandwidth=30.0,
-    )
     return run_sweep(
-        base,
+        base_config(system, seed),
         theta_values if theta_values is not None else THETA_GRID,
         [policy_variant(p) for p in chosen.values()],
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_trace_config(
-    system: SystemConfig, seed: int, scale: Optional[float]
-) -> SimulationConfig:
-    """One representative traced run: policy P4 (even + DRM + 20 %
-    staging)."""
-    exp_scale = resolve_scale(scale)
-    return SimulationConfig(
-        system=system,
-        theta=0.0,
-        placement="even",
-        scheduler="eftf",
-        migration=MigrationPolicy.paper_default(),
-        staging_fraction=0.2,
-        client_receive_bandwidth=30.0,
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
-        seed=seed,
-    )
-
-
 def _cli_arguments(parser) -> None:
-    add_system_argument(parser)
     parser.add_argument(
         "--policies", default=None,
+        type=lambda text: text.split(",") if text else None,
         help="comma-separated subset, e.g. P1,P4,P8",
     )
 
 
-def _cli_run(args, progress) -> int:
-    policies = args.policies.split(",") if args.policies else None
-    try:
-        result = run_fig7(
-            system=SYSTEMS[args.system], policies=policies,
-            scale=args.scale, seed=args.seed, progress=progress,
-        )
-    except RegistryError as exc:
-        raise SystemExit(str(exc))
-    print(policy_matrix_table())
-    print()
-    print(result.render(title=f"Figure 7 ({args.system} system)"))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        title = f"Figure 7 ({system.name})"
-        result = run_fig7(
-            system=system, scale=scale, seed=seed, progress=progress,
-        )
-        yield Artifact(
-            stem=f"fig7_{system.name}",
-            title=title,
-            text=result.render(title=title),
-            sweep=result,
-        )
-
-
-register(ExperimentSpec(
-    name="fig7",
-    help="policy comparison P1-P8 (Figure 7)",
-    run_cli=_cli_run,
-    add_arguments=_cli_arguments,
-    trace_config=_cli_trace_config,
-    artifacts=_cli_artifacts,
+register_figure(
+    "fig7",
+    "policy comparison P1-P8 (Figure 7)",
+    run_fig7,
+    title="Figure 7",
+    stem="fig7",
     order=30,
-))
+    panels=True,
+    # One representative traced run: policy P4 (even + DRM + 20 %
+    # staging).
+    trace=(base_config, policy_variant(PAPER_POLICIES["P4"])),
+    add_arguments=_cli_arguments,
+    options=("policies",),
+    preamble=policy_matrix_table,
+)
 
 
-def _cli_run_matrix(args, progress) -> int:
+def _print_matrix(args, progress) -> int:
     print(policy_matrix_table())
     return 0
 
 
-def _cli_matrix_artifacts(scale, seed, progress):
-    yield Artifact(
-        stem="fig6_matrix",
-        title="Figure 6",
-        text=policy_matrix_table(),
-    )
+def _matrix_artifact(scale, seed, progress):
+    yield Artifact(stem="fig6_matrix", text=policy_matrix_table())
 
 
 register(ExperimentSpec(
     name="fig6",
     help="print the policy matrix (Figure 6)",
-    run_cli=_cli_run_matrix,
-    artifacts=_cli_matrix_artifacts,
+    run_cli=_print_matrix,
+    artifacts=_matrix_artifact,
     order=5,
     bare=True,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    print(policy_matrix_table())
-    print()
-    for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-        result = run_fig7(system=system, progress=print)
-        print()
-        print(result.render(title=f"Figure 7 ({system.name} system)"))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

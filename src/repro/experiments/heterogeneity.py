@@ -15,12 +15,11 @@ under DRM + 20 % staging at a saturating load.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import dataclasses
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.report import render_series
-from repro.analysis.stats import SummaryStats, summarize
 from repro.cluster.system import (
     SMALL_SYSTEM,
     heterogeneous_bandwidth,
@@ -28,8 +27,13 @@ from repro.cluster.system import (
     sized_system,
 )
 from repro.core.migration import MigrationPolicy
-from repro.experiments.base import ExperimentScale, resolve_scale, run_trials
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.base import (
+    SweepResult,
+    Variant,
+    resolve_scale,
+    run_sweep,
+)
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: The paper's three cluster classes.
@@ -46,101 +50,60 @@ def run_heterogeneity(
     scale: Optional[float] = None,
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Utilization for homogeneous / het-bandwidth / het-storage clusters.
-
-    Returns ``{"counts", "curves": {label: [SummaryStats]}, "scale"}``.
-    """
-    exp_scale: ExperimentScale = resolve_scale(scale)
+) -> SweepResult:
+    """Utilization for homogeneous / het-bandwidth / het-storage
+    clusters (x = server count)."""
+    # Every (count, kind) cell has its own system; draw them all up
+    # front so the spreads come off one RNG in a fixed order however
+    # the grid is executed.
+    counts = [int(count) for count in server_counts]
     rng = np.random.default_rng(seed + 99)
-    curves: Dict[str, List[SummaryStats]] = {
-        "homogeneous": [],
-        "het bandwidth": [],
-        "het storage": [],
-    }
-    for count in server_counts:
-        base_system = sized_system(count, base=SMALL_SYSTEM)
-        systems = {
-            "homogeneous": base_system,
-            "het bandwidth": heterogeneous_bandwidth(base_system, spread, rng),
-            "het storage": heterogeneous_storage(base_system, spread, rng),
-        }
-        for label, system in systems.items():
-            config = SimulationConfig(
-                system=system,
-                theta=theta,
-                placement="even",
-                migration=MigrationPolicy.paper_default(),
-                staging_fraction=0.2,
-                scheduler="eftf",
-                duration=exp_scale.duration,
-                warmup=exp_scale.warmup,
-                seed=seed,
-                client_receive_bandwidth=30.0,
-            )
-            results = run_trials(config, exp_scale.trials, base_seed=seed)
-            stats = summarize([r.utilization for r in results])
-            curves[label].append(stats)
-            if progress is not None:
-                progress(
-                    f"servers={count:>3d} {label:>14s}: "
-                    f"utilization={stats.mean:.4f}"
-                )
-    return {
-        "counts": [int(c) for c in server_counts],
-        "curves": curves,
-        "scale": exp_scale,
-    }
-
-
-def render_heterogeneity(result: Dict[str, object]) -> str:
-    scale: ExperimentScale = result["scale"]  # type: ignore[assignment]
-    curves: Dict[str, List[SummaryStats]] = result["curves"]  # type: ignore[assignment]
-    return render_series(
-        "servers",
-        result["counts"],  # type: ignore[arg-type]
-        {label: [s.mean for s in stats] for label, stats in curves.items()},
-        title=(
-            "EXT-HET: utilization under resource heterogeneity  "
-            f"[{scale.describe()}]"
+    systems = {}
+    for count in counts:
+        homogeneous = sized_system(count, base=SMALL_SYSTEM)
+        systems[count, "homogeneous"] = homogeneous
+        systems[count, "het bandwidth"] = heterogeneous_bandwidth(
+            homogeneous, spread, rng
+        )
+        systems[count, "het storage"] = heterogeneous_storage(
+            homogeneous, spread, rng
+        )
+    base = SimulationConfig(
+        system=SMALL_SYSTEM,       # replaced per cell
+        theta=theta,
+        placement="even",
+        migration=MigrationPolicy.paper_default(),
+        staging_fraction=0.2,
+        scheduler="eftf",
+        seed=seed,
+        client_receive_bandwidth=30.0,
+    )
+    return run_sweep(
+        base,
+        counts,
+        [
+            Variant("homogeneous"),
+            Variant("het bandwidth"),
+            Variant("het storage"),
+        ],
+        resolve_scale(scale),
+        x_field="servers",
+        base_seed=seed,
+        progress=progress,
+        cell_config=lambda base, variant, count: dataclasses.replace(
+            base, system=systems[count, variant.label]
         ),
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
+TITLE = "EXT-HET: utilization under resource heterogeneity"
 
-def _cli_run(args, progress) -> int:
-    result = run_heterogeneity(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(render_heterogeneity(result))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_heterogeneity(scale=scale, seed=seed, progress=progress)
-    yield Artifact(
-        stem="ext_het", title="EXT-HET",
-        text=render_heterogeneity(result),
-    )
-
-
-register(ExperimentSpec(
-    name="het",
-    help="resource heterogeneity (EXT-HET)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "het",
+    "resource heterogeneity (EXT-HET)",
+    run_heterogeneity,
+    title=TITLE,
+    report_title=TITLE,
+    stem="ext_het",
     order=100,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_heterogeneity(progress=print)
-    print()
-    print(render_heterogeneity(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

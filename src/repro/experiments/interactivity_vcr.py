@@ -19,18 +19,18 @@ Expected shape:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.system import SMALL_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: Pause intensities: expected pauses per hour of viewing.
@@ -53,72 +53,37 @@ def run_interactivity(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Utilization vs pause intensity, with and without staging."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     base = SimulationConfig(
         system=system,
         theta=0.27,
         placement="even",
         migration=MigrationPolicy.paper_default(),
         scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         client_receive_bandwidth=30.0,
         mean_pause=mean_pause,
-        # x_field sweeps pause_hazard; 0 must stay exactly 0 (disabled).
     )
-    hazards = [p / 3600.0 for p in pauses_per_hour]
-    result = run_sweep(
+    return run_sweep(
         base,
-        hazards,
+        [float(p) for p in pauses_per_hour],
         variants(),
-        exp_scale,
-        x_field="pause_hazard",
+        resolve_scale(scale),
+        x_field="pauses_per_hour",
         base_seed=seed,
         progress=progress,
-    )
-    # Re-express the x axis in pauses/hour for readability.
-    result.x_values = [h * 3600.0 for h in result.x_values]
-    result.x_label = "pauses_per_hour"
-    return result
-
-
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_interactivity(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(result.render(
-        title="EXT-VCR: viewer pause/resume interactivity"
-    ))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_interactivity(scale=scale, seed=seed, progress=progress)
-    yield Artifact(
-        stem="ext_vcr", title="EXT-VCR",
-        text=result.render(title="EXT-VCR"), sweep=result,
+        # The config field is a per-second hazard; 0 stays exactly 0
+        # (disabled).
+        cell_config=lambda base, variant, pauses: dataclasses.replace(
+            variant.apply(base), pause_hazard=pauses / 3600.0
+        ),
     )
 
 
-register(ExperimentSpec(
-    name="vcr",
-    help="viewer pause/resume interactivity (EXT-VCR)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "vcr",
+    "viewer pause/resume interactivity (EXT-VCR)",
+    run_interactivity,
+    title="EXT-VCR: viewer pause/resume interactivity",
+    stem="ext_vcr",
     order=70,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_interactivity(progress=print)
-    print()
-    print(result.render(title="EXT-VCR: viewer pause/resume interactivity"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

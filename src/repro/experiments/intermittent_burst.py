@@ -153,10 +153,7 @@ def _cli_artifacts(scale, seed, progress):
     result = run_intermittent_burst(
         scale=scale, seed=seed, progress=progress,
     )
-    yield Artifact(
-        stem="ext_int", title="EXT-INT",
-        text=render_intermittent_burst(result),
-    )
+    yield Artifact(stem="ext_int", text=render_intermittent_burst(result))
 
 
 register(ExperimentSpec(
@@ -166,13 +163,3 @@ register(ExperimentSpec(
     artifacts=_cli_artifacts,
     order=110,
 ))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_intermittent_burst(progress=print)
-    print()
-    print(render_intermittent_burst(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

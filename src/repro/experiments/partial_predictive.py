@@ -17,13 +17,12 @@ from typing import Callable, List, Optional
 from repro.cluster.system import LARGE_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
     SweepResult,
     Variant,
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 
 #: θ grid focused on the skewed regime that separates the schemes.
@@ -44,15 +43,12 @@ def run_partial_predictive(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Reproduce the partial-predictive comparison."""
-    exp_scale: ExperimentScale = resolve_scale(scale)
     base = SimulationConfig(
         system=system,
         theta=0.0,
         migration=MigrationPolicy.paper_default(),
         staging_fraction=0.2,
         scheduler="eftf",
-        duration=exp_scale.duration,
-        warmup=exp_scale.warmup,
         seed=seed,
         client_receive_bandwidth=30.0,
     )
@@ -60,48 +56,17 @@ def run_partial_predictive(
         base,
         theta_values if theta_values is not None else SKEWED_THETA_GRID,
         VARIANTS,
-        exp_scale,
+        resolve_scale(scale),
         base_seed=seed,
         progress=progress,
     )
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
-
-def _cli_run(args, progress) -> int:
-    result = run_partial_predictive(
-        scale=args.scale, seed=args.seed, progress=progress,
-    )
-    print(result.render(title="EXT-PP: placement sophistication"))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_partial_predictive(
-        scale=scale, seed=seed, progress=progress,
-    )
-    yield Artifact(
-        stem="ext_pp", title="EXT-PP",
-        text=result.render(title="EXT-PP"), sweep=result,
-    )
-
-
-register(ExperimentSpec(
-    name="partial",
-    help="partial predictive placement (EXT-PP)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "partial",
+    "partial predictive placement (EXT-PP)",
+    run_partial_predictive,
+    title="EXT-PP: placement sophistication",
+    stem="ext_pp",
     order=40,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_partial_predictive(progress=print)
-    print()
-    print(result.render(title="EXT-PP: placement sophistication (large system)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

@@ -1,11 +1,15 @@
 """Self-registration of experiments (docs/ARCHITECTURE.md).
 
-Each experiment module ends with an :data:`EXPERIMENTS.register
-<EXPERIMENTS>` call publishing an :class:`ExperimentSpec` — its CLI
-name, help text, argument hooks, runner, and optional extras (a
+Each experiment module ends by publishing an :class:`ExperimentSpec` —
+its CLI name, help text, argument hooks, runner, and optional extras (a
 trace-config factory for ``repro trace``, an artifact generator for
-``repro all``).  The CLI builds its subcommands *from this registry*:
-adding an experiment is writing one module, not editing the CLI.
+``repro all``).  A figure (a ``run_*`` function returning a
+:class:`~repro.experiments.base.SweepResult`) declares itself with
+:func:`register_figure`, which builds all of those from a name, a title
+and the run function; the bespoke verbs (``serve``, ``verify`` …) hand
+:func:`register` a spec of their own.  The CLI builds its subcommands
+*from this registry*: adding an experiment is writing one module, not
+editing the CLI.
 
 Modules are discovered automatically: importing
 :mod:`repro.experiments` imports every sibling module (see the
@@ -21,15 +25,19 @@ Two registries exist because the CLI surfaces them differently:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from repro.registry import Registry
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.cluster.system import SystemConfig
-    from repro.experiments.base import SweepResult
-    from repro.simulation import SimulationConfig
+from repro.cluster.system import (
+    LARGE_SYSTEM,
+    SMALL_SYSTEM,
+    SYSTEMS,
+    SystemConfig,
+)
+from repro.experiments.base import SweepResult, Variant, resolve_scale
+from repro.registry import Registry, RegistryError
+from repro.simulation import SimulationConfig
 
 #: A progress callback (one line per grid point) or None when quiet.
 Progress = Optional[Callable[[str], None]]
@@ -41,7 +49,6 @@ class Artifact:
 
     Attributes:
         stem: file stem for per-artifact exports (``fig4_large``).
-        title: section heading.
         text: the rendered ASCII block.
         sweep: the underlying :class:`SweepResult` when the artifact is
             a sweep (exported as ``<stem>.csv`` + provenance sidecar);
@@ -49,9 +56,8 @@ class Artifact:
     """
 
     stem: str
-    title: str
     text: str
-    sweep: Optional["SweepResult"] = None
+    sweep: Optional[SweepResult] = None
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class ExperimentSpec:
     run_cli: Callable[[argparse.Namespace, Progress], int]
     add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
     trace_config: Optional[
-        Callable[["SystemConfig", int, Optional[float]], "SimulationConfig"]
+        Callable[[SystemConfig, int, Optional[float]], SimulationConfig]
     ] = None
     artifacts: Optional[
         Callable[[Optional[float], int, Progress], Iterable[Artifact]]
@@ -108,6 +114,119 @@ def register(spec: ExperimentSpec, *, chaos: bool = False) -> ExperimentSpec:
     return spec
 
 
+def register_figure(
+    name: str,
+    help: str,
+    run: Callable[..., SweepResult],
+    *,
+    title: str,
+    stem: Optional[str] = None,
+    order: int = 100,
+    panels: bool = False,
+    report_title: Optional[str] = None,
+    trace: Optional[
+        Tuple[Callable[[SystemConfig, int], SimulationConfig], Variant]
+    ] = None,
+    chaos: bool = False,
+    add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+    options: Sequence[str] = (),
+    preamble: Optional[Callable[[], str]] = None,
+) -> ExperimentSpec:
+    """Publish a figure: build its :class:`ExperimentSpec` from *run*.
+
+    *run* takes ``scale`` / ``seed`` / ``progress`` keywords (plus
+    ``system`` when *panels*) and returns a :class:`SweepResult`.
+
+    Args:
+        title: the table heading.  A single-system figure prints it as
+            is on the CLI; a *panels* figure appends the system.
+        stem: file stem of the ``repro all`` CSV (``<stem>_<system>``
+            per panel); None keeps the figure out of the report.
+        order: position in the ``repro all`` report.
+        panels: the figure has a large- and a small-system panel —
+            ``--system`` picks one on the CLI, the report draws both.
+        report_title: heading in the ``repro all`` report of a
+            single-system figure (default: *title* up to its colon,
+            i.e. the experiment ID).
+        trace: ``(base_config, variant)`` — ``repro trace <name>`` runs
+            ``variant`` applied to ``base_config(system, seed)``, the
+            same base the figure sweeps.
+        chaos: register as a ``repro chaos <name>`` mode (whose parser
+            already carries ``--system``).
+        add_arguments: extra CLI flags; the parsed values named in
+            *options* are passed to *run* as keywords.
+        preamble: text printed above the table on the CLI.
+    """
+
+    def run_cli(args: argparse.Namespace, progress: Progress) -> int:
+        kwargs = {dest: getattr(args, dest) for dest in options}
+        heading = title
+        if panels:
+            kwargs["system"] = SYSTEMS[args.system]
+            heading = f"{title} ({args.system} system)"
+        try:
+            result = run(
+                scale=args.scale, seed=args.seed, progress=progress, **kwargs
+            )
+        except RegistryError as exc:
+            raise SystemExit(str(exc))
+        if preamble is not None:
+            print(preamble())
+            print()
+        print(result.render(title=heading))
+        return 0
+
+    def artifacts(
+        scale: Optional[float], seed: int, progress: Progress
+    ) -> Iterable[Artifact]:
+        if not panels:
+            result = run(scale=scale, seed=seed, progress=progress)
+            heading = report_title or title.partition(":")[0]
+            yield Artifact(stem, result.render(title=heading), result)
+            return
+        for system in (LARGE_SYSTEM, SMALL_SYSTEM):
+            result = run(
+                system=system, scale=scale, seed=seed, progress=progress
+            )
+            yield Artifact(
+                f"{stem}_{system.name}",
+                result.render(title=f"{title} ({system.name})"),
+                result,
+            )
+
+    def trace_config(
+        system: SystemConfig, seed: int, scale: Optional[float]
+    ) -> SimulationConfig:
+        base_config, variant = trace
+        exp_scale = resolve_scale(scale)
+        return dataclasses.replace(
+            variant.apply(base_config(system, seed)),
+            duration=exp_scale.duration,
+            warmup=exp_scale.warmup,
+        )
+
+    def arguments(parser: argparse.ArgumentParser) -> None:
+        if panels and not chaos:
+            parser.add_argument(
+                "--system", default="large", choices=SYSTEMS.names()
+            )
+        if add_arguments is not None:
+            add_arguments(parser)
+
+    return register(
+        ExperimentSpec(
+            name=name,
+            help=help,
+            run_cli=run_cli,
+            add_arguments=arguments,
+            trace_config=trace_config if trace is not None else None,
+            artifacts=artifacts if stem is not None else None,
+            order=order,
+        ),
+        chaos=chaos,
+    )
+
+
 def trace_experiments() -> tuple:
     """Names of experiments offering a ``repro trace`` setup (sorted)."""
     return tuple(
@@ -116,12 +235,3 @@ def trace_experiments() -> tuple:
         if EXPERIMENTS.get(name).trace_config is not None
     )
 
-
-def add_system_argument(
-    parser: argparse.ArgumentParser, default: str = "large"
-) -> None:
-    """The shared ``--system {small,large}`` flag (choices from the
-    system registry)."""
-    from repro.cluster.system import SYSTEMS
-
-    parser.add_argument("--system", default=default, choices=SYSTEMS.names())

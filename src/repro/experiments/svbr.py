@@ -15,19 +15,20 @@ by an integration test).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import dataclasses
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.erlang import erlang_b_utilization
-from repro.analysis.report import render_series
-from repro.analysis.stats import SummaryStats, summarize
+from repro.analysis.stats import summarize
 from repro.cluster.system import SystemConfig, homogeneous
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
-    ExperimentScale,
+    SweepResult,
+    Variant,
     resolve_scale,
-    run_trials,
+    run_sweep,
 )
-from repro.experiments.registry import Artifact, ExperimentSpec, register
+from repro.experiments.registry import register_figure
 from repro.simulation import SimulationConfig
 from repro.units import minutes
 
@@ -61,94 +62,50 @@ def run_svbr(
     scale: Optional[float] = None,
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
+) -> SweepResult:
     """Sweep SVBR: simulated vs Erlang-B analytic utilization.
 
-    Returns a dict with ``svbr`` (grid), ``simulated`` (list of
-    :class:`SummaryStats`), ``analytic`` (floats) and ``scale``.
+    The result's ``simulated`` curve is the sweep; ``erlang-B`` is the
+    analytic value at each grid point (a one-sample summary, so its
+    confidence interval is the value itself).
     """
-    exp_scale: ExperimentScale = resolve_scale(scale)
-    simulated: List[SummaryStats] = []
-    analytic: List[float] = []
-    for svbr in svbr_values:
-        system = one_server_system(int(svbr))
-        config = SimulationConfig(
-            system=system,
-            theta=theta,
-            placement="even",
-            migration=MigrationPolicy.disabled(),
-            staging_fraction=0.0,      # continuous transmission
-            scheduler="none",
-            duration=exp_scale.duration,
-            warmup=exp_scale.warmup,
-            load=load,
-            seed=seed,
-        )
-        results = run_trials(config, exp_scale.trials, base_seed=seed)
-        stats = summarize([r.utilization for r in results])
-        simulated.append(stats)
-        analytic.append(erlang_b_utilization(int(svbr), load=load))
-        if progress is not None:
-            progress(
-                f"svbr={svbr:>4d} simulated={stats.mean:.4f} "
-                f"analytic={analytic[-1]:.4f}"
-            )
-    return {
-        "svbr": [int(v) for v in svbr_values],
-        "simulated": simulated,
-        "analytic": analytic,
-        "scale": exp_scale,
-    }
-
-
-def render_svbr(result: Dict[str, object]) -> str:
-    """ASCII series of the EXT-SVBR comparison."""
-    scale: ExperimentScale = result["scale"]  # type: ignore[assignment]
-    return render_series(
-        "svbr",
-        result["svbr"],  # type: ignore[arg-type]
-        {
-            "simulated": [s.mean for s in result["simulated"]],  # type: ignore[union-attr]
-            "erlang-B": result["analytic"],  # type: ignore[dict-item]
-        },
-        title=(
-            "EXT-SVBR: one-server utilization vs SVBR  "
-            f"[{scale.describe()}]"
+    grid = [int(svbr) for svbr in svbr_values]
+    base = SimulationConfig(
+        system=one_server_system(grid[0]),      # replaced per cell
+        theta=theta,
+        placement="even",
+        migration=MigrationPolicy.disabled(),
+        staging_fraction=0.0,      # continuous transmission
+        scheduler="none",
+        load=load,
+        seed=seed,
+    )
+    result = run_sweep(
+        base,
+        grid,
+        [Variant("simulated")],
+        resolve_scale(scale),
+        x_field="svbr",
+        base_seed=seed,
+        progress=progress,
+        cell_config=lambda base, _variant, svbr: dataclasses.replace(
+            base, system=one_server_system(svbr)
         ),
     )
+    result.curves["erlang-B"] = [
+        summarize([erlang_b_utilization(svbr, load=load)]) for svbr in grid
+    ]
+    return result
 
 
-# ----------------------------------------------------------------------
-# CLI self-registration (see repro.experiments.registry)
-# ----------------------------------------------------------------------
+TITLE = "EXT-SVBR: one-server utilization vs SVBR"
 
-def _cli_run(args, progress) -> int:
-    result = run_svbr(scale=args.scale, seed=args.seed, progress=progress)
-    print(render_svbr(result))
-    return 0
-
-
-def _cli_artifacts(scale, seed, progress):
-    result = run_svbr(scale=scale, seed=seed, progress=progress)
-    yield Artifact(
-        stem="ext_svbr", title="EXT-SVBR", text=render_svbr(result),
-    )
-
-
-register(ExperimentSpec(
-    name="svbr",
-    help="utilization vs SVBR + Erlang-B (EXT-SVBR)",
-    run_cli=_cli_run,
-    artifacts=_cli_artifacts,
+register_figure(
+    "svbr",
+    "utilization vs SVBR + Erlang-B (EXT-SVBR)",
+    run_svbr,
+    title=TITLE,
+    report_title=TITLE,
+    stem="ext_svbr",
     order=90,
-))
-
-
-def main() -> None:  # pragma: no cover - CLI glue, exercised via repro.cli
-    result = run_svbr(progress=print)
-    print()
-    print(render_svbr(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+)

@@ -18,7 +18,6 @@ from repro.experiments.base import (
     Variant,
     resolve_scale,
     run_sweep,
-    run_trials,
 )
 from repro.units import hours
 
@@ -62,23 +61,6 @@ class TestResolveScale:
     def test_describe_mentions_trials_and_hours(self):
         text = resolve_scale(0.01).describe()
         assert "trial" in text and "h measured" in text
-
-
-class TestRunTrials:
-    def test_seed_ladder_is_deterministic(self):
-        a = run_trials(micro_config(), trials=2, base_seed=5)
-        b = run_trials(micro_config(), trials=2, base_seed=5)
-        assert [r.utilization for r in a] == [r.utilization for r in b]
-
-    def test_trials_use_distinct_seeds(self):
-        results = run_trials(micro_config(), trials=2, base_seed=5)
-        assert results[0].config.seed != results[1].config.seed
-        assert results[0].arrivals != results[1].arrivals
-
-    def test_respects_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        results = run_trials(micro_config(), trials=2)
-        assert len(results) == 2
 
 
 class TestRunSweep:
@@ -168,12 +150,16 @@ class TestExperimentModules:
 
     def test_svbr_micro_run(self):
         result = svbr.run_svbr(svbr_values=(5, 10), scale=MICRO)
-        assert result["svbr"] == [5, 10]
-        assert len(result["simulated"]) == 2
-        assert len(result["analytic"]) == 2
-        assert result["analytic"][0] < result["analytic"][1]
-        text = svbr.render_svbr(result)
+        assert result.x_label == "svbr"
+        assert result.x_values == [5, 10]
+        assert set(result.curves) == {"simulated", "erlang-B"}
+        assert len(result.means("simulated")) == 2
+        analytic = result.means("erlang-B")
+        assert analytic[0] < analytic[1]
+        text = result.render(title=svbr.TITLE)
         assert "erlang-B" in text
+        # The integer grid prints as integers, not 5.0000.
+        assert "\n   5  " in text
 
     def test_partial_predictive_micro_run(self):
         result = partial_predictive.run_partial_predictive(
@@ -187,11 +173,12 @@ class TestExperimentModules:
         result = heterogeneity.run_heterogeneity(
             server_counts=(2,), scale=MICRO
         )
-        assert result["counts"] == [2]
-        assert set(result["curves"]) == {
+        assert result.x_label == "servers"
+        assert result.x_values == [2]
+        assert set(result.curves) == {
             "homogeneous", "het bandwidth", "het storage",
         }
-        text = heterogeneity.render_heterogeneity(result)
+        text = result.render(title=heterogeneity.TITLE)
         assert "servers" in text
 
     def test_ablation_micro_run(self):
@@ -232,3 +219,88 @@ class TestExperimentModules:
         assert result.x_label == "pauses_per_hour"
         assert result.x_values == [0.0, 4.0]
         assert set(result.curves) == {"no staging", "20% staging"}
+        # The sidecar names the axis the table and CSV header show.
+        assert result.provenance["x_field"] == result.x_label
+
+
+def _helper_registered():
+    """(registry, spec) for every figure published through
+    ``register_figure`` — recognised by the run_cli it built."""
+    from repro.experiments.registry import CHAOS_EXPERIMENTS, EXPERIMENTS
+
+    return [
+        (registry, spec)
+        for registry in (EXPERIMENTS, CHAOS_EXPERIMENTS)
+        for spec in registry.values()
+        if spec.run_cli.__qualname__.startswith("register_figure.")
+    ]
+
+
+class TestRegisteredFigures:
+    """Every figure declared through the one registration helper runs
+    end to end: CLI table, ``repro all`` artifact(s), CSV round trip."""
+
+    @pytest.fixture(autouse=True)
+    def _short_runs(self, monkeypatch):
+        # Full grids, but ten simulated minutes per cell, in-process
+        # (the patched task runner is not what a pool worker imports).
+        import dataclasses
+
+        from repro.experiments import base
+
+        real = base._run_one
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        monkeypatch.setattr(
+            base, "_run_one",
+            lambda config: real(
+                dataclasses.replace(config, duration=600.0, warmup=0.0)
+            ),
+        )
+
+    def test_the_helper_covers_the_sweep_figures(self):
+        from repro.experiments.registry import CHAOS_EXPERIMENTS
+
+        names = {
+            ("chaos " if registry is CHAOS_EXPERIMENTS else "") + spec.name
+            for registry, spec in _helper_registered()
+        }
+        assert names == {
+            "fig4", "fig5", "fig7", "partial", "ablation", "replication",
+            "vcr", "mix", "svbr", "het", "chaos availability",
+        }
+
+    @pytest.mark.parametrize(
+        "registry,spec", _helper_registered(),
+        ids=[spec.name for _registry, spec in _helper_registered()],
+    )
+    def test_runs_renders_and_round_trips(
+        self, registry, spec, capsys, tmp_path
+    ):
+        from repro.analysis.export import load_sweep_csv, sweep_to_csv
+        from repro.cli import main
+        from repro.experiments.base import SweepResult
+        from repro.experiments.registry import CHAOS_EXPERIMENTS
+
+        verb = (["chaos"] if registry is CHAOS_EXPERIMENTS else []) + [
+            spec.name
+        ]
+        assert main(verb + ["--scale", str(MICRO), "--quiet"]) == 0
+        table = capsys.readouterr().out
+        assert f"[scale={MICRO:g} " in table
+        if spec.artifacts is None:
+            return
+        for artifact in spec.artifacts(MICRO, 0, None):
+            sweep = artifact.sweep
+            assert isinstance(sweep, SweepResult)
+            assert sweep.provenance["x_field"] == sweep.x_label
+            assert sweep.x_label in artifact.text
+            path = tmp_path / f"{artifact.stem}.csv"
+            sweep_to_csv(sweep, path)
+            loaded = load_sweep_csv(path)
+            assert loaded["x_label"] == sweep.x_label
+            assert loaded["x_values"] == pytest.approx(sweep.x_values)
+            assert list(loaded["curves"]) == list(sweep.curves)
+            for label in sweep.curves:
+                assert loaded["curves"][label] == pytest.approx(
+                    sweep.means(label), abs=1e-6
+                )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, SimulationConfig
 from repro.experiments import base as base_mod
+from repro.experiments import client_mix, heterogeneity, svbr
 from repro.experiments.base import (
     ExperimentScale,
     Variant,
@@ -73,6 +74,30 @@ class TestBitIdentity:
             == parallel.provenance["trial_seeds"]
             == trial_seeds(2, base_seed)
         )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            # The figures whose cells are built by a cell_config hook.
+            lambda: client_mix.run_client_mix_series(
+                system=TINY, legacy_fractions=(0.0, 0.5), scale=0.001
+            ),
+            lambda: heterogeneity.run_heterogeneity(
+                server_counts=(2, 3), scale=0.001
+            ),
+            lambda: svbr.run_svbr(svbr_values=(5, 10), scale=0.001),
+        ],
+        ids=["client_mix", "heterogeneity", "svbr"],
+    )
+    def test_hooked_figures_match_serial_bitwise(self, run, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = run()
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        parallel = run()
+        assert serial.provenance["executor"] == "serial"
+        assert parallel.provenance["executor"] == "parallel"
+        assert serial.curves == parallel.curves
+        assert serial.x_values == parallel.x_values
 
     def test_progress_lines_agree_up_to_order(self, monkeypatch):
         lines = {}
@@ -253,30 +278,39 @@ class TestCellFailureHandling:
 
 
 class TestXApply:
+    """The cell hook: ``cell_config(base, variant, x)``, which was
+    ``x_apply(config, x)`` before it saw the variant."""
+
     def test_x_apply_replaces_flat_field_assignment(self, monkeypatch):
         import dataclasses
 
         monkeypatch.setenv("REPRO_WORKERS", "1")
         seen = []
 
-        def apply(config, x):
-            seen.append(x)
-            return dataclasses.replace(config, theta=x / 10.0)
+        def cell(base, variant, x):
+            seen.append((variant.label, x))
+            return dataclasses.replace(variant.apply(base), theta=x / 10.0)
 
         result = run_sweep(
             SimulationConfig(system=TINY, theta=0.0, duration=hours(1),
                              seed=1),
-            x_values=[1.0, 5.0],
-            variants=[Variant("v", {})],
+            x_values=[1, 5],
+            variants=FIG4_VARIANTS,
             scale=ExperimentScale(
                 duration=hours(0.5), warmup=0.0, trials=1, scale=0.0
             ),
             x_field="theta_x10",  # not a SimulationConfig field
-            x_apply=apply,
+            cell_config=cell,
         )
-        assert seen == [1.0, 5.0]
+        # Called once per (x, variant) cell, in grid order, with the
+        # template already sized from the scale.
+        assert seen == [("a", 1), ("b", 1), ("a", 5), ("b", 5)]
         assert result.x_label == "theta_x10"
-        assert result.x_values == [1.0, 5.0]
+        # The grid's own values survive (no float() coercion).
+        assert result.x_values == [1, 5]
+        assert all(type(x) is int for x in result.x_values)
+        # The hook decides whether the variant applies: here it does.
+        assert result.curves["a"] != result.curves["b"]
 
 
 class TestEnvValidation:
