@@ -126,9 +126,10 @@ class ToxicWriter:
     Duck-typed drop-in for the subset of the ``asyncio.StreamWriter``
     API the frame protocol uses (``write``/``drain``/``close``/
     ``wait_closed``/``is_closing``/``get_extra_info``).  Delays are
-    served inside :meth:`drain`, so a caller bounding the drain with
-    ``wait_for`` (the gateway's ``send_timeout``) sees an injected
-    stall as genuine backpressure.  A cut writes a *prefix* of the
+    served inside :meth:`drain`, and :func:`repro.serve.protocol.drain`
+    never takes its nothing-buffered shortcut for a wrapper, so the
+    gateway's ``send_timeout`` deadline sees an injected stall as
+    genuine backpressure.  A cut writes a *prefix* of the
     offending buffer and then aborts the transport — the peer observes
     a connection closed inside a frame.
     """

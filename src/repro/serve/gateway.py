@@ -56,14 +56,19 @@ from repro.serve.supervisor import TaskSupervisor
 from repro.serve.protocol import (
     FrameError,
     MAX_PAYLOAD_BYTES,
+    drain,
+    drained,
     encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.simulation import SimulationConfig
 
 #: Below this many megabits a chunk is float noise, not data.
 _EPS_MB = 1e-9
+
+#: Every chunk payload is a slice of this one block (a view: no
+#: per-chunk allocation; only the pages actually sliced are touched).
+_ZEROS = memoryview(bytes(MAX_PAYLOAD_BYTES))
 
 
 def serve_refusal(config: SimulationConfig) -> Optional[str]:
@@ -199,6 +204,12 @@ class _Session:
         self.end_reason: Optional[str] = None
         self.closed = False
         self.last_stamp = decision.time  # virtual t of the last chunk
+
+    @property
+    def owner(self) -> Optional[int]:
+        """The server whose task paces this session right now."""
+        current = self.request.server_id
+        return current if current is not None else self.server_id
 
 
 class ClusterGateway:
@@ -485,13 +496,17 @@ class ClusterGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         loop = asyncio.get_running_loop()
+        # The handshake deadline is a timer, not a Task: a mute client's
+        # transport is aborted under it, which the read sees as EOF.
+        deadline = loop.call_later(
+            self.serve.handshake_timeout, writer.transport.abort
+        )
         try:
-            frame = await read_frame(
-                reader, timeout=self.serve.handshake_timeout
-            )
-        except (FrameError, asyncio.TimeoutError, ConnectionError, OSError):
-            self._handshake_errors += 1
-            return
+            frame = await read_frame(reader)
+        except (FrameError, ConnectionError, OSError):
+            frame = None
+        finally:
+            deadline.cancel()
         if frame is None or frame.type != "request":
             self._handshake_errors += 1
             return
@@ -501,9 +516,8 @@ class ClusterGateway:
             retry = int(frame.header.get("retry", 0))
         except (KeyError, TypeError, ValueError):
             self._handshake_errors += 1
-            await self._try_send(
-                writer, {"type": "reject", "reason": "malformed request"}
-            )
+            reject = {"type": "reject", "reason": "malformed request"}
+            await self._try_send(writer, encode_frame(reject))
             return
         if retry > 0:
             self._c_client_retries.inc()
@@ -546,11 +560,12 @@ class ClusterGateway:
                     + self.serve.reorder_window
                 )
                 timeout = min(timeout, max(0.0, due - loop.time()))
+            timer = loop.call_later(timeout, self._wake.set)
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-                self._wake.clear()
-            except asyncio.TimeoutError:
-                pass
+                await self._wake.wait()
+            finally:
+                timer.cancel()
+            self._wake.clear()
 
             while self._pending:
                 arrival = self._pending[0][1]
@@ -671,18 +686,22 @@ class ClusterGateway:
 
         The bytes go to the transport *synchronously* so a pacing chunk
         scheduled in the same tick can never overtake the ``admit``
-        frame; only the drain (backpressure) is deferred to a task.
+        frame.  When the kernel took them all there is nothing to drain
+        and no Task is made; otherwise the (bounded) drain is deferred
+        to one.
         """
         try:
             writer.write(encode_frame(header))
         except (ConnectionError, OSError):  # pragma: no cover - racy peer
             return
+        if drained(writer):
+            if close:
+                writer.close()
+            return
 
         async def _flush() -> None:
             try:
-                await asyncio.wait_for(
-                    writer.drain(), self.serve.send_timeout
-                )
+                await drain(writer, self.serve.send_timeout)
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 pass
             if close:
@@ -693,24 +712,24 @@ class ClusterGateway:
         task.add_done_callback(self._side_tasks.discard)
 
     async def _try_send(
-        self,
-        writer: asyncio.StreamWriter,
-        header: Dict[str, Any],
-        payload: bytes = b"",
+        self, writer: asyncio.StreamWriter, data: bytes
     ) -> bool:
-        """One bounded-retry send; True when the frame was drained."""
+        """Write *data* (whole frames) once, then drain within the
+        bounded retry budget; True when the transport drained."""
+        try:
+            writer.write(data)
+        except (ConnectionError, OSError):
+            return False
         for attempt in range(self.serve.send_retries + 1):
             try:
-                await write_frame(
-                    writer, header, payload, timeout=self.serve.send_timeout
-                )
+                await drain(writer, self.serve.send_timeout)
                 return True
             except asyncio.TimeoutError:
-                # Transient backpressure: retry within the bounded
-                # budget (the next drain sees the same buffered bytes).
+                # Transient backpressure: only the drain is retried —
+                # the bytes are already buffered, writing them again
+                # would deliver the frame twice.
                 if attempt < self.serve.send_retries:
                     self._c_retries.inc()
-                continue
             except (ConnectionError, OSError):
                 return False
         return False
@@ -773,15 +792,13 @@ class ClusterGateway:
             ):
                 return
             now_vt = self.bridge.now
-            for key, session in list(self.sessions.items()):
-                request = session.request
-                owner = (
-                    request.server_id
-                    if request.server_id is not None
-                    else session.server_id
-                )
-                if owner != server_id or session.closed:
+            mine = [s for s in self.sessions.values() if s.owner == server_id]
+            for session in mine:
+                # Re-checked: an earlier pump may have waited on a slow
+                # peer while this one was closed or migrated away.
+                if session.closed or session.owner != server_id:
                     continue
+                request = session.request
                 if request.server_id is not None and (
                     request.server_id != session.server_id
                 ):
@@ -816,6 +833,11 @@ class ClusterGateway:
         # *less* data delivered.  Client-side underrun accounting thus
         # cannot trip on event-loop jitter, only on a gateway that
         # genuinely under-scheduled.
+        done = (
+            request.state is RequestState.FINISHED
+            and session.scheduled_mb >= request.video.size - _EPS_MB
+        )
+        ended = False  # the ``end`` frame left with the last chunk
         while True:
             mb = session.bucket.take()
             if mb <= _EPS_MB:
@@ -829,12 +851,10 @@ class ClusterGateway:
                 session.last_stamp = (
                     min(now_vt, finish) if finish is not None else now_vt
                 )
-            payload = b"\x00" * max(
-                1, int(mb * self.serve.bytes_per_megabit)
-            )
+                ended = done
             first_chunk = session.chunks == 0
-            ok = await self._try_send(
-                session.writer,
+            delivered_mb = session.delivered_mb + mb
+            data = encode_frame(
                 {
                     "type": "chunk",
                     "t": round(session.last_stamp, 9),
@@ -842,13 +862,20 @@ class ClusterGateway:
                     "mb": round(mb, 9),
                     "seq": session.chunks,
                 },
-                payload,
+                _ZEROS[: max(1, int(mb * self.serve.bytes_per_megabit))],
             )
+            if ended:
+                # The stream's last chunk: its ``end`` shares the write
+                # (one syscall, and the client sees both or neither).
+                data += self._end_frame(
+                    session, "finished", session.chunks + 1, delivered_mb
+                )
+            ok = await self._try_send(session.writer, data)
             if not ok:
                 await self._close_session(session, "send_failed", notify=False)
                 return
             session.chunks += 1
-            session.delivered_mb += mb
+            session.delivered_mb = delivered_mb
             self._c_chunks.inc()
             self._c_chunk_mb.inc(mb)
             # Delivery lag behind the schedule: wall now minus the wall
@@ -870,13 +897,32 @@ class ClusterGateway:
 
         if request.state is RequestState.DROPPED:
             await self._close_session(session, "dropped", notify=True)
-        elif (
-            request.state is RequestState.FINISHED
-            and session.bucket.tokens <= _EPS_MB
-            and session.scheduled_mb >= request.video.size - _EPS_MB
-        ):
+        elif done and session.bucket.tokens <= _EPS_MB:
             self._h_buffer.observe(request.buffer_occupancy(now_vt))
-            await self._close_session(session, "finished", notify=True)
+            await self._close_session(session, "finished", notify=not ended)
+
+    def _end_frame(
+        self, session: _Session, reason: str, chunks: int, delivered_mb: float
+    ) -> bytes:
+        header = {
+            "type": "end",
+            "reason": reason,
+            "request": session.decision.request,
+            "delivered_mb": round(delivered_mb, 9),
+            "chunks": chunks,
+        }
+        if (
+            reason in ("dropped", "finished")
+            and session.request.finish_time is not None
+        ):
+            # The exact virtual end time (Request.mark_dropped /
+            # mark_finished).  A resilient client re-requests
+            # relative to the drop stamp, and resolves a pending
+            # chaos cut against the finish stamp — both purely in
+            # virtual time, keeping retry timelines byte-identical
+            # across same-seed runs.
+            header["t"] = round(session.request.finish_time, 9)
+        return encode_frame(header)
 
     async def _close_session(
         self, session: _Session, reason: str, notify: bool
@@ -898,25 +944,12 @@ class ClusterGateway:
             chunks=session.chunks,
         )
         if notify:
-            header = {
-                "type": "end",
-                "reason": reason,
-                "request": session.decision.request,
-                "delivered_mb": round(session.delivered_mb, 9),
-                "chunks": session.chunks,
-            }
-            if (
-                reason in ("dropped", "finished")
-                and session.request.finish_time is not None
-            ):
-                # The exact virtual end time (Request.mark_dropped /
-                # mark_finished).  A resilient client re-requests
-                # relative to the drop stamp, and resolves a pending
-                # chaos cut against the finish stamp — both purely in
-                # virtual time, keeping retry timelines byte-identical
-                # across same-seed runs.
-                header["t"] = round(session.request.finish_time, 9)
-            await self._try_send(session.writer, header)
+            await self._try_send(
+                session.writer,
+                self._end_frame(
+                    session, reason, session.chunks, session.delivered_mb
+                ),
+            )
         session.writer.close()
         if self.tracer is not None:
             self.tracer.emit(
@@ -964,16 +997,10 @@ class ClusterGateway:
         rate = 0.0
         bucket_mb = 0.0
         for session in self.sessions.values():
-            request = session.request
-            owner = (
-                request.server_id
-                if request.server_id is not None
-                else session.server_id
-            )
-            if owner != server_id or session.closed:
+            if session.owner != server_id or session.closed:
                 continue
             sessions += 1
-            rate += max(0.0, request.rate)
+            rate += max(0.0, session.request.rate)
             bucket_mb += session.bucket.tokens
         return {
             "sessions": sessions,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Awaitable, Dict, NamedTuple, Optional
 
 #: Upper bound on the JSON header, far above any legitimate message —
 #: a peer announcing more is treated as a framing error, not a reason
@@ -55,6 +55,9 @@ MAX_HEADER_BYTES = 1 << 20
 MAX_PAYLOAD_BYTES = 1 << 20
 
 _LEN = struct.Struct(">I")
+
+#: ``asyncio.timeout`` (a timer handle, no Task); absent on Python 3.10.
+_deadline = getattr(asyncio, "timeout", None)
 
 
 class FrameError(ValueError):
@@ -87,6 +90,47 @@ def encode_frame(header: Dict[str, Any], payload: bytes = b"") -> bytes:
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise FrameError(f"payload too large: {len(payload)} bytes")
     return _LEN.pack(len(body)) + body + payload
+
+
+async def _bounded(
+    awaitable: Awaitable[Any], timeout: Optional[float]
+) -> Any:
+    """Await *awaitable*, raising ``TimeoutError`` after *timeout* seconds
+    (``None``: never).
+
+    The one deadline every frame read and every blocking drain goes
+    through.  On Python >= 3.11 it is a timer handle
+    (:func:`asyncio.timeout`), so a frame that is not late costs no
+    Task; 3.10 falls back to :func:`asyncio.wait_for`.
+    """
+    if _deadline is None:  # Python 3.10
+        return await asyncio.wait_for(awaitable, timeout)
+    async with _deadline(timeout):
+        return await awaitable
+
+
+def drained(writer: asyncio.StreamWriter) -> bool:
+    """True when ``writer.drain()`` provably returns at once.
+
+    That is a plain :class:`asyncio.StreamWriter` on an open transport
+    with nothing buffered: the kernel took every byte written so far.
+    A wrapper (``ToxicWriter``) may stall inside its own ``drain`` and
+    a closing transport raises there, so neither is ever "drained".
+    """
+    return (
+        type(writer) is asyncio.StreamWriter
+        and not writer.transport.is_closing()
+        and not writer.transport.get_write_buffer_size()
+    )
+
+
+async def drain(
+    writer: asyncio.StreamWriter, timeout: Optional[float]
+) -> None:
+    """Wait (at most *timeout* seconds) for *writer*'s buffer to flush;
+    free — no timer, no Task, no yield — when it is already empty."""
+    if not drained(writer):
+        await _bounded(writer.drain(), timeout)
 
 
 async def read_frame(
@@ -145,9 +189,7 @@ async def read_frame(
                 raise FrameError("connection closed inside a payload") from None
         return Frame(header, payload)
 
-    if timeout is None:
-        return await _read()
-    return await asyncio.wait_for(_read(), timeout)
+    return await _bounded(_read(), timeout)
 
 
 async def write_frame(
@@ -165,7 +207,4 @@ async def write_frame(
         ConnectionError / OSError: transport failures, propagated.
     """
     writer.write(encode_frame(header, payload))
-    if timeout is None:
-        await writer.drain()
-    else:
-        await asyncio.wait_for(writer.drain(), timeout)
+    await drain(writer, timeout)

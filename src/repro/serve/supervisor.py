@@ -161,9 +161,10 @@ class TaskSupervisor:
     def beat(self, name: str) -> None:
         """Record one loop iteration (called from inside the loop).
 
-        Also where a swallowed kill lands: ``asyncio.wait_for`` (3.11)
-        returns its inner result when that completes in the tick the
-        cancellation arrives, so a loop killed mid-send may not see it.
+        Also where a swallowed kill lands: ``asyncio.wait_for`` (the
+        send deadline on Python 3.10) returns its inner result when
+        that completes in the tick the cancellation arrives, so a loop
+        killed mid-send may not see it.
         """
         entry = self._entries.get(name)
         if entry is None:

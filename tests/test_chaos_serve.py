@@ -759,16 +759,22 @@ class TestGatewayTimeouts:
         self, loopback
     ):
         """A gateway-side stall above send_timeout must burn the retry
-        budget, close the session as ``send_failed``, and leak nothing."""
+        budget, close the session as ``send_failed``, and leak nothing.
+        A retry waits for the drain again; it never re-writes the frame."""
+        toxics = []
+
+        def wrap(writer):
+            toxics.append(ToxicWriter(
+                writer, ToxicConfig(stall_every=1, stall_seconds=1.0)
+            ))
+            return toxics[-1]
 
         async def scenario_run():
             serve = ServeConfig(
                 port=0, send_timeout=0.05, send_retries=1
             )
-            toxic = ToxicConfig(stall_every=1, stall_seconds=1.0)
             gateway = ClusterGateway(
-                loopback.config, serve,
-                wrap_writer=lambda w: ToxicWriter(w, toxic),
+                loopback.config, serve, wrap_writer=wrap
             )
             await gateway.start()
             reader, writer = await asyncio.open_connection(
@@ -784,7 +790,7 @@ class TestGatewayTimeouts:
                     frame = await read_frame(reader, timeout=5.0)
                     if frame is None:
                         break
-                    frames.append(frame.type)
+                    frames.append(frame)
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 pass
             writer.close()
@@ -797,8 +803,11 @@ class TestGatewayTimeouts:
             return frames, summary, spans, leaked_tasks()
 
         frames, summary, spans, leaked = run(scenario_run())
-        assert "admit" in frames
+        assert frames[0].type == "admit"
         assert summary["serve"]["send_retries"] >= 1
+        seqs = [f.header["seq"] for f in frames if f.type == "chunk"]
+        assert seqs == list(range(len(seqs))), "a chunk arrived twice"
+        assert toxics[0].writes == len(frames)
         assert summary["serve"]["open_sessions"] == 0
         closes = [
             s for s in spans.recent(50)
@@ -807,6 +816,53 @@ class TestGatewayTimeouts:
             and e.fields.get("reason") == "send_failed"
         ]
         assert closes, "session must be closed as send_failed"
+        assert leaked == []
+
+
+    def test_send_timeout_bounds_a_real_socket_that_stops_reading(
+        self, loopback
+    ):
+        """No injected stall: a client that never reads lets the kernel
+        buffers and then the transport's own fill past the high-water
+        mark.  The uncongested fast path must hand over to the bounded
+        drain, burn the retry budget and close as ``send_failed``."""
+
+        async def scenario_run():
+            # ~12 MB of payload per wall second fills loopback's few MB
+            # of socket buffering well inside the test's patience.
+            serve = ServeConfig(
+                port=0, send_timeout=0.05, send_retries=2,
+                bytes_per_megabit=100_000,
+            )
+            gateway = ClusterGateway(loopback.config, serve)
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                serve.host, gateway.port
+            )
+            await write_frame(
+                writer, {"type": "request", "video": 0, "t": 0.0}
+            )
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 20.0
+            while gateway.sessions or not gateway.ops_health()["admits"]:
+                assert loop.time() < deadline, "gateway never gave up"
+                await asyncio.sleep(0.05)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            summary = await gateway.stop()
+            return summary, gateway.spans, leaked_tasks()
+
+        summary, spans, leaked = run(scenario_run())
+        assert summary["serve"]["send_retries"] == 2
+        assert summary["serve"]["open_sessions"] == 0
+        (span,) = spans.recent(50)
+        assert [
+            e.fields["reason"] for e in span.events
+            if e.phase is SpanPhase.CLOSE
+        ] == ["send_failed"]
         assert leaked == []
 
 

@@ -504,6 +504,132 @@ class TestDrain:
 
 
 # ----------------------------------------------------------------------
+# The send path: no Task per frame, final chunk + end in one write
+# ----------------------------------------------------------------------
+class _RecordingWriter:
+    """Pass-through transport wrapper that keeps every ``write``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+async def _one_session(config, serve, wrap_writer=None):
+    """Serve one raw client to its ``end`` frame on an idle gateway.
+
+    Returns the client's frames, the gateway-side session object and
+    the coroutine of every asyncio Task created while it streamed.  The
+    client reads without a per-frame timeout (on Python 3.10 that would
+    be a Task of its own); the whole session is bounded instead.
+    """
+    return await asyncio.wait_for(
+        _serve_one(config, serve, wrap_writer), timeout=30.0
+    )
+
+
+async def _serve_one(config, serve, wrap_writer):
+    gateway = ClusterGateway(config, serve, wrap_writer=wrap_writer)
+    await gateway.start()
+    await asyncio.sleep(0)  # the supervisor's loops exist from here on
+    loop = asyncio.get_running_loop()
+    created = []
+
+    def factory(loop, coro, **kwargs):
+        task = asyncio.Task(coro, loop=loop, **kwargs)
+        created.append(getattr(coro, "__qualname__", repr(coro)))
+        return task
+
+    loop.set_task_factory(factory)
+    try:
+        reader, writer = await asyncio.open_connection(
+            serve.host, gateway.port
+        )
+        await write_frame(writer, {"type": "request", "video": 0, "t": 0.0})
+        frames = [await read_frame(reader)]
+        (session,) = gateway.sessions.values()
+        while frames[-1] is not None:
+            frames.append(await read_frame(reader))
+        writer.close()
+        await writer.wait_closed()
+        tasks = list(created)
+    finally:
+        loop.set_task_factory(None)
+        await gateway.stop()
+    return frames[:-1], session, tasks
+
+
+class TestSendPath:
+    def test_tasks_per_session_do_not_grow_with_chunks(self, scenario):
+        """Structural form of the perf claim: an uncongested session
+        costs the gateway its connection-handler Task and nothing per
+        frame, however many chunks it is cut into."""
+
+        def serve_at(tick):
+            frames, _, tasks = run(_one_session(
+                scenario.config,
+                ServeConfig(port=0, ops_port=None, compression=200.0,
+                            tick=tick),
+            ))
+            assert frames[0].type == "admit"
+            assert frames[-1].type == "end"
+            return sum(f.type == "chunk" for f in frames), tasks
+
+        few, tasks_few = serve_at(0.05)
+        many, tasks_many = serve_at(0.0125)
+        assert many >= 2 * few > 0
+        # The accept and the handler it starts; nothing per frame.
+        assert tasks_few == tasks_many
+        assert tasks_few[-1] == "ClusterGateway._handle_connection"
+        assert len(tasks_few) <= 2
+
+    def test_final_chunk_and_end_share_one_write(self, scenario):
+        writers = []
+
+        def record(writer):
+            writers.append(_RecordingWriter(writer))
+            return writers[-1]
+
+        frames, session, _ = run(_one_session(
+            scenario.config,
+            ServeConfig(port=0, ops_port=None, compression=200.0),
+            wrap_writer=record,
+        ))
+        chunks = [f for f in frames if f.type == "chunk"]
+        end = frames[-1]
+        assert [f.type for f in frames] == (
+            ["admit"] + ["chunk"] * len(chunks) + ["end"]
+        )
+        # One write per frame, except the last two frames share theirs.
+        (writer,) = writers
+        assert len(writer.writes) == len(frames) - 1
+
+        async def split(data):
+            reader = await feed_reader(data)
+            return [await read_frame(reader), await read_frame(reader),
+                    await read_frame(reader)]
+
+        last_chunk, last_end, eof = run(split(writer.writes[-1]))
+        assert eof is None
+        assert last_chunk == chunks[-1] and last_end == end
+        # The end frame says what a separate one would have said.
+        assert end.header["reason"] == "finished"
+        assert [f.header["seq"] for f in chunks] == list(range(len(chunks)))
+        assert end.header["chunks"] == session.chunks == len(chunks)
+        assert end.header["delivered_mb"] == round(session.delivered_mb, 9)
+        assert end.header["delivered_mb"] == pytest.approx(
+            frames[0].header["size_mb"]
+        )
+        assert end.header["t"] == round(session.request.finish_time, 9)
+
+
+# ----------------------------------------------------------------------
 # Client-side underrun accounting (scripted gateway)
 # ----------------------------------------------------------------------
 class TestClientAccounting:
