@@ -193,14 +193,12 @@ def _cmd_loadgen(args: argparse.Namespace, progress: Progress) -> int:
         host=args.host,
         port=args.port,
         compression=args.compression,
-        loadgen_duration=args.duration,
-        max_sessions=args.max_sessions,
         progress_interval=args.progress_interval,
     )
     trace = arrival_trace(
         scenario.config,
-        duration=serve.loadgen_duration,
-        max_sessions=serve.max_sessions,
+        duration=args.duration,
+        max_sessions=args.max_sessions,
     )
     print(
         f"replaying {len(trace)} arrivals "

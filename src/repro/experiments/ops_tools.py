@@ -3,10 +3,10 @@
 The operator face of the telemetry plane (docs/OBSERVABILITY.md):
 
 * ``repro ops --port N [verb]`` asks a running gateway's ops endpoint
-  one question — ``health`` (default), ``stats``, ``sessions`` or
-  ``prometheus`` — and prints the reply (JSON, or the raw Prometheus
-  text exposition), so shell pipelines and CI probes need no client
-  code;
+  one question — ``health`` (default), ``stats``, ``sessions``,
+  ``prometheus`` or ``chaos`` — and prints the reply (JSON, or the raw
+  Prometheus text exposition), so shell pipelines and CI probes need no
+  client code;
 * ``repro top --port N`` renders the curses-free dashboard off the
   same endpoint, redrawing every ``--interval`` seconds; ``repro top
   --trace FILE`` replays a recorded trace's ``serve.stats`` samples
@@ -126,7 +126,7 @@ register(
     ExperimentSpec(
         name="ops",
         help="query a running gateway's ops endpoint "
-             "(health/stats/sessions/prometheus)",
+             f"({'/'.join(OPS_VERBS)})",
         run_cli=_cmd_ops,
         add_arguments=_ops_arguments,
         order=402,

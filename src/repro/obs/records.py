@@ -118,7 +118,7 @@ KIND_FIELDS: Dict[TraceKind, tuple] = {
     TraceKind.SESSION_CLOSE: ("request", "reason", "delivered_mb",
                               "chunks"),
     TraceKind.SESSION_SPAN: ("session", "phase", "wall"),
-    TraceKind.SERVE_STATS: ("wall", "admits", "rejects", "active",
+    TraceKind.SERVE_STATS: ("wall", "admits", "rejects", "sessions_active",
                             "chunks"),
     TraceKind.POSTMORTEM_META: ("reason", "provenance", "pid",
                                 "dump_seq"),

@@ -9,8 +9,14 @@ admission, DRM migration — on wall-clock asyncio connections:
 * :mod:`repro.serve.bridge` — :class:`~repro.serve.bridge.PolicyBridge`,
   the seam that lets live mode and the simulator share one decision
   path (the sim-vs-live parity contract);
-* :mod:`repro.serve.gateway` — the distribution-controller gateway:
-  admission API, per-server pacing tasks, graceful drain;
+* :mod:`repro.serve.gateway` — the distribution controller: acceptor,
+  reorder heap, policy loop, membership reconcile, graceful drain;
+* :mod:`repro.serve.pacing` — the data servers: the virtual clock, the
+  session table and the per-server loops that frame the EFTF schedule
+  as paced chunks (imports neither of its neighbours);
+* :mod:`repro.serve.telemetry` — the one snapshot of a gateway's state
+  that ``serve.stats`` records, ``ops health`` / ``ops stats``, the run
+  summary and ``repro top`` all render from;
 * :mod:`repro.serve.loadgen` — a client/load-generator replaying
   :mod:`repro.workload` arrival processes in real time with a
   time-compression factor, maintaining a staging buffer and reporting

@@ -120,18 +120,31 @@ class ToxicConfig:
         )
 
 
+def _jittered_latency(toxic: ToxicConfig, rng: Optional[Any]) -> float:
+    """One frame's injected latency: uniform in ``latency * (1 ± jitter)``
+    (the midpoint without an *rng*)."""
+    delay = toxic.latency
+    if delay and toxic.jitter:
+        draw = float(rng.random()) if rng is not None else 0.5
+        delay *= 1.0 - toxic.jitter + 2.0 * toxic.jitter * draw
+    return delay
+
+
 class ToxicWriter:
     """A StreamWriter that injects latency, stalls and mid-frame cuts.
 
     Duck-typed drop-in for the subset of the ``asyncio.StreamWriter``
-    API the frame protocol uses (``write``/``drain``/``close``/
-    ``wait_closed``/``is_closing``/``get_extra_info``).  Delays are
+    API the frame protocol uses: ``write`` and ``drain`` are injected,
+    everything else is the inner writer's.  Delays are
     served inside :meth:`drain`, and :func:`repro.serve.protocol.drain`
     never takes its nothing-buffered shortcut for a wrapper, so the
     gateway's ``send_timeout`` deadline sees an injected stall as
-    genuine backpressure.  A cut writes a *prefix* of the
-    offending buffer and then aborts the transport — the peer observes
-    a connection closed inside a frame.
+    genuine backpressure.  A delay belongs to the write that triggered
+    it: when that deadline cancels the drain, the next drain of the same
+    write waits out only the remainder, so a stall shorter than the
+    peer's whole retry budget is survivable.  A cut writes a *prefix* of
+    the offending buffer and then aborts the transport — the peer
+    observes a connection closed inside a frame.
     """
 
     def __init__(
@@ -148,6 +161,8 @@ class ToxicWriter:
         self.delayed_s = 0.0
         self.cut = False
         self._bytes = 0
+        self._delayed_write = 0   # the write the pending delay belongs to
+        self._release = 0.0       # loop time that delay is served at
 
     # -- the injected write path ---------------------------------------
     def write(self, data: bytes) -> None:
@@ -171,37 +186,25 @@ class ToxicWriter:
     async def drain(self) -> None:
         if self.cut:
             raise ConnectionResetError("toxic: connection cut")
-        delay = self.toxic.latency
-        if delay and self.toxic.jitter:
-            draw = float(self.rng.random()) if self.rng is not None else 0.5
-            delay *= 1.0 - self.toxic.jitter + 2.0 * self.toxic.jitter * draw
-        if (
-            self.toxic.stall_every
-            and self.writes % self.toxic.stall_every == 0
-        ):
-            self.stalls += 1
-            delay += self.toxic.stall_seconds
-        if delay > 0:
+        now = asyncio.get_running_loop().time()
+        if self._delayed_write != self.writes:
+            self._delayed_write = self.writes
+            delay = _jittered_latency(self.toxic, self.rng)
+            if (
+                self.toxic.stall_every
+                and self.writes % self.toxic.stall_every == 0
+            ):
+                self.stalls += 1
+                delay += self.toxic.stall_seconds
             self.delayed_s += delay
-            await asyncio.sleep(delay)
+            self._release = now + delay
+        if self._release > now:
+            await asyncio.sleep(self._release - now)
         await self.inner.drain()
 
-    # -- passthroughs --------------------------------------------------
-    def close(self) -> None:
-        self.inner.close()
-
-    async def wait_closed(self) -> None:
-        await self.inner.wait_closed()
-
-    def is_closing(self) -> bool:
-        return self.inner.is_closing()
-
-    def get_extra_info(self, name: str, default: Any = None) -> Any:
-        return self.inner.get_extra_info(name, default)
-
-    @property
-    def transport(self) -> Any:
-        return self.inner.transport
+    def __getattr__(self, name: str) -> Any:
+        # close / wait_closed / is_closing / get_extra_info / transport
+        return getattr(self.inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -213,9 +216,9 @@ class ToxicWriter:
 class ToxicReader:
     """A StreamReader adding one injected delay per frame read.
 
-    Wraps the two methods the frame protocol uses; the delay fires on
-    :meth:`read` (the length-prefix read, i.e. once per frame), not on
-    :meth:`readexactly`, so a frame is slowed exactly once.
+    The delay fires on :meth:`read` (the length-prefix read, i.e. once
+    per frame), not on ``readexactly``, so a frame is slowed exactly
+    once.
     """
 
     def __init__(
@@ -230,25 +233,16 @@ class ToxicReader:
         self.reads = 0
         self.delayed_s = 0.0
 
-    async def _delay(self) -> None:
-        delay = self.toxic.latency
-        if delay and self.toxic.jitter:
-            draw = float(self.rng.random()) if self.rng is not None else 0.5
-            delay *= 1.0 - self.toxic.jitter + 2.0 * self.toxic.jitter * draw
+    async def read(self, n: int = -1) -> bytes:
+        self.reads += 1
+        delay = _jittered_latency(self.toxic, self.rng)
         if delay > 0:
             self.delayed_s += delay
             await asyncio.sleep(delay)
-
-    async def read(self, n: int = -1) -> bytes:
-        self.reads += 1
-        await self._delay()
         return await self.inner.read(n)
 
-    async def readexactly(self, n: int) -> bytes:
-        return await self.inner.readexactly(n)
-
-    def at_eof(self) -> bool:
-        return self.inner.at_eof()
+    def __getattr__(self, name: str) -> Any:  # readexactly / at_eof
+        return getattr(self.inner, name)
 
 
 # ----------------------------------------------------------------------

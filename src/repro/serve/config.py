@@ -56,10 +56,6 @@ class ServeConfig:
         progress_interval: wall seconds between the load generator's
             one-line progress reports (stderr); only used when a
             progress callback is given.
-        loadgen_duration: virtual seconds of arrivals the load
-            generator replays; ``None`` uses the scenario's
-            ``duration``.
-        max_sessions: optional hard cap on generated sessions.
         heartbeat_timeout: wall seconds a supervised gateway loop may
             go without a heartbeat before the supervisor trips it
             (postmortem + restart); 0 disables deadline monitoring.
@@ -67,8 +63,6 @@ class ServeConfig:
         task_restart_limit: restarts the supervisor grants one gateway
             task before declaring it fatally dead (the restart budget
             of restart-with-drain; docs/ROBUSTNESS.md, live chaos).
-        task_restart_delay: wall seconds between a supervised task's
-            death and its restart.
         retry_margin: wall seconds of virtual-time headroom a resilient
             client adds to every re-request timestamp (converted via
             *compression*), so the retried arrival lands ahead of the
@@ -91,76 +85,38 @@ class ServeConfig:
     ops_port: Optional[int] = 0
     stats_interval: float = 1.0
     progress_interval: float = 2.0
-    loadgen_duration: Optional[float] = None
-    max_sessions: Optional[int] = None
     heartbeat_timeout: float = 0.0
     task_restart_limit: int = 3
-    task_restart_delay: float = 0.05
     retry_margin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.compression <= 0:
-            raise ValueError(
-                f"compression must be positive, got {self.compression}"
-            )
-        if self.tick <= 0:
-            raise ValueError(f"tick must be positive, got {self.tick}")
-        if self.reorder_window < 0:
-            raise ValueError(
-                f"reorder_window must be >= 0, got {self.reorder_window}"
-            )
+        for name in ("compression", "tick", "handshake_timeout",
+                     "send_timeout", "drain_timeout", "stats_interval",
+                     "progress_interval"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
+        for name in ("reorder_window", "startup_slack", "send_retries",
+                     "heartbeat_timeout", "task_restart_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
         if self.guard <= self.reorder_window:
             raise ValueError(
                 f"guard ({self.guard}) must exceed reorder_window "
                 f"({self.reorder_window}): the pacer may otherwise advance "
                 f"the policy engine past a buffered arrival"
             )
-        if self.startup_slack < 0:
-            raise ValueError(
-                f"startup_slack must be >= 0, got {self.startup_slack}"
-            )
         if self.bytes_per_megabit < 1:
             raise ValueError(
                 f"bytes_per_megabit must be >= 1, got {self.bytes_per_megabit}"
-            )
-        if self.send_retries < 0:
-            raise ValueError(
-                f"send_retries must be >= 0, got {self.send_retries}"
             )
         if self.ops_port is not None and not (0 <= self.ops_port <= 65535):
             raise ValueError(
                 f"ops_port must be a TCP port or None (disabled), "
                 f"got {self.ops_port}"
-            )
-        for name in ("handshake_timeout", "send_timeout", "drain_timeout",
-                     "stats_interval", "progress_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
-        if self.loadgen_duration is not None and self.loadgen_duration <= 0:
-            raise ValueError(
-                f"loadgen_duration must be positive, got "
-                f"{self.loadgen_duration}"
-            )
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise ValueError(
-                f"max_sessions must be >= 1, got {self.max_sessions}"
-            )
-        if self.heartbeat_timeout < 0:
-            raise ValueError(
-                f"heartbeat_timeout must be >= 0 (0 disables), got "
-                f"{self.heartbeat_timeout}"
-            )
-        if self.task_restart_limit < 0:
-            raise ValueError(
-                f"task_restart_limit must be >= 0, got "
-                f"{self.task_restart_limit}"
-            )
-        if self.task_restart_delay < 0:
-            raise ValueError(
-                f"task_restart_delay must be >= 0, got "
-                f"{self.task_restart_delay}"
             )
         if self.retry_margin <= self.guard + self.reorder_window:
             raise ValueError(

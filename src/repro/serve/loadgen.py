@@ -41,7 +41,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.retry import RetryPolicy
 from repro.serve.config import ServeConfig
-from repro.serve.protocol import FrameError, read_frame, write_frame
+from repro.serve.pacing import VirtualClock
+from repro.serve.protocol import (
+    FrameError,
+    close_writer,
+    read_frame,
+    write_frame,
+)
 from repro.sim.rng import RandomStreams
 from repro.simulation import SimulationConfig
 from repro.workload.arrivals import calibrated_arrival_rate
@@ -348,11 +354,18 @@ class _LiveClient:
             out.reason = "timeout waiting for gateway"
             return "disconnected", t_req
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
+
+    def _fire_cut(self, due: bool) -> bool:
+        """Resolve the pre-drawn chaos cut (at most once) when *due*:
+        sever the connection at that virtual stamp and re-request
+        anchored on it."""
+        if not due or getattr(self.faults, "cut_done", False):
+            return False
+        self.faults.cut_done = True
+        self.outcome.reason = "chaos cut"
+        self.outcome.error_type = "ChaosCut"
+        return True
 
     async def _session(
         self,
@@ -431,36 +444,21 @@ class _LiveClient:
                 if buffered < -_EPS_MB:
                     out.underruns += 1
                 out.max_buffer_mb = max(out.max_buffer_mb, buffered)
-                if (
-                    cut_vt is not None
-                    and t >= cut_vt
-                    and not getattr(self.faults, "cut_done", False)
-                ):
-                    # Deterministic client-side chaos: sever the
-                    # connection at the pre-drawn virtual stamp and
-                    # re-request anchored on that same stamp.
-                    self.faults.cut_done = True
-                    out.reason = "chaos cut"
-                    out.error_type = "ChaosCut"
+                if self._fire_cut(cut_vt is not None and t >= cut_vt):
                     return "cut", cut_vt
             elif frame.type == "end":
                 out.reason = str(frame.header.get("reason"))
                 end_t = frame.header.get("t")
-                if (
+                # A pre-drawn cut landing before the stream's true
+                # virtual end fires even when the chunk that would have
+                # triggered it lost a wall-clock race with the end
+                # frame: the chaos decision is resolved in virtual time,
+                # whichever frame crossed the wire first.
+                if self._fire_cut(
                     cut_vt is not None
-                    and not getattr(self.faults, "cut_done", False)
                     and end_t is not None
                     and cut_vt < float(end_t)
                 ):
-                    # The pre-drawn cut lands before the stream's true
-                    # virtual end, but the chunk that would have fired
-                    # it lost a wall-clock race with the end frame.
-                    # Resolve the cut in virtual time regardless of
-                    # which frame crossed the wire first — the chaos
-                    # decision must not depend on event-loop jitter.
-                    self.faults.cut_done = True
-                    out.reason = "chaos cut"
-                    out.error_type = "ChaosCut"
                     return "cut", cut_vt
                 if out.reason == "dropped":
                     # The policy core dropped us (server crash).  The
@@ -514,22 +512,16 @@ class LoadGenerator:
         self._active = 0
         self._peak = 0
         self._done = 0
-        self._t0: Optional[float] = None
-        self._first_vt = trace[0].time if len(trace) else 0.0
+        #: The dispatch map, anchored by :meth:`run` so the first
+        #: arrival fires at once.  That is ``startup_slack`` ahead of
+        #: the gateway's own map (the gateway anchors the first arrival
+        #: that far in the future), so frames sent on this map always
+        #: land *early* relative to the policy clock — reconnects can
+        #: never force a parity clamp.
+        self._clock = VirtualClock(serve.compression)
         #: Live outcome objects (clients mutate these in place), so the
         #: reporter can aggregate mid-flight without extra bookkeeping.
         self._outcomes: List[SessionOutcome] = []
-
-    def _wall_for(self, virtual: float) -> float:
-        """The event-loop time this generator dispatches *virtual* at.
-
-        Offset by ``startup_slack`` from the gateway's own map (the
-        gateway anchors the first arrival that far in the future), so
-        frames sent on this map always land *early* relative to the
-        policy clock — reconnects can never force a parity clamp.
-        """
-        assert self._t0 is not None, "run() not started"
-        return self._t0 + self.serve.to_wall(virtual - self._first_vt)
 
     async def _client(self, index: int, spec: RequestSpec) -> SessionOutcome:
         client = _LiveClient(
@@ -539,7 +531,7 @@ class LoadGenerator:
             retry=self.retry,
             rng=self._rng if self.retry is not None else None,
             faults=self.faults(index) if self.faults is not None else None,
-            wall_for=self._wall_for,
+            wall_for=self._clock.wall_for,
         )
         self._outcomes.append(client.outcome)
         self._active += 1
@@ -587,11 +579,10 @@ class LoadGenerator:
         try:
             # Wall origin such that the first arrival fires immediately;
             # the gateway re-anchors on that first frame anyway.
-            self._t0 = loop.time()
+            self._clock.anchor(self.trace[0].time, loop.time())
             tasks: List[asyncio.Task] = []
             for index, spec in enumerate(self.trace):
-                due = self._wall_for(spec.time)
-                delay = due - loop.time()
+                delay = self._clock.wall_for(spec.time) - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
                 tasks.append(

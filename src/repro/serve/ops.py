@@ -11,8 +11,10 @@ Verb vocabulary (client sends ``{"type": "ops", "verb": <verb>}``):
 =============== ====================================================
 verb            reply
 =============== ====================================================
-``stats``       ``ops.reply`` — atomic metrics snapshot + run framing
-``health``      ``ops.reply`` — status verdict + pacing gauges
+``health``      ``ops.reply`` — the telemetry snapshot
+                (:func:`repro.serve.telemetry.snapshot`; the same dict a
+                ``serve.stats`` trace record carries)
+``stats``       ``ops.reply`` — that snapshot plus the metrics registry
 ``sessions``    ``ops.reply`` — live session rows + recent spans
 ``prometheus``  ``ops.reply`` with the text exposition as *payload*
 ``chaos``       ``ops.reply`` — live fault-plane report (failures,
@@ -35,7 +37,13 @@ import json
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.obs.prometheus import render_prometheus
-from repro.serve.protocol import FrameError, read_frame, write_frame
+from repro.serve import telemetry
+from repro.serve.protocol import (
+    FrameError,
+    close_writer,
+    read_frame,
+    write_frame,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.gateway import ClusterGateway
@@ -57,8 +65,6 @@ class OpsEndpoint:
 
     def __init__(self, gateway: "ClusterGateway") -> None:
         self.gateway = gateway
-        self.queries = 0
-        self.errors = 0
         self._server: Optional[asyncio.AbstractServer] = None
 
     @property
@@ -88,7 +94,6 @@ class OpsEndpoint:
                 frame = await read_frame(reader, timeout=_OPS_TIMEOUT)
             except (FrameError, asyncio.TimeoutError, ConnectionError,
                     OSError):
-                self.errors += 1
                 return
             if frame is None:
                 return
@@ -98,68 +103,43 @@ class OpsEndpoint:
                     writer, header, payload, timeout=_OPS_TIMEOUT
                 )
             except (asyncio.TimeoutError, ConnectionError, OSError):
-                self.errors += 1
+                pass  # the prober hung up; nothing to tell it
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
 
     def _answer(self, query: Dict[str, Any]) -> tuple:
         """One query -> (reply header, reply payload).  Never raises."""
-        self.queries += 1
+        gw, verb = self.gateway, query.get("verb")
+        error = None
         if query.get("type") != "ops":
-            self.errors += 1
-            return (
-                {
-                    "type": "ops.error",
-                    "reason": f"unknown frame type {query.get('type')!r}; "
-                              f"expected 'ops'",
-                },
-                b"",
-            )
-        verb = query.get("verb")
-        if verb not in OPS_VERBS:
-            self.errors += 1
-            return (
-                {
-                    "type": "ops.error",
-                    "reason": f"unknown verb {verb!r}; "
-                              f"expected one of {', '.join(OPS_VERBS)}",
-                },
-                b"",
-            )
-        gw = self.gateway
-        if verb == "stats":
-            return ({"type": "ops.reply", "verb": verb,
-                     "stats": gw.ops_stats()}, b"")
+            error = f"unknown frame type {query.get('type')!r}; expected 'ops'"
+        elif verb not in OPS_VERBS:
+            error = (f"unknown verb {verb!r}; "
+                     f"expected one of {', '.join(OPS_VERBS)}")
+        elif verb == "chaos" and gw.chaos is None:
+            error = "no chaos plane armed on this gateway"
+        if error is not None:
+            return {"type": "ops.error", "reason": error}, b""
+        reply: Dict[str, Any] = {"type": "ops.reply", "verb": verb}
+        if verb == "prometheus":
+            # The exposition format is line-oriented text, not JSON —
+            # ship it as the frame payload so scrapers get it raw.
+            reply["content_type"] = "text/plain; version=0.0.4"
+            return reply, render_prometheus(gw.registry).encode("utf-8")
         if verb == "health":
-            return ({"type": "ops.reply", "verb": verb,
-                     "health": gw.ops_health()}, b"")
-        if verb == "chaos":
-            if gw.chaos is None:
-                self.errors += 1
-                return (
-                    {
-                        "type": "ops.error",
-                        "reason": "no chaos plane armed on this gateway",
-                    },
-                    b"",
-                )
-            return ({"type": "ops.reply", "verb": verb,
-                     "chaos": gw.chaos.report()}, b"")
-        if verb == "sessions":
+            reply[verb] = telemetry.snapshot(gw)
+        elif verb == "stats":
+            reply[verb] = dict(
+                telemetry.snapshot(gw), metrics=gw.registry.snapshot()
+            )
+        elif verb == "chaos":
+            reply[verb] = gw.chaos.report()
+        else:
             recent = query.get("recent", 20)
             if not isinstance(recent, int) or recent < 0:
                 recent = 20
-            return ({"type": "ops.reply", "verb": verb,
-                     "sessions": gw.ops_sessions(recent=recent)}, b"")
-        # prometheus: the exposition format is line-oriented text, not
-        # JSON — ship it as the frame payload so scrapers get it raw.
-        text = render_prometheus(gw.registry).encode("utf-8")
-        return ({"type": "ops.reply", "verb": verb,
-                 "content_type": "text/plain; version=0.0.4"}, text)
+            reply[verb] = telemetry.session_table(gw, recent)
+        return reply, b""
 
 
 async def ops_query(
@@ -197,11 +177,7 @@ async def ops_query(
             )
             frame = await read_frame(reader)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_writer(writer)
         if frame is None:
             raise ConnectionError(
                 f"ops endpoint {host}:{port} closed without replying"

@@ -133,6 +133,16 @@ async def drain(
         await _bounded(writer.drain(), timeout)
 
 
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close *writer* and wait for its transport to go; a peer that
+    already reset the connection is not an error."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):  # pragma: no cover - racy peer
+        pass
+
+
 async def read_frame(
     reader: asyncio.StreamReader, timeout: Optional[float] = None
 ) -> Optional[Frame]:

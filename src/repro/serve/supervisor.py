@@ -48,7 +48,7 @@ class _Supervised:
     """Book-keeping for one supervised loop."""
 
     __slots__ = (
-        "name", "where", "factory", "restartable", "task", "child",
+        "name", "where", "factory", "task", "child",
         "restarts", "trips", "last_beat", "kill_reason", "fatal",
     )
 
@@ -57,12 +57,10 @@ class _Supervised:
         name: str,
         where: str,
         factory: Callable[[], Awaitable[None]],
-        restartable: bool,
     ) -> None:
         self.name = name
         self.where = where
         self.factory = factory
-        self.restartable = restartable
         self.task: Optional[asyncio.Task] = None
         self.child: Optional[asyncio.Task] = None
         self.restarts = 0
@@ -138,7 +136,6 @@ class TaskSupervisor:
         name: str,
         factory: Callable[[], Awaitable[None]],
         where: Optional[str] = None,
-        restartable: bool = True,
     ) -> asyncio.Task:
         """Start *factory* under supervision; returns the wrapper task.
 
@@ -148,7 +145,7 @@ class TaskSupervisor:
         """
         if name in self._entries and not self._entries[name].task.done():
             raise RuntimeError(f"task {name!r} already supervised")
-        entry = _Supervised(name, where or name, factory, restartable)
+        entry = _Supervised(name, where or name, factory)
         loop = asyncio.get_running_loop()
         entry.task = loop.create_task(self._run(entry), name=name)
         self._entries[name] = entry
@@ -251,8 +248,7 @@ class TaskSupervisor:
                 },
             )
         restart = (
-            entry.restartable
-            and not violation
+            not violation
             and entry.restarts < self.restart_limit
             and not self.should_stop()
         )

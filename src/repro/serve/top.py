@@ -8,13 +8,13 @@ Two sources, one renderer:
   trace (``repro serve --trace-out``), rendering the run as it
   happened without any server around.
 
-Both sources normalise into the same sample dict (the ``serve.stats``
-field schema), so :func:`render_top` is a pure string function — the
-tests feed it canned samples and assert on the text.  No curses, no
-terminal capabilities: a frame is a block of plain lines, optionally
-preceded by an ANSI home+clear when stdout is a TTY.  Piping ``repro
-top`` into a file therefore yields a readable log instead of escape
-soup.
+Both sources carry the same dict — the gateway's one telemetry snapshot
+(:func:`repro.serve.telemetry.snapshot`) — so :func:`render_top` is a
+pure string function of it: the tests feed it canned snapshots and
+assert on the text.  No curses, no terminal capabilities: a frame is a
+block of plain lines, optionally preceded by an ANSI home+clear when
+stdout is a TTY.  Piping ``repro top`` into a file therefore yields a
+readable log instead of escape soup.
 """
 
 from __future__ import annotations
@@ -36,30 +36,6 @@ _WIDTH = 72
 # ----------------------------------------------------------------------
 # Samples
 # ----------------------------------------------------------------------
-def sample_from_health(health: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalise an ``ops health`` reply into a dashboard sample."""
-    sample = dict(health)
-    sample.setdefault("active", health.get("sessions_active", 0))
-    sample.setdefault("t", health.get("virtual_now", 0.0))
-    return sample
-
-
-def sample_from_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalise one ``serve.stats`` trace line into a sample."""
-    sample = dict(record)
-    sample.setdefault("status", "recorded")
-    sample.setdefault("sessions_active", record.get("active", 0))
-    return sample
-
-
-def live_sample(
-    host: str, port: int, timeout: float = 5.0
-) -> Dict[str, Any]:
-    """One poll of a running gateway (blocking)."""
-    reply = ops_query_sync(host, port, "health", timeout=timeout)
-    return sample_from_health(reply["health"])
-
-
 def trace_samples(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """All ``serve.stats`` samples of a recorded trace, in order.
 
@@ -73,9 +49,7 @@ def trace_samples(path: Union[str, Path]) -> List[Dict[str, Any]]:
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
     except ValueError as exc:
         raise SystemExit(f"trace {path!r} is not valid JSONL: {exc}")
-    samples = [
-        sample_from_record(r) for r in records if r.get("kind") == "serve.stats"
-    ]
+    samples = [r for r in records if r.get("kind") == "serve.stats"]
     if not samples:
         raise SystemExit(
             f"trace {path!r} holds no serve.stats samples — record one "
@@ -120,8 +94,8 @@ def render_top(
     """Render one dashboard frame (a plain-text block, no trailing NL).
 
     Args:
-        sample: a normalised sample (see :func:`sample_from_health` /
-            :func:`sample_from_record`).
+        sample: a telemetry snapshot (an ``ops health`` reply body or
+            a ``serve.stats`` trace record).
         prev: the previous sample, enabling per-second rates; rates
             render as ``-`` without it.
         source: provenance tag shown in the header (``live`` /
@@ -131,14 +105,14 @@ def render_top(
     status = sample.get("status", "?")
     lines.append(
         f"repro top [{source}]  status={status}  "
-        f"vt={float(sample.get('t', sample.get('virtual_now', 0.0))):.2f}s  "
+        f"vt={float(sample.get('virtual_now', 0.0)):.2f}s  "
         f"uptime={float(sample.get('uptime_s', 0.0)):.1f}s"
     )
     lines.append("-" * _WIDTH)
 
     admits = int(sample.get("admits", 0))
     rejects = int(sample.get("rejects", 0))
-    active = int(sample.get("active", sample.get("sessions_active", 0)))
+    active = int(sample.get("sessions_active", 0))
     lines.append(
         f"sessions  active {active:>5}   admitted {admits:>6} "
         f"({_fmt(_rate(sample, prev, 'admits'), '/s')})   "
@@ -148,8 +122,8 @@ def render_top(
     lines.append(
         f"pacing    chunks {chunks:>7} "
         f"({_fmt(_rate(sample, prev, 'chunks'), '/s')})   "
-        f"bandwidth {_fmt(_rate(sample, prev, 'chunk_mb'), ' Mb/s')}   "
-        f"total {float(sample.get('chunk_mb', 0.0)):.1f} Mb"
+        f"bandwidth {_fmt(_rate(sample, prev, 'chunk_megabits'), ' Mb/s')}   "
+        f"total {float(sample.get('chunk_megabits', 0.0)):.1f} Mb"
     )
 
     occupancy = float(sample.get("guard_occupancy", 0.0))
@@ -177,17 +151,14 @@ def render_top(
             f"/ {int(cache.get('chained', 0))} total"
         )
 
-    # Elastic membership: health samples carry the full ledger, trace
-    # samples just the epoch (+ per-row lifecycle states below).
-    membership = sample.get("membership") or {}
-    epoch = sample.get("membership_epoch", membership.get("epoch"))
-    if epoch is not None:
-        counts = membership.get("counts") or {}
+    membership = sample.get("membership")
+    if membership:
         summary = "  ".join(
-            f"{state} {n}" for state, n in sorted(counts.items()) if n
+            f"{state} {n}"
+            for state, n in sorted(membership.get("counts", {}).items()) if n
         )
         lines.append(
-            f"cluster   epoch {int(epoch):>4}"
+            f"cluster   epoch {int(membership.get('epoch', 0)):>4}"
             + (f"   {summary}" if summary else "")
         )
 
@@ -198,15 +169,13 @@ def render_top(
             f"{'server':>8}  {'sessions':>8}  {'sched Mb/s':>10}  "
             f"{'bucket Mb':>10}  {'state':>9}"
         )
-        states = membership.get("servers") or {}
-        for sid in sorted(servers, key=lambda s: int(s)):
+        for sid in sorted(servers, key=int):
             row = servers[sid]
-            state = row.get("state", states.get(str(sid), ""))
             lines.append(
                 f"{sid:>8}  {int(row.get('sessions', 0)):>8}  "
                 f"{float(row.get('scheduled_mb_s', 0.0)):>10.2f}  "
                 f"{float(row.get('bucket_mb', 0.0)):>10.3f}  "
-                f"{state:>9}"
+                f"{row.get('state', ''):>9}"
             )
     return "\n".join(lines)
 
@@ -244,7 +213,7 @@ def run_live(
     try:
         while frames is None or rendered < frames:
             try:
-                sample = live_sample(host, port)
+                sample = ops_query_sync(host, port, "health")["health"]
             except (ConnectionError, OSError) as exc:
                 raise SystemExit(
                     f"cannot reach ops endpoint {host}:{port} ({exc}) — "

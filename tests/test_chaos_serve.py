@@ -45,7 +45,12 @@ from repro.serve import (
     write_frame,
 )
 from repro.serve.chaos import ClientChaos, leaked_tasks, reconcile
-from repro.serve.loadgen import SessionOutcome, _LiveClient
+from repro.serve.loadgen import (
+    LoadGenerator,
+    SessionOutcome,
+    _LiveClient,
+    arrival_trace,
+)
 from repro.sim.rng import RandomStreams
 from repro.workload.trace import RequestSpec, Trace
 
@@ -743,7 +748,7 @@ class TestGatewayTimeouts:
                 serve.host, gateway.port
             )
             await asyncio.sleep(0.3)
-            errors = gateway._handshake_errors
+            errors = gateway.registry.counter("serve.handshake_errors").value
             writer.close()
             await writer.wait_closed()
             summary = await gateway.stop()
@@ -752,7 +757,7 @@ class TestGatewayTimeouts:
         errors, summary, leaked = run(scenario_run())
         assert errors == 1
         assert summary["serve"]["handshake_errors"] == 1
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         assert leaked == []
 
     def test_send_timeout_closes_session_after_bounded_retries(
@@ -808,7 +813,7 @@ class TestGatewayTimeouts:
         seqs = [f.header["seq"] for f in frames if f.type == "chunk"]
         assert seqs == list(range(len(seqs))), "a chunk arrived twice"
         assert toxics[0].writes == len(frames)
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         closes = [
             s for s in spans.recent(50)
             for e in s.events
@@ -818,6 +823,45 @@ class TestGatewayTimeouts:
         assert closes, "session must be closed as send_failed"
         assert leaked == []
 
+
+    def test_transient_stall_is_absorbed_by_the_retry_budget(self, loopback):
+        """A stall belongs to the write that triggered it: a retried
+        drain waits out only the remainder, so a stall longer than one
+        ``send_timeout`` but inside the whole retry budget (0.08 s
+        against 4 x 0.05 s) costs a retry, not the session."""
+        toxics = []
+
+        def wrap(writer):
+            toxics.append(ToxicWriter(
+                writer, ToxicConfig(stall_every=3, stall_seconds=0.08)
+            ))
+            return toxics[-1]
+
+        async def scenario_run():
+            serve = ServeConfig(port=0, send_timeout=0.05, send_retries=3)
+            gateway = ClusterGateway(
+                loopback.config, serve, wrap_writer=wrap
+            )
+            await gateway.start()
+            trace = arrival_trace(loopback.config, max_sessions=1)
+            report = await LoadGenerator(
+                ServeConfig(port=gateway.port), trace
+            ).run()
+            summary = await gateway.stop()
+            return report, summary, gateway.spans, leaked_tasks()
+
+        report, summary, spans, leaked = run(scenario_run())
+        (session,) = report.sessions
+        assert session.reason == "finished" and session.underruns == 0
+        assert summary["serve"]["send_retries"] >= 1
+        # One stall per third write, however many drains each took.
+        assert toxics[0].stalls == toxics[0].writes // 3 >= 1
+        (span,) = spans.recent(50)
+        assert [
+            e.fields["reason"] for e in span.events
+            if e.phase is SpanPhase.CLOSE
+        ] == ["finished"]
+        assert leaked == []
 
     def test_send_timeout_bounds_a_real_socket_that_stops_reading(
         self, loopback
@@ -844,7 +888,8 @@ class TestGatewayTimeouts:
             )
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 20.0
-            while gateway.sessions or not gateway.ops_health()["admits"]:
+            admits = gateway.registry.counter("serve.admits")
+            while gateway.sessions or not admits.value:
                 assert loop.time() < deadline, "gateway never gave up"
                 await asyncio.sleep(0.05)
             writer.close()
@@ -857,7 +902,7 @@ class TestGatewayTimeouts:
 
         summary, spans, leaked = run(scenario_run())
         assert summary["serve"]["send_retries"] == 2
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         (span,) = spans.recent(50)
         assert [
             e.fields["reason"] for e in span.events

@@ -34,10 +34,32 @@ from repro.serve import (
 from repro.serve.bridge import decisions_digest
 from repro.serve.loadgen import arrival_trace
 from repro.serve.ops import format_reply, ops_query_sync
-from repro.serve.top import sample_from_health, sample_from_record
+from repro.serve.telemetry import SERVER_COLUMNS, snapshot
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = REPO / "scenarios" / "serve_loopback.json"
+
+#: The snapshot (and the one a second before it, for the rates) whose
+#: ``render_top`` frame docs/SERVING.md shows.
+DOC_SNAPSHOT = {
+    "status": "serving", "virtual_now": 497.2, "uptime_s": 12.4,
+    "admits": 25, "rejects": 0, "sessions_active": 25,
+    "chunks": 1042, "chunk_megabits": 3100.0,
+    "vt_lag_s": 10.0, "guard_occupancy": 1.0,
+    "latency_ms": {"p50": 250.0, "p95": 281.0, "p99": 296.4},
+    "membership": {"epoch": 0, "counts": {"active": 3}},
+    "servers": {
+        "0": {"sessions": 9, "scheduled_mb_s": 90.0, "bucket_mb": 0.41,
+              "state": "active"},
+        "1": {"sessions": 8, "scheduled_mb_s": 80.0, "bucket_mb": 0.38,
+              "state": "active"},
+        "2": {"sessions": 8, "scheduled_mb_s": 80.0, "bucket_mb": 0.35,
+              "state": "active"},
+    },
+}
+DOC_PREVIOUS = dict(
+    DOC_SNAPSHOT, uptime_s=11.4, admits=23, chunks=958, chunk_megabits=2850.0
+)
 
 
 def run(coro):
@@ -232,16 +254,17 @@ class TestOpsEndpointLive:
 class TestTopDashboard:
     def _sample(self, **overrides):
         base = {
-            "status": "serving", "t": 120.0, "uptime_s": 3.0,
-            "admits": 40, "rejects": 2, "active": 25,
-            "chunks": 400, "chunk_mb": 900.0,
+            "status": "serving", "virtual_now": 120.0, "uptime_s": 3.0,
+            "admits": 40, "rejects": 2, "sessions_active": 25,
+            "chunks": 400, "chunk_megabits": 900.0,
             "vt_lag_s": 10.0, "guard_occupancy": 1.0,
             "latency_ms": {"p50": 150.0, "p95": 200.0, "p99": 250.0},
+            "membership": {"epoch": 2, "counts": {"active": 2}},
             "servers": {
                 "0": {"sessions": 13, "scheduled_mb_s": 30.0,
-                      "bucket_mb": 0.5},
+                      "bucket_mb": 0.5, "state": "active"},
                 "1": {"sessions": 12, "scheduled_mb_s": 28.0,
-                      "bucket_mb": 0.25},
+                      "bucket_mb": 0.25, "state": "active"},
             },
         }
         base.update(overrides)
@@ -249,16 +272,29 @@ class TestTopDashboard:
 
     def test_render_shows_all_panels(self):
         frame = render_top(self._sample())
-        assert "status=serving" in frame
+        assert "status=serving" in frame and "vt=120.00s" in frame
         assert "active    25" in frame
+        assert "total 900.0 Mb" in frame
+        assert "epoch    2   active 2" in frame
         assert "p50 150.0 ms" in frame and "p99 250.0 ms" in frame
         assert "guard [" in frame
         # Per-server table, one row per server.
         assert frame.count("30.00") == 1 and frame.count("28.00") == 1
 
+    def test_serving_md_shows_what_render_top_prints(self):
+        """The frame in docs/SERVING.md is generated, not drawn: the
+        block after the marker is ``render_top`` of DOC_SNAPSHOT."""
+        doc = (REPO / "docs" / "SERVING.md").read_text()
+        marker = "<!-- render_top(tests/test_ops.py::DOC_SNAPSHOT) -->"
+        assert marker in doc
+        block = doc.split(marker, 1)[1].split("```text\n", 1)[1]
+        shown = block.split("\n```", 1)[0]
+        expected = render_top(DOC_SNAPSHOT, DOC_PREVIOUS, source="live")
+        assert shown == expected, f"paste into SERVING.md:\n{expected}"
+
     def test_rates_need_two_samples(self):
         prev = self._sample(uptime_s=2.0, admits=30, chunks=300,
-                            chunk_mb=650.0)
+                            chunk_megabits=650.0)
         cold = render_top(self._sample())
         warm = render_top(self._sample(), prev)
         assert "(-)" in cold                  # no rate without history
@@ -309,7 +345,7 @@ class TestTopDashboard:
         samples = trace_samples(path)
         assert samples, "stats sampler must have fed the trace"
         for sample in samples:
-            assert sample["status"] == "recorded"
+            assert sample["status"] in ("serving", "draining")
             assert "admits" in sample and "servers" in sample
 
         out = io.StringIO()
@@ -331,16 +367,90 @@ class TestTopDashboard:
         with pytest.raises(SystemExit, match="cannot read trace"):
             trace_samples(tmp_path / "nope.jsonl")
 
-    def test_sample_normalisers(self):
-        health = {"status": "serving", "sessions_active": 3,
-                  "virtual_now": 9.0, "uptime_s": 1.0}
-        sample = sample_from_health(health)
-        assert sample["active"] == 3 and sample["t"] == 9.0
-        record = {"t": 5.0, "kind": "serve.stats", "active": 2,
-                  "uptime_s": 0.5}
-        sample = sample_from_record(record)
-        assert sample["status"] == "recorded"
-        assert sample["sessions_active"] == 2
+    def test_one_schema_for_health_and_serve_stats(self, scenario):
+        """An ``ops health`` reply and a ``serve.stats`` record are the
+        same snapshot: equal key sets on a live run, and taken from the
+        same snapshot they render to the same frame but for the tag."""
+
+        async def scenario_run():
+            tracer = obs.Tracer()
+            serve = ServeConfig(port=0, ops_port=0, stats_interval=0.1)
+            gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
+            await gateway.start()
+            trace = arrival_trace(scenario.config, max_sessions=10)
+            loading = asyncio.ensure_future(
+                LoadGenerator(ServeConfig(port=gateway.port), trace).run()
+            )
+            while not tracer.counts.get(obs.TraceKind.SERVE_STATS):
+                await asyncio.sleep(0.05)
+            reply = await ops_query(serve.host, gateway.ops_port, "health")
+            stats = await ops_query(serve.host, gateway.ops_port, "stats")
+            await loading
+            await gateway.stop()
+            return tracer, reply["health"], stats["stats"]
+
+        tracer, health, stats = run(scenario_run())
+        record = tracer.records_of(obs.TraceKind.SERVE_STATS)[0].to_dict()
+        assert set(record) - {"t", "kind"} == set(health)
+        assert set(stats) == set(health) | {"metrics"}
+        assert record["t"] == pytest.approx(record["virtual_now"])
+        live = render_top(health, source="live")
+        assert live.replace("[live]", "[trace]") == render_top(
+            dict(health, t=health["virtual_now"], kind="serve.stats"),
+            source="trace",
+        )
+
+    def test_server_rows_sum_to_active_and_match_the_gauges(self, scenario):
+        async def scenario_run():
+            gateway = ClusterGateway(scenario.config, ServeConfig(port=0))
+            await gateway.start()
+            trace = arrival_trace(scenario.config, max_sessions=12)
+            loading = asyncio.ensure_future(
+                LoadGenerator(ServeConfig(port=gateway.port), trace).run()
+            )
+            while len(gateway.sessions) < 3 and not loading.done():
+                await asyncio.sleep(0.02)
+            # No await between the two reads: one point in time.
+            snap, gauges = snapshot(gateway), gateway.registry.snapshot()["gauges"]
+            await loading
+            await gateway.stop()
+            return snap, gauges
+
+        snap, gauges = run(scenario_run())
+        assert snap["sessions_active"] >= 3
+        assert sum(
+            row["sessions"] for row in snap["servers"].values()
+        ) == snap["sessions_active"] == gauges["serve.sessions.active"]
+        for sid, row in snap["servers"].items():
+            for column in SERVER_COLUMNS:
+                assert gauges[f"serve.server.{sid}.{column}"] == row[column]
+            assert row["state"] == snap["membership"]["servers"][sid]
+
+    def test_contract_counters_reach_prometheus(self, scenario):
+        """``parity_clamps`` — the number the parity contract says stays
+        zero — and ``handshake_errors`` are scrapeable, and a mute
+        client moves the latter."""
+
+        async def scenario_run():
+            serve = ServeConfig(port=0, ops_port=0, handshake_timeout=0.1)
+            gateway = ClusterGateway(scenario.config, serve)
+            await gateway.start()
+            before = await ops_query(serve.host, gateway.ops_port, "prometheus")
+            _, writer = await asyncio.open_connection(serve.host, gateway.port)
+            await asyncio.sleep(0.3)      # mute past the handshake bound
+            after = await ops_query(serve.host, gateway.ops_port, "prometheus")
+            health = await ops_query(serve.host, gateway.ops_port, "health")
+            writer.close()
+            await gateway.stop()
+            return before["text"], after["text"], health["health"]
+
+        before, after, health = run(scenario_run())
+        before, after = obs.parse_prometheus(before), obs.parse_prometheus(after)
+        assert before["repro_serve_parity_clamps_total"] == 0
+        assert before["repro_serve_handshake_errors_total"] == 0
+        assert after["repro_serve_handshake_errors_total"] == 1
+        assert after["repro_serve_drain_rejects_total"] == 0
+        assert health["handshake_errors"] == 1 and health["parity_clamps"] == 0
 
 
 # ----------------------------------------------------------------------

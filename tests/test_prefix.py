@@ -767,28 +767,29 @@ class TestOpsSurface:
 
     def test_gateway_cache_stats_in_cache_only_mode(self):
         from repro.serve import ClusterGateway, ServeConfig
+        from repro.serve.telemetry import snapshot
 
         reset_request_ids()
         config = prefix_config(PrefixPolicy(batching="none"))
         gateway = ClusterGateway(config, ServeConfig(port=0))
-        stats = gateway._cache_stats()
-        assert stats is not None
+        stats = snapshot(gateway)["cache"]
+        assert stats == gateway.bridge.sim.prefix_tier.stats()
         assert stats["batching"] == "none"
         assert {"hit_rate", "bytes_held_mb", "chained_active"} <= set(stats)
-        assert gateway.ops_stats()["cache"] == stats
 
     def test_gateway_without_tier_reports_no_cache(self):
         from repro.serve import ClusterGateway, ServeConfig
+        from repro.serve.telemetry import snapshot
 
         reset_request_ids()
         gateway = ClusterGateway(prefix_config(None), ServeConfig(port=0))
-        assert gateway._cache_stats() is None
+        assert snapshot(gateway)["cache"] is None
 
     def test_top_renders_cache_line(self):
         from repro.serve.top import render_top
 
         sample = {
-            "t": 10.0, "uptime": 10.0,
+            "virtual_now": 10.0, "uptime_s": 10.0,
             "cache": {
                 "hits": 7, "misses": 3, "hit_rate": 0.7,
                 "bytes_held_mb": 1234.0, "chained_active": 2, "chained": 9,

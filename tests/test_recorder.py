@@ -320,6 +320,6 @@ class TestSigusr2Subprocess:
         # The dump did not disturb the run: the summary on stdout is
         # intact and the load generator finished clean.
         summary = json.loads(out)
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         report = json.loads(lg_out)
         assert report["errors"] == 0

@@ -206,6 +206,41 @@ class TestDocumentedKnobsExist:
         assert not stale, f"documented but read nowhere: {stale}"
 
 
+class TestServeImportGraph:
+    def test_pacing_reaches_neither_gateway_nor_telemetry(self):
+        # docs/ARCHITECTURE.md, "The live gateway": the data servers
+        # (and everything under repro.serve they import) never import
+        # the distribution controller or its self-description.
+        import ast
+
+        serve = pathlib.Path(__file__).resolve().parent.parent / (
+            "src/repro/serve"
+        )
+
+        def imports(module):
+            found = set()
+            for node in ast.walk(ast.parse((serve / f"{module}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    if node.module == "repro.serve":
+                        found.update(alias.name for alias in node.names)
+                    elif node.module.startswith("repro.serve."):
+                        found.add(node.module.split(".")[2])
+                elif isinstance(node, ast.Import):
+                    found.update(
+                        alias.name.split(".")[2] for alias in node.names
+                        if alias.name.startswith("repro.serve.")
+                    )
+            return {name for name in found if (serve / f"{name}.py").exists()}
+
+        reached, frontier = set(), {"pacing"}
+        while frontier:
+            module = frontier.pop()
+            reached.add(module)
+            frontier |= imports(module) - reached
+        assert {"bridge", "protocol"} <= reached  # the scan follows imports
+        assert not reached & {"gateway", "telemetry", "ops", "chaos"}
+
+
 class TestDocumentedCommandsExist:
     def test_every_documented_verb_is_a_subcommand(self):
         # A verb that is deleted from the CLI must leave the docs and CI

@@ -218,7 +218,7 @@ class TestServeConfig:
             {"bytes_per_megabit": 0},
             {"send_retries": -1},
             {"drain_timeout": 0.0},
-            {"max_sessions": 0},
+            {"task_restart_limit": -1},
             {"ops_port": 70000},
             {"ops_port": -1},
             {"stats_interval": 0.0},
@@ -347,7 +347,7 @@ class TestLoopbackEndToEnd:
             decisions_digest(reference)
         )
         assert full_run["parity_clamps"] == 0
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         assert summary["policy"]["migrations"] > 0
 
         # Per-session consistency: what each client got matches its
@@ -447,7 +447,7 @@ class TestDrain:
         assert last is not None and last.type == "end"
         assert last.header["reason"] in ("finished", "drained")
         assert summary["serve"]["drain_rejects"] == 1
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         # The drained-away arrival never reached the policy core.
         assert summary["policy"]["decisions"] == 1
 
@@ -490,7 +490,7 @@ class TestDrain:
         assert serve_proc.returncode == 0, err[-2000:]
         summary = json.loads(out)
         assert summary["provenance"]["mode"] == "serve"
-        assert summary["serve"]["open_sessions"] == 0
+        assert summary["serve"]["sessions_active"] == 0
         assert summary["policy"]["decisions"] >= 1
 
         report = json.loads(lg_out)
