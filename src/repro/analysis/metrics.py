@@ -61,9 +61,9 @@ class SimulationMetrics:
     finished: int = 0
     dropped: int = 0
 
-    #: Underrun episodes (a viewer's buffer emptied while transmission
-    #: lagged playback) — only reachable under intermittent allocators
-    #: with overbooked admission.
+    #: Always 0 — every allocator is minimum-flow, so nothing writes it.
+    #: It, ``SimulationResult.underruns`` and the bridge's ``"underruns"``
+    #: key stay only because ``bench/`` and ``repro verify`` read them.
     underruns: int = 0
 
     #: Graceful-degradation accounting (``repro.faults.retry``): every
@@ -206,12 +206,6 @@ class SimulationMetrics:
         self.migrations += 1
         if self.registry is not None:
             self.registry.counter("drm.migrations").inc()
-
-    def record_underrun(self) -> None:
-        """A stream's client buffer emptied while starved of bandwidth."""
-        self.underruns += 1
-        if self.registry is not None:
-            self.registry.counter("streams.underruns").inc()
 
     def record_finish(self) -> None:
         """A stream completed transmission and playback hand-off."""

@@ -7,7 +7,7 @@ Subcommands regenerate each reproduced artifact::
     repro-vod fig6
     repro-vod fig7 --system large --policies P1,P4,P8
     repro-vod svbr | partial | het | ablation       # full-version extras
-    repro-vod replication | burst | vcr | mix       # extension studies
+    repro-vod replication | vcr | mix               # extension studies
     repro-vod all --outdir results                  # everything + CSVs
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json

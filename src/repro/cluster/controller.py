@@ -79,7 +79,6 @@ class DistributionController:
         migration_policy: MigrationPolicy,
         membership: ClusterMembership,
         metrics: Optional[SimulationMetrics] = None,
-        admission_mode: str = "minflow",
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
@@ -106,15 +105,12 @@ class DistributionController:
         #: The shared allocator instance — kept so elastic scale-out can
         #: wire a mid-run joiner's TransmissionManager identically.
         self._allocator = allocator
-        park_seconds = getattr(allocator, "park_seconds", 120.0)
         self.admission = AdmissionController(
             self.servers,
             self.managers,
             placement,
             migration_policy,
             self.metrics,
-            mode=admission_mode,
-            park_seconds=park_seconds,
             tracer=tracer,
         )
         registry = self.metrics.registry
@@ -218,11 +214,7 @@ class DistributionController:
                     TraceKind.REQUEST_REJECT, now,
                     request=request.request_id,
                     video=request.video.video_id,
-                    reason=(
-                        "no_replica"
-                        if outcome is AdmissionOutcome.REJECTED_NO_REPLICA
-                        else "saturated"
-                    ),
+                    reason=request.reject_reason,
                 )
         for notify in self.on_decision:
             notify(outcome, request)
@@ -271,13 +263,10 @@ class DistributionController:
         """Assert structural invariants (tests call this liberally).
 
         * every active stream's server holds its video;
-        * per-server minimum-flow floors fit the links (minimum-flow
-          allocators only — overbooked intermittent servers may carry
-          more than their SVBR by design);
+        * per-server minimum-flow floors fit the links;
         * active streams are in state ACTIVE.
         """
         for server in self.servers.values():
-            minimum_flow = self.managers[server.server_id].allocator.minimum_flow
             floor = 0.0
             for request in server.iter_active():
                 if not server.holds(request.video.video_id):
@@ -294,7 +283,7 @@ class DistributionController:
                         f"request {request.request_id} server_id out of sync"
                     )
                 floor += request.view_bandwidth
-            if minimum_flow and floor > server.bandwidth + 1e-6:
+            if floor > server.bandwidth + 1e-6:
                 raise AssertionError(
                     f"server {server.server_id} over-committed: "
                     f"{floor} > {server.bandwidth}"

@@ -95,7 +95,7 @@ class Request:
         "hops",
         "paused_until",
         "finish_time",
-        "starved",
+        "reject_reason",
         "playback_pause_time",
         "pauses",
     )
@@ -126,9 +126,9 @@ class Request:
         self.hops = 0
         self.paused_until = 0.0
         self.finish_time: Optional[float] = None
-        #: True while the stream is underrunning (intermittent
-        #: allocators only; see repro.core.intermittent).
-        self.starved = False
+        #: Why admission last refused this request (``no_replica`` /
+        #: ``holders_full`` / ``chain_exhausted``); ``None`` if it never did.
+        self.reject_reason: Optional[str] = None
         #: Time playback was paused by the viewer (VCR interactivity);
         #: ``inf`` while playing.  ``playback_start`` shifts forward on
         #: resume so ``bytes_viewed`` stays a single linear formula.
@@ -285,9 +285,10 @@ class Request:
         self.finish_time = now
         self.rate = 0.0
 
-    def mark_rejected(self) -> None:
+    def mark_rejected(self, reason: str) -> None:
         self.state = RequestState.REJECTED
         self.server_id = None
+        self.reject_reason = reason
 
     def mark_dropped(self, now: float) -> None:
         """Stream lost (e.g. server failure with no migration target)."""

@@ -50,20 +50,16 @@ class AdmissionOutcome(enum.Enum):
 class AdmissionController:
     """Decides and executes admission for each arrival.
 
+    The admission test is the paper's: a server takes a stream while
+    the sum of view bandwidths fits its link
+    (:meth:`DataServer.has_slot_for`).
+
     Args:
         servers: cluster nodes keyed by id.
         managers: one :class:`TransmissionManager` per server id.
         placement: the static replica map.
         migration_policy: DRM configuration.
         metrics: run counters.
-        mode: ``"minflow"`` (default) admits while the sum of view
-            bandwidths fits the link — the paper's admission test.
-            ``"overbook"`` counts only streams with less than
-            ``park_seconds`` of buffered playback, letting an
-            intermittent allocator carry more viewers than the SVBR
-            (see :mod:`repro.core.intermittent`).
-        park_seconds: buffered-playback threshold for ``"overbook"``;
-            should match the intermittent allocator's ``park_seconds``.
         tracer: optional obs tracer for saturation/DRM-search records.
     """
 
@@ -74,53 +70,14 @@ class AdmissionController:
         placement: PlacementMap,
         migration_policy: MigrationPolicy,
         metrics: SimulationMetrics,
-        mode: str = "minflow",
-        park_seconds: float = 120.0,
-        overbook_factor: float = 3.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if mode not in ("minflow", "overbook"):
-            raise ValueError(
-                f"admission mode must be 'minflow' or 'overbook', got {mode!r}"
-            )
-        if overbook_factor < 1.0:
-            raise ValueError(
-                f"overbook_factor must be >= 1, got {overbook_factor}"
-            )
         self.servers = servers
         self.managers = managers
         self.placement = placement
         self.migration_policy = migration_policy
         self.metrics = metrics
-        self.mode = mode
-        self.park_seconds = float(park_seconds)
-        self.overbook_factor = float(overbook_factor)
         self.tracer = tracer
-
-    # ------------------------------------------------------------------
-    def _has_slot(self, server: DataServer, request: Request, now: float) -> bool:
-        """The admission test, by mode."""
-        if self.mode == "minflow":
-            return server.has_slot_for(request)
-        if not server.up or not server.accepting:
-            return False
-        # Hard population cap: even parked viewers cost scheduler work
-        # and will eventually need the link back.
-        slots = server.stream_slots(request.view_bandwidth)
-        if server.active_count + 1 > slots * self.overbook_factor:
-            return False
-        # Overbook: parked streams (enough banked playback) don't
-        # reserve link capacity.  State is read without mutating — the
-        # streams may not be synced to `now` yet.
-        reserved = 0.0
-        for r in server.iter_active():
-            vb = r.view_bandwidth
-            sent = r.bytes_sent + r.rate * (now - r.last_sync)
-            played_until = min(now, r.playback_pause_time)
-            buffered = sent - (played_until - r.playback_start) * vb
-            if r.playback_pause_time > now and buffered < self.park_seconds * vb:
-                reserved += vb
-        return reserved + request.view_bandwidth <= server.bandwidth + 1e-6
 
     # ------------------------------------------------------------------
     def candidate_holders(self, video_id: int) -> List[DataServer]:
@@ -152,15 +109,18 @@ class AdmissionController:
         return outcome
 
     def _decide(self, request: Request, now: float) -> AdmissionOutcome:
+        """Three stages, each admitting or rejecting with its reason:
+        live holders → least-loaded holder with a slot → DRM chain."""
         video_id = request.video.video_id
         tracer = self.tracer
+
         holders = self.candidate_holders(video_id)
         if not holders:
-            request.mark_rejected()
+            request.mark_rejected("no_replica")
             self.metrics.record_reject(no_replica=True)
             return AdmissionOutcome.REJECTED_NO_REPLICA
 
-        with_slot = [s for s in holders if self._has_slot(s, request, now)]
+        with_slot = [s for s in holders if s.has_slot_for(request)]
         if with_slot:
             # "the server which … has the fewest current requests"
             target = min(with_slot, key=lambda s: (s.active_count, s.server_id))
@@ -176,53 +136,36 @@ class AdmissionController:
                 TraceKind.SERVER_SATURATE, now,
                 servers=holder_ids, video=video_id,
             )
+        if not self.migration_policy.enabled:
+            request.mark_rejected("holders_full")
+            self.metrics.record_reject(holders=holder_ids)
+            return AdmissionOutcome.REJECTED
 
-        if self.migration_policy.enabled:
-            self.metrics.record_migration_attempt()
-            chain = find_migration_chain(
-                video_id,
-                self.servers,
-                self.placement,
-                self.migration_policy,
-                now,
-                slot_test=lambda s, r: self._has_slot(s, r, now),
-            )
+        self.metrics.record_migration_attempt()
+        chain = find_migration_chain(
+            video_id, self.servers, self.placement, self.migration_policy, now
+        )
+        if chain is None:
             if tracer is not None:
-                if chain is not None:
-                    tracer.emit(
-                        TraceKind.DRM_CHAIN, now, video=video_id,
-                        length=len(chain),
-                        path=[
-                            (step.source_id, step.target_id) for step in chain
-                        ],
-                    )
-                else:
-                    tracer.emit(TraceKind.DRM_FAIL, now, video=video_id)
-            if chain is not None:
-                execute_chain(
-                    chain, self.managers, self.migration_policy, now,
-                    tracer=tracer,
-                )
-                freed_id = chain[-1].source_id
-                freed = self.servers[freed_id]
-                if not self._has_slot(freed, request, now):
-                    # Only reachable in overbook mode: displacing a
-                    # *parked* stream does not reduce the non-parked
-                    # reserve, so the chain may not help the newcomer.
-                    # The moves themselves are harmless; reject.
-                    if self.mode == "minflow":  # pragma: no cover
-                        raise RuntimeError(
-                            f"migration chain did not free a slot on "
-                            f"server {freed_id}"
-                        )
-                    request.mark_rejected()
-                    self.metrics.record_reject(holders=holder_ids)
-                    return AdmissionOutcome.REJECTED
-                self.managers[freed_id].admit(request, now)
-                self.metrics.record_accept()
-                self.metrics.record_migration(len(chain))
-                return AdmissionOutcome.ACCEPTED_WITH_MIGRATION
-
-        request.mark_rejected()
-        self.metrics.record_reject(holders=holder_ids)
-        return AdmissionOutcome.REJECTED
+                tracer.emit(TraceKind.DRM_FAIL, now, video=video_id)
+            request.mark_rejected("chain_exhausted")
+            self.metrics.record_reject(holders=holder_ids)
+            return AdmissionOutcome.REJECTED
+        if tracer is not None:
+            tracer.emit(
+                TraceKind.DRM_CHAIN, now, video=video_id, length=len(chain),
+                path=[(step.source_id, step.target_id) for step in chain],
+            )
+        execute_chain(
+            chain, self.managers, self.migration_policy, now, tracer=tracer
+        )
+        freed = self.servers[chain[-1].source_id]
+        if not freed.has_slot_for(request):
+            raise RuntimeError(
+                f"migration chain did not free a slot on server "
+                f"{freed.server_id}"
+            )
+        self.managers[freed.server_id].admit(request, now)
+        self.metrics.record_accept()
+        self.metrics.record_migration(len(chain))
+        return AdmissionOutcome.ACCEPTED_WITH_MIGRATION

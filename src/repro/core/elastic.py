@@ -38,7 +38,7 @@ from repro.cluster.request import Request
 from repro.cluster.server import DataServer
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
-    MigrationPolicy,
+    RESCUE_POLICY,
     execute_chain,
     find_migration_chain,
 )
@@ -107,10 +107,6 @@ WARMERS.register(
     "none", _warm_none,
     help="activate immediately with an empty disk",
 )
-
-#: Drain migrations must never gap transmission: chain length 1 with
-#: unlimited hops and zero switch delay (the rescue configuration).
-DRAIN_POLICY = MigrationPolicy.unlimited_hops()
 
 
 @dataclass(frozen=True)
@@ -583,12 +579,12 @@ class ElasticScaler:
         }
         chain = find_migration_chain(
             request.video.video_id, others, self.placement,
-            DRAIN_POLICY, now,
+            RESCUE_POLICY, now,
         )
         if chain is None:
             return None
         execute_chain(
-            chain, self.controller.managers, DRAIN_POLICY, now,
+            chain, self.controller.managers, RESCUE_POLICY, now,
             tracer=self.tracer, cause="drain",
         )
         freed = self.controller.servers[chain[-1].source_id]

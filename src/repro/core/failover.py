@@ -21,7 +21,7 @@ from repro.cluster.request import EPS_MB, Request
 from repro.cluster.server import DataServer
 from repro.workload.catalog import Video
 from repro.core.migration import (
-    MigrationPolicy,
+    RESCUE_POLICY,
     execute_chain,
     find_migration_chain,
 )
@@ -60,8 +60,6 @@ class FailoverManager:
         on_drop: the controller's drop-notification list, shared by
             reference like *servers*/*managers*; each stream lost
             mid-flight is published to it once marked and counted.
-        rescue_policy: chain bounds used when making room for orphans;
-            defaults to chain length 1 with unlimited hops.
         tracer: optional obs tracer for fail/recover/drop records.
     """
 
@@ -73,7 +71,6 @@ class FailoverManager:
         placement: PlacementMap,
         metrics: SimulationMetrics,
         on_drop: List[Callable[[Request], None]],
-        rescue_policy: Optional[MigrationPolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
@@ -82,7 +79,6 @@ class FailoverManager:
         self.placement = placement
         self.metrics = metrics
         self.on_drop = on_drop
-        self.rescue_policy = rescue_policy or MigrationPolicy.unlimited_hops()
         self.tracer = tracer
         self.reports: List[FailoverReport] = []
         #: Called with the :class:`FailoverReport` of each *actual*
@@ -272,11 +268,11 @@ class FailoverManager:
                 self._move(request, target.server_id, now)
                 return True
         chain = find_migration_chain(
-            video_id, self.servers, self.placement, self.rescue_policy, now
+            video_id, self.servers, self.placement, RESCUE_POLICY, now
         )
         if chain is not None:
             execute_chain(
-                chain, self.managers, self.rescue_policy, now,
+                chain, self.managers, RESCUE_POLICY, now,
                 tracer=self.tracer, cause="failover",
             )
             freed = self.servers[chain[-1].source_id]
@@ -288,8 +284,6 @@ class FailoverManager:
 
     def _move(self, request: Request, target_id: int, now: float) -> None:
         """Attach an already-detached orphan to *target_id*."""
-        if self.rescue_policy.switch_delay > 0.0:
-            request.paused_until = now + self.rescue_policy.switch_delay
         request.hops += 1
         self.metrics.record_relocation()
         source_id = request.server_id

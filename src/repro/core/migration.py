@@ -96,6 +96,12 @@ class MigrationPolicy:
         return cls(**data)
 
 
+#: Chain bounds for moves made to *rescue* streams rather than admit one
+#: (failover orphans, elastic drains): chain length 1, unlimited hops and
+#: zero switch delay, so a rescue never gaps transmission.
+RESCUE_POLICY = MigrationPolicy.unlimited_hops()
+
+
 @dataclass(frozen=True)
 class MigrationStep:
     """One stream displacement: move *request* from *source* to *target*.
@@ -133,9 +139,10 @@ def _eligible(
     return True
 
 
-#: Slot predicate: can *server* take *request* right now?  The default
-#: is the minimum-flow test; overbooked admission passes its own.  It
-#: must not mutate and must give the same answer for the same
+#: Slot predicate: can *server* take *request* right now?  Every caller
+#: uses the default, the minimum-flow test; the parameter is the seam
+#: the differential oracle in tests substitutes a stricter one through.
+#: It must not mutate and must give the same answer for the same
 #: ``(server, request)`` for the duration of one search — the search
 #: relies on it.
 SlotTest = Callable[[DataServer, Request], bool]

@@ -73,18 +73,11 @@ def pour_in_order(candidates: Sequence[Candidate], spare: float) -> None:
 class BandwidthAllocator(abc.ABC):
     """Interface: set every stream's rate for (server, requests, now).
 
-    A minimum-flow allocator implements :meth:`_distribute_spare_into`
-    only; one outside that class (repro.core.intermittent) replaces
-    :meth:`_assign`.  Nobody overrides :meth:`allocate_into`.
+    Subclasses implement :meth:`_distribute_spare_into` only; nobody
+    overrides :meth:`allocate_into`.
     """
 
     name: str = "abstract"
-
-    #: Minimum-flow algorithms guarantee every unpaused unfinished
-    #: stream at least its view bandwidth; the transmission manager
-    #: relies on this to rule out buffer-empty boundaries.  Intermittent
-    #: allocators (repro.core.intermittent) set this False.
-    minimum_flow: bool = True
 
     #: Scratch list reused across passes (the simulator is
     #: single-threaded and allocators never retain the list beyond one
@@ -96,17 +89,10 @@ class BandwidthAllocator(abc.ABC):
         self, server: DataServer, requests: Sequence[Request], now: float
     ) -> PassResult:
         """The one allocation path: integrate every request to *now*
-        and set its ``rate`` in place.
+        and set its ``rate`` in place, one loop over *requests*.
 
         *requests* is the server's full active list; callers need not
         sync first (a zero-``dt`` sync is an arithmetic no-op).
-        """
-        return self._assign(server, requests, now)
-
-    def _assign(
-        self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> PassResult:
-        """The minimum-flow pass, one loop over *requests*.
 
         Guarantees (enforced here, not in subclasses):
         * switch-gap streams get 0;
@@ -301,15 +287,4 @@ ALLOCATORS.register(
 ALLOCATORS.register(
     "none", NoWorkaheadAllocator,
     help="pure continuous transmission: spare bandwidth stays idle",
-)
-
-# The intermittent allocator subclasses BandwidthAllocator, so it is
-# imported at the end of this module to close the cycle and register
-# itself alongside the minimum-flow family.
-from repro.core.intermittent import IntermittentAllocator  # noqa: E402
-
-ALLOCATORS.register(
-    "intermittent", IntermittentAllocator,
-    help="intermittent (non-minimum-flow) scheduling; pairs with "
-         "overbooked admission",
 )

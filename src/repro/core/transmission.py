@@ -45,8 +45,8 @@ class TransmissionManager:
         metrics: sink for transfer accounting.
         on_finish: callback invoked when a stream completes transmission
             (after it has been detached from the server).
-        tracer: optional obs tracer for buffer-full/underrun records
-            (zero overhead when None).
+        tracer: optional obs tracer for buffer-full records (zero
+            overhead when None).
     """
 
     def __init__(
@@ -190,7 +190,6 @@ class TransmissionManager:
 
         Inlines ``Request.buffer_occupancy`` (kept equivalent by tests).
         """
-        minimum_flow = self.allocator.minimum_flow
         best: float = math.inf
         for r in streams:
             if now < r.paused_until:
@@ -203,24 +202,21 @@ class TransmissionManager:
                 # ever fills, never drains.
                 playing = now < r.playback_pause_time
                 drain = vb if playing else 0.0
+                if rate < drain - EPS_RATE:
+                    # Minimum flow: a live, playing stream always has
+                    # rate >= b_view.
+                    raise RuntimeError(
+                        f"playing stream {r.request_id} at {rate} Mb/s, "
+                        f"below its view bandwidth {vb}, on server "
+                        f"{self.server.server_id}"
+                    )
                 if rate <= EPS_RATE:
-                    if minimum_flow and playing:
-                        # A live, playing minimum-flow stream always has
-                        # rate >= b_view (a VCR-paused one with a full
-                        # buffer is legitimately idle).
-                        raise RuntimeError(
-                            f"unpaused stream {r.request_id} with zero rate "
-                            f"on server {self.server.server_id}"
-                        )
-                    if playing:
-                        t = self._drain_boundary(r, now, rate, vb, sent)
-                    else:
-                        t = math.inf  # idle until the viewer resumes
+                    # VCR-paused with a full buffer: legitimately idle
+                    # until the viewer resumes.
+                    t = math.inf
                 else:
                     t = now + (r.size - sent) / rate
                     surplus = rate - drain
-                    if r.starved and surplus >= -EPS_RATE:
-                        r.starved = False  # fed again; close the episode
                     if surplus > EPS_RATE:
                         capacity = r.client.buffer_capacity
                         if capacity < math.inf:
@@ -235,53 +231,9 @@ class TransmissionManager:
                             t_full = now + headroom / surplus
                             if t_full < t:
                                 t = t_full
-                    elif surplus < -EPS_RATE:
-                        # Below playback rate (intermittent only): the
-                        # buffer drains — wake up before it empties.
-                        t_empty = self._drain_boundary(r, now, rate, vb, sent)
-                        if t_empty < t:
-                            t = t_empty
             if t < best:
                 best = t
         return best
-
-    def _drain_boundary(
-        self, r: Request, now: float, rate: float, vb: float, sent: float
-    ) -> float:
-        """Wake-up boundary for a stream receiving below its view rate
-        (only reachable under intermittent allocators).
-
-        A parked stream must resume before its buffer drains to the
-        allocator's ``resume_seconds`` level, so the boundary is the
-        crossing of that level, not of empty.  A stream already at or
-        below the resume level but still draining (the server is
-        genuinely over-committed) gets a buffer-empty boundary; one that
-        is *already* starved gets none — nothing about it changes until
-        another event frees bandwidth — but the underrun is counted
-        (once per episode).  Callers guarantee the stream is *playing*
-        (a VCR-paused viewer's buffer never drains).
-        """
-        if r.size - sent <= EPS_MB:
-            return math.inf  # transmission done; nothing drains server-side
-        buffer = sent - (now - r.playback_start) * vb
-        if buffer <= EPS_MB:
-            if not r.starved:
-                r.starved = True
-                self.metrics.record_underrun()
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        TraceKind.STREAM_UNDERRUN, now,
-                        request=r.request_id, server=self.server.server_id,
-                    )
-            return math.inf
-        r.starved = False
-        resume_level = (
-            getattr(self.allocator, "resume_seconds", 0.0) * vb
-        )
-        drain = vb - rate
-        if buffer > resume_level + EPS_MB:
-            return now + (buffer - resume_level) / drain
-        return now + buffer / drain
 
     def _on_boundary(self) -> None:
         """Handle the scheduled boundary: complete finished streams, then

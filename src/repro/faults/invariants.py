@@ -12,10 +12,7 @@ to *now* and checking there covers the whole interval:
 * **per-server capacity** — ``sum(rates) <= B_server`` on every up
   server (degraded links use the degraded capacity);
 * **no-underrun** — ``bytes_viewed(now) <= bytes_sent(now)`` for every
-  minimum-flow stream outside a migration switch gap.  (Under the
-  intermittent discipline ``bytes_viewed`` is *demanded* playback and
-  underruns are a tracked outcome, not a bug — so the check is gated
-  on the allocator's ``minimum_flow`` flag.);
+  stream outside a migration switch gap;
 * **clock / heap monotonicity** — fired event times never decrease.
 
 A failed assertion raises :class:`InvariantViolation` carrying the
@@ -160,8 +157,6 @@ class InvariantChecker:
         for server in self.controller.servers.values():
             if not server.up:
                 continue
-            manager = self.controller.managers[server.server_id]
-            minimum_flow = manager.allocator.minimum_flow
             total_rate = 0.0
             for r in server.iter_active():
                 rate = r.rate
@@ -174,14 +169,10 @@ class InvariantChecker:
                         f"bytes_sent {sent:.6f} > size {r.video.size:.6f}",
                     )
                 viewed = r.bytes_viewed(now)
-                if (
-                    minimum_flow
-                    and now >= r.paused_until
-                    and sent - viewed < -EPS_CHECK
-                ):
-                    # Outside a migration switch gap a minimum-flow
-                    # stream transmits at >= its drain rate, so the
-                    # client buffer can never go negative.
+                if now >= r.paused_until and sent - viewed < -EPS_CHECK:
+                    # Outside a migration switch gap a stream transmits
+                    # at >= its drain rate (minimum flow), so the client
+                    # buffer can never go negative.
                     self._violate(
                         "no_underrun",
                         f"request {r.request_id}",

@@ -11,8 +11,8 @@ subsystems the ISSUE of record calls out:
 * server health: ``server.saturate`` / ``server.fail`` /
   ``server.recover``;
 * scheduler activity: ``sched.realloc`` (one per EFTF reallocation),
-  ``stream.buffer_full``, ``stream.underrun``, and the DRM search
-  results ``drm.chain`` / ``drm.fail``.
+  ``stream.buffer_full``, and the DRM search results ``drm.chain`` /
+  ``drm.fail``.
 
 The field schema per kind is documented in ``docs/OBSERVABILITY.md``;
 :data:`KIND_FIELDS` is the machine-readable version used by tests.
@@ -82,7 +82,6 @@ class TraceKind(str, enum.Enum):
     # -- scheduler / stream dynamics ---------------------------------
     SCHED_REALLOC = "sched.realloc"
     STREAM_BUFFER_FULL = "stream.buffer_full"
-    STREAM_UNDERRUN = "stream.underrun"
     DRM_CHAIN = "drm.chain"
     DRM_FAIL = "drm.fail"
 
@@ -130,7 +129,6 @@ KIND_FIELDS: Dict[TraceKind, tuple] = {
     TraceKind.CACHE_MERGE: ("request", "parent", "video"),
     TraceKind.SCHED_REALLOC: ("server", "allocator", "streams", "boosted"),
     TraceKind.STREAM_BUFFER_FULL: ("request", "server"),
-    TraceKind.STREAM_UNDERRUN: ("request", "server"),
     TraceKind.DRM_CHAIN: ("video", "length", "path"),
     TraceKind.DRM_FAIL: ("video",),
 }

@@ -136,7 +136,6 @@ class SimulationConfig:
     migration: MigrationPolicy = field(default_factory=MigrationPolicy.disabled)
     staging_fraction: float = 0.0
     scheduler: str = "eftf"
-    admission: str = "minflow"
     duration: float = 3600.0 * 100
     warmup: float = 0.0
     load: float = 1.0
@@ -197,16 +196,6 @@ class SimulationConfig:
                 raise ValueError(
                     f"arrival_params must be (name, value) pairs, got {pair!r}"
                 )
-        if self.admission not in ("minflow", "overbook"):
-            raise ValueError(
-                f"admission must be 'minflow' or 'overbook', "
-                f"got {self.admission!r}"
-            )
-        if self.admission == "overbook" and self.scheduler != "intermittent":
-            raise ValueError(
-                "overbooked admission requires the intermittent scheduler "
-                "(minimum-flow allocators cannot serve more than the SVBR)"
-            )
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if not 0 <= self.warmup < self.duration:
@@ -235,7 +224,6 @@ class SimulationConfig:
             "migration": self.migration.to_dict(),
             "staging_fraction": self.staging_fraction,
             "scheduler": self.scheduler,
-            "admission": self.admission,
             "duration": self.duration,
             "warmup": self.warmup,
             "load": self.load,
@@ -584,7 +572,6 @@ class Simulation:
             migration_policy=config.migration,
             membership=self.membership,
             metrics=SimulationMetrics(registry=self.registry),
-            admission_mode=config.admission,
             tracer=self.tracer,
         )
 

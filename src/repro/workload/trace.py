@@ -165,61 +165,6 @@ class Trace:
             )
 
 
-def generate_bursty_trace(
-    duration: float,
-    base_rate: float,
-    popularity: ZipfPopularity,
-    rng: np.random.Generator,
-    bursts: Sequence[tuple] = (),
-) -> Trace:
-    """Poisson trace with piecewise-constant rate bursts.
-
-    Args:
-        duration: total trace length, seconds.
-        base_rate: arrival rate outside bursts, req/s.
-        popularity: demand distribution.
-        rng: random stream.
-        bursts: iterable of ``(start, length, multiplier)`` windows; the
-            arrival rate inside a window is ``base_rate * multiplier``.
-            Windows may not overlap.
-
-    Models transient demand peaks (prime-time surges) — the regime that
-    separates overbooking-capable schedulers from minimum-flow ones.
-    """
-    windows = sorted((float(s), float(s) + float(l), float(m))
-                     for s, l, m in bursts)
-    for (s1, e1, _), (s2, _e2, _m) in zip(windows, windows[1:]):
-        if s2 < e1:
-            raise ValueError("burst windows may not overlap")
-    requests: List[RequestSpec] = []
-    edges = [0.0]
-    rates = []
-    cursor = 0.0
-    for start, end, mult in windows:
-        if not 0.0 <= start < end <= duration:
-            raise ValueError(
-                f"burst window ({start}, {end}) outside trace [0, {duration}]"
-            )
-        if start > cursor:
-            rates.append(base_rate)
-            edges.append(start)
-        rates.append(base_rate * mult)
-        edges.append(end)
-        cursor = end
-    if cursor < duration:
-        rates.append(base_rate)
-        edges.append(duration)
-    for (seg_start, seg_end), rate in zip(zip(edges, edges[1:]), rates):
-        seg_len = seg_end - seg_start
-        count = int(rng.poisson(rate * seg_len))
-        times = np.sort(rng.uniform(seg_start, seg_end, size=count))
-        videos = popularity.sample(rng, size=count) if count else []
-        requests.extend(
-            RequestSpec(float(t), int(v)) for t, v in zip(times, videos)
-        )
-    return Trace(requests)
-
-
 def generate_trace(
     duration: float,
     rate: float,

@@ -53,6 +53,7 @@ class TestRejection:
         r, outcome = cluster.submit(0)
         assert outcome is AdmissionOutcome.REJECTED
         assert r.state.value == "rejected"
+        assert r.reject_reason == "holders_full"  # DRM off: stage 2 rejects
         assert cluster.metrics.rejected == 1
 
     def test_no_replica_rejection(self):
@@ -61,8 +62,9 @@ class TestRejection:
             videos=[make_video(video_id=0), make_video(video_id=1)],
             holders={0: [0], 1: []},
         )
-        _, outcome = cluster.submit(1)
+        r, outcome = cluster.submit(1)
         assert outcome is AdmissionOutcome.REJECTED_NO_REPLICA
+        assert r.reject_reason == "no_replica"
         assert cluster.metrics.rejected_no_replica == 1
 
     def test_down_server_not_a_candidate(self):
@@ -207,5 +209,7 @@ class TestMigrationSuccessPath:
             ),
         )
         cluster.submit(0)
-        _, outcome = cluster.submit(1)
+        r, outcome = cluster.submit(1)
         assert outcome is AdmissionOutcome.REJECTED
+        assert r.reject_reason == "chain_exhausted"  # DRM searched, no chain
+        assert cluster.metrics.migration_attempts == 1

@@ -11,7 +11,7 @@ class TestParser:
     def test_all_subcommands_exist(self):
         parser = build_parser()
         for cmd in ("fig4", "fig5", "fig6", "fig7", "svbr", "partial",
-                    "het", "ablation", "replication", "burst", "vcr",
+                    "het", "ablation", "replication", "vcr",
                     "mix", "run", "all"):
             args = parser.parse_args(
                 [cmd] if cmd == "fig6" else [cmd]

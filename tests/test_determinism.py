@@ -70,14 +70,6 @@ class TestBitReproducibility:
         a, b = run_twice(pause_hazard=1 / 900.0, mean_pause=120.0)
         assert a == b
 
-    def test_with_intermittent_overbook(self):
-        a, b = run_twice(
-            staging_fraction=0.5,
-            scheduler="intermittent",
-            admission="overbook",
-        )
-        assert a == b
-
     def test_with_client_mix(self):
         a, b = run_twice(client_mix=((0.5, 0.0), (0.5, 0.2)))
         assert a == b

@@ -199,17 +199,6 @@ class TestExperimentModules:
             "predictive (oracle)",
         }
 
-    def test_intermittent_burst_micro_run(self):
-        from repro.experiments import intermittent_burst
-
-        result = intermittent_burst.run_intermittent_burst(
-            system=TINY, multipliers=(1.0, 2.0), scale=MICRO
-        )
-        assert result["multipliers"] == [1.0, 2.0]
-        assert len(result["rows"]) == 2
-        text = intermittent_burst.render_intermittent_burst(result)
-        assert "minflow" in text
-
     def test_interactivity_micro_run(self):
         from repro.experiments import interactivity_vcr
 

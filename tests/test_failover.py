@@ -9,7 +9,7 @@ from repro.core.migration import MigrationPolicy
 from conftest import build_micro_cluster, make_client, make_video
 
 
-def cluster_with_failover(holders, specs=None, rescue=None):
+def cluster_with_failover(holders, specs=None):
     videos = [make_video(video_id=i) for i in range(len(holders))]
     cluster = build_micro_cluster(
         server_specs=specs or [(2.0, 1e9)] * 3,
@@ -24,7 +24,6 @@ def cluster_with_failover(holders, specs=None, rescue=None):
         cluster.placement,
         cluster.metrics,
         on_drop=[],
-        rescue_policy=rescue,
     )
     return cluster, failover
 

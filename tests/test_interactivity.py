@@ -184,7 +184,7 @@ class TestInteractivityModel:
     def test_rejected_requests_not_tracked(self):
         cluster, shim, model = self.build()
         r = make_request(video=cluster.catalog[0])
-        r.mark_rejected()
+        r.mark_rejected("holders_full")
         model.on_decision(AdmissionOutcome.REJECTED, r)
         # No pause events scheduled for it:
         kinds = [e.kind for e in cluster.engine.iter_pending()]

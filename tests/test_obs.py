@@ -47,7 +47,7 @@ class TestTracer:
         tr = Tracer()
         tr.emit(TraceKind.REQUEST_ARRIVE, 1.0, request=1, video=2)
         tr.emit(TraceKind.REQUEST_ARRIVE, 2.0, request=2, video=2)
-        tr.emit(TraceKind.REQUEST_REJECT, 2.0, request=2, video=2, reason="saturated")
+        tr.emit(TraceKind.REQUEST_REJECT, 2.0, request=2, video=2, reason="holders_full")
         assert len(tr) == 3
         assert tr.emitted == 3
         assert tr.counts[TraceKind.REQUEST_ARRIVE] == 2
@@ -359,6 +359,17 @@ class TestSimulationIntegration:
         # Warmup resets metrics but not the trace, so trace >= metrics.
         assert tracer.counts[TraceKind.REQUEST_ADMIT] >= result.accepted
 
+    def test_reject_records_carry_the_stage_reason(self, traced_run):
+        _, tracer, _ = traced_run
+        reasons = [
+            rec.fields["reason"]
+            for rec in tracer.records_of(TraceKind.REQUEST_REJECT)
+        ]
+        # DRM is on and every video has a live holder, so each reject
+        # is a failed chain search.
+        assert reasons and set(reasons) == {"chain_exhausted"}
+        assert len(reasons) == tracer.counts[TraceKind.DRM_FAIL]
+
     def test_registry_mirrors_lifecycle_counters(self, traced_run):
         sim, _, result = traced_run
         snap = sim.registry.snapshot()
@@ -417,7 +428,6 @@ class TestWatchingChangesNothing:
             monkeypatch.setattr(cls, method, wrapper)
 
         spy(BandwidthAllocator, "allocate_into")
-        spy(BandwidthAllocator, "_assign")
         spy(EFTFAllocator, "_distribute_spare_into")
 
         def run(tracer):

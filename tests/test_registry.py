@@ -110,7 +110,7 @@ class TestConcreteRegistries:
         from repro.core.schedulers import ALLOCATORS
 
         assert set(ALLOCATORS.names()) >= {
-            "eftf", "lftf", "proportional", "none", "intermittent",
+            "eftf", "lftf", "proportional", "none",
         }
         with pytest.raises(UnknownKeyError, match="scheduler 'eftc'.*eftf"):
             ALLOCATORS.get("eftc")
@@ -155,7 +155,7 @@ class TestConcreteRegistries:
 
         assert set(EXPERIMENTS.names()) >= {
             "fig4", "fig5", "fig6", "fig7", "svbr", "partial", "het",
-            "ablation", "replication", "burst", "vcr", "mix", "verify",
+            "ablation", "replication", "vcr", "mix", "verify",
         }
         assert set(CHAOS_EXPERIMENTS.names()) == {"availability", "soak"}
         with pytest.raises(UnknownKeyError, match="experiment 'fig9'.*fig4"):
@@ -281,3 +281,57 @@ class TestDocumentedCommandsExist:
             or (key[1] and key[1] not in CHAOS_EXPERIMENTS.names())
         }
         assert not stale, f"documented but not a subcommand: {stale}"
+
+
+class TestDocumentedPathsExist:
+    def test_every_cited_module_and_file_exists(self):
+        # A module, test file, benchmark or scenario that is deleted must
+        # leave the docs too.  Scanned inside back-ticks only: dotted
+        # ``repro.x.y`` names (the longest importable prefix, then
+        # attributes) and ``dir/…/file.py|json`` paths, which may be
+        # relative to the repo root, ``src/`` or ``src/repro/``.
+        import importlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        docs = [root / name for name in (
+            "README.md", "DESIGN.md", "EXPERIMENTS.md", "scenarios/README.md",
+        )]
+        docs += sorted((root / "docs").glob("*.md"))
+        path = re.compile(r"(?<![\w./-])((?:[\w.-]+/)+[\w.-]+\.(?:py|json))")
+        dotted = re.compile(r"(?<![\w./-])(repro(?:\.[A-Za-z_]\w*)+)")
+
+        def resolves(name):
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    found = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                for attr in parts[cut:]:
+                    if not hasattr(found, attr):
+                        return False
+                    found = getattr(found, attr)
+                return True
+            return False
+
+        cited, stale = set(), {}
+        for doc in docs:
+            for quoted in re.findall(r"`([^`\n]+)`", doc.read_text()):
+                for name in path.findall(quoted):
+                    cited.add(name)
+                    if not any(
+                        (base / name).exists()
+                        for base in (root, root / "src", root / "src/repro")
+                    ):
+                        stale[name] = doc.name
+                for name in dotted.findall(quoted):
+                    cited.add(name)
+                    if not resolves(name):
+                        stale[name] = doc.name
+        # The scan finds each of the four kinds.
+        assert {
+            "repro.core.migration", "core/transmission.py",
+            "tests/test_migration.py", "scenarios/serve_loopback.json",
+        } <= cited
+        assert any(name.startswith("benchmarks/") for name in cited)
+        assert not stale, f"cited in the docs but gone: {stale}"

@@ -34,9 +34,11 @@ class TestLifecycle:
     def test_mark_rejected_clears_server(self):
         r = make_request()
         r.server_id = 3
-        r.mark_rejected()
+        assert r.reject_reason is None
+        r.mark_rejected("holders_full")
         assert r.state is RequestState.REJECTED
         assert r.server_id is None
+        assert r.reject_reason == "holders_full"
 
     def test_mark_dropped(self):
         r = make_request()

@@ -132,19 +132,13 @@ def sim_configs(draw) -> SimulationConfig:
 
     duration = draw(finite(10.0, 1e6))
     arrivals, arrival_params = draw(ARRIVAL_CHOICES)
-    scheduler = draw(st.sampled_from(ALLOCATORS.names()))
     return SimulationConfig(
         system=draw(st.sampled_from([SMALL_SYSTEM, LARGE_SYSTEM])),
         theta=draw(finite(-1.0, 1.0)),
         placement=draw(st.sampled_from(PLACEMENTS.names())),
         migration=draw(MIGRATIONS),
         staging_fraction=draw(finite(0.0, 1.0)),
-        scheduler=scheduler,
-        admission=(
-            draw(st.sampled_from(["minflow", "overbook"]))
-            if scheduler == "intermittent"
-            else "minflow"
-        ),
+        scheduler=draw(st.sampled_from(ALLOCATORS.names())),
         duration=duration,
         warmup=duration * draw(finite(0.0, 0.9)),
         load=draw(finite(0.1, 2.0)),
@@ -310,6 +304,24 @@ class TestScenarioFiles:
             load_scenario(path)
         assert "typo.json" in str(exc.value)
         assert "'thteta'" in str(exc.value)
+
+    @pytest.mark.parametrize("extra, fragment", [
+        ({"admission": "overbook"},
+         "unknown SimulationConfig key(s) 'admission'; valid keys:"),
+        ({"scheduler": "intermittent"},
+         "unknown scheduler 'intermittent'; choose from: eftf, lftf"),
+    ], ids=["admission", "scheduler"])
+    def test_deleted_transmission_class_fails_at_load(
+        self, tmp_path, extra, fragment
+    ):
+        # No dedicated validation is left for the deleted class: an old
+        # scenario file is refused by the generic paths.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"config": {"system": "small", **extra}}))
+        with pytest.raises(ValueError) as exc:
+            load_scenario(path)
+        assert "old.json" in str(exc.value)
+        assert fragment in str(exc.value)
 
     def test_every_committed_scenario_loads(self):
         files = sorted(SCENARIO_DIR.glob("*.json"))

@@ -291,56 +291,14 @@ def _minimum_flow_rates(name, link, requests, now):
     return rates
 
 
-def _intermittent_rates(alloc, link, requests, now):
-    """Park the well-buffered, feed the neediest, then EFTF the rest."""
-    def banked_seconds(r):
-        return r.buffer_occupancy(now) / r.view_bandwidth
-
-    rates = {r.request_id: 0.0 for r in requests}
-    live = [r for r in requests if not r.is_paused(now)]
-    pool = link
-    for r in sorted(live, key=lambda r: (banked_seconds(r), r.request_id)):
-        if (
-            r.transmission_finished
-            or r.playback_paused
-            or banked_seconds(r) >= alloc.park_seconds
-        ):
-            continue
-        if pool < r.view_bandwidth - EPS_RATE:
-            break
-        rates[r.request_id] = r.view_bandwidth
-        pool -= r.view_bandwidth
-    if pool > EPS_RATE:
-        eligible = [
-            r for r in live
-            if r.client.receive_bandwidth - rates[r.request_id] > EPS_RATE
-            and not r.transmission_finished
-            and r.client.buffer_capacity - r.buffer_occupancy(now)
-            > alloc.refill_seconds * r.view_bandwidth + EPS_MB
-        ]
-        eligible.sort(key=lambda r: (r.remaining, r.request_id))
-        _greedy(rates, eligible, pool)
-    return rates
-
-
-def _next_wall(r, rate, now, resume_seconds):
+def _next_wall(r, rate, now):
     """When *r*'s linear evolution at *rate* next needs attention."""
     if r.is_paused(now):
         return r.paused_until  # switch-gap end
+    if rate <= EPS_RATE:
+        return math.inf  # VCR-paused with a full buffer
     vb = r.view_bandwidth
     drain = 0.0 if r.playback_paused else vb
-    starving = math.inf
-    if rate < drain - EPS_RATE and not r.transmission_finished:
-        # Intermittent only: wake before the buffer drains to the
-        # resume level (or, already below it, before it empties).
-        buffer = r.buffer_occupancy(now)
-        level = resume_seconds * vb
-        if buffer > level + EPS_MB:
-            starving = now + (buffer - level) / (drain - rate)
-        elif buffer > EPS_MB:
-            starving = now + buffer / (drain - rate)
-    if rate <= EPS_RATE:
-        return starving
     finish = (
         r.projected_finish(now) if rate == vb else now + r.remaining / rate
     )
@@ -348,17 +306,7 @@ def _next_wall(r, rate, now, resume_seconds):
     if rate - drain > EPS_RATE and r.client.buffer_capacity < math.inf:
         room = max(0.0, r.client.buffer_capacity - r.buffer_occupancy(now))
         full = now + room / (rate - drain)
-    return min(finish, full, starving)
-
-
-def build_allocator(name):
-    """The registered allocator; the intermittent one with thresholds
-    low enough that the generated streams do get parked and resumed."""
-    if name == "intermittent":
-        return ALLOCATORS[name](
-            park_seconds=20.0, resume_seconds=5.0, refill_seconds=2.0
-        )
-    return ALLOCATORS[name]()
+    return min(finish, full)
 
 
 def reference_step(name, link, requests, now):
@@ -367,15 +315,8 @@ def reference_step(name, link, requests, now):
     moved = 0.0
     for r in requests:
         moved += r.sync(now)
-    alloc = build_allocator(name)
-    if name == "intermittent":
-        rates = _intermittent_rates(alloc, link, requests, now)
-    else:
-        rates = _minimum_flow_rates(name, link, requests, now)
-    resume = getattr(alloc, "resume_seconds", 0.0)
-    walls = [
-        _next_wall(r, rates[r.request_id], now, resume) for r in requests
-    ]
+    rates = _minimum_flow_rates(name, link, requests, now)
+    walls = [_next_wall(r, rates[r.request_id], now) for r in requests]
     return rates, moved, min(walls)
 
 
@@ -437,9 +378,7 @@ class TestAllocateIntoEquivalence:
     @given(state=schedule_states())
     def test_matches_reference_dict_path(self, name, state):
         now, floor, headroom, requests = state
-        # Only the intermittent allocator may be over-committed (some
-        # streams then starve); a minimum-flow link covers its floor.
-        link = floor * (headroom if name == "intermittent" else max(1.0, headroom))
+        link = floor * max(1.0, headroom)  # the link covers its floor
         expected_rates, moved, wall = reference_step(
             name, link, [copy.copy(r) for r in requests], now
         )
@@ -451,7 +390,7 @@ class TestAllocateIntoEquivalence:
         engine = Engine(start_time=now)
         srv = DataServer(0, bandwidth=link, disk_capacity=1e9)
         metrics = SimulationMetrics()
-        manager = TransmissionManager(engine, srv, build_allocator(name), metrics)
+        manager = TransmissionManager(engine, srv, ALLOCATORS[name](), metrics)
         for r in requests:
             srv.store_replica(r.video)
             srv.attach(r)

@@ -73,51 +73,6 @@ class TestTrace:
         assert seen == [(1.0, 3), (2.0, 5)]
 
 
-class TestGenerateBurstyTrace:
-    def _trace(self, rng, bursts, duration=1000.0, rate=1.0):
-        from repro.workload.trace import generate_bursty_trace
-
-        pop = ZipfPopularity(5, 0.0)
-        return generate_bursty_trace(duration, rate, pop, rng, bursts=bursts)
-
-    def test_no_bursts_matches_plain_poisson_stats(self, rng):
-        t = self._trace(rng, bursts=(), duration=5000.0, rate=2.0)
-        assert 9500 <= len(t) <= 10500
-
-    def test_burst_window_is_denser(self, rng):
-        t = self._trace(
-            rng, bursts=[(400.0, 200.0, 5.0)], duration=1000.0, rate=1.0
-        )
-        inside = len(t.window(400.0, 600.0))
-        before = len(t.window(0.0, 200.0))
-        # 5x the rate over an equal-length window.
-        assert inside > 2.5 * max(before, 1)
-
-    def test_multiple_bursts(self, rng):
-        t = self._trace(
-            rng,
-            bursts=[(100.0, 50.0, 3.0), (500.0, 50.0, 3.0)],
-            duration=1000.0,
-            rate=2.0,
-        )
-        assert len(t.window(100.0, 150.0)) > len(t.window(200.0, 250.0))
-        assert len(t.window(500.0, 550.0)) > len(t.window(600.0, 650.0))
-
-    def test_overlapping_bursts_rejected(self, rng):
-        with pytest.raises(ValueError):
-            self._trace(rng, bursts=[(100.0, 100.0, 2.0), (150.0, 50.0, 2.0)])
-
-    def test_burst_outside_duration_rejected(self, rng):
-        with pytest.raises(ValueError):
-            self._trace(rng, bursts=[(900.0, 200.0, 2.0)], duration=1000.0)
-
-    def test_times_sorted_and_in_range(self, rng):
-        t = self._trace(rng, bursts=[(100.0, 100.0, 4.0)], duration=500.0)
-        times = [r.time for r in t]
-        assert times == sorted(times)
-        assert all(0.0 <= x < 500.0 for x in times)
-
-
 class TestGenerateTrace:
     def test_count_matches_rate(self, rng):
         pop = ZipfPopularity(3, 1.0)

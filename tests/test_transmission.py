@@ -155,6 +155,22 @@ class TestBoundaryBookkeeping:
         expected = min(sent_before + rate * (5.0 - last), r.size)
         assert r.bytes_sent == pytest.approx(expected)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_playing_stream_below_view_rate_is_an_error(self, rate):
+        """The general boundary rule covers the whole minimum-flow
+        floor: any playing stream under ``b_view`` raises, not only an
+        idle one — there is no drain boundary to schedule instead."""
+        cluster = one_server_cluster(allocator="none")
+        r, _ = cluster.submit(0, client=make_client())
+        assert r.rate == r.view_bandwidth == 1.0
+        r.rate = rate
+        with pytest.raises(RuntimeError, match="below its view bandwidth"):
+            cluster.managers[0]._next_boundary(0.0, [r])
+        # A VCR-paused viewer with a full buffer is legitimately idle.
+        r.pause_playback(0.0)
+        r.rate = 0.0
+        assert cluster.managers[0]._next_boundary(0.0, [r]) == math.inf
+
     def test_reallocations_counted(self):
         cluster = one_server_cluster()
         cluster.submit(0, client=make_client())
