@@ -116,9 +116,6 @@ class DistributionController:
         registry = self.metrics.registry
         if registry is not None:
             registry.gauge("streams.active", supplier=lambda: self.active_count)
-        #: Completed requests kept for post-run analysis (finished or
-        #: dropped); rejected requests are only counted.
-        self.completed: List[Request] = []
         self.intercept: Optional[Callable] = None
         self.on_decision: List[Callable] = []
         self.on_finish: List[Callable] = []
@@ -129,7 +126,10 @@ class DistributionController:
         ``on_finish`` / ``on_drop`` *observer* defines.
 
         Handlers are resolved once, here, so publishing stays a bare
-        loop over bound methods in subscription order.
+        loop over bound methods in subscription order.  ``on_finish``
+        handlers run inside a server's reallocation: they may schedule
+        engine events, never admit, migrate or reallocate synchronously
+        (:meth:`TransmissionManager.reallocate` raises if re-entered).
         """
         intercept = getattr(observer, "intercept", None)
         if intercept is not None:
@@ -223,7 +223,6 @@ class DistributionController:
     def _stream_finished(self, request: Request) -> None:
         """A transmission manager completed *request*'s transfer."""
         self.metrics.record_finish()
-        self.completed.append(request)
         now = self.engine.now
         registry = self.metrics.registry
         if registry is not None:

@@ -19,13 +19,14 @@ optimal among minimum-flow algorithms.  The alternatives here exist to
 * :class:`LFTFAllocator` — anti-EFTF (latest finish first), a straw man
   that shows the greedy direction matters.
 
-Allocation is **one pass per reallocation**
+Allocation is **one pass per server event**
 (:meth:`BandwidthAllocator.allocate_into`): per stream it integrates the
-transfer to ``now``, sets the minimum-flow floor, tests spare candidacy
-and folds the stream's finish boundary into a running minimum; the
-subclass hook then hands out the spare.  A paused stream (mid-migration
-switch gap) gets rate 0 — its playback is covered by the staging
-buffer, which the migration eligibility check guarantees.
+transfer to ``now``, splits the stream off if that finished it, else
+sets the minimum-flow floor, tests spare candidacy and folds the
+stream's finish boundary into a running minimum; the subclass hook then
+hands out the spare.  A paused stream (mid-migration switch gap) gets
+rate 0 — its playback is covered by the staging buffer, which the
+migration eligibility check guarantees.
 
 Performance note: this is the simulator's innermost loop, so the sync
 and eligibility arithmetic is inlined on request attributes rather than
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from repro.cluster.request import EPS_MB, Request
 from repro.cluster.server import DataServer
@@ -54,9 +55,10 @@ Candidate = Tuple[float, int, Request, float]
 
 #: What one pass hands the transmission manager: Mb transferred while
 #: integrating to ``now``; the earliest boundary among streams playing
-#: at ``b_view``; and the *irregular* streams — switch-gap, VCR-paused,
-#: boosted — whose next boundary needs the manager's general rule.
-PassResult = Tuple[float, float, Sequence[Request]]
+#: at ``b_view``; the *irregular* streams — switch-gap, VCR-paused,
+#: boosted — whose next boundary needs the manager's general rule; and
+#: the streams the integration finished (the manager detaches them).
+PassResult = Tuple[float, float, Sequence[Request], Sequence[Request]]
 
 
 def pour_in_order(candidates: Sequence[Candidate], spare: float) -> None:
@@ -86,7 +88,7 @@ class BandwidthAllocator(abc.ABC):
     _scratch: Optional[List[Candidate]] = None
 
     def allocate_into(
-        self, server: DataServer, requests: Sequence[Request], now: float
+        self, server: DataServer, requests: Collection[Request], now: float
     ) -> PassResult:
         """The one allocation path: integrate every request to *now*
         and set its ``rate`` in place, one loop over *requests*.
@@ -95,6 +97,8 @@ class BandwidthAllocator(abc.ABC):
         sync first (a zero-``dt`` sync is an arithmetic no-op).
 
         Guarantees (enforced here, not in subclasses):
+        * a stream with ``remaining <= EPS_MB`` is returned as finished,
+          rate untouched — no floor, no boundary, no candidacy;
         * switch-gap streams get 0;
         * all other streams get >= view bandwidth (minimum flow), bar
           a VCR-paused viewer whose staging buffer is full;
@@ -109,6 +113,7 @@ class BandwidthAllocator(abc.ABC):
         # boundary, found by the general rule, is earlier.
         nearest = math.inf
         irregular: List[Request] = []
+        finished: List[Request] = []
         candidates = self._scratch
         if candidates is None:
             candidates = []
@@ -136,6 +141,9 @@ class BandwidthAllocator(abc.ABC):
                     f"sync backwards on server {server.server_id}: "
                     f"{now} < {r.last_sync}"
                 )
+            if remaining <= EPS_MB:
+                finished.append(r)
+                continue
             if now < r.paused_until:
                 r.rate = 0.0
                 irregular.append(r)
@@ -151,10 +159,10 @@ class BandwidthAllocator(abc.ABC):
                 played_until = r.playback_pause_time
                 irregular.append(r)
             # Inline of Request.headroom: the capacity side here, the
-            # data side is `remaining`.  `played_until` freezes
-            # consumption during VCR pauses.
+            # data side (`remaining`) was the finished test above.
+            # `played_until` freezes consumption during VCR pauses.
             client = r.client
-            roomy = remaining > EPS_MB and client.buffer_capacity - (
+            roomy = client.buffer_capacity - (
                 sent - (played_until - r.playback_start) * vb
             ) > EPS_MB
             if not (playing or roomy):
@@ -184,7 +192,7 @@ class BandwidthAllocator(abc.ABC):
                     irregular.append(r)
         candidates.clear()  # drop Request refs before parking
         self._scratch = candidates
-        return moved, now + nearest, irregular
+        return moved, now + nearest, irregular, finished
 
     @abc.abstractmethod
     def _distribute_spare_into(

@@ -45,8 +45,8 @@ class TransmissionManager:
         metrics: sink for transfer accounting.
         on_finish: callback invoked when a stream completes transmission
             (after it has been detached from the server).
-        tracer: optional obs tracer for buffer-full records (zero
-            overhead when None).
+        tracer: optional obs tracer for ``stream.buffer_full`` and
+            ``sched.realloc`` records (no stream is visited for it).
     """
 
     def __init__(
@@ -65,9 +65,13 @@ class TransmissionManager:
         self.on_finish = on_finish
         self.tracer = tracer
         self._event: Optional[Event] = None
+        #: Streams the last pass left above ``b_view`` — the only ones
+        #: that can hit a buffer wall before the next pass.
+        self._boosted: List[Request] = []
+        #: True while finish callbacks run (re-entrancy guard).
+        self._finishing = False
         self.reallocations = 0
-        #: Trace tag for boundary events, built once — the f-string
-        #: used to be formatted per scheduled boundary (per event).
+        #: Trace tag for boundary events, built once, not per event.
         self._boundary_kind = f"tx-boundary:srv{server.server_id}"
 
     # ------------------------------------------------------------------
@@ -107,68 +111,67 @@ class TransmissionManager:
     # ------------------------------------------------------------------
     # Core cycle
     # ------------------------------------------------------------------
-    def _sync_all(self, now: float) -> List[Request]:
-        """Integrate every stream to *now*, batching the transfer
-        accounting into one metrics call; returns the streams whose
-        transmission is finished.
-
-        This is the inlined (hot-loop) equivalent of calling
-        ``Request.sync`` and reading ``transmission_finished`` per
-        stream; tests assert the two agree.
-        """
-        total = 0.0
-        finished = []
-        for r in self.server.iter_active():
-            remaining = r.size - r.bytes_sent
-            dt = now - r.last_sync
-            if dt > 0.0:
-                rate = r.rate
-                if rate > 0.0:
-                    delta = rate * dt
-                    if delta > remaining:
-                        delta = remaining
-                    r.bytes_sent += delta
-                    remaining = r.size - r.bytes_sent
-                    total += delta
-                r.last_sync = now
-            elif dt < 0.0:
-                raise RuntimeError(
-                    f"sync backwards on server {self.server.server_id}: "
-                    f"{now} < {r.last_sync}"
-                )
-            if remaining <= EPS_MB:
-                finished.append(r)
-        if total > 0.0:
-            self.metrics.record_bytes(self.server.server_id, total, now)
-        return finished
-
     def reallocate(self, now: float) -> None:
-        """Apply the allocator and schedule the next boundary.
+        """The whole cycle, for every trigger: integrate, finish,
+        reassign rates, schedule the next boundary.
 
         One :meth:`BandwidthAllocator.allocate_into` pass integrates
-        every stream to *now*, reassigns every rate and finds the
-        boundary of the streams left playing at ``b_view``; only the
-        irregular few (boosted, switch-gap, VCR-paused) go through
-        :meth:`_next_boundary`.  When N streams hit their boundaries at
-        the same timestamp, one event re-integrates and re-allocates
-        all of them together — there is never more than one boundary
-        event per server on the agenda (pinned by tests).
+        every stream to *now*, splits off the ones that completed,
+        reassigns every other rate and finds the boundary of the streams
+        left playing at ``b_view``; only the irregular few (boosted,
+        switch-gap, VCR-paused) go through :meth:`_next_boundary`.  N
+        streams hitting their boundaries at one timestamp are handled
+        by one event — there is never more than one boundary event per
+        server on the agenda (pinned by tests).
+
+        Finished streams are detached and reported in active-list order
+        once the others hold their new rates.  Finish subscribers may
+        schedule, never reallocate synchronously: re-entering this
+        manager from ``on_finish`` raises.
+
+        An external trigger finishes a stream too if it lands within
+        ``EPS_MB / rate`` (0.3 µs at 3 Mb/s) before that stream's own
+        boundary.  Arrival, fault and VCR times are continuous draws, so
+        a benchmark-length run sees that about once in 10⁵; the stream
+        then ends that much earlier, short by the ``<= EPS_MB`` the
+        boundary itself tolerates, and its callbacks run inside the
+        trigger — still a valid schedule.
         """
-        self.reallocations += 1
         server = self.server
-        active = list(server.iter_active())
-        moved, boundary, irregular = self.allocator.allocate_into(
-            server, active, now
+        if self._finishing:
+            raise RuntimeError(
+                f"server {server.server_id}: reallocate re-entered from a "
+                f"finish callback (subscribers may schedule, not reallocate)"
+            )
+        self.reallocations += 1
+        moved, boundary, irregular, finished = self.allocator.allocate_into(
+            server, server.active.values(), now
         )
         if moved > 0.0:
             self.metrics.record_bytes(server.server_id, moved, now)
-        if self.tracer is not None:
+        tracer = self.tracer
+        if tracer is not None and self._boosted:
+            self._trace_full_buffers(now)
+        self._boosted = [
+            r for r in irregular if r.rate > r.view_bandwidth + EPS_RATE
+        ]
+        if finished:
+            self._finishing = True
+            try:
+                for r in finished:
+                    server.detach(r)
+                    r.mark_finished(now)
+                    if self.on_finish is not None:
+                        self.on_finish(r)
+            finally:
+                self._finishing = False
+        if tracer is not None:
             # Every stream off its b_view floor is irregular, so the
             # boosted ones are counted there, not over the whole list.
-            self.tracer.emit(
+            tracer.emit(
                 TraceKind.SCHED_REALLOC, now,
                 server=server.server_id, allocator=self.allocator.name,
-                streams=len(active),
+                streams=len(server.active),
                 boosted=sum(r.rate > r.view_bandwidth for r in irregular),
             )
         if self._event is not None:
@@ -236,56 +239,45 @@ class TransmissionManager:
         return best
 
     def _on_boundary(self) -> None:
-        """Handle the scheduled boundary: complete finished streams, then
-        rebalance (buffer-full and pause-end need no explicit handling —
-        the allocator sees the new state).
-
-        The sync pre-pass is separate from the allocator's because the
-        finish callbacks must run before rates are reassigned (they may
-        admit or migrate onto this server).
-        """
-        now = self.engine.now
+        """Finish, buffer-full or pause-end: the pass sees which."""
         self._event = None
-        finished = self._sync_all(now)
-        if self.tracer is not None:
-            self._trace_full_buffers(now)
-        for r in finished:
-            self.server.detach(r)
-            r.mark_finished(now)
-            if self.on_finish is not None:
-                self.on_finish(r)
-        self.reallocate(now)
+        self.reallocate(self.engine.now)
 
     def _trace_full_buffers(self, now: float) -> None:
-        """Emit ``stream.buffer_full`` for boosted streams whose clients
-        just ran out of headroom (the boundary that triggered us).
-
-        Trace-only path: runs one extra scan per boundary event and only
-        when a tracer is attached.
-        """
-        for r in self.server.iter_active():
-            vb = r.view_bandwidth
-            playing = now < r.playback_pause_time
-            if r.rate <= vb + EPS_RATE or not playing:
-                continue  # not boosted; can't have hit the buffer wall
-            sent = r.bytes_sent
-            if r.size - sent <= EPS_MB:
-                continue  # finishing, not filling
-            headroom = r.client.buffer_capacity - (
-                sent - (now - r.playback_start) * vb
+        """Emit ``stream.buffer_full`` for the streams the previous pass
+        left boosted whose clients just ran out of headroom — the wall
+        that pass scheduled this boundary for.  Only those few are
+        re-checked (integrated by now); none is visited just to trace."""
+        active = self.server.active
+        full = [
+            r for r in self._boosted
+            if now < r.playback_pause_time  # a paused viewer cannot fill
+            and r.size - r.bytes_sent > EPS_MB  # finishing, not filling
+            and r.request_id in active  # not migrated or shed since
+            and r.client.buffer_capacity - (
+                r.bytes_sent - (now - r.playback_start) * r.view_bandwidth
+            ) <= EPS_MB
+        ]
+        if len(full) > 1:  # simultaneous walls go out in active-list order
+            ids = list(active)
+            full.sort(key=lambda r: ids.index(r.request_id))
+        for r in full:
+            self.tracer.emit(
+                TraceKind.STREAM_BUFFER_FULL, now,
+                request=r.request_id, server=self.server.server_id,
             )
-            if headroom <= EPS_MB:
-                self.tracer.emit(
-                    TraceKind.STREAM_BUFFER_FULL, now,
-                    request=r.request_id, server=self.server.server_id,
-                )
 
     # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
     def flush(self, now: float) -> None:
-        """Integrate all streams to *now* (end-of-simulation accounting)."""
-        self._sync_all(now)
+        """Integrate all streams to *now* without reallocating (end-of-run
+        and pre-fault accounting); the transfer is one metrics call."""
+        total = 0.0
+        for r in self.server.iter_active():
+            total += r.sync(now)
+        if total > 0.0:
+            self.metrics.record_bytes(self.server.server_id, total, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -404,7 +404,6 @@ class PrefixTier:
             # (Patch children were already finished by their manager.)
             child.mark_finished(now)
             self.metrics.record_finish()
-            self.controller.completed.append(child)
             if self.tracer is not None:
                 self.tracer.emit(
                     TraceKind.REQUEST_FINISH, now,

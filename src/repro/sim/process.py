@@ -43,6 +43,8 @@ class Process:
     ) -> None:
         self.engine = engine
         self.name = name
+        #: Event tag, built once — not formatted per wake-up.
+        self._kind = f"process:{name}"
         self._gen = generator
         self._pending: Optional[Event] = None
         self._done = False
@@ -66,7 +68,7 @@ class Process:
                 f"process {self.name!r} yielded invalid delay {delay!r}"
             )
         self._pending = self.engine.schedule(
-            float(delay), self._advance, kind=f"process:{self.name}"
+            float(delay), self._advance, kind=self._kind
         )
 
     def stop(self) -> None:

@@ -88,7 +88,7 @@ class ZipfPopularity:
             size: None for a scalar int, otherwise an ndarray of ints.
         """
         u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
+        idx = self._cdf.searchsorted(u, side="right")
         if size is None:
             return int(idx)
         return idx.astype(np.int64)

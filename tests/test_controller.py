@@ -138,10 +138,17 @@ class TestSubmit:
 
     def test_finished_streams_recorded(self):
         engine, controller = build_controller()
-        controller.submit(0)
+        finished = []
+
+        class Observer:
+            def on_finish(self, request, now):
+                finished.append((request, now))
+
+        controller.subscribe(Observer())
+        request, _ = controller.submit(0)
         engine.run_until(200.0)
         assert controller.metrics.finished == 1
-        assert len(controller.completed) == 1
+        assert finished == [(request, request.finish_time)]
         assert controller.active_count == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import SimulationMetrics
-from repro.cluster.request import EPS_MB
+from repro.cluster.request import EPS_MB, RequestState
 from repro.cluster.server import DataServer
 from repro.core.schedulers import (
     ALLOCATORS,
@@ -20,6 +20,8 @@ from repro.core.schedulers import (
 )
 
 from repro.core.transmission import TransmissionManager
+from repro.obs.records import TraceKind
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 
 from conftest import make_client, make_request, make_video, rates_of
@@ -140,12 +142,19 @@ class TestEFTF:
         assert rates[a.request_id] > rates[b.request_id]
 
     def test_finished_request_not_boosted(self):
+        """A stream with nothing left is split off by the pass: no
+        floor, no spare, no boundary — its share goes to the others."""
         srv = server(bandwidth=5.0)
         done = attached_request(srv, remaining=0.0)
         live = attached_request(srv, remaining=50.0)
-        rates = rates_of(EFTFAllocator(), srv, [done, live], 0.0)
-        assert rates[done.request_id] == pytest.approx(1.0)  # min flow only
-        assert rates[live.request_id] == pytest.approx(4.0)
+        moved, horizon, irregular, finished = EFTFAllocator().allocate_into(
+            srv, [done, live], 0.0
+        )
+        assert finished == [done]
+        assert done.rate == 0.0  # untouched: the caller detaches it
+        assert live.rate == pytest.approx(5.0)  # the whole link
+        assert (moved, irregular) == (0.0, [live])
+        assert horizon == pytest.approx(50.0)  # live's own, at b_view
 
 
 class TestLFTF:
@@ -310,14 +319,17 @@ def _next_wall(r, rate, now):
 
 
 def reference_step(name, link, requests, now):
-    """One reallocation assembled from the readable ``Request`` helpers;
-    returns ``({request_id: rate}, Mb moved, next boundary)``."""
+    """One reallocation assembled from the readable ``Request`` helpers:
+    integrate, set the finished aside, floor + spare for the rest;
+    returns ``({request_id: rate}, finished, Mb moved, next boundary)``."""
     moved = 0.0
     for r in requests:
         moved += r.sync(now)
-    rates = _minimum_flow_rates(name, link, requests, now)
-    walls = [_next_wall(r, rates[r.request_id], now) for r in requests]
-    return rates, moved, min(walls)
+    finished = [r for r in requests if r.transmission_finished]
+    left = [r for r in requests if not r.transmission_finished]
+    rates = _minimum_flow_rates(name, link, left, now)
+    walls = [_next_wall(r, rates[r.request_id], now) for r in left]
+    return rates, finished, moved, min(walls, default=math.inf)
 
 
 @st.composite
@@ -379,7 +391,7 @@ class TestAllocateIntoEquivalence:
     def test_matches_reference_dict_path(self, name, state):
         now, floor, headroom, requests = state
         link = floor * max(1.0, headroom)  # the link covers its floor
-        expected_rates, moved, wall = reference_step(
+        expected_rates, done, moved, wall = reference_step(
             name, link, [copy.copy(r) for r in requests], now
         )
         expected_sent = {
@@ -390,14 +402,245 @@ class TestAllocateIntoEquivalence:
         engine = Engine(start_time=now)
         srv = DataServer(0, bandwidth=link, disk_capacity=1e9)
         metrics = SimulationMetrics()
-        manager = TransmissionManager(engine, srv, ALLOCATORS[name](), metrics)
+        finished = []
+        manager = TransmissionManager(
+            engine, srv, ALLOCATORS[name](), metrics, on_finish=finished.append
+        )
         for r in requests:
             srv.store_replica(r.video)
             srv.attach(r)
         manager.reallocate(now)
 
-        assert {r.request_id: r.rate for r in requests} == expected_rates
+        # The finished leave in active-list order, floorless and rateless.
+        assert [r.request_id for r in finished] == [r.request_id for r in done]
+        for r in finished:
+            assert (r.state, r.finish_time, r.rate) == (
+                RequestState.FINISHED, now, 0.0
+            )
+        assert list(srv.iter_active()) == [
+            r for r in requests if r not in finished
+        ]
+        assert {r.request_id: r.rate for r in srv.iter_active()} == expected_rates
         assert {r.request_id: r.bytes_sent for r in requests} == expected_sent
         assert all(r.last_sync == now for r in requests)
         assert metrics.total_megabits == moved
         assert engine.peek_time() == (None if wall == math.inf else wall)
+
+
+# ----------------------------------------------------------------------
+# The one-pass cycle against the three-scan handler it replaced
+# ----------------------------------------------------------------------
+class ThreeScanManager:
+    """A server's cycle as the boundary handler ran it before the scans
+    were folded into the allocator pass, written with the readable
+    ``Request`` helpers: (1) integrate every stream, (2) look every
+    stream over for a buffer that just filled, retire the finished,
+    (3) floor + spare + next wall over the rest.  Same constructor, sinks
+    and engine use as :class:`TransmissionManager`, so the two can be
+    compared record for record."""
+
+    def __init__(self, engine, server, allocator, metrics, on_finish, tracer):
+        self.engine = engine
+        self.server = server
+        self.name = allocator.name
+        self.metrics = metrics
+        self.on_finish = on_finish
+        self.tracer = tracer
+        self._event = None
+        self.reallocations = 0
+
+    def admit(self, request, now):
+        request.last_sync = now
+        self.server.attach(request)
+        self.reallocate(now)
+
+    def reallocate(self, now):
+        self.reallocations += 1
+        server = self.server
+        streams = list(server.iter_active())
+        moved = 0.0
+        for r in streams:  # scan 1
+            moved += r.sync(now)
+        if moved > 0.0:
+            self.metrics.record_bytes(server.server_id, moved, now)
+        for r in streams:  # scan 2
+            boosted = r.rate > r.view_bandwidth + EPS_RATE
+            if (
+                boosted
+                and not r.playback_paused
+                and not r.transmission_finished
+                and r.client.buffer_capacity - r.buffer_occupancy(now) <= EPS_MB
+            ):
+                self.tracer.emit(
+                    TraceKind.STREAM_BUFFER_FULL, now,
+                    request=r.request_id, server=server.server_id,
+                )
+        for r in streams:
+            if r.transmission_finished:
+                server.detach(r)
+                r.mark_finished(now)
+                self.on_finish(r)
+        left = list(server.iter_active())  # scan 3
+        rates = _minimum_flow_rates(self.name, server.bandwidth, left, now)
+        for r in left:
+            r.rate = rates[r.request_id]
+        self.tracer.emit(
+            TraceKind.SCHED_REALLOC, now,
+            server=server.server_id, allocator=self.name, streams=len(left),
+            boosted=sum(r.rate > r.view_bandwidth for r in left),
+        )
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+        wall = min((_next_wall(r, r.rate, now) for r in left), default=math.inf)
+        if wall < math.inf:
+            self._event = self.engine.schedule_at(
+                max(wall, now), self._on_boundary,
+                kind=f"tx-boundary:srv{server.server_id}",
+            )
+
+    def _on_boundary(self):
+        self._event = None
+        self.reallocate(self.engine.now)
+
+
+class BytesLog:
+    """A metrics sink that keeps every ``record_bytes`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record_bytes(self, server_id, megabits, now):
+        self.calls.append((server_id, megabits, now))
+
+
+@st.composite
+def server_scripts(draw):
+    """One server's life: streams (admit time, client, optional switch
+    gap, optional VCR pause / resume) and bare external triggers.  Values
+    come from small sets so that coincidences are the norm: simultaneous
+    admissions, finishes and buffer walls, a trigger at a boundary's own
+    timestamp, the same trigger twice (``dt == 0`` re-entry)."""
+    streams = []
+    for _ in range(draw(st.integers(1, 6))):
+        if streams and draw(st.booleans()):
+            streams.append(dict(streams[-1]))  # a twin: same walls
+            continue
+        vb = draw(st.sampled_from([1.0, 1.5, 3.0]))
+        streams.append(dict(
+            vb=vb,
+            length=draw(st.sampled_from([20.0, 40.0, 60.0])),
+            buffer=draw(st.sampled_from([0.0, 5.0, 18.0, math.inf])),
+            receive=draw(st.sampled_from([math.inf, 2 * vb, 4.5])),
+            admit=draw(st.sampled_from([0.0, 1.0, 2.5])),
+            gap=draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])),
+            pause=draw(st.sampled_from([None, None, 3.0, 7.5, 12.0])),
+            resume_after=draw(st.sampled_from([None, 1.0, 30.0])),
+        ))
+    pokes = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5, 7.5, 20.0, 22.5, 40.0]),
+            st.floats(0.0, 70.0),
+        ),
+        max_size=4,
+    ))
+    return streams, pokes, draw(st.sampled_from([1.0, 1.3, 2.5]))
+
+
+def play(manager_class, name, script, requests):
+    """Run *script* on a fresh engine + server under *manager_class*;
+    returns everything observable about the run."""
+    specs, pokes, headroom = script
+    requests = [copy.copy(r) for r in requests]
+    engine = Engine()
+    link = headroom * sum(spec["vb"] for spec in specs)
+    server = DataServer(0, bandwidth=link, disk_capacity=1e9)
+    sink, tracer, finishes, cycles = BytesLog(), Tracer(), [], []
+
+    def on_finish(r):
+        # What the controller does with it.
+        finishes.append((r.request_id, r.finish_time))
+        tracer.emit(
+            TraceKind.REQUEST_FINISH, engine.now,
+            request=r.request_id, server=r.server_id,
+        )
+
+    manager = manager_class(
+        engine, server, ALLOCATORS[name](), sink, on_finish, tracer
+    )
+    cycle = manager.reallocate
+
+    def reallocate(now):
+        cycle(now)
+        event = manager._event
+        cycles.append((
+            now, manager.reallocations,
+            None if event is None else (event.time, event.seq),
+            [(r.state, r.bytes_sent, r.rate, r.last_sync, r.finish_time)
+             for r in requests],
+        ))
+
+    manager.reallocate = reallocate  # boundary events go through it too
+
+    def attached(r):
+        return r.state is RequestState.ACTIVE and r.request_id in server.active
+
+    def pause(r):
+        now = engine.now
+        if attached(r) and not r.playback_paused and r.bytes_viewed(now) < r.size:
+            r.pause_playback(now)
+            manager.reallocate(now)
+
+    def resume(r):
+        if r.playback_paused:
+            r.resume_playback(engine.now)
+            if attached(r):
+                manager.reallocate(engine.now)
+
+    for spec, r in zip(specs, requests):
+        server.store_replica(r.video)
+        engine.schedule_at(spec["admit"], lambda r=r: manager.admit(r, engine.now))
+        if spec["pause"] is not None:
+            at = spec["admit"] + spec["pause"]
+            engine.schedule_at(at, lambda r=r: pause(r))
+            if spec["resume_after"] is not None:
+                engine.schedule_at(
+                    at + spec["resume_after"], lambda r=r: resume(r)
+                )
+    for t in pokes:
+        engine.schedule_at(t, lambda: manager.reallocate(engine.now))
+    engine.run_until(400.0)
+    trace = [record.to_json() for record in tracer.records()]
+    return cycles, sink.calls, finishes, trace
+
+
+class TestOnePassCycle:
+    """``TransmissionManager.reallocate`` — one pass per server event,
+    whatever triggered it — must leave exactly what three scans did:
+    every float, every record, every scheduled boundary."""
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATORS))
+    @settings(max_examples=60, deadline=None)
+    @given(script=server_scripts())
+    def test_matches_three_scan_reference(self, name, script):
+        requests = []
+        for i, spec in enumerate(script[0]):
+            r = make_request(
+                video=make_video(
+                    video_id=i, length=spec["length"], view_bandwidth=spec["vb"]
+                ),
+                client=make_client(spec["buffer"], spec["receive"]),
+                arrival_time=spec["admit"],
+            )
+            if spec["gap"]:
+                # Arrives mid-migration, its gap covered by staged data.
+                r.paused_until = spec["admit"] + spec["gap"]
+                r.bytes_sent = spec["vb"] * spec["gap"] + 1.0
+            requests.append(r)
+
+        got = play(TransmissionManager, name, script, requests)
+        want = play(ThreeScanManager, name, script, requests)
+        for label, a, b in zip(
+            ("cycles", "record_bytes", "finishes", "trace"), got, want
+        ):
+            assert a == b, label

@@ -15,6 +15,17 @@ from repro.core.replication import ReplicationPolicy
 from repro.units import hours
 
 
+class FinishLog:
+    """A recording ``on_finish`` observer (the controller keeps no list
+    of finished requests itself)."""
+
+    def __init__(self):
+        self.requests = []
+
+    def on_finish(self, request, now):
+        self.requests.append(request)
+
+
 @pytest.fixture(scope="module")
 def soak_run():
     tiny = SMALL_SYSTEM.scaled(n_videos=120, name="tiny")
@@ -33,6 +44,8 @@ def soak_run():
         client_receive_bandwidth=30.0,
     )
     sim = Simulation(config)
+    finished = FinishLog()
+    sim.controller.subscribe(finished)
     sampler = StateSampler(sim.engine, sim.controller, interval=300.0)
     failover = FailoverManager(
         sim.engine,
@@ -45,34 +58,34 @@ def soak_run():
     sim.engine.schedule_at(hours(3), lambda: failover.fail_server(1))
     sim.engine.schedule_at(hours(5), lambda: failover.restore_server(1))
     result = sim.run()
-    return sim, sampler, failover, result
+    return sim, sampler, failover, result, finished
 
 
 class TestSoak:
     def test_completes_with_sane_headline_numbers(self, soak_run):
-        _, _, _, result = soak_run
+        _, _, _, result, _ = soak_run
         assert 0.5 < result.utilization <= 1.0
         assert 0.5 < result.acceptance_ratio <= 1.0
         assert result.arrivals > 500
 
     def test_every_mechanism_fired(self, soak_run):
-        sim, _, failover, result = soak_run
+        sim, _, failover, result, _ = soak_run
         assert result.migrations > 0
         assert sim.replicator.replications > 0
         assert sim.interactivity.pauses_executed > 0
         assert len(failover.reports) == 1
 
     def test_minimum_flow_never_underran(self, soak_run):
-        _, _, _, result = soak_run
+        _, _, _, result, _ = soak_run
         assert result.underruns == 0
 
     def test_structural_invariants_hold_at_end(self, soak_run):
-        sim, _, _, _ = soak_run
+        sim, _, _, _, _ = soak_run
         sim.controller.check_invariants()
         sim.controller.metrics.sanity_check()
 
     def test_failure_visible_in_timeseries(self, soak_run):
-        sim, sampler, _, _ = soak_run
+        sim, sampler, _, _, _ = soak_run
         series = sampler.series
         during = series.window(hours(3), hours(5))
         assert len(during) > 0
@@ -81,14 +94,14 @@ class TestSoak:
             assert snap.per_server_active.get(1, 0) == 0
 
     def test_recovery_visible_in_timeseries(self, soak_run):
-        sim, sampler, _, _ = soak_run
+        sim, sampler, _, _, _ = soak_run
         after = sampler.series.window(hours(6), hours(8))
         assert any(
             snap.per_server_active.get(1, 0) > 0 for snap in after.snapshots
         )
 
     def test_replicated_videos_consistent_with_disks(self, soak_run):
-        sim, _, _, _ = soak_run
+        sim, _, _, _, _ = soak_run
         placement = sim.placement_result.placement
         for vid in placement.videos():
             for sid in placement.holders(vid):
@@ -100,14 +113,12 @@ class TestSoak:
         consistency instead.)"""
         from repro.cluster.request import RequestState
 
-        sim, _, _, result = soak_run
-        for request in sim.controller.completed:
-            assert request.state in (
-                RequestState.FINISHED, RequestState.DROPPED,
-            )
+        sim, _, _, result, finished = soak_run
+        for request in finished.requests:
+            assert request.state is RequestState.FINISHED
             assert request.bytes_sent <= request.size + 1e-6
         for server in sim.controller.servers.values():
             for request in server.iter_active():
                 assert request.state is RequestState.ACTIVE
-        # Completed streams at least cover the post-warmup finish count.
-        assert len(sim.controller.completed) >= result.finished
+        # Finished streams at least cover the post-warmup finish count.
+        assert len(finished.requests) >= result.finished

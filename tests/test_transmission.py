@@ -4,12 +4,15 @@ Uses hand-wired micro-clusters (see conftest) so each event boundary is
 checked against closed-form expectations.
 """
 
+import copy
 import math
 
 import pytest
 
 from repro.cluster.request import RequestState
 from repro.core.admission import AdmissionOutcome
+from repro.obs.records import TraceKind
+from repro.obs.tracer import Tracer
 
 from conftest import build_micro_cluster, make_client, make_video
 
@@ -139,21 +142,30 @@ class TestBoundaryBookkeeping:
         assert cluster.metrics.total_megabits == pytest.approx(30.0)
 
     def test_manager_sync_matches_request_sync(self):
-        """The manager's batched _sync_all must agree with the reference
-        Request.sync implementation."""
-        from repro.analysis.metrics import SimulationMetrics
-
-        cluster = one_server_cluster(bandwidth=10.0)
-        r, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
+        """``flush`` integrates like ``Request.sync`` and nothing more:
+        one batched metrics call, no rate touched, nobody finished, the
+        pending boundary left where it was."""
+        cluster = one_server_cluster(bandwidth=3.0)
+        near, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         cluster.engine.run_until(3.0)
-        # Reference computation on a clone of the state:
-        ref = SimulationMetrics()
-        sent_before = r.bytes_sent
-        rate = r.rate
-        last = r.last_sync
-        cluster.managers[0].flush(5.0)
-        expected = min(sent_before + rate * (5.0 - last), r.size)
-        assert r.bytes_sent == pytest.approx(expected)
+        far, _ = cluster.submit(0, client=make_client())
+        manager, metrics = cluster.managers[0], cluster.metrics
+        before = metrics.total_megabits
+        rates = (near.rate, far.rate)
+        pending = manager._event
+        clones = [copy.copy(near), copy.copy(far)]
+        # Past near's finish (t = 3 + 91/2), so its transfer clamps.
+        manager.flush(60.0)
+        moved = sum(clone.sync(60.0) for clone in clones)
+        assert [r.bytes_sent for r in (near, far)] == [
+            clone.bytes_sent for clone in clones
+        ]
+        assert near.last_sync == far.last_sync == 60.0
+        assert metrics.total_megabits - before == moved
+        assert (near.rate, far.rate) == rates
+        assert near.transmission_finished
+        assert near.state is RequestState.ACTIVE and cluster.finished == []
+        assert manager._event is pending and pending.pending
 
     @pytest.mark.parametrize("rate", [0.0, 0.5])
     def test_playing_stream_below_view_rate_is_an_error(self, rate):
@@ -205,3 +217,98 @@ class TestBatchedBoundaryAdvance:
         # One finish boundary (the fold) plus the post-finish
         # reallocation pass scheduling nothing: exactly 1 event fired.
         assert cluster.engine.events_fired - fired_before == 1
+
+
+class TestOnePassPerEvent:
+    """The boundary handler is ``reallocate`` and nothing else: one walk
+    over the server's streams per event, traced or not."""
+
+    def test_finish_callback_may_not_reallocate(self):
+        """Finish subscribers may schedule, never reallocate
+        synchronously — a nested pass would hand out rates twice."""
+        cluster = one_server_cluster(bandwidth=1.0, allocator="none")
+        manager = cluster.managers[0]
+        manager.on_finish = lambda r: manager.reallocate(cluster.engine.now)
+        cluster.submit(0, client=make_client())
+        with pytest.raises(RuntimeError, match="server 0: reallocate re-entered"):
+            cluster.engine.run_until(101.0)
+        # The guard is released on the way out.
+        manager.on_finish = None
+        manager.reallocate(100.0)
+
+    def test_finish_callback_may_schedule(self):
+        cluster = one_server_cluster(bandwidth=1.0, allocator="none")
+        engine, manager = cluster.engine, cluster.managers[0]
+        later = []
+        manager.on_finish = lambda r: engine.schedule(
+            0.0, lambda: later.append(cluster.submit(0)[1])
+        )
+        cluster.submit(0, client=make_client())
+        engine.run_until(101.0)
+        assert later == [AdmissionOutcome.ACCEPTED]  # into the freed slot
+
+    @staticmethod
+    def _walls_and_finishes(tracer):
+        """Two staged streams to their buffer walls and on to the end,
+        counting the streams every walk over ``server.active`` is handed."""
+
+        class CountedStreams(dict):
+            visits = 0
+
+            def __iter__(self):
+                CountedStreams.visits += len(self)
+                return super().__iter__()
+
+            def values(self):
+                CountedStreams.visits += len(self)
+                return super().values()
+
+        cluster = one_server_cluster(bandwidth=10.0)
+        cluster.servers[0].active = CountedStreams()
+        manager = cluster.managers[0]
+        manager.tracer = tracer
+        cluster.submit(0, client=make_client(buffer_capacity=18.0))
+        cluster.engine.run_until(1.0)
+        cluster.submit(0, client=make_client(buffer_capacity=6.0))
+        cluster.engine.run_until(150.0)
+        assert len(cluster.finished) == 2
+        return CountedStreams.visits, manager.reallocations
+
+    def test_tracing_visits_no_extra_stream(self):
+        tracer = Tracer()
+        traced = self._walls_and_finishes(tracer)
+        assert tracer.counts[TraceKind.STREAM_BUFFER_FULL] == 2
+        assert tracer.counts[TraceKind.SCHED_REALLOC] == traced[1]
+        assert traced == self._walls_and_finishes(None)
+
+    def test_simultaneous_walls_traced_in_active_list_order(self):
+        """EFTF pours into the nearer finish first, so the boosted pair
+        is remembered short-video-first; the records still come out in
+        active-list order, as a scan of the server would give them."""
+        videos = [make_video(video_id=0, length=60.0),
+                  make_video(video_id=1, length=20.0)]
+        cluster = build_micro_cluster(
+            server_specs=[(10.0, 1e9)], videos=videos, holders={0: [0], 1: [0]},
+        )
+        manager = cluster.managers[0]
+        manager.tracer = tracer = Tracer()
+        client = make_client(buffer_capacity=4.0, receive_bandwidth=2.0)
+        long_, _ = cluster.submit(0, client=client)
+        short, _ = cluster.submit(1, client=client)
+        assert long_.rate == short.rate == 2.0
+        cluster.engine.run_until(4.0)  # both walls: 4 Mb at 1 Mb/s surplus
+        assert [
+            record.fields["request"]
+            for record in tracer.records_of(TraceKind.STREAM_BUFFER_FULL)
+        ] == [long_.request_id, short.request_id]
+
+    def test_stream_migrated_out_at_its_wall_is_not_traced(self):
+        cluster = one_server_cluster(bandwidth=10.0)
+        manager = cluster.managers[0]
+        manager.tracer = tracer = Tracer()
+        r, _ = cluster.submit(0, client=make_client(buffer_capacity=18.0))
+        # Its wall is t = 2 (18 Mb at 9 Mb/s surplus); it leaves that
+        # very instant, ahead of the boundary event.
+        cluster.engine.run_until(1.0)
+        manager.migrate_out(r, 2.0)
+        assert TraceKind.STREAM_BUFFER_FULL not in tracer.counts
