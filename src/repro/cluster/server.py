@@ -40,7 +40,7 @@ class DataServer:
         accepting: False while membership keeps the server out of
             admission (joining/warming/draining); streams already here
             keep playing, but no new stream may land — the flag gates
-            :meth:`has_slot_for`, so least-loaded picks, DRM chains and
+            :meth:`has_slot`, so least-loaded picks, DRM chains and
             failover relocation all respect it.
     """
 
@@ -168,14 +168,20 @@ class DataServer:
         link sustains at the given view rate."""
         return int(self.bandwidth / view_bandwidth + 1e-9)
 
-    def has_slot_for(self, request: Request) -> bool:
-        """Minimum-flow admission test for *request* on this server."""
+    def has_slot(self, view_bandwidth: float) -> bool:
+        """Minimum-flow admission test: would one more stream played at
+        *view_bandwidth* fit?  Reads nothing but this server, so the
+        answer holds for every such stream until the server changes."""
         if not self.up or not self.accepting:
             return False
         return (
-            self.reserved_bandwidth + request.view_bandwidth
+            self.reserved_bandwidth + view_bandwidth
             <= self.bandwidth + EPS_MB
         )
+
+    def has_slot_for(self, request: Request) -> bool:
+        """:meth:`has_slot` for *request*'s view bandwidth."""
+        return self.has_slot(request.view_bandwidth)
 
     # ------------------------------------------------------------------
     # Active set management (called by the transmission manager)

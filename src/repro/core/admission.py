@@ -163,7 +163,7 @@ class AdmissionController:
         if not freed.has_slot_for(request):
             raise RuntimeError(
                 f"migration chain did not free a slot on server "
-                f"{freed.server_id}"
+                f"{freed.server_id} for request {request.request_id}"
             )
         self.managers[freed.server_id].admit(request, now)
         self.metrics.record_accept()

@@ -588,7 +588,12 @@ class ElasticScaler:
             tracer=self.tracer, cause="drain",
         )
         freed = self.controller.servers[chain[-1].source_id]
-        return freed if freed.has_slot_for(request) else None
+        if not freed.has_slot_for(request):
+            raise RuntimeError(
+                f"migration chain did not free a slot on server "
+                f"{freed.server_id} for request {request.request_id}"
+            )
+        return freed
 
     def _depart(self, sid: int) -> None:
         info = self._draining.pop(sid, {"moved": 0})

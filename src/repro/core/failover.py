@@ -276,10 +276,14 @@ class FailoverManager:
                 tracer=self.tracer, cause="failover",
             )
             freed = self.servers[chain[-1].source_id]
-            if freed.has_slot_for(request):
-                self._move(request, freed.server_id, now)
-                self.metrics.record_migration(len(chain))
-                return True
+            if not freed.has_slot_for(request):
+                raise RuntimeError(
+                    f"migration chain did not free a slot on server "
+                    f"{freed.server_id} for request {request.request_id}"
+                )
+            self._move(request, freed.server_id, now)
+            self.metrics.record_migration(len(chain))
+            return True
         return False
 
     def _move(self, request: Request, target_id: int, now: float) -> None:

@@ -115,9 +115,7 @@ class MigrationStep:
     target_id: int
 
 
-def _eligible(
-    request: Request, policy: MigrationPolicy, now: float
-) -> bool:
+def _eligible(request: Request, policy: MigrationPolicy, now: float) -> bool:
     """Can this stream be displaced right now?"""
     if request.is_paused(now):
         return False  # already mid-switch
@@ -139,17 +137,13 @@ def _eligible(
     return True
 
 
-#: Slot predicate: can *server* take *request* right now?  Every caller
-#: uses the default, the minimum-flow test; the parameter is the seam
-#: the differential oracle in tests substitutes a stricter one through.
-#: It must not mutate and must give the same answer for the same
-#: ``(server, request)`` for the duration of one search — the search
-#: relies on it.
-SlotTest = Callable[[DataServer, Request], bool]
-
-
-def _minflow_slot_test(server: DataServer, request: Request) -> bool:
-    return server.has_slot_for(request)
+#: Slot predicate: can *server* take one more stream played at
+#: *view_bandwidth* right now?  Every caller uses the default, the
+#: minimum-flow test; the parameter is the seam the differential oracle
+#: in tests substitutes a stricter one through.  Contract: pure, and the
+#: same answer for the same ``(server, view_bandwidth)`` for one search —
+#: the search asks once per pair and shares the answer between streams.
+SlotTest = Callable[[DataServer, float], bool]
 
 
 def find_migration_chain(
@@ -158,7 +152,7 @@ def find_migration_chain(
     placement: PlacementMap,
     policy: MigrationPolicy,
     now: float,
-    slot_test: SlotTest = _minflow_slot_test,
+    slot_test: SlotTest = DataServer.has_slot,
 ) -> Optional[List[MigrationStep]]:
     """Search for a displacement chain that frees a slot on some holder
     of *video_id*.
@@ -193,10 +187,11 @@ def find_migration_chain(
     entry_holders.sort(key=lambda s: (s.active_count, s.server_id))
     movable_of: Dict[int, List[Request]] = {}
     no_direct: Set[int] = set()
+    open_of: Dict[float, Set[int]] = {}
     for holder in entry_holders:
         chain = _free_slot(
-            holder, servers, placement, policy, now, 1,
-            {holder.server_id}, slot_test, movable_of, no_direct,
+            holder, servers, placement, policy, now, {holder.server_id},
+            slot_test, movable_of, no_direct, open_of,
         )
         if chain is not None:
             return chain
@@ -204,67 +199,71 @@ def find_migration_chain(
 
 
 def _free_slot(
-    server: DataServer,
-    servers: Dict[int, DataServer],
-    placement: PlacementMap,
-    policy: MigrationPolicy,
-    now: float,
-    depth: int,
-    visited: Set[int],
-    slot_test: SlotTest,
-    movable_of: Dict[int, List[Request]],
-    no_direct: Set[int],
+    server: DataServer, servers: Dict[int, DataServer],
+    placement: PlacementMap, policy: MigrationPolicy, now: float,
+    visited: Set[int], slot_test: SlotTest,
+    movable_of: Dict[int, List[Request]], no_direct: Set[int],
+    open_of: Dict[float, Set[int]],
 ) -> Optional[List[MigrationStep]]:
-    """Free one minimum-flow slot on *server* using <= remaining moves.
+    """Free a slot on *server*; each server in *visited* costs one move.
 
-    *movable_of* (server id -> eligible streams by request id) and
-    *no_direct* (servers whose eligible streams have no open target
+    *open_of* (view bandwidth -> the up members of *servers* with a slot
+    at it), *movable_of* (server id -> eligible streams by request id)
+    and *no_direct* (servers whose eligible streams have no open target
     anywhere) live for one search: a revisit skips what they answer.
     """
     sid = server.server_id
-    movable = movable_of.get(sid)
-    if movable is None:
-        movable = movable_of[sid] = [
-            r for r in server.iter_active() if _eligible(r, policy, now)
-        ]
-        movable.sort(key=lambda r: r.request_id)
-    # Pass 1: a direct move (keeps chains as short as possible).  A
-    # larger `visited` only removes targets, so a server with no open
+    # Pass 1: a direct move (keeps chains as short as possible); only
+    # streams with an open target are ordered and tested for eligibility.
+    # A larger `visited` only removes targets, so a server with no open
     # target at all — on the path or off it — never gets one later.
     if sid not in no_direct:
+        direct = []
+        for r in server.iter_active():
+            b_view = r.view_bandwidth
+            open_ids = open_of.get(b_view)
+            if open_ids is None:
+                open_ids = open_of[b_view] = {
+                    tid for tid, t in servers.items()
+                    if t.up and slot_test(t, b_view)
+                }
+            if open_ids and not open_ids.isdisjoint(
+                placement.holders(r.video.video_id)
+            ):
+                direct.append((r.request_id, r))
         open_on_path = False
-        for r in movable:
-            for tid in placement.holders(r.video.video_id):
-                if tid == sid or tid not in servers:
-                    continue
-                target = servers[tid]
-                if target.up and slot_test(target, r):
-                    if tid not in visited:
-                        return [MigrationStep(r, sid, tid)]
-                    open_on_path = True
+        for _, r in sorted(direct):
+            if _eligible(r, policy, now):
+                open_ids = open_of[r.view_bandwidth]
+                for tid in placement.holders(r.video.video_id):
+                    if tid in open_ids and tid != sid:
+                        if tid not in visited:
+                            return [MigrationStep(r, sid, tid)]
+                        open_on_path = True
         if not open_on_path:
             no_direct.add(sid)
     # Pass 2: recurse — displace a stream from a full target first.  A
     # second stream pointing at the same target would ask the identical
     # question, and the first asker has the lowest request id.
-    if depth < policy.max_chain_length:
-        tried: Set[int] = set()
+    if len(visited) < policy.max_chain_length:
+        movable = movable_of.get(sid)
+        if movable is None:
+            movable = movable_of[sid] = [
+                r for r in server.iter_active() if _eligible(r, policy, now)
+            ]
+            movable.sort(key=lambda r: r.request_id)
+        tried = set(visited)  # on the path, or already asked from here
         for r in movable:
             for tid in placement.holders(r.video.video_id):
-                if (
-                    tid == sid
-                    or tid in visited
-                    or tid in tried
-                    or tid not in servers
-                    or not servers[tid].up
-                    or not servers[tid].accepting
-                ):
+                if tid in tried:
                     continue
                 tried.add(tid)
+                target = servers.get(tid)
+                if target is None or not (target.up and target.accepting):
+                    continue
                 sub = _free_slot(
-                    servers[tid], servers, placement, policy, now,
-                    depth + 1, visited | {tid}, slot_test,
-                    movable_of, no_direct,
+                    target, servers, placement, policy, now, visited | {tid},
+                    slot_test, movable_of, no_direct, open_of,
                 )
                 if sub is not None:
                     return sub + [MigrationStep(r, sid, tid)]

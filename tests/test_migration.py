@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.server import DataServer
 from repro.core import migration
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
     MigrationPolicy,
     MigrationStep,
     _eligible,
-    _minflow_slot_test,
     find_migration_chain,
 )
 
@@ -180,7 +180,7 @@ class TestChainSearch:
 
 
 def reference_chain_search(
-    video_id, servers, placement, policy, now, slot_test=_minflow_slot_test
+    video_id, servers, placement, policy, now, slot_test=DataServer.has_slot
 ):
     """The plain depth-limited DFS the search was before it shared work
     between paths: every visit rebuilds the server's eligible list and
@@ -218,7 +218,7 @@ def _reference_free_slot(
             if tid == server.server_id or tid in visited or tid not in servers:
                 continue
             target = servers[tid]
-            if target.up and slot_test(target, r):
+            if target.up and slot_test(target, r.view_bandwidth):
                 return [MigrationStep(r, server.server_id, tid)]
     # Pass 2: recurse — displace a stream from a full target first.
     if depth < policy.max_chain_length:
@@ -247,11 +247,12 @@ def _reference_free_slot(
     return None
 
 
-def _strict_slot_test(server, request):
-    """A pure custom predicate that depends on both arguments."""
+def _strict_slot_test(server, view_bandwidth):
+    """A pure custom predicate that depends on both arguments — and not
+    on ``server.up``, which the search has to gate on itself."""
     return (
-        server.has_slot_for(request)
-        and (server.server_id + request.request_id) % 3 != 0
+        server.reserved_bandwidth + view_bandwidth <= server.bandwidth
+        and (server.server_id + int(view_bandwidth)) % 3 != 0
     )
 
 
@@ -261,7 +262,14 @@ NOW = 10.0
 @st.composite
 def search_cases(draw):
     """A random micro-cluster frozen at ``NOW``, mostly full, plus a
-    policy, a slot test and the video to search for."""
+    policy, a slot test and the video to search for.
+
+    Half the draws are *saturated*: every up server is filled to
+    ``room == 0`` (so no server is open for any bandwidth), except at
+    most one that keeps 1.0 spare — open for the 1.0 streams, closed
+    for the 2.0 ones.  Half put an ineligible (paused) stream, the
+    lowest request id on its server, in front of a twin of the same
+    video, so both point at the same targets."""
     n_servers = draw(st.integers(3, 6))
     slots = draw(st.lists(st.integers(1, 6), min_size=n_servers,
                           max_size=n_servers))
@@ -285,6 +293,9 @@ def search_cases(draw):
         server_specs=[(float(n), 1e9) for n in slots],
         videos=videos, holders=holders, migration=policy,
     )
+    saturated = draw(st.booleans())
+    spare_sid = draw(st.sampled_from([None, *range(n_servers)]))
+    paused_front = draw(st.booleans())
     streams = []  # (server, request), in request-id order
     for sid, server in cluster.servers.items():
         state = draw(st.sampled_from(["up"] * 8 + ["down", "draining"]))
@@ -293,9 +304,18 @@ def search_cases(draw):
             continue
         server.accepting = state == "up"
         held = sorted(server.holdings)
-        room = float(slots[sid]) - draw(st.sampled_from([0, 0, 0, 0, 1]))
+        if saturated:
+            room = float(slots[sid]) - (sid == spare_sid)
+        else:
+            room = float(slots[sid]) - draw(st.sampled_from([0, 0, 0, 0, 1]))
+        twin_of = None
+        first = True
         while held:
-            video = videos[draw(st.sampled_from(held))]
+            if saturated:  # keep drawing until nothing held fits
+                held = [v for v in held if videos[v].view_bandwidth <= room]
+                if not held:
+                    break
+            video = twin_of or videos[draw(st.sampled_from(held))]
             if video.view_bandwidth > room:
                 break
             room -= video.view_bandwidth
@@ -303,6 +323,11 @@ def search_cases(draw):
             r.hops = draw(st.sampled_from([0, 0, 0, 1, 2]))
             if draw(st.integers(0, 9)) == 0:
                 r.paused_until = NOW + 1.0
+            if twin_of is not None:
+                r.hops, r.paused_until, twin_of = 0, 0.0, None
+            elif paused_front and first:
+                r.paused_until, twin_of = NOW + 1.0, video
+            first = False
             # Buffer fill as of the stream's last sync, and a boost
             # since then that only a projection to NOW can see.
             vb = video.view_bandwidth
@@ -319,7 +344,7 @@ def search_cases(draw):
     servers = dict(cluster.servers)
     if draw(st.integers(0, 7)) == 0:  # a departed member still in the map
         del servers[draw(st.integers(0, n_servers - 1))]
-    slot_test = draw(st.sampled_from([_minflow_slot_test, _strict_slot_test]))
+    slot_test = draw(st.sampled_from([DataServer.has_slot, _strict_slot_test]))
     video_id = draw(st.integers(0, n_videos - 1))
     return video_id, servers, cluster.placement, policy, slot_test
 
@@ -393,6 +418,183 @@ class TestSharedSearchAgainstReference:
         assert [(s.source_id, s.target_id) for s in chain] == [
             (3, 4), (2, 3), (0, 2),
         ]
+
+    def test_saturated_cluster_costs_one_probe_per_server(self, monkeypatch):
+        """7 x 33 ring, two view bandwidths, no slot anywhere, chain
+        length 1: the failed search asks each server once per bandwidth
+        and never gets as far as a stream's eligibility."""
+        n = 7
+        videos = [
+            make_video(video_id=v, view_bandwidth=1.0 + v // n)
+            for v in range(2 * n)
+        ]
+        policy = MigrationPolicy.unlimited_hops()
+        cluster = build_micro_cluster(
+            server_specs=[(33.0, 1e9)] * n,
+            videos=videos,
+            holders={v: [v % n, (v + 1) % n] for v in range(2 * n)},
+            migration=policy,
+        )
+        for server in cluster.servers.values():
+            held = sorted(server.holdings)
+            for i in range(11):  # 11 x (1.0 + 2.0) == 33
+                server.attach(make_request(video=videos[held[i % 2]]))
+                server.attach(make_request(video=videos[held[2 + i % 2]]))
+            assert server.reserved_bandwidth == 33.0
+        probes = []
+
+        def counting_slot_test(server, view_bandwidth):
+            probes.append((server.server_id, view_bandwidth))
+            return server.has_slot(view_bandwidth)
+
+        def no_eligibility_test(*args):
+            raise AssertionError("a stream was tested with no open target")
+
+        monkeypatch.setattr(migration, "_eligible", no_eligibility_test)
+        assert find_migration_chain(
+            0, cluster.servers, cluster.placement, policy, NOW,
+            slot_test=counting_slot_test,
+        ) is None
+        assert 0 < len(probes) <= n * 2
+        assert len(set(probes)) == len(probes)
+
+
+def _run_counting_searches(config, monkeypatch, search):
+    """Run *config* with *search* in place of ``find_migration_chain``
+    in the three modules that call it; returns the result, the
+    ``request.migrate`` records and the number of searches per caller."""
+    from repro import obs
+    from repro.core import admission, elastic, failover
+    from repro.obs.records import TraceKind
+    from repro.simulation import Simulation
+
+    searches = {}
+    for module in (admission, failover, elastic):
+        name = module.__name__.rsplit(".", 1)[-1]
+        searches[name] = 0
+
+        def counted(*args, _name=name, **kwargs):
+            searches[_name] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(module, "find_migration_chain", counted)
+    tracer = obs.Tracer(capacity=1_000_000)
+    result = Simulation(config, tracer=tracer).run()
+    assert tracer.dropped == 0
+    moves = [r.to_json() for r in tracer.records_of(TraceKind.REQUEST_MIGRATE)]
+    return result, moves, searches
+
+
+class TestWholeRunAgainstReference:
+    """What the frozen micro-clusters cannot reach: retry resubmits,
+    failover rescue under ``RESCUE_POLICY``, link-degradation shedding
+    with ``exclude``, and the elastic drain's view of the cluster with
+    the drainer removed."""
+
+    @pytest.mark.parametrize(
+        "path, overrides, callers",
+        [
+            (
+                "bench/workloads/chaos_elastic_churn.json",
+                {"duration": 9000.0},
+                ("admission", "failover"),
+            ),
+            (
+                "scenarios/elastic_flash_crowd.json",
+                {},
+                ("admission", "elastic"),
+            ),
+        ],
+        ids=["chaos_elastic_churn", "elastic_flash_crowd"],
+    )
+    def test_same_run_as_plain_dfs(self, monkeypatch, path, overrides, callers):
+        import json
+        from pathlib import Path
+
+        from repro.simulation import SimulationConfig
+
+        monkeypatch.setenv("REPRO_INVARIANTS", "1")
+        raw = json.loads((Path(__file__).parent.parent / path).read_text())
+        config = SimulationConfig.from_dict({**raw["config"], **overrides})
+        got = _run_counting_searches(config, monkeypatch, find_migration_chain)
+        want = _run_counting_searches(config, monkeypatch, reference_chain_search)
+        assert got[0] == want[0]
+        assert got[1] == want[1] and got[1]
+        assert got[2] == want[2]
+        # A call site that moves must fail here, not silently pass.
+        for caller in callers:
+            assert got[2][caller] > 0, got[2]
+
+
+class TestChainFreesWhatTheCallerNeeds:
+    """The search frees *a* slot — the moved stream's.  Whether that is
+    room for the caller's request is checked by the caller, loudly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_freed_holder_takes_a_stream_of_the_moved_bandwidth(self, case):
+        """With one view bandwidth (every committed config: it is a
+        ``SystemConfig`` field) the callers' error is unreachable."""
+        video_id, servers, placement, policy, _ = case
+        chain = find_migration_chain(video_id, servers, placement, policy, NOW)
+        if chain is None:
+            return
+        moved, freed = chain[-1].request, servers[chain[-1].source_id]
+        assert freed.server_id in placement.holders(video_id)
+        freed.detach(moved)
+        assert freed.has_slot(moved.view_bandwidth)
+
+    def mixed_cluster(self):
+        """Server 0 (2 Mb/s) is full of two 1 Mb/s streams of video 0,
+        which server 1 (1 Mb/s, idle) also holds; video 1 plays at
+        2 Mb/s and lives on server 0 only.  Moving one stream out frees
+        1 Mb/s — a slot, but not one video 1 fits in."""
+        cluster = build_micro_cluster(
+            server_specs=[(2.0, 1e9), (1.0, 1e9)],
+            videos=[
+                make_video(video_id=0, view_bandwidth=1.0),
+                make_video(video_id=1, view_bandwidth=2.0),
+            ],
+            holders={0: [0, 1], 1: [0]},
+            migration=MigrationPolicy.paper_default(),
+        )
+        for _ in range(2):
+            cluster.servers[0].attach(make_request(video=cluster.catalog[0]))
+        return cluster, make_request(video=cluster.catalog[1])
+
+    def by_admission(cluster, request):
+        cluster.admission.submit(request, 0.0)
+
+    def by_failover(cluster, request):
+        from repro.core.failover import FailoverManager
+
+        FailoverManager(
+            cluster.engine, cluster.servers, cluster.managers,
+            cluster.placement, cluster.metrics, on_drop=[],
+        )._relocate(request, 0.0)
+
+    def by_drain(cluster, request):
+        from types import SimpleNamespace
+
+        from repro.core.elastic import ElasticScaler
+
+        scaler = SimpleNamespace(
+            controller=cluster, placement=cluster.placement, tracer=None
+        )
+        ElasticScaler._chain_target(scaler, 2, request, 0.0)  # drainer: 2
+
+    @pytest.mark.parametrize(
+        "relocate", [by_admission, by_failover, by_drain],
+        ids=["admission", "failover", "drain"],
+    )
+    def test_mixed_bandwidths_fail_loudly_in_every_caller(self, relocate):
+        cluster, request = self.mixed_cluster()
+        with pytest.raises(
+            RuntimeError,
+            match=f"free a slot on server 0 for request {request.request_id}",
+        ):
+            relocate(cluster, request)
+        assert cluster.metrics.migration_chains_found == 0
 
 
 class TestSwitchDelay:

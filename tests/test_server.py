@@ -69,6 +69,16 @@ class TestBandwidthAccounting:
             s.attach(r)
         assert not s.has_slot_for(make_request(video=make_video(video_id=0)))
 
+    def test_slot_is_a_function_of_view_bandwidth(self):
+        s = server(bandwidth=3.0)
+        s.store_replica(make_video(video_id=0))
+        s.attach(make_request(video=make_video(video_id=0)))  # 1 of 3 Mb/s
+        assert s.has_slot(2.0) and not s.has_slot(2.5)
+        wide = make_request(video=make_video(video_id=0, view_bandwidth=2.5))
+        assert not s.has_slot_for(wide)
+        s.accepting = False
+        assert not s.has_slot(1.0)
+
     def test_reserved_tracks_attach_detach(self):
         s = server(bandwidth=10.0)
         s.store_replica(make_video(video_id=0))
