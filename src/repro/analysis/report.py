@@ -1,6 +1,6 @@
 """Plain-text renderers for reproduced tables and figure series.
 
-The benchmarks regenerate each paper figure as an ASCII series: one row
+The figure verbs regenerate each paper figure as an ASCII series: one row
 per x value (Zipf θ), one column per curve (policy / buffer size /
 migration setting), matching how the paper's plots would be read off.
 """

@@ -4,11 +4,11 @@ Subcommands regenerate each reproduced artifact::
 
     repro-vod fig4 --system large --scale 0.02
     repro-vod fig5 --system small
-    repro-vod fig6
+    repro-vod fig3 | fig6                           # the two tables
     repro-vod fig7 --system large --policies P1,P4,P8
     repro-vod svbr | partial | het | ablation       # full-version extras
     repro-vod replication | vcr | mix               # extension studies
-    repro-vod all --outdir results                  # everything + CSVs
+    repro-vod all --outdir results                  # everything, CSVs, claims
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json
     repro-vod verify scenarios/chaos_serve.json     # the gate (exit 1 on failure)
@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -- experiment subcommands, generated from the registry -----------
     for spec in _ordered(EXPERIMENTS):
-        p = sub.add_parser(spec.name, help=spec.help)
+        # Help strings are stored plain; argparse %-formats its own.
+        p = sub.add_parser(spec.name, help=spec.help.replace("%", "%%"))
         if spec.add_arguments is not None:
             spec.add_arguments(p)
         if not spec.bare:
@@ -268,11 +269,14 @@ def _obs_env(trace_out: Optional[str], profile: bool):
 
 def _run_all(args) -> int:
     """Regenerate every registered artifact; write tables + CSVs to
-    ``--outdir``.
+    ``--outdir``.  Exit 1 if any figure's claim fails.
 
     The report's content and ordering come from the experiment
     registry: each spec with an ``artifacts`` hook contributes its
-    blocks at its ``order`` position.
+    blocks (table, then its claims' PASS/FAIL lines) at its ``order``
+    position.  The report carries no timestamp (the ``.meta.json``
+    sidecars do), so regenerating it at the same seed and scale leaves
+    a committed copy unchanged.
     """
     import pathlib
 
@@ -284,26 +288,32 @@ def _run_all(args) -> int:
     scale, seed = args.scale, args.seed
 
     report_path = outdir / "all_artifacts.txt"
-    prov = obs.run_provenance(seed=seed, scale=scale)
+    verdicts: List[bool] = []
     with open(report_path, "w") as fh:
         fh.write(
-            f"# repro {prov['repro_version']} | seed={seed} "
-            f"scale={scale if scale is not None else 'default'} | "
-            f"{prov['timestamp_utc']}\n\n"
+            f"# repro {__version__} | seed={seed} "
+            f"scale={scale if scale is not None else 'default'}\n\n"
         )
         for spec in _ordered(EXPERIMENTS):
             if spec.artifacts is None:
                 continue
             for artifact in spec.artifacts(scale, seed, progress):
                 fh.write(artifact.text + "\n\n")
+                verdicts.extend(artifact.verdicts)
                 if artifact.sweep is not None:
                     sweep_to_csv(artifact.sweep, outdir / f"{artifact.stem}.csv")
                 if progress is not None and artifact.sweep is not None:
                     print()
                     print(artifact.text)
                     print()
+        tally = (
+            f"claims: {sum(verdicts)} passed, "
+            f"{len(verdicts) - sum(verdicts)} failed"
+        )
+        fh.write(tally + "\n")
+    print(tally)
     print(f"wrote {report_path} (+ per-figure CSVs) in {outdir}/")
-    return 0
+    return 0 if all(verdicts) else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

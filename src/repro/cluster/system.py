@@ -1,14 +1,8 @@
 """System configurations: the paper's Figure 3 presets and variants.
 
-Figure 3 defines two reference systems::
-
-    System                      Small       Large
-    Number of servers           5           20
-    Server bandwidth            100 Mb/s    300 Mb/s
-    Video length                10-30 min   1-2 hrs
-    Average copies per video    2.2         2.2
-    Disk capacity per server    100 GB      50 GB
-    View bandwidth              3 Mb/s      3 Mb/s
+Figure 3 defines two reference systems, :data:`SMALL_SYSTEM` and
+:data:`LARGE_SYSTEM`; :func:`figure3_table` (``repro fig3``) prints the
+table from them.
 
 The catalog sizes are unreadable in the available copy of the paper; we
 pick 300 (small) and 200 (large) titles, the largest round numbers for
@@ -29,6 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.report import render_table
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.server import DataServer
 from repro.registry import Registry
@@ -36,6 +31,7 @@ from repro.units import (
     DEFAULT_CLIENT_RECEIVE_BANDWIDTH,
     DEFAULT_VIEW_BANDWIDTH,
     gb_to_mb,
+    mb_to_gb,
     minutes,
 )
 
@@ -220,6 +216,29 @@ SYSTEMS.register(
     help="Figure 3 'Large': 20 servers x 300 Mb/s, 1-2 h movies "
          "(SVBR 100)",
 )
+
+
+def figure3_table() -> str:
+    """Figure 3 as an ASCII table, read off the two presets."""
+    rows = {
+        "Number of Servers": lambda s: s.n_servers,
+        "Bandwidth (Mb/s)": lambda s: s.server_bandwidths[0],
+        "Video Length (min)": lambda s: "{:.0f}-{:.0f}".format(
+            *(length / 60 for length in s.video_length_range)
+        ),
+        "Number of Videos": lambda s: s.n_videos,
+        "Avg Copies Per Video": lambda s: s.avg_copies,
+        "Disk Capacity (GB)": lambda s: mb_to_gb(s.disk_capacities[0]),
+        "View Bandwidth (Mb/s)": lambda s: s.view_bandwidth,
+        "SVBR (streams/server)": lambda s: round(s.svbr, 1),
+    }
+    return render_table(
+        ["Parameter", "Small", "Large"],
+        [[label, get(SMALL_SYSTEM), get(LARGE_SYSTEM)]
+         for label, get in rows.items()],
+        precision=1,
+        title="Figure 3: parameters for the two video servers studied",
+    )
 
 
 def _spread(total: float, n: int, spread: float, rng: np.random.Generator) -> Tuple[float, ...]:

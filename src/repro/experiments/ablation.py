@@ -28,7 +28,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 SCHEDULERS: Sequence[str] = ("eftf", "proportional", "lftf", "none")
@@ -64,6 +64,8 @@ def run_ablation(
     )
 
 
+_GREEDY = "EFTF finishes no later than any minimum-flow rival (Theorem 1)"
+
 register_figure(
     "ablation",
     "spare-bandwidth scheduler ablation",
@@ -71,4 +73,13 @@ register_figure(
     title="EXT-ABL: scheduler ablation",
     stem="ext_abl",
     order=50,
+    claims=[
+        Claim("EXT-ABL.workahead_pays",
+              "sending ahead with the spare bandwidth beats leaving it idle",
+              lambda r: r.mean_gap("eftf", "none"), ">", 0.01),
+        Claim("EXT-ABL.eftf_at_least_proportional", _GREEDY,
+              lambda r: r.mean_gap("eftf", "proportional"), ">=", -0.005),
+        Claim("EXT-ABL.eftf_at_least_lftf", _GREEDY,
+              lambda r: r.mean_gap("eftf", "lftf"), ">=", -0.005),
+    ],
 )

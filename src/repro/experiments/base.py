@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import math
 import os
 from concurrent.futures import (
     BrokenExecutor,
@@ -40,6 +41,7 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass, field
+from statistics import fmean
 from typing import (
     Callable,
     Dict,
@@ -340,6 +342,28 @@ class SweepResult:
     def series(self) -> Dict[str, List[float]]:
         return {label: self.means(label) for label in self.curves}
 
+    def at(self, label: str, x: float) -> float:
+        """The mean of curve *label* at grid value *x* (by value, so a
+        claim about θ = −1.5 does not depend on the grid's length)."""
+        return self.curves[label][self.x_values.index(x)].mean
+
+    def gap(
+        self, upper: str, lower: str, lo: float = -math.inf, hi: float = math.inf
+    ) -> List[float]:
+        """Per-point ``upper − lower`` means over the grid points with
+        ``lo <= x <= hi`` (every point by default)."""
+        return [
+            a - b
+            for x, a, b in zip(
+                self.x_values, self.means(upper), self.means(lower)
+            )
+            if lo <= x <= hi
+        ]
+
+    def mean_gap(self, upper: str, lower: str, **span: float) -> float:
+        """The mean of :meth:`gap` over the same span."""
+        return fmean(self.gap(upper, lower, **span))
+
     def render(self, title: str = "", precision: int = 4) -> str:
         header = title or f"{self.metric} vs {self.x_label}"
         return render_series(
@@ -543,6 +567,6 @@ def run_sweep(
 #: The θ grid used by Figures 4, 5 and 7 (−1.5 … 1.0).
 THETA_GRID: List[float] = [-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
 
-#: A shorter grid for quick benches; keeps the skewed and uniform ends
-#: plus the paper's "realistic" mid-range.
+#: A shorter grid for the scheduler ablation; keeps the skewed and
+#: uniform ends plus the paper's "realistic" mid-range.
 THETA_GRID_COARSE: List[float] = [-1.0, -0.5, 0.0, 0.5, 1.0]

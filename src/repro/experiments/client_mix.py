@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.system import SMALL_SYSTEM, SystemConfig
 from repro.core.migration import MigrationPolicy
 from repro.experiments.base import (
@@ -24,7 +26,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: Fraction of clients WITHOUT a staging buffer.
@@ -74,6 +76,8 @@ def run_client_mix_series(
     )
 
 
+_ROLLOUT = "partial deployment of client staging already pays"
+
 register_figure(
     "mix",
     "heterogeneous client capabilities (EXT-MIX)",
@@ -81,4 +85,14 @@ register_figure(
     title="EXT-MIX: partial deployment of client staging",
     stem="ext_mix",
     order=80,
+    claims=[
+        Claim("EXT-MIX.all_staged_beats_all_legacy", _ROLLOUT,
+              lambda r: r.at("utilization", 0.0) - r.at("utilization", 1.0), ">", 0.02),
+        Claim("EXT-MIX.monotone_within_noise",
+              "utilization declines as the buffer-less fraction grows",
+              lambda r: max(np.diff(r.means("utilization"))), "<=", 0.01),
+        Claim("EXT-MIX.half_rollout_pays", _ROLLOUT,
+              lambda r: (r.at("utilization", 0.5) - r.at("utilization", 1.0))
+              / (r.at("utilization", 0.0) - r.at("utilization", 1.0)), ">=", 0.3),
+    ],
 )

@@ -28,19 +28,19 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: θ grid focused on the regime where static even placement fails.
 SKEWED_THETA_GRID: List[float] = [-1.5, -1.0, -0.5, 0.0]
 
+_ORACLE, _STATIC = "predictive (oracle)", "even (static)"
+_DYNAMIC = "even + dynamic replication"
+
 VARIANTS: List[Variant] = [
-    Variant("even (static)", {"placement": "even"}),
-    Variant(
-        "even + dynamic replication",
-        {"placement": "even", "replication": ReplicationPolicy()},
-    ),
-    Variant("predictive (oracle)", {"placement": "predictive"}),
+    Variant(_STATIC, {"placement": "even"}),
+    Variant(_DYNAMIC, {"placement": "even", "replication": ReplicationPolicy()}),
+    Variant(_ORACLE, {"placement": "predictive"}),
 ]
 
 
@@ -78,4 +78,16 @@ register_figure(
     title="EXT-DR: dynamic replication vs static placement",
     stem="ext_dr",
     order=60,
+    claims=[  # "skewed" is θ ≤ −1, where static even placement fails
+        Claim("EXT-DR.static_collapses_under_skew",
+              "static even placement collapses at strongly skewed demand",
+              lambda r: r.mean_gap(_ORACLE, _STATIC, hi=-1.0), ">", 0.1),
+        Claim("EXT-DR.replication_recovers_most",
+              "dynamic replication recovers most of the oracle's advantage",
+              lambda r: r.mean_gap(_ORACLE, _DYNAMIC, hi=-1.0)
+              / r.mean_gap(_ORACLE, _STATIC, hi=-1.0), "<", 0.4),
+        Claim("EXT-DR.harmless_at_uniform",
+              "at uniform demand replication is unnecessary and harmless",
+              lambda r: abs(r.at(_DYNAMIC, 0.0) - r.at(_STATIC, 0.0)), "<", 0.05),
+    ],
 )

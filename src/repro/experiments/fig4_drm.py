@@ -29,8 +29,11 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
+
+
+_CHAIN_1, _ONE_HOP = "migration: chain length = 1", "hops per request = 1"
 
 
 def variants_for(system_name: str) -> List[Variant]:
@@ -41,10 +44,7 @@ def variants_for(system_name: str) -> List[Variant]:
     if system_name == "large":
         return [
             no_migration,
-            Variant(
-                "hops per request = 1",
-                {"migration": MigrationPolicy.paper_default()},
-            ),
+            Variant(_ONE_HOP, {"migration": MigrationPolicy.paper_default()}),
             Variant(
                 "unlimited hops",
                 {"migration": MigrationPolicy.unlimited_hops()},
@@ -52,10 +52,7 @@ def variants_for(system_name: str) -> List[Variant]:
         ]
     return [
         no_migration,
-        Variant(
-            "migration: chain length = 1",
-            {"migration": MigrationPolicy.paper_default()},
-        ),
+        Variant(_CHAIN_1, {"migration": MigrationPolicy.paper_default()}),
     ]
 
 
@@ -89,6 +86,8 @@ def run_fig4(
     )
 
 
+_IMPROVES = "chain-length-1 migration can significantly improve utilization"
+
 register_figure(
     "fig4",
     "effect of dynamic request migration (Figure 4)",
@@ -97,6 +96,24 @@ register_figure(
     stem="fig4",
     order=10,
     panels=True,
+    claims=[
+        Claim("FIG4.migration_helps_on_average", _IMPROVES,
+              lambda r: r.mean_gap(_CHAIN_1, "no migration"), ">", 0.0, panels=("small",)),
+        Claim("FIG4.migration_never_hurts", _IMPROVES,
+              lambda r: min(r.gap(_CHAIN_1, "no migration")),
+              ">=", -0.02, panels=("small",)),
+        Claim("FIG4.one_hop_helps_on_average", _IMPROVES,
+              lambda r: r.mean_gap(_ONE_HOP, "no migration"),
+              ">=", 0.0, panels=("large",)),
+        Claim("FIG4.one_hop_near_unlimited",
+              "one hop per request is almost as good as unlimited hops",
+              lambda r: max(map(abs, r.gap(_ONE_HOP, "unlimited hops"))),
+              "<", 0.03, panels=("large",)),
+        Claim("FIG4.even_sags_under_skew",
+              "even allocation causes low utilization at negative Zipf values",
+              lambda r: r.at(_ONE_HOP, -1.5) - r.at(_ONE_HOP, 0.5),
+              "<", 0.0, panels=("large",)),
+    ],
     # One representative traced run: mid-theta, DRM on, no staging.
     trace=(base_config, variants_for("small")[1]),
 )

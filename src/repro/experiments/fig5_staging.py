@@ -23,7 +23,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: The paper's staging degrees (fraction of the mean video size).
@@ -69,6 +69,9 @@ def run_fig5(
     )
 
 
+_PAYS = "client staging improves utilization"
+_NEAR_FULL = "almost the maximum benefit with a buffer of only 20% of the video"
+
 register_figure(
     "fig5",
     "effect of client staging (Figure 5)",
@@ -77,6 +80,26 @@ register_figure(
     stem="fig5",
     order=20,
     panels=True,
+    claims=[
+        Claim("FIG5.staging_pays.small", _PAYS,
+              lambda r: r.mean_gap("20% buffer", "0% buffer"),
+              ">", 0.01, panels=("small",)),
+        Claim("FIG5.twenty_percent_near_full.small", _NEAR_FULL,
+              lambda r: r.mean_gap("20% buffer", "0% buffer")
+              / r.mean_gap("100% buffer", "0% buffer"), ">=", 0.75, panels=("small",)),
+        Claim("FIG5.staging_pays.large", _PAYS,
+              lambda r: r.mean_gap("20% buffer", "0% buffer"),
+              ">=", 0.0, panels=("large",)),
+        Claim("FIG5.twenty_percent_near_full.large", _NEAR_FULL,
+              lambda r: r.mean_gap("100% buffer", "20% buffer"),
+              "<", 0.05, panels=("large",)),
+        Claim("FIG5.small_gains_more",
+              "staging's benefit is more pronounced for the smaller server",
+              lambda small, large: (
+                  small.at("20% buffer", 0.25) - small.at("0% buffer", 0.25)
+              ) - (large.at("20% buffer", 0.25) - large.at("0% buffer", 0.25)),
+              ">", -0.01, panels=("small", "large")),
+    ],
     # One representative traced run: 20 % staging, no DRM.
     trace=(base_config, variants_for((0.2,))[0]),
 )

@@ -25,10 +25,9 @@ from repro.experiments.base import (
     run_sweep,
 )
 from repro.experiments.registry import (
-    Artifact,
-    ExperimentSpec,
-    register,
+    Claim,
     register_figure,
+    register_table,
 )
 from repro.simulation import SimulationConfig
 
@@ -103,6 +102,9 @@ def _cli_arguments(parser) -> None:
     )
 
 
+_P4_P8 = "for theta in [0, 1] P4 is comparable to P8 and beats the others"
+_ALLOCATION = "for negative theta the allocation scheme is the dominant factor"
+
 register_figure(
     "fig7",
     "policy comparison P1-P8 (Figure 7)",
@@ -111,6 +113,30 @@ register_figure(
     stem="fig7",
     order=30,
     panels=True,
+    # θ ≥ 0 is where the mechanisms suffice, θ ≤ −1 where placement
+    # decides; the last two measure Figure 6's mechanisms one by one.
+    claims=[
+        claim
+        for panel in ("large", "small")
+        for claim in (
+            Claim(f"FIG7.p4_near_p8.{panel}", _P4_P8,
+                  lambda r: max(map(abs, r.gap("P4", "P8", lo=0.0))),
+                  "<", 0.05, panels=(panel,)),
+            Claim(f"FIG7.p4_beats_p1.{panel}", _P4_P8,
+                  lambda r: r.mean_gap("P4", "P1", lo=0.0), ">", 0.0, panels=(panel,)),
+            Claim(f"FIG7.predictive_wins_with_mechanisms.{panel}", _ALLOCATION,
+                  lambda r: r.mean_gap("P8", "P4", hi=-1.0), ">", 0.0, panels=(panel,)),
+            Claim(f"FIG7.predictive_wins_bare.{panel}", _ALLOCATION,
+                  lambda r: r.mean_gap("P5", "P1", hi=-1.0), ">", 0.0, panels=(panel,)),
+        )
+    ] + [
+        Claim("FIG7.both_mechanisms_beat_neither",
+              "migration and staging together improve on neither",
+              lambda r: r.at("P4", 0.25) - r.at("P1", 0.25), ">", 0.0, panels=("small",)),
+        Claim("FIG7.staging_alone_beats_neither",
+              "staging alone improves on the bare baseline",
+              lambda r: r.at("P2", 0.25) - r.at("P1", 0.25), ">", 0.0, panels=("small",)),
+    ],
     # One representative traced run: policy P4 (even + DRM + 20 %
     # staging).
     trace=(base_config, policy_variant(PAPER_POLICIES["P4"])),
@@ -120,20 +146,10 @@ register_figure(
 )
 
 
-def _print_matrix(args, progress) -> int:
-    print(policy_matrix_table())
-    return 0
-
-
-def _matrix_artifact(scale, seed, progress):
-    yield Artifact(stem="fig6_matrix", text=policy_matrix_table())
-
-
-register(ExperimentSpec(
-    name="fig6",
-    help="print the policy matrix (Figure 6)",
-    run_cli=_print_matrix,
-    artifacts=_matrix_artifact,
+register_table(
+    "fig6",
+    "print the policy matrix (Figure 6)",
+    policy_matrix_table,
+    stem="fig6_matrix",
     order=5,
-    bare=True,
-))
+)

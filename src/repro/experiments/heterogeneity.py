@@ -33,7 +33,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: The paper's three cluster classes.
@@ -103,7 +103,18 @@ register_figure(
     "resource heterogeneity (EXT-HET)",
     run_heterogeneity,
     title=TITLE,
-    report_title=TITLE,
     stem="ext_het",
     order=100,
+    claims=[
+        Claim("EXT-HET.bandwidth_hurts_more_than_storage",
+              "storage heterogeneity is much less pronounced than bandwidth",
+              lambda r: r.mean_gap("het storage", "het bandwidth"), ">", -0.01),
+        Claim("EXT-HET.storage_nearly_free",
+              "storage heterogeneity is statistically marginal",
+              lambda r: abs(r.mean_gap("homogeneous", "het storage")), "<", 0.05),
+        Claim("EXT-HET.penalty_shrinks_with_size",
+              "heterogeneity is more pronounced with the smaller system",
+              lambda r: r.gap("homogeneous", "het bandwidth")[-1]
+              - r.gap("homogeneous", "het bandwidth")[0], "<", 0.02),
+    ],
 )

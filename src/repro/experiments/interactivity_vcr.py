@@ -30,7 +30,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: Pause intensities: expected pauses per hour of viewing.
@@ -79,6 +79,8 @@ def run_interactivity(
     )
 
 
+_GRACEFUL = "utilization declines smoothly with pause intensity"
+
 register_figure(
     "vcr",
     "viewer pause/resume interactivity (EXT-VCR)",
@@ -86,4 +88,16 @@ register_figure(
     title="EXT-VCR: viewer pause/resume interactivity",
     stem="ext_vcr",
     order=70,
+    claims=[
+        Claim("EXT-VCR.pausing_costs_utilization",
+              "a paused viewer holds its slot while playback stalls",
+              lambda r: r.at("no staging", 4.0) - r.at("no staging", 0.0), "<", -0.02),
+        Claim("EXT-VCR.staged_declines_too", _GRACEFUL,
+              lambda r: r.at("20% staging", 4.0) - r.at("20% staging", 0.0), "<", 0.01),
+        Claim("EXT-VCR.staging_keeps_advantage",
+              "client staging softens the decline at every intensity",
+              lambda r: min(r.gap("20% staging", "no staging")), ">=", -0.01),
+        Claim("EXT-VCR.no_collapse", _GRACEFUL,
+              lambda r: r.at("20% staging", 4.0), ">", 0.5),
+    ],
 )

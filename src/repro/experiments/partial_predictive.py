@@ -22,7 +22,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 
 #: θ grid focused on the skewed regime that separates the schemes.
@@ -62,6 +62,8 @@ def run_partial_predictive(
     )
 
 
+_COMPARABLE = "a mildly skewed allocation is comparable to perfect predictive"
+
 register_figure(
     "partial",
     "partial predictive placement (EXT-PP)",
@@ -69,4 +71,15 @@ register_figure(
     title="EXT-PP: placement sophistication",
     stem="ext_pp",
     order=40,
+    claims=[  # "skewed" is θ ≤ −1, where even allocation breaks
+        Claim("EXT-PP.even_breaks_under_skew",
+              "even allocation causes low utilization at negative Zipf values",
+              lambda r: r.mean_gap("predictive", "even", hi=-1.0), ">", 0.03),
+        Claim("EXT-PP.partial_recovers_most", _COMPARABLE,
+              lambda r: r.mean_gap("predictive", "partial predictive", hi=-1.0)
+              / r.mean_gap("predictive", "even", hi=-1.0), "<", 0.6),
+        Claim("EXT-PP.comparable_at_uniform", _COMPARABLE,
+              lambda r: abs(r.at("predictive", 0.0)
+                            - r.at("partial predictive", 0.0)), "<", 0.05),
+    ],
 )

@@ -167,7 +167,7 @@ def _cli_arguments(parser) -> None:
 register(ExperimentSpec(
     name="prefix",
     help="prefix-cache / stream-sharing figure: run a scenario with the "
-         "tier and the no-tier baseline at the same (>=100%%) offered "
+         "tier and the no-tier baseline at the same (>=100%) offered "
          "load, sweep cache hit rate over Zipf θ and sharing over the "
          "batching window (the gate on it is `repro verify`)",
     run_cli=run_prefix_cli,

@@ -5,8 +5,10 @@ its CLI name, help text, argument hooks, runner, and optional extras (a
 trace-config factory for ``repro trace``, an artifact generator for
 ``repro all``).  A figure (a ``run_*`` function returning a
 :class:`~repro.experiments.base.SweepResult`) declares itself with
-:func:`register_figure`, which builds all of those from a name, a title
-and the run function; the bespoke verbs (``serve``, ``verify`` …) hand
+:func:`register_figure`, which builds all of those from a name, a title,
+the run function and the :class:`Claim` list the figure is expected to
+satisfy; a definitional table (Figures 3 and 6) uses
+:func:`register_table`; the bespoke verbs (``serve``, ``verify`` …) hand
 :func:`register` a spec of their own.  The CLI builds its subcommands
 *from this registry*: adding an experiment is writing one module, not
 editing the CLI.
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.system import (
     LARGE_SYSTEM,
@@ -43,21 +46,77 @@ from repro.simulation import SimulationConfig
 Progress = Optional[Callable[[str], None]]
 
 
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One sentence a figure is expected to bear out, as data.
+
+    Evaluated wherever the figure is drawn and printed under its table
+    as ``PASS|FAIL  <name>  <measured> <op> <bound>  (<quote>)``; a
+    failed claim makes the command exit 1.
+
+    Attributes:
+        name: ``<experiment ID>.<what>``; EXPERIMENTS.md cites it.
+        quote: the paper's wording, or ours for an extension study.
+        measure: the measured quantity, from the figure's
+            :class:`SweepResult` — one argument per entry of *panels*.
+        op: how the measured value must compare to *bound*.
+        bound: the threshold.
+        panels: the system panels *measure* reads, when the figure is
+            drawn per system (empty otherwise); the claim is printed
+            under the last of them to be drawn.
+    """
+
+    name: str
+    quote: str
+    measure: Callable[..., float]
+    op: str
+    bound: float
+    panels: Tuple[str, ...] = ()
+
+    def judge(
+        self, results: Mapping[str, SweepResult]
+    ) -> Tuple[Optional[bool], str]:
+        """``(passed, report line)`` against *results* (panel name →
+        result, ``""`` for a single-system figure); ``passed`` is None —
+        said in the line, never a pass — when a panel or a curve the
+        claim reads was not drawn."""
+        skip = f"SKIP  {self.name}  not evaluated (needs %s)"
+        wanted = self.panels or ("",)
+        if not set(wanted) <= set(results):
+            return None, skip % "both panels"
+        try:
+            value = self.measure(*(results[name] for name in wanted))
+        except KeyError as curve:  # ``fig7 --policies P1,P4``
+            return None, skip % f"curve {curve}"
+        passed = bool(_COMPARE[self.op](value, self.bound))
+        return passed, (
+            f"{'PASS' if passed else 'FAIL'}  {self.name}  "
+            f"{value:.4f} {self.op} {self.bound:g}  ({self.quote})"
+        )
+
+
 @dataclass(frozen=True)
 class Artifact:
     """One rendered block of the ``repro all`` report.
 
     Attributes:
         stem: file stem for per-artifact exports (``fig4_large``).
-        text: the rendered ASCII block.
+        text: the rendered ASCII block, claim lines included.
         sweep: the underlying :class:`SweepResult` when the artifact is
             a sweep (exported as ``<stem>.csv`` + provenance sidecar);
             None for table-shaped artifacts.
+        verdicts: pass/fail of each claim evaluated in *text*.
     """
 
     stem: str
     text: str
     sweep: Optional[SweepResult] = None
+    verdicts: Tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -80,6 +139,7 @@ class ExperimentSpec:
         artifacts: optional ``(scale, seed, progress) -> iterable`` of
             :class:`Artifact` blocks for the ``repro all`` report;
             experiments without it are CLI-only.
+        claims: a figure's :class:`Claim` list (EXPERIMENTS.md cites it).
         order: position of this experiment's artifacts in the ``all``
             report (ascending; ties resolve by name).
         bare: suppress the common flags (for argument-less subcommands
@@ -96,6 +156,7 @@ class ExperimentSpec:
     artifacts: Optional[
         Callable[[Optional[float], int, Progress], Iterable[Artifact]]
     ] = None
+    claims: Sequence[Claim] = ()
     order: int = 100
     bare: bool = False
 
@@ -123,7 +184,7 @@ def register_figure(
     stem: Optional[str] = None,
     order: int = 100,
     panels: bool = False,
-    report_title: Optional[str] = None,
+    claims: Sequence[Claim] = (),
     trace: Optional[
         Tuple[Callable[[SystemConfig, int], SimulationConfig], Variant]
     ] = None,
@@ -138,16 +199,14 @@ def register_figure(
     ``system`` when *panels*) and returns a :class:`SweepResult`.
 
     Args:
-        title: the table heading.  A single-system figure prints it as
-            is on the CLI; a *panels* figure appends the system.
+        title: the table heading; a *panels* figure appends the system.
         stem: file stem of the ``repro all`` CSV (``<stem>_<system>``
             per panel); None keeps the figure out of the report.
         order: position in the ``repro all`` report.
         panels: the figure has a large- and a small-system panel —
             ``--system`` picks one on the CLI, the report draws both.
-        report_title: heading in the ``repro all`` report of a
-            single-system figure (default: *title* up to its colon,
-            i.e. the experiment ID).
+        claims: what the figure is expected to show, judged under the
+            table on the CLI and in ``repro all`` (see :class:`Claim`).
         trace: ``(base_config, variant)`` — ``repro trace <name>`` runs
             ``variant`` applied to ``base_config(system, seed)``, the
             same base the figure sweeps.
@@ -158,41 +217,54 @@ def register_figure(
         preamble: text printed above the table on the CLI.
     """
 
+    def draw(
+        names: Sequence[str], scale, seed, progress, **kwargs
+    ) -> Iterable[Artifact]:
+        """Run, render and judge the panels *names* in order (``("",)``
+        for a single-system figure)."""
+        results = {}
+        for panel in names:
+            if panels:
+                kwargs["system"] = SYSTEMS[panel]
+            results[panel] = result = run(
+                scale=scale, seed=seed, progress=progress, **kwargs
+            )
+            # A claim goes under the last table it reads; when that
+            # panel is not coming (a one-panel CLI run) it says so.
+            judged = [
+                claim.judge(results)
+                for claim in claims
+                if panel in (claim.panels or ("",))
+                and (panel == names[-1] or set(claim.panels) <= set(results))
+            ]
+            heading = f"{title} ({panel} system)" if panels else title
+            yield Artifact(
+                f"{stem}_{panel}" if panels else stem,
+                "\n".join(
+                    [result.render(title=heading)] + [line for _, line in judged]
+                ),
+                result,
+                tuple(ok for ok, _ in judged if ok is not None),
+            )
+
     def run_cli(args: argparse.Namespace, progress: Progress) -> int:
         kwargs = {dest: getattr(args, dest) for dest in options}
-        heading = title
-        if panels:
-            kwargs["system"] = SYSTEMS[args.system]
-            heading = f"{title} ({args.system} system)"
+        names = (args.system,) if panels else ("",)
         try:
-            result = run(
-                scale=args.scale, seed=args.seed, progress=progress, **kwargs
-            )
+            (drawn,) = draw(names, args.scale, args.seed, progress, **kwargs)
         except RegistryError as exc:
             raise SystemExit(str(exc))
         if preamble is not None:
             print(preamble())
             print()
-        print(result.render(title=heading))
-        return 0
+        print(drawn.text)
+        return 0 if all(drawn.verdicts) else 1
 
     def artifacts(
         scale: Optional[float], seed: int, progress: Progress
     ) -> Iterable[Artifact]:
-        if not panels:
-            result = run(scale=scale, seed=seed, progress=progress)
-            heading = report_title or title.partition(":")[0]
-            yield Artifact(stem, result.render(title=heading), result)
-            return
-        for system in (LARGE_SYSTEM, SMALL_SYSTEM):
-            result = run(
-                system=system, scale=scale, seed=seed, progress=progress
-            )
-            yield Artifact(
-                f"{stem}_{system.name}",
-                result.render(title=f"{title} ({system.name})"),
-                result,
-            )
+        names = (LARGE_SYSTEM.name, SMALL_SYSTEM.name) if panels else ("",)
+        return draw(names, scale, seed, progress)
 
     def trace_config(
         system: SystemConfig, seed: int, scale: Optional[float]
@@ -221,10 +293,27 @@ def register_figure(
             add_arguments=arguments,
             trace_config=trace_config if trace is not None else None,
             artifacts=artifacts if stem is not None else None,
+            claims=tuple(claims),
             order=order,
         ),
         chaos=chaos,
     )
+
+
+def register_table(
+    name: str, help: str, table: Callable[[], str], *, stem: str, order: int
+) -> ExperimentSpec:
+    """Publish a definitional table (Figures 3 and 6): the verb prints
+    it, ``repro all`` carries it at *order*; no sweep, no flags."""
+
+    def run_cli(args: argparse.Namespace, progress: Progress) -> int:
+        print(table())
+        return 0
+
+    return register(ExperimentSpec(
+        name=name, help=help, run_cli=run_cli, order=order, bare=True,
+        artifacts=lambda scale, seed, progress: [Artifact(stem, table())],
+    ))
 
 
 def trace_experiments() -> tuple:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.erlang import erlang_b_utilization
 from repro.analysis.stats import summarize
 from repro.cluster.system import SystemConfig, homogeneous
@@ -28,7 +30,7 @@ from repro.experiments.base import (
     resolve_scale,
     run_sweep,
 )
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 from repro.units import minutes
 
@@ -99,13 +101,22 @@ def run_svbr(
 
 
 TITLE = "EXT-SVBR: one-server utilization vs SVBR"
+_GROWS = "utilization grows with the server-to-view bandwidth ratio"
 
 register_figure(
     "svbr",
     "utilization vs SVBR + Erlang-B (EXT-SVBR)",
     run_svbr,
     title=TITLE,
-    report_title=TITLE,
     stem="ext_svbr",
     order=90,
+    claims=[
+        Claim("EXT-SVBR.erlang_monotone", _GROWS,
+              lambda r: min(np.diff(r.means("erlang-B"))), ">", 0.0),
+        Claim("EXT-SVBR.grows_with_svbr", _GROWS,
+              lambda r: r.at("simulated", 100) - r.at("simulated", 5), ">", 0.0),
+        Claim("EXT-SVBR.tracks_erlang_b",
+              "the analytic one-server expression validates the simulator",
+              lambda r: max(map(abs, r.gap("simulated", "erlang-B"))), "<", 0.06),
+    ],
 )

@@ -136,7 +136,10 @@ class TestMain:
     def test_svbr_micro(self, capsys):
         code = main(["svbr", "--scale", "0.0005", "--quiet"])
         assert code == 0
-        assert "erlang-B" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "erlang-B" in out
+        assert "PASS  EXT-SVBR.tracks_erlang_b  " in out
+        assert out.count("\nPASS  EXT-SVBR.") == 3
 
 
 class TestChaosCLI:
@@ -298,6 +301,8 @@ class TestListCommand:
         # Spot-check: help text rides along with the names.
         assert "serve" in out
         assert "loadgen" in out
+        # Stored plain, not escaped for argparse.
+        assert "(>=100%) offered load" in out and "%%" not in out
 
     def test_list_help_is_single_line_per_entry(self, capsys):
         assert main(["list"]) == 0

@@ -7,6 +7,8 @@ are pinned by test_integration.py at more meaningful durations.
 """
 
 
+import re
+
 import pytest
 
 from repro import SMALL_SYSTEM, SimulationConfig
@@ -273,12 +275,20 @@ class TestRegisteredFigures:
         verb = (["chaos"] if registry is CHAOS_EXPERIMENTS else []) + [
             spec.name
         ]
-        assert main(verb + ["--scale", str(MICRO), "--quiet"]) == 0
+        status = main(verb + ["--scale", str(MICRO), "--quiet"])
         table = capsys.readouterr().out
         assert f"[scale={MICRO:g} " in table
+        # Ten simulated minutes bear out nothing; the exit status only
+        # has to be what the claim lines say.
+        assert status == int("\nFAIL  " in table)
         if spec.artifacts is None:
             return
         for artifact in spec.artifacts(MICRO, 0, None):
+            # Default options draw every panel and curve a claim reads.
+            assert "not evaluated" not in artifact.text
+            assert len(artifact.verdicts) == len(
+                re.findall(r"^(?:PASS|FAIL)  ", artifact.text, re.M)
+            )
             sweep = artifact.sweep
             assert isinstance(sweep, SweepResult)
             assert sweep.provenance["x_field"] == sweep.x_label

@@ -1,6 +1,6 @@
 """Integration tests: the paper's qualitative claims at reduced scale.
 
-These pin the *shapes* the benchmarks regenerate: orderings and
+These pin the *shapes* the figure verbs regenerate: orderings and
 separations between mechanisms, not absolute values.  Durations are
 small (a few simulated hours) but chosen so each claim is comfortably
 outside run-to-run noise with a fixed seed.

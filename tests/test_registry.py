@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+import repro
 from repro.registry import (
     DuplicateKeyError,
     Registry,
@@ -180,12 +181,146 @@ class TestConcreteRegistries:
             assert EXPERIMENTS.get(name).trace_config is not None
 
 
+def _two_point_sweep(low, high):
+    """A hand-made sweep result: one curve ``u`` over x ∈ {0, 1}."""
+    from repro.analysis.stats import summarize
+    from repro.experiments.base import SweepResult, resolve_scale
+
+    return SweepResult(
+        x_label="x",
+        x_values=[0.0, 1.0],
+        curves={"u": [summarize([low]), summarize([high])]},
+        metric="utilization",
+        scale=resolve_scale(0.0005),
+    )
+
+
+class TestClaims:
+    """A figure's claims are evaluated wherever the figure is drawn."""
+
+    @pytest.fixture
+    def only(self, monkeypatch):
+        """Register figures for one test; ``repro all`` sees only them."""
+        import repro.cli as cli
+        from repro.experiments.registry import EXPERIMENTS
+
+        before = set(EXPERIMENTS.names())
+        mine = Registry("experiment")
+
+        def adopt(spec):
+            mine.register(spec.name, spec)
+            monkeypatch.setattr(cli, "EXPERIMENTS", mine)
+            return spec
+
+        yield adopt
+        for name in set(EXPERIMENTS.names()) - before:
+            EXPERIMENTS.unregister(name)
+
+    def test_true_and_false_claim_both_print_and_fail_the_run(
+        self, only, capsys, tmp_path
+    ):
+        from repro.cli import main
+        from repro.experiments.registry import Claim, register_figure
+
+        rise = lambda r: r.at("u", 1.0) - r.at("u", 0.0)  # noqa: E731
+        only(register_figure(
+            "dummy-fig", "registered by a test",
+            lambda scale, seed, progress: _two_point_sweep(0.5, 0.7),
+            title="DUMMY: two points", stem="dummy",
+            claims=[
+                Claim("DUMMY.rises", "it rises", rise, ">", 0.1),
+                Claim("DUMMY.rises_a_lot", "it soars", rise, ">", 0.5),
+            ],
+        ))
+        assert main(["dummy-fig", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS  DUMMY.rises  0.2000 > 0.1  (it rises)" in out
+        assert "FAIL  DUMMY.rises_a_lot  0.2000 > 0.5  (it soars)" in out
+
+        assert main(["all", "--quiet", "--outdir", str(tmp_path)]) == 1
+        assert "claims: 1 passed, 1 failed" in capsys.readouterr().out
+        report = (tmp_path / "all_artifacts.txt").read_text()
+        # No timestamp: a regenerated report diffs clean.
+        assert report.splitlines()[0] == (
+            f"# repro {repro.__version__} | seed=0 scale=default"
+        )
+        assert "FAIL  DUMMY.rises_a_lot" in report
+        assert report.endswith("claims: 1 passed, 1 failed\n")
+        assert (tmp_path / "dummy.csv").exists()
+
+    def test_cross_panel_claim_needs_both_panels(self, only, capsys, tmp_path):
+        from repro.cli import main
+        from repro.experiments.registry import Claim, register_figure
+
+        def run(system, scale, seed, progress):
+            return _two_point_sweep(0.5, 0.9 if system.name == "small" else 0.6)
+
+        only(register_figure(
+            "dummy-panels", "registered by a test", run,
+            title="DUMMY", stem="dummy", panels=True,
+            claims=[Claim(
+                "DUMMY.small_ends_higher", "small gains more",
+                lambda small, large: small.at("u", 1.0) - large.at("u", 1.0),
+                ">", 0.0, panels=("small", "large"),
+            )],
+        ))
+        # One panel: said out loud, never a silent pass; not a failure.
+        for panel in ("small", "large"):
+            assert main(["dummy-panels", "--system", panel, "--quiet"]) == 0
+            assert (
+                "SKIP  DUMMY.small_ends_higher  not evaluated "
+                "(needs both panels)" in capsys.readouterr().out
+            )
+        # `repro all` draws both and evaluates it once, under the
+        # second table.
+        assert main(["all", "--quiet", "--outdir", str(tmp_path)]) == 0
+        assert "claims: 1 passed, 0 failed" in capsys.readouterr().out
+        report = (tmp_path / "all_artifacts.txt").read_text()
+        assert report.count("DUMMY.small_ends_higher") == 1
+        assert report.index("DUMMY (small system)") < report.index("PASS  DUMMY.")
+
+    def test_every_figure_in_the_report_declares_claims(self):
+        from repro.experiments.registry import EXPERIMENTS
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        index = set(re.findall(
+            r"^\| ([A-Z0-9-]+) \|", (root / "DESIGN.md").read_text(), re.M
+        ))
+        assert {"FIG4", "EXT-SVBR"} <= index  # the scan finds §3's table
+        names = []
+        for spec in EXPERIMENTS.values():
+            if spec.artifacts is None or spec.name in ("fig3", "fig6"):
+                assert not spec.claims  # CLI-only verbs, the two tables
+                continue
+            assert spec.claims, f"{spec.name} is in the report, claims nothing"
+            # One experiment ID per figure, and it is in DESIGN.md §3.
+            ids = {claim.name.partition(".")[0] for claim in spec.claims}
+            assert len(ids) == 1 and ids <= index, (spec.name, ids)
+            names += [claim.name for claim in spec.claims]
+        assert len(names) == len(set(names))
+
+    def test_experiments_md_cites_exactly_the_registered_claims(self):
+        from repro.experiments.registry import EXPERIMENTS
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        cited = set(re.findall(
+            r"`((?:FIG\d|EXT-[A-Z]+)\.[a-z0-9_.]+)`",
+            (root / "EXPERIMENTS.md").read_text(),
+        ))
+        registered = {
+            claim.name
+            for spec in EXPERIMENTS.values() for claim in spec.claims
+        }
+        assert registered - cited == set(), "claims EXPERIMENTS.md omits"
+        assert cited - registered == set(), "EXPERIMENTS.md cites unregistered"
+
+
 class TestDocumentedKnobsExist:
     def test_every_documented_env_var_is_read_by_the_code(self):
         # A knob that is deleted from the code must leave the docs' knob
         # tables too.  "Read by the code" = the name occurs as a string
         # literal (comments and docstrings do not count) under
-        # src/repro, or benchmarks/ for the bench-suite scale knob.
+        # src/repro.
         root = pathlib.Path(__file__).resolve().parent.parent
         docs = [root / "README.md", root / "DESIGN.md"]
         docs += sorted((root / "docs").glob("*.md"))
@@ -196,12 +331,10 @@ class TestDocumentedKnobsExist:
         }
         assert "REPRO_WORKERS" in documented  # the scan finds the tables
         read = set()
-        for tree in ("src/repro", "benchmarks"):
-            for source in (root / tree).rglob("*.py"):
-                read.update(
-                    re.findall(r"""["'](REPRO_[A-Z_]+)["']""",
-                               source.read_text())
-                )
+        for source in (root / "src/repro").rglob("*.py"):
+            read.update(
+                re.findall(r"""["'](REPRO_[A-Z_]+)["']""", source.read_text())
+            )
         stale = {n: d for n, d in documented.items() if n not in read}
         assert not stale, f"documented but read nowhere: {stale}"
 
@@ -285,7 +418,7 @@ class TestDocumentedCommandsExist:
 
 class TestDocumentedPathsExist:
     def test_every_cited_module_and_file_exists(self):
-        # A module, test file, benchmark or scenario that is deleted must
+        # A module, test file or scenario that is deleted must
         # leave the docs too.  Scanned inside back-ticks only: dotted
         # ``repro.x.y`` names (the longest importable prefix, then
         # attributes) and ``dir/…/file.py|json`` paths, which may be
@@ -333,5 +466,4 @@ class TestDocumentedPathsExist:
             "repro.core.migration", "core/transmission.py",
             "tests/test_migration.py", "scenarios/serve_loopback.json",
         } <= cited
-        assert any(name.startswith("benchmarks/") for name in cited)
         assert not stale, f"cited in the docs but gone: {stale}"

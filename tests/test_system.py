@@ -49,6 +49,24 @@ class TestFigure3Presets:
     def test_total_copies(self):
         assert SMALL_SYSTEM.total_copies == round(2.2 * SMALL_SYSTEM.n_videos)
 
+    def test_presets_build_as_figure3_tabulates(self):
+        """The static phase (catalog + placement + wiring) honours the
+        table ``repro fig3`` prints."""
+        import re
+
+        from repro.cluster.system import figure3_table
+        from repro.simulation import Simulation, SimulationConfig
+
+        assert re.search(r"Number of Servers +5 +20\n", figure3_table())
+        for system, n_servers in ((SMALL_SYSTEM, 5), (LARGE_SYSTEM, 20)):
+            sim = Simulation(SimulationConfig(
+                system=system, theta=0.27, duration=60.0, seed=0
+            ))
+            assert len(sim.servers) == n_servers
+            assert sim.placement_result.shortfall == 0
+            placed = sim.placement_result.placement.total_copies()
+            assert abs(placed / system.n_videos - 2.2) < 0.05
+
     def test_build_servers_fresh_instances(self):
         a = SMALL_SYSTEM.build_servers()
         b = SMALL_SYSTEM.build_servers()
