@@ -10,21 +10,41 @@ for the duration of the simulation."
 reports into; :class:`MetricsSink` is the minimal protocol, so tests
 can plug in recording fakes.
 
-When built with a :class:`repro.obs.registry.MetricsRegistry`, the
-fixed counters additionally *register into* named obs instruments
-(``requests.*`` counters, the ``drm.chain_length`` histogram,
-``server.<id>.rejections`` per-server counters) so downstream tooling
-can read one ``snapshot()`` dict; the dataclass fields remain the fast
-source of truth for the paper's measures.
+The fields *are read by* named instruments of the metrics'
+:class:`repro.obs.registry.MetricsRegistry` (``requests.*`` and the
+other run counters, ``server.<id>.rejections``, ``faults.<kind>``) so
+downstream tooling can read one ``snapshot()`` dict; the fields stay
+the only copy of the counts, so counting on the event path is field
+arithmetic and nothing more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from typing import Dict, Optional, Protocol, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry
+
+#: The run counters a registry reads: instrument name -> field.
+_RUN_COUNTERS: Dict[str, str] = {
+    "requests.arrivals": "arrivals",
+    "requests.accepted": "accepted",
+    "requests.rejected": "rejected",
+    "requests.rejected_no_replica": "rejected_no_replica",
+    "requests.finished": "finished",
+    "requests.dropped": "dropped",
+    "drm.migrations": "migrations",
+    "drm.attempts": "migration_attempts",
+    "retry.scheduled": "retries",
+    "retry.succeeded": "retry_successes",
+    "retry.exhausted": "retry_exhausted",
+    "cache.hits": "cache_hits",
+    "cache.misses": "cache_misses",
+    "cache.chained": "chained",
+    "cache.patched": "patched",
+    "cache.megabits_served": "cache_megabits",
+}
 
 
 class MetricsSink(Protocol):
@@ -95,40 +115,42 @@ class SimulationMetrics:
     #: Saturation attribution: how often each server was a full replica
     #: holder at the moment a request was turned away.
     rejections_per_server: Dict[int, int] = field(default_factory=dict)
+    #: ``faults_injected`` by fault kind.
+    faults_per_kind: Dict[str, int] = field(default_factory=dict)
 
-    #: Optional obs registry the counters mirror into (see module
-    #: docstring).  Excluded from equality/repr: it is wiring, not data.
-    registry: Optional["MetricsRegistry"] = field(
-        default=None, repr=False, compare=False
+    #: The obs registry that reads the counts (see module docstring).
+    #: Excluded from equality/repr: it is wiring, not data.
+    registry: MetricsRegistry = field(
+        default_factory=MetricsRegistry, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # Everything a record_* method touches is bound here, once.
+        registry = self.registry
+        for name, attr in _RUN_COUNTERS.items():
+            registry.counter(name, supplier=partial(getattr, self, attr))
+        self._chain_lengths = registry.histogram("drm.chain_length")
+        self._backoffs = registry.histogram("retry.backoff_seconds")
+        self._counter = registry.counter
+
+    def _register_key(self, template: str, attr: str, key) -> None:
+        """*key* is new in the per-key dict *attr*: register the counter
+        ``template.format(key)`` that reads its entry."""
+        self._counter(
+            template.format(key),
+            supplier=lambda: getattr(self, attr).get(key, 0),
+        )
 
     def reset(self) -> None:
         """Zero every counter (used at the end of a warmup window so
         measurements cover only the steady state)."""
-        self.total_megabits = 0.0
-        self.bytes_per_server = {}
-        self.arrivals = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.rejected_no_replica = 0
-        self.migrations = 0
-        self.migration_attempts = 0
-        self.migration_chains_found = 0
-        self.finished = 0
-        self.dropped = 0
-        self.underruns = 0
-        self.retries = 0
-        self.retry_successes = 0
-        self.retry_exhausted = 0
-        self.faults_injected = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.chained = 0
-        self.patched = 0
-        self.cache_megabits = 0.0
-        self.rejections_per_server = {}
-        if self.registry is not None:
-            self.registry.reset()
+        for f in fields(self):
+            if f.name != "registry":
+                setattr(
+                    self, f.name,
+                    f.default if f.default is not MISSING else f.default_factory(),
+                )
+        self.registry.reset()
 
     # ------------------------------------------------------------------
     # Transfer accounting
@@ -150,13 +172,9 @@ class SimulationMetrics:
     # ------------------------------------------------------------------
     def record_arrival(self) -> None:
         self.arrivals += 1
-        if self.registry is not None:
-            self.registry.counter("requests.arrivals").inc()
 
     def record_accept(self) -> None:
         self.accepted += 1
-        if self.registry is not None:
-            self.registry.counter("requests.accepted").inc()
 
     def record_reject(
         self, no_replica: bool = False, holders: Sequence[int] = ()
@@ -171,53 +189,37 @@ class SimulationMetrics:
         self.rejected += 1
         if no_replica:
             self.rejected_no_replica += 1
+        per_server = self.rejections_per_server
         for server_id in holders:
-            self.rejections_per_server[server_id] = (
-                self.rejections_per_server.get(server_id, 0) + 1
-            )
-        if self.registry is not None:
-            self.registry.counter("requests.rejected").inc()
-            if no_replica:
-                self.registry.counter("requests.rejected_no_replica").inc()
-            for server_id in holders:
-                self.registry.counter(f"server.{server_id}.rejections").inc()
+            count = per_server.get(server_id)
+            if count is None:
+                count = 0
+                self._register_key(
+                    "server.{}.rejections", "rejections_per_server", server_id
+                )
+            per_server[server_id] = count + 1
 
     def record_migration(self, chain_length: int) -> None:
         """A successful DRM chain of the given length executed."""
         self.migrations += chain_length
         self.migration_chains_found += 1
-        if self.registry is not None:
-            self.registry.counter("drm.migrations").inc(chain_length)
-            self.registry.histogram("drm.chain_length").observe(chain_length)
+        self._chain_lengths.observe(chain_length)
 
     def record_migration_attempt(self) -> None:
         self.migration_attempts += 1
-        if self.registry is not None:
-            self.registry.counter("drm.attempts").inc()
 
     def record_relocation(self) -> None:
-        """One orphaned stream moved to a new home (failover / shedding).
-
-        Counted in ``migrations`` like any other stream move, but kept
-        consistent with the registry's ``drm.migrations`` counter (the
-        old failover path bumped the dataclass field directly and let
-        the two diverge).
-        """
+        """One orphaned stream moved to a new home (failover / shedding),
+        counted in ``migrations`` like any other stream move."""
         self.migrations += 1
-        if self.registry is not None:
-            self.registry.counter("drm.migrations").inc()
 
     def record_finish(self) -> None:
         """A stream completed transmission and playback hand-off."""
         self.finished += 1
-        if self.registry is not None:
-            self.registry.counter("requests.finished").inc()
 
     def record_drop(self) -> None:
         """A live stream was lost (server failure with no rescue slot)."""
         self.dropped += 1
-        if self.registry is not None:
-            self.registry.counter("requests.dropped").inc()
 
     # ------------------------------------------------------------------
     # Graceful degradation / fault injection
@@ -225,27 +227,24 @@ class SimulationMetrics:
     def record_retry(self, backoff: float) -> None:
         """One resubmission attempt scheduled after *backoff* seconds."""
         self.retries += 1
-        if self.registry is not None:
-            self.registry.counter("retry.scheduled").inc()
-            self.registry.histogram("retry.backoff_seconds").observe(backoff)
+        self._backoffs.observe(backoff)
 
     def record_retry_success(self) -> None:
         """A resubmitted request was admitted."""
         self.retry_successes += 1
-        if self.registry is not None:
-            self.registry.counter("retry.succeeded").inc()
 
     def record_retry_exhausted(self) -> None:
         """A request was permanently abandoned by the retry queue."""
         self.retry_exhausted += 1
-        if self.registry is not None:
-            self.registry.counter("retry.exhausted").inc()
 
     def record_fault(self, kind: str) -> None:
         """One injected fault of *kind* (``crash``/``degrade``/...)."""
         self.faults_injected += 1
-        if self.registry is not None:
-            self.registry.counter(f"faults.{kind}").inc()
+        count = self.faults_per_kind.get(kind)
+        if count is None:
+            count = 0
+            self._register_key("faults.{}", "faults_per_kind", kind)
+        self.faults_per_kind[kind] = count + 1
 
     # ------------------------------------------------------------------
     # Prefix-cache tier (repro.prefix)
@@ -256,27 +255,18 @@ class SimulationMetrics:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
-        if self.registry is not None:
-            name = "cache.hits" if hit else "cache.misses"
-            self.registry.counter(name).inc()
 
     def record_chained(self, patched: bool) -> None:
         """One arrival admitted as a shared (chained) session."""
         self.chained += 1
         if patched:
             self.patched += 1
-        if self.registry is not None:
-            self.registry.counter("cache.chained").inc()
-            if patched:
-                self.registry.counter("cache.patched").inc()
 
     def record_cache_bytes(self, megabits: float) -> None:
         """Prefix data served from the cache tier (not server egress)."""
         if megabits < 0:
             raise ValueError(f"negative transfer: {megabits}")
         self.cache_megabits += megabits
-        if self.registry is not None:
-            self.registry.counter("cache.megabits_served").inc(megabits)
 
     # ------------------------------------------------------------------
     # Derived measures

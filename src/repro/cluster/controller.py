@@ -114,8 +114,13 @@ class DistributionController:
             tracer=tracer,
         )
         registry = self.metrics.registry
-        if registry is not None:
-            registry.gauge("streams.active", supplier=lambda: self.active_count)
+        registry.gauge("streams.active", supplier=lambda: self.active_count)
+        # Buffer occupancy at transmission finish, in seconds of playback
+        # banked — the quantity client staging exists to maximise
+        # (Section 3.3's workahead).
+        self._buffer_at_finish = registry.histogram(
+            "client.buffer_at_finish_seconds"
+        )
         self.intercept: Optional[Callable] = None
         self.on_decision: List[Callable] = []
         self.on_finish: List[Callable] = []
@@ -224,14 +229,9 @@ class DistributionController:
         """A transmission manager completed *request*'s transfer."""
         self.metrics.record_finish()
         now = self.engine.now
-        registry = self.metrics.registry
-        if registry is not None:
-            # Buffer occupancy at transmission finish, in seconds of
-            # playback banked — the quantity client staging exists to
-            # maximise (Section 3.3's workahead).
-            registry.histogram("client.buffer_at_finish_seconds").observe(
-                request.buffer_occupancy(now) / request.view_bandwidth
-            )
+        self._buffer_at_finish.observe(
+            request.buffer_occupancy(now) / request.view_bandwidth
+        )
         if self.tracer is not None:
             self.tracer.emit(
                 TraceKind.REQUEST_FINISH, now,

@@ -181,9 +181,11 @@ def _noop() -> None:
     """Pool-warming task (see :func:`warm_pool`)."""
 
 
-#: Target chunks per worker: >1 so a slow chunk doesn't straggle the
+#: Least chunks per worker: >1 so a slow chunk doesn't straggle the
 #: sweep (work stealing via the shared task queue), small enough that
-#: dispatch/transport overhead stays amortized.
+#: dispatch/transport overhead stays amortized.  The chunk size rounds
+#: down, so a pool never gets fewer chunks than this many per worker
+#: (or than tasks, when there are fewer).
 _CHUNKS_PER_WORKER = 4
 
 _pool: Optional[ProcessPoolExecutor] = None
@@ -490,7 +492,7 @@ def run_sweep(
     workers = min(_worker_count(), len(tasks))
     parallel = workers > 1
     chunk_size = (
-        max(1, -(-len(tasks) // (workers * _CHUNKS_PER_WORKER)))
+        max(1, len(tasks) // (workers * _CHUNKS_PER_WORKER))
         if parallel
         else 1
     )

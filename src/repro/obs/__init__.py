@@ -11,9 +11,9 @@ Three independent instruments, designed to coexist on one engine:
   ``core.failover``, ``core.schedulers`` and ``core.transmission`` and
   cost a single ``is None`` check when tracing is off.
 * :mod:`repro.obs.registry` — a named-metrics registry (counters,
-  gauges, histograms) that :class:`repro.analysis.metrics.SimulationMetrics`
-  registers into, with a ``snapshot() -> dict`` API consumed by
-  :mod:`repro.analysis.export`.
+  gauges, histograms) that reads
+  :class:`repro.analysis.metrics.SimulationMetrics`' counts, with a
+  ``snapshot() -> dict`` API consumed by :mod:`repro.analysis.export`.
 * :mod:`repro.obs.profiler` — wall-clock accounting per engine event
   kind plus an events/sec throughput figure, attached to
   :class:`repro.sim.engine.Engine` behind a flag (zero-cost when off).

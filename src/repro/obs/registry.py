@@ -1,18 +1,22 @@
 """Named metrics: counters, gauges and histograms with one snapshot API.
 
-:class:`repro.analysis.metrics.SimulationMetrics` *registers into* a
-:class:`MetricsRegistry` (when given one) rather than being replaced by
-it: the fixed dataclass counters stay the fast source of truth for the
-paper's Section 4.1 measures, while the registry carries the open-ended
-set — DRM chain-length distribution, per-server rejection counts,
-buffer-occupancy-at-finish histogram, live-stream gauges — that
-downstream tooling reads via :meth:`MetricsRegistry.snapshot`.
+:class:`repro.analysis.metrics.SimulationMetrics` *is read by* its
+:class:`MetricsRegistry` rather than being replaced by it: the
+dataclass fields stay the only copy of the paper's Section 4.1
+counts, and the registry's run counters are supplied counters that read
+them when a snapshot is taken.  Beside them the registry carries the
+open-ended set — DRM chain-length distribution, buffer-occupancy-at-finish
+histogram, live-stream gauges — that downstream tooling reads via
+:meth:`MetricsRegistry.snapshot`.
 
 Instruments are get-or-create by name, so independent subsystems can
-share one registry without coordination::
+share one registry without coordination; an event path binds its
+instrument once rather than looking it up per event::
 
     reg = MetricsRegistry()
-    reg.counter("requests.accepted").inc()
+    admits = reg.counter("serve.admits")      # bound once ...
+    admits.inc()                              # ... incremented per event
+    reg.counter("requests.accepted", supplier=lambda: metrics.accepted)
     reg.histogram("drm.chain_length").observe(2)
     reg.gauge("streams.active", supplier=lambda: controller.active_count)
     reg.snapshot()                    # -> plain nested dict, JSON-ready
@@ -33,15 +37,23 @@ DEFAULT_BOUNDS: Sequence[float] = (
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count: incremented here, or read from
+    a supplier when another object already keeps the count."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "supplier")
 
-    def __init__(self, name: str) -> None:
+    def __init__(
+        self, name: str, supplier: Optional[Callable[[], float]] = None
+    ) -> None:
         self.name = name
         self.value = 0.0
+        self.supplier = supplier
 
     def inc(self, amount: float = 1.0) -> None:
+        if self.supplier is not None:
+            raise RuntimeError(
+                f"counter {self.name} reads its supplier; count at the source"
+            )
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative inc {amount}")
         self.value += amount
@@ -50,6 +62,8 @@ class Counter:
         self.value = 0.0
 
     def snapshot(self) -> float:
+        if self.supplier is not None:
+            return float(self.supplier())
         return self.value
 
 
@@ -189,11 +203,15 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
+    def counter(
+        self, name: str, supplier: Optional[Callable[[], float]] = None
+    ) -> Counter:
         inst = self._counters.get(name)
         if inst is None:
             self._check_free(name)
-            inst = self._counters[name] = Counter(name)
+            inst = self._counters[name] = Counter(name, supplier)
+        elif supplier is not None:
+            inst.supplier = supplier
         return inst
 
     def gauge(

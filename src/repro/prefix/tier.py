@@ -148,13 +148,12 @@ class PrefixTier:
         #: Shared feeds lost to a parent drop.
         self.feeds_severed = 0
         registry = self.metrics.registry
-        if registry is not None:
-            registry.gauge(
-                "cache.bytes_held_mb", supplier=lambda: self.cache.bytes_held
-            )
-            registry.gauge(
-                "cache.chained_active", supplier=lambda: float(self.chained_active)
-            )
+        registry.gauge(
+            "cache.bytes_held_mb", supplier=lambda: self.cache.bytes_held
+        )
+        registry.gauge(
+            "cache.chained_active", supplier=lambda: float(self.chained_active)
+        )
 
     @property
     def metrics(self):

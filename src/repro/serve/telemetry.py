@@ -103,13 +103,13 @@ def snapshot(gateway: "ClusterGateway") -> Dict[str, Any]:
         status = "serving" if clock.anchored else "idle"
     latency = registry.histogram("serve.chunk_latency_ms")
     tier = getattr(bridge.sim, "prefix_tier", None)
-    counters = {
-        name[len(_PREFIX):]: (
-            int(c.value) if c.value.is_integer() else round(c.value, 6)
-        )
-        for name, c in sorted(registry.counters().items())
-        if name.startswith(_PREFIX)
-    }
+    counters = {}
+    for name, c in sorted(registry.counters().items()):
+        if name.startswith(_PREFIX):
+            value = c.snapshot()
+            counters[name[len(_PREFIX):]] = (
+                int(value) if value.is_integer() else round(value, 6)
+            )
     return {
         "status": status,
         "anchored": clock.anchored,

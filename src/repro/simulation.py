@@ -389,8 +389,9 @@ class Simulation:
     * *profiler* — a :class:`repro.obs.EventProfiler` accounting
       per-event-kind wall clock; auto-created (and folded into the
       process aggregate) when ``REPRO_PROFILE`` is on.
-    * :attr:`registry` — a :class:`repro.obs.MetricsRegistry` the run's
-      :class:`SimulationMetrics` registers into; snapshot via
+    * :attr:`registry` — a :class:`repro.obs.MetricsRegistry` that reads
+      the run's :class:`SimulationMetrics`; its run counters and
+      histograms exist from build time, at zero; snapshot via
       ``sim.registry.snapshot()``.
     """
 

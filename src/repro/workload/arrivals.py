@@ -100,9 +100,11 @@ class PoissonArrivalProcess:
         self._process = Process(engine, self._run(), name="poisson-arrivals")
 
     def _run(self) -> Generator[float, None, None]:
+        rng, draw = self.rng, self.popularity.draw
+        scale = 1.0 / self.rate
         while self.max_requests is None or self.generated < self.max_requests:
-            yield float(self.rng.exponential(1.0 / self.rate))
-            video_id = self.popularity.sample(self.rng)
+            yield scale * rng.standard_exponential()
+            video_id = draw(rng)
             self.generated += 1
             self.on_arrival(video_id)
 
@@ -191,13 +193,15 @@ class ModulatedArrivalProcess:
         return self.rate
 
     def _run(self) -> Generator[float, None, None]:
+        rng, draw = self.rng, self.popularity.draw
+        scale = 1.0 / self._peak
         while self.max_requests is None or self.generated < self.max_requests:
-            yield float(self.rng.exponential(1.0 / self._peak))
-            accept = float(self.rng.uniform())
+            yield scale * rng.standard_exponential()
+            accept = rng.random()
             now = self.engine.now
             if accept * self._peak >= self._rate_at(now):
                 continue  # thinned candidate (off-burst phase)
-            video_id = self.popularity.sample(self.rng)
+            video_id = draw(rng)
             self.generated += 1
             self.on_arrival(video_id)
 

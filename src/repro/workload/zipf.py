@@ -18,7 +18,8 @@ thinner), which the paper also notes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +66,11 @@ class ZipfPopularity:
         self.n = int(n)
         self.theta = float(theta)
         self.probabilities = popularity_ranks(self.n, self.theta)
-        # Cumulative distribution for O(log n) inverse-CDF sampling.
+        # Cumulative distribution for O(log n) inverse-CDF sampling; the
+        # list copy serves scalar draws without numpy's array path.
         self._cdf = np.cumsum(self.probabilities)
         self._cdf[-1] = 1.0  # guard against rounding
+        self._cdf_list = self._cdf.tolist()
 
     @property
     def exponent(self) -> float:
@@ -80,18 +83,15 @@ class ZipfPopularity:
             raise ValueError(f"rank must be in [1, {self.n}], got {rank}")
         return float(self.probabilities[rank - 1])
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw video indices (0-based, 0 = most popular).
+    def draw(self, rng: np.random.Generator) -> int:
+        """One video index (0-based, 0 = most popular) — the scalar twin
+        of :meth:`sample`, drawing the same value from the same state."""
+        return bisect_right(self._cdf_list, rng.random())
 
-        Args:
-            rng: numpy generator.
-            size: None for a scalar int, otherwise an ndarray of ints.
-        """
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw *size* video indices (0-based, 0 = most popular)."""
         u = rng.random(size)
-        idx = self._cdf.searchsorted(u, side="right")
-        if size is None:
-            return int(idx)
-        return idx.astype(np.int64)
+        return self._cdf.searchsorted(u, side="right").astype(np.int64)
 
     def expected_value(self, values: Sequence[float]) -> float:
         """Popularity-weighted mean of per-video *values* (rank order).

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.workload.arrivals import (
+    ModulatedArrivalProcess,
     PoissonArrivalProcess,
     calibrated_arrival_rate,
     offered_load,
 )
 from repro.workload.catalog import Video, VideoCatalog
-from repro.workload.zipf import ZipfPopularity
+from repro.workload.zipf import ZipfPopularity, popularity_ranks
 
 
 def uniform_catalog(n: int, size_mb: float = 100.0) -> VideoCatalog:
@@ -126,4 +129,82 @@ class TestPoissonProcess:
             PoissonArrivalProcess(
                 Engine(), rate=0.0, popularity=ZipfPopularity(2, 1.0),
                 rng=rng, on_arrival=lambda v: None,
+            )
+
+
+def searchsorted_cdf(n: int, theta: float) -> np.ndarray:
+    """The CDF the array-path sampler searched, guard included."""
+    cdf = np.cumsum(popularity_ranks(n, theta))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def array_path_arrivals(process, rng, cdf, rate, count):
+    """The arrival sequence the processes drew through numpy's array
+    path (``exponential`` + ``searchsorted``), as ``(time, video)``."""
+    peak = rate * 3.0 if process is ModulatedArrivalProcess else rate
+    t, out = 0.0, []
+    while len(out) < count:
+        t = t + float(rng.exponential(1.0 / peak))
+        if process is ModulatedArrivalProcess:
+            burst = t % 3600.0 < 600.0
+            if float(rng.uniform()) * peak >= (peak if burst else rate):
+                continue
+        u = rng.random(None)
+        out.append((t, int(cdf.searchsorted(u, side="right"))))
+    return out
+
+
+class _FixedUniform:
+    """A generator stand-in whose ``random()`` returns *u*."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+class TestScalarDraws:
+    """Both arrival processes draw a delay and a video as Python scalars;
+    every draw equals the one numpy's array path made from the same
+    generator state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(min_value=-2.0, max_value=2.0),
+        n=st.integers(min_value=1, max_value=500),
+        rate=st.floats(min_value=0.01, max_value=100.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        process=st.sampled_from([PoissonArrivalProcess, ModulatedArrivalProcess]),
+    )
+    def test_same_sequence_as_the_array_path(self, theta, n, rate, seed, process):
+        count = 2000
+        engine = Engine()
+        seen = []
+        process(
+            engine, rate=rate, popularity=ZipfPopularity(n, theta),
+            rng=np.random.default_rng(seed),
+            on_arrival=lambda video: seen.append((engine.now, video)),
+            max_requests=count,
+        )
+        engine.run()
+        cdf = searchsorted_cdf(n, theta)
+        twin = np.random.default_rng(seed)
+        assert seen == array_path_arrivals(process, twin, cdf, rate, count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(min_value=-2.0, max_value=2.0),
+        n=st.integers(min_value=1, max_value=500),
+    )
+    def test_cdf_edges(self, theta, n):
+        pop = ZipfPopularity(n, theta)
+        cdf = searchsorted_cdf(n, theta)
+        edges = [0.0, np.nextafter(1.0, 0.0), 1.0]
+        for c in cdf.tolist():
+            edges += [c, np.nextafter(c, 0.0)]
+        for u in edges:
+            assert pop.draw(_FixedUniform(float(u))) == int(
+                cdf.searchsorted(u, side="right")
             )

@@ -126,10 +126,7 @@ class TestFailRestoreFailCycles:
         # The old failover path bumped ``metrics.migrations`` directly,
         # so after a fail -> restore -> fail cycle the dataclass field
         # and the registry's ``drm.migrations`` counter diverged.
-        from repro.obs.registry import MetricsRegistry
-
         cluster, failover = cluster_with_failover({0: [0, 1]})
-        cluster.metrics.registry = MetricsRegistry()
         a, _ = cluster.submit(0)
         b, _ = cluster.submit(0)
         cluster.engine.run_until(1.0)
@@ -142,7 +139,7 @@ class TestFailRestoreFailCycles:
         assert cluster.metrics.migrations == 3
         registry_migrations = cluster.metrics.registry.counter(
             "drm.migrations"
-        ).value
+        ).snapshot()
         assert registry_migrations == cluster.metrics.migrations
 
     def test_streams_attached_exactly_once_after_cycles(self):

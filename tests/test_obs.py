@@ -197,6 +197,46 @@ class TestRegistry:
         assert reg.names() == ["a", "m", "z"]
 
 
+class TestSuppliedCounter:
+    """A counter that reads a count kept elsewhere instead of keeping
+    its own copy."""
+
+    class Source:
+        hits = 0
+
+    def test_snapshot_and_prometheus_read_the_supplier(self):
+        from repro.obs import parse_prometheus, render_prometheus
+
+        src = self.Source()
+        reg = MetricsRegistry()
+        reg.counter("hits", supplier=lambda: src.hits)
+        src.hits = 4
+        assert reg.snapshot()["counters"] == {"hits": 4.0}
+        samples = parse_prometheus(render_prometheus(reg))
+        assert samples["repro_hits_total"] == 4.0
+
+    def test_inc_raises(self):
+        c = MetricsRegistry().counter("hits", supplier=lambda: 0)
+        with pytest.raises(RuntimeError, match="supplier"):
+            c.inc()
+
+    def test_reset_leaves_it_reading_the_reset_field(self):
+        src = self.Source()
+        src.hits = 9
+        reg = MetricsRegistry()
+        c = reg.counter("hits", supplier=lambda: src.hits)
+        reg.reset()
+        assert c.snapshot() == 9.0
+        src.hits = 0
+        assert c.snapshot() == 0.0
+
+    def test_get_or_create_attaches_a_supplier(self):
+        reg = MetricsRegistry()
+        c = reg.counter("hits")
+        assert reg.counter("hits", supplier=lambda: 2) is c
+        assert c.snapshot() == 2.0
+
+
 class TestProfiler:
     def test_record_groups_kind_by_prefix(self):
         p = EventProfiler()
@@ -390,6 +430,135 @@ class TestSimulationIntegration:
         assert plain.utilization == result.utilization
         assert plain.arrivals == result.arrivals
         assert plain.events_fired == result.events_fired
+
+
+#: Faults, retry, the prefix tier and DRM all on, with a warm-up reset.
+EVERY_PLANE = {
+    "system": {
+        "name": "prefix-overload-3", "server_bandwidths": [30.0] * 3,
+        "disk_capacities": [4000.0] * 3, "n_videos": 12,
+        "video_length_range": [60.0, 90.0], "avg_copies": 2.2,
+        "view_bandwidth": 3.0,
+    },
+    "theta": -0.5, "placement": "even", "migration": {"enabled": True},
+    "staging_fraction": 0.3, "client_receive_bandwidth": 30.0,
+    "duration": 3600.0, "warmup": 600.0, "load": 1.4, "seed": 33,
+    "prefix": {
+        "strategy": "popularity", "batching": "patch", "capacity_mb": 600.0,
+        "prefix_seconds": 30.0, "window_seconds": 45.0,
+    },
+    "faults": {
+        "crash": {"mtbf": 900.0, "mttr": 300.0},
+        "link": {"mtbf": 900.0, "mttr": 300.0},
+        "replica": {"mean_interval": 600.0},
+    },
+    "retry": {"max_attempts": 4, "base_delay": 5.0},
+}
+
+KEYED = {
+    r"server\.\d+\.rejections": "server.<id>.rejections",
+    r"faults\.\w+": "faults.<kind>",
+}
+
+
+class TestRunInstruments:
+    """The run's counts live in ``SimulationMetrics``' fields alone: the
+    registry reads them, and nothing on the event path looks an
+    instrument up by name."""
+
+    @staticmethod
+    def build():
+        from repro.simulation import Simulation, SimulationConfig
+
+        return Simulation(SimulationConfig.from_dict(EVERY_PLANE))
+
+    def test_run_finishes_with_lookups_refused(self, monkeypatch):
+        sim = self.build()
+
+        def refuse(registry, name, *args, **kwargs):
+            raise AssertionError(f"instrument {name!r} looked up by name")
+
+        for method in ("counter", "gauge", "histogram"):
+            monkeypatch.setattr(MetricsRegistry, method, refuse)
+        sim.run()
+        monkeypatch.undo()
+
+        m = sim.metrics
+        assert m.rejections_per_server and m.faults_per_kind
+        expected = {
+            "requests.arrivals": m.arrivals,
+            "requests.accepted": m.accepted,
+            "requests.rejected": m.rejected,
+            "requests.rejected_no_replica": m.rejected_no_replica,
+            "requests.finished": m.finished,
+            "requests.dropped": m.dropped,
+            "drm.migrations": m.migrations,
+            "drm.attempts": m.migration_attempts,
+            "retry.scheduled": m.retries,
+            "retry.succeeded": m.retry_successes,
+            "retry.exhausted": m.retry_exhausted,
+            "cache.hits": m.cache_hits,
+            "cache.misses": m.cache_misses,
+            "cache.chained": m.chained,
+            "cache.patched": m.patched,
+            "cache.megabits_served": m.cache_megabits,
+        }
+        for sid, count in m.rejections_per_server.items():
+            expected[f"server.{sid}.rejections"] = count
+        for kind, count in m.faults_per_kind.items():
+            expected[f"faults.{kind}"] = count
+        counters = sim.registry.snapshot()["counters"]
+        # Keys last seen before the warm-up reset still read, at zero.
+        assert {
+            name: value for name, value in counters.items()
+            if name in expected or value
+        } == expected
+        assert m.retries and m.chained and m.migrations
+
+    def test_no_lookup_by_name_on_the_event_path(self):
+        import inspect
+        import re
+
+        from repro.analysis.metrics import SimulationMetrics
+        from repro.cluster.controller import DistributionController
+
+        methods = [
+            getattr(SimulationMetrics, name)
+            for name in dir(SimulationMetrics) if name.startswith("record_")
+        ]
+        methods.append(DistributionController._stream_finished)
+        lookup = re.compile(r"\.(counter|gauge|histogram)\(")
+        for fn in methods:
+            assert not lookup.search(inspect.getsource(fn)), fn.__qualname__
+
+    def test_docs_list_the_instruments_a_run_registers(self):
+        import re
+        from pathlib import Path
+
+        doc = Path(__file__).parents[1] / "docs" / "OBSERVABILITY.md"
+        section = doc.read_text().split("## Metrics registry\n", 1)[1]
+        listed = {}
+        for block in re.split(r"\n(?=\* )", section.split("\n#", 1)[0]):
+            bullet = re.match(r"\* (\w+) —", block)
+            if bullet:
+                paragraph = block.split("\n\n", 1)[0]
+                listed[bullet.group(1)] = set(re.findall(r"`([^`]+)`", paragraph))
+
+        sim = self.build()
+        registry = sim.registry
+        # Everything but the keyed families exists at build time, at zero.
+        assert listed["counters"] - set(KEYED.values()) == set(registry.counters())
+        assert set(registry.snapshot()["counters"].values()) == {0.0}
+        assert listed["gauges"] == set(registry.gauges())
+        assert listed["histograms"] == set(registry.histograms())
+        sim.run()
+        families = {
+            family
+            for name in registry.counters()
+            for pattern, family in KEYED.items()
+            if re.fullmatch(pattern, name)
+        }
+        assert families == set(KEYED.values())
 
 
 class TestWatchingChangesNothing:

@@ -220,11 +220,29 @@ class TestProvenance:
 
     def test_chunks_cover_grids_larger_than_the_pool(self, monkeypatch):
         # 2θ × 2 variants × 5 trials = 20 tasks on 2 workers → chunks
-        # of 3; every cell must still land exactly once.
+        # of 20 // 8 = 2; every cell must still land exactly once.
         monkeypatch.setenv("REPRO_WORKERS", "2")
         result = tiny_sweep(trials=5)
-        assert result.provenance["chunk_size"] == 3
+        assert result.provenance["chunk_size"] == 2
         assert all(len(curve) == 2 for curve in result.curves.values())
+
+    @pytest.mark.parametrize("workers,trials", [(2, 3), (2, 5), (3, 2)])
+    def test_chunk_count_meets_its_target(self, monkeypatch, workers, trials):
+        # The chunk size rounds down: a rounded-up size left the 10-cell
+        # Figure 4 grid 5 chunks for 2 workers × 4, so its last round
+        # ran on one worker.
+        counts = []
+
+        def in_process(chunks, metric, _workers):
+            counts.append(len(chunks))
+            return (base_mod._run_chunk(chunk, metric) for chunk in chunks)
+
+        monkeypatch.setattr(base_mod, "_pooled", in_process)
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+        tiny_sweep(trials=trials)
+        tasks = 4 * trials
+        assert len(counts) == 1
+        assert counts[0] >= min(tasks, workers * base_mod._CHUNKS_PER_WORKER)
 
 
 class TestCellFailureHandling:

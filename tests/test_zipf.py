@@ -63,7 +63,7 @@ class TestSampling:
     def test_scalar_sample_in_range(self, rng):
         z = ZipfPopularity(20, 0.0)
         for _ in range(100):
-            idx = z.sample(rng)
+            idx = z.draw(rng)
             assert isinstance(idx, int)
             assert 0 <= idx < 20
 
