@@ -125,7 +125,7 @@ class StateSampler:
             for r in server.iter_active():
                 rate_sum += r.rate
                 # State may be lazily integrated; project to now.
-                sent = r.bytes_sent + r.rate * (now - r.last_sync)
+                sent = r.sent_at(now)
                 played_until = min(now, r.playback_pause_time)
                 viewed = (played_until - r.playback_start) * r.view_bandwidth
                 buffers.append(max(0.0, sent - viewed))

@@ -5,16 +5,20 @@ admission, and receives data from its assigned server at a
 piecewise-constant rate chosen by the bandwidth allocator.  Between
 scheduler events the state evolves linearly, so we integrate lazily:
 :meth:`Request.sync` advances ``bytes_sent`` by ``rate * dt`` and
-reports the delta to the metrics sink.
+reports the delta to the metrics sink.  A stream at its ``b_view``
+floor may go unsynced for many events (the allocator visits only the
+streams that move), so every reader projects with
+:meth:`Request.sent_at` instead of reading ``bytes_sent``.
 
 Derived quantities (Section 3.3 of the paper):
 
 * ``bytes_viewed(t) = min(size, b_view * (t - playback_start))``
-* ``buffer(t) = bytes_sent(t) - bytes_viewed(t)``  — staging occupancy
-* ``headroom(t) = min(capacity - buffer, size - bytes_sent)`` — how much
+* ``buffer(t) = sent_at(t) - bytes_viewed(t)``  — staging occupancy
+* ``headroom(t) = min(capacity - buffer, size - sent_at(t))`` — how much
   workahead the client can still absorb
-* ``projected_finish(t) = t + remaining / b_view`` — EFTF's sort key;
-  minimising it is equivalent to minimising ``remaining``.
+* ``projected_finish(t) = t + remaining(t) / b_view`` — EFTF's sort key.
+  Streams with different view bandwidths order differently by it than
+  by ``remaining``; at ``b_view`` it stays constant.
 
 The **minimum-flow invariant** (every unfinished request transmits at
 ``rate >= b_view``) guarantees ``buffer(t) >= 0``; the only exception is
@@ -77,6 +81,8 @@ class Request:
         hops: number of times this stream has been migrated.
         paused_until: end of a migration switch gap during which the
             stream receives no data (0 when not paused).
+        floor_key: projected finish while the stream sits in its
+            server's floor order (see :class:`DataServer`), else None.
     """
 
     __slots__ = (
@@ -98,6 +104,7 @@ class Request:
         "reject_reason",
         "playback_pause_time",
         "pauses",
+        "floor_key",
     )
 
     _ids = itertools.count()
@@ -135,6 +142,7 @@ class Request:
         self.playback_pause_time = float("inf")
         #: Number of VCR pauses performed so far.
         self.pauses = 0
+        self.floor_key: Optional[float] = None
 
     def set_video(self, video: Video) -> None:
         """Swap what is left to transfer (the prefix tier truncates a
@@ -170,15 +178,19 @@ class Request:
     # ------------------------------------------------------------------
     # Derived quantities (read-only; *now* must be >= last_sync)
     # ------------------------------------------------------------------
-    @property
-    def remaining(self) -> float:
-        """Megabits still to transmit (as of last sync)."""
-        return max(0.0, self.size - self.bytes_sent)
+    def sent_at(self, now: float) -> float:
+        """Megabits sent by *now* at the current rate, unclamped — the
+        projection every reader of a lazily integrated stream uses;
+        callers clamp at ``size`` or at ``last_sync`` as they need."""
+        return self.bytes_sent + self.rate * (now - self.last_sync)
 
-    @property
-    def transmission_finished(self) -> bool:
-        """True when (almost) all data has been sent."""
-        return self.remaining <= EPS_MB
+    def remaining(self, now: float) -> float:
+        """Megabits still to transmit at *now*."""
+        return max(0.0, self.size - self.sent_at(now))
+
+    def transmission_finished(self, now: float) -> bool:
+        """True when (almost) all data has been sent by *now*."""
+        return self.remaining(now) <= EPS_MB
 
     def bytes_viewed(self, now: float) -> float:
         """Megabits consumed by playback by time *now*.
@@ -192,17 +204,17 @@ class Request:
 
     def buffer_occupancy(self, now: float) -> float:
         """Client staging buffer occupancy, Mb (>= 0 up to float noise)."""
-        return max(0.0, self.bytes_sent - self.bytes_viewed(now))
+        sent = min(self.size, self.sent_at(now))
+        return max(0.0, sent - self.bytes_viewed(now))
 
     def headroom(self, now: float) -> float:
         """Workahead the client can still absorb, Mb."""
         by_capacity = self.client.buffer_capacity - self.buffer_occupancy(now)
-        by_data = self.size - self.bytes_sent
-        return max(0.0, min(by_capacity, by_data))
+        return max(0.0, min(by_capacity, self.remaining(now)))
 
     def projected_finish(self, now: float) -> float:
         """Finish time if transmitted at exactly ``b_view`` from *now* on."""
-        return now + self.remaining / self.view_bandwidth
+        return now + self.remaining(now) / self.view_bandwidth
 
     @property
     def playback_end(self) -> float:

@@ -11,7 +11,8 @@ only if …").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from repro.cluster.profile import DEFAULT_DISK_THROUGHPUT
 from repro.cluster.request import EPS_MB, Request
@@ -19,6 +20,12 @@ from repro.workload.catalog import Video
 
 if TYPE_CHECKING:  # pragma: no cover - hint only
     from repro.cluster.profile import ServerProfile
+
+#: A stream in the allocator's spare order: (projected finish at
+#: ``b_view``, request id, request, extra rate the client can take — 0
+#: when it can take none).  The first two fields are the EFTF key; they
+#: are unique per server, so comparisons never reach the request.
+Candidate = Tuple[float, int, Request, float]
 
 
 class StorageError(RuntimeError):
@@ -36,6 +43,18 @@ class DataServer:
         holdings: set of video ids with a local replica.
         active: unfinished requests currently assigned here, keyed by
             request id (insertion-ordered for determinism).
+        floor: the *floor order* — the active streams playing at exactly
+            their ``b_view``, outside a switch gap and not VCR-paused, as
+            candidate entries sorted by (projected finish, request id).
+            Their ``(bytes_sent, last_sync, rate)`` are left alone (only
+            a flush syncs them): at ``b_view`` neither the projected
+            finish nor the buffer occupancy changes, so nothing about
+            them needs re-testing until one is reached.
+        floor_candidates: the entries of :attr:`floor` whose client can
+            take spare bandwidth, in the same order.
+        moved: every other active stream — the ones the next allocator
+            pass visits (newly attached, lifted by a trigger, boosted,
+            in a switch gap or VCR-paused).
         up: False while the server has failed.
         accepting: False while membership keeps the server out of
             admission (joining/warming/draining); streams already here
@@ -75,6 +94,11 @@ class DataServer:
         # admission test runs per arrival per candidate server, so the
         # O(n) recomputation was a measured hot spot.
         self._reserved = 0.0
+        # `active` is partitioned between the floor order and `moved`;
+        # attach, detach, lift and fail keep the partition exact.
+        self.floor: List[Candidate] = []
+        self.floor_candidates: List[Candidate] = []
+        self.moved: List[Request] = []
 
     # ------------------------------------------------------------------
     # Capacity seams (calibration × link faults)
@@ -200,6 +224,7 @@ class DataServer:
         self.active[request.request_id] = request
         self._reserved += request.view_bandwidth
         request.server_id = self.server_id
+        self.moved.append(request)
 
     def detach(self, request: Request) -> None:
         """Remove a stream (finished, migrated away, or dropped)."""
@@ -210,6 +235,31 @@ class DataServer:
         self._reserved -= request.view_bandwidth
         if self._reserved < 0.0:  # float guard; exact for uniform rates
             self._reserved = 0.0
+        if request.floor_key is not None:
+            self.unfloor(request)
+        elif request in self.moved:  # not so if the last pass finished it
+            self.moved.remove(request)
+
+    # ------------------------------------------------------------------
+    # The floor order (filled by the allocator pass)
+    # ------------------------------------------------------------------
+    def unfloor(self, request: Request) -> None:
+        """Take a stream out of the floor order (it stays active)."""
+        key = (request.floor_key, request.request_id)
+        floor = self.floor
+        del floor[bisect_left(floor, key)]
+        candidates = self.floor_candidates
+        i = bisect_left(candidates, key)
+        if i < len(candidates) and candidates[i][2] is request:
+            del candidates[i]
+        request.floor_key = None
+
+    def lift(self, request: Request) -> None:
+        """Make the next pass visit *request*: a caller changed its
+        playback (VCR pause/resume).  A no-op if it is off the floor."""
+        if request.floor_key is not None:
+            self.unfloor(request)
+            self.moved.append(request)
 
     def iter_active(self) -> Iterable[Request]:
         """Unfinished streams in deterministic (insertion) order."""
@@ -248,8 +298,13 @@ class DataServer:
         """Take the server down; returns (and detaches) its streams."""
         self.up = False
         orphans = list(self.active.values())
+        for request in orphans:
+            request.floor_key = None
         self.active.clear()
         self._reserved = 0.0
+        self.floor.clear()
+        self.floor_candidates.clear()
+        self.moved.clear()
         return orphans
 
     def restore(self) -> None:

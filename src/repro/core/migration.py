@@ -127,10 +127,7 @@ def _eligible(request: Request, policy: MigrationPolicy, now: float) -> bool:
     if policy.switch_delay > 0.0:
         # Streams on other servers are not synced to `now` during a
         # search: project the transfer instead of reading a stale one.
-        sent = min(
-            request.size,
-            request.bytes_sent + request.rate * (now - request.last_sync),
-        )
+        sent = min(request.size, request.sent_at(now))
         needed = policy.switch_delay * request.view_bandwidth
         if sent - request.bytes_viewed(now) < needed:
             return False

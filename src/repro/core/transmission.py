@@ -15,9 +15,9 @@ boundaries.  Boundaries are (Section 3.3's EFTF trigger list):
   stream receives at least its drain rate; we assert rather than handle
   it.)
 
-External triggers (arrival, migration in/out, failure) call
-:meth:`TransmissionManager.reallocate` directly; the pending event is
-cancelled lazily and rescheduled.
+External triggers (arrival, migration in/out, failure, VCR pause and
+resume) call :meth:`TransmissionManager.reallocate` directly; the
+pending event is cancelled lazily and rescheduled.
 """
 
 from __future__ import annotations
@@ -111,18 +111,23 @@ class TransmissionManager:
     # ------------------------------------------------------------------
     # Core cycle
     # ------------------------------------------------------------------
-    def reallocate(self, now: float) -> None:
+    def reallocate(self, now: float, changed: Optional[Request] = None) -> None:
         """The whole cycle, for every trigger: integrate, finish,
         reassign rates, schedule the next boundary.
 
-        One :meth:`BandwidthAllocator.allocate_into` pass integrates
-        every stream to *now*, splits off the ones that completed,
-        reassigns every other rate and finds the boundary of the streams
-        left playing at ``b_view``; only the irregular few (boosted,
-        switch-gap, VCR-paused) go through :meth:`_next_boundary`.  N
-        streams hitting their boundaries at one timestamp are handled
-        by one event — there is never more than one boundary event per
-        server on the agenda (pinned by tests).
+        *changed* is a stream whose playback the caller just paused or
+        resumed (VCR): it leaves the floor order, so the pass re-reads
+        it.  Attaching a stream needs no such hand-in.
+
+        One :meth:`BandwidthAllocator.allocate_into` pass visits the
+        streams off the floor order (``server.moved``), splits off the
+        ones that completed, moves the spare and keeps the floor order,
+        whose head is the boundary of every stream playing at
+        ``b_view``; only the irregular few (boosted, switch-gap,
+        VCR-paused) go through :meth:`_next_boundary`.  N streams
+        hitting their boundaries at one timestamp are handled by one
+        event — there is never more than one boundary event per server
+        on the agenda (pinned by tests).
 
         Finished streams are detached and reported in active-list order
         once the others hold their new rates.  Finish subscribers may
@@ -143,9 +148,11 @@ class TransmissionManager:
                 f"server {server.server_id}: reallocate re-entered from a "
                 f"finish callback (subscribers may schedule, not reallocate)"
             )
+        if changed is not None:
+            server.lift(changed)
         self.reallocations += 1
         moved, boundary, irregular, finished = self.allocator.allocate_into(
-            server, server.active.values(), now
+            server, server.moved, now
         )
         if moved > 0.0:
             self.metrics.record_bytes(server.server_id, moved, now)
@@ -271,8 +278,9 @@ class TransmissionManager:
     # End of run
     # ------------------------------------------------------------------
     def flush(self, now: float) -> None:
-        """Integrate all streams to *now* without reallocating (end-of-run
-        and pre-fault accounting); the transfer is one metrics call."""
+        """Integrate all streams to *now* without reallocating (warm-up,
+        pre-fault and end-of-run accounting; floor streams included);
+        the transfer is one metrics call."""
         total = 0.0
         for r in self.server.iter_active():
             total += r.sync(now)

@@ -161,7 +161,7 @@ class InvariantChecker:
             for r in server.iter_active():
                 rate = r.rate
                 total_rate += rate
-                sent = r.bytes_sent + rate * (now - r.last_sync)
+                sent = r.sent_at(now)
                 if sent > r.video.size + EPS_CHECK:
                     self._violate(
                         "conservation",

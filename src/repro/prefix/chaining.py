@@ -181,7 +181,7 @@ class ChainedSession:
         request = self.child
         sent = request.bytes_sent
         if request.state is RequestState.ACTIVE and request.server_id is not None:
-            sent += max(0.0, request.rate) * max(0.0, now - request.last_sync)
+            sent = request.sent_at(max(now, request.last_sync))
         return min(plan.patch_mb, sent)
 
     def contiguous_delivered(self, now: float) -> float:

@@ -232,8 +232,7 @@ class Pacer:
         # record when the engine reaches now_vt.
         scheduled = min(
             request.video.size,
-            request.bytes_sent
-            + max(0.0, request.rate) * max(0.0, now_vt - request.last_sync),
+            request.sent_at(max(now_vt, request.last_sync)),
         )
         if scheduled > session.scheduled_mb:
             session.tokens += scheduled - session.scheduled_mb

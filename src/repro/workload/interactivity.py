@@ -102,7 +102,9 @@ class InteractivityModel:
         request.pause_playback(now)
         self.pauses_executed += 1
         if request.server_id is not None:
-            self.controller.managers[request.server_id].reallocate(now)
+            self.controller.managers[request.server_id].reallocate(
+                now, changed=request
+            )
         gap = float(self.rng.exponential(self.mean_pause_duration))
         self.engine.schedule(
             gap,
@@ -120,5 +122,7 @@ class InteractivityModel:
             request.state is RequestState.ACTIVE
             and request.server_id is not None
         ):
-            self.controller.managers[request.server_id].reallocate(now)
+            self.controller.managers[request.server_id].reallocate(
+                now, changed=request
+            )
         self._schedule_pause(request)

@@ -156,7 +156,7 @@ class TestMigrationEdgeCases:
         _, outcome = cluster.submit(1)
         assert outcome is AdmissionOutcome.ACCEPTED_WITH_MIGRATION
         cluster.engine.run_until(150.0)
-        assert mover.transmission_finished
+        assert mover.transmission_finished(150.0)
         cluster.managers[0].flush(150.0)
         cluster.managers[1].flush(150.0)
         total = sum(cluster.metrics.bytes_per_server.values())

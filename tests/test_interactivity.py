@@ -85,7 +85,7 @@ class TestPausedStreamScheduling:
         cluster, r = self.one_server()
         cluster.engine.run_until(1.0)
         r.pause_playback(1.0)
-        cluster.managers[0].reallocate(1.0)
+        cluster.managers[0].reallocate(1.0, changed=r)
         # Buffer (cap 18) fills at full link rate; then the stream goes
         # fully idle — pumping on would overflow the viewer.
         cluster.engine.run_until(5.0)
@@ -101,29 +101,29 @@ class TestPausedStreamScheduling:
         cluster, r = self.one_server()
         cluster.engine.run_until(1.0)
         r.pause_playback(1.0)
-        cluster.managers[0].reallocate(1.0)
+        cluster.managers[0].reallocate(1.0, changed=r)
         cluster.engine.run_until(30.0)
         r.resume_playback(30.0)
-        cluster.managers[0].reallocate(30.0)
+        cluster.managers[0].reallocate(30.0, changed=r)
         cluster.engine.run_until(31.0)
         assert r.rate >= r.view_bandwidth
         # Eventually completes despite the pause.
         cluster.engine.run_until(400.0)
-        assert r.transmission_finished
+        assert r.transmission_finished(400.0)
 
     def test_no_underrun_through_pause_cycle(self):
         cluster, r = self.one_server(bandwidth=3.0, buffer_capacity=30.0)
         cluster.engine.run_until(2.0)
         r.pause_playback(2.0)
-        cluster.managers[0].reallocate(2.0)
+        cluster.managers[0].reallocate(2.0, changed=r)
         cluster.engine.run_until(20.0)
         r.resume_playback(20.0)
-        cluster.managers[0].reallocate(20.0)
+        cluster.managers[0].reallocate(20.0, changed=r)
         cluster.engine.run_until(150.0)
         assert cluster.metrics.underruns == 0
         # Playback never outpaced data: viewed <= sent throughout is
         # implied by a non-negative final buffer and no underruns.
-        assert r.transmission_finished
+        assert r.transmission_finished(150.0)
 
 
 class TestInteractivityModel:
@@ -194,7 +194,7 @@ class TestInteractivityModel:
         cluster, shim, model = self.build()
         r, outcome = cluster.submit(0, client=make_client())
         cluster.engine.run_until(250.0)  # transmission done
-        assert r.transmission_finished
+        assert r.transmission_finished(250.0)
         model._pause(r)
         assert not r.playback_paused
         assert model.pauses_executed == 0

@@ -31,7 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
-from repro.cluster.request import EPS_MB, RequestState, reset_request_ids
+from repro.cluster.client import ClientProfile
+from repro.cluster.request import (
+    EPS_MB, Request, RequestState, reset_request_ids,
+)
 from repro.core.admission import AdmissionOutcome
 from repro.obs import TraceKind
 from repro.obs.tracer import Tracer
@@ -325,6 +328,17 @@ def pure_chain(gap=10.0, vb=2.0, length=100.0, join=10.0):
     return ChainedSession(SimpleNamespace(), parent, video, join, plan)
 
 
+def patch_child(rate, last_sync):
+    """An active patch stream on server 1, nothing sent by *last_sync*."""
+    child = Request(
+        Video(video_id=0, length=1.0, view_bandwidth=1.0),
+        ClientProfile(buffer_capacity=0.0), last_sync,
+    )
+    child.server_id = 1
+    child.rate = rate
+    return child
+
+
 class TestChainedSessionCurves:
     def test_pure_chain_margin_nonnegative_everywhere(self):
         chain = pure_chain()
@@ -357,10 +371,7 @@ class TestChainedSessionCurves:
         assert chain.margin(45.0) < 0.0           # slack exhausted
 
     def test_patch_projection_between_syncs(self):
-        child = SimpleNamespace(
-            bytes_sent=0.0, state=RequestState.ACTIVE, server_id=1,
-            rate=5.0, last_sync=10.0,
-        )
+        child = patch_child(rate=5.0, last_sync=10.0)
         video = Video(video_id=0, length=100.0, view_bandwidth=2.0)
         parent = SimpleNamespace(playback_start=0.0)
         chain = ChainedSession(
@@ -394,10 +405,7 @@ class TestChainedSessionCurves:
         gap_mb = vb * gap
         prefix_mb = gap_mb * prefix_frac
         patch_mb = gap_mb - prefix_mb
-        child = SimpleNamespace(
-            bytes_sent=0.0, state=RequestState.ACTIVE, server_id=1,
-            rate=vb * (1.0 + rate_slack), last_sync=join,
-        )
+        child = patch_child(rate=vb * (1.0 + rate_slack), last_sync=join)
         video = Video(video_id=0, length=length, view_bandwidth=vb)
         parent = SimpleNamespace(playback_start=join - gap)
         chain = ChainedSession(

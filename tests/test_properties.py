@@ -147,7 +147,7 @@ class TestAllocatorProperties:
         assert total <= server.bandwidth + 1e-6
         for r in requests:
             rate = rates[r.request_id]
-            if r.transmission_finished:
+            if r.transmission_finished(now):
                 assert rate == 0.0  # split off by the pass: no floor
                 continue
             assert rate >= r.view_bandwidth - 1e-9  # nobody paused here
@@ -180,7 +180,7 @@ class TestAllocatorProperties:
             if r.headroom(now) > EPS_MB
             and r.client.receive_bandwidth - r.view_bandwidth > 1e-9
         ]
-        eligible.sort(key=lambda r: (r.remaining, r.request_id))
+        eligible.sort(key=lambda r: (r.projected_finish(now), r.request_id))
         seen_unsaturated = False
         for r in eligible:
             cap = r.client.receive_bandwidth - r.view_bandwidth

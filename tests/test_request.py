@@ -62,7 +62,7 @@ class TestSync:
         delta = r.sync(1000.0)  # would be 2000 Mb, video is 100 Mb
         assert delta == pytest.approx(100.0)
         assert r.bytes_sent == pytest.approx(100.0)
-        assert r.transmission_finished
+        assert r.transmission_finished(1000.0)
 
     def test_reports_to_metrics(self):
         metrics = SimulationMetrics()
@@ -125,12 +125,16 @@ class TestDerivedQuantities:
 
     def test_remaining_and_finished_flag(self):
         r = make_request()
-        assert r.remaining == pytest.approx(100.0)
-        assert not r.transmission_finished
+        assert r.remaining(0.0) == pytest.approx(100.0)
+        assert not r.transmission_finished(0.0)
         r.rate = 1.0
+        # Projected from the last sync: a lazily integrated stream
+        # reads the same before and after its sync.
+        assert r.remaining(60.0) == pytest.approx(40.0)
+        assert r.transmission_finished(100.0)
         r.sync(100.0)
-        assert r.remaining <= EPS_MB
-        assert r.transmission_finished
+        assert r.remaining(100.0) <= EPS_MB
+        assert r.transmission_finished(100.0)
 
     def test_playback_end(self):
         r = make_request(video=make_video(length=250.0), arrival_time=10.0)

@@ -81,7 +81,7 @@ class TestStateSampler:
         r, _ = cluster.submit(0, client=make_client(buffer_capacity=50.0))
         cluster.engine.run_until(5.0)
         r.pause_playback(5.0)
-        cluster.managers[0].reallocate(5.0)
+        cluster.managers[0].reallocate(5.0, changed=r)
         cluster.engine.run_until(10.0)
         assert sampler.series.paused_streams[0] == 1
 

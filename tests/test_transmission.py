@@ -33,7 +33,7 @@ class TestContinuousTransmission:
         r, outcome = cluster.submit(0, client=make_client())
         assert outcome is AdmissionOutcome.ACCEPTED
         cluster.engine.run_until(99.0)
-        assert not r.transmission_finished
+        assert not r.transmission_finished(99.0)
         cluster.engine.run_until(101.0)
         assert r.state is RequestState.FINISHED
         assert r.finish_time == pytest.approx(100.0)
@@ -64,7 +64,7 @@ class TestWorkahead:
         r, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         # 100 Mb at 10 Mb/s → transmission done at t=10.
         cluster.engine.run_until(10.5)
-        assert r.transmission_finished
+        assert r.transmission_finished(10.5)
         assert r.finish_time == pytest.approx(10.0)
         # Playback still runs to t=100 client-side:
         assert r.playback_end == pytest.approx(100.0)
@@ -95,7 +95,7 @@ class TestWorkahead:
         fast, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         # Alone, the stream gets the whole 2 Mb/s link → done at t=50.
         cluster.engine.run_until(51.0)
-        assert fast.transmission_finished
+        assert fast.transmission_finished(51.0)
         # Two more streams now fit (link fully free):
         _, o1 = cluster.submit(0, client=make_client())
         _, o2 = cluster.submit(0, client=make_client())
@@ -114,7 +114,7 @@ class TestWorkahead:
         assert b.rate == pytest.approx(1.0)
         # a finishes at 20 + 40/2 = 40; then b gets everything.
         cluster.engine.run_until(40.5)
-        assert a.transmission_finished
+        assert a.transmission_finished(40.5)
         assert b.rate == pytest.approx(3.0)
 
 
@@ -163,7 +163,7 @@ class TestBoundaryBookkeeping:
         assert near.last_sync == far.last_sync == 60.0
         assert metrics.total_megabits - before == moved
         assert (near.rate, far.rate) == rates
-        assert near.transmission_finished
+        assert near.transmission_finished(60.0)
         assert near.state is RequestState.ACTIVE and cluster.finished == []
         assert manager._event is pending and pending.pending
 
@@ -213,7 +213,7 @@ class TestBatchedBoundaryAdvance:
         reqs = [cluster.submit(0, client=make_client())[0] for _ in range(4)]
         fired_before = cluster.engine.events_fired
         cluster.engine.run_until(100.0)
-        assert all(r.transmission_finished for r in reqs)
+        assert all(r.transmission_finished(100.0) for r in reqs)
         # One finish boundary (the fold) plus the post-finish
         # reallocation pass scheduling nothing: exactly 1 event fired.
         assert cluster.engine.events_fired - fired_before == 1
@@ -280,6 +280,52 @@ class TestOnePassPerEvent:
         assert tracer.counts[TraceKind.STREAM_BUFFER_FULL] == 2
         assert tracer.counts[TraceKind.SCHED_REALLOC] == traced[1]
         assert traced == self._walls_and_finishes(None)
+
+    @staticmethod
+    def _handed_and_active(tracer):
+        """40 staged streams admitted one a second onto one server, run
+        through their buffer walls and first finishes: per pass once all
+        are in, (streams handed to allocate_into, streams active)."""
+        n = 40
+        cluster = build_micro_cluster(
+            server_specs=[(60.0, 1e9)],
+            videos=[make_video(video_id=i, length=200.0 + 5.0 * i)
+                    for i in range(n)],
+            holders={i: [0] for i in range(n)},
+        )
+        manager = cluster.managers[0]
+        manager.tracer = tracer
+        allocate = manager.allocator.allocate_into
+        passes = []
+
+        def allocate_into(server, requests, now):
+            passes.append((now, len(requests), len(server.active)))
+            return allocate(server, requests, now)
+
+        manager.allocator.allocate_into = allocate_into
+        client = make_client(buffer_capacity=18.0, receive_bandwidth=4.0)
+        for i in range(n):
+            cluster.engine.schedule_at(
+                float(i), lambda i=i: cluster.submit(i, client=client)
+            )
+        cluster.engine.run_until(300.0)
+        assert cluster.finished  # the floor order's head was reached
+        return [(handed, active) for now, handed, active in passes
+                if now >= n]
+
+    def test_pass_is_handed_only_the_streams_that_move(self):
+        """The floor order keeps every stream at its ``b_view`` floor out
+        of the pass: the streams handed in stay under a tenth of the
+        active ones, and tracing hands in no more."""
+        tracer = Tracer()
+        traced = self._handed_and_active(tracer)
+        assert tracer.counts[TraceKind.STREAM_BUFFER_FULL] > 0
+        plain = self._handed_and_active(None)
+        assert traced == plain
+        handed = sum(h for h, _ in plain)
+        active = sum(a for _, a in plain)
+        assert active >= 30 * len(plain)
+        assert handed <= 0.10 * active
 
     def test_simultaneous_walls_traced_in_active_list_order(self):
         """EFTF pours into the nearer finish first, so the boosted pair
