@@ -80,7 +80,9 @@ class Request:
         bytes_sent: cumulative megabits transmitted.
         hops: number of times this stream has been migrated.
         paused_until: end of a migration switch gap during which the
-            stream receives no data (0 when not paused).
+            stream receives no data (0 when not paused).  Set before the
+            move attaches the stream to its new server, which records it
+            (:attr:`DataServer.gap_until`).
         floor_key: projected finish while the stream sits in its
             server's floor order (see :class:`DataServer`), else None.
     """

@@ -12,7 +12,7 @@ only if …").
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.profile import DEFAULT_DISK_THROUGHPUT
 from repro.cluster.request import EPS_MB, Request
@@ -61,6 +61,17 @@ class DataServer:
             keep playing, but no new stream may land — the flag gates
             :meth:`has_slot`, so least-loaded picks, DRM chains and
             failover relocation all respect it.
+        attaches: streams ever attached here (admissions, migrations
+            and failover moves alike).  Only :meth:`attach` adds to
+            :attr:`active`, so an unchanged count means the active set
+            has at most lost streams since it was last read.
+        gap_until: the latest ``paused_until`` of any stream attached
+            here (a switch gap is set before the move attaches): once
+            ``now`` passes it, no stream here is in a gap.
+        drm_certificate: what the last failed DRM walk from this server
+            read, kept so a later search can skip the walk while none of
+            it has changed (see :mod:`repro.core.migration`); None when
+            there is none.
     """
 
     def __init__(
@@ -99,6 +110,9 @@ class DataServer:
         self.floor: List[Candidate] = []
         self.floor_candidates: List[Candidate] = []
         self.moved: List[Request] = []
+        self.attaches = 0
+        self.gap_until = 0.0
+        self.drm_certificate: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Capacity seams (calibration × link faults)
@@ -225,6 +239,9 @@ class DataServer:
         self._reserved += request.view_bandwidth
         request.server_id = self.server_id
         self.moved.append(request)
+        self.attaches += 1
+        if request.paused_until > self.gap_until:
+            self.gap_until = request.paused_until
 
     def detach(self, request: Request) -> None:
         """Remove a stream (finished, migrated away, or dropped)."""

@@ -15,12 +15,29 @@ Migration is only safe with client staging: the switch gap is played
 out of the staging buffer.  With ``switch_delay > 0`` a stream is
 eligible only if its current buffer covers the gap; the migrated stream
 is *paused* (rate 0) on the target server until the gap ends.
+
+Under overload almost every search fails, and mostly for the reason
+the previous one did.  So a holder whose walk failed keeps a
+**certificate** (:attr:`DataServer.drm_certificate`) of what that walk
+read, and a later search — admission, failover rescue or elastic
+drain — skips the holder while the certificate holds.  A failure can
+only turn into a chain through a new stream on a server the walk
+entered (:attr:`DataServer.attaches`: migrations and failover moves
+attach too, and ``hops`` only changes across one), a new open target,
+a member appearing or changing ``up`` / ``accepting``, a new replica
+(:attr:`PlacementMap.version`) or a switch gap ending.  Everything else
+— finishes, failures, link degradation — only removes streams or closes
+targets.  A certificate is stored only where it pays: not for a policy
+with ``switch_delay > 0`` (its buffer test moves with time), and not
+after a walk that met no open target at all (a search is then already
+one slot probe per server, which is what checking would cost).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.request import Request
 from repro.cluster.server import DataServer
@@ -143,6 +160,93 @@ def _eligible(request: Request, policy: MigrationPolicy, now: float) -> bool:
 SlotTest = Callable[[DataServer, float], bool]
 
 
+def _open_targets(
+    servers: Dict[int, DataServer], view_bandwidth: float, slot_test: SlotTest
+) -> Set[int]:
+    """The up members of *servers* with a slot at *view_bandwidth*."""
+    return {
+        tid for tid, t in servers.items()
+        if t.up and slot_test(t, view_bandwidth)
+    }
+
+
+def _members(servers: Dict[int, DataServer]) -> Tuple[tuple, ...]:
+    return tuple([(sid, s.up, s.accepting) for sid, s in servers.items()])
+
+
+class _Certificate:
+    """What a failed walk from one holder read.
+
+    It holds while the search asks the same question of a cluster that
+    can only have lost chains since: same policy, members (``(id, up,
+    accepting)`` of every server in the ``servers`` argument) and
+    placement version; no attach on a server the walk entered; no
+    switch gap on those servers ended; and, per view bandwidth the walk
+    looked up, the open targets now are a *subset* of the open targets
+    then.  The subset test lets it outlive a finish that opens a server
+    the next arrival fills again.  The slot test reaches a walk
+    only through those sets, which are rebuilt with the caller's, so it
+    need not be the same one.
+    """
+
+    __slots__ = (
+        "policy", "placement", "version", "members", "entered", "open_of",
+        "expiry",
+    )
+
+    def __init__(
+        self, policy: MigrationPolicy, placement: PlacementMap,
+        members: Tuple[tuple, ...], entered: Set[int],
+        open_of: Dict[float, Set[int]], servers: Dict[int, DataServer],
+        now: float,
+    ) -> None:
+        self.policy = policy
+        self.placement = placement
+        self.version = placement.version
+        self.members = members
+        self.entered = tuple([(sid, servers[sid].attaches) for sid in entered])
+        # The search's own dict, shared: nothing writes to it once the
+        # search returns, and what a later walk of the same search adds
+        # is as true as the rest.
+        self.open_of = open_of
+        expiry = math.inf  # the first switch gap on them to end
+        for sid in entered:
+            server = servers[sid]
+            if server.gap_until > now:
+                for r in server.iter_active():
+                    if now < r.paused_until < expiry:
+                        expiry = r.paused_until
+        self.expiry = expiry
+
+    def holds(
+        self, servers: Dict[int, DataServer], placement: PlacementMap,
+        policy: MigrationPolicy, now: float, slot_test: SlotTest,
+        members: Tuple[tuple, ...], open_of: Dict[float, Set[int]],
+    ) -> bool:
+        """Would the walk fail again?  Open-target sets it has to build
+        go into *open_of*, the current search's, for its walks to use."""
+        if not (
+            now < self.expiry
+            and self.placement is placement
+            and self.version == placement.version
+            and (self.policy is policy or self.policy == policy)
+            and self.members == members
+        ):
+            return False
+        for sid, attaches in self.entered:
+            if servers[sid].attaches != attaches:
+                return False
+        for b_view, was_open in self.open_of.items():
+            open_ids = open_of.get(b_view)
+            if open_ids is None:
+                open_ids = open_of[b_view] = _open_targets(
+                    servers, b_view, slot_test
+                )
+            if not open_ids <= was_open:
+                return False
+        return True
+
+
 def find_migration_chain(
     video_id: int,
     servers: Dict[int, DataServer],
@@ -163,6 +267,8 @@ def find_migration_chain(
     runs are reproducible.  The cluster is frozen until
     :func:`execute_chain`, so what one path learns about a server is
     shared with every later path of the same search (:func:`_free_slot`).
+    A holder whose certificate from an earlier failed walk still holds
+    is skipped (module docstring): its walk would fail again.
 
     Returns:
         Steps in execution order (deepest first), or None.  The *last*
@@ -185,13 +291,32 @@ def find_migration_chain(
     movable_of: Dict[int, List[Request]] = {}
     no_direct: Set[int] = set()
     open_of: Dict[float, Set[int]] = {}
+    members = None  # read once per search, and only if a certificate asks
+    certify = policy.switch_delay == 0.0
     for holder in entry_holders:
+        cert = holder.drm_certificate
+        if cert is not None:
+            if members is None:
+                members = _members(servers)
+            if cert.holds(
+                servers, placement, policy, now, slot_test, members, open_of
+            ):
+                continue
+        entered: Set[int] = set()
         chain = _free_slot(
             holder, servers, placement, policy, now, {holder.server_id},
-            slot_test, movable_of, no_direct, open_of,
+            slot_test, movable_of, no_direct, open_of, entered,
         )
         if chain is not None:
             return chain
+        cert = None
+        if certify and any(open_of.values()):
+            if members is None:
+                members = _members(servers)
+            cert = _Certificate(
+                policy, placement, members, entered, open_of, servers, now
+            )
+        holder.drm_certificate = cert
     return None
 
 
@@ -200,7 +325,7 @@ def _free_slot(
     placement: PlacementMap, policy: MigrationPolicy, now: float,
     visited: Set[int], slot_test: SlotTest,
     movable_of: Dict[int, List[Request]], no_direct: Set[int],
-    open_of: Dict[float, Set[int]],
+    open_of: Dict[float, Set[int]], entered: Set[int],
 ) -> Optional[List[MigrationStep]]:
     """Free a slot on *server*; each server in *visited* costs one move.
 
@@ -208,8 +333,10 @@ def _free_slot(
     at it), *movable_of* (server id -> eligible streams by request id)
     and *no_direct* (servers whose eligible streams have no open target
     anywhere) live for one search: a revisit skips what they answer.
+    *entered* collects the servers one holder's walk depends on.
     """
     sid = server.server_id
+    entered.add(sid)
     # Pass 1: a direct move (keeps chains as short as possible); only
     # streams with an open target are ordered and tested for eligibility.
     # A larger `visited` only removes targets, so a server with no open
@@ -220,10 +347,9 @@ def _free_slot(
             b_view = r.view_bandwidth
             open_ids = open_of.get(b_view)
             if open_ids is None:
-                open_ids = open_of[b_view] = {
-                    tid for tid, t in servers.items()
-                    if t.up and slot_test(t, b_view)
-                }
+                open_ids = open_of[b_view] = _open_targets(
+                    servers, b_view, slot_test
+                )
             if open_ids and not open_ids.isdisjoint(
                 placement.holders(r.video.video_id)
             ):
@@ -260,7 +386,7 @@ def _free_slot(
                     continue
                 sub = _free_slot(
                     target, servers, placement, policy, now, visited | {tid},
-                    slot_test, movable_of, no_direct, open_of,
+                    slot_test, movable_of, no_direct, open_of, entered,
                 )
                 if sub is not None:
                     return sub + [MigrationStep(r, sid, tid)]

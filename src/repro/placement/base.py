@@ -14,38 +14,48 @@ from repro.workload.zipf import ZipfPopularity
 
 
 class PlacementMap:
-    """Immutable-ish mapping video id → holder server ids.
+    """Mapping video id → holder server ids.
 
-    Built once before the simulation starts (static placement,
-    Section 4.1).  Provides the lookups the admission path needs.
+    Built before the simulation starts (the paper's static placement,
+    Section 4.1) and changed during a run only through
+    :meth:`add_holder` / :meth:`remove_holder`: elastic warming and
+    drains (:mod:`repro.core.elastic`), replica loss
+    (:mod:`repro.core.failover`) and dynamic replication
+    (:mod:`repro.core.replication`).  Provides the lookups the admission
+    path needs.
+
+    Attributes:
+        version: bumped whenever a holder tuple actually changes, so a
+            reader can tell "same map as when I last looked" without
+            comparing it (the DRM search's certificates do).
     """
 
     def __init__(self, holders: Dict[int, Tuple[int, ...]]) -> None:
         self._holders: Dict[int, Tuple[int, ...]] = {
             vid: tuple(sorted(set(srvs))) for vid, srvs in holders.items()
         }
+        self.version = 0
 
     def holders(self, video_id: int) -> Tuple[int, ...]:
         """Server ids holding a replica of *video_id* (possibly empty)."""
         return self._holders.get(video_id, ())
 
     def add_holder(self, video_id: int, server_id: int) -> None:
-        """Register a new replica (dynamic replication extension).
-
-        Static placements never call this; see
-        :mod:`repro.core.replication`.
-        """
+        """Register a new replica (a joiner warmed, a sole replica
+        evacuated, or dynamic replication copied one)."""
         current = self._holders.get(video_id, ())
         if server_id not in current:
             self._holders[video_id] = tuple(sorted((*current, server_id)))
+            self.version += 1
 
     def remove_holder(self, video_id: int, server_id: int) -> None:
-        """Deregister a replica (de-replication / eviction)."""
+        """Deregister a replica (departure, replica loss, eviction)."""
         current = self._holders.get(video_id, ())
         if server_id in current:
             self._holders[video_id] = tuple(
                 s for s in current if s != server_id
             )
+            self.version += 1
 
     def copies(self, video_id: int) -> int:
         """Replica count of *video_id*."""

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.profile import ServerProfile
 from repro.cluster.server import DataServer
 from repro.core import migration
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
+    RESCUE_POLICY,
     MigrationPolicy,
     MigrationStep,
     _eligible,
     find_migration_chain,
 )
+from repro.placement.base import PlacementMap
 
 from conftest import build_micro_cluster, make_client, make_request, make_video
 
@@ -458,6 +461,270 @@ class TestSharedSearchAgainstReference:
         assert 0 < len(probes) <= n * 2
         assert len(set(probes)) == len(probes)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_chain_as_plain_dfs_on_a_mutating_cluster(self, data):
+        """One cluster, a script of the steps that can (and cannot) turn
+        a failed search into a chain, and both searches asked after
+        every step — so a certificate left by an earlier step is either
+        still true or noticed as stale."""
+        draw = data.draw
+        n_servers = draw(st.integers(3, 5), label="servers")
+        n_videos = draw(st.integers(2, 5), label="videos")
+        videos = [
+            make_video(video_id=v, view_bandwidth=draw(st.sampled_from([1.0, 2.0])))
+            for v in range(n_videos)
+        ]
+        servers = {
+            sid: DataServer(sid, float(draw(st.integers(2, 5))), 1e9)
+            for sid in range(n_servers)
+        }
+        holders = {
+            v: draw(st.lists(st.integers(0, n_servers - 1), min_size=1,
+                             max_size=3, unique=True))
+            for v in range(n_videos)
+        }
+        for v, sids in holders.items():
+            for sid in sids:
+                servers[sid].store_replica(videos[v])
+        placement = PlacementMap(holders)
+        policies = [
+            MigrationPolicy(
+                enabled=True,
+                max_chain_length=draw(st.sampled_from([1, 2, 3])),
+                max_hops_per_request=draw(st.sampled_from([0, 1, None, None])),
+            ),
+            RESCUE_POLICY,
+            MigrationPolicy(enabled=True, switch_delay=5.0),  # stores none
+        ]
+        now = NOW
+
+        def fitting(server):
+            return [
+                v for v in videos
+                if server.holds(v.video_id)
+                and server.reserved_bandwidth + v.view_bandwidth
+                <= server.bandwidth
+            ]
+
+        for server in servers.values():  # fill every server up
+            while fitting(server):
+                r = make_request(video=draw(st.sampled_from(fitting(server))))
+                r.hops = draw(st.sampled_from([0, 0, 1, 2]))
+                server.attach(r)
+        # Leave room somewhere, or no failed walk would keep anything.
+        roomy = servers[draw(st.integers(0, n_servers - 1))]
+        if roomy.active_count:
+            roomy.detach(draw(st.sampled_from(list(roomy.iter_active()))))
+
+        def streams():
+            return [
+                (s, r) for s in servers.values() for r in s.iter_active()
+            ]
+
+        def step(kind):
+            nonlocal now
+            sid = draw(st.integers(0, n_servers - 1))
+            server = servers[sid]
+            if kind == "attach" and server.up and fitting(server):
+                server.attach(make_request(
+                    video=draw(st.sampled_from(fitting(server)))
+                ))
+            elif kind == "detach" and streams():
+                source, r = draw(st.sampled_from(streams()))
+                source.detach(r)
+            elif kind == "fail":
+                server.fail()
+            elif kind == "restore":
+                server.restore()
+            elif kind == "accepting":
+                server.accepting = not server.accepting
+            elif kind == "link":
+                server.set_link_scale(draw(st.sampled_from([0.5, 1.0])))
+            elif kind == "profile":
+                server.apply_profile(ServerProfile(
+                    server_id=sid,
+                    bandwidth=server.nominal_bandwidth
+                    * draw(st.sampled_from([0.5, 1.0, 1.5])),
+                ))
+            elif kind == "add_holder":
+                # Mostly onto a server with room: a replica there is a
+                # new target for every stream of the video.
+                roomy = [s for s in servers.values() if s.has_slot(1.0)]
+                if roomy and draw(st.booleans()):
+                    server = draw(st.sampled_from(roomy))
+                v = draw(st.integers(0, n_videos - 1))
+                server.store_replica(videos[v])
+                placement.add_holder(v, server.server_id)
+            elif kind == "remove_holder":
+                v = draw(st.integers(0, n_videos - 1))
+                placement.remove_holder(v, sid)
+            elif kind == "migrate" and streams():
+                source, r = draw(st.sampled_from(streams()))
+                targets = [
+                    t for t in servers.values()
+                    if t is not source and t.up and t.holds(r.video.video_id)
+                ]
+                if targets:
+                    target = draw(st.sampled_from(targets))
+                    source.detach(r)
+                    r.paused_until = now + draw(st.sampled_from([1.0, 4.0]))
+                    r.hops += 1
+                    target.attach(r)
+            elif kind == "advance":
+                now += draw(st.sampled_from([0.5, 2.0, 5.0]))
+
+        slot_tests = [DataServer.has_slot, _strict_slot_test]
+        usual = (policies[0], draw(st.sampled_from(slot_tests)))
+
+        def compare():
+            # Every video the usual way (so certificates get reused),
+            # then one search that may differ in policy, slot test or
+            # members (the drain's view).
+            queries = [(v, dict(servers), *usual) for v in range(n_videos)]
+            view = dict(servers)
+            if draw(st.booleans()):
+                del view[draw(st.integers(0, n_servers - 1))]
+            queries.append((
+                draw(st.integers(0, n_videos - 1)), view,
+                draw(st.sampled_from(policies)),
+                draw(st.sampled_from(slot_tests)),
+            ))
+            for video_id, view, policy, slot_test in queries:
+                args = (video_id, view, placement, policy, now)
+                got = find_migration_chain(*args, slot_test=slot_test)
+                want = reference_chain_search(*args, slot_test=slot_test)
+                assert _triples(got) == _triples(want)
+
+        compare()
+        script = draw(st.lists(st.sampled_from([
+            "attach", "attach", "detach", "detach", "fail", "restore",
+            "accepting", "link", "profile", "add_holder", "remove_holder",
+            "migrate", "migrate", "migrate", "advance", "advance", "advance",
+        ]), min_size=1, max_size=25), label="script")
+        for kind in script:
+            step(kind)
+            compare()
+
+    @staticmethod
+    def wired(holders, fill):
+        """Four 2-slot servers, three 1 Mb/s videos on *holders*, and a
+        stream per entry of *fill* (server id -> video ids)."""
+        videos = [make_video(video_id=v) for v in range(3)]
+        servers = {sid: DataServer(sid, 2.0, 1e9) for sid in range(4)}
+        for v, sids in holders.items():
+            for sid in sids:
+                servers[sid].store_replica(videos[v])
+        for sid, vids in fill.items():
+            for v in vids:
+                servers[sid].attach(make_request(video=videos[v]))
+        return servers, PlacementMap(holders), videos
+
+    def certificate_cluster(self, open_slot=True):
+        """Video 0 lives on {0, 1}, video 1 on {1, 2}, video 2 on
+        {2, 3}; servers 0-2 are full and server 3 has one slot — or
+        none.  A chain-length-1 search for video 0 fails from both
+        holders: their streams only have full targets, and the open
+        server is out of reach."""
+        return self.wired(
+            {0: [0, 1], 1: [1, 2], 2: [2, 3]},
+            {0: [0, 0], 1: [0, 1], 2: [1, 2], 3: [2] if open_slot else [2, 2]},
+        )
+
+    def walks(self, monkeypatch):
+        """Record the entry holder of every walk the search makes."""
+        walked = []
+        real = migration._free_slot
+
+        def free_slot(server, servers, placement, policy, now, visited, *rest):
+            if len(visited) == 1:
+                walked.append(server.server_id)
+            return real(server, servers, placement, policy, now, visited, *rest)
+
+        monkeypatch.setattr(migration, "_free_slot", free_slot)
+        return walked
+
+    def search(self, servers, placement):
+        args = (0, servers, placement, RESCUE_POLICY, NOW)
+        got = find_migration_chain(*args)
+        assert got is None and reference_chain_search(*args) is None
+
+    def test_repeated_failure_walks_nothing(self, monkeypatch):
+        servers, placement, _ = self.certificate_cluster()
+        walked = self.walks(monkeypatch)
+        self.search(servers, placement)
+        assert walked == [0, 1]
+        self.search(servers, placement)
+        assert walked == [0, 1]
+
+    def test_an_attach_on_an_entered_server_walks_its_holder_again(
+        self, monkeypatch
+    ):
+        """A stream on server 0 finishes and an arrival takes its slot:
+        only holder 0's walk read server 0."""
+        servers, placement, videos = self.certificate_cluster()
+        walked = self.walks(monkeypatch)
+        self.search(servers, placement)
+        server = servers[0]
+        server.detach(next(iter(server.iter_active())))
+        server.attach(make_request(video=videos[0]))
+        self.search(servers, placement)
+        assert walked == [0, 1, 0]
+
+    def test_a_new_replica_on_the_open_server_is_found(self, monkeypatch):
+        """Server 3 gains a replica of video 1: holder 1's video-1
+        stream now has an open target."""
+        servers, placement, videos = self.certificate_cluster()
+        walked = self.walks(monkeypatch)
+        self.search(servers, placement)
+        servers[3].store_replica(videos[1])
+        placement.add_holder(1, 3)
+        args = (0, servers, placement, RESCUE_POLICY, NOW)
+        want = _triples(reference_chain_search(*args))
+        assert _triples(find_migration_chain(*args)) == want
+        assert want[0][1:] == (1, 3) and walked == [0, 1, 0, 1]
+
+    def test_a_detach_on_an_open_server_walks_nothing(self, monkeypatch):
+        servers, placement, _ = self.certificate_cluster()
+        walked = self.walks(monkeypatch)
+        self.search(servers, placement)
+        server = servers[3]
+        server.detach(next(iter(server.iter_active())))
+        self.search(servers, placement)
+        assert walked == [0, 1]
+
+    def test_a_certificate_lapses_when_a_switch_gap_ends(self, monkeypatch):
+        """Server 1's video-1 stream could move to open server 3 but sits
+        in a switch gap until ``NOW + 5``: holder 1's walk fails until
+        then, and finds the move from then on."""
+        servers, placement, videos = self.wired(
+            {0: [0, 1], 1: [1, 2, 3], 2: [2, 3]},
+            {0: [0, 0], 1: [0], 2: [1, 2], 3: [2]},
+        )
+        gapped = make_request(video=videos[1])
+        gapped.paused_until = NOW + 5.0  # set before the move attaches it
+        servers[1].attach(gapped)
+        walked = self.walks(monkeypatch)
+        for now, want_walks, want_chain in [
+            (NOW, [0, 1], None),
+            (NOW + 4.9, [0, 1], None),
+            (NOW + 5.0, [0, 1, 1], [(gapped.request_id, 1, 3)]),
+        ]:
+            args = (0, servers, placement, RESCUE_POLICY, now)
+            assert _triples(find_migration_chain(*args)) == want_chain
+            assert _triples(reference_chain_search(*args)) == want_chain
+            assert walked == want_walks
+
+    def test_a_walk_that_met_no_open_server_stores_nothing(
+        self, monkeypatch
+    ):
+        servers, placement, _ = self.certificate_cluster(open_slot=False)
+        walked = self.walks(monkeypatch)
+        self.search(servers, placement)
+        self.search(servers, placement)
+        assert walked == [0, 1, 0, 1]
+        assert all(s.drm_certificate is None for s in servers.values())
+
 
 def _run_counting_searches(config, monkeypatch, search):
     """Run *config* with *search* in place of ``find_migration_chain``
@@ -485,11 +752,28 @@ def _run_counting_searches(config, monkeypatch, search):
     return result, moves, searches
 
 
+#: drm_overload_skew turned into a fault run with switch gaps: admission
+#: migrations pause streams for 120 s while crashes and link faults send
+#: orphans through rescue searches, which (``switch_delay == 0``) keep
+#: certificates over those paused streams.
+SWITCH_GAPS_UNDER_FAULTS = {
+    "migration": {
+        "enabled": True, "max_chain_length": 1,
+        "max_hops_per_request": None, "switch_delay": 120.0,
+    },
+    "staging_fraction": 1.0, "theta": 0.0, "load": 1.6, "duration": 5400.0,
+    "faults": {
+        "crash": {"mtbf": 300.0, "mttr": 200.0},
+        "link": {"mtbf": 300.0, "mttr": 300.0},
+    },
+}
+
+
 class TestWholeRunAgainstReference:
     """What the frozen micro-clusters cannot reach: retry resubmits,
     failover rescue under ``RESCUE_POLICY``, link-degradation shedding
-    with ``exclude``, and the elastic drain's view of the cluster with
-    the drainer removed."""
+    with ``exclude``, the elastic drain's view of the cluster with the
+    drainer removed, and certificates carried across a whole run."""
 
     @pytest.mark.parametrize(
         "path, overrides, callers",
@@ -504,8 +788,21 @@ class TestWholeRunAgainstReference:
                 {},
                 ("admission", "elastic"),
             ),
+            (
+                "bench/workloads/drm_overload_skew.json",
+                {},
+                ("admission",),
+            ),
+            (
+                "bench/workloads/drm_overload_skew.json",
+                SWITCH_GAPS_UNDER_FAULTS,
+                ("admission", "failover"),
+            ),
         ],
-        ids=["chaos_elastic_churn", "elastic_flash_crowd"],
+        ids=[
+            "chaos_elastic_churn", "elastic_flash_crowd",
+            "drm_overload_skew", "switch_gaps_under_faults",
+        ],
     )
     def test_same_run_as_plain_dfs(self, monkeypatch, path, overrides, callers):
         import json
@@ -516,6 +813,7 @@ class TestWholeRunAgainstReference:
         monkeypatch.setenv("REPRO_INVARIANTS", "1")
         raw = json.loads((Path(__file__).parent.parent / path).read_text())
         config = SimulationConfig.from_dict({**raw["config"], **overrides})
+        lapsed = self.count_lapsed_certificates(monkeypatch)
         got = _run_counting_searches(config, monkeypatch, find_migration_chain)
         want = _run_counting_searches(config, monkeypatch, reference_chain_search)
         assert got[0] == want[0]
@@ -524,6 +822,33 @@ class TestWholeRunAgainstReference:
         # A call site that moves must fail here, not silently pass.
         for caller in callers:
             assert got[2][caller] > 0, got[2]
+        if overrides is SWITCH_GAPS_UNDER_FAULTS:
+            assert lapsed["over a gap"] > 0 and lapsed["at its expiry"] > 0
+        else:
+            assert lapsed["over a gap"] == 0  # no switch gap here at all
+
+    @staticmethod
+    def count_lapsed_certificates(monkeypatch):
+        """Count certificates stored over a stream in a switch gap, and
+        checks that refused one because the gap had ended."""
+        import math
+
+        counts = {"over a gap": 0, "at its expiry": 0}
+        cert = migration._Certificate
+        real_init, real_holds = cert.__init__, cert.holds
+
+        def init(self, *args):
+            real_init(self, *args)
+            counts["over a gap"] += self.expiry < math.inf
+
+        def holds(self, servers, placement, policy, now, *args):
+            held = real_holds(self, servers, placement, policy, now, *args)
+            counts["at its expiry"] += not held and now >= self.expiry
+            return held
+
+        monkeypatch.setattr(cert, "__init__", init)
+        monkeypatch.setattr(cert, "holds", holds)
+        return counts
 
 
 class TestChainFreesWhatTheCallerNeeds:
