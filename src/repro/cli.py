@@ -7,14 +7,12 @@ Subcommands regenerate each reproduced artifact::
     repro-vod fig3 | fig6                           # the two tables
     repro-vod fig7 --system large --policies P1,P4,P8
     repro-vod svbr | partial | het | ablation       # full-version extras
-    repro-vod replication | vcr | mix               # extension studies
+    repro-vod replication | vcr | mix | availability   # extension studies
     repro-vod all --outdir results                  # everything, CSVs, claims
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json
     repro-vod verify scenarios/chaos_serve.json     # the gate (exit 1 on failure)
     repro-vod trace fig5 --trace-out fig5.jsonl     # structured trace
-    repro-vod chaos availability                    # availability vs MTBF
-    repro-vod chaos soak --hours 8                  # invariant-checked run
 
 **Every experiment subcommand is generated from the experiment
 registry** (:mod:`repro.experiments.registry`): importing
@@ -48,7 +46,6 @@ from repro.cluster.system import SYSTEMS
 from repro.core.migration import MigrationPolicy
 from repro.core.schedulers import ALLOCATORS
 from repro.experiments.registry import (
-    CHAOS_EXPERIMENTS,
     EXPERIMENTS,
     ExperimentSpec,
     trace_experiments,
@@ -136,28 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate every artifact; write tables and CSVs to --outdir",
     )
     p.add_argument("--outdir", default="results", help="output directory")
-    _add_common(p)
-
-    # -- chaos: modes and flags from the chaos registry ----------------
-    p = sub.add_parser(
-        "chaos",
-        help="deterministic fault injection (repro.faults): "
-             + "; ".join(
-                 f"{spec.name}: {spec.help}"
-                 for spec in _ordered(CHAOS_EXPERIMENTS)
-             ),
-    )
-    p.add_argument(
-        "experiment", choices=CHAOS_EXPERIMENTS.names(),
-        help="; ".join(
-            f"{name}: {CHAOS_EXPERIMENTS.help_for(name)}"
-            for name in CHAOS_EXPERIMENTS.names()
-        ),
-    )
-    p.add_argument("--system", default="small", choices=SYSTEMS.names())
-    for spec in _ordered(CHAOS_EXPERIMENTS):
-        if spec.add_arguments is not None:
-            spec.add_arguments(p)
     _add_common(p)
 
     sub.add_parser(
@@ -408,7 +383,6 @@ def _cmd_list() -> int:
 
     sections = (
         ("experiments", EXPERIMENTS),
-        ("chaos experiments", CHAOS_EXPERIMENTS),
         ("allocators", ALLOCATORS),
         ("placements", PLACEMENTS),
         ("arrivals", ARRIVALS),
@@ -454,8 +428,6 @@ def _dispatch(args) -> int:
     progress = _progress(getattr(args, "quiet", False))
     if args.command == "all":
         return _run_all(args)
-    if args.command == "chaos":
-        return CHAOS_EXPERIMENTS.get(args.experiment).run_cli(args, progress)
     return EXPERIMENTS.get(args.command).run_cli(args, progress)
 
 

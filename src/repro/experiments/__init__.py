@@ -11,9 +11,8 @@ sibling module (the ``pkgutil`` walk below), and each module's
 closing :func:`~repro.experiments.registry.register_figure` (or, for
 a bespoke verb, :func:`~repro.experiments.registry.register`) call
 publishes an :class:`~repro.experiments.registry.ExperimentSpec` into
-:data:`~repro.experiments.registry.EXPERIMENTS` (or
-:data:`~repro.experiments.registry.CHAOS_EXPERIMENTS`).  The CLI builds
-its subcommands from those registries, so adding an experiment is
+:data:`~repro.experiments.registry.EXPERIMENTS`.  The CLI builds its
+subcommands from that registry, so adding an experiment is
 writing one module here — no import list or dispatch table to edit
 anywhere (docs/ARCHITECTURE.md walks through it).
 

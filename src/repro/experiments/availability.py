@@ -1,4 +1,4 @@
-"""Availability under chaos — accepted-stream availability vs MTBF.
+"""EXT-AVAIL: accepted-stream availability vs MTBF.
 
 The paper stops at the observation that DRM "can help deal with node
 server failures" (Section 3.1); this experiment quantifies it.  A
@@ -10,9 +10,10 @@ measured metric is the :class:`~repro.SimulationResult` ``availability``
 
 Curves: **EFTF + DRM** (failover can relocate orphans through migration
 chains) vs **no DRM** (orphans survive only if a direct replica slot is
-free).  Expected shape: availability rises with MTBF for both curves
-and the DRM curve dominates, with the gap widest at low MTBF where
-relocation happens constantly.
+free).  Measured shape: availability rises with MTBF on both curves,
+and DRM's gain is small — at most 1 pt at any MTBF, positive on
+average over the grid, and at a few points the no-DRM curve reads
+slightly higher (EXPERIMENTS.md, EXT-AVAIL).
 
 The x-axis is the per-server MTBF in *hours* — not a flat
 ``SimulationConfig`` field, so the sweep uses :func:`run_sweep`'s
@@ -33,7 +34,7 @@ from repro.experiments.base import (
     run_sweep,
 )
 from repro.faults import CrashFaults, FaultPlan, RetryPolicy
-from repro.experiments.registry import register_figure
+from repro.experiments.registry import Claim, register_figure
 from repro.simulation import SimulationConfig
 from repro.units import hours
 
@@ -98,11 +99,40 @@ def run_availability(
     )
 
 
+def _smallest_step(result: SweepResult) -> float:
+    """The smallest rise between neighbouring MTBFs, over both curves."""
+    return min(
+        later - earlier
+        for label in result.curves
+        for earlier, later in zip(result.means(label), result.means(label)[1:])
+    )
+
+
+_RISES = "availability rises with the per-server MTBF"
+_DRM = "DRM can help deal with node server failures"
+
 register_figure(
     "availability",
-    "availability vs MTBF, EFTF+DRM vs no-DRM",
+    "availability vs MTBF, EFTF+DRM vs no-DRM (EXT-AVAIL)",
     run_availability,
     title="Availability vs MTBF",
+    stem="ext_avail",
+    order=110,
     panels=True,
-    chaos=True,
+    # Bounds from the measured curves (EXPERIMENTS.md): DRM's gap is
+    # within ±1 pt everywhere, so only its sign on average is claimed.
+    claims=[
+        claim
+        for panel in ("large", "small")
+        for claim in (
+            Claim(f"EXT-AVAIL.rises_with_mtbf.{panel}", _RISES,
+                  _smallest_step, ">", 0.0, panels=(panel,)),
+            Claim(f"EXT-AVAIL.drm_costs_under_a_point.{panel}", _DRM,
+                  lambda r: min(r.gap("EFTF + DRM", "no DRM")),
+                  ">", -0.01, panels=(panel,)),
+            Claim(f"EXT-AVAIL.drm_helps_on_average.{panel}", _DRM,
+                  lambda r: r.mean_gap("EFTF + DRM", "no DRM"),
+                  ">", 0.0, panels=(panel,)),
+        )
+    ],
 )

@@ -16,12 +16,8 @@ editing the CLI.
 Modules are discovered automatically: importing
 :mod:`repro.experiments` imports every sibling module (see the
 package ``__init__``), so registration needs no hand-maintained import
-list anywhere.
-
-Two registries exist because the CLI surfaces them differently:
-
-* :data:`EXPERIMENTS` — top-level subcommands (``repro fig4`` …).
-* :data:`CHAOS_EXPERIMENTS` — modes of ``repro chaos <mode>``.
+list anywhere.  Every spec lands in :data:`EXPERIMENTS`, one
+top-level subcommand each (``repro fig4`` …).
 """
 
 from __future__ import annotations
@@ -164,14 +160,10 @@ class ExperimentSpec:
 #: Top-level experiment subcommands, in registration (discovery) order.
 EXPERIMENTS: Registry[ExperimentSpec] = Registry("experiment")
 
-#: Modes of the ``repro chaos`` subcommand.
-CHAOS_EXPERIMENTS: Registry[ExperimentSpec] = Registry("chaos experiment")
 
-
-def register(spec: ExperimentSpec, *, chaos: bool = False) -> ExperimentSpec:
-    """Publish *spec* in the appropriate registry and return it."""
-    target = CHAOS_EXPERIMENTS if chaos else EXPERIMENTS
-    target.register(spec.name, spec, help=spec.help)
+def register(spec: ExperimentSpec) -> ExperimentSpec:
+    """Publish *spec* in :data:`EXPERIMENTS` and return it."""
+    EXPERIMENTS.register(spec.name, spec, help=spec.help)
     return spec
 
 
@@ -188,7 +180,6 @@ def register_figure(
     trace: Optional[
         Tuple[Callable[[SystemConfig, int], SimulationConfig], Variant]
     ] = None,
-    chaos: bool = False,
     add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None,
     options: Sequence[str] = (),
     preamble: Optional[Callable[[], str]] = None,
@@ -210,8 +201,6 @@ def register_figure(
         trace: ``(base_config, variant)`` — ``repro trace <name>`` runs
             ``variant`` applied to ``base_config(system, seed)``, the
             same base the figure sweeps.
-        chaos: register as a ``repro chaos <name>`` mode (whose parser
-            already carries ``--system``).
         add_arguments: extra CLI flags; the parsed values named in
             *options* are passed to *run* as keywords.
         preamble: text printed above the table on the CLI.
@@ -278,7 +267,7 @@ def register_figure(
         )
 
     def arguments(parser: argparse.ArgumentParser) -> None:
-        if panels and not chaos:
+        if panels:
             parser.add_argument(
                 "--system", default="large", choices=SYSTEMS.names()
             )
@@ -296,7 +285,6 @@ def register_figure(
             claims=tuple(claims),
             order=order,
         ),
-        chaos=chaos,
     )
 
 

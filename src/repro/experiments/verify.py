@@ -18,7 +18,8 @@ there is no flag, scenario key or environment variable to choose with
   most :data:`LIVE_MAX_DURATION` virtual seconds long; a scenario with
   a ``faults`` block gets it twice, under :data:`STRESS`;
 * the **checks** (:data:`CHECKS`) each turn the report into problem
-  strings; ``faults`` / ``elastic`` / ``prefix`` blocks select theirs.
+  strings; ``faults`` / ``elastic`` / ``prefix`` blocks select theirs
+  (a ``faults`` block on either leg: its plan must fire).
 
 The report is one JSON object; any entry in its ``failures`` exits 1.
 """
@@ -84,7 +85,11 @@ def plan(config: SimulationConfig) -> Dict[str, Any]:
     live = refusal is None
     checks = ["determinism"]
     if live:
-        checks += ["live", "faults" if config.faults is not None else "parity"]
+        checks.append("live")
+        if config.faults is None:
+            checks.append("parity")
+    if config.faults is not None:
+        checks.append("faults")
     if config.elastic is not None:
         checks.append("elastic")
     if config.prefix is not None:
@@ -111,6 +116,7 @@ def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
         "same_seed_equal": first == second,
         "results": [str(first), str(second)],
         "result": result_row(first),
+        "faults_injected": first.faults_injected,
         "digest": policy["decisions_sha"],
         "policy": policy,
         "membership": bridge.controller.membership.to_dict(),
@@ -199,6 +205,11 @@ def _check_parity(report: Dict[str, Any]) -> Iterator[str]:
 
 
 def _check_faults(report: Dict[str, Any]) -> Iterator[str]:
+    if not report["virtual"]["faults_injected"]:
+        yield (
+            "virtual: no fault fired — the fault plan never tripped "
+            "(check the scenario's faults block and duration)"
+        )
     # Resilient clients add arrivals the replay does not have, so the
     # live digests are compared with each other, not with the virtual
     # one; lost sessions are legal as long as every one is accounted.
@@ -218,7 +229,7 @@ def _check_faults(report: Dict[str, Any]) -> Iterator[str]:
                 f"{side}: unaccounted failover-affected request ids: "
                 f"{run['reconciliation']['unmatched']}"
             )
-    digests = report["digests"]["live"]
+    digests = report["digests"].get("live", [])
     if len(set(digests)) > 1:
         yield f"decision digests diverged across same-seed runs: {digests}"
 

@@ -69,7 +69,7 @@ def env_invariants_enabled() -> bool:
 
     ``REPRO_INVARIANTS=1`` attaches a
     :class:`repro.faults.invariants.InvariantChecker` to every
-    :class:`repro.Simulation` run — the CI chaos-soak job and local
+    :class:`repro.Simulation` run — CI's `verify` job and local
     debugging both use this to turn any experiment into a checked run
     without touching its config.
     """

@@ -10,15 +10,12 @@ that with staging + DRM the *simplest* scheme suffices:
   known) popularity, at least one each.
 * :mod:`repro.placement.partial` — "partial predictive": a few extra
   copies for the most popular titles only (Section 4.4).
-* :mod:`repro.placement.bsr` — bandwidth-to-space-ratio greedy baseline
-  after Dan & Sitaram [10], as a related-work comparator.
 
 All schemes share the capacity-aware random server assignment in
 :mod:`repro.placement.capacity`.
 """
 
 from repro.placement.base import PlacementMap, PlacementPolicy, PlacementResult
-from repro.placement.bsr import BSRPlacement
 from repro.placement.capacity import assign_copies_randomly
 from repro.placement.even import EvenPlacement
 from repro.placement.partial import PartialPredictivePlacement
@@ -42,13 +39,8 @@ PLACEMENTS.register(
     help="partial predictive: extra copies for the hottest titles only "
          "(Section 4.4)",
 )
-PLACEMENTS.register(
-    "bsr", BSRPlacement,
-    help="bandwidth-to-space-ratio greedy baseline (Dan & Sitaram)",
-)
 
 __all__ = [
-    "BSRPlacement",
     "EvenPlacement",
     "PLACEMENTS",
     "PartialPredictivePlacement",

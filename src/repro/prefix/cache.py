@@ -15,9 +15,6 @@ can swap them by name:
   automatically) and greedily pack whole prefixes until capacity runs
   out.  Under Zipf demand this concentrates cache bytes where the
   request mass is.
-* ``uniform`` — split capacity evenly across the catalog, ignoring
-  demand skew.  The classic strawman: most of the budget sits on
-  videos nobody asks for.
 * ``none`` — hold nothing; the tier still observes traffic (useful as
   the no-cache baseline in the with/without-tier capacity figure).
 
@@ -79,24 +76,6 @@ def plan_popularity(tier) -> Dict[int, float]:
             continue  # keep scanning: a shorter, colder video may fit
         plan[video_id] = mb
         used += mb
-    return plan
-
-
-@PREFIX_STRATEGIES.register(
-    "uniform",
-    help="split capacity evenly across the catalog, ignoring demand",
-)
-def plan_uniform(tier) -> Dict[int, float]:
-    n = len(tier.catalog)
-    if n == 0:
-        return {}
-    per_video = tier.policy.capacity_mb / n
-    prefixes = tier.catalog.prefix_sizes(tier.policy.prefix_seconds)
-    plan: Dict[int, float] = {}
-    for video_id in range(n):
-        mb = min(per_video, float(prefixes[video_id]))
-        if mb > EPS_MB:
-            plan[video_id] = mb
     return plan
 
 

@@ -922,6 +922,7 @@ class TestChaosServeEndToEnd:
         reconcile every affected session, leak nothing, and produce
         byte-identical decision digests."""
         from repro.experiments.verify import audit
+        from repro.simulation import run_simulation
 
         # Wide guard/slack: the clamp headroom for every arrival is
         # startup_slack + guard of wall seconds, and a loaded CI box
@@ -952,9 +953,12 @@ class TestChaosServeEndToEnd:
                 postmortem=tmp_path / f"pm_{tag}.jsonl",
             )))
 
-        # The gate's own checks, on exactly these two runs.
+        # The gate's own checks, on exactly these two runs (and the
+        # virtual run of the same config, whose plan must fire too).
+        virtual = run_simulation(scenario.config)
         assert audit({
             "checks": ["live", "faults"],
+            "virtual": {"faults_injected": virtual.faults_injected},
             "live": reports,
             "digests": {"live": [r["digest"] for r in reports]},
         }) == []

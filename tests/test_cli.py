@@ -75,14 +75,6 @@ class TestRegistryDrivenCLI:
         config = EXPERIMENTS.get(name).trace_config(SMALL_SYSTEM, 0, 0.0005)
         assert isinstance(config, SimulationConfig)
 
-    def test_chaos_modes_come_from_chaos_registry(self):
-        from repro.experiments.registry import CHAOS_EXPERIMENTS
-
-        parser = build_parser()
-        for name in CHAOS_EXPERIMENTS.names():
-            args = parser.parse_args(["chaos", name])
-            assert args.experiment == name
-
     def test_no_hand_maintained_dispatch_left(self):
         # The registry replaced the per-experiment import and dispatch
         # lists; nothing in cli.py may mention individual experiment
@@ -143,40 +135,29 @@ class TestMain:
 
 
 class TestChaosCLI:
-    def test_chaos_subcommand_documented_in_help(self, capsys):
+    """The availability-under-chaos figure is an ordinary figure verb."""
+
+    def test_availability_is_a_figure_verb_not_a_chaos_mode(self, capsys):
         parser = build_parser()
-        args = parser.parse_args(["chaos", "availability"])
-        assert args.command == "chaos"
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["chaos", "--help"])
-        assert exc.value.code == 0
-        help_text = capsys.readouterr().out
-        assert "availability" in help_text and "soak" in help_text
-        assert "--mtbf-hours" in help_text
-        assert "invariant" in help_text
-
-    def test_chaos_rejects_unknown_experiment(self):
+        assert parser.parse_args(["availability"]).system == "large"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "meltdown"])
+            parser.parse_args(["chaos", "availability"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--help"])
+        assert exc.value.code == 0
+        assert "EXT-AVAIL" in capsys.readouterr().out
 
-    def test_chaos_soak_micro_reports_clean_invariants(self, capsys):
+    def test_chaos_availability_micro(self, capsys):
         code = main([
-            "chaos", "soak", "--hours", "0.5", "--mtbf-hours", "0.1",
+            "availability", "--system", "small", "--scale", "0.0005",
             "--quiet",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "invariants clean" in out
-        assert "faults=" in out
-
-    def test_chaos_availability_micro(self, capsys):
-        code = main([
-            "chaos", "availability", "--scale", "0.0005", "--quiet",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Availability vs MTBF" in out
+        assert "Availability vs MTBF (small system)" in out
         assert "EFTF + DRM" in out and "no DRM" in out
+        assert out.count("\nPASS  EXT-AVAIL.") == 3
 
 
 class TestObservabilityCLI:
@@ -277,7 +258,7 @@ class TestListCommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for section in (
-            "experiments", "chaos experiments", "allocators",
+            "experiments", "allocators",
             "placements", "arrivals", "systems", "paper policies",
         ):
             assert f"{section} (" in out

@@ -215,14 +215,12 @@ class TestExperimentModules:
 
 
 def _helper_registered():
-    """(registry, spec) for every figure published through
-    ``register_figure`` — recognised by the run_cli it built."""
-    from repro.experiments.registry import CHAOS_EXPERIMENTS, EXPERIMENTS
+    """Every figure published through ``register_figure`` — recognised
+    by the run_cli it built."""
+    from repro.experiments.registry import EXPERIMENTS
 
     return [
-        (registry, spec)
-        for registry in (EXPERIMENTS, CHAOS_EXPERIMENTS)
-        for spec in registry.values()
+        spec for spec in EXPERIMENTS.values()
         if spec.run_cli.__qualname__.startswith("register_figure.")
     ]
 
@@ -249,33 +247,21 @@ class TestRegisteredFigures:
         )
 
     def test_the_helper_covers_the_sweep_figures(self):
-        from repro.experiments.registry import CHAOS_EXPERIMENTS
-
-        names = {
-            ("chaos " if registry is CHAOS_EXPERIMENTS else "") + spec.name
-            for registry, spec in _helper_registered()
-        }
-        assert names == {
+        assert {spec.name for spec in _helper_registered()} == {
             "fig4", "fig5", "fig7", "partial", "ablation", "replication",
-            "vcr", "mix", "svbr", "het", "chaos availability",
+            "vcr", "mix", "svbr", "het", "availability",
         }
 
     @pytest.mark.parametrize(
-        "registry,spec", _helper_registered(),
-        ids=[spec.name for _registry, spec in _helper_registered()],
+        "spec", _helper_registered(),
+        ids=[spec.name for spec in _helper_registered()],
     )
-    def test_runs_renders_and_round_trips(
-        self, registry, spec, capsys, tmp_path
-    ):
+    def test_runs_renders_and_round_trips(self, spec, capsys, tmp_path):
         from repro.analysis.export import load_sweep_csv, sweep_to_csv
         from repro.cli import main
         from repro.experiments.base import SweepResult
-        from repro.experiments.registry import CHAOS_EXPERIMENTS
 
-        verb = (["chaos"] if registry is CHAOS_EXPERIMENTS else []) + [
-            spec.name
-        ]
-        status = main(verb + ["--scale", str(MICRO), "--quiet"])
+        status = main([spec.name, "--scale", str(MICRO), "--quiet"])
         table = capsys.readouterr().out
         assert f"[scale={MICRO:g} " in table
         # Ten simulated minutes bear out nothing; the exit status only

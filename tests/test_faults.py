@@ -315,45 +315,3 @@ class TestFaultPlanValidation:
         # An empty plan builds no injector.
         sim = Simulation(chaos_config(FaultPlan(), retry=None))
         assert sim.fault_injector is None
-
-
-@pytest.mark.slow
-class TestChaosSoakSlow:
-    """Long chaos scenarios; excluded from tier-1, run by CI's
-    chaos-soak job via ``pytest -m slow``."""
-
-    def test_eight_hour_full_chaos_invariants_clean(self):
-        plan = FaultPlan(
-            crash=CrashFaults(mtbf=hours(1.0), mttr=hours(0.25),
-                              correlation=0.1),
-            link=LinkFaults(mtbf=hours(1.5), mttr=hours(0.5)),
-            replica=ReplicaFaults(mean_interval=hours(2.0)),
-            start=hours(1),
-        )
-        config = SimulationConfig(
-            system=SMALL_SYSTEM,
-            theta=0.3,
-            placement="even",
-            migration=MigrationPolicy.paper_default(),
-            staging_fraction=0.2,
-            duration=hours(8),
-            warmup=hours(1),
-            seed=42,
-            faults=plan,
-            retry=RetryPolicy(),
-            invariants=True,
-        )
-        sim = Simulation(config)
-        result = sim.run()  # raises InvariantViolation on any breakage
-        assert sim.invariant_checker.checks_run > 100
-        assert result.faults_injected > 0
-        assert 0.0 < result.availability <= 1.0
-
-    def test_availability_experiment_deterministic(self):
-        from repro.experiments.availability import run_availability
-
-        kwargs = dict(scale=0.001, mtbf_values=[0.5, 2.0], seed=9)
-        a = run_availability(**kwargs)
-        b = run_availability(**kwargs)
-        assert a.curves == b.curves
-        assert a.x_values == b.x_values

@@ -1,11 +1,10 @@
-"""Unit tests for the placement policies (even / predictive / partial / BSR)."""
+"""Unit tests for the placement policies (even / predictive / partial)."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.server import DataServer
 from repro.placement import PLACEMENTS
-from repro.placement.bsr import BSRPlacement
 from repro.placement.even import EvenPlacement
 from repro.placement.partial import PartialPredictivePlacement
 from repro.placement.predictive import PredictivePlacement, proportional_counts
@@ -145,33 +144,11 @@ class TestPartialPredictive:
             PartialPredictivePlacement(boost=0)
 
 
-class TestBSRPlacement:
-    def test_allocate_places_requested_copies(self, rng):
-        cat = catalog_of(10)
-        servers = servers_of(5)
-        result = BSRPlacement().allocate(
-            cat, ZipfPopularity(10, 0.0), servers, 22, rng
-        )
-        assert result.shortfall == 0
-        assert result.placement.total_copies() == 22
-        for vid in range(10):
-            holders = result.placement.holders(vid)
-            assert len(set(holders)) == len(holders)
-            for sid in holders:
-                assert servers[sid].holds(vid)
-
-    def test_proportional_sizing(self, rng):
-        cat = catalog_of(20)
-        pop = ZipfPopularity(20, -1.0)
-        counts = BSRPlacement().copy_counts(cat, pop, 44, 10, rng)
-        assert counts[0] > counts[-1]
-
-
 class TestRegistry:
     def test_all_policies_registered(self):
-        assert set(PLACEMENTS) == {"even", "predictive", "partial", "bsr"}
+        assert set(PLACEMENTS) == {"even", "predictive", "partial"}
 
-    @pytest.mark.parametrize("name", ["even", "predictive", "partial", "bsr"])
+    @pytest.mark.parametrize("name", ["even", "predictive", "partial"])
     def test_each_registered_policy_allocates(self, name, rng):
         cat = catalog_of(10)
         servers = servers_of(5)

@@ -41,9 +41,9 @@ class TestPolicyMatrix:
 
     def test_policy_is_frozen(self):
         with pytest.raises(Exception):
-            PAPER_POLICIES["P1"].placement = "bsr"
+            PAPER_POLICIES["P1"].placement = "partial"
 
     def test_custom_policy(self):
-        p = Policy(name="X", placement="bsr", migration=True, staging_fraction=0.5)
+        p = Policy(name="X", placement="partial", migration=True, staging_fraction=0.5)
         assert p.migration_policy().enabled
-        assert "Bsr" in p.describe()
+        assert "Partial" in p.describe()

@@ -102,7 +102,7 @@ def toy_tier(lengths, theta=0.0, view_bandwidth=1.0, **policy):
 class TestPrefixPolicy:
     def test_roundtrip(self):
         policy = PrefixPolicy(
-            strategy="uniform", batching="patch",
+            strategy="popularity", batching="patch",
             capacity_mb=123.5, prefix_seconds=45.0, window_seconds=60.0,
         )
         assert PrefixPolicy.from_dict(policy.to_dict()) == policy
@@ -159,7 +159,7 @@ class TestPrefixPolicy:
         out = capsys.readouterr().out
         assert "prefix strategies" in out
         assert "batching policies" in out
-        for name in ("popularity", "uniform", "window", "patch"):
+        for name in ("popularity", "window", "patch"):
             assert name in out
 
 
@@ -180,15 +180,6 @@ class TestStrategies:
         tier = toy_tier([100, 100], theta=0.0,
                         capacity_mb=30.0, prefix_seconds=30.0)
         assert list(PREFIX_STRATEGIES.get("popularity")(tier)) == [0]
-
-    def test_uniform_splits_capacity(self):
-        tier = toy_tier(
-            [100, 100, 100, 5],
-            strategy="uniform", capacity_mb=40.0, prefix_seconds=30.0,
-        )
-        plan = PREFIX_STRATEGIES.get("uniform")(tier)
-        # per-video share is 10 Mb, clipped to the 5 Mb whole of video 3
-        assert plan == {0: 10.0, 1: 10.0, 2: 10.0, 3: 5.0}
 
     def test_none_holds_nothing(self):
         tier = toy_tier([100, 100], strategy="none")

@@ -119,9 +119,7 @@ class TestConcreteRegistries:
     def test_placements(self):
         from repro.placement import PLACEMENTS
 
-        assert set(PLACEMENTS.names()) >= {
-            "even", "predictive", "partial", "bsr",
-        }
+        assert set(PLACEMENTS.names()) >= {"even", "predictive", "partial"}
         with pytest.raises(UnknownKeyError, match="placement 'evne'.*even"):
             PLACEMENTS.get("evne")
 
@@ -152,19 +150,14 @@ class TestConcreteRegistries:
 
     def test_experiments_registry_populated_by_discovery(self):
         import repro.experiments  # noqa: F401 - triggers auto-registration
-        from repro.experiments.registry import CHAOS_EXPERIMENTS, EXPERIMENTS
+        from repro.experiments.registry import EXPERIMENTS
 
         assert set(EXPERIMENTS.names()) >= {
             "fig4", "fig5", "fig6", "fig7", "svbr", "partial", "het",
-            "ablation", "replication", "vcr", "mix", "verify",
+            "ablation", "replication", "vcr", "mix", "availability", "verify",
         }
-        assert set(CHAOS_EXPERIMENTS.names()) == {"availability", "soak"}
         with pytest.raises(UnknownKeyError, match="experiment 'fig9'.*fig4"):
             EXPERIMENTS.get("fig9")
-        with pytest.raises(
-            UnknownKeyError, match="chaos experiment 'meltdown'.*availability"
-        ):
-            CHAOS_EXPERIMENTS.get("meltdown")
 
     def test_experiment_help_matches_spec(self):
         from repro.experiments.registry import EXPERIMENTS
@@ -374,46 +367,74 @@ class TestServeImportGraph:
         assert not reached & {"gateway", "telemetry", "ops", "chaos"}
 
 
+def _documented_texts():
+    """``(name, text)`` of every document that quotes commands: the docs,
+    CI, and each committed scenario's ``description``."""
+    import json
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    docs = [root / name for name in (
+        "README.md", "DESIGN.md", "EXPERIMENTS.md",
+        "scenarios/README.md", ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    )]
+    docs += sorted((root / "docs").glob("*.md"))
+    texts = [(doc.name, doc.read_text()) for doc in docs]
+    texts += [
+        (path.name, json.loads(path.read_text())["description"])
+        for path in sorted((root / "scenarios").glob("*.json"))
+    ]
+    return texts
+
+
 class TestDocumentedCommandsExist:
     def test_every_documented_verb_is_a_subcommand(self):
-        # A verb that is deleted from the CLI must leave the docs and CI
-        # too.  ``repro-vod X`` and ``python -m repro X`` count anywhere;
-        # the bare ``repro X`` spelling only where it is quoted as a
-        # command (after a backtick, a ``$`` prompt or a double quote),
-        # so prose such as "from repro import" does not.  ``chaos`` is
-        # followed by a mode, which must be a registered chaos mode.
+        # A verb that is deleted from the CLI must leave the docs, CI and
+        # the scenario descriptions too.  ``repro-vod X`` and ``python -m
+        # repro X`` count anywhere; the bare ``repro X`` spelling only
+        # where it is quoted as a command (after a backtick, a ``$``
+        # prompt or a double quote), so prose such as "from repro
+        # import" does not.
         from repro.cli import build_parser
-        from repro.experiments.registry import CHAOS_EXPERIMENTS
 
-        root = pathlib.Path(__file__).resolve().parent.parent
-        docs = [root / name for name in (
-            "README.md", "DESIGN.md", "EXPERIMENTS.md",
-            "scenarios/README.md", ".github/workflows/ci.yml",
-            ".claude/skills/verify/SKILL.md",
-        )]
-        docs += sorted((root / "docs").glob("*.md"))
         pattern = re.compile(
-            r'(?:repro-vod|python3? -m repro|(?:`|\$ |")repro)'
-            r"[ \t]+([a-z][\w-]*)(?:[ \t]+([a-z][\w-]*))?"
+            r'(?:repro-vod|python3? -m repro|(?:`|\$ |")repro)[ \t]+([a-z][\w-]*)'
         )
         documented = {
-            (verb, mode if verb == "chaos" else ""): doc.name
-            for doc in docs
-            for verb, mode in pattern.findall(doc.read_text())
+            verb: name
+            for name, text in _documented_texts()
+            for verb in pattern.findall(text)
         }
-        # The scan finds the examples, sub-modes included.
-        assert ("run", "") in documented
-        assert ("chaos", "soak") in documented
+        # The scan finds the examples, scenario descriptions included.
+        assert {"run", "prefix"} <= set(documented)
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
         )
         stale = {
-            " ".join(key).strip(): doc for key, doc in documented.items()
-            if key[0] not in subparsers.choices
-            or (key[1] and key[1] not in CHAOS_EXPERIMENTS.names())
+            verb: name for verb, name in documented.items()
+            if verb not in subparsers.choices
         }
         assert not stale, f"documented but not a subcommand: {stale}"
+
+    def test_every_ci_job_mentioned_is_a_job(self):
+        # "CI serve-smoke", "CI's `verify` job": a job that is deleted
+        # from the workflow must leave the docs and scenarios too.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        workflow = (root / ".github/workflows/ci.yml").read_text()
+        jobs = set(re.findall(
+            r"^  ([\w-]+):$", workflow.partition("\njobs:\n")[2], re.M
+        ))
+        assert {"test", "verify", "serve-smoke"} <= jobs
+        pattern = re.compile(r"\bCI(?:'s)? (?:`([\w-]+)`|([a-z]+(?:-[a-z]+)+))")
+        mentioned = {
+            quoted or bare: name
+            for name, text in _documented_texts()
+            for quoted, bare in pattern.findall(text)
+        }
+        assert {"serve-smoke", "verify"} <= set(mentioned)
+        stale = {job: name for job, name in mentioned.items() if job not in jobs}
+        assert not stale, f"mentioned but not a CI job: {stale}"
 
 
 class TestDocumentedPathsExist:
@@ -467,3 +488,123 @@ class TestDocumentedPathsExist:
             "tests/test_migration.py", "scenarios/serve_loopback.json",
         } <= cited
         assert not stale, f"cited in the docs but gone: {stale}"
+
+
+def _selects(config):
+    """``(repro list section, key)`` for every registry entry *config*
+    selects — a preset or a paper policy by equal value."""
+    from repro.cluster.system import SYSTEMS
+    from repro.core.policies import PAPER_POLICIES
+
+    yield "allocators", config.scheduler
+    yield "placements", config.placement
+    yield "arrivals", config.arrivals
+    for name, system in SYSTEMS.items():
+        if system == config.system:
+            yield "systems", name
+    for name, policy in PAPER_POLICIES.items():
+        if (policy.placement, policy.migration_policy(), policy.staging_fraction) == (
+            config.placement, config.migration, config.staging_fraction
+        ):
+            yield "paper policies", name
+    if config.elastic is not None:
+        yield "scale triggers", config.elastic.trigger
+        yield "replica warmers", config.elastic.warmer
+    if config.prefix is not None:
+        yield "prefix strategies", config.prefix.strategy
+        yield "batching policies", config.prefix.batching
+
+
+@pytest.fixture(scope="module")
+def workload_configs():
+    """Every config a figure with claims, a committed scenario or a
+    ledger workload runs: the figures' cells recorded as they are built
+    (one trial, one simulated minute each, in-process)."""
+    import dataclasses
+    import json
+
+    from repro.experiments import base
+    from repro.experiments.registry import EXPERIMENTS
+    from repro.scenario import load_scenario
+    from repro.simulation import SimulationConfig
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    configs = []
+    real = base._run_one
+
+    def record(config):
+        configs.append(config)
+        return real(dataclasses.replace(config, duration=60.0, warmup=0.0))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_WORKERS", "1")
+        patch.setattr(base, "_run_one", record)
+        for spec in EXPERIMENTS.values():
+            if spec.claims:
+                list(spec.artifacts(0.0005, 0, None))
+    assert configs  # the patch reached the sweeps
+    configs += [
+        load_scenario(path).config
+        for path in sorted((root / "scenarios").glob("*.json"))
+    ]
+    for path in sorted((root / "bench/workloads").glob("*.json")):
+        raw = json.loads(path.read_text())
+        if "config" in raw:
+            configs.append(SimulationConfig.from_dict(raw["config"]))
+    return configs
+
+
+class TestEveryKeyIsReached:
+    """An alternative that never runs on a workload we run is a defect
+    (ROADMAP): every key of every registry ``repro list`` prints, bar
+    the experiment verbs, is selected by a figure with claims, a
+    committed scenario or a ledger workload."""
+
+    #: Off-switches kept with no workload selecting them.
+    ALLOWED = {
+        ("replica warmers", "none"):
+            "the off-switch: a joiner activates with an empty disk",
+        ("prefix strategies", "none"):
+            "the off-switch: the tier watches traffic and caches nothing",
+        ("batching policies", "none"):
+            "the only batching the live gateway serves",
+    }
+
+    @staticmethod
+    def listed(capsys):
+        """``{(section, key)}`` as ``repro list`` prints them."""
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        keys, section = set(), None
+        for line in capsys.readouterr().out.splitlines():
+            heading = re.match(r"^(\S.*) \(\d+\):$", line)
+            if heading:
+                section = heading.group(1)
+            elif line.startswith("  ") and section != "experiments":
+                keys.add((section, line.split()[0]))
+        return keys
+
+    def unreached(self, capsys, configs):
+        reached = {key for config in configs for key in _selects(config)}
+        return self.listed(capsys) - reached - set(self.ALLOWED)
+
+    def test_every_listed_key_is_reached(self, capsys, workload_configs):
+        listed = self.listed(capsys)
+        assert ("placements", "even") in listed  # the scan reads the listing
+        assert set(self.ALLOWED) <= listed
+        unreached = self.unreached(capsys, workload_configs)
+        assert not unreached, (
+            f"registered, but no figure with claims, scenario or ledger "
+            f"workload selects it: {sorted(unreached)}"
+        )
+
+    def test_an_unused_key_is_caught(self, capsys, workload_configs):
+        from repro.core.schedulers import ALLOCATORS
+
+        ALLOCATORS.register("idle-twin", ALLOCATORS.get("none"), help="unused")
+        try:
+            unreached = self.unreached(capsys, workload_configs)
+        finally:
+            ALLOCATORS.unregister("idle-twin")
+        assert unreached == {("allocators", "idle-twin")}

@@ -55,7 +55,10 @@ PLAN = {
     "client_mix_replication": (
         VIRTUAL_ONLY, ["determinism"], "duration 7200 s",
     ),
-    "chaos_retry": (VIRTUAL_ONLY, ["determinism"], "duration 5400 s"),
+    "chaos_retry": (VIRTUAL_ONLY, ["determinism", "faults"], "duration 5400 s"),
+    "chaos_soak": (
+        VIRTUAL_ONLY, ["determinism", "faults"], "duration 43200 s",
+    ),
 }
 
 
@@ -170,6 +173,8 @@ DOCTORED = [
      "1 errored + 0 lost session(s)"),
     ("serve_loopback", _set(("live", 0, "load", "lost"), 4),
      "0 errored + 4 lost session(s)"),
+    ("chaos_retry", _set(("virtual", "faults_injected"), 0),
+     "virtual: no fault fired"),
     ("chaos_serve", _set(("live", 1, "chaos", "failures"), []),
      "live run 2: no server crash fired"),
     ("chaos_serve", _set(("live", 0, "chaos", "live_kills"), 0),
@@ -279,6 +284,30 @@ class TestCli:
             "tier did not beat the baseline" in f for f in report["failures"]
         )
         assert "VERIFY FAILURE: tier did not beat" in captured.err
+
+    def test_fault_plan_that_never_fires_exits_one(self, tmp_path, capsys):
+        # A per-server MTBF hundreds of times the run: no fault fires, so
+        # the scenario does not test what its faults block promises.
+        committed = load_scenario(SCENARIOS / "chaos_retry.json").config
+        quiet = dataclasses.replace(
+            committed,
+            duration=900.0,
+            faults=dataclasses.replace(
+                committed.faults,
+                crash=dataclasses.replace(committed.faults.crash, mtbf=6e5),
+                link=None,
+                replica=None,
+            ),
+        )
+        path = tmp_path / "quiet_faults.json"
+        save_scenario(Scenario("quiet-faults", "", quiet), path)
+        assert main(["verify", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["legs"] == VIRTUAL_ONLY
+        assert report["failures"] == [
+            "virtual: no fault fired — the fault plan never tripped "
+            "(check the scenario's faults block and duration)"
+        ]
 
     def test_doctored_digest_exits_one(self, monkeypatch, capsys):
         clean = verify_mod.run_virtual
