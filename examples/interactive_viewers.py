@@ -27,7 +27,6 @@ def run_scenario(pauses_per_hour: float):
         staging_fraction=0.2,
         duration=hours(6),
         seed=31,
-        client_receive_bandwidth=30.0,
         pause_hazard=pauses_per_hour / 3600.0 if pauses_per_hour else 0.0,
         mean_pause=240.0,   # four-minute kitchen breaks
     )

@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system imports us)
     from repro.cluster.system import SystemConfig
 
 #: Nominal disk copy-in rate, Mb/s, when no calibration measures one.
-#: Matches :class:`repro.core.replication.ReplicationPolicy`'s default
-#: tertiary-storage ``copy_bandwidth`` so warming and replication agree.
+#: Matches :data:`repro.core.replication.COPY_BANDWIDTH`, the
+#: tertiary-storage rate, so warming and replication agree.
 DEFAULT_DISK_THROUGHPUT = 100.0
 
 
@@ -138,13 +138,12 @@ class CalibrationConfig:
         jitter: relative standard deviation of one probe measurement.
             ``0`` (default) makes calibration exact — measured equals
             nominal and every existing digest is unchanged.
-        disk_throughput: nominal copy-in rate the disk probe measures
-            around, Mb/s.
+
+    The disk probe measures around :data:`DEFAULT_DISK_THROUGHPUT`.
     """
 
     trials: int = 3
     jitter: float = 0.0
-    disk_throughput: float = DEFAULT_DISK_THROUGHPUT
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -152,10 +151,6 @@ class CalibrationConfig:
         if not 0.0 <= self.jitter < 0.5:
             raise ValueError(
                 f"jitter must be in [0, 0.5), got {self.jitter}"
-            )
-        if self.disk_throughput <= 0:
-            raise ValueError(
-                f"disk_throughput must be positive, got {self.disk_throughput}"
             )
 
     def to_dict(self) -> dict:
@@ -199,7 +194,7 @@ def calibrate_server(
     return ServerProfile(
         server_id=server_id,
         bandwidth=_measure(bandwidth, config, rng),
-        disk_throughput=_measure(config.disk_throughput, config, rng),
+        disk_throughput=_measure(DEFAULT_DISK_THROUGHPUT, config, rng),
         storage=float(storage),
     )
 

@@ -27,13 +27,7 @@ from repro.analysis.report import render_table
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.server import DataServer
 from repro.registry import Registry
-from repro.units import (
-    DEFAULT_CLIENT_RECEIVE_BANDWIDTH,
-    DEFAULT_VIEW_BANDWIDTH,
-    gb_to_mb,
-    mb_to_gb,
-    minutes,
-)
+from repro.units import DEFAULT_VIEW_BANDWIDTH, gb_to_mb, mb_to_gb, minutes
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,6 @@ class SystemConfig:
         video_length_range: (low, high) playback seconds.
         avg_copies: mean replicas per video (paper: 2.2).
         view_bandwidth: playback rate, Mb/s.
-        client_receive_bandwidth: per-client ingest cap, Mb/s.
     """
 
     name: str
@@ -58,7 +51,6 @@ class SystemConfig:
     video_length_range: Tuple[float, float]
     avg_copies: float = 2.2
     view_bandwidth: float = DEFAULT_VIEW_BANDWIDTH
-    client_receive_bandwidth: float = DEFAULT_CLIENT_RECEIVE_BANDWIDTH
 
     def __post_init__(self) -> None:
         if len(self.server_bandwidths) != len(self.disk_capacities):

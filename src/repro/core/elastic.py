@@ -111,25 +111,18 @@ WARMERS.register(
 
 @dataclass(frozen=True)
 class ScaleEvent:
-    """One scenario-declared membership change.
+    """One scenario-declared membership change: one server joins or
+    leaves.  A joiner gets the seed cluster's mean link and disk.
 
     Attributes:
         time: virtual seconds at which the event fires.
         action: ``"scale_out"`` or ``"scale_in"``.
-        count: servers to add/remove (scale_in with ``server_id`` set
-            ignores this and drains exactly that server).
-        bandwidth: joiner's nominal link, Mb/s (scale_out only;
-            defaults to the cluster's mean preset).
-        disk: joiner's disk, Mb (scale_out only; defaults likewise).
         server_id: the specific server to drain (scale_in only;
             defaults to the highest-id active member).
     """
 
     time: float
     action: str
-    count: int = 1
-    bandwidth: Optional[float] = None
-    disk: Optional[float] = None
     server_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -140,14 +133,6 @@ class ScaleEvent:
                 f"action must be 'scale_out' or 'scale_in', "
                 f"got {self.action!r}"
             )
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError(
-                f"bandwidth must be positive, got {self.bandwidth}"
-            )
-        if self.disk is not None and self.disk < 0:
-            raise ValueError(f"disk must be >= 0, got {self.disk}")
 
     def to_dict(self) -> dict:
         from repro.serialize import shallow_dict
@@ -282,10 +267,10 @@ class ElasticScaler:
         self.calibration = calibration
         self.tracer = tracer
         servers = controller.servers
-        self._default_bandwidth = sum(
+        self._joiner_bandwidth = sum(
             s.nominal_bandwidth for s in servers.values()
         ) / len(servers)
-        self._default_disk = sum(
+        self._joiner_disk = sum(
             s.disk_capacity for s in servers.values()
         ) / len(servers)
         #: The trigger's decision handler — None for one that watches
@@ -296,6 +281,9 @@ class ElasticScaler:
         #: Per-draining-server bookkeeping: moved count + in-flight
         #: sole-replica evacuation copies.
         self._draining: Dict[int, Dict] = {}
+        #: Joiners that crashed mid-warm -> the videos still to copy,
+        #: the lost copy first; :meth:`resume_warming` picks them up.
+        self._stalled: Dict[int, List[int]] = {}
         self.scale_outs = 0
         self.scale_ins = 0
         self.streams_drained = 0
@@ -308,8 +296,7 @@ class ElasticScaler:
             delay = max(0.0, event.time - now)
             if event.action == "scale_out":
                 self.engine.schedule(
-                    delay, lambda e=event: self._scale_out(e),
-                    kind="elastic:scale_out",
+                    delay, self._add_server, kind="elastic:scale_out",
                 )
             else:
                 self.engine.schedule(
@@ -337,29 +324,16 @@ class ElasticScaler:
             # admission call stack — keeps decision/membership event
             # ordering identical between live and virtual runs.
             self.engine.schedule(
-                0.0,
-                lambda: self._scale_out(
-                    ScaleEvent(time=now, action="scale_out")
-                ),
-                kind="elastic:scale_out",
+                0.0, self._add_server, kind="elastic:scale_out",
             )
 
     # ------------------------------------------------------------------
     # Scale-out: join -> warm -> activate
     # ------------------------------------------------------------------
-    def _scale_out(self, event: ScaleEvent) -> None:
-        for _ in range(event.count):
-            self._add_server(event)
-
-    def _add_server(self, event: ScaleEvent) -> None:
+    def _add_server(self) -> None:
         now = self.engine.now
         sid = max(self.controller.servers) + 1
-        bandwidth = (
-            event.bandwidth
-            if event.bandwidth is not None
-            else self._default_bandwidth
-        )
-        disk = event.disk if event.disk is not None else self._default_disk
+        bandwidth, disk = self._joiner_bandwidth, self._joiner_disk
         server = DataServer(sid, bandwidth, disk)
         if self.calibration is not None:
             # Joiners are calibrated on their own substream so the probe
@@ -389,8 +363,6 @@ class ElasticScaler:
 
     def _warm_next(self, sid: int, remaining: List[int]) -> None:
         server = self.controller.servers[sid]
-        if not server.up:
-            return  # crashed mid-warm; chaos reconciliation owns it now
         while remaining:
             vid = remaining[0]
             video = self.catalog[vid]
@@ -418,7 +390,10 @@ class ElasticScaler:
     ) -> None:
         server = self.controller.servers[sid]
         if not server.up:
+            # Crashed mid-copy: the copy is lost, and warming waits for
+            # failover to restore the server.
             server.drop_replica(self.catalog[vid])
+            self._stalled[sid] = [vid] + remaining
             return
         self.placement.add_holder(vid, sid)
         if self.tracer is not None:
@@ -427,6 +402,12 @@ class ElasticScaler:
                 server=sid, video=vid, seconds=seconds,
             )
         self._warm_next(sid, remaining)
+
+    def resume_warming(self, sid: int) -> None:
+        """Failover restored *sid*: carry on warming it if it stalled."""
+        remaining = self._stalled.pop(sid, None)
+        if remaining is not None:
+            self._warm_next(sid, remaining)
 
     def _activate(self, sid: int) -> None:
         server = self.controller.servers[sid]
@@ -443,18 +424,13 @@ class ElasticScaler:
     # Scale-in: drain -> depart
     # ------------------------------------------------------------------
     def _scale_in(self, event: ScaleEvent) -> None:
-        count = 1 if event.server_id is not None else event.count
-        for _ in range(count):
-            actives = self.membership.members(ServerLifecycle.ACTIVE)
-            if len(actives) <= 1:
-                return  # never drain the last active server
-            if event.server_id is not None:
-                sid = event.server_id
-                if self.membership.states.get(sid) is not ServerLifecycle.ACTIVE:
-                    return  # already leaving (or never joined); no-op
-            else:
-                sid = actives[-1]
-            self._start_drain(sid)
+        actives = self.membership.members(ServerLifecycle.ACTIVE)
+        if len(actives) <= 1:
+            return  # never drain the last active server
+        sid = actives[-1] if event.server_id is None else event.server_id
+        if self.membership.states.get(sid) is not ServerLifecycle.ACTIVE:
+            return  # already leaving (or never joined); no-op
+        self._start_drain(sid)
 
     def _start_drain(self, sid: int) -> None:
         now = self.engine.now

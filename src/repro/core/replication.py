@@ -10,16 +10,16 @@ so the two can be compared head-to-head (EXT-DR).
 Model:
 
 * Every **rejection** of a request for video ``v`` is a demand signal.
-  Once ``v`` accumulates ``trigger_rejections`` of them, a new replica
-  is commissioned on the least-loaded live server with disk space that
-  does not already hold ``v``.
+  Once ``v`` accumulates :data:`TRIGGER_REJECTIONS` of them, a new
+  replica is commissioned on the least-loaded live server with disk
+  space that does not already hold ``v``.
 * The copy streams from **tertiary storage** (part of the paper's
-  Figure 1 architecture) at ``copy_bandwidth`` Mb/s, so it costs no
-  data-server egress but takes ``size / copy_bandwidth`` seconds before
+  Figure 1 architecture) at :data:`COPY_BANDWIDTH` Mb/s, so it costs no
+  data-server egress but takes ``size / COPY_BANDWIDTH`` seconds before
   the replica serves requests.
-* If the chosen server lacks disk space, the replicator may **evict** a
-  cold replica: one whose video has another copy elsewhere and no
-  active stream on this server.
+* If no candidate has disk space, the replicator **evicts** cold
+  replicas on the least loaded: ones whose video has another copy
+  elsewhere and no active stream on this server.
 * At most ``max_concurrent_copies`` transfers run at once; a video with
   a copy already in flight is not replicated again.
 
@@ -39,34 +39,24 @@ from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
 from repro.workload.catalog import VideoCatalog
 
+#: Tertiary-to-server transfer rate, Mb/s: a feature film in ~3 minutes.
+COPY_BANDWIDTH = 100.0
+
+#: Rejections of a video that commission a new replica.
+TRIGGER_REJECTIONS = 3
+
 
 @dataclass(frozen=True)
 class ReplicationPolicy:
     """Configuration of the dynamic replicator.
 
     Attributes:
-        copy_bandwidth: tertiary-to-server transfer rate, Mb/s.  The
-            default (100 Mb/s) copies a feature film in ~3 minutes.
-        trigger_rejections: rejections of a video that commission a new
-            replica.
         max_concurrent_copies: transfer parallelism bound.
-        allow_eviction: permit dropping cold replicas to make room.
     """
 
-    copy_bandwidth: float = 100.0
-    trigger_rejections: int = 3
     max_concurrent_copies: int = 4
-    allow_eviction: bool = True
 
     def __post_init__(self) -> None:
-        if self.copy_bandwidth <= 0:
-            raise ValueError(
-                f"copy bandwidth must be positive, got {self.copy_bandwidth}"
-            )
-        if self.trigger_rejections < 1:
-            raise ValueError(
-                f"trigger_rejections must be >= 1, got {self.trigger_rejections}"
-            )
         if self.max_concurrent_copies < 1:
             raise ValueError(
                 f"max_concurrent_copies must be >= 1, "
@@ -125,7 +115,7 @@ class DynamicReplicator:
         vid = request.video.video_id
         count = self.rejections_since_copy.get(vid, 0) + 1
         self.rejections_since_copy[vid] = count
-        if count >= self.policy.trigger_rejections:
+        if count >= TRIGGER_REJECTIONS:
             if self._start_copy(vid):
                 self.rejections_since_copy[vid] = 0
 
@@ -141,7 +131,7 @@ class DynamicReplicator:
         if target is None:
             self.failed_attempts += 1
             return False
-        if not target.can_store(video) and self.policy.allow_eviction:
+        if not target.can_store(video):
             self._evict_for(target, video_id, video.size)
         if not target.can_store(video):
             self.failed_attempts += 1
@@ -150,7 +140,7 @@ class DynamicReplicator:
         # publish the placement entry when the transfer completes.
         target.store_replica(video)
         self.in_flight.add(video_id)
-        delay = video.size / self.policy.copy_bandwidth
+        delay = video.size / COPY_BANDWIDTH
         self.engine.schedule(
             delay,
             lambda: self._finish_copy(video_id, target.server_id),
@@ -171,7 +161,8 @@ class DynamicReplicator:
 
     # ------------------------------------------------------------------
     def _choose_target(self, video_id: int) -> Optional[DataServer]:
-        """Least-loaded live non-holder, preferring servers with space."""
+        """Least-loaded live non-holder, preferring servers with space
+        (eviction makes room on the others)."""
         holders = set(self.placement.holders(video_id))
         video = self.catalog[video_id]
         # `accepting` keeps draining/warming members out: a server on
@@ -183,12 +174,7 @@ class DynamicReplicator:
         ]
         if not candidates:
             return None
-        with_space = [s for s in candidates if s.can_store(video)]
-        pool = with_space or (
-            candidates if self.policy.allow_eviction else []
-        )
-        if not pool:
-            return None
+        pool = [s for s in candidates if s.can_store(video)] or candidates
         return min(pool, key=lambda s: (s.active_count, s.server_id))
 
     def _evict_for(

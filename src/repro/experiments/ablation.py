@@ -51,7 +51,6 @@ def run_ablation(
         migration=MigrationPolicy.disabled(),
         staging_fraction=staging_fraction,
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
     variants = [Variant(name, {"scheduler": name}) for name in schedulers]
     return run_sweep(

@@ -58,7 +58,6 @@ def run_client_mix_series(
         migration=MigrationPolicy.paper_default(),
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
     return run_sweep(
         base,

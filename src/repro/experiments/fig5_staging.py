@@ -46,7 +46,6 @@ def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
         migration=MigrationPolicy.disabled(),
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
 
 

@@ -66,7 +66,6 @@ def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
         theta=0.0,
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
 
 

@@ -76,7 +76,6 @@ def run_heterogeneity(
         staging_fraction=0.2,
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
     return run_sweep(
         base,

@@ -60,7 +60,6 @@ def run_interactivity(
         migration=MigrationPolicy.paper_default(),
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
         mean_pause=mean_pause,
     )
     return run_sweep(

@@ -50,7 +50,6 @@ def run_partial_predictive(
         staging_fraction=0.2,
         scheduler="eftf",
         seed=seed,
-        client_receive_bandwidth=30.0,
     )
     return run_sweep(
         base,

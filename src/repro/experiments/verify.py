@@ -64,9 +64,7 @@ LIVE_SERVE = ServeConfig(
 #: 4-attempt seeded backoff, 3 ms of jittered link latency on the
 #: gateway side, and 15 % of clients severing their own connection once.
 STRESS: Dict[str, Any] = {
-    "retry": RetryPolicy(
-        max_attempts=4, base_delay=2.0, max_delay=16.0, jitter=0.5
-    ),
+    "retry": RetryPolicy(max_attempts=4, base_delay=2.0, max_delay=16.0),
     "gateway_toxic": ToxicConfig(latency=0.003, jitter=0.5),
     "cut_prob": 0.15,
 }
@@ -118,7 +116,6 @@ def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
         "result": result_row(first),
         "faults_injected": first.faults_injected,
         "digest": policy["decisions_sha"],
-        "policy": policy,
         "membership": bridge.controller.membership.to_dict(),
     }
     scaler = bridge.sim.elastic_scaler
@@ -236,16 +233,11 @@ def _check_faults(report: Dict[str, Any]) -> Iterator[str]:
 
 def _check_elastic(report: Dict[str, Any]) -> Iterator[str]:
     virtual = report["virtual"]
-    sides = [("virtual", virtual["policy"], virtual["membership"])] + [
-        (side, run["summary"]["policy"], run["summary"]["serve"]["membership"])
+    sides = [("virtual", virtual["membership"])] + [
+        (side, run["summary"]["serve"]["membership"])
         for side, run in _live_runs(report)
     ]
-    for side, policy, membership in sides:
-        if policy["underruns"]:
-            yield (
-                f"{side}: {policy['underruns']} underrun(s) — a drain or "
-                f"warm starved a stream"
-            )
+    for side, membership in sides:
         if not membership["epoch"]:
             yield (
                 f"{side}: membership epoch never advanced — no scale "

@@ -13,6 +13,10 @@ drawn from the moment of the previous *repair*, giving the standard
 and relocation mechanics are delegated to
 :class:`repro.core.failover.FailoverManager` — the injector only decides
 *when* and *where*, never *how*.
+
+A member that has departed the cluster (:mod:`repro.core.elastic`) is
+out of reach: it draws no fault, counts none, and a repair that comes
+due after its departure does not bring it back.
 """
 
 from __future__ import annotations
@@ -20,11 +24,15 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.metrics import SimulationMetrics
+from repro.cluster.membership import ClusterMembership, ServerLifecycle
 from repro.core.failover import FailoverManager
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.workload.catalog import VideoCatalog
+
+#: A brownout keeps a fraction of the link drawn uniformly from here.
+LINK_FACTOR_RANGE = (0.3, 0.9)
 
 
 class FaultInjector:
@@ -37,6 +45,7 @@ class FaultInjector:
         plan: the declarative chaos schedule.
         catalog: needed to resolve video ids for replica loss.
         metrics: fault counters (``faults.*``).
+        membership: lifecycle states; departed servers are out of reach.
 
     Call :meth:`start` once after construction; the processes then
     self-perpetuate on the engine agenda.  Events scheduled beyond the
@@ -51,6 +60,7 @@ class FaultInjector:
         plan: FaultPlan,
         catalog: VideoCatalog,
         metrics: SimulationMetrics,
+        membership: ClusterMembership,
     ) -> None:
         self.engine = engine
         self.failover = failover
@@ -58,16 +68,20 @@ class FaultInjector:
         self.plan = plan
         self.catalog = catalog
         self.metrics = metrics
+        self.membership = membership
         self._started = False
 
     # ------------------------------------------------------------------
-    def _eligible(self, restriction) -> List[int]:
-        """Sorted eligible server ids (order matters for determinism)."""
-        ids = sorted(self.failover.servers)
-        if restriction is None:
-            return ids
-        allowed = set(restriction)
-        return [sid for sid in ids if sid in allowed]
+    def _departed(self, sid: int) -> bool:
+        return self.membership.states.get(sid) is ServerLifecycle.DEPARTED
+
+    def _eligible(self) -> List[int]:
+        """Sorted ids of the servers faults can reach (order matters for
+        determinism)."""
+        return [
+            sid for sid in sorted(self.failover.servers)
+            if not self._departed(sid)
+        ]
 
     def start(self) -> None:
         """Schedule the first event of every configured fault process."""
@@ -77,13 +91,13 @@ class FaultInjector:
         plan = self.plan
         t0 = max(plan.start, self.engine.now)
         if plan.crash is not None:
-            for sid in self._eligible(plan.crash.servers):
+            for sid in self._eligible():
                 rng = self.streams.get(f"fault.crash.{sid}")
                 self._schedule_crash(
                     sid, t0 + rng.exponential(plan.crash.mtbf)
                 )
         if plan.link is not None:
-            for sid in self._eligible(plan.link.servers):
+            for sid in self._eligible():
                 rng = self.streams.get(f"fault.link.{sid}")
                 self._schedule_degrade(
                     sid, t0 + rng.exponential(plan.link.mtbf)
@@ -103,6 +117,8 @@ class FaultInjector:
         )
 
     def _crash(self, sid: int) -> None:
+        if self._departed(sid):
+            return  # its process ends with its membership
         crash = self.plan.crash
         rng = self.streams.get(f"fault.crash.{sid}")
         victims = [sid]
@@ -111,7 +127,7 @@ class FaultInjector:
             # joins independently with probability `correlation`.  The
             # coin flips come from the primary's stream in sorted-victim
             # order, so the draw sequence is a pure function of the seed.
-            for other in self._eligible(crash.servers):
+            for other in self._eligible():
                 if other != sid and rng.random() < crash.correlation:
                     victims.append(other)
         repair_time = 0.0
@@ -123,7 +139,7 @@ class FaultInjector:
             victim_repair = self.engine.now + rng.exponential(crash.mttr)
             self.engine.schedule_at(
                 victim_repair,
-                lambda v=victim: self.failover.restore_server(v),
+                lambda v=victim: self._repair(v),
                 kind=f"fault.repair:srv{victim}",
             )
             if victim == sid:
@@ -131,6 +147,10 @@ class FaultInjector:
         # Next crash of *this* server's process, measured from its own
         # repair (a down server cannot fail again).
         self._schedule_crash(sid, repair_time + rng.exponential(crash.mtbf))
+
+    def _repair(self, sid: int) -> None:
+        if not self._departed(sid):
+            self.failover.restore_server(sid)
 
     # ------------------------------------------------------------------
     # Partial link degradation
@@ -141,10 +161,11 @@ class FaultInjector:
         )
 
     def _degrade(self, sid: int) -> None:
+        if self._departed(sid):
+            return
         link = self.plan.link
         rng = self.streams.get(f"fault.link.{sid}")
-        low, high = link.factor_range
-        factor = float(rng.uniform(low, high))
+        factor = float(rng.uniform(*LINK_FACTOR_RANGE))
         self.failover.degrade_server(sid, factor)
         self.metrics.record_fault("degrade")
         restore_time = self.engine.now + rng.exponential(link.mttr)
@@ -166,7 +187,7 @@ class FaultInjector:
     def _lose_replica(self) -> None:
         plan = self.plan.replica
         rng = self.streams.get("fault.replica")
-        eligible = self._eligible(plan.servers)
+        eligible = self._eligible()
         if eligible:
             sid = eligible[int(rng.integers(len(eligible)))]
             holdings = sorted(self.failover.servers[sid].holdings)

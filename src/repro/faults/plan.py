@@ -13,7 +13,7 @@ model — stationary, and trivially reproducible from a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.serialize import check_fields, optional_nested, shallow_dict
 
@@ -29,11 +29,7 @@ class _SerializableFaults:
     def from_dict(cls, data: dict):
         """Build from a (possibly partial) dict; unknown keys raise."""
         check_fields(cls, data)
-        kwargs = dict(data)
-        for key in ("servers", "factor_range"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -41,19 +37,18 @@ class CrashFaults(_SerializableFaults):
     """Whole-node crash/repair cycling.
 
     Attributes:
-        mtbf: mean time between failures per eligible server, seconds
+        mtbf: mean time between failures per seed server, seconds
             (measured from the previous repair — an alternating renewal
             process, so a server is up ``mtbf/(mtbf+mttr)`` of the time).
         mttr: mean time to repair, seconds.
-        servers: eligible server ids; ``None`` means every server.
-        correlation: probability that each *other* eligible server is
-            dragged down by a crash (correlated failures: shared rack,
-            shared power).  0 keeps crashes independent.
+        correlation: probability that each *other* member (joiners
+            included, departed servers not) is dragged down by a crash
+            (correlated failures: shared rack, shared power).  0 keeps
+            crashes independent.
     """
 
     mtbf: float
     mttr: float
-    servers: Optional[Tuple[int, ...]] = None
     correlation: float = 0.0
 
     def __post_init__(self) -> None:
@@ -72,29 +67,21 @@ class LinkFaults(_SerializableFaults):
     """Partial outbound-link degradation (brownout, not blackout).
 
     Attributes:
-        mtbf: mean time between degradations per eligible server.
+        mtbf: mean time between degradations per seed server.
         mttr: mean degradation duration.
-        factor_range: the surviving capacity fraction is drawn uniformly
-            from this ``(low, high)`` interval, each endpoint in (0, 1].
-        servers: eligible server ids; ``None`` means every server.
+
+    The surviving capacity fraction is drawn uniformly from
+    :data:`repro.faults.injector.LINK_FACTOR_RANGE`.
     """
 
     mtbf: float
     mttr: float
-    factor_range: Tuple[float, float] = (0.3, 0.9)
-    servers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.mtbf <= 0:
             raise ValueError(f"link mtbf must be positive, got {self.mtbf}")
         if self.mttr <= 0:
             raise ValueError(f"link mttr must be positive, got {self.mttr}")
-        low, high = self.factor_range
-        if not (0.0 < low <= high <= 1.0):
-            raise ValueError(
-                f"factor_range must satisfy 0 < low <= high <= 1, "
-                f"got {self.factor_range}"
-            )
 
 
 @dataclass(frozen=True)
@@ -102,12 +89,11 @@ class ReplicaFaults(_SerializableFaults):
     """On-disk replica destruction (bad sector, not a node outage).
 
     Attributes:
-        mean_interval: cluster-wide mean seconds between loss events.
-        servers: eligible server ids; ``None`` means every server.
+        mean_interval: cluster-wide mean seconds between loss events,
+            each on a uniformly drawn member (departed servers not).
     """
 
     mean_interval: float
-    servers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.mean_interval <= 0:

@@ -9,11 +9,11 @@ exponential backoff with per-request jitter:
 
 * the **delay** for attempt *k* is ``base_delay * 2**(k-1)`` capped at
   ``max_delay``, scaled by a uniform jitter factor in
-  ``[1 - jitter, 1 + jitter]`` drawn from the *request's own* RNG
+  ``[1 - JITTER, 1 + JITTER]`` drawn from the *request's own* RNG
   substream (``retry.req<id>``) — so two same-seed runs back off
   identically regardless of event interleaving;
-* the queue is **bounded** (``max_pending``) and each request gets at
-  most ``max_attempts`` resubmissions; overflow and exhaustion are
+* the queue is **bounded** (:data:`MAX_PENDING`) and each request gets
+  at most ``max_attempts`` resubmissions; overflow and exhaustion are
   terminal (``request.retry_exhaust`` trace, ``retry.exhausted``
   counter) — that is the availability loss under chaos;
 * a dropped stream keeps its transmitted bytes: consumption is frozen
@@ -39,6 +39,12 @@ from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 
+#: Uniform jitter half-width of a backoff delay.
+JITTER = 0.5
+
+#: Queue bound; a request arriving at a full queue is exhausted.
+MAX_PENDING = 256
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -47,8 +53,6 @@ class RetryPolicy:
     max_attempts: int = 4        #: resubmissions per request before giving up
     base_delay: float = 5.0      #: first-retry backoff, seconds
     max_delay: float = 300.0     #: backoff growth cap, seconds
-    jitter: float = 0.5          #: uniform jitter half-width (0 = none)
-    max_pending: int = 256       #: queue bound; overflow is terminal
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -62,12 +66,6 @@ class RetryPolicy:
         if self.max_delay < self.base_delay:
             raise ValueError(
                 f"max_delay must be >= base_delay, got {self.max_delay}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.max_pending < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}"
             )
 
     def to_dict(self) -> dict:
@@ -91,7 +89,7 @@ class RetryPolicy:
         stream; the caller owns the randomness so this stays pure.
         """
         delay = min(self.max_delay, self.base_delay * 2.0 ** (attempt - 1))
-        return delay * (1.0 - self.jitter + 2.0 * self.jitter * jitter_draw)
+        return delay * (1.0 - JITTER + 2.0 * JITTER * jitter_draw)
 
 
 class _Entry:
@@ -171,7 +169,7 @@ class RetryQueue:
     # Queue mechanics
     # ------------------------------------------------------------------
     def _enqueue(self, request: Request) -> None:
-        if len(self._entries) >= self.policy.max_pending:
+        if len(self._entries) >= MAX_PENDING:
             self._exhaust(request, attempts=0, reason="queue_full")
             return
         entry = _Entry(request)

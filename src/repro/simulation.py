@@ -61,6 +61,7 @@ from repro.prefix import PrefixPolicy, PrefixTier
 from repro.serialize import check_fields, require
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
+from repro.units import DEFAULT_CLIENT_RECEIVE_BANDWIDTH
 from repro.workload.arrivals import ARRIVALS, calibrated_arrival_rate
 from repro.workload.catalog import VideoCatalog, make_catalog
 from repro.workload.zipf import ZipfPopularity
@@ -85,9 +86,8 @@ class SimulationConfig:
             few mean video lengths removes the empty-system bias.
         load: offered load as a fraction of cluster capacity (paper: 1).
         seed: root seed; all randomness derives from it.
-        client_receive_bandwidth: overrides the system's per-client
-            ingest cap when set; ``math.inf`` removes the cap
-            (Theorem 1's regime).
+        client_receive_bandwidth: per-client ingest cap, Mb/s;
+            ``math.inf`` removes the cap (Theorem 1's regime).
         replication: enable the dynamic-replication extension with the
             given policy (None = static placement, as in the paper).
         pause_hazard: per-second rate at which playing viewers hit
@@ -140,7 +140,7 @@ class SimulationConfig:
     warmup: float = 0.0
     load: float = 1.0
     seed: int = 0
-    client_receive_bandwidth: Optional[float] = None
+    client_receive_bandwidth: float = DEFAULT_CLIENT_RECEIVE_BANDWIDTH
     replication: Optional["ReplicationPolicy"] = None
     pause_hazard: float = 0.0
     mean_pause: float = 300.0
@@ -527,12 +527,7 @@ class Simulation:
         the scheduler/allocator, DRM policy and metrics.
         """
         config = self.config
-        system = config.system
-        receive_bw = (
-            config.client_receive_bandwidth
-            if config.client_receive_bandwidth is not None
-            else system.client_receive_bandwidth
-        )
+        receive_bw = config.client_receive_bandwidth
         if config.client_mix is None:
             buffer_capacity = staging_capacity(
                 config.staging_fraction, self.catalog.mean_size
@@ -675,6 +670,7 @@ class Simulation:
                 plan=config.faults,
                 catalog=self.catalog,
                 metrics=self.metrics,
+                membership=self.membership,
             )
             self.fault_injector.start()
 
@@ -720,6 +716,10 @@ class Simulation:
                 tracer=self.tracer,
             )
             self.elastic_scaler.start()
+            if self.failover is not None:
+                self.failover.on_restore.append(
+                    self.elastic_scaler.resume_warming
+                )
 
         # Subscription order is notification order, and load-bearing.
         # The tier is first: it restores a rejected patch to the full

@@ -700,10 +700,11 @@ class TestResilientClient:
         assert fake.requests[1]["retry"] == 1
         assert fake.requests[1]["t"] > fake.requests[0]["t"]
 
-    def test_drop_anchors_re_request_on_the_drop_stamp(self):
-        retry = RetryPolicy(
-            max_attempts=2, base_delay=0.5, max_delay=4.0, jitter=0.0
-        )
+    def test_drop_anchors_re_request_on_the_drop_stamp(self, monkeypatch):
+        from repro.faults import retry as backoff
+
+        monkeypatch.setattr(backoff, "JITTER", 0.0)
+        retry = RetryPolicy(max_attempts=2, base_delay=0.5, max_delay=4.0)
         serve = ServeConfig()
         fake, out = run(_run_client(["drop", "finish"], retry=retry))
         assert out.reason == "finished" and out.retries == 1
@@ -936,9 +937,7 @@ class TestChaosServeEndToEnd:
             task_restart_limit=10,
             retry_margin=1.0,
         )
-        retry = RetryPolicy(
-            max_attempts=4, base_delay=2.0, max_delay=16.0, jitter=0.5
-        )
+        retry = RetryPolicy(max_attempts=4, base_delay=2.0, max_delay=16.0)
         link = ToxicConfig(latency=0.002, jitter=0.5)
 
         reports = []

@@ -62,7 +62,7 @@ class TestBitReproducibility:
         a, b = run_twice(
             theta=-1.0,
             migration=MigrationPolicy.paper_default(),
-            replication=ReplicationPolicy(trigger_rejections=2),
+            replication=ReplicationPolicy(),
         )
         assert a == b
 
@@ -88,7 +88,7 @@ class TestBitReproducibility:
             theta=-0.5,
             staging_fraction=0.2,
             migration=MigrationPolicy.paper_default(),
-            replication=ReplicationPolicy(trigger_rejections=2),
+            replication=ReplicationPolicy(),
             pause_hazard=1 / 1200.0,
             client_receive_bandwidth=30.0,
             warmup=hours(0.5),

@@ -15,7 +15,9 @@ Covered:
   whole config (calibration + elastic blocks) round-trips through
   ``to_dict``/``from_dict``;
 * determinism: two same-seed elastic runs produce identical membership
-  ledgers and scaler counters.
+  ledgers and scaler counters;
+* a joiner that crashes while warming carries on warming once it is
+  restored, the lost copy included, and activates.
 """
 
 import pytest
@@ -114,13 +116,11 @@ class TestElasticPolicy:
             ScaleEvent(time=1.0, action="explode")
         with pytest.raises(ValueError):
             ScaleEvent(time=-1.0, action="scale_out")
-        with pytest.raises(ValueError):
-            ScaleEvent(time=1.0, action="scale_out", count=0)
 
     def test_policy_round_trip(self):
         policy = ElasticPolicy(
             events=(
-                ScaleEvent(time=10.0, action="scale_out", bandwidth=50.0),
+                ScaleEvent(time=10.0, action="scale_out"),
                 ScaleEvent(time=40.0, action="scale_in", server_id=2),
             ),
             trigger="load",
@@ -231,3 +231,49 @@ class TestElasticEndToEnd:
             one_sim.elastic_scaler.streams_drained
             == two_sim.elastic_scaler.streams_drained
         )
+
+
+class TestCrashWhileWarming:
+    """A joiner is only reachable by correlated crashes, and one can
+    land mid-warm; the restore must pick the warming up again."""
+
+    JOIN, CRASH, RESTORE = 60.0, 70.0, 200.0
+
+    def run(self, crash: bool):
+        from repro.units import hours
+
+        config = SimulationConfig.from_dict({
+            "system": {"preset": "small", "n_videos": 60},
+            "theta": 0.3,
+            "migration": {"enabled": True},
+            "staging_fraction": 0.2,
+            "duration": hours(0.5),
+            "seed": 4,
+            "elastic": {
+                "events": [{"time": self.JOIN, "action": "scale_out"}],
+            },
+            # A retry queue builds the failover manager; no fault plan.
+            "retry": {},
+            "invariants": True,
+        })
+        sim = Simulation(config)
+        if crash:
+            failover = sim.failover
+            sim.engine.schedule_at(
+                self.CRASH, lambda: failover.fail_server(5), kind="test:crash"
+            )
+            sim.engine.schedule_at(
+                self.RESTORE, lambda: failover.restore_server(5),
+                kind="test:restore",
+            )
+        sim.run()
+        return sim
+
+    def test_restored_joiner_finishes_warming_and_activates(self):
+        calm, crashed = self.run(crash=False), self.run(crash=True)
+        assert crashed.membership.state(5) is ServerLifecycle.ACTIVE
+        placement = crashed.placement_result.placement
+        # Every copy landed, the one the crash cut short too.
+        warmed = set(placement.videos_on(5))
+        assert warmed == set(calm.placement_result.placement.videos_on(5))
+        assert len(warmed) > 1

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
+from repro.cluster.membership import ServerLifecycle
 from repro.cluster.request import reset_request_ids
+from repro.core.elastic import ElasticPolicy, ScaleEvent
 from repro.faults import (
     CrashFaults,
     FaultPlan,
@@ -122,15 +124,36 @@ class TestDeterministicChaos:
 
 
 class TestFaultInjector:
-    def test_crashes_respect_server_restriction(self):
+    def test_a_departed_member_is_out_of_reach(self):
+        # Server 4 leaves early; its own crash process and everyone
+        # else's correlated crashes must then leave it alone, and no
+        # repair may bring it back up.
         plan = FaultPlan(
-            crash=CrashFaults(mtbf=hours(0.25), mttr=hours(0.05),
-                              servers=(1,))
+            crash=CrashFaults(
+                mtbf=hours(0.25), mttr=hours(0.05), correlation=0.5
+            ),
         )
-        sim = Simulation(chaos_config(plan, duration=hours(3)))
+        elastic = ElasticPolicy(
+            events=(ScaleEvent(time=600.0, action="scale_in", server_id=4),)
+        )
+        sim = Simulation(
+            chaos_config(plan, duration=hours(3), elastic=elastic)
+        )
+        touched = []
+        for name in ("fail_server", "restore_server"):
+            real = getattr(sim.failover, name)
+
+            def spy(sid, real=real, name=name):
+                if sim.membership.state(sid) is ServerLifecycle.DEPARTED:
+                    touched.append((name, sid, sim.engine.now))
+                return real(sid)
+
+            setattr(sim.failover, name, spy)
         result = sim.run()
+        assert sim.membership.state(4) is ServerLifecycle.DEPARTED
         assert result.faults_injected > 0
-        assert {r.server_id for r in sim.failover.reports} == {1}
+        assert touched == []
+        assert not sim.controller.servers[4].up
 
     def test_injection_waits_for_plan_start(self):
         plan = FaultPlan(
@@ -199,12 +222,13 @@ class TestInvariantChecker:
 
 class TestRetryPolicy:
     def test_exponential_growth_with_cap(self):
-        p = RetryPolicy(base_delay=5.0, max_delay=40.0, jitter=0.0)
+        # A draw of 0.5 is the middle of the jitter band: no jitter.
+        p = RetryPolicy(base_delay=5.0, max_delay=40.0)
         delays = [p.delay_for(k, 0.5) for k in (1, 2, 3, 4, 5)]
         assert delays == [5.0, 10.0, 20.0, 40.0, 40.0]
 
     def test_jitter_bounds(self):
-        p = RetryPolicy(base_delay=10.0, jitter=0.5)
+        p = RetryPolicy(base_delay=10.0)
         assert p.delay_for(1, 0.0) == pytest.approx(5.0)
         assert p.delay_for(1, 1.0) == pytest.approx(15.0)
 
@@ -215,21 +239,16 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=10.0, max_delay=5.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pending=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
         base=st.floats(min_value=0.1, max_value=60.0),
         cap_mult=st.floats(min_value=1.0, max_value=20.0),
-        jitter=st.floats(min_value=0.0, max_value=0.99),
         attempt=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_delays_bounded_and_seed_deterministic(
-        self, base, cap_mult, jitter, attempt, seed
+        self, base, cap_mult, attempt, seed
     ):
         """The live-chaos backoff contract (docs/ROBUSTNESS.md): every
         delay ``delay_for`` can produce lies inside the jittered cap,
@@ -237,9 +256,9 @@ class TestRetryPolicy:
         the resilient client's retry timeline replays exactly."""
         from repro.sim.rng import RandomStreams
 
-        policy = RetryPolicy(
-            base_delay=base, max_delay=base * cap_mult, jitter=jitter
-        )
+        from repro.faults.retry import JITTER
+
+        policy = RetryPolicy(base_delay=base, max_delay=base * cap_mult)
         delays_a = [
             policy.delay_for(attempt, float(draw))
             for draw in RandomStreams(seed=seed).get("retry.jitter").random(8)
@@ -249,8 +268,8 @@ class TestRetryPolicy:
             for draw in RandomStreams(seed=seed).get("retry.jitter").random(8)
         ]
         assert delays_a == delays_b  # bit-for-bit, not approx
-        lo = policy.base_delay * (1.0 - policy.jitter)
-        hi = policy.max_delay * (1.0 + policy.jitter)
+        lo = policy.base_delay * (1.0 - JITTER)
+        hi = policy.max_delay * (1.0 + JITTER)
         for delay in delays_a:
             assert lo - 1e-12 <= delay <= hi * (1.0 + 1e-12)
 
@@ -274,11 +293,13 @@ class TestRetryQueue:
         assert m.retry_successes <= m.retries
         assert 0.0 <= result.availability <= 1.0
 
-    def test_bounded_queue_exhausts_overflow(self):
+    def test_bounded_queue_exhausts_overflow(self, monkeypatch):
+        from repro.faults import retry
+
+        monkeypatch.setattr(retry, "MAX_PENDING", 4)
         config = chaos_config(
             None, load=2.0,
-            retry=RetryPolicy(max_attempts=1, base_delay=120.0,
-                              max_pending=4),
+            retry=RetryPolicy(max_attempts=1, base_delay=120.0),
         )
         result = Simulation(config).run()
         assert result.retry_exhausted > 0
@@ -301,9 +322,7 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             CrashFaults(mtbf=10.0, mttr=1.0, correlation=1.5)
         with pytest.raises(ValueError):
-            LinkFaults(mtbf=10.0, mttr=1.0, factor_range=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            LinkFaults(mtbf=10.0, mttr=1.0, factor_range=(0.9, 0.5))
+            LinkFaults(mtbf=10.0, mttr=0.0)
         with pytest.raises(ValueError):
             ReplicaFaults(mean_interval=-1.0)
         with pytest.raises(ValueError):

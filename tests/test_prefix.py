@@ -574,7 +574,7 @@ class TestTierEndToEnd:
         reset_request_ids()
         sim = Simulation(prefix_config(
             policy, migration=MigrationPolicy.disabled(),
-            retry=RetryPolicy(base_delay=30.0, jitter=0.0),
+            retry=RetryPolicy(base_delay=30.0),
             # Injector on, but its first crash lies beyond the run.
             faults=FaultPlan(crash=CrashFaults(mtbf=1e12, mttr=1.0)),
         ), tracer=tracer)
@@ -613,7 +613,7 @@ class TestTierEndToEnd:
 
         for sid in holders:
             failover.restore_server(sid)
-        engine.run_until(700.0)                       # backoff was 30 s
+        engine.run_until(700.0)                       # backoff <= 45 s
         assert parent.state is RequestState.ACTIVE
         assert parent.server_id in holders
         assert queue.pending == 0

@@ -144,7 +144,7 @@ class TestRoundTrips:
         assert restored.calibrated
 
     def test_calibration_config_round_trip(self):
-        config = CalibrationConfig(trials=7, jitter=0.25, disk_throughput=80.0)
+        config = CalibrationConfig(trials=7, jitter=0.25)
         assert CalibrationConfig.from_dict(config.to_dict()) == config
 
 

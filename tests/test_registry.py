@@ -6,8 +6,10 @@ experiment — must reject an unknown key with an error that names the
 bad key *and* lists the valid choices, never a bare ``KeyError``.
 """
 
+import dataclasses
 import pathlib
 import re
+from typing import Optional
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.registry import (
     RegistryError,
     UnknownKeyError,
 )
+from repro.simulation import SimulationConfig
 
 
 class TestRegistryContract:
@@ -520,7 +523,6 @@ def workload_configs():
     """Every config a figure with claims, a committed scenario or a
     ledger workload runs: the figures' cells recorded as they are built
     (one trial, one simulated minute each, in-process)."""
-    import dataclasses
     import json
 
     from repro.experiments import base
@@ -608,3 +610,129 @@ class TestEveryKeyIsReached:
         finally:
             ALLOCATORS.unregister("idle-twin")
         assert unreached == {("allocators", "idle-twin")}
+
+
+def _config_classes(root):
+    """*root* and every config dataclass its type hints reach, walked
+    from the hints rather than from instances, so a sub-config that no
+    workload builds is still listed."""
+    import typing
+
+    def leaves(hint):
+        args = typing.get_args(hint)
+        return [leaf for arg in args for leaf in leaves(arg)] if args else [hint]
+
+    found, frontier = [], [root]
+    while frontier:
+        cls = frontier.pop()
+        if cls in found:
+            continue
+        found.append(cls)
+        for hint in typing.get_type_hints(cls).values():
+            frontier += [t for t in leaves(hint) if dataclasses.is_dataclass(t)]
+    return found
+
+
+def _settings(value, seen):
+    """Add ``(Class.field, value)`` for every field of the config
+    *value* and of each config nested in it to *seen*."""
+    for field in dataclasses.fields(value):
+        setting = getattr(value, field.name)
+        seen.setdefault(f"{type(value).__name__}.{field.name}", []).append(setting)
+        for nested in setting if isinstance(setting, tuple) else (setting,):
+            if dataclasses.is_dataclass(nested):
+                _settings(nested, seen)
+
+
+@dataclasses.dataclass(frozen=True)
+class _IdleKnob:
+    """A sub-config nothing builds (``test_an_unused_field_is_caught``)."""
+
+    level: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Planted:
+    config: SimulationConfig
+    knob: Optional[_IdleKnob] = None
+
+
+class TestEveryFieldIsReached:
+    """A settable value is a cost (ROADMAP): every defaulted field of
+    every config :class:`SimulationConfig` reaches is set off its
+    default by a figure with claims, a committed scenario, a ledger
+    workload or ``repro verify``'s :data:`STRESS` retry policy."""
+
+    #: Fields kept with nothing setting them, one reason each.
+    ALLOWED = {
+        "MigrationPolicy.switch_delay":
+            "the paper's 'request transfer can take some time' "
+            "(docs/PAPER_MAP.md); TestSwitchDelay and the switch-gap "
+            "whole run set it",
+        "ElasticPolicy.drain_interval":
+            "written at its default by bench/workloads/chaos_elastic_churn.json",
+        "ElasticPolicy.warm_fraction":
+            "written at its default by bench/workloads/chaos_elastic_churn.json",
+        "ElasticPolicy.warmer":
+            "written at its default by bench/workloads/chaos_elastic_churn.json",
+        "RetryPolicy.max_attempts":
+            "written at its default by bench/workloads/chaos_elastic_churn.json",
+        "CalibrationConfig.trials":
+            "written at its default by bench/workloads/chaos_elastic_churn.json",
+        "PrefixPolicy.strategy":
+            "written at its default by bench/workloads/prefix_zipf_overload.json",
+        "SystemConfig.view_bandwidth":
+            "written at its default by bench/workloads/live_loopback.json "
+            "and prefix_zipf_overload.json",
+        "SimulationConfig.client_receive_bandwidth":
+            "written at its default by bench/workloads/live_loopback.json "
+            "and prefix_zipf_overload.json",
+    }
+
+    @staticmethod
+    def defaulted(root):
+        """``{Class.field: default}`` for every field with a default."""
+        out = {}
+        for cls in _config_classes(root):
+            for field in dataclasses.fields(cls):
+                if field.default is not dataclasses.MISSING:
+                    out[f"{cls.__name__}.{field.name}"] = field.default
+                elif field.default_factory is not dataclasses.MISSING:
+                    out[f"{cls.__name__}.{field.name}"] = field.default_factory()
+        return out
+
+    def unset(self, root, workload_configs):
+        """Defaulted fields no recorded value sets off their default."""
+        from repro.experiments.verify import STRESS
+
+        seen = {}
+        for config in [*workload_configs, STRESS["retry"]]:
+            _settings(config, seen)
+        return {
+            name for name, default in self.defaulted(root).items()
+            if all(value == default for value in seen.get(name, ()))
+        }
+
+    def test_every_defaulted_field_is_reached(self, workload_configs):
+        listed = self.defaulted(SimulationConfig)
+        # The walk reaches the nested configs, built by a workload or not.
+        assert {
+            "SimulationConfig.theta", "CrashFaults.correlation",
+            "ScaleEvent.server_id", "PrefixPolicy.batching",
+        } <= set(listed)
+        unreached = self.unset(SimulationConfig, workload_configs) - set(
+            self.ALLOWED
+        )
+        assert not unreached, (
+            f"settable, but no figure with claims, scenario, ledger "
+            f"workload or STRESS sets it off its default: {sorted(unreached)}"
+        )
+
+    def test_every_allowed_field_is_unset(self, workload_configs):
+        # A row whose field a workload now sets has no reason left.
+        stale = set(self.ALLOWED) - self.unset(SimulationConfig, workload_configs)
+        assert not stale, f"allowed, but not an unset field: {sorted(stale)}"
+
+    def test_an_unused_field_is_caught(self, workload_configs):
+        unreached = self.unset(_Planted, workload_configs) - set(self.ALLOWED)
+        assert unreached == {"_Planted.knob", "_IdleKnob.level"}

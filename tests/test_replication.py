@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.admission import AdmissionOutcome
-from repro.core.replication import DynamicReplicator, ReplicationPolicy
+from repro.core.replication import (
+    COPY_BANDWIDTH,
+    TRIGGER_REJECTIONS,
+    DynamicReplicator,
+    ReplicationPolicy,
+)
 
 from conftest import build_micro_cluster, make_video
 
@@ -22,18 +27,20 @@ def replicating_cluster(
         cluster.servers,
         cluster.placement,
         cluster.catalog,
-        policy=policy or ReplicationPolicy(trigger_rejections=2,
-                                           copy_bandwidth=10.0),
+        policy=policy,
     )
     return cluster, replicator
 
 
+def reject(replicator, request, times=TRIGGER_REJECTIONS):
+    """Report *request* rejected *times* times — by default, just
+    enough to commission a copy."""
+    for _ in range(times):
+        replicator.on_decision(AdmissionOutcome.REJECTED, request)
+
+
 class TestPolicyValidation:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicationPolicy(copy_bandwidth=0.0)
-        with pytest.raises(ValueError):
-            ReplicationPolicy(trigger_rejections=0)
         with pytest.raises(ValueError):
             ReplicationPolicy(max_concurrent_copies=0)
 
@@ -42,14 +49,13 @@ class TestTrigger:
     def test_rejections_below_threshold_do_nothing(self):
         cluster, replicator = replicating_cluster()
         r, outcome = cluster.submit(0)
-        replicator.on_decision(AdmissionOutcome.REJECTED, r)
+        reject(replicator, r, times=TRIGGER_REJECTIONS - 1)
         assert replicator.in_flight == set()
 
     def test_threshold_commissions_copy(self):
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
-        replicator.on_decision(AdmissionOutcome.REJECTED, r)
-        replicator.on_decision(AdmissionOutcome.REJECTED, r)
+        reject(replicator, r)
         assert 0 in replicator.in_flight
 
     def test_accepts_do_not_count(self):
@@ -73,12 +79,13 @@ class TestCopyLifecycle:
     def test_replica_published_after_transfer_delay(self):
         cluster, replicator = replicating_cluster()
         r, _ = cluster.submit(0)
-        replicator.on_decision(AdmissionOutcome.REJECTED, r)
-        replicator.on_decision(AdmissionOutcome.REJECTED, r)
-        # Copy of video 0 (100 Mb at 10 Mb/s = 10 s) to server 1.
+        reject(replicator, r)
+        # Copy of video 0 from tertiary storage to server 1.
+        seconds = cluster.catalog[0].size / COPY_BANDWIDTH
+        cluster.engine.run_until(0.9 * seconds)
         assert cluster.placement.holders(0) == (0,)   # not yet published
         assert cluster.servers[1].holds(0)            # disk reserved
-        cluster.engine.run_until(10.5)
+        cluster.engine.run_until(1.1 * seconds)
         assert cluster.placement.holders(0) == (0, 1)
         assert replicator.replications == 1
         assert replicator.in_flight == set()
@@ -88,18 +95,14 @@ class TestCopyLifecycle:
         filler, _ = cluster.submit(0)      # fills server 0 (bw=1)
         victim, outcome = cluster.submit(0)
         assert outcome is AdmissionOutcome.REJECTED
-        replicator.on_decision(AdmissionOutcome.REJECTED, victim)
-        replicator.on_decision(AdmissionOutcome.REJECTED, victim)
+        reject(replicator, victim)
         cluster.engine.run_until(11.0)
         _, outcome2 = cluster.submit(0)
         assert outcome2 is AdmissionOutcome.ACCEPTED  # lands on server 1
 
     def test_concurrent_copy_cap(self):
         cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(
-                trigger_rejections=1, max_concurrent_copies=1,
-                copy_bandwidth=1.0,
-            ),
+            policy=ReplicationPolicy(max_concurrent_copies=1),
             n_videos=3,
             holders={0: [0], 1: [0], 2: [1]},
         )
@@ -109,20 +112,18 @@ class TestCopyLifecycle:
 
         req0 = make_request(video=cluster.catalog[0])
         req1 = make_request(video=cluster.catalog[1])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req0)
+        reject(replicator, req0)
         assert replicator.in_flight == {0}
-        replicator.on_decision(AdmissionOutcome.REJECTED, req1)
+        reject(replicator, req1)
         assert replicator.in_flight == {0}  # cap reached; 1 not started
 
     def test_duplicate_copy_not_started(self):
-        cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(trigger_rejections=1, copy_bandwidth=1.0)
-        )
+        cluster, replicator = replicating_cluster()
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        reject(replicator, req)
+        reject(replicator, req)
         assert replicator.in_flight == {0}
         assert sum(1 for s in cluster.servers.values() if s.holds(0)) == 2
 
@@ -131,8 +132,7 @@ class TestCopyLifecycle:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        reject(replicator, req)
         cluster.servers[1].fail()
         cluster.engine.run_until(20.0)
         assert replicator.replications == 0
@@ -146,7 +146,6 @@ class TestEviction:
         # Server 1's disk fits exactly one 100 Mb video; video 2 is the
         # cold occupant (it has another copy on server 0).
         cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(trigger_rejections=1, copy_bandwidth=10.0),
             specs=[(1.0, 1e9), (1.0, 100.0)],
             n_videos=2,
             holders={0: [0], 1: [0, 1]},
@@ -154,7 +153,7 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        reject(replicator, req)
         assert replicator.evictions == 1
         assert not cluster.servers[1].holds(1)
         assert cluster.placement.holders(1) == (0,)
@@ -163,7 +162,6 @@ class TestEviction:
 
     def test_sole_copy_never_evicted(self):
         cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(trigger_rejections=1, copy_bandwidth=10.0),
             specs=[(1.0, 1e9), (1.0, 100.0)],
             n_videos=2,
             holders={0: [0], 1: [1]},   # video 1 exists ONLY on server 1
@@ -171,14 +169,13 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        reject(replicator, req)
         assert replicator.evictions == 0
         assert cluster.servers[1].holds(1)
         assert replicator.failed_attempts == 1
 
     def test_replica_in_active_use_never_evicted(self):
         cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(trigger_rejections=1, copy_bandwidth=10.0),
             specs=[(1.0, 1e9), (1.0, 100.0)],
             n_videos=2,
             holders={0: [0], 1: [0, 1]},
@@ -190,26 +187,9 @@ class TestEviction:
         from conftest import make_request
 
         req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
+        reject(replicator, req)
         assert replicator.evictions == 0
         assert cluster.servers[1].holds(1)
-
-    def test_eviction_disabled_by_policy(self):
-        cluster, replicator = replicating_cluster(
-            policy=ReplicationPolicy(
-                trigger_rejections=1, copy_bandwidth=10.0,
-                allow_eviction=False,
-            ),
-            specs=[(1.0, 1e9), (1.0, 100.0)],
-            n_videos=2,
-            holders={0: [0], 1: [0, 1]},
-        )
-        from conftest import make_request
-
-        req = make_request(video=cluster.catalog[0])
-        replicator.on_decision(AdmissionOutcome.REJECTED, req)
-        assert replicator.evictions == 0
-        assert replicator.failed_attempts == 1
 
 
 class TestEndToEnd:
@@ -225,7 +205,7 @@ class TestEndToEnd:
             system=tiny, theta=-1.5, placement="even",
             migration=MigrationPolicy.paper_default(),
             staging_fraction=0.2, duration=hours(6), warmup=hours(2),
-            seed=8, client_receive_bandwidth=30.0,
+            seed=8,
         )
         static = Simulation(SimulationConfig(**kw)).run()
         sim = Simulation(

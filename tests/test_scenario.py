@@ -80,7 +80,6 @@ FAULT_PLANS = st.builds(
             mtbf=finite(100.0, 1e5),
             mttr=finite(10.0, 1e4),
             correlation=finite(0.0, 1.0),
-            servers=st.one_of(st.none(), st.just((0, 1))),
         ),
     ),
     link=st.one_of(
@@ -89,7 +88,6 @@ FAULT_PLANS = st.builds(
             LinkFaults,
             mtbf=finite(100.0, 1e5),
             mttr=finite(10.0, 1e4),
-            factor_range=st.sampled_from([(0.3, 0.9), (0.5, 0.8)]),
         ),
     ),
     replica=st.one_of(
@@ -104,16 +102,11 @@ RETRIES = st.builds(
     max_attempts=st.integers(1, 6),
     base_delay=finite(0.5, 10.0),
     max_delay=finite(60.0, 600.0),
-    jitter=finite(0.0, 0.99),  # RetryPolicy requires jitter < 1
-    max_pending=st.integers(1, 512),
 )
 
 REPLICATIONS = st.builds(
     ReplicationPolicy,
-    copy_bandwidth=finite(10.0, 200.0),
-    trigger_rejections=st.integers(1, 10),
     max_concurrent_copies=st.integers(1, 8),
-    allow_eviction=st.booleans(),
 )
 
 ARRIVAL_CHOICES = st.one_of(
@@ -143,7 +136,7 @@ def sim_configs(draw) -> SimulationConfig:
         warmup=duration * draw(finite(0.0, 0.9)),
         load=draw(finite(0.1, 2.0)),
         seed=draw(st.integers(0, 2**31)),
-        client_receive_bandwidth=draw(st.one_of(st.none(), finite(1.0, 100.0))),
+        client_receive_bandwidth=draw(finite(1.0, 100.0)),
         replication=draw(st.one_of(st.none(), REPLICATIONS)),
         pause_hazard=draw(finite(0.0, 0.01)),
         mean_pause=draw(finite(1.0, 1000.0)),

@@ -35,7 +35,7 @@ def soak_run():
         placement="even",
         migration=MigrationPolicy.paper_default(),
         staging_fraction=0.2,
-        replication=ReplicationPolicy(trigger_rejections=2),
+        replication=ReplicationPolicy(),
         pause_hazard=1 / 1200.0,
         mean_pause=180.0,
         duration=hours(8),

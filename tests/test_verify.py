@@ -56,6 +56,9 @@ PLAN = {
         VIRTUAL_ONLY, ["determinism"], "duration 7200 s",
     ),
     "chaos_retry": (VIRTUAL_ONLY, ["determinism", "faults"], "duration 5400 s"),
+    "chaos_elastic": (
+        VIRTUAL_ONLY, ["determinism", "faults", "elastic"], "duration 7200 s",
+    ),
     "chaos_soak": (
         VIRTUAL_ONLY, ["determinism", "faults"], "duration 43200 s",
     ),
@@ -185,10 +188,6 @@ DOCTORED = [
      "decision digests diverged across same-seed runs"),
     ("chaos_serve", _set(("live", 1, "parity_clamps"), 1),
      "live run 2: 1 parity clamp(s)"),
-    ("elastic_flash_crowd", _set(("virtual", "policy", "underruns"), 2),
-     "virtual: 2 underrun(s) — a drain or warm starved a stream"),
-    ("elastic_flash_crowd", _set(("live", 0, "summary", "policy", "underruns"), 1),
-     "live: 1 underrun(s)"),
     ("elastic_flash_crowd", _set(("virtual", "membership", "epoch"), 0),
      "virtual: membership epoch never advanced"),
     ("elastic_flash_crowd", _member_state("live", "draining"),
@@ -230,7 +229,7 @@ class TestEveryCheckCanFail:
         # The doctored field belongs to the elastic check, which a
         # scenario without an elastic block does not get.
         report = copy.deepcopy(clean("serve_loopback"))
-        report["live"][0]["summary"]["policy"]["underruns"] = 9
+        _member_state("live", "draining")(report)
         assert audit(report) == []
 
     def test_virtual_invariant_violation_fails_and_skips_the_live_leg(
