@@ -29,9 +29,10 @@ projected finish are constant there, so neither its spare candidacy nor
 its place in the EFTF order can change.  The pass integrates the others,
 retires the finished streams off the head of the floor order, and walks
 the spare down the merged candidate order, integrating each floor stream
-it reaches before boosting it.  A paused stream (mid-migration switch
-gap) gets rate 0 — its playback is covered by the staging buffer, which
-the migration eligibility check guarantees.
+it reaches before boosting it, and returns the server's next boundary.
+A paused stream (mid-migration switch gap) gets rate 0 — its playback
+is covered by the staging buffer, which the migration eligibility check
+guarantees.
 
 Performance note: this is the simulator's innermost loop, so the sync
 and eligibility arithmetic is inlined on request attributes rather than
@@ -55,11 +56,11 @@ from repro.registry import Registry
 EPS_RATE: float = 1e-9
 
 #: What one pass hands the transmission manager: Mb transferred while
-#: integrating to ``now``; the earliest projected finish in the floor
-#: order; the *irregular* streams — switch-gap, VCR-paused, boosted —
-#: whose next boundary needs the manager's general rule; and the streams
-#: that finished, in active-list order (the manager detaches them).
-PassResult = Tuple[float, float, Sequence[Request], Sequence[Request]]
+#: integrating to ``now``; the server's next boundary (``inf`` if none);
+#: and the streams that finished, in active-list order (the manager
+#: detaches them).  The *irregular* streams — switch-gap, VCR-paused,
+#: boosted — are left in ``server.moved``.
+PassResult = Tuple[float, float, Sequence[Request]]
 
 #: A policy's hand-out: (candidate, extra rate) pairs, each extra > 0.
 Shares = List[Tuple[Candidate, float]]
@@ -108,7 +109,8 @@ class BandwidthAllocator(abc.ABC):
 
         *requests* are the server's streams outside its floor order
         (:attr:`DataServer.moved`); the pass leaves ``server.moved`` as
-        the irregular streams it returns.
+        the irregular streams.  The boundary is the earlier of the floor
+        order's head and the irregular streams' walls at their new rates.
 
         Guarantees (enforced here, not in subclasses):
         * a stream with ``remaining <= EPS_MB`` is returned as finished,
@@ -116,7 +118,8 @@ class BandwidthAllocator(abc.ABC):
         * switch-gap streams get 0;
         * all other streams get >= view bandwidth (minimum flow), bar
           a VCR-paused viewer whose staging buffer is full;
-        * the sum never exceeds the server link.
+        * the sum never exceeds the server link;
+        * a playing stream left below ``b_view`` raises.
 
         The finished are taken off the head of the floor order until the
         first unfinished one.  With mixed view bandwidths a stream behind
@@ -232,10 +235,54 @@ class BandwidthAllocator(abc.ABC):
             else:
                 irregular.append(r)
         server.moved = irregular
+        # The general wall rule, for the streams the floor order's head
+        # does not cover (inlines ``Request.buffer_occupancy``, kept
+        # equivalent by tests).
+        boundary = floor[0][0] if floor else math.inf
+        for r in irregular:
+            if now < r.paused_until:
+                t = r.paused_until
+            else:
+                rate = r.rate
+                vb = r.view_bandwidth
+                sent = r.bytes_sent
+                # A VCR-paused viewer consumes nothing: the buffer only
+                # ever fills, never drains.
+                playing = now < r.playback_pause_time
+                drain = vb if playing else 0.0
+                if rate < drain - EPS_RATE:
+                    # Minimum flow: a live, playing stream always has
+                    # rate >= b_view.
+                    raise RuntimeError(
+                        f"playing stream {r.request_id} at {rate} Mb/s, "
+                        f"below its view bandwidth {vb}, on server "
+                        f"{server.server_id}"
+                    )
+                if rate <= EPS_RATE:
+                    # VCR-paused with a full buffer: legitimately idle
+                    # until the viewer resumes.
+                    continue
+                t = now + (r.size - sent) / rate
+                surplus = rate - drain
+                if surplus > EPS_RATE:
+                    capacity = r.client.buffer_capacity
+                    if capacity < math.inf:
+                        played_until = (now if playing
+                                        else r.playback_pause_time)
+                        headroom = capacity - (
+                            sent - (played_until - r.playback_start) * vb
+                        )
+                        if headroom < 0.0:
+                            headroom = 0.0
+                        t_full = now + headroom / surplus
+                        if t_full < t:
+                            t = t_full
+            if t < boundary:
+                boundary = t
         if len(finished) > 1:
             position = {rid: i for i, rid in enumerate(server.active)}
             finished.sort(key=lambda r: position[r.request_id])
-        return moved, floor[0][0] if floor else math.inf, irregular, finished
+        return moved, boundary, finished
 
     @abc.abstractmethod
     def _share_spare(

@@ -17,7 +17,8 @@ boundaries.  Boundaries are (Section 3.3's EFTF trigger list):
 
 External triggers (arrival, migration in/out, failure, VCR pause and
 resume) call :meth:`TransmissionManager.reallocate` directly; the
-pending event is cancelled lazily and rescheduled.
+pending event is kept if the boundary did not move, else cancelled
+lazily and rescheduled.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class TransmissionManager:
         on_finish: callback invoked when a stream completes transmission
             (after it has been detached from the server).
         tracer: optional obs tracer for ``stream.buffer_full`` and
-            ``sched.realloc`` records (no stream is visited for it).
+            ``sched.realloc`` records (it re-reads only the streams off
+            their floor, never the whole server).
     """
 
     def __init__(
@@ -66,7 +68,8 @@ class TransmissionManager:
         self.tracer = tracer
         self._event: Optional[Event] = None
         #: Streams the last pass left above ``b_view`` — the only ones
-        #: that can hit a buffer wall before the next pass.
+        #: that can hit a buffer wall before the next pass (kept while
+        #: tracing only).
         self._boosted: List[Request] = []
         #: True while finish callbacks run (re-entrancy guard).
         self._finishing = False
@@ -121,13 +124,13 @@ class TransmissionManager:
 
         One :meth:`BandwidthAllocator.allocate_into` pass visits the
         streams off the floor order (``server.moved``), splits off the
-        ones that completed, moves the spare and keeps the floor order,
-        whose head is the boundary of every stream playing at
-        ``b_view``; only the irregular few (boosted, switch-gap,
-        VCR-paused) go through :meth:`_next_boundary`.  N streams
-        hitting their boundaries at one timestamp are handled by one
-        event — there is never more than one boundary event per server
-        on the agenda (pinned by tests).
+        ones that completed, moves the spare, keeps the floor order and
+        returns the server's next boundary.  N streams hitting their
+        boundaries at one timestamp are handled by one event — there is
+        never more than one boundary event per server on the agenda
+        (pinned by tests).  Most triggers leave the boundary (clamped to
+        *now*) on the pending event's exact time; that event is then
+        kept, ``seq`` and all, and only a moved boundary replaces it.
 
         Finished streams are detached and reported in active-list order
         once the others hold their new rates.  Finish subscribers may
@@ -151,17 +154,17 @@ class TransmissionManager:
         if changed is not None:
             server.lift(changed)
         self.reallocations += 1
-        moved, boundary, irregular, finished = self.allocator.allocate_into(
+        moved, boundary, finished = self.allocator.allocate_into(
             server, server.moved, now
         )
         if moved > 0.0:
             self.metrics.record_bytes(server.server_id, moved, now)
         tracer = self.tracer
-        if tracer is not None and self._boosted:
-            self._trace_full_buffers(now)
-        self._boosted = [
-            r for r in irregular if r.rate > r.view_bandwidth + EPS_RATE
-        ]
+        if tracer is not None:
+            if self._boosted:
+                self._trace_full_buffers(now)
+            self._boosted = [r for r in server.moved
+                             if r.rate > r.view_bandwidth + EPS_RATE]
         if finished:
             self._finishing = True
             try:
@@ -173,77 +176,23 @@ class TransmissionManager:
             finally:
                 self._finishing = False
         if tracer is not None:
-            # Every stream off its b_view floor is irregular, so the
-            # boosted ones are counted there, not over the whole list.
             tracer.emit(
                 TraceKind.SCHED_REALLOC, now,
                 server=server.server_id, allocator=self.allocator.name,
-                streams=len(server.active),
-                boosted=sum(r.rate > r.view_bandwidth for r in irregular),
+                streams=len(server.active), boosted=len(self._boosted),
             )
-        if self._event is not None:
-            self._event.cancel()
+        if boundary < now:
+            boundary = now
+        event = self._event
+        if event is not None:
+            if event.time == boundary:
+                return  # the boundary did not move
+            event.cancel()
             self._event = None
-        if irregular:
-            boundary = min(boundary, self._next_boundary(now, irregular))
         if boundary < math.inf:
             self._event = self.engine.schedule_at(
-                max(boundary, now),
-                self._on_boundary,
-                kind=self._boundary_kind,
+                boundary, self._on_boundary, kind=self._boundary_kind
             )
-
-    def _next_boundary(self, now: float, streams) -> float:
-        """Earliest time any of *streams*' linear evolution hits a wall
-        (``inf`` if none does) — the general rule, for the streams the
-        allocator pass could not reduce to ``remaining / b_view``.
-
-        Inlines ``Request.buffer_occupancy`` (kept equivalent by tests).
-        """
-        best: float = math.inf
-        for r in streams:
-            if now < r.paused_until:
-                t = r.paused_until
-            else:
-                rate = r.rate
-                vb = r.view_bandwidth
-                sent = r.bytes_sent
-                # A VCR-paused viewer consumes nothing: the buffer only
-                # ever fills, never drains.
-                playing = now < r.playback_pause_time
-                drain = vb if playing else 0.0
-                if rate < drain - EPS_RATE:
-                    # Minimum flow: a live, playing stream always has
-                    # rate >= b_view.
-                    raise RuntimeError(
-                        f"playing stream {r.request_id} at {rate} Mb/s, "
-                        f"below its view bandwidth {vb}, on server "
-                        f"{self.server.server_id}"
-                    )
-                if rate <= EPS_RATE:
-                    # VCR-paused with a full buffer: legitimately idle
-                    # until the viewer resumes.
-                    t = math.inf
-                else:
-                    t = now + (r.size - sent) / rate
-                    surplus = rate - drain
-                    if surplus > EPS_RATE:
-                        capacity = r.client.buffer_capacity
-                        if capacity < math.inf:
-                            played_until = (
-                                now if playing else r.playback_pause_time
-                            )
-                            headroom = capacity - (
-                                sent - (played_until - r.playback_start) * vb
-                            )
-                            if headroom < 0.0:
-                                headroom = 0.0
-                            t_full = now + headroom / surplus
-                            if t_full < t:
-                                t = t_full
-            if t < best:
-                best = t
-        return best
 
     def _on_boundary(self) -> None:
         """Finish, buffer-full or pause-end: the pass sees which."""
@@ -266,8 +215,8 @@ class TransmissionManager:
             ) <= EPS_MB
         ]
         if len(full) > 1:  # simultaneous walls go out in active-list order
-            ids = list(active)
-            full.sort(key=lambda r: ids.index(r.request_id))
+            position = {rid: i for i, rid in enumerate(active)}
+            full.sort(key=lambda r: position[r.request_id])
         for r in full:
             self.tracer.emit(
                 TraceKind.STREAM_BUFFER_FULL, now,

@@ -14,8 +14,9 @@ the reproduction:
   reaches the event object.  Combined with named RNG substreams
   (:mod:`repro.sim.rng`) this makes every experiment bit-reproducible
   from its seed.
-* **Lazy cancellation** — the admission/EFTF machinery reschedules a
-  request's "next event" every time its bandwidth allocation changes; a
+* **Lazy cancellation** — the EFTF machinery keeps one boundary event
+  per server and reschedules it only when that boundary moves (a
+  reallocation that leaves it in place keeps the pending event); a
   naive in-structure removal would be O(n).  Cancelled events are
   skipped (and counted) when popped instead.
 * **Bounded runs** — ``run_until(t)`` advances the clock to exactly

@@ -147,16 +147,16 @@ class TestEFTF:
         srv = server(bandwidth=5.0)
         done = attached_request(srv, remaining=0.0)
         live = attached_request(srv, remaining=50.0)
-        moved, horizon, irregular, finished = EFTFAllocator().allocate_into(
+        moved, boundary, finished = EFTFAllocator().allocate_into(
             srv, [done, live], 0.0
         )
         assert finished == [done]
         assert done.rate == 0.0  # untouched: the caller detaches it
-        assert live.rate == pytest.approx(5.0)  # the whole link
-        assert (moved, irregular) == (0.0, [live])
-        # Boosted, so off the floor order: its boundary comes from the
-        # manager's general rule, and the floor order is empty.
-        assert horizon == math.inf and srv.floor == []
+        assert live.rate == 5.0  # the whole link
+        assert moved == 0.0
+        # Boosted, so off the floor order (which is empty): the boundary
+        # is its own finish wall, 50 Mb at 5 Mb/s.
+        assert boundary == 10.0 and srv.floor == []
         assert srv.moved == [live]
 
     def test_spare_goes_to_earliest_projected_finish_not_least_remaining(self):
@@ -371,7 +371,10 @@ class Lockstep:
       the floor;
     * a floor stream the pass was not handed and did not reach is
       untouched, ``(bytes_sent, last_sync, rate)`` bit for bit;
-    * the next boundary within 1e-9 s of the readable rule's.
+    * the boundary the pass returned within 1e-9 s of the readable
+      rule's; the pending event at exactly ``max(boundary, now)`` (a
+      kept event is never stale) and its server's only live boundary
+      event on the agenda.
     """
 
     def __init__(self, engine, server, name, metrics):
@@ -384,10 +387,13 @@ class Lockstep:
         allocate = self.manager.allocator.allocate_into
         cycle = self.manager.reallocate
         self._handed = []  # the streams handed to this pass
+        self._boundary = None  # the boundary this pass returned
 
         def allocate_into(server, requests, now):
             self._handed = list(requests)
-            return allocate(server, requests, now)
+            result = allocate(server, requests, now)
+            self._boundary = result[1]
+            return result
 
         def reallocate(now, changed=None):
             self._check(cycle, now, changed)
@@ -440,11 +446,16 @@ class Lockstep:
             if rid in before and rid not in handed:
                 assert (r.bytes_sent, r.last_sync, r.rate) == before[rid]
 
+        boundary = self._boundary
         event = self.manager._event
+        live = [e for e in self.manager.engine.iter_pending()
+                if e.kind == self.manager._boundary_kind]
         if wall == math.inf:
-            assert event is None
+            assert boundary == math.inf and event is None and live == []
         else:
-            assert abs(event.time - max(wall, now)) <= 1e-9
+            assert abs(max(boundary, now) - max(wall, now)) <= 1e-9
+            assert event.pending and event.time == max(boundary, now)
+            assert live == [event]
 
 
 @st.composite

@@ -13,6 +13,7 @@ from repro.cluster.request import RequestState
 from repro.core.admission import AdmissionOutcome
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
+from repro.sim.events import EventState
 
 from conftest import build_micro_cluster, make_client, make_video
 
@@ -124,16 +125,6 @@ class TestBoundaryBookkeeping:
         cluster.engine.run_until(1000.0)
         assert cluster.engine.events_fired == 0
 
-    def test_boundary_event_rescheduled_on_admission(self):
-        cluster = one_server_cluster(bandwidth=10.0, allocator="none")
-        cluster.submit(0, client=make_client())
-        first_pending = cluster.engine.peek_time()
-        assert first_pending == pytest.approx(100.0)
-        cluster.engine.run_until(50.0)
-        cluster.submit(0, client=make_client())
-        # Two finish boundaries now exist: 100 and 150; next is 100.
-        assert cluster.engine.peek_time() == pytest.approx(100.0)
-
     def test_flush_settles_partial_transfers(self):
         cluster = one_server_cluster(allocator="none")
         cluster.submit(0, client=make_client())
@@ -169,19 +160,99 @@ class TestBoundaryBookkeeping:
 
     @pytest.mark.parametrize("rate", [0.0, 0.5])
     def test_playing_stream_below_view_rate_is_an_error(self, rate):
-        """The general boundary rule covers the whole minimum-flow
-        floor: any playing stream under ``b_view`` raises, not only an
-        idle one — there is no drain boundary to schedule instead."""
+        """The pass's boundary rule covers the whole minimum-flow floor:
+        any playing stream it leaves under ``b_view`` raises, not only
+        an idle one — there is no drain boundary to schedule instead.
+        A policy that hands out a negative extra is the only way in."""
         cluster = one_server_cluster(allocator="none")
-        r, _ = cluster.submit(0, client=make_client())
+        r, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         assert r.rate == r.view_bandwidth == 1.0
-        r.rate = rate
+        allocator = cluster.managers[0].allocator
+        allocator._share_spare = lambda visited, floor, spare: [
+            (c, rate - c[2].view_bandwidth) for c in visited + floor
+        ]
         with pytest.raises(RuntimeError, match="below its view bandwidth"):
-            cluster.managers[0]._next_boundary(0.0, [r])
-        # A VCR-paused viewer with a full buffer is legitimately idle.
+            cluster.managers[0].reallocate(0.0)
+        assert r.rate == rate
+
+    def test_vcr_paused_full_buffer_has_no_boundary(self):
+        """A VCR-paused viewer with a full buffer is legitimately idle:
+        rate 0, and the pass returns no boundary for it."""
+        cluster = one_server_cluster(allocator="none")
+        r, _ = cluster.submit(0, client=make_client(buffer_capacity=0.0))
+        server = cluster.servers[0]
         r.pause_playback(0.0)
-        r.rate = 0.0
-        assert cluster.managers[0]._next_boundary(0.0, [r]) == math.inf
+        server.lift(r)
+        _, boundary, finished = cluster.managers[0].allocator.allocate_into(
+            server, server.moved, 0.0
+        )
+        assert (r.rate, boundary, finished) == (0.0, math.inf, [])
+        assert server.moved == [r]
+
+    def test_unmoved_boundary_keeps_its_event(self):
+        """An admit that finishes after the pending boundary leaves it
+        in place: the same handle stays on the agenda, and nothing is
+        cancelled by the time the agenda is drained."""
+        cluster = one_server_cluster(bandwidth=10.0, allocator="none")
+        manager = cluster.managers[0]
+        cluster.submit(0, client=make_client())
+        pending = manager._event
+        assert cluster.engine.peek_time() == pending.time == 100.0
+        cluster.engine.run_until(50.0)
+        cluster.submit(0, client=make_client())
+        # Two finish boundaries now exist: 100 and 150; next is 100.
+        assert manager._event is pending and pending.pending
+        assert cluster.engine.peek_time() == 100.0
+        cluster.engine.run_until(1000.0)
+        assert len(cluster.finished) == 2
+        assert cluster.engine.events_cancelled == 0
+
+    @pytest.mark.parametrize(
+        "allocator, buffer, then, length",
+        [
+            ("none", 0.0, 100.0, 20.0),  # a shorter video: earlier
+            ("eftf", math.inf, 10.0, 100.0),  # shares the link: later
+        ],
+    )
+    def test_moved_boundary_cancels_one_handle(
+        self, allocator, buffer, then, length
+    ):
+        """A trigger that moves the boundary replaces the event: exactly
+        one handle is cancelled, whichever way it moved."""
+        cluster = build_micro_cluster(
+            server_specs=[(10.0, 1e9)],
+            videos=[make_video(video_id=0), make_video(video_id=1, length=length)],
+            holders={0: [0], 1: [0]},
+            allocator=allocator,
+        )
+        manager = cluster.managers[0]
+        cluster.submit(0, client=make_client(buffer_capacity=buffer))
+        cluster.engine.run_until(1.0)
+        pending = manager._event
+        assert pending.time == then
+        cluster.submit(1, client=make_client(buffer_capacity=buffer))
+        assert manager._event is not pending and manager._event.pending
+        assert (manager._event.time < then) == (allocator == "none")
+        assert pending.state is EventState.CANCELLED
+        cluster.engine.run_until(1000.0)
+        assert len(cluster.finished) == 2
+        assert cluster.engine.events_cancelled == 1
+
+    def test_restore_after_deactivate_schedules_a_boundary(self):
+        """``deactivate`` drops the handle it cancels: a later pass whose
+        boundary lands on the cancelled event's very time still
+        schedules one."""
+        cluster = one_server_cluster(bandwidth=10.0, allocator="none")
+        manager = cluster.managers[0]
+        r, _ = cluster.submit(0, client=make_client())
+        cancelled = manager._event
+        cluster.engine.run_until(5.0)
+        manager.deactivate(5.0)
+        assert manager._event is None and not cancelled.pending
+        manager.reallocate(5.0)
+        assert manager._event.pending and manager._event.time == cancelled.time
+        cluster.engine.run_until(1000.0)
+        assert cluster.finished == [r] and r.finish_time == 100.0
 
     def test_reallocations_counted(self):
         cluster = one_server_cluster()
