@@ -504,7 +504,9 @@ class Simulation:
 
         After: ``self.placement_result`` — the placement map plus its
         shortfall diagnostic.  A hook here sees replicas assigned but
-        nothing wired to serve them yet.
+        nothing wired to serve them yet.  A build that repeats an earlier
+        input in this process replays its layout, into a map of its own
+        (:mod:`repro.placement.capacity`).
         """
         config = self.config
         policy_cls = PLACEMENTS[config.placement]

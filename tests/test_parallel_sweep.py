@@ -24,6 +24,7 @@ from repro.experiments.base import (
     run_sweep,
     trial_seeds,
 )
+from repro.placement import capacity
 from repro.units import hours
 
 TINY = SMALL_SYSTEM.scaled(n_videos=60, name="tiny")
@@ -98,6 +99,19 @@ class TestBitIdentity:
         assert parallel.provenance["executor"] == "parallel"
         assert serial.curves == parallel.curves
         assert serial.x_values == parallel.x_values
+
+    def test_workers_holding_other_layouts_match_serial(self, monkeypatch):
+        # Each worker keeps the layouts it placed (placement/capacity.py);
+        # a grid of two other trial seeds must not be served from them.
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        tiny_sweep(base_seed=11)
+        parallel = tiny_sweep(base_seed=5)
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        capacity._LAYOUTS.clear()
+        serial = tiny_sweep(base_seed=5)
+        assert parallel.provenance["executor"] == "parallel"
+        assert serial.provenance["trial_seeds"] == trial_seeds(2, 5)
+        assert serial.curves == parallel.curves
 
     def test_progress_lines_agree_up_to_order(self, monkeypatch):
         lines = {}

@@ -1,13 +1,19 @@
 """Unit tests for the placement layer (base map, capacity assignment)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cluster.server import DataServer
+from repro.placement import capacity
 from repro.placement.base import PlacementMap, clamp_counts_to_total
-from repro.placement.capacity import assign_copies_randomly, storage_feasible
+from repro.placement.capacity import assign_copies_randomly
+from repro.scenario import load_scenario
+from repro.simulation import Simulation
 from repro.workload.catalog import Video, VideoCatalog
 
+REPO = Path(__file__).resolve().parents[1]
 
 
 def catalog_of(n, size_mb=100.0):
@@ -126,9 +132,43 @@ class TestAssignCopies:
         assert placement.copies(1) == 1
 
 
-class TestStorageFeasible:
-    def test_aggregate_check(self):
-        cat = catalog_of(4, size_mb=100.0)
-        servers = servers_of(2, disk=250.0)
-        assert storage_feasible(cat, np.ones(4, dtype=int), servers)
-        assert not storage_feasible(cat, np.full(4, 2), servers)
+
+class TestLayoutReplayAcrossBuilds:
+    @staticmethod
+    def built(config):
+        sim = Simulation(config)
+        result = sim.placement_result
+        return (
+            [result.placement.holders(vid) for vid in range(len(sim.catalog))],
+            result.requested_copies.tolist(),
+            result.shortfall,
+            [list(server.holdings) for server in sim.servers],
+        )
+
+    def test_a_run_that_mutates_its_map_leaks_nothing(self):
+        """chaos_elastic changes its map mid-run (a server joins and is
+        drained, crashes hit); the next build of the same config replays
+        the layout and must not see any of that."""
+        config = load_scenario(REPO / "scenarios" / "chaos_elastic.json").config
+        capacity._LAYOUTS.clear()
+        sim = Simulation(config)
+        sim.run()
+        run_map = sim.placement_result.placement
+        assert run_map.version > 0
+        # The run's changes happen to cancel out by its end; leave one
+        # that does not.
+        run_map.remove_holder(0, run_map.holders(0)[0])
+        replayed = self.built(config)
+        assert run_map.holders(0) != replayed[0][0]
+        assert len(capacity._LAYOUTS) == 1
+        capacity._LAYOUTS.clear()
+        assert replayed == self.built(config)
+
+    def test_memo_is_bounded(self):
+        capacity._LAYOUTS.clear()
+        for seed in range(capacity.LAYOUT_SLOTS + 3):
+            assign_copies_randomly(
+                catalog_of(4), np.ones(4, dtype=int), servers_of(2),
+                np.random.default_rng(seed),
+            )
+        assert len(capacity._LAYOUTS) == capacity.LAYOUT_SLOTS

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.server import DataServer
-from repro.placement import PLACEMENTS
+from repro.placement import PLACEMENTS, capacity
 from repro.placement.base import clamp_counts_to_total
 from repro.placement.predictive import proportional_counts
 from repro.workload.catalog import Video, VideoCatalog
@@ -124,3 +124,75 @@ class TestCountHelpers:
         lo, hi = len(arr), len(arr) * n_servers
         reachable = min(max(total, lo), hi)
         assert out.sum() == reachable
+
+
+@st.composite
+def layout_problem(draw):
+    """Sizes, counts, disks and a seed for assign_copies_randomly;
+    about half the instances have tight disks, most of which fall short."""
+    n_videos = draw(st.integers(min_value=1, max_value=20))
+    n_servers = draw(st.integers(min_value=1, max_value=6))
+    sizes = draw(st.lists(st.floats(min_value=1.0, max_value=50.0),
+                          min_size=n_videos, max_size=n_videos))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=n_servers),
+                           min_size=n_videos, max_size=n_videos))
+    if draw(st.booleans()):  # tight: some replicas may not fit
+        disks = draw(st.lists(st.floats(min_value=0.0, max_value=sum(sizes)),
+                              min_size=n_servers, max_size=n_servers))
+    else:  # each disk holds the whole catalog
+        disks = [sum(sizes)] * n_servers
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    catalog = VideoCatalog(videos=tuple(
+        Video(i, length=size, view_bandwidth=1.0)
+        for i, size in enumerate(sizes)
+    ))
+    return catalog, np.array(counts, dtype=np.int64), disks, seed
+
+
+def place_layout(catalog, counts, disks, rng):
+    """One placement on fresh servers, and everything it leaves behind."""
+    servers = [
+        DataServer(i, bandwidth=100.0, disk_capacity=disk)
+        for i, disk in enumerate(disks)
+    ]
+    placement, shortfall = capacity.assign_copies_randomly(
+        catalog, counts, servers, rng
+    )
+    return (
+        [placement.holders(vid) for vid in range(len(catalog))],
+        [list(server.holdings) for server in servers],
+        [server.storage_used for server in servers],
+        shortfall,
+        rng.random(),
+    )
+
+
+class TestLayoutMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(layout_problem(), st.sampled_from(["disk", "count", "rng"]))
+    def test_a_hit_is_a_miss(self, problem, changed):
+        catalog, counts, disks, seed = problem
+        capacity._LAYOUTS.clear()
+        miss = place_layout(catalog, counts, disks, np.random.default_rng(seed))
+        assert len(capacity._LAYOUTS) == 1
+        hit = place_layout(catalog, counts, disks, np.random.default_rng(seed))
+        assert len(capacity._LAYOUTS) == 1
+        assert hit == miss
+
+        # Change one part of the key: the call misses, and matches a
+        # call made with the memo cleared.
+        rng = np.random.default_rng(seed)
+        if changed == "disk":
+            disks = [disks[0] + 1.0, *disks[1:]]
+        elif changed == "count":
+            counts = counts.copy()
+            counts[0] += 1
+        else:
+            rng.random()
+        state = rng.bit_generator.state
+        other = place_layout(catalog, counts, disks, rng)
+        assert len(capacity._LAYOUTS) == 2
+        capacity._LAYOUTS.clear()
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state
+        assert place_layout(catalog, counts, disks, rng) == other
