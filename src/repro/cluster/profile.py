@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from repro.serialize import Config
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system imports us)
     from repro.cluster.system import SystemConfig
 
@@ -65,18 +67,6 @@ class ServerProfile:
                 f"profile storage must be >= 0, got {self.storage}"
             )
 
-    def to_dict(self) -> dict:
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServerProfile":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ClusterProfile:
@@ -97,39 +87,14 @@ class ClusterProfile:
                 f"profiles must be unique and ordered by server id, got {ids}"
             )
 
-    def profile_for(self, server_id: int) -> ServerProfile:
-        for p in self.profiles:
-            if p.server_id == server_id:
-                return p
-        raise KeyError(f"no profile for server {server_id}")
-
     @property
     def total_bandwidth(self) -> float:
         """Cluster effective egress, Mb/s."""
         return float(sum(p.bandwidth for p in self.profiles))
 
-    def to_dict(self) -> dict:
-        return {
-            "profiles": [p.to_dict() for p in self.profiles],
-            "calibrated": self.calibrated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterProfile":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        profiles = tuple(
-            p if isinstance(p, ServerProfile) else ServerProfile.from_dict(p)
-            for p in data.get("profiles", ())
-        )
-        return cls(
-            profiles=profiles, calibrated=bool(data.get("calibrated", False))
-        )
-
 
 @dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(Config):
     """How the calibration micro-benchmark probes each server.
 
     Attributes:
@@ -152,18 +117,6 @@ class CalibrationConfig:
             raise ValueError(
                 f"jitter must be in [0, 0.5), got {self.jitter}"
             )
-
-    def to_dict(self) -> dict:
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationConfig":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
 
 
 def _measure(

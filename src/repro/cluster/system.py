@@ -27,11 +27,12 @@ from repro.analysis.report import render_table
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.server import DataServer
 from repro.registry import Registry
+from repro.serialize import Config, check_fields, load_fields
 from repro.units import DEFAULT_VIEW_BANDWIDTH, gb_to_mb, mb_to_gb, minutes
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Config):
     """A full cluster + workload parameterisation.
 
     Attributes:
@@ -51,6 +52,9 @@ class SystemConfig:
     video_length_range: Tuple[float, float]
     avg_copies: float = 2.2
     view_bandwidth: float = DEFAULT_VIEW_BANDWIDTH
+
+    #: A preset name (``"small"``) stands for the whole block.
+    _shorthand = (str,)
 
     def __post_init__(self) -> None:
         if len(self.server_bandwidths) != len(self.disk_capacities):
@@ -124,33 +128,25 @@ class SystemConfig:
             name=name or self.name,
         )
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
     @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        """Build from a dict, or resolve a ``{"preset": name}`` shorthand.
+    def from_dict(cls, data) -> "SystemConfig":
+        """Build from a dict, or resolve the preset shorthand.
 
         Scenario files may name a registered preset instead of spelling
-        out every server (``{"preset": "small"}``); any further keys
-        then override the preset's fields.  Unknown keys raise an
-        actionable error.
+        out every server (``"small"`` or ``{"preset": "small"}``); any
+        further keys then override the preset's fields.  Unknown keys
+        raise an actionable error.
         """
-        from repro.serialize import check_fields
-
+        if isinstance(data, str):
+            return SYSTEMS.get(data)
         check_fields(cls, data, extra=("preset",))
-        data = dict(data)
-        preset_name = data.pop("preset", None)
-        for key in ("server_bandwidths", "disk_capacities", "video_length_range"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        if preset_name is not None:
-            preset = SYSTEMS.get(preset_name)
-            return replace(preset, **data) if data else preset
-        return cls(**data)
+        if "preset" not in data:
+            return super().from_dict(data)
+        overrides = dict(data)
+        preset = SYSTEMS.get(overrides.pop("preset"))
+        if not overrides:
+            return preset
+        return replace(preset, **load_fields(cls, overrides))
 
 
 def homogeneous(

@@ -46,6 +46,7 @@ from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
 from repro.placement.base import PlacementMap, PlacementPolicy
 from repro.registry import Registry
+from repro.serialize import Config
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.workload.catalog import VideoCatalog
@@ -110,7 +111,7 @@ WARMERS.register(
 
 
 @dataclass(frozen=True)
-class ScaleEvent:
+class ScaleEvent(Config):
     """One scenario-declared membership change: one server joins or
     leaves.  A joiner gets the seed cluster's mean link and disk.
 
@@ -134,21 +135,9 @@ class ScaleEvent:
                 f"got {self.action!r}"
             )
 
-    def to_dict(self) -> dict:
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScaleEvent":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ElasticPolicy:
+class ElasticPolicy(Config):
     """Configuration of the elastic scaler.
 
     Attributes:
@@ -206,26 +195,6 @@ class ElasticPolicy:
             )
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-
-    def to_dict(self) -> dict:
-        from repro.serialize import shallow_dict
-
-        out = shallow_dict(self)
-        out["events"] = [e.to_dict() for e in self.events]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ElasticPolicy":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        data = dict(data)
-        events = data.pop("events", ())
-        data["events"] = tuple(
-            e if isinstance(e, ScaleEvent) else ScaleEvent.from_dict(e)
-            for e in events
-        )
-        return cls(**data)
 
 
 class ElasticScaler:

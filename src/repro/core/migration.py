@@ -44,10 +44,11 @@ from repro.cluster.server import DataServer
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
 from repro.placement.base import PlacementMap
+from repro.serialize import Config
 
 
 @dataclass(frozen=True)
-class MigrationPolicy:
+class MigrationPolicy(Config):
     """DRM configuration.
 
     Attributes:
@@ -97,20 +98,6 @@ class MigrationPolicy:
     def unlimited_hops(cls) -> "MigrationPolicy":
         """Chain length 1 but streams may be moved any number of times."""
         return cls(enabled=True, max_chain_length=1, max_hops_per_request=None)
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MigrationPolicy":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
 
 
 #: Chain bounds for moves made to *rescue* streams rather than admit one

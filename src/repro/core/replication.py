@@ -36,6 +36,7 @@ from repro.cluster.request import Request
 from repro.cluster.server import DataServer
 from repro.core.admission import AdmissionOutcome
 from repro.placement.base import PlacementMap
+from repro.serialize import Config
 from repro.sim.engine import Engine
 from repro.workload.catalog import VideoCatalog
 
@@ -47,7 +48,7 @@ TRIGGER_REJECTIONS = 3
 
 
 @dataclass(frozen=True)
-class ReplicationPolicy:
+class ReplicationPolicy(Config):
     """Configuration of the dynamic replicator.
 
     Attributes:
@@ -62,20 +63,6 @@ class ReplicationPolicy:
                 f"max_concurrent_copies must be >= 1, "
                 f"got {self.max_concurrent_copies}"
             )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReplicationPolicy":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
 
 
 class DynamicReplicator:

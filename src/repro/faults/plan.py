@@ -15,25 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serialize import check_fields, optional_nested, shallow_dict
-
-
-class _SerializableFaults:
-    """Shared to_dict/from_dict for the flat fault dataclasses."""
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        check_fields(cls, data)
-        return cls(**data)
+from repro.serialize import Config
 
 
 @dataclass(frozen=True)
-class CrashFaults(_SerializableFaults):
+class CrashFaults(Config):
     """Whole-node crash/repair cycling.
 
     Attributes:
@@ -63,7 +49,7 @@ class CrashFaults(_SerializableFaults):
 
 
 @dataclass(frozen=True)
-class LinkFaults(_SerializableFaults):
+class LinkFaults(Config):
     """Partial outbound-link degradation (brownout, not blackout).
 
     Attributes:
@@ -85,7 +71,7 @@ class LinkFaults(_SerializableFaults):
 
 
 @dataclass(frozen=True)
-class ReplicaFaults(_SerializableFaults):
+class ReplicaFaults(Config):
     """On-disk replica destruction (bad sector, not a node outage).
 
     Attributes:
@@ -104,7 +90,7 @@ class ReplicaFaults(_SerializableFaults):
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Config):
     """The full chaos schedule for one run.
 
     Any subset of fault classes may be active; ``start`` delays all
@@ -125,23 +111,3 @@ class FaultPlan:
     def empty(self) -> bool:
         """True when no fault class is configured."""
         return self.crash is None and self.link is None and self.replica is None
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        return {
-            "crash": self.crash.to_dict() if self.crash else None,
-            "link": self.link.to_dict() if self.link else None,
-            "replica": self.replica.to_dict() if self.replica else None,
-            "start": self.start,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        check_fields(cls, data)
-        return cls(
-            crash=optional_nested(data, "crash", CrashFaults),
-            link=optional_nested(data, "link", LinkFaults),
-            replica=optional_nested(data, "replica", ReplicaFaults),
-            start=data.get("start", 0.0),
-        )

@@ -36,6 +36,7 @@ from repro.cluster.request import EPS_MB, Request
 from repro.core.admission import AdmissionOutcome
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
+from repro.serialize import Config
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 
@@ -47,7 +48,7 @@ MAX_PENDING = 256
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Config):
     """Backoff configuration for the retry queue."""
 
     max_attempts: int = 4        #: resubmissions per request before giving up
@@ -68,19 +69,6 @@ class RetryPolicy:
                 f"max_delay must be >= base_delay, got {self.max_delay}"
             )
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetryPolicy":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
 
     def delay_for(self, attempt: int, jitter_draw: float) -> float:
         """Backoff before resubmission *attempt* (1-based).

@@ -1,9 +1,10 @@
 """The prefix-cache / stream-sharing tier: config and runtime.
 
-:class:`PrefixPolicy` is the frozen config block (round-trips through
-``to_dict``/``from_dict`` like every other policy); :class:`PrefixTier`
-is the runtime that sits between the distribution controller's front
-door and normal admission (``controller.subscribe(tier)``):
+:class:`PrefixPolicy` is the frozen config block (serialized by
+:class:`repro.serialize.Config`, like every other config);
+:class:`PrefixTier` is the runtime that sits between the distribution
+controller's front door and normal admission
+(``controller.subscribe(tier)``):
 
 * at build time it computes a replication plan (via the
   :data:`~repro.prefix.cache.PREFIX_STRATEGIES` strategy named in the
@@ -37,11 +38,12 @@ from repro.faults.invariants import InvariantViolation
 from repro.obs.records import TraceKind
 from repro.prefix.cache import PREFIX_STRATEGIES, PrefixCache
 from repro.prefix.chaining import BATCHING, ChainedSession
+from repro.serialize import Config
 from repro.workload.catalog import Video
 
 
 @dataclass(frozen=True)
-class PrefixPolicy:
+class PrefixPolicy(Config):
     """Configuration of the prefix-cache / stream-sharing tier.
 
     Attributes:
@@ -77,18 +79,6 @@ class PrefixPolicy:
             raise ValueError(
                 f"window_seconds must be >= 0, got {self.window_seconds}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.serialize import shallow_dict
-
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PrefixPolicy":
-        from repro.serialize import check_fields
-
-        check_fields(cls, data)
-        return cls(**data)
 
 
 class PrefixTier:

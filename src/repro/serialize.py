@@ -1,38 +1,82 @@
-"""Shared helpers for config ``to_dict()``/``from_dict()`` round trips.
+"""The config wire format: one schema, read off the type hints.
 
-Every configuration dataclass (``SimulationConfig`` and its nested
-parts) serializes to plain JSON-compatible dicts so a run can be
-captured as a *scenario file* (:mod:`repro.scenario`) and embedded
-verbatim in provenance sidecars.  The contract, enforced by property
-tests:
+Every configuration dataclass (``SimulationConfig``, each block nested
+in it, and ``ServeConfig``) inherits :class:`Config`, whose ``to_dict``
+and ``from_dict`` are derived from ``dataclasses.fields`` and
+``typing.get_type_hints``.  That is what lets a run be captured as a
+*scenario file* (:mod:`repro.scenario`) and embedded verbatim in
+provenance sidecars.  One rule per hint shape, none per field:
 
-* ``Cls.from_dict(cfg.to_dict()) == cfg`` for every valid config;
-* ``from_dict`` accepts **partial** dicts (missing keys fall back to
-  the dataclass defaults) so hand-written scenario files stay terse;
-* unknown keys raise an actionable :class:`ValueError` naming the bad
-  key and the valid field names — a typo in a scenario file must not
-  silently vanish.
+* **nested config** (``X`` or ``Optional[X]``, ``X`` a :class:`Config`):
+  dumped through ``X.to_dict``; loaded from an ``X``, a mapping, or
+  ``None`` when the hint is optional.  Anything else raises a
+  :class:`ValueError` naming the key and the expected class;
+* **tuple of configs** (``Tuple[X, ...]``): a JSON list of mappings,
+  one per config;
+* **string-keyed pairs** (``Tuple[Tuple[str, V], ...]``): dumped as a
+  JSON object; loaded from an object or a list of pairs;
+* **other tuples**: dumped as JSON lists, loaded back as tuples;
+* every other value passes through unchanged.
+
+``from_dict`` accepts **partial** dicts: a missing key falls back to
+the dataclass default, a missing *required* key raises ``"<Cls> dict is
+missing required key '<k>'"``, and an unknown key raises naming the
+key and the valid field names (:func:`check_fields`) — a typo in a
+scenario file must not silently vanish.  The contract, pinned by
+property tests: ``Cls.from_dict(cfg.to_dict()) == cfg``.
+
+The one declared special case is ``SystemConfig``'s preset shorthand
+(a preset name, or ``{"preset": name, ...overrides}``): its
+``from_dict`` resolves the preset and hands every field to
+:func:`load_fields`.  Each class's hints are resolved once per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Mapping, Optional, Type
+import functools
+import typing
+from collections.abc import Mapping
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Type
+
+#: Converts one field value to or from its JSON form (None: as is).
+Codec = Optional[Callable[[Any], Any]]
+Codecs = Tuple[Codec, Codec]
 
 
-def check_fields(
-    cls: Type, data: Mapping[str, Any], *, extra: tuple = ()
-) -> None:
-    """Reject keys of *data* that are not fields of dataclass *cls*.
+class Config:
+    """Base of every config dataclass: the hint-driven wire format."""
 
-    Args:
-        cls: the target dataclass.
-        data: the incoming dict.
-        extra: additionally accepted keys (e.g. ``"preset"``).
+    __slots__ = ()
 
-    Raises:
-        ValueError: naming every unknown key and the valid choices.
-    """
+    #: Types ``from_dict`` accepts in place of a mapping (a declared
+    #: shorthand); the nested-config rule routes them to it.
+    _shorthand: ClassVar[Tuple[type, ...]] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-compatible dict in field order; round-trips via
+        :meth:`from_dict`."""
+        out = {}
+        for name, (dump, _) in _plan(type(self))[0].items():
+            value = getattr(self, name)
+            out[name] = value if dump is None else dump(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "Config":
+        """Build from a (possibly partial) dict; unknown keys raise."""
+        kwargs = load_fields(cls, data)
+        for key in _plan(cls)[1]:
+            if key not in kwargs:
+                raise ValueError(
+                    f"{cls.__name__} dict is missing required key {key!r}"
+                )
+        return cls(**kwargs)
+
+
+def check_fields(cls: Type, data: Mapping, *, extra: tuple = ()) -> None:
+    """Reject keys of *data* that are neither fields of dataclass *cls*
+    nor in *extra*, naming every unknown key and the valid choices."""
     valid = {f.name for f in dataclasses.fields(cls)} | set(extra)
     unknown = sorted(set(data) - valid)
     if unknown:
@@ -43,42 +87,101 @@ def check_fields(
         )
 
 
-def require(data: Mapping[str, Any], key: str, cls: Type) -> Any:
-    """Fetch a mandatory *key*, failing with the owning class named."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(
-            f"{cls.__name__} dict is missing required key {key!r}"
-        ) from None
+def load_fields(cls: Type[Config], data: Mapping) -> Dict[str, Any]:
+    """The fields present in *data*, each converted by its hint's rule."""
+    codecs = _plan(cls)[0]
+    if any(key not in codecs for key in data):
+        check_fields(cls, data)
+    kwargs = {}
+    for key, value in data.items():
+        load = codecs[key][1]
+        kwargs[key] = value if load is None else load(value)
+    return kwargs
 
 
-def optional_nested(
-    data: Mapping[str, Any], key: str, cls: Type
-) -> Optional[Any]:
-    """Deserialize ``data[key]`` via ``cls.from_dict`` when present and
-    not None."""
-    value = data.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, Mapping):
-        raise ValueError(
-            f"{key!r} must be a mapping (a serialized {cls.__name__}), "
-            f"got {type(value).__name__}"
+@functools.lru_cache(maxsize=None)
+def _plan(cls: Type[Config]) -> Tuple[Dict[str, Codecs], Tuple[str, ...]]:
+    """``({field: (dump, load)}, required fields)``, read off *cls*'s
+    hints once per process."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return (
+        {f.name: _codecs(f.name, hints[f.name]) for f in fields},
+        tuple(
+            f.name for f in fields
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ),
+    )
+
+
+def _is_config(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Config)
+
+
+def _codecs(key: str, hint: Any) -> Codecs:
+    """``(dump, load)`` for one field; ``None`` means pass through."""
+    args = typing.get_args(hint)
+    optional = False
+    if typing.get_origin(hint) is typing.Union and type(None) in args:
+        optional = True
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        args = typing.get_args(hint)
+    if _is_config(hint):
+        return _dump_config, functools.partial(_load_config, key, hint, optional)
+    if typing.get_origin(hint) is not tuple:
+        return None, None
+    item = args[0] if len(args) == 2 and args[1] is Ellipsis else None
+    if _is_config(item):
+        return (
+            lambda value: [config.to_dict() for config in value],
+            lambda value: tuple(
+                _load_config(key, item, False, config) for config in value
+            ),
         )
-    return cls.from_dict(value)
+    if typing.get_origin(item) is tuple and typing.get_args(item)[0] is str:
+        return dict, _load_pairs
+    return _listify, _tuplify
 
 
-def shallow_dict(obj: Any) -> Dict[str, Any]:
-    """Dataclass fields as a dict, tuples converted to JSON lists.
+def _dump_config(value: Optional[Config]) -> Optional[Dict[str, Any]]:
+    return None if value is None else value.to_dict()
 
-    Shallow on purpose: nested config dataclasses serialize themselves
-    via their own ``to_dict`` — callers replace those keys explicitly.
-    """
-    out: Dict[str, Any] = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[field.name] = value
-    return out
+
+def _load_config(key: str, cls: Type[Config], optional: bool, value: Any):
+    if isinstance(value, cls) or (value is None and optional):
+        return value
+    if isinstance(value, (Mapping, *cls._shorthand)):
+        return cls.from_dict(value)
+    raise ValueError(
+        f"{key!r} must be a mapping (a serialized {cls.__name__}), "
+        f"got {type(value).__name__}"
+    )
+
+
+def _load_pairs(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return value
+    if isinstance(value, Mapping):
+        value = value.items()
+    return tuple((name, item) for name, item in value)
+
+
+def _listify(value: Any) -> Any:
+    """Tuples (nested too) as JSON lists; ``None`` stays ``None``."""
+    if not isinstance(value, (tuple, list)):
+        return value
+    return [
+        _listify(item) if isinstance(item, (tuple, list)) else item
+        for item in value
+    ]
+
+
+def _tuplify(value: Any) -> Any:
+    """JSON lists (nested too) back as tuples."""
+    if not isinstance(value, (tuple, list)):
+        return value
+    return tuple([
+        _tuplify(item) if isinstance(item, (tuple, list)) else item
+        for item in value
+    ])

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serialize import check_fields, shallow_dict
+from repro.serialize import Config
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(Config):
     """Wall-clock parameters of the gateway and load generator.
 
     Attributes:
@@ -134,13 +134,3 @@ class ServeConfig:
     def to_wall(self, virtual_seconds: float) -> float:
         """Virtual duration -> wall duration."""
         return virtual_seconds / self.compression
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; round-trips via :meth:`from_dict`."""
-        return shallow_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServeConfig":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        check_fields(cls, data)
-        return cls(**data)

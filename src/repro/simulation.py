@@ -42,7 +42,7 @@ from repro.cluster.profile import (
     identity_profile,
 )
 from repro.cluster.request import reset_request_ids
-from repro.cluster.system import SYSTEMS, SystemConfig
+from repro.cluster.system import SystemConfig
 from repro.core.elastic import ElasticPolicy, ElasticScaler
 from repro.core.migration import MigrationPolicy
 from repro.core.failover import FailoverManager
@@ -58,7 +58,7 @@ from repro.faults import (
 from repro.placement import PLACEMENTS
 from repro.placement.base import PlacementResult
 from repro.prefix import PrefixPolicy, PrefixTier
-from repro.serialize import check_fields, require
+from repro.serialize import Config
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.units import DEFAULT_CLIENT_RECEIVE_BANDWIDTH
@@ -68,7 +68,7 @@ from repro.workload.zipf import ZipfPopularity
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Config):
     """Everything needed to reproduce one run.
 
     Attributes:
@@ -208,95 +208,6 @@ class SimulationConfig:
             )
         if self.load <= 0:
             raise ValueError(f"load must be positive, got {self.load}")
-
-    def to_dict(self) -> dict:
-        """The full configuration as a JSON-compatible dict.
-
-        Round-trips exactly: ``SimulationConfig.from_dict(cfg.to_dict())
-        == cfg`` (the scenario-layer contract, pinned by property
-        tests).  Nested policies serialize through their own
-        ``to_dict``; ``None`` marks a disabled optional subsystem.
-        """
-        return {
-            "system": self.system.to_dict(),
-            "theta": self.theta,
-            "placement": self.placement,
-            "migration": self.migration.to_dict(),
-            "staging_fraction": self.staging_fraction,
-            "scheduler": self.scheduler,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "load": self.load,
-            "seed": self.seed,
-            "client_receive_bandwidth": self.client_receive_bandwidth,
-            "replication": (
-                self.replication.to_dict() if self.replication else None
-            ),
-            "pause_hazard": self.pause_hazard,
-            "mean_pause": self.mean_pause,
-            "client_mix": (
-                [list(pair) for pair in self.client_mix]
-                if self.client_mix is not None
-                else None
-            ),
-            "faults": self.faults.to_dict() if self.faults else None,
-            "retry": self.retry.to_dict() if self.retry else None,
-            "invariants": self.invariants,
-            "arrivals": self.arrivals,
-            "arrival_params": dict(self.arrival_params),
-            "calibration": (
-                self.calibration.to_dict() if self.calibration else None
-            ),
-            "elastic": self.elastic.to_dict() if self.elastic else None,
-            "prefix": self.prefix.to_dict() if self.prefix else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SimulationConfig":
-        """Build a config from a dict (e.g. a scenario file's body).
-
-        Accepts partial dicts (missing keys use the dataclass
-        defaults); ``system`` is mandatory and may be a serialized
-        :class:`SystemConfig`, a ``{"preset": name}`` shorthand, or
-        just a preset name string.  Unknown keys raise an actionable
-        :class:`ValueError`.
-        """
-        check_fields(cls, data)
-        data = dict(data)
-        system = require(data, "system", cls)
-        del data["system"]
-        if isinstance(system, str):
-            system = SYSTEMS.get(system)
-        elif isinstance(system, Mapping):
-            system = SystemConfig.from_dict(system)
-        elif not isinstance(system, SystemConfig):
-            raise ValueError(
-                f"'system' must be a mapping, a preset name, or a "
-                f"SystemConfig, got {type(system).__name__}"
-            )
-        for key, nested in (
-            ("migration", MigrationPolicy),
-            ("replication", ReplicationPolicy),
-            ("faults", FaultPlan),
-            ("retry", RetryPolicy),
-            ("calibration", CalibrationConfig),
-            ("elastic", ElasticPolicy),
-            ("prefix", PrefixPolicy),
-        ):
-            if isinstance(data.get(key), Mapping):
-                data[key] = nested.from_dict(data[key])
-        if data.get("client_mix") is not None:
-            data["client_mix"] = tuple(
-                tuple(pair) for pair in data["client_mix"]
-            )
-        params = data.get("arrival_params")
-        if params is not None and not isinstance(params, tuple):
-            if isinstance(params, Mapping):
-                params = params.items()
-            data["arrival_params"] = tuple(
-                (str(k), v) for k, v in params
-            )
-        return cls(system=system, **data)
 
 
 @dataclass

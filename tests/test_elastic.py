@@ -5,9 +5,10 @@ Covered:
 
 * the membership lifecycle state machine: legal transitions, epoch
   bumps, hook firing, illegal transitions rejected;
-* :class:`ScaleEvent` / :class:`ElasticPolicy` validation and
-  serialization round-trips, including the registry-backed trigger and
-  warmer keys (``UnknownKeyError`` names the valid choices);
+* :class:`ScaleEvent` / :class:`ElasticPolicy` validation, including
+  the registry-backed trigger and warmer keys (``UnknownKeyError``
+  names the valid choices); their round trip is part of the config
+  property in tests/test_scenario.py;
 * the :class:`StorageError` deficit message (drain/warm diagnostics);
 * end to end: a scenario with a rolling restart, a mid-run scale-out
   and a load trigger runs with the invariant checker on — zero
@@ -116,22 +117,6 @@ class TestElasticPolicy:
             ScaleEvent(time=1.0, action="explode")
         with pytest.raises(ValueError):
             ScaleEvent(time=-1.0, action="scale_out")
-
-    def test_policy_round_trip(self):
-        policy = ElasticPolicy(
-            events=(
-                ScaleEvent(time=10.0, action="scale_out"),
-                ScaleEvent(time=40.0, action="scale_in", server_id=2),
-            ),
-            trigger="load",
-            warmer="none",
-            warm_fraction=0.5,
-            drain_interval=2.0,
-            reject_window=15.0,
-            reject_threshold=3,
-            cooldown=100.0,
-        )
-        assert ElasticPolicy.from_dict(policy.to_dict()) == policy
 
 
 # ----------------------------------------------------------------------

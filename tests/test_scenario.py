@@ -1,14 +1,19 @@
 """Config serialization and the declarative scenario layer.
 
-Three contracts (ISSUE 4):
+Four contracts:
 
 * **Round trip** — ``SimulationConfig.from_dict(cfg.to_dict()) == cfg``
-  for every valid config, including nested fault plans, retry policies
-  and client mixes, and surviving an actual JSON encode/decode
-  (hypothesis property).
+  for every valid config, every nested block drawn (fault plans, retry,
+  client mixes, calibration, elastic schedules, the prefix tier), and
+  surviving an actual JSON encode/decode (hypothesis property).
+* **One schema** — every config class the type-hint walk reaches, and
+  ``ServeConfig``, serializes through :class:`repro.serialize.Config`
+  alone; only ``SystemConfig.from_dict`` (the preset shorthand) is its
+  own.
 * **Actionable errors** — unknown keys in any config dict name the bad
-  key and the valid field names; malformed scenario files name the
-  file and the problem.
+  key and the valid field names; a wrongly-typed nested block or a
+  missing required key fails the load, not the run; malformed scenario
+  files name the file and the problem.
 * **Golden scenario** — the committed ``scenarios/p4_small.json`` is
   byte-identical in behaviour to the programmatic ``SimulationConfig``
   it mirrors: equal configs, equal run results, identical CLI output.
@@ -21,8 +26,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_registry import _config_classes
 
+from repro.cluster.profile import CalibrationConfig
 from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM, SystemConfig
+from repro.core.elastic import (
+    SCALE_TRIGGERS,
+    WARMERS,
+    ElasticPolicy,
+    ScaleEvent,
+)
 from repro.core.migration import MigrationPolicy
 from repro.core.replication import ReplicationPolicy
 from repro.faults import (
@@ -32,7 +45,12 @@ from repro.faults import (
     ReplicaFaults,
     RetryPolicy,
 )
+from repro.prefix import PrefixPolicy
+from repro.prefix.cache import PREFIX_STRATEGIES
+from repro.prefix.chaining import BATCHING
 from repro.scenario import Scenario, load_scenario, save_scenario
+from repro.serialize import Config
+from repro.serve.config import ServeConfig
 from repro.simulation import SimulationConfig, run_simulation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -109,6 +127,41 @@ REPLICATIONS = st.builds(
     max_concurrent_copies=st.integers(1, 8),
 )
 
+CALIBRATIONS = st.builds(
+    CalibrationConfig,
+    trials=st.integers(1, 9),
+    jitter=finite(0.0, 0.49),
+)
+
+ELASTICS = st.builds(
+    ElasticPolicy,
+    events=st.lists(
+        st.builds(
+            ScaleEvent,
+            time=finite(0.0, 1e5),
+            action=st.sampled_from(["scale_out", "scale_in"]),
+            server_id=st.one_of(st.none(), st.integers(0, 12)),
+        ),
+        max_size=4,
+    ).map(tuple),
+    trigger=st.sampled_from(SCALE_TRIGGERS.names()),
+    warmer=st.sampled_from(WARMERS.names()),
+    warm_fraction=finite(0.0, 1.0),
+    drain_interval=finite(0.5, 60.0),
+    reject_window=finite(1.0, 120.0),
+    reject_threshold=st.integers(1, 20),
+    cooldown=finite(0.0, 1000.0),
+)
+
+PREFIXES = st.builds(
+    PrefixPolicy,
+    strategy=st.sampled_from(PREFIX_STRATEGIES.names()),
+    batching=st.sampled_from(BATCHING.names()),
+    capacity_mb=finite(0.0, 1e5),
+    prefix_seconds=finite(1.0, 600.0),
+    window_seconds=finite(0.0, 300.0),
+)
+
 ARRIVAL_CHOICES = st.one_of(
     st.just(("poisson", ())),
     st.builds(
@@ -125,6 +178,7 @@ def sim_configs(draw) -> SimulationConfig:
 
     duration = draw(finite(10.0, 1e6))
     arrivals, arrival_params = draw(ARRIVAL_CHOICES)
+    pause_hazard = draw(st.one_of(st.just(0.0), finite(0.0, 0.01)))
     return SimulationConfig(
         system=draw(st.sampled_from([SMALL_SYSTEM, LARGE_SYSTEM])),
         theta=draw(finite(-1.0, 1.0)),
@@ -138,7 +192,7 @@ def sim_configs(draw) -> SimulationConfig:
         seed=draw(st.integers(0, 2**31)),
         client_receive_bandwidth=draw(finite(1.0, 100.0)),
         replication=draw(st.one_of(st.none(), REPLICATIONS)),
-        pause_hazard=draw(finite(0.0, 0.01)),
+        pause_hazard=pause_hazard,
         mean_pause=draw(finite(1.0, 1000.0)),
         client_mix=draw(st.one_of(
             st.none(),
@@ -152,6 +206,13 @@ def sim_configs(draw) -> SimulationConfig:
         invariants=draw(st.booleans()),
         arrivals=arrivals,
         arrival_params=arrival_params,
+        calibration=draw(st.one_of(st.none(), CALIBRATIONS)),
+        elastic=draw(st.one_of(st.none(), ELASTICS)),
+        # The prefix tier refuses VCR interactivity (SimulationConfig).
+        prefix=(
+            draw(st.one_of(st.none(), PREFIXES)) if pause_hazard == 0
+            else None
+        ),
     )
 
 
@@ -211,30 +272,56 @@ class TestRoundTrip:
         ) == plan
 
 
-class TestActionableErrors:
-    @pytest.mark.parametrize("cls, payload", [
-        (SimulationConfig, {"system": "small", "thteta": 0.5}),
-        (SystemConfig, {"preset": "small", "n_video": 9}),
-        (MigrationPolicy, {"enbled": True}),
-        (FaultPlan, {"crashes": {}}),
-        (CrashFaults, {"mtbf": 1.0, "mttr": 1.0, "mtbbf": 2.0}),
-        (RetryPolicy, {"attempts": 3}),
-        (ReplicationPolicy, {"copies": 2}),
-    ])
-    def test_unknown_key_names_key_and_choices(self, cls, payload):
-        bad = sorted(
-            set(payload)
-            - {f.name for f in dataclasses.fields(cls)} - {"preset"}
-        )[0]
-        with pytest.raises(ValueError) as exc:
-            cls.from_dict(payload)
-        message = str(exc.value)
-        assert repr(bad) in message
-        assert "valid keys" in message
+#: Every config class the type-hint walk reaches, plus the live layer's.
+CONFIG_CLASSES = [*_config_classes(SimulationConfig), ServeConfig]
 
-    def test_missing_system_rejected(self):
-        with pytest.raises(ValueError, match="missing required key 'system'"):
-            SimulationConfig.from_dict({"theta": 0.5})
+#: Nested blocks of the wrong type: each must fail the load, not the run.
+WRONG_NESTED = [
+    ({"migration": True}, "'migration' must be a mapping (a serialized "
+                          "MigrationPolicy), got bool"),
+    ({"retry": 3}, "'retry' must be a mapping (a serialized RetryPolicy), "
+                   "got int"),
+    ({"prefix": "window"}, "'prefix' must be a mapping (a serialized "
+                           "PrefixPolicy), got str"),
+]
+
+
+class TestOneSchema:
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_serializes_through_the_base_alone(self, cls):
+        assert issubclass(cls, Config)
+        own = {"to_dict", "from_dict"} & set(vars(cls))
+        # The one declared special case: the system preset shorthand.
+        assert own == ({"from_dict"} if cls is SystemConfig else set())
+
+
+class TestActionableErrors:
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_unknown_key_names_key_and_choices(self, cls):
+        with pytest.raises(ValueError) as exc:
+            cls.from_dict({"no_such_key": 1})
+        message = str(exc.value)
+        assert f"unknown {cls.__name__} key(s) 'no_such_key'" in message
+        valid = message.split("valid keys: ")[1].split(", ")
+        assert {f.name for f in dataclasses.fields(cls)} <= set(valid)
+
+    @pytest.mark.parametrize("payload, fragment", WRONG_NESTED,
+                             ids=["migration", "retry", "prefix"])
+    def test_wrongly_typed_nested_block_rejected(self, payload, fragment):
+        with pytest.raises(ValueError) as exc:
+            SimulationConfig.from_dict({"system": "small", **payload})
+        assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("payload, fragment", [
+        ({"theta": 0.5}, "SimulationConfig dict is missing required key "
+                         "'system'"),
+        ({"system": "small", "faults": {"crash": {"mtbf": 100.0}}},
+         "CrashFaults dict is missing required key 'mttr'"),
+    ], ids=["system", "crash-mttr"])
+    def test_missing_required_key_rejected(self, payload, fragment):
+        with pytest.raises(ValueError) as exc:
+            SimulationConfig.from_dict(payload)
+        assert str(exc.value) == fragment
 
     def test_unknown_preset_lists_choices(self):
         with pytest.raises(ValueError, match="system 'huge'.*large"):
@@ -382,7 +469,12 @@ class TestGoldenScenario:
         ('{"config": {"system": "small"}, "confg": 1}',
          "unknown scenario key(s) 'confg'"),
         ('{"config": {"system": "small", "thetta": 0.1}}', "invalid config"),
-    ], ids=["missing", "truncated", "unknown-key", "unknown-config-key"])
+        *[
+            (json.dumps({"config": {"system": "small", **payload}}), fragment)
+            for payload, fragment in WRONG_NESTED
+        ],
+    ], ids=["missing", "truncated", "unknown-key", "unknown-config-key",
+            "migration-bool", "retry-int", "prefix-str"])
     def test_every_scenario_verb_exits_with_one_line(
         self, tmp_path, argv, content, fragment
     ):
