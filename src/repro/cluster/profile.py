@@ -10,7 +10,7 @@ usable storage) from a deterministic simulated micro-benchmark on a
 named RNG substream, and every capacity a policy reads downstream —
 placement disk fitting, minimum-flow admission, EFTF spare-bandwidth
 allocation, DRM chain search — flows through
-:meth:`repro.cluster.server.DataServer.effective_bandwidth`, never the
+:attr:`repro.cluster.server.DataServer.bandwidth`, never the
 preset constants.
 
 With ``jitter=0`` (the default) the measured numbers equal the nominal

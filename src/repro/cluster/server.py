@@ -117,15 +117,11 @@ class DataServer:
     # ------------------------------------------------------------------
     # Capacity seams (calibration × link faults)
     # ------------------------------------------------------------------
-    def effective_bandwidth(self) -> float:
-        """The outbound capacity every policy reads, Mb/s:
-        ``nominal × calibration × link-fault scale``."""
-        return self._effective
-
     @property
     def bandwidth(self) -> float:
-        """Alias of :meth:`effective_bandwidth` (read-only; mutate via
-        :meth:`apply_profile` / :meth:`set_link_scale`)."""
+        """The outbound capacity every policy reads, Mb/s:
+        ``nominal × calibration × link-fault scale`` (read-only; mutate
+        via :meth:`apply_profile` / :meth:`set_link_scale`)."""
         return self._effective
 
     def apply_profile(self, profile: "ServerProfile") -> None:
@@ -196,25 +192,15 @@ class DataServer:
         floor), Mb/s.  Maintained incrementally by attach/detach."""
         return self._reserved
 
-    @property
-    def spare_bandwidth(self) -> float:
-        """Link capacity beyond the minimum-flow floor, Mb/s."""
-        return max(0.0, self.bandwidth - self.reserved_bandwidth)
-
-    def stream_slots(self, view_bandwidth: float) -> int:
-        """Server-to-view bandwidth ratio (SVBR): concurrent streams this
-        link sustains at the given view rate."""
-        return int(self.bandwidth / view_bandwidth + 1e-9)
-
     def has_slot(self, view_bandwidth: float) -> bool:
         """Minimum-flow admission test: would one more stream played at
         *view_bandwidth* fit?  Reads nothing but this server, so the
-        answer holds for every such stream until the server changes."""
-        if not self.up or not self.accepting:
-            return False
+        answer holds for every such stream until the server changes.
+        Per holder per arrival: it reads fields, not the properties."""
         return (
-            self.reserved_bandwidth + view_bandwidth
-            <= self.bandwidth + EPS_MB
+            self.up
+            and self.accepting
+            and self._reserved + view_bandwidth <= self._effective + EPS_MB
         )
 
     def has_slot_for(self, request: Request) -> bool:
@@ -334,3 +320,25 @@ class DataServer:
             f"active={self.active_count} holdings={len(self.holdings)} "
             f"{'up' if self.up else 'DOWN'}>"
         )
+
+
+def least_loaded(
+    servers: Dict[int, DataServer],
+    holder_ids: Iterable[int],
+    view_bandwidth: float,
+    exclude: Optional[int] = None,
+) -> Optional[DataServer]:
+    """Section 3.2's "server which has a copy of the requested video and
+    has the fewest current requests" — admission, failover and the
+    elastic drain all pick here: of the *holder_ids* in *servers* but
+    *exclude*, one with a slot at *view_bandwidth* and the fewest active
+    streams, else None.  *holder_ids* ascends (``PlacementMap.holders``),
+    so equal loads go to the lowest id."""
+    best, best_load = None, 0
+    for sid in holder_ids:
+        server = servers.get(sid)
+        if server is not None and sid != exclude and server.has_slot(view_bandwidth):
+            load = len(server.active)
+            if best is None or load < best_load:
+                best, best_load = server, load
+    return best

@@ -11,11 +11,11 @@ accepted."
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.analysis.metrics import SimulationMetrics
 from repro.cluster.request import Request
-from repro.cluster.server import DataServer
+from repro.cluster.server import DataServer, least_loaded
 from repro.core.migration import (
     MigrationPolicy,
     execute_chain,
@@ -52,7 +52,7 @@ class AdmissionController:
 
     The admission test is the paper's: a server takes a stream while
     the sum of view bandwidths fits its link
-    (:meth:`DataServer.has_slot_for`).
+    (:meth:`DataServer.has_slot`).
 
     Args:
         servers: cluster nodes keyed by id.
@@ -80,14 +80,6 @@ class AdmissionController:
         self.tracer = tracer
 
     # ------------------------------------------------------------------
-    def candidate_holders(self, video_id: int) -> List[DataServer]:
-        """Live servers holding a replica of *video_id*."""
-        return [
-            self.servers[sid]
-            for sid in self.placement.holders(video_id)
-            if sid in self.servers and self.servers[sid].up
-        ]
-
     def submit(
         self, request: Request, now: float, retry: bool = False
     ) -> AdmissionOutcome:
@@ -110,46 +102,49 @@ class AdmissionController:
 
     def _decide(self, request: Request, now: float) -> AdmissionOutcome:
         """Three stages, each admitting or rejecting with its reason:
-        live holders → least-loaded holder with a slot → DRM chain."""
+        least-loaded holder with a slot (:func:`least_loaded`, one slot
+        test per holder) → no live holder (``no_replica``; the live list
+        is built only for a refused arrival) → DRM chain."""
         video_id = request.video.video_id
-        tracer = self.tracer
-
-        holders = self.candidate_holders(video_id)
-        if not holders:
-            request.mark_rejected("no_replica")
-            self.metrics.record_reject(no_replica=True)
-            return AdmissionOutcome.REJECTED_NO_REPLICA
-
-        with_slot = [s for s in holders if s.has_slot_for(request)]
-        if with_slot:
-            # "the server which … has the fewest current requests"
-            target = min(with_slot, key=lambda s: (s.active_count, s.server_id))
+        servers = self.servers
+        holder_ids = self.placement.holders(video_id)
+        target = least_loaded(servers, holder_ids, request.view_bandwidth)
+        if target is not None:
             self.managers[target.server_id].admit(request, now)
             self.metrics.record_accept()
             return AdmissionOutcome.ACCEPTED
 
-        holder_ids = [s.server_id for s in holders]
+        live_ids = [
+            sid for sid in holder_ids
+            if (server := servers.get(sid)) is not None and server.up
+        ]
+        if not live_ids:
+            request.mark_rejected("no_replica")
+            self.metrics.record_reject(no_replica=True)
+            return AdmissionOutcome.REJECTED_NO_REPLICA
+
+        tracer = self.tracer
         if tracer is not None:
             # Every replica holder is full: the saturation event the
             # DRM fallback (and capacity planning) cares about.
             tracer.emit(
                 TraceKind.SERVER_SATURATE, now,
-                servers=holder_ids, video=video_id,
+                servers=live_ids, video=video_id,
             )
         if not self.migration_policy.enabled:
             request.mark_rejected("holders_full")
-            self.metrics.record_reject(holders=holder_ids)
+            self.metrics.record_reject(holders=live_ids)
             return AdmissionOutcome.REJECTED
 
         self.metrics.record_migration_attempt()
         chain = find_migration_chain(
-            video_id, self.servers, self.placement, self.migration_policy, now
+            video_id, servers, self.placement, self.migration_policy, now
         )
         if chain is None:
             if tracer is not None:
                 tracer.emit(TraceKind.DRM_FAIL, now, video=video_id)
             request.mark_rejected("chain_exhausted")
-            self.metrics.record_reject(holders=holder_ids)
+            self.metrics.record_reject(holders=live_ids)
             return AdmissionOutcome.REJECTED
         if tracer is not None:
             tracer.emit(
@@ -159,7 +154,7 @@ class AdmissionController:
         execute_chain(
             chain, self.managers, self.migration_policy, now, tracer=tracer
         )
-        freed = self.servers[chain[-1].source_id]
+        freed = servers[chain[-1].source_id]
         if not freed.has_slot_for(request):
             raise RuntimeError(
                 f"migration chain did not free a slot on server "

@@ -35,7 +35,7 @@ from repro.analysis.metrics import SimulationMetrics
 from repro.cluster.membership import ClusterMembership, ServerLifecycle
 from repro.cluster.profile import CalibrationConfig, calibrate_server
 from repro.cluster.request import Request
-from repro.cluster.server import DataServer
+from repro.cluster.server import DataServer, least_loaded
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
     RESCUE_POLICY,
@@ -501,17 +501,11 @@ class ElasticScaler:
         self, sid: int, request: Request
     ) -> Optional[DataServer]:
         """Least-loaded other holder with a minimum-flow slot."""
-        servers = self.controller.servers
-        candidates = [
-            servers[tid]
-            for tid in self.placement.holders(request.video.video_id)
-            if tid != sid
-            and tid in servers
-            and servers[tid].has_slot_for(request)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (s.active_count, s.server_id))
+        return least_loaded(
+            self.controller.servers,
+            self.placement.holders(request.video.video_id),
+            request.view_bandwidth, exclude=sid,
+        )
 
     def _chain_target(
         self, sid: int, request: Request, now: float

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.metrics import SimulationMetrics
 from repro.cluster.request import EPS_MB, Request
-from repro.cluster.server import DataServer
+from repro.cluster.server import DataServer, least_loaded
 from repro.workload.catalog import Video
 from repro.core.migration import (
     RESCUE_POLICY,
@@ -256,17 +256,13 @@ class FailoverManager:
     ) -> bool:
         """Find the orphan a new home: direct slot, else a DRM chain."""
         video_id = request.video.video_id
-        holders = [
-            self.servers[sid]
-            for sid in self.placement.holders(video_id)
-            if sid in self.servers and self.servers[sid].up
-            and sid != exclude
-        ]
-        holders.sort(key=lambda s: (s.active_count, s.server_id))
-        for target in holders:
-            if target.has_slot_for(request):
-                self._move(request, target.server_id, now)
-                return True
+        target = least_loaded(
+            self.servers, self.placement.holders(video_id),
+            request.view_bandwidth, exclude=exclude,
+        )
+        if target is not None:
+            self._move(request, target.server_id, now)
+            return True
         chain = find_migration_chain(
             video_id, self.servers, self.placement, RESCUE_POLICY, now
         )

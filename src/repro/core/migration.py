@@ -268,9 +268,10 @@ def find_migration_chain(
     # freeing a slot there would not help the newcomer, which the
     # membership gate refuses regardless.
     entry_holders = [
-        servers[sid]
+        holder
         for sid in placement.holders(video_id)
-        if sid in servers and servers[sid].up and servers[sid].accepting
+        if (holder := servers.get(sid)) is not None
+        and holder.up and holder.accepting
     ]
     # Deterministic preference: fewest active streams first (they are
     # typically all full here, so this mostly falls back to id order).

@@ -345,9 +345,7 @@ class PrefixTier:
             # A chained child's *patch* stream was dropped mid-flight.
             chain.severed_at = now
             self.feeds_severed += 1
-            siblings = self._children.get(chain.parent.request_id)
-            if siblings and chain in siblings:
-                siblings.remove(chain)
+            self._unlink(chain)
         children = self._children.pop(request.request_id, None)
         for child_chain in children or []:
             if child_chain.finished or child_chain.severed_at is not None:
@@ -362,6 +360,7 @@ class PrefixTier:
                 # children keep their own server stream; only the
                 # shared remainder is lost.)
                 child.mark_dropped(now)
+                self._chained_ids.discard(child.request_id)
                 self.metrics.record_drop()
                 if self.tracer is not None:
                     self.tracer.emit(
@@ -385,9 +384,8 @@ class PrefixTier:
         child = chain.child
         self._check_chain(chain, now)
         self._chains.pop(child.request_id, None)
-        siblings = self._children.get(chain.parent.request_id)
-        if siblings and chain in siblings:
-            siblings.remove(chain)
+        self._chained_ids.discard(child.request_id)  # never decided again
+        self._unlink(chain)
         if child.state is RequestState.ACTIVE and child.server_id is None:
             # Pure chained session: the tier owns its whole lifecycle.
             # (Patch children were already finished by their manager.)
@@ -398,6 +396,14 @@ class PrefixTier:
                     TraceKind.REQUEST_FINISH, now,
                     request=child.request_id, server=None,
                 )
+
+    def _unlink(self, chain: ChainedSession) -> None:
+        """Take *chain* off its parent's list, and the list with it."""
+        siblings = self._children.get(chain.parent.request_id)
+        if siblings and chain in siblings:
+            siblings.remove(chain)
+            if not siblings:
+                del self._children[chain.parent.request_id]
 
     # ------------------------------------------------------------------
     # Invariants / introspection

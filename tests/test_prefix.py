@@ -711,6 +711,22 @@ class TestCapacityFigure:
         assert result.patched == 0
         assert result.chain_underruns == 0
 
+    @pytest.mark.parametrize("path", [OVERLOAD_SCENARIO, WINDOW_SCENARIO])
+    def test_bookkeeping_holds_only_live_chains(self, path):
+        # A parent's child list goes with its last chain, and a chained
+        # id goes once its chain finishes or its pure child is dropped:
+        # at the end of a committed run the tier keeps only what a
+        # later event can still read.
+        reset_request_ids()
+        sim = Simulation(load_scenario(path).config)
+        sim.run()
+        tier = sim.prefix_tier
+        assert tier.metrics.chained > 0
+        assert all(tier._children.values())
+        live = set(tier._chains) | set(tier._pending)
+        assert tier._chained_ids <= live
+        assert len(tier._chained_ids) < tier.metrics.chained
+
     def test_experiment_baseline_strips_only_the_tier(self):
         from repro.experiments.prefix import baseline_config
 

@@ -129,7 +129,7 @@ class TestRoundTrips:
 class TestEffectiveBandwidthSeam:
     def test_profile_times_link_scale(self):
         server = DataServer(0, bandwidth=100.0, disk_capacity=4000.0)
-        assert server.effective_bandwidth() == pytest.approx(100.0)
+        assert server.bandwidth == pytest.approx(100.0)
         server.apply_profile(
             ServerProfile(server_id=0, bandwidth=80.0, disk_throughput=60.0)
         )
@@ -137,10 +137,10 @@ class TestEffectiveBandwidthSeam:
         assert server.disk_throughput == pytest.approx(60.0)
         server.set_link_scale(0.5)
         # Calibration and degradation compose multiplicatively.
-        assert server.effective_bandwidth() == pytest.approx(40.0)
+        assert server.bandwidth == pytest.approx(40.0)
         assert server.degraded
         server.set_link_scale(1.0)
-        assert server.effective_bandwidth() == pytest.approx(80.0)
+        assert server.bandwidth == pytest.approx(80.0)
         assert not server.degraded
 
     def test_build_servers_applies_profile(self):

@@ -1,8 +1,12 @@
 """Unit tests for the data server model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.server import DataServer, StorageError
+from repro.cluster.profile import ServerProfile
+from repro.cluster.request import EPS_MB
+from repro.cluster.server import DataServer, StorageError, least_loaded
 
 from conftest import make_request, make_video
 
@@ -55,11 +59,6 @@ class TestStorage:
 
 
 class TestBandwidthAccounting:
-    def test_slots_from_svbr(self):
-        s = server(bandwidth=10.0)
-        assert s.stream_slots(view_bandwidth=3.0) == 3
-        assert s.stream_slots(view_bandwidth=1.0) == 10
-
     def test_has_slot_until_full(self):
         s = server(bandwidth=3.0)
         s.store_replica(make_video(video_id=0))
@@ -87,7 +86,6 @@ class TestBandwidthAccounting:
         s.attach(r1)
         s.attach(r2)
         assert s.reserved_bandwidth == pytest.approx(2.0)
-        assert s.spare_bandwidth == pytest.approx(8.0)
         s.detach(r1)
         assert s.reserved_bandwidth == pytest.approx(1.0)
         assert s.active_count == 1
@@ -97,6 +95,62 @@ class TestBandwidthAccounting:
         s.store_replica(make_video(video_id=0))
         s.fail()
         assert not s.has_slot_for(make_request(video=make_video(video_id=0)))
+
+
+VIEW_RATES = (1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def holder_clusters(draw):
+    """Servers 0..n-1 in every state the slot test reads — down, not
+    accepting, link-degraded, calibrated, at equal loads — plus an
+    ascending holder-id list that may name ids absent from the map."""
+    servers = {}
+    for sid in range(draw(st.integers(min_value=1, max_value=6))):
+        s = server(bandwidth=draw(st.sampled_from((3.0, 4.5, 6.0))),
+                   disk=1e9, server_id=sid)
+        s.store_replica(make_video(video_id=0))
+        if draw(st.booleans()):
+            s.apply_profile(ServerProfile(
+                server_id=sid, bandwidth=draw(st.sampled_from((2.0, 5.0))),
+            ))
+        for vb in draw(st.lists(st.sampled_from(VIEW_RATES), max_size=4)):
+            s.attach(make_request(
+                video=make_video(video_id=0, view_bandwidth=vb)
+            ))
+        scale = draw(st.sampled_from((1.0, 0.5, 0.75)))
+        if scale < 1.0:
+            s.set_link_scale(scale)
+        s.accepting = draw(st.sampled_from((True, True, False)))
+        if draw(st.sampled_from((False, False, True))):
+            s.fail()
+        servers[sid] = s
+    holder_ids = sorted(draw(st.sets(st.integers(min_value=0, max_value=7))))
+    exclude = draw(st.none() | st.integers(min_value=0, max_value=7))
+    return servers, holder_ids, exclude, draw(st.sampled_from(VIEW_RATES))
+
+
+class TestLeastLoadedScan:
+    """The one "which holder takes this stream" scan against the rule
+    as the paper states it, and the slot test against its properties."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(holder_clusters())
+    def test_scan_is_the_readable_rule(self, drawn):
+        servers, holder_ids, exclude, vb = drawn
+        for s in servers.values():
+            assert s.has_slot(vb) == (
+                s.up and s.accepting
+                and s.reserved_bandwidth + vb <= s.bandwidth + EPS_MB
+            )
+        holders = [servers[sid] for sid in holder_ids if sid in servers]
+        expected = min(
+            (s for s in holders
+             if s.has_slot(vb) and s.server_id != exclude),
+            key=lambda s: (len(s.active), s.server_id),
+            default=None,
+        )
+        assert least_loaded(servers, holder_ids, vb, exclude) is expected
 
 
 class TestActiveSet:
