@@ -24,8 +24,6 @@ numerically stable for any m (factorials would overflow at SVBR 100).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 
 def erlang_b(servers: int, offered_load: float) -> float:
     """Blocking probability B(m, a) of an M/G/m/m loss system.
@@ -65,14 +63,6 @@ def erlang_b_utilization(svbr: int, load: float = 1.0) -> float:
         raise ValueError(f"svbr must be >= 1, got {svbr}")
     a = load * svbr
     return a * (1.0 - erlang_b(svbr, a)) / svbr
-
-
-def svbr_utilization_curve(
-    svbr_values: Sequence[int], load: float = 1.0
-) -> List[Tuple[int, float]]:
-    """Analytic utilization-vs-SVBR series (the EXT-SVBR reference
-    curve)."""
-    return [(int(m), erlang_b_utilization(int(m), load)) for m in svbr_values]
 
 
 def erlang_b_inverse(

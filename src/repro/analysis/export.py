@@ -4,14 +4,13 @@ The ASCII renderers in :mod:`repro.analysis.report` are for terminals;
 this module writes the same data as CSV so results can be re-plotted
 (gnuplot/matplotlib/spreadsheets) without re-running the sweeps.
 Columns carry the mean plus the confidence-interval bounds so error
-bars survive the round trip.
+bars survive the export.
 
 Every exported result file is accompanied by run metadata: a
 ``<stem>.meta.json`` sidecar holding the sweep's provenance dict (seed,
 scale, ``repro.__version__``, UTC timestamp, ``REPRO_*`` environment
 overrides, config hash) so a CSV found on disk later is attributable to
-the exact inputs that produced it.  Obs metric registries export via
-:func:`snapshot_to_json`.
+the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.obs.provenance import run_provenance
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.experiments.base import SweepResult
-    from repro.obs.registry import MetricsRegistry
 
 
 def metadata_path(path: Union[str, Path]) -> Path:
@@ -55,23 +53,6 @@ def write_metadata(
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return side
-
-
-def snapshot_to_json(
-    registry: "MetricsRegistry",
-    path: Union[str, Path],
-    provenance: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a metrics-registry snapshot (plus provenance) as JSON."""
-    payload = {
-        "provenance": (
-            dict(provenance) if provenance is not None else run_provenance()
-        ),
-        "metrics": registry.snapshot(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def sweep_to_csv(
@@ -108,31 +89,3 @@ def sweep_to_csv(
             writer.writerow(row)
     if metadata:
         write_metadata(path, getattr(result, "provenance", None))
-
-
-def load_sweep_csv(path: Union[str, Path]) -> dict:
-    """Read back a file written by :func:`sweep_to_csv`.
-
-    Returns ``{"x_label", "x_values", "curves": {label: [means]}}`` —
-    enough for plotting; CI bounds are under ``curves_ci``.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    x_label = header[0]
-    labels = [h for h in header[1:] if not h.endswith(("_ci_low", "_ci_high"))]
-    out = {
-        "x_label": x_label,
-        "x_values": [float(r[0]) for r in rows],
-        "curves": {label: [] for label in labels},
-        "curves_ci": {label: [] for label in labels},
-    }
-    for row in rows:
-        for j, label in enumerate(labels):
-            base = 1 + 3 * j
-            out["curves"][label].append(float(row[base]))
-            out["curves_ci"][label].append(
-                (float(row[base + 1]), float(row[base + 2]))
-            )
-    return out

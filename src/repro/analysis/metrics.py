@@ -318,36 +318,6 @@ class SimulationMetrics:
             denied = self.rejected + self.dropped
         return max(0.0, 1.0 - denied / distinct)
 
-    def server_utilization(
-        self, server_id: int, bandwidth: float, duration: float
-    ) -> float:
-        """Per-server utilization."""
-        sent = self.bytes_per_server.get(server_id, 0.0)
-        return sent / (bandwidth * duration)
-
-    def load_imbalance(
-        self, bandwidths: Dict[int, float], duration: float
-    ) -> float:
-        """Coefficient of variation of per-server utilization.
-
-        0 means perfectly balanced load; rises as some servers carry
-        disproportionate traffic — the quantity the §4.6 heterogeneity
-        discussion is implicitly about ("variabilities are spread out
-        over a larger number of servers").
-        """
-        if not bandwidths:
-            raise ValueError("need at least one server")
-        utils = [
-            self.server_utilization(sid, bw, duration)
-            for sid, bw in bandwidths.items()
-        ]
-        n = len(utils)
-        mean = sum(utils) / n
-        if mean == 0.0:
-            return 0.0
-        var = sum((u - mean) ** 2 for u in utils) / n
-        return (var ** 0.5) / mean
-
     def sanity_check(self) -> None:
         """Internal-consistency assertions (used by tests and at the end
         of every run)."""

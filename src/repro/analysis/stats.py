@@ -2,19 +2,20 @@
 
 The paper reports each data point as the result of 5 independent
 trials.  We aggregate trial measurements into mean, standard deviation,
-standard error and a normal-approximation confidence interval — enough
-to judge whether curve separations (e.g. "migration beats no
-migration") are real at the simulated scale.
+standard error and a 95 % Student-t confidence interval — enough to
+judge whether curve separations (e.g. "migration beats no migration")
+are real at the simulated scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-#: Two-sided z values for common confidence levels.
-_Z = {0.80: 1.2816, 0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
+#: Two-sided coverage of every interval :func:`summarize` reports.
+COVERAGE = 0.95
 
 
 @dataclass(frozen=True)
@@ -30,34 +31,55 @@ class SummaryStats:
     minimum: float
     maximum: float
 
-    @property
-    def ci_halfwidth(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
-    def overlaps(self, other: "SummaryStats") -> bool:
-        """True when the confidence intervals intersect."""
-        return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
-
     def __str__(self) -> str:
-        return f"{self.mean:.4f} ± {self.ci_halfwidth:.4f} (n={self.n})"
+        half = (self.ci_high - self.ci_low) / 2.0
+        return f"{self.mean:.4f} ± {half:.4f} (n={self.n})"
 
 
-def summarize(values: Sequence[float], confidence: float = 0.95) -> SummaryStats:
+def _central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with *df* degrees of freedom — the
+    closed forms of Abramowitz & Stegun 26.7.3 (odd) and 26.7.4 (even)."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = total = 1.0 if df > 1 else 0.0
+    for k in range(3 if odd else 2, df - 1, 2):
+        term *= c2 * (k - 1) / k
+        total += term
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    return math.sin(theta) * total
+
+
+@functools.lru_cache(maxsize=None)
+def _t_multiplier(df: int) -> float:
+    """The two-sided :data:`COVERAGE` Student-t quantile for *df* >= 1
+    degrees of freedom (12.706 at 1, 2.776 at 4, → 1.960 as df grows),
+    by bisection on :func:`_central`."""
+    low, high = 0.0, 1.0
+    while _central(high, df) < COVERAGE:
+        low, high = high, 2.0 * high
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        if _central(mid, df) < COVERAGE:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def summarize(values: Sequence[float]) -> SummaryStats:
     """Summarise trial measurements.
 
-    Uses the sample standard deviation (ddof=1) and a normal z interval;
-    with the paper's 5 trials this slightly understates the t interval,
-    which is fine for the shape comparisons we make.
+    Uses the sample standard deviation (ddof=1) and a 95 % Student-t
+    interval with ``n - 1`` degrees of freedom, ``mean ± t·sd/√n``.
+    One trial gives a zero-width interval at its value.
 
     Raises:
-        ValueError: for an empty sequence or unknown confidence level.
+        ValueError: for an empty sequence.
     """
     if not values:
         raise ValueError("cannot summarise zero trials")
-    if confidence not in _Z:
-        raise ValueError(
-            f"confidence must be one of {sorted(_Z)}, got {confidence}"
-        )
     n = len(values)
     mean = sum(values) / n
     if n > 1:
@@ -66,7 +88,7 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SummaryStats
     else:
         std = 0.0
     stderr = std / math.sqrt(n)
-    half = _Z[confidence] * stderr
+    half = _t_multiplier(n - 1) * stderr if n > 1 else 0.0
     return SummaryStats(
         n=n,
         mean=mean,

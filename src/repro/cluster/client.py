@@ -9,7 +9,6 @@ entire copy of the average sized video".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.units import DEFAULT_CLIENT_RECEIVE_BANDWIDTH
@@ -39,11 +38,6 @@ class ClientProfile:
             raise ValueError(
                 f"receive bandwidth must be positive, got {self.receive_bandwidth}"
             )
-
-    @property
-    def unbounded_receive(self) -> bool:
-        """True when the receive link is effectively unlimited."""
-        return math.isinf(self.receive_bandwidth)
 
 
 def staging_capacity(fraction: float, mean_video_size: float) -> float:

@@ -16,9 +16,10 @@ Derived quantities (Section 3.3 of the paper):
 * ``buffer(t) = sent_at(t) - bytes_viewed(t)``  — staging occupancy
 * ``headroom(t) = min(capacity - buffer, size - sent_at(t))`` — how much
   workahead the client can still absorb
-* ``projected_finish(t) = t + remaining(t) / b_view`` — EFTF's sort key.
-  Streams with different view bandwidths order differently by it than
-  by ``remaining``; at ``b_view`` it stays constant.
+* ``t + remaining(t) / b_view`` — the projected finish, EFTF's sort key
+  (``Request.floor_key``).  Streams with different view bandwidths
+  order differently by it than by ``remaining``; at ``b_view`` it stays
+  constant.
 
 The **minimum-flow invariant** (every unfinished request transmits at
 ``rate >= b_view``) guarantees ``buffer(t) >= 0``; the only exception is
@@ -190,10 +191,6 @@ class Request:
         """Megabits still to transmit at *now*."""
         return max(0.0, self.size - self.sent_at(now))
 
-    def transmission_finished(self, now: float) -> bool:
-        """True when (almost) all data has been sent by *now*."""
-        return self.remaining(now) <= EPS_MB
-
     def bytes_viewed(self, now: float) -> float:
         """Megabits consumed by playback by time *now*.
 
@@ -213,16 +210,6 @@ class Request:
         """Workahead the client can still absorb, Mb."""
         by_capacity = self.client.buffer_capacity - self.buffer_occupancy(now)
         return max(0.0, min(by_capacity, self.remaining(now)))
-
-    def projected_finish(self, now: float) -> float:
-        """Finish time if transmitted at exactly ``b_view`` from *now* on."""
-        return now + self.remaining(now) / self.view_bandwidth
-
-    @property
-    def playback_end(self) -> float:
-        """Time playback completes, assuming no further viewer pauses
-        (``playback_start`` already accounts for completed pauses)."""
-        return self.playback_start + self.video.length
 
     def is_paused(self, now: float) -> bool:
         """True during a migration switch gap."""

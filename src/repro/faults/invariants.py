@@ -3,7 +3,7 @@
 The checker subscribes to the engine's trace hook, so it sees every
 event just before it fires (with the clock already advanced to the
 event's timestamp).  Clock monotonicity is asserted per event; the
-state-projection invariants are asserted every ``check_interval`` events
+state-projection invariants are asserted every :data:`CHECK_INTERVAL` events
 — between events all state evolves linearly, so projecting each stream
 to *now* and checking there covers the whole interval:
 
@@ -40,6 +40,13 @@ from repro.sim.engine import Engine
 #: metrics sanity check already uses and is orders of magnitude below
 #: anything physically meaningful (videos are 10^3..10^5 Mb).
 EPS_CHECK = 1e-3
+
+#: Events between full state projections (the interval keeps the
+#: overhead low on long runs; the end of a run always checks once more).
+CHECK_INTERVAL = 64
+
+#: Recent ``(time, event_kind)`` pairs kept for a violation report.
+WINDOW = 32
 
 
 class InvariantViolation(AssertionError):
@@ -80,9 +87,6 @@ class InvariantChecker:
     Args:
         engine: the engine to watch (subscribe via :meth:`attach`).
         controller: the cluster under test.
-        check_interval: events between full state projections (1 checks
-            at every event; the default keeps overhead low on long runs).
-        window: number of recent events retained for violation reports.
         tracer: optional tracer; violations are mirrored as
             ``invariant.violation`` records before raising.
     """
@@ -91,36 +95,19 @@ class InvariantChecker:
         self,
         engine: Engine,
         controller: DistributionController,
-        check_interval: int = 64,
-        window: int = 32,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError(
-                f"check_interval must be >= 1, got {check_interval}"
-            )
         self.engine = engine
         self.controller = controller
-        self.check_interval = int(check_interval)
         self.tracer = tracer
-        self._recent: Deque[Tuple[float, str]] = deque(maxlen=window)
+        self._recent: Deque[Tuple[float, str]] = deque(maxlen=WINDOW)
         self._last_time = float("-inf")
         self._count = 0
         self.checks_run = 0
-        self._attached = False
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        if self._attached:
-            return
         self.engine.add_trace(self._on_event)
-        self._attached = True
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        self.engine.remove_trace(self._on_event)
-        self._attached = False
 
     # ------------------------------------------------------------------
     def _violate(self, invariant: str, subject: str, detail: str) -> None:
@@ -144,7 +131,7 @@ class InvariantChecker:
         self._last_time = t
         self._recent.append((t, event.kind))
         self._count += 1
-        if self._count % self.check_interval == 0:
+        if self._count % CHECK_INTERVAL == 0:
             self.check_now()
 
     # ------------------------------------------------------------------

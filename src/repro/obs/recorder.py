@@ -9,10 +9,9 @@ adds the three trigger paths a serving process needs:
 * **operator-requested** — ``SIGUSR2`` (installed via
   :meth:`install_signal_handler`) dumps without disturbing the run, so
   a live incident can be snapshotted mid-flight;
-* **invariant violation** — the gateway's policy loop dumps before an
-  :class:`~repro.faults.invariants.InvariantViolation` propagates;
-* **unhandled crash** — :meth:`guard` wraps any critical section and
-  dumps on the way out of an unexpected exception.
+* **invariant violation** and **unhandled crash** — the gateway's task
+  supervisor (:mod:`repro.serve.supervisor`) dumps when a supervised
+  task dies, naming which of the two killed it.
 
 A dump is one JSONL file: a leading ``postmortem.meta`` record carrying
 provenance (reason, trigger detail, pid, UTC wall time, dump sequence
@@ -25,13 +24,12 @@ artifact path predictable for CI collection.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import signal
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.obs.records import TraceKind, TraceRecord
 from repro.obs.tracer import Tracer
@@ -162,26 +160,6 @@ class FlightRecorder:
             token.remove_signal_handler(signum)
         else:
             signal.signal(signum, token)
-
-    @contextlib.contextmanager
-    def guard(self, where: str = "run") -> Iterator["FlightRecorder"]:
-        """Dump on the way out of an unexpected exception.
-
-        ``InvariantViolation`` dumps with reason ``invariant_violation``
-        (the checker's message as detail); any other exception dumps
-        with reason ``crash``.  The exception always propagates —
-        recording is a side effect, not a handler.
-        """
-        from repro.faults.invariants import InvariantViolation
-
-        try:
-            yield self
-        except InvariantViolation as exc:
-            self.dump("invariant_violation", f"{where}: {exc}")
-            raise
-        except Exception as exc:
-            self.dump("crash", f"{where}: {type(exc).__name__}: {exc}")
-            raise
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FlightRecorder path={str(self.path)!r} dumps={self.dumps}>"

@@ -119,13 +119,6 @@ class SessionSpan:
             1 for e in self.events if e.phase is SpanPhase.HANDOFF
         )
 
-    def wall_of(self, phase: SpanPhase) -> Optional[float]:
-        """Wall time of the first transition into *phase* (or None)."""
-        for event in self.events:
-            if event.phase is phase:
-                return event.wall
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready view (what ``ops sessions`` returns per span)."""
         return {

@@ -61,25 +61,11 @@ class PlacementMap:
         """Replica count of *video_id*."""
         return len(self._holders.get(video_id, ()))
 
-    def total_copies(self) -> int:
-        return sum(len(s) for s in self._holders.values())
-
-    def videos(self) -> List[int]:
-        """All placed video ids, sorted."""
-        return sorted(self._holders)
-
     def videos_on(self, server_id: int) -> List[int]:
         """Video ids with a replica on *server_id*, sorted."""
         return sorted(
             vid for vid, srvs in self._holders.items() if server_id in srvs
         )
-
-    def copy_counts(self, n_videos: int) -> np.ndarray:
-        """Vector of replica counts indexed by video id."""
-        counts = np.zeros(n_videos, dtype=np.int64)
-        for vid, srvs in self._holders.items():
-            counts[vid] = len(srvs)
-        return counts
 
     def __len__(self) -> int:
         return len(self._holders)

@@ -210,9 +210,9 @@ class PrefixTier:
         """The chainable stream for *video_id*, or None.
 
         A leader stays chainable after its *transmission* finishes — the
-        relay follows its playout, which runs to ``playback_end`` — but
-        not once it pauses playback (the relay schedule would stall) or
-        is dropped/rejected.
+        relay follows its playout, which runs to ``playback_start +
+        length`` — but not once it pauses playback (the relay schedule
+        would stall) or is dropped/rejected.
         """
         leader = self._leaders.get(video_id)
         if leader is None:

@@ -76,8 +76,8 @@ class Registry(Generic[T]):
             output (``"scheduler"``, ``"placement"``, ``"experiment"``).
 
     The mapping surface (``[]``, ``in``, ``len``, iteration, ``items``,
-    ``values``, ``keys``) matches a plain dict so existing call sites
-    keep working; lookups additionally raise :class:`UnknownKeyError`
+    ``values``) matches a plain dict so existing call sites keep
+    working; lookups additionally raise :class:`UnknownKeyError`
     listing the valid names.
     """
 
@@ -129,13 +129,6 @@ class Registry(Generic[T]):
         self._help[name] = help
         return obj
 
-    def unregister(self, name: str) -> T:
-        """Remove and return the entry under *name* (tests, plugins)."""
-        entry = self.get(name)
-        del self._entries[name]
-        del self._help[name]
-        return entry
-
     # -- lookup --------------------------------------------------------
     def get(self, name: str) -> T:
         """Return the entry for *name*.
@@ -147,11 +140,6 @@ class Registry(Generic[T]):
             return self._entries[name]
         except KeyError:
             raise UnknownKeyError(self.kind, name, self.names()) from None
-
-    def help_for(self, name: str) -> str:
-        """The one-line help text registered with *name*."""
-        self.get(name)  # raise the actionable error for unknown names
-        return self._help[name]
 
     # -- enumeration ---------------------------------------------------
     def names(self) -> Tuple[str, ...]:
@@ -174,9 +162,6 @@ class Registry(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def keys(self) -> List[str]:
-        return list(self._entries)
 
     def values(self) -> List[T]:
         return list(self._entries.values())

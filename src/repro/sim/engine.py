@@ -29,7 +29,8 @@ written as one fused pass (pop-first, counters batched in locals), and
 ``__init__`` call.  Engine state accessed per event lives in
 ``__slots__``.  The ``_trace_fns`` list object is never reassigned
 after construction — ``run_until`` binds it once and relies on
-mutations (``add_trace`` / ``remove_trace``) staying visible mid-run.
+``add_trace`` mutations staying visible mid-run.  ``run_until`` is the
+only event loop.
 
 The engine deliberately knows nothing about video servers; it is a
 general substrate (and is tested as one).
@@ -39,15 +40,14 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.sim.events import Event, EventState
 
 #: Module-level bindings: the hot paths test ``event._state is
-#: _PENDING`` directly rather than through the ``Event.pending``
-#: property (a descriptor call per event is measurable at millions of
-#: events), and build handles via ``object.__new__`` (skipping the
-#: ``Event.__init__`` frame, also measurable).
+#: _PENDING`` directly, and build handles via ``object.__new__``
+#: (skipping the ``Event.__init__`` frame, measurable at millions of
+#: events).
 _PENDING = EventState.PENDING
 _FIRED = EventState.FIRED
 _new_event = object.__new__
@@ -88,7 +88,7 @@ class Engine:
         self._running = False
         #: Subscribers called as ``fn(event)`` just before each event
         #: fires — debugging, test instrumentation, and the obs tracer
-        #: coexist here.  Manage via :meth:`add_trace`/:meth:`remove_trace`.
+        #: coexist here.  Subscribe via :meth:`add_trace`.
         #: The list object is never replaced (``run_until`` binds it once).
         self._trace_fns: List[Callable[[Event], None]] = []
         #: Optional :class:`repro.obs.profiler.EventProfiler`; when set,
@@ -114,12 +114,6 @@ class Engine:
         """Number of cancelled events skipped so far."""
         return self._events_cancelled
 
-    @property
-    def pending_count(self) -> int:
-        """Number of events currently on the agenda (including cancelled
-        handles not yet popped)."""
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # Trace subscribers
     # ------------------------------------------------------------------
@@ -129,24 +123,6 @@ class Engine:
         Multiple subscribers coexist and run in subscription order.
         """
         self._trace_fns.append(fn)
-
-    def remove_trace(self, fn: Callable[[Event], None]) -> None:
-        """Unsubscribe *fn* (ValueError if not subscribed)."""
-        self._trace_fns.remove(fn)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next *live* event, or None if the agenda is empty.
-
-        Pops and discards dead (cancelled) handles encountered on the way.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2]._state is _PENDING:
-                return entry[0]
-            _heappop(heap)
-            self._events_cancelled += 1
-        return None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -215,34 +191,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next live event, advancing the clock to it.
-
-        Returns:
-            True if an event fired, False if the agenda was empty.
-        """
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            event = entry[2]
-            if event._state is not _PENDING:
-                self._events_cancelled += 1
-                continue
-            self._now = entry[0]
-            if self._trace_fns:
-                for fn in self._trace_fns:
-                    fn(event)
-            self._events_fired += 1
-            profiler = self.profiler
-            if profiler is None:
-                event._fire()
-            else:
-                t0 = perf_counter()
-                event._fire()
-                profiler.record(event.kind, perf_counter() - t0)
-            return True
-        return False
-
     def run_until(self, until: float) -> None:
         """Run events with ``time <= until`` and leave the clock at *until*.
 
@@ -304,26 +252,8 @@ class Engine:
             self._events_cancelled = cancelled
             self._running = False
 
-    def run(self) -> None:
-        """Run until the agenda is exhausted."""
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        try:
-            while self.step():
-                pass
-        finally:
-            self._running = False
-
-    # ------------------------------------------------------------------
-    # Debug helpers
-    # ------------------------------------------------------------------
-    def iter_pending(self) -> Iterator[Event]:
-        """Yield pending events in an unspecified order (debug only)."""
-        return (entry[2] for entry in self._heap if entry[2].pending)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Engine now={self._now:.6g} pending={self.pending_count} "
+            f"<Engine now={self._now:.6g} pending={len(self._heap)} "
             f"fired={self._events_fired}>"
         )

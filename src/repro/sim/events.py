@@ -37,6 +37,8 @@ class Event:
             bound by the caller via ``functools.partial`` or a closure).
         payload: optional opaque annotation, useful for tracing.
         kind: optional string tag for tracing/statistics.
+        _state: the handle's :class:`EventState`, set by the engine and
+            by :meth:`cancel`.
     """
 
     __slots__ = ("time", "seq", "callback", "payload", "kind", "_state")
@@ -56,15 +58,6 @@ class Event:
         self.kind = kind
         self._state = EventState.PENDING
 
-    @property
-    def state(self) -> EventState:
-        return self._state
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not yet fired/cancelled."""
-        return self._state is EventState.PENDING
-
     def cancel(self) -> bool:
         """Cancel the event if still pending.
 
@@ -76,11 +69,6 @@ class Event:
             self._state = EventState.CANCELLED
             return True
         return False
-
-    def _fire(self) -> None:
-        """Engine-internal: run the callback exactly once."""
-        self._state = EventState.FIRED
-        self.callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" kind={self.kind!r}" if self.kind else ""

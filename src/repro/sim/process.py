@@ -30,7 +30,7 @@ class Process:
         ...         yield 1.0
         ...         ticks.append(eng.now)
         >>> p = Process(eng, gen())
-        >>> eng.run()
+        >>> eng.run_until(3.0)
         >>> ticks
         [1.0, 2.0, 3.0]
     """

@@ -49,8 +49,3 @@ def minutes(value: float) -> float:
 def hours(value: float) -> float:
     """Convert hours to seconds."""
     return value * SECONDS_PER_HOUR
-
-
-def mbps_hours(bandwidth_mbps: float, duration_hours: float) -> float:
-    """Total megabits a link at *bandwidth_mbps* can move in *duration_hours*."""
-    return bandwidth_mbps * hours(duration_hours)

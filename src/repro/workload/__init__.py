@@ -11,15 +11,11 @@ The paper's evaluation (Section 4.1) drives the cluster with:
 * a **Poisson arrival process** calibrated to 100 % offered load —
   :mod:`repro.workload.arrivals`;
 * optional pre-generated **request traces** for replayable and mutated
-  workloads (flash crowds, popularity drift) —
+  workloads (flash crowds) —
   :mod:`repro.workload.trace`.
 """
 
-from repro.workload.arrivals import (
-    PoissonArrivalProcess,
-    calibrated_arrival_rate,
-    offered_load,
-)
+from repro.workload.arrivals import PoissonArrivalProcess, calibrated_arrival_rate
 from repro.workload.catalog import Video, VideoCatalog, make_catalog
 from repro.workload.trace import RequestSpec, Trace, generate_trace
 from repro.workload.zipf import ZipfPopularity, popularity_ranks
@@ -34,6 +30,5 @@ __all__ = [
     "calibrated_arrival_rate",
     "generate_trace",
     "make_catalog",
-    "offered_load",
     "popularity_ranks",
 ]

@@ -29,17 +29,6 @@ from repro.workload.catalog import VideoCatalog
 from repro.workload.zipf import ZipfPopularity
 
 
-def offered_load(
-    arrival_rate: float,
-    popularity: ZipfPopularity,
-    catalog: VideoCatalog,
-    total_bandwidth: float,
-) -> float:
-    """Offered load as a fraction of cluster capacity (1.0 = saturating)."""
-    expected_size = popularity.expected_value(catalog.sizes)
-    return arrival_rate * expected_size / total_bandwidth
-
-
 def calibrated_arrival_rate(
     popularity: ZipfPopularity,
     catalog: VideoCatalog,

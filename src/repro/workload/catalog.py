@@ -80,11 +80,6 @@ class VideoCatalog:
         percentages ("20 % of the average sized video")."""
         return float(self.sizes.mean())
 
-    @property
-    def mean_length(self) -> float:
-        """Unweighted mean video length (s)."""
-        return float(self.lengths.mean())
-
     def total_size(self) -> float:
         """Sum of all single-copy sizes (Mb)."""
         return float(self.sizes.sum())

@@ -6,19 +6,18 @@ but a materialised trace is useful for:
 * **replay** — running the *same* arrival sequence under different
   policies isolates policy effects from sampling noise (paired
   comparison, lower variance than independent trials);
-* **mutation** — modelling non-stationary demand (flash crowds,
-  popularity drift) by editing a base trace, which the paper lists as
-  future work ("extreme variations in request patterns");
-* **persistence** — saving/loading workloads as simple CSV for
-  cross-tool comparisons.
+* **mutation** — modelling non-stationary demand (a flash crowd) by
+  editing a base trace, which the paper lists as future work ("extreme
+  variations in request patterns").
+
+The live gateway's load generator (:mod:`repro.serve.loadgen`) replays
+one; ``examples/flash_crowd.py`` mutates one.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterator, List, Sequence, Union
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -63,26 +62,9 @@ class Trace:
         """Time of the last arrival (0 for an empty trace)."""
         return self.requests[-1].time if self.requests else 0.0
 
-    def video_frequencies(self, n_videos: int) -> np.ndarray:
-        """Histogram of requests per video id."""
-        counts = np.zeros(n_videos, dtype=np.int64)
-        for req in self.requests:
-            counts[req.video_id] += 1
-        return counts
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def window(self, start: float, end: float) -> "Trace":
-        """Sub-trace with arrivals in [start, end), times re-based to 0."""
-        return Trace(
-            [
-                RequestSpec(r.time - start, r.video_id)
-                for r in self.requests
-                if start <= r.time < end
-            ]
-        )
-
     def with_flash_crowd(
         self,
         video_id: int,
@@ -102,53 +84,6 @@ class Trace:
             extra.append(RequestSpec(t, video_id))
             t += float(rng.exponential(1.0 / extra_rate))
         return Trace(self.requests + extra)
-
-    def remapped(self, mapping: Callable[[int], int]) -> "Trace":
-        """Apply a video-id permutation (models popularity drift)."""
-        return Trace(
-            [RequestSpec(r.time, mapping(r.video_id)) for r in self.requests]
-        )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save_csv(self, path: Union[str, Path]) -> None:
-        """Write the trace as ``time,video_id`` CSV with a header row."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "video_id"])
-            for req in self.requests:
-                writer.writerow([f"{req.time:.6f}", req.video_id])
-
-    @classmethod
-    def load_csv(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace written by :meth:`save_csv`.
-
-        Raises:
-            ValueError: naming the file and 1-based line number for a
-                truncated or otherwise corrupt row (a partially written
-                trace must not replay silently shortened).
-        """
-        requests: List[RequestSpec] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["time", "video_id"]:
-                raise ValueError(
-                    f"{path}: expected header 'time,video_id', "
-                    f"got {reader.fieldnames!r}"
-                )
-            # DictReader line numbers start after the header row.
-            for row in reader:
-                try:
-                    time = float(row["time"])
-                    video_id = int(row["video_id"])
-                    requests.append(RequestSpec(time, video_id))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: corrupt or "
-                        f"truncated trace row {row!r}: {exc}"
-                    ) from None
-        return cls(requests)
 
     # ------------------------------------------------------------------
     # Replay

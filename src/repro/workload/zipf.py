@@ -72,17 +72,6 @@ class ZipfPopularity:
         self._cdf[-1] = 1.0  # guard against rounding
         self._cdf_list = self._cdf.tolist()
 
-    @property
-    def exponent(self) -> float:
-        """The Zipf exponent ``1 - theta``."""
-        return 1.0 - self.theta
-
-    def probability(self, rank: int) -> float:
-        """Demand probability of the video at *rank* (1-indexed)."""
-        if not 1 <= rank <= self.n:
-            raise ValueError(f"rank must be in [1, {self.n}], got {rank}")
-        return float(self.probabilities[rank - 1])
-
     def draw(self, rng: np.random.Generator) -> int:
         """One video index (0-based, 0 = most popular) — the scalar twin
         of :meth:`sample`, drawing the same value from the same state."""
@@ -105,10 +94,6 @@ class ZipfPopularity:
                 f"expected {self.n} values, got shape {values.shape}"
             )
         return float(np.dot(self.probabilities, values))
-
-    def skew_ratio(self) -> float:
-        """p_max / p_min — a simple scalar summary of the skew."""
-        return float(self.probabilities[0] / self.probabilities[-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ZipfPopularity(n={self.n}, theta={self.theta})"

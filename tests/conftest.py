@@ -8,6 +8,7 @@ workload generator in the way.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,6 +26,7 @@ from repro.core.schedulers import ALLOCATORS, BandwidthAllocator
 from repro.core.transmission import TransmissionManager
 from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
+from repro.sim.events import EventState
 from repro.workload.catalog import Video, VideoCatalog
 
 
@@ -53,6 +55,31 @@ def make_request(
         client=client if client is not None else make_client(),
         arrival_time=arrival_time,
     )
+
+
+@contextlib.contextmanager
+def scratch_registry(registry):
+    """Let a test register into *registry*; every entry it adds is gone
+    afterwards (the mapping itself is patched and restored)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry, "_entries", dict(registry._entries))
+        patch.setattr(registry, "_help", dict(registry._help))
+        yield registry
+
+
+def placed_copies(placement: PlacementMap) -> int:
+    """Replicas placed, summed over every video."""
+    return sum(len(holders) for holders in placement._holders.values())
+
+
+def is_pending(event) -> bool:
+    """True while *event* is scheduled and neither fired nor cancelled."""
+    return event._state is EventState.PENDING
+
+
+def live_events(engine: Engine) -> list:
+    """The engine agenda's pending handles (heap order)."""
+    return [entry[2] for entry in engine._heap if is_pending(entry[2])]
 
 
 def rates_of(

@@ -1,5 +1,7 @@
 """Unit tests for Poisson arrivals and load calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from repro.workload.arrivals import (
     ModulatedArrivalProcess,
     PoissonArrivalProcess,
     calibrated_arrival_rate,
-    offered_load,
 )
 from repro.workload.catalog import Video, VideoCatalog
 from repro.workload.zipf import ZipfPopularity, popularity_ranks
@@ -31,12 +32,6 @@ class TestCalibration:
         rate = calibrated_arrival_rate(pop, catalog, total_bandwidth=500.0)
         # E[size] = 100 Mb; 500 Mb/s capacity → 5 req/s
         assert rate == pytest.approx(5.0)
-
-    def test_offered_load_roundtrip(self):
-        catalog = uniform_catalog(10)
-        pop = ZipfPopularity(10, 0.0)
-        rate = calibrated_arrival_rate(pop, catalog, 500.0, load=0.7)
-        assert offered_load(rate, pop, catalog, 500.0) == pytest.approx(0.7)
 
     def test_skew_affects_rate_with_nonuniform_sizes(self):
         videos = tuple(
@@ -106,7 +101,7 @@ class TestPoissonProcess:
             engine, rate=100.0, popularity=pop, rng=rng,
             on_arrival=seen.append, max_requests=7,
         )
-        engine.run()
+        engine.run_until(math.inf)
         assert len(seen) == 7
         assert proc.done
 
@@ -188,7 +183,7 @@ class TestScalarDraws:
             on_arrival=lambda video: seen.append((engine.now, video)),
             max_requests=count,
         )
-        engine.run()
+        engine.run_until(math.inf)
         cdf = searchsorted_cdf(n, theta)
         twin = np.random.default_rng(seed)
         assert seen == array_path_arrivals(process, twin, cdf, rate, count)

@@ -6,6 +6,8 @@ from repro import SMALL_SYSTEM, SimulationConfig
 from repro.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS, trace_experiments
 
+from conftest import scratch_registry
+
 
 class TestParser:
     def test_all_subcommands_exist(self):
@@ -50,15 +52,13 @@ class TestRegistryDrivenCLI:
             print("dummy ran")
             return 0
 
-        register(ExperimentSpec(
-            name="dummy-exp", help="registered by a test",
-            run_cli=_run, bare=True,
-        ))
-        try:
+        with scratch_registry(EXPERIMENTS):
+            register(ExperimentSpec(
+                name="dummy-exp", help="registered by a test",
+                run_cli=_run, bare=True,
+            ))
             assert main(["dummy-exp"]) == 0
             assert "dummy ran" in capsys.readouterr().out
-        finally:
-            EXPERIMENTS.unregister("dummy-exp")
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dummy-exp"])
 

@@ -21,10 +21,6 @@ class TestClientProfile:
         with pytest.raises(ValueError):
             ClientProfile(receive_bandwidth=0.0)
 
-    def test_unbounded_receive_flag(self):
-        assert ClientProfile(receive_bandwidth=math.inf).unbounded_receive
-        assert not ClientProfile(receive_bandwidth=30.0).unbounded_receive
-
     def test_infinite_buffer_allowed(self):
         c = ClientProfile(buffer_capacity=math.inf)
         assert math.isinf(c.buffer_capacity)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
+from repro.cluster.request import EPS_MB
 from repro.core.admission import AdmissionOutcome
 from repro.units import hours
 from repro.workload.zipf import ZipfPopularity
@@ -156,7 +157,7 @@ class TestMigrationEdgeCases:
         _, outcome = cluster.submit(1)
         assert outcome is AdmissionOutcome.ACCEPTED_WITH_MIGRATION
         cluster.engine.run_until(150.0)
-        assert mover.transmission_finished(150.0)
+        assert mover.remaining(150.0) <= EPS_MB
         cluster.managers[0].flush(150.0)
         cluster.managers[1].flush(150.0)
         total = sum(cluster.metrics.bytes_per_server.values())

@@ -18,7 +18,9 @@ Covered:
 * determinism: two same-seed elastic runs produce identical membership
   ledgers and scaler counters;
 * a joiner that crashes while warming carries on warming once it is
-  restored, the lost copy included, and activates.
+  restored, the lost copy included, and activates;
+* a drained server holding the only copy of a title copies it to a
+  member before it departs.
 """
 
 import pytest
@@ -262,3 +264,27 @@ class TestCrashWhileWarming:
         warmed = set(placement.videos_on(5))
         assert warmed == set(calm.placement_result.placement.videos_on(5))
         assert len(warmed) > 1
+
+
+class TestSoleReplicaEvacuation:
+    """A drained server holding the only copy of a video copies it
+    elsewhere before it departs, so no title leaves the catalog."""
+
+    def test_drained_sole_replicas_survive_departure(self):
+        data = _elastic_config().to_dict()
+        data["system"]["avg_copies"] = 1.0
+        data["elastic"] = {
+            "events": [{"time": 40.0, "action": "scale_in", "server_id": 2}],
+        }
+        sim = Simulation(SimulationConfig.from_dict(data))
+        placement = sim.placement_result.placement
+        sole = [
+            vid for vid in placement.videos_on(2) if placement.copies(vid) == 1
+        ]
+        assert sole  # one copy each: server 2 holds titles nobody else has
+        sim.run()
+        assert sim.membership.state(2) is ServerLifecycle.DEPARTED
+        for vid in sole:
+            holders = placement.holders(vid)
+            assert holders and 2 not in holders
+            assert all(sim.controller.servers[s].holds(vid) for s in holders)

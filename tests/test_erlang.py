@@ -8,7 +8,6 @@ from repro.analysis.erlang import (
     erlang_b,
     erlang_b_inverse,
     erlang_b_utilization,
-    svbr_utilization_curve,
 )
 
 
@@ -68,13 +67,6 @@ class TestUtilization:
 
     def test_light_load_fully_carried(self):
         assert erlang_b_utilization(100, load=0.5) == pytest.approx(0.5, abs=1e-6)
-
-    def test_curve_helper(self):
-        curve = svbr_utilization_curve([5, 10])
-        assert curve == [
-            (5, erlang_b_utilization(5)),
-            (10, erlang_b_utilization(10)),
-        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ are pinned by test_integration.py at more meaningful durations.
 """
 
 
+import csv
 import re
 
 import pytest
@@ -257,7 +258,7 @@ class TestRegisteredFigures:
         ids=[spec.name for spec in _helper_registered()],
     )
     def test_runs_renders_and_round_trips(self, spec, capsys, tmp_path):
-        from repro.analysis.export import load_sweep_csv, sweep_to_csv
+        from repro.analysis.export import sweep_to_csv
         from repro.cli import main
         from repro.experiments.base import SweepResult
 
@@ -281,11 +282,14 @@ class TestRegisteredFigures:
             assert sweep.x_label in artifact.text
             path = tmp_path / f"{artifact.stem}.csv"
             sweep_to_csv(sweep, path)
-            loaded = load_sweep_csv(path)
-            assert loaded["x_label"] == sweep.x_label
-            assert loaded["x_values"] == pytest.approx(sweep.x_values)
-            assert list(loaded["curves"]) == list(sweep.curves)
-            for label in sweep.curves:
-                assert loaded["curves"][label] == pytest.approx(
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header[0] == sweep.x_label
+            assert [float(row[0]) for row in rows] == pytest.approx(
+                sweep.x_values
+            )
+            assert header[1::3] == list(sweep.curves)
+            for j, label in enumerate(sweep.curves):
+                assert [float(row[1 + 3 * j]) for row in rows] == pytest.approx(
                     sweep.means(label), abs=1e-6
                 )

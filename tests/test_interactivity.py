@@ -7,7 +7,11 @@ import pytest
 from repro.core.admission import AdmissionOutcome
 from repro.workload.interactivity import InteractivityModel
 
-from conftest import build_micro_cluster, make_client, make_request, make_video
+from repro.cluster.request import EPS_MB
+
+from conftest import (
+    build_micro_cluster, live_events, make_client, make_request, make_video,
+)
 
 
 class TestRequestPauseResume:
@@ -25,7 +29,7 @@ class TestRequestPauseResume:
         assert not r.playback_paused
         # 20 s pause: at t=60 the viewer has watched 40 s of content.
         assert r.bytes_viewed(60.0) == pytest.approx(40.0)
-        assert r.playback_end == pytest.approx(120.0)
+        assert r.playback_start + r.video.length == pytest.approx(120.0)
 
     def test_pause_is_idempotent(self):
         r = make_request()
@@ -109,7 +113,7 @@ class TestPausedStreamScheduling:
         assert r.rate >= r.view_bandwidth
         # Eventually completes despite the pause.
         cluster.engine.run_until(400.0)
-        assert r.transmission_finished(400.0)
+        assert r.remaining(400.0) <= EPS_MB
 
     def test_no_underrun_through_pause_cycle(self):
         cluster, r = self.one_server(bandwidth=3.0, buffer_capacity=30.0)
@@ -123,7 +127,7 @@ class TestPausedStreamScheduling:
         assert cluster.metrics.underruns == 0
         # Playback never outpaced data: viewed <= sent throughout is
         # implied by a non-negative final buffer and no underruns.
-        assert r.transmission_finished(150.0)
+        assert r.remaining(150.0) <= EPS_MB
 
 
 class TestInteractivityModel:
@@ -187,14 +191,14 @@ class TestInteractivityModel:
         r.mark_rejected("holders_full")
         model.on_decision(AdmissionOutcome.REJECTED, r)
         # No pause events scheduled for it:
-        kinds = [e.kind for e in cluster.engine.iter_pending()]
+        kinds = [e.kind for e in live_events(cluster.engine)]
         assert not any("vcr" in k for k in kinds)
 
     def test_finished_stream_pause_is_noop(self):
         cluster, shim, model = self.build()
         r, outcome = cluster.submit(0, client=make_client())
         cluster.engine.run_until(250.0)  # transmission done
-        assert r.transmission_finished(250.0)
+        assert r.remaining(250.0) <= EPS_MB
         model._pause(r)
         assert not r.playback_paused
         assert model.pauses_executed == 0

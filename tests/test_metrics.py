@@ -32,12 +32,6 @@ class TestUtilization:
         # 500 Mb sent / (10 Mb/s × 100 s sendable) = 0.5
         assert m.utilization(total_bandwidth=10.0, duration=100.0) == pytest.approx(0.5)
 
-    def test_per_server_utilization(self):
-        m = SimulationMetrics()
-        m.record_bytes(3, 80.0, now=0.0)
-        assert m.server_utilization(3, bandwidth=1.0, duration=100.0) == pytest.approx(0.8)
-        assert m.server_utilization(9, bandwidth=1.0, duration=100.0) == 0.0
-
     def test_invalid_denominator_rejected(self):
         with pytest.raises(ValueError):
             SimulationMetrics().utilization(0.0, 10.0)

@@ -13,6 +13,8 @@ from repro.scenario import load_scenario
 from repro.simulation import Simulation
 from repro.workload.catalog import Video, VideoCatalog
 
+from conftest import placed_copies
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -33,21 +35,11 @@ class TestPlacementMap:
         assert m.copies(0) == 2
         assert m.holders(99) == ()
 
-    def test_total_copies_and_videos(self):
-        m = PlacementMap({0: (0, 1), 1: (2,), 2: (0, 1, 2)})
-        assert m.total_copies() == 6
-        assert m.videos() == [0, 1, 2]
-        assert len(m) == 3
-
     def test_videos_on_server(self):
         m = PlacementMap({0: (0, 1), 1: (1,), 2: (2,)})
         assert m.videos_on(1) == [0, 1]
         assert m.videos_on(2) == [2]
         assert m.videos_on(9) == []
-
-    def test_copy_counts_vector(self):
-        m = PlacementMap({0: (0, 1), 2: (1,)})
-        assert m.copy_counts(3).tolist() == [2, 0, 1]
 
 
 class TestClampCounts:
@@ -76,7 +68,7 @@ class TestAssignCopies:
         counts = np.full(10, 2)
         placement, shortfall = assign_copies_randomly(cat, counts, servers, rng)
         assert shortfall == 0
-        assert placement.total_copies() == 20
+        assert placed_copies(placement) == 20
         for vid in range(10):
             holders = placement.holders(vid)
             assert len(holders) == 2
@@ -99,7 +91,7 @@ class TestAssignCopies:
         counts = np.full(5, 2)                 # want 10, only ~2 fit
         placement, shortfall = assign_copies_randomly(cat, counts, servers, rng)
         assert shortfall > 0
-        assert placement.total_copies() + shortfall == 10
+        assert placed_copies(placement) + shortfall == 10
 
     def test_replica_consistency_with_server_holdings(self, rng):
         cat = catalog_of(6)

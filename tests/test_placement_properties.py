@@ -12,6 +12,8 @@ from repro.placement.predictive import proportional_counts
 from repro.workload.catalog import Video, VideoCatalog
 from repro.workload.zipf import ZipfPopularity
 
+from conftest import placed_copies
+
 
 @st.composite
 def placement_problem(draw):
@@ -78,7 +80,7 @@ class TestPolicyProperties:
             catalog, ZipfPopularity(len(catalog), theta), servers,
             total_copies, rng,
         )
-        placed = result.placement.total_copies()
+        placed = placed_copies(result.placement)
         # Even placement may cap the base at n_servers but otherwise
         # hits the budget exactly.
         assert placed <= total_copies

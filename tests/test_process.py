@@ -16,7 +16,7 @@ class TestProcess:
                 ticks.append(engine.now)
 
         Process(engine, gen())
-        engine.run()
+        engine.run_until(4.5)
         assert ticks == [1.5, 3.0, 4.5]
 
     def test_done_after_generator_exhausts(self, engine):
@@ -67,7 +67,7 @@ class TestProcess:
                 count.append(engine.now)
 
         Process(engine, gen())
-        engine.run()
+        engine.run_until(0.0)
         assert count == [0.0] * 5
 
 

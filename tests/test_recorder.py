@@ -122,39 +122,6 @@ class TestDump:
 # Trigger paths
 # ----------------------------------------------------------------------
 class TestTriggers:
-    def test_guard_dumps_on_invariant_violation_and_reraises(self, tmp_path):
-        tracer = obs.Tracer()
-        _fill(tracer, 2)
-        rec = obs.FlightRecorder(tracer, tmp_path / "pm.jsonl")
-        with pytest.raises(InvariantViolation):
-            with rec.guard("policy_loop"):
-                raise _violation("clock went backwards")
-        pm = obs.read_postmortem(rec.path)
-        assert pm["meta"]["reason"] == "invariant_violation"
-        assert "policy_loop" in pm["meta"]["detail"]
-        assert "clock went backwards" in pm["meta"]["detail"]
-
-    def test_guard_dumps_on_crash_and_reraises(self, tmp_path):
-        tracer = obs.Tracer()
-        rec = obs.FlightRecorder(tracer, tmp_path / "pm.jsonl")
-        with pytest.raises(ZeroDivisionError):
-            with rec.guard("server_loop.2"):
-                1 / 0
-        pm = obs.read_postmortem(rec.path)
-        assert pm["meta"]["reason"] == "crash"
-        assert "server_loop.2: ZeroDivisionError" in pm["meta"]["detail"]
-
-    def test_guard_does_not_swallow_cancellation(self, tmp_path):
-        """CancelledError is BaseException: a cancelled gateway task is
-        normal shutdown, not a disaster worth a postmortem."""
-        tracer = obs.Tracer()
-        rec = obs.FlightRecorder(tracer, tmp_path / "pm.jsonl")
-        with pytest.raises(asyncio.CancelledError):
-            with rec.guard("drain"):
-                raise asyncio.CancelledError()
-        assert rec.dumps == 0
-        assert not rec.path.exists()
-
     def test_signal_handler_in_process(self, tmp_path):
         tracer = obs.Tracer()
         _fill(tracer, 3)

@@ -6,9 +6,13 @@ experiment — must reject an unknown key with an error that names the
 bad key *and* lists the valid choices, never a bare ``KeyError``.
 """
 
+import ast
+import contextlib
 import dataclasses
 import pathlib
 import re
+import sys
+import threading
 from typing import Optional
 
 import pytest
@@ -21,6 +25,8 @@ from repro.registry import (
     UnknownKeyError,
 )
 from repro.simulation import SimulationConfig
+
+from conftest import scratch_registry
 
 
 class TestRegistryContract:
@@ -55,13 +61,6 @@ class TestRegistryContract:
         reg.register("a", 3, replace=True)
         assert reg.get("a") == 3
 
-    def test_unregister_removes(self):
-        reg = self.make()
-        assert reg.unregister("a") == 1
-        assert "a" not in reg
-        with pytest.raises(UnknownKeyError):
-            reg.unregister("a")
-
     def test_unknown_key_error_is_actionable(self):
         reg = self.make()
         with pytest.raises(UnknownKeyError) as exc:
@@ -90,16 +89,12 @@ class TestRegistryContract:
         reg = self.make()
         assert reg.names() == ("a", "b")
         assert list(reg) == ["b", "a"]
-        assert reg.keys() == ["b", "a"]
         assert reg.values() == [2, 1]
         assert reg.items() == [("b", 2), ("a", 1)]
 
-    def test_describe_and_help_for(self):
+    def test_describe(self):
         reg = self.make()
         assert reg.describe() == {"b": "second", "a": "first"}
-        assert reg.help_for("a") == "first"
-        with pytest.raises(UnknownKeyError):
-            reg.help_for("zzz")
 
     def test_dict_surface(self):
         reg = self.make()
@@ -165,8 +160,8 @@ class TestConcreteRegistries:
     def test_experiment_help_matches_spec(self):
         from repro.experiments.registry import EXPERIMENTS
 
-        for name in EXPERIMENTS.names():
-            assert EXPERIMENTS.help_for(name) == EXPERIMENTS.get(name).help
+        for name, help in EXPERIMENTS.describe().items():
+            assert help == EXPERIMENTS.get(name).help
 
     def test_trace_experiments_offer_trace_config(self):
         from repro.experiments.registry import EXPERIMENTS, trace_experiments
@@ -200,7 +195,6 @@ class TestClaims:
         import repro.cli as cli
         from repro.experiments.registry import EXPERIMENTS
 
-        before = set(EXPERIMENTS.names())
         mine = Registry("experiment")
 
         def adopt(spec):
@@ -208,9 +202,8 @@ class TestClaims:
             monkeypatch.setattr(cli, "EXPERIMENTS", mine)
             return spec
 
-        yield adopt
-        for name in set(EXPERIMENTS.names()) - before:
-            EXPERIMENTS.unregister(name)
+        with scratch_registry(EXPERIMENTS):
+            yield adopt
 
     def test_true_and_false_claim_both_print_and_fail_the_run(
         self, only, capsys, tmp_path
@@ -340,8 +333,6 @@ class TestServeImportGraph:
         # docs/ARCHITECTURE.md, "The live gateway": the data servers
         # (and everything under repro.serve they import) never import
         # the distribution controller or its self-description.
-        import ast
-
         serve = pathlib.Path(__file__).resolve().parent.parent / (
             "src/repro/serve"
         )
@@ -518,17 +509,50 @@ def _selects(config):
         yield "batching policies", config.prefix.batching
 
 
-@pytest.fixture(scope="module")
-def workload_configs():
-    """Every config a figure with claims, a committed scenario or a
-    ledger workload runs: the figures' cells recorded as they are built
-    (one trial, one simulated minute each, in-process)."""
+@contextlib.contextmanager
+def _entering(seen):
+    """Add the code object of every Python function entered while the
+    block runs, in any thread, to the set *seen*."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        yield seen
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(previous)
+
+
+def _committed_configs(root):
+    """The config of each committed scenario and ledger workload."""
     import json
 
+    from repro.scenario import load_scenario
+
+    configs = [
+        load_scenario(path).config
+        for path in sorted((root / "scenarios").glob("*.json"))
+    ]
+    for path in sorted((root / "bench/workloads").glob("*.json")):
+        raw = json.loads(path.read_text())
+        if "config" in raw:
+            configs.append(SimulationConfig.from_dict(raw["config"]))
+    return configs
+
+
+@pytest.fixture(scope="module")
+def _workloads():
+    """``(configs, entered)``: every config a figure with claims, a
+    committed scenario or a ledger workload runs — the figures' cells
+    recorded as they are built (one trial, one simulated minute each,
+    in-process) — and the code objects entered while the cells ran."""
     from repro.experiments import base
     from repro.experiments.registry import EXPERIMENTS
-    from repro.scenario import load_scenario
-    from repro.simulation import SimulationConfig
 
     root = pathlib.Path(__file__).resolve().parent.parent
     configs = []
@@ -538,22 +562,21 @@ def workload_configs():
         configs.append(config)
         return real(dataclasses.replace(config, duration=60.0, warmup=0.0))
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, _entering(set()) as entered:
         patch.setenv("REPRO_WORKERS", "1")
         patch.setattr(base, "_run_one", record)
         for spec in EXPERIMENTS.values():
             if spec.claims:
                 list(spec.artifacts(0.0005, 0, None))
     assert configs  # the patch reached the sweeps
-    configs += [
-        load_scenario(path).config
-        for path in sorted((root / "scenarios").glob("*.json"))
-    ]
-    for path in sorted((root / "bench/workloads").glob("*.json")):
-        raw = json.loads(path.read_text())
-        if "config" in raw:
-            configs.append(SimulationConfig.from_dict(raw["config"]))
-    return configs
+    return configs + _committed_configs(root), entered
+
+
+@pytest.fixture(scope="module")
+def workload_configs(_workloads):
+    """Every config a figure with claims, a committed scenario or a
+    ledger workload runs."""
+    return _workloads[0]
 
 
 class TestEveryKeyIsReached:
@@ -604,11 +627,9 @@ class TestEveryKeyIsReached:
     def test_an_unused_key_is_caught(self, capsys, workload_configs):
         from repro.core.schedulers import ALLOCATORS
 
-        ALLOCATORS.register("idle-twin", ALLOCATORS.get("none"), help="unused")
-        try:
+        with scratch_registry(ALLOCATORS):
+            ALLOCATORS.register("idle-twin", ALLOCATORS.get("none"), help="unused")
             unreached = self.unreached(capsys, workload_configs)
-        finally:
-            ALLOCATORS.unregister("idle-twin")
         assert unreached == {("allocators", "idle-twin")}
 
 
@@ -736,3 +757,472 @@ class TestEveryFieldIsReached:
     def test_an_unused_field_is_caught(self, workload_configs):
         unreached = self.unset(_Planted, workload_configs) - set(self.ALLOWED)
         assert unreached == {"_Planted.knob", "_IdleKnob.level"}
+
+
+def _is_stub(node):
+    """A ``Protocol`` or abstract method: its body is only a docstring,
+    ``...`` or ``raise NotImplementedError``."""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+        body[0].value, ast.Constant
+    ) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if not body:
+        return True
+    if len(body) > 1:
+        return False
+    only = body[0]
+    if isinstance(only, ast.Expr) and isinstance(only.value, ast.Constant):
+        return only.value.value is Ellipsis
+    if isinstance(only, ast.Raise) and only.exc is not None:
+        exc = only.exc.func if isinstance(only.exc, ast.Call) else only.exc
+        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+    return False
+
+
+def _bench_names(root):
+    """Every identifier ``bench/*.py`` names: a caller the test does not
+    run (the ledger patches some of them by their string name)."""
+    names = set()
+    for path in (root / "bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _functions(package):
+    """``{(file, first line): "module/path.py::Qual.name"}`` for every
+    ``def`` under *package* that is not exempt by rule: dunders, stubs
+    and the names ``bench/*.py`` uses.  The first line is the first
+    decorator's, as in the function's code object."""
+    bench = _bench_names(pathlib.Path(__file__).resolve().parent.parent)
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (
+                    (name.startswith("__") and name.endswith("__"))
+                    or _is_stub(child)
+                    or name in bench
+                ):
+                    line = min(
+                        [child.lineno]
+                        + [d.lineno for d in child.decorator_list]
+                    )
+                    where = path.relative_to(package).as_posix()
+                    found[(str(path), line)] = f"{where}::{prefix}{name}"
+                visit(child, path, f"{prefix}{name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+def _capped_runs(root):
+    """``{(file, first line)}`` of every function entered while each
+    committed scenario and ledger config runs for at most two simulated
+    hours (a config listed twice, the traced ledger twin, runs once)."""
+    from repro.simulation import Simulation
+
+    with _entering(set()) as entered:
+        for config in dict.fromkeys(_committed_configs(root)):
+            duration = min(config.duration, 7200.0)
+            Simulation(dataclasses.replace(
+                config, duration=duration,
+                warmup=min(config.warmup, duration / 2),
+            )).run()
+    return _keys(entered)
+
+
+def _keys(entered):
+    """``{(file, first line)}`` of the code objects in *entered*."""
+    files = {
+        name: str(pathlib.Path(name).resolve())
+        for name in {code.co_filename for code in entered}
+    }
+    return {(files[code.co_filename], code.co_firstlineno) for code in entered}
+
+
+@pytest.fixture(scope="module")
+def entered_functions(_workloads, tmp_path_factory):
+    """``{(file, first line)}`` of every function entered while each
+    workload we run runs: the figure cells (recorded by ``_workloads``),
+    :func:`_capped_runs` under the invariant checker, four cheap CLI
+    verbs and one live ``verify`` leg.  The capped runs go to a child
+    process (this file run as a script) while the live leg, which mostly
+    waits on its wall clock, runs here."""
+    import io
+    import json
+    import os
+    import subprocess
+
+    from repro.cli import main
+    from repro.experiments.verify import verify
+    from repro.scenario import load_scenario
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    scratch = tmp_path_factory.mktemp("reach")
+    env = dict(
+        os.environ, PYTHONPATH=str(root / "src"),
+        REPRO_WORKERS="1", REPRO_INVARIANTS="1",
+    )
+    child = subprocess.Popen(
+        [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True,
+    )
+    sink = io.StringIO()
+    try:
+        with contextlib.ExitStack() as stack:
+            patch = stack.enter_context(pytest.MonkeyPatch.context())
+            patch.setenv("REPRO_WORKERS", "1")
+            patch.setenv("REPRO_INVARIANTS", "1")
+            stack.enter_context(contextlib.redirect_stdout(sink))
+            stack.enter_context(contextlib.redirect_stderr(sink))
+            entered = stack.enter_context(_entering(set()))
+            for argv in (["list"], ["fig3"], ["fig6"], [
+                "run", "--scenario", str(root / "scenarios/p4_small.json"),
+                "--trace-out", str(scratch / "trace.jsonl"), "--profile",
+            ]):
+                assert main(argv) == 0, argv
+            verify(
+                load_scenario(root / "scenarios/serve_loopback.json"),
+                postmortem=scratch / "postmortem.jsonl",
+            )
+    finally:
+        out, _ = child.communicate()  # never leave the child running
+    assert child.returncode == 0, "the capped runs failed"
+    return (
+        _keys(_workloads[1]) | _keys(entered)
+        | {tuple(key) for key in json.loads(out)}
+    )
+
+
+@pytest.fixture(scope="module")
+def unreached_functions(entered_functions):
+    """Names of the ``def``s in ``src/repro`` no workload entered."""
+    return TestEveryFunctionIsReached.unreached(
+        TestEveryFunctionIsReached.package(), entered_functions
+    )
+
+
+#: A module for ``test_an_unused_function_is_caught``: ``idle`` is the
+#: one def that is neither entered nor exempt (a dunder, a stub, a name
+#: ``bench/*.py`` uses); ``cached`` is keyed by its decorator's line.
+_PLANTED = """
+import functools
+
+
+@functools.lru_cache(maxsize=None)
+def cached():
+    return 1
+
+
+def used():
+    return cached() + Kind().value()
+
+
+def idle():
+    return 2
+
+
+class Kind:
+    def __repr__(self):
+        return "kind"
+
+    def value(self):
+        return 3
+
+    def stub(self):
+        \"\"\"An abstract hook.\"\"\"
+        raise NotImplementedError
+
+    def detach(self):
+        return 4
+"""
+
+
+#: Reasons shared by rows of :attr:`TestEveryFunctionIsReached.ALLOWED`.
+_IMPORT = "runs at import time, before the profile starts (registration)"
+_GATEWAY = (
+    "needs a running gateway: the serve / loadgen / ops / top verbs "
+    "(tests/test_serve.py, tests/test_ops.py, CI serve-smoke)"
+)
+_CHAOS = (
+    "the live chaos plane: `repro verify scenarios/chaos_serve.json` "
+    "(CI verify; tests/test_chaos_serve.py)"
+)
+_POOL = "the REPRO_WORKERS > 1 pool path (tests/test_parallel_sweep.py, CI artifacts)"
+_RAISE = (
+    "a failure path, run only when a check fails "
+    "(tests/test_faults.py, tests/test_chaos_serve.py)"
+)
+_OFF = "a registry off-switch TestEveryKeyIsReached.ALLOWED keeps"
+_ALL = (
+    "`repro all` writes each figure's CSV and sidecar (CI artifacts); "
+    "the test draws the figures without writing them"
+)
+_TRACE = "the `repro trace` verb (tests/test_cli.py); `run --trace-out` streams instead"
+_PREFIX = (
+    "`repro prefix`, the one figure that is not a registered grid "
+    "(ROADMAP item 2(c); tests/test_prefix.py)"
+)
+_VERIFY = (
+    "a `repro verify` check for a faults / elastic / prefix block; the "
+    "test's one verify leg has none (CI verify; tests/test_verify.py)"
+)
+_TRIALS = (
+    "a cell with two or more trials (--scale >= 0.005, "
+    "results/fidelity_0.05/); every committed workload runs one "
+    "(tests/test_stats.py)"
+)
+_VIEWERS = (
+    "examples/interactive_viewers.py, worth keeping as the one view of "
+    "a run over time: paused viewers piling up in the evening "
+    "(tests/test_examples.py)"
+)
+_CROWD = (
+    "examples/flash_crowd.py, worth keeping as the paper's section 4.5 "
+    "argument on one fixed trace replayed under four policies "
+    "(tests/test_examples.py)"
+)
+#: Reached or not by the live leg's wall-clock races, so a row, but
+#: exempt from the stale-row check.
+_RACY = (
+    "the deferred drain when the kernel did not take a control frame "
+    "whole; the live leg reaches it only under load (tests/test_serve.py)"
+)
+
+
+class TestEveryFunctionIsReached:
+    """Code no workload runs is a defect (ROADMAP): every ``def`` in
+    ``src/repro`` is entered while the figures with claims, the
+    committed scenarios, the ledger configs, four cheap CLI verbs and
+    one live ``verify`` leg run — or it is exempt by rule (dunders,
+    ``Protocol`` / abstract stubs, names ``bench/*.py`` uses), or it
+    has a row here with its reason."""
+
+    #: Functions kept with no workload entering them, one reason each.
+    ALLOWED = {
+        "analysis/erlang.py::erlang_b_inverse":
+            "examples/capacity_planning.py, worth keeping as the paper's "
+            "Erlang-B model run backwards to size a cluster "
+            "(tests/test_examples.py)",
+        "analysis/export.py::metadata_path": _ALL,
+        "analysis/export.py::sweep_to_csv": _ALL,
+        "analysis/export.py::write_metadata": _ALL,
+        "analysis/report.py::sparkline": _VIEWERS,
+        "analysis/stats.py::_central": _TRIALS,
+        "analysis/stats.py::_t_multiplier": _TRIALS,
+        "analysis/timeseries.py::StateSampler._sample": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.active_streams": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.instantaneous_utilization": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.mean_buffers": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.paused_streams": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.times": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.utilization_series": _VIEWERS,
+        "analysis/timeseries.py::TimeSeries.window": _VIEWERS,
+        "cli.py::_cmd_trace": _TRACE,
+        "cli.py::_run_all": _ALL,
+        "cluster/controller.py::DistributionController.active_count":
+            "the `streams.active` gauge, sampled only by an ops scrape "
+            "(tests/test_ops.py)",
+        "cluster/controller.py::DistributionController.check_invariants":
+            "the tests' structural oracle: replica held, state ACTIVE and "
+            "server_id in sync are checked nowhere else "
+            "(faults/invariants.py checks conservation, capacity and "
+            "underruns; tests/test_simulation.py, tests/test_soak.py)",
+        "cluster/request.py::Request.headroom":
+            "the readable form of the headroom the allocator inlines; "
+            "tests/test_schedulers.py pins the two equal",
+        "cluster/request.py::Request.remaining":
+            "Request.headroom's data side, the allocator's oracle "
+            "(tests/test_schedulers.py, tests/test_properties.py)",
+        "cluster/system.py::SystemConfig.scaled":
+            "ROADMAP item 2(b)'s catalog-size sweep; tests build reduced "
+            "systems with it (tests/test_system.py)",
+        "core/elastic.py::ElasticScaler._finish_evacuation":
+            "a drained server holding a sole replica; no committed "
+            "workload drains one (tests/test_elastic.py::"
+            "TestSoleReplicaEvacuation)",
+        "core/elastic.py::_warm_none": _OFF,
+        "core/failover.py::FailoverReport.survival_ratio": _CHAOS,
+        "core/policies.py::Policy.describe": _IMPORT,
+        "core/replication.py::DynamicReplicator._evict_for":
+            "a hot copy that does not fit; the committed replication "
+            "scenario never fills a disk (tests/test_replication.py::"
+            "TestEviction)",
+        "experiments/base.py::_get_pool": _POOL,
+        "experiments/base.py::_pooled": _POOL,
+        "experiments/base.py::_retry_cell": _POOL,
+        "experiments/base.py::usable_cpus": _POOL,
+        "experiments/live_serve.py::_cmd_loadgen": _GATEWAY,
+        "experiments/live_serve.py::_cmd_serve": _GATEWAY,
+        "experiments/live_serve.py::_serve_async": _GATEWAY,
+        "experiments/ops_tools.py::_cmd_ops": _GATEWAY,
+        "experiments/ops_tools.py::_cmd_top": _GATEWAY,
+        "experiments/prefix.py::_floats": _PREFIX,
+        "experiments/prefix.py::baseline_config": _PREFIX,
+        "experiments/prefix.py::render_figure": _PREFIX,
+        "experiments/prefix.py::run_prefix_cli": _PREFIX,
+        "experiments/prefix.py::run_report": _PREFIX,
+        "experiments/registry.py::register_figure": _IMPORT,
+        "experiments/registry.py::register_figure.run_cli":
+            "a figure verb (`repro fig4` ...); the test draws the figures "
+            "through their artifacts (tests/test_cli.py)",
+        "experiments/registry.py::register_figure.trace_config": _TRACE,
+        "experiments/registry.py::register_table": _IMPORT,
+        "experiments/verify.py::_check_elastic": _VERIFY,
+        "experiments/verify.py::_check_faults": _VERIFY,
+        "experiments/verify.py::_check_prefix": _VERIFY,
+        "experiments/verify.py::run_verify_cli":
+            "the `repro verify` verb; the test calls verify() itself "
+            "(CI verify)",
+        "faults/invariants.py::InvariantChecker._violate": _RAISE,
+        "obs/prometheus.py::_format_value": _GATEWAY,
+        "obs/prometheus.py::parse_prometheus": _GATEWAY,
+        "obs/prometheus.py::render_prometheus": _GATEWAY,
+        "obs/prometheus.py::sanitize_metric_name": _GATEWAY,
+        "obs/recorder.py::FlightRecorder.dump": _RAISE,
+        "obs/recorder.py::FlightRecorder.install_signal_handler": _GATEWAY,
+        "obs/recorder.py::FlightRecorder.uninstall_signal_handler": _GATEWAY,
+        "obs/recorder.py::read_postmortem":
+            "the postmortem format's reader (docs/OBSERVABILITY.md); "
+            "tests/test_recorder.py reads every dump through it",
+        "obs/registry.py::Gauge.snapshot": _GATEWAY,
+        "obs/registry.py::MetricsRegistry.gauges": _GATEWAY,
+        "obs/registry.py::MetricsRegistry.histograms": _GATEWAY,
+        "obs/registry.py::MetricsRegistry.snapshot": _GATEWAY,
+        "obs/spans.py::SessionSpan.closed": _GATEWAY,
+        "obs/spans.py::SessionSpan.handoffs": _GATEWAY,
+        "obs/spans.py::SessionSpan.phase": _GATEWAY,
+        "obs/spans.py::SessionSpan.to_dict": _GATEWAY,
+        "obs/spans.py::SpanEvent.to_dict": _GATEWAY,
+        "obs/spans.py::SpanLog.active": _GATEWAY,
+        "obs/spans.py::SpanLog.recent": _GATEWAY,
+        "obs/spans.py::SpanLog.recorded": _GATEWAY,
+        "obs/tracer.py::Tracer.records":
+            "the ring's read side, for FlightRecorder.dump (a signal or "
+            "a crash; tests/test_recorder.py)",
+        "obs/tracer.py::Tracer.records_of":
+            "examples/trace_debugging.py, worth keeping as the worked "
+            "answer to 'why was this request rejected?' "
+            "(tests/test_examples.py)",
+        "obs/tracer.py::Tracer.summary_table": _TRACE,
+        "obs/tracer.py::iter_jsonl": _GATEWAY,
+        "prefix/cache.py::PrefixCache.bytes_held": _GATEWAY,
+        "prefix/cache.py::plan_none": _OFF,
+        "prefix/chaining.py::batch_none": _OFF,
+        "prefix/tier.py::PrefixTier.chained_active": _GATEWAY,
+        "prefix/tier.py::PrefixTier.on_drop":
+            "a drop while the prefix tier is on; no committed scenario "
+            "has both faults and a prefix block (tests/test_prefix.py::"
+            "TestTierEndToEnd::test_drop_cascade_under_faults)",
+        "prefix/tier.py::PrefixTier.stats": _GATEWAY,
+        "registry.py::Registry.register._decorator": _IMPORT,
+        "scenario.py::save_scenario":
+            "the scenario format's writer; tests/test_scenario.py pins "
+            "load(save(x)) == x byte for byte",
+        "serve/chaos.py::ChaosPlane._on_fail": _CHAOS,
+        "serve/chaos.py::ChaosPlane._on_fail._kill": _CHAOS,
+        "serve/chaos.py::ChaosPlane._on_restore": _CHAOS,
+        "serve/chaos.py::ChaosPlane.arm": _CHAOS,
+        "serve/chaos.py::ToxicConfig.empty": _CHAOS,
+        "serve/chaos.py::ToxicWriter.drain": _CHAOS,
+        "serve/chaos.py::_jittered_latency": _CHAOS,
+        "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
+        "serve/gateway.py::ClusterGateway.abort": _CHAOS,
+        "serve/gateway.py::ClusterGateway.kill_server_task": _CHAOS,
+        "serve/gateway.py::ClusterGateway.ops_port": _GATEWAY,
+        "serve/loadgen.py::LoadGenerator._progress_line": _GATEWAY,
+        "serve/loadgen.py::LoadGenerator._report_loop": _GATEWAY,
+        "serve/loadgen.py::_LiveClient._sleep_until": _CHAOS,
+        "serve/ops.py::OpsEndpoint._answer": _GATEWAY,
+        "serve/ops.py::OpsEndpoint._handle": _GATEWAY,
+        "serve/ops.py::format_reply": _GATEWAY,
+        "serve/ops.py::ops_query": _GATEWAY,
+        "serve/ops.py::ops_query._exchange": _GATEWAY,
+        "serve/ops.py::ops_query_sync": _GATEWAY,
+        "serve/supervisor.py::TaskSupervisor._trip": _RAISE,
+        "serve/supervisor.py::TaskSupervisor.inject_crash": _CHAOS,
+        "serve/telemetry.py::session_table": _GATEWAY,
+        "serve/top.py::_bar": _GATEWAY,
+        "serve/top.py::_emit": _GATEWAY,
+        "serve/top.py::_fmt": _GATEWAY,
+        "serve/top.py::_rate": _GATEWAY,
+        "serve/top.py::render_top": _GATEWAY,
+        "serve/top.py::run_trace": _GATEWAY,
+        "serve/top.py::trace_samples": _GATEWAY,
+        "sim/process.py::PeriodicTimer._tick": _VIEWERS,
+        "sim/process.py::PeriodicTimer.stopped": _VIEWERS,
+        "workload/trace.py::Trace.schedule_on": _CROWD,
+        "workload/trace.py::Trace.with_flash_crowd": _CROWD,
+    }
+
+    @staticmethod
+    def package():
+        return pathlib.Path(repro.__file__).resolve().parent
+
+    @staticmethod
+    def unreached(package, reached):
+        """Names of the ``def``s under *package* whose ``(file, first
+        line)`` is not in *reached*."""
+        return {
+            name for key, name in _functions(package).items()
+            if key not in reached
+        }
+
+    def test_every_function_is_reached(self, unreached_functions):
+        missing = unreached_functions - set(self.ALLOWED)
+        assert not missing, (
+            f"defined, but no workload we run enters it: "
+            f"{sorted(missing)}"
+        )
+
+    def test_every_allowed_function_is_unreached(self, unreached_functions):
+        # A row whose function a workload now enters, or that is gone,
+        # has no reason left.
+        rows = {name for name, why in self.ALLOWED.items() if why is not _RACY}
+        stale = rows - unreached_functions
+        assert not stale, f"allowed, but not an unreached def: {sorted(stale)}"
+
+    def test_an_unused_function_is_caught(self, tmp_path):
+        import importlib.util
+
+        package = tmp_path / "planted"
+        package.mkdir()
+        (package / "mod.py").write_text(_PLANTED)
+        spec = importlib.util.spec_from_file_location(
+            "planted_mod", package / "mod.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with _entering(set()) as entered:
+            module.used()
+        assert self.unreached(package, _keys(entered)) == {"mod.py::idle"}
+
+    def test_every_row_has_a_reason(self):
+        assert all(
+            isinstance(reason, str) and reason.strip()
+            for reason in self.ALLOWED.values()
+        )
+
+
+if __name__ == "__main__":
+    # The child process of ``entered_functions``: the capped runs' keys.
+    import json
+
+    print(json.dumps(sorted(
+        _capped_runs(pathlib.Path(__file__).resolve().parent.parent)
+    )))

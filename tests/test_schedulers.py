@@ -25,7 +25,9 @@ from repro.core.transmission import TransmissionManager
 from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
 
-from conftest import make_client, make_request, make_video, rates_of
+from conftest import (
+    is_pending, live_events, make_client, make_request, make_video, rates_of,
+)
 
 
 def server(bandwidth=10.0):
@@ -172,7 +174,8 @@ class TestEFTF:
             srv.store_replica(r.video)
             srv.attach(r)
         assert less_left.size < ends_first.size
-        assert ends_first.projected_finish(0.0) < less_left.projected_finish(0.0)
+        # Projected finishes at b_view: remaining / view bandwidth.
+        assert ends_first.remaining(0.0) / 3.0 < less_left.remaining(0.0) / 1.0
         rates = rates_of(EFTFAllocator(), srv, [less_left, ends_first], 0.0)
         assert rates[ends_first.request_id] == pytest.approx(5.0)
         assert rates[less_left.request_id] == pytest.approx(1.0)
@@ -346,8 +349,7 @@ def _next_wall(r, rate, now):
     vb = r.view_bandwidth
     drain = 0.0 if r.playback_paused else vb
     finish = (
-        r.projected_finish(now) if rate == vb
-        else now + r.remaining(now) / rate
+        now + r.remaining(now) / rate
     )
     full = math.inf
     if rate - drain > EPS_RATE and r.client.buffer_capacity < math.inf:
@@ -432,7 +434,7 @@ class Lockstep:
         assert floor == sorted(floor)
         for key, _rid, r, _cap in floor:
             assert r.floor_key == key and r.rate == r.view_bandwidth
-            assert abs(key - r.projected_finish(now)) <= 1e-9
+            assert abs(key - (now + r.remaining(now) / r.view_bandwidth)) <= 1e-9
         on_floor = {e[1] for e in floor}
         moved = {r.request_id for r in server.moved}
         assert not on_floor & moved
@@ -448,13 +450,13 @@ class Lockstep:
 
         boundary = self._boundary
         event = self.manager._event
-        live = [e for e in self.manager.engine.iter_pending()
+        live = [e for e in live_events(self.manager.engine)
                 if e.kind == self.manager._boundary_kind]
         if wall == math.inf:
             assert boundary == math.inf and event is None and live == []
         else:
             assert abs(max(boundary, now) - max(wall, now)) <= 1e-9
-            assert event.pending and event.time == max(boundary, now)
+            assert is_pending(event) and event.time == max(boundary, now)
             assert live == [event]
 
 

@@ -105,7 +105,7 @@ class TestSoak:
     def test_replicated_videos_consistent_with_disks(self, soak_run):
         sim, _, _, _, _ = soak_run
         placement = sim.placement_result.placement
-        for vid in placement.videos():
+        for vid in sorted(placement._holders):
             for sid in placement.holders(vid):
                 assert sim.controller.servers[sid].holds(vid)
 

@@ -7,6 +7,10 @@ import pytest
 from repro.analysis.stats import summarize
 
 
+def _half(stats):
+    return (stats.ci_high - stats.ci_low) / 2.0
+
+
 class TestSummarize:
     def test_single_value(self):
         s = summarize([0.5])
@@ -29,30 +33,26 @@ class TestSummarize:
     def test_ci_narrows_with_more_trials(self):
         narrow = summarize([1.0, 2.0] * 20)
         wide = summarize([1.0, 2.0])
-        assert narrow.ci_halfwidth < wide.ci_halfwidth
+        assert _half(narrow) < _half(wide)
 
-    def test_higher_confidence_wider_interval(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        assert (
-            summarize(data, confidence=0.99).ci_halfwidth
-            > summarize(data, confidence=0.90).ci_halfwidth
+    def test_five_trials_use_student_t_with_four_degrees(self):
+        # The paper's n = 5: t_4 = 2.776, 1.42x the normal z = 1.96.
+        s = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert _half(s) == pytest.approx(
+            2.776 * s.std / math.sqrt(5), abs=1e-3
         )
+
+    def test_one_trial_has_zero_width(self):
+        s = summarize([0.25])
+        assert _half(s) == 0.0 and s.ci_low == s.ci_high == 0.25
+
+    def test_large_n_converges_to_normal_z(self):
+        s = summarize([1.0, 2.0] * 5000)
+        assert _half(s) / s.stderr == pytest.approx(1.96, abs=1e-3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_unknown_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([1.0], confidence=0.5)
-
-    def test_overlap_detection(self):
-        a = summarize([1.0, 1.1, 0.9])
-        b = summarize([1.05, 1.15, 0.95])
-        c = summarize([5.0, 5.1, 4.9])
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-        assert not a.overlaps(c)
 
     def test_str_rendering(self):
         text = str(summarize([1.0, 2.0]))

@@ -14,6 +14,8 @@ from repro.cluster.system import (
 )
 from repro.units import gb_to_mb, minutes
 
+from conftest import placed_copies
+
 
 class TestFigure3Presets:
     def test_small_system_matches_paper(self):
@@ -64,7 +66,7 @@ class TestFigure3Presets:
             ))
             assert len(sim.servers) == n_servers
             assert sim.placement_result.shortfall == 0
-            placed = sim.placement_result.placement.total_copies()
+            placed = placed_copies(sim.placement_result.placement)
             assert abs(placed / system.n_videos - 2.2) < 0.05
 
     def test_build_servers_fresh_instances(self):

@@ -9,13 +9,15 @@ import math
 
 import pytest
 
-from repro.cluster.request import RequestState
+from repro.cluster.request import EPS_MB, RequestState
 from repro.core.admission import AdmissionOutcome
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
 from repro.sim.events import EventState
 
-from conftest import build_micro_cluster, make_client, make_video
+from conftest import (
+    build_micro_cluster, is_pending, live_events, make_client, make_video,
+)
 
 
 def one_server_cluster(bandwidth=10.0, n_videos=1, length=100.0, allocator="eftf"):
@@ -34,7 +36,7 @@ class TestContinuousTransmission:
         r, outcome = cluster.submit(0, client=make_client())
         assert outcome is AdmissionOutcome.ACCEPTED
         cluster.engine.run_until(99.0)
-        assert not r.transmission_finished(99.0)
+        assert not r.remaining(99.0) <= EPS_MB
         cluster.engine.run_until(101.0)
         assert r.state is RequestState.FINISHED
         assert r.finish_time == pytest.approx(100.0)
@@ -65,10 +67,10 @@ class TestWorkahead:
         r, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         # 100 Mb at 10 Mb/s → transmission done at t=10.
         cluster.engine.run_until(10.5)
-        assert r.transmission_finished(10.5)
+        assert r.remaining(10.5) <= EPS_MB
         assert r.finish_time == pytest.approx(10.0)
         # Playback still runs to t=100 client-side:
-        assert r.playback_end == pytest.approx(100.0)
+        assert r.playback_start + r.video.length == pytest.approx(100.0)
 
     def test_buffer_full_drops_stream_to_view_rate(self):
         cluster = one_server_cluster(bandwidth=10.0)
@@ -96,7 +98,7 @@ class TestWorkahead:
         fast, _ = cluster.submit(0, client=make_client(buffer_capacity=math.inf))
         # Alone, the stream gets the whole 2 Mb/s link → done at t=50.
         cluster.engine.run_until(51.0)
-        assert fast.transmission_finished(51.0)
+        assert fast.remaining(51.0) <= EPS_MB
         # Two more streams now fit (link fully free):
         _, o1 = cluster.submit(0, client=make_client())
         _, o2 = cluster.submit(0, client=make_client())
@@ -115,7 +117,7 @@ class TestWorkahead:
         assert b.rate == pytest.approx(1.0)
         # a finishes at 20 + 40/2 = 40; then b gets everything.
         cluster.engine.run_until(40.5)
-        assert a.transmission_finished(40.5)
+        assert a.remaining(40.5) <= EPS_MB
         assert b.rate == pytest.approx(3.0)
 
 
@@ -154,9 +156,9 @@ class TestBoundaryBookkeeping:
         assert near.last_sync == far.last_sync == 60.0
         assert metrics.total_megabits - before == moved
         assert (near.rate, far.rate) == rates
-        assert near.transmission_finished(60.0)
+        assert near.remaining(60.0) <= EPS_MB
         assert near.state is RequestState.ACTIVE and cluster.finished == []
-        assert manager._event is pending and pending.pending
+        assert manager._event is pending and is_pending(pending)
 
     @pytest.mark.parametrize("rate", [0.0, 0.5])
     def test_playing_stream_below_view_rate_is_an_error(self, rate):
@@ -197,12 +199,12 @@ class TestBoundaryBookkeeping:
         manager = cluster.managers[0]
         cluster.submit(0, client=make_client())
         pending = manager._event
-        assert cluster.engine.peek_time() == pending.time == 100.0
+        assert min(e.time for e in live_events(cluster.engine)) == pending.time == 100.0
         cluster.engine.run_until(50.0)
         cluster.submit(0, client=make_client())
         # Two finish boundaries now exist: 100 and 150; next is 100.
-        assert manager._event is pending and pending.pending
-        assert cluster.engine.peek_time() == 100.0
+        assert manager._event is pending and is_pending(pending)
+        assert min(e.time for e in live_events(cluster.engine)) == 100.0
         cluster.engine.run_until(1000.0)
         assert len(cluster.finished) == 2
         assert cluster.engine.events_cancelled == 0
@@ -231,9 +233,9 @@ class TestBoundaryBookkeeping:
         pending = manager._event
         assert pending.time == then
         cluster.submit(1, client=make_client(buffer_capacity=buffer))
-        assert manager._event is not pending and manager._event.pending
+        assert manager._event is not pending and is_pending(manager._event)
         assert (manager._event.time < then) == (allocator == "none")
-        assert pending.state is EventState.CANCELLED
+        assert pending._state is EventState.CANCELLED
         cluster.engine.run_until(1000.0)
         assert len(cluster.finished) == 2
         assert cluster.engine.events_cancelled == 1
@@ -248,9 +250,9 @@ class TestBoundaryBookkeeping:
         cancelled = manager._event
         cluster.engine.run_until(5.0)
         manager.deactivate(5.0)
-        assert manager._event is None and not cancelled.pending
+        assert manager._event is None and not is_pending(cancelled)
         manager.reallocate(5.0)
-        assert manager._event.pending and manager._event.time == cancelled.time
+        assert is_pending(manager._event) and manager._event.time == cancelled.time
         cluster.engine.run_until(1000.0)
         assert cluster.finished == [r] and r.finish_time == 100.0
 
@@ -270,7 +272,7 @@ class TestBatchedBoundaryAdvance:
         for _ in range(4):
             cluster.submit(0, client=make_client())
         live = [
-            e for e in cluster.engine.iter_pending()
+            e for e in live_events(cluster.engine)
             if e.kind.startswith("tx-boundary")
         ]
         assert len(live) == 1
@@ -284,7 +286,7 @@ class TestBatchedBoundaryAdvance:
         reqs = [cluster.submit(0, client=make_client())[0] for _ in range(4)]
         fired_before = cluster.engine.events_fired
         cluster.engine.run_until(100.0)
-        assert all(r.transmission_finished(100.0) for r in reqs)
+        assert all(r.remaining(100.0) <= EPS_MB for r in reqs)
         # One finish boundary (the fold) plus the post-finish
         # reallocation pass scheduling nothing: exactly 1 event fired.
         assert cluster.engine.events_fired - fired_before == 1

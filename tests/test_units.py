@@ -14,11 +14,6 @@ class TestConversions:
         assert units.minutes(10) == 600.0
         assert units.hours(2) == 7200.0
 
-    def test_mbps_hours(self):
-        # A 100 Mb/s link moves 360000 Mb (=45 GB) in one hour.
-        assert units.mbps_hours(100.0, 1.0) == pytest.approx(360_000.0)
-        assert units.mb_to_gb(units.mbps_hours(100.0, 1.0)) == pytest.approx(45.0)
-
     def test_paper_constants(self):
         assert units.DEFAULT_VIEW_BANDWIDTH == 3.0
         assert units.DEFAULT_CLIENT_RECEIVE_BANDWIDTH == 30.0
