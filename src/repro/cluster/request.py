@@ -80,6 +80,8 @@ class Request:
         rate: current transmission rate, Mb/s.
         bytes_sent: cumulative megabits transmitted.
         hops: number of times this stream has been migrated.
+        retry_draws: backoff jitter draws taken from the request's
+            ``retry.req<id>`` stream so far (:mod:`repro.faults.retry`).
         paused_until: end of a migration switch gap during which the
             stream receives no data (0 when not paused).  Set before the
             move attaches the stream to its new server, which records it
@@ -102,6 +104,7 @@ class Request:
         "last_sync",
         "playback_start",
         "hops",
+        "retry_draws",
         "paused_until",
         "finish_time",
         "reject_reason",
@@ -134,6 +137,7 @@ class Request:
         self.last_sync = float(arrival_time)
         self.playback_start = float(arrival_time)
         self.hops = 0
+        self.retry_draws = 0
         self.paused_until = 0.0
         self.finish_time: Optional[float] = None
         #: Why admission last refused this request (``no_replica`` /

@@ -11,7 +11,12 @@ exponential backoff with per-request jitter:
   ``max_delay``, scaled by a uniform jitter factor in
   ``[1 - JITTER, 1 + JITTER]`` drawn from the *request's own* RNG
   substream (``retry.req<id>``) — so two same-seed runs back off
-  identically regardless of event interleaving;
+  identically regardless of event interleaving.  The generator lives
+  in the queue entry, built uncached by :meth:`RandomStreams.fresh`,
+  and dies with it; a request queued again after a re-admission gets a
+  new one advanced past the ``Request.retry_draws`` it already took, so
+  its sequence continues unbroken and the queue's memory is bounded by
+  :data:`MAX_PENDING`, not by the run's length;
 * the queue is **bounded** (:data:`MAX_PENDING`) and each request gets
   at most ``max_attempts`` resubmissions; overflow and exhaustion are
   terminal (``request.retry_exhaust`` trace, ``retry.exhausted``
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.cluster.controller import DistributionController
 from repro.cluster.request import EPS_MB, Request
@@ -81,10 +88,11 @@ class RetryPolicy(Config):
 
 
 class _Entry:
-    __slots__ = ("request", "attempt", "event", "delay")
+    __slots__ = ("request", "rng", "attempt", "event", "delay")
 
-    def __init__(self, request: Request) -> None:
+    def __init__(self, request: Request, rng: np.random.Generator) -> None:
         self.request = request
+        self.rng = rng
         self.attempt = 1
         self.event = None
         self.delay = 0.0
@@ -160,7 +168,12 @@ class RetryQueue:
         if len(self._entries) >= MAX_PENDING:
             self._exhaust(request, attempts=0, reason="queue_full")
             return
-        entry = _Entry(request)
+        rng = self.streams.fresh(f"retry.req{request.request_id}")
+        if request.retry_draws:
+            # Queued again after a re-admission: skip the draws already
+            # taken (one ``random()`` is one bit-generator step).
+            rng.bit_generator.advance(request.retry_draws)
+        entry = _Entry(request, rng)
         self._entries[request.request_id] = entry
         self._schedule(entry)
 
@@ -178,8 +191,8 @@ class RetryQueue:
 
     def _schedule(self, entry: _Entry) -> None:
         request = entry.request
-        rng = self.streams.get(f"retry.req{request.request_id}")
-        delay = self.policy.delay_for(entry.attempt, float(rng.random()))
+        delay = self.policy.delay_for(entry.attempt, float(entry.rng.random()))
+        request.retry_draws += 1
         entry.delay = delay
         now = self.engine.now
         entry.event = self.engine.schedule(

@@ -68,27 +68,20 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value: settable, or computed by a supplier."""
+    """A point-in-time value computed by a supplier (0 until it has one)."""
 
-    __slots__ = ("name", "_value", "supplier")
+    __slots__ = ("name", "supplier")
 
     def __init__(
         self, name: str, supplier: Optional[Callable[[], float]] = None
     ) -> None:
         self.name = name
-        self._value = 0.0
         self.supplier = supplier
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def reset(self) -> None:
-        self._value = 0.0
 
     def snapshot(self) -> float:
         if self.supplier is not None:
             return float(self.supplier())
-        return self._value
+        return 0.0
 
 
 class Histogram:
@@ -265,8 +258,9 @@ class MetricsRegistry:
         return dict(self._histograms)
 
     def reset(self) -> None:
-        """Zero every instrument (warmup-window reset)."""
-        for group in (self._counters, self._gauges, self._histograms):
+        """Zero every counter and histogram (warmup-window reset); a
+        gauge reads live state, so there is nothing to zero."""
+        for group in (self._counters, self._histograms):
             for inst in group.values():
                 inst.reset()
 

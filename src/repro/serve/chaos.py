@@ -323,7 +323,7 @@ class ClientChaos:
 
     def plan_for(self, index: int) -> Optional[ClientFaultPlan]:
         """The plan for trace position *index* (None when fault-free)."""
-        rng = self.streams.get(f"chaos.client.{index}")
+        rng = self.streams.fresh(f"chaos.client.{index}")
         # Fixed draw order: eligibility, then offset — so adding fault
         # classes later appends draws instead of shifting these.
         cut = float(rng.random()) < self.cut_prob

@@ -294,7 +294,7 @@ class _LiveClient:
                 out.retries = attempt
                 draw = (
                     float(
-                        self.rng.get(
+                        self.rng.fresh(
                             f"serve.client.{self.index}.retry{attempt}"
                         ).random()
                     )

@@ -7,6 +7,18 @@ component therefore gets its own :class:`numpy.random.Generator` derived
 from a root :class:`numpy.random.SeedSequence` and a stable string key,
 so streams are statistically independent *and* stable across unrelated
 code changes.
+
+Two accessors build the same stream for a key.  :meth:`RandomStreams.get`
+caches it for the factory's lifetime; use it for the bounded set of
+named streams: the run streams (``arrivals``, ``placement``, ``catalog``,
+``clients``, ``interactivity``, ``calibrate``; live, ``serve.trace`` and
+``chaos.toxic.gateway``) and the per-server fault and join streams
+(``fault.crash.<sid>``, ``fault.link.<sid>``, ``fault.replica``,
+``calibrate.join.<sid>``).  :meth:`RandomStreams.fresh`
+builds a new, uncached generator on every call; use it for keys minted
+per request, client or attempt (``retry.req<id>``,
+``serve.client.<i>.retry<k>``, ``chaos.client.<i>``), so a generator
+lives only as long as its holder does instead of for the whole run.
 """
 
 from __future__ import annotations
@@ -32,7 +44,6 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
     @staticmethod
@@ -40,29 +51,24 @@ class RandomStreams:
         """Map a stream name to a stable 32-bit integer (crc32)."""
         return zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF
 
-    def get(self, key: str) -> np.random.Generator:
-        """Return the generator for *key*, creating it on first use.
+    def fresh(self, key: str) -> np.random.Generator:
+        """A new generator at the start of *key*'s stream, not cached.
 
         The same (seed, key) pair always yields an identical stream,
         independent of access order and of other keys.
         """
+        child = np.random.SeedSequence(
+            entropy=self.seed, spawn_key=(self._key_to_int(key),)
+        )
+        return np.random.default_rng(child)
+
+    def get(self, key: str) -> np.random.Generator:
+        """The generator for *key*, built by :meth:`fresh` on first use
+        and cached, so later calls continue the same stream."""
         gen = self._streams.get(key)
         if gen is None:
-            child = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(self._key_to_int(key),)
-            )
-            gen = np.random.default_rng(child)
-            self._streams[key] = gen
+            gen = self._streams[key] = self.fresh(key)
         return gen
-
-    def child(self, key: str) -> "RandomStreams":
-        """Derive a whole sub-factory (e.g. one per trial).
-
-        ``RandomStreams(s).child(k)`` is deterministic in (s, k) and its
-        streams are independent of the parent's.
-        """
-        derived_seed = (self.seed * 1_000_003 + self._key_to_int(key)) % (2**63)
-        return RandomStreams(seed=derived_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RandomStreams seed={self.seed} streams={sorted(self._streams)}>"

@@ -734,6 +734,34 @@ class TestResilientClient:
         assert fake_a.requests[1]["t"] == fake_b.requests[1]["t"]
         assert fake_a.requests[1]["t"] != fake_c.requests[1]["t"]
 
+    def test_replay_caches_no_per_attempt_generator(self):
+        """Each backoff draw comes from an uncached one-shot stream, so
+        a load generator's RandomStreams keeps nothing per client or
+        per attempt after a replay with retries."""
+        retry = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0)
+
+        async def replay():
+            fake = _FakeGateway(["abort", "abort", "finish"])
+            port = await fake.start()
+            # A short retry margin keeps the two re-requests ~0.1 s apart.
+            serve = ServeConfig(
+                port=port, guard=0.02, reorder_window=0.01,
+                retry_margin=0.05, compression=400.0,
+            )
+            generator = LoadGenerator(
+                serve,
+                Trace([RequestSpec(time=3.0, video_id=0)]),
+                retry=retry,
+                seed=7,
+            )
+            report = await generator.run()
+            await fake.stop()
+            return generator, report
+
+        generator, report = run(replay())
+        (session,) = report.sessions
+        assert session.reason == "finished" and session.retries == 2
+        assert generator._rng._streams == {}
 
 # ----------------------------------------------------------------------
 # Gateway timeout paths (handshake + send) — zero leaked tasks

@@ -15,7 +15,11 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import gc
+import sys
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +36,10 @@ from repro.faults import (
     ReplicaFaults,
     RetryPolicy,
 )
+from repro.faults.retry import MAX_PENDING
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
+from repro.sim.rng import RandomStreams
 from repro.units import hours
 
 TINY = SMALL_SYSTEM.scaled(n_videos=60, name="tiny")
@@ -59,6 +65,40 @@ def chaos_config(plan, seed=5, **overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+def reachable_generators(root):
+    """The :class:`numpy.random.Generator` objects reachable from *root*
+    through object references, not through modules or classes (so
+    module-level state and earlier runs' leftovers do not count)."""
+    seen = {id(root)} | {id(vars(m)) for m in list(sys.modules.values())}
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.random.Generator):
+            found.append(obj)
+            continue
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                ref, (type, types.ModuleType)
+            ):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+def retry_generators_alive(duration_h):
+    """Run the chaos config for *duration_h* simulated hours; return
+    ``(alive, pending, named)``: the generators reachable from the
+    finished simulation beyond its cached named streams, the requests
+    still in its retry queue, and the cached streams' keys."""
+    reset_request_ids()
+    sim = Simulation(chaos_config(FULL_PLAN, duration=hours(duration_h)))
+    sim.run()
+    named = sim.streams._streams
+    cached = {id(g) for g in named.values()}
+    alive = [g for g in reachable_generators(sim) if id(g) not in cached]
+    return len(alive), sim.retry_queue.pending, sorted(named)
 
 
 def run_traced(config, path):
@@ -254,8 +294,6 @@ class TestRetryPolicy:
         delay ``delay_for`` can produce lies inside the jittered cap,
         and a same-seed draw sequence yields byte-identical delays —
         the resilient client's retry timeline replays exactly."""
-        from repro.sim.rng import RandomStreams
-
         from repro.faults.retry import JITTER
 
         policy = RetryPolicy(base_delay=base, max_delay=base * cap_mult)
@@ -311,6 +349,47 @@ class TestRetryQueue:
         assert sim.metrics.dropped > 0     # crashes orphaned streams
         assert result.retries > 0          # ... and the queue retried them
         assert sim.metrics.retry_successes > 0
+
+
+    def test_requeued_request_keeps_its_jitter_sequence(self):
+        """A request's backoff draws are one stream however often it
+        is queued: its delays, in order, are ``delay_for`` over
+        successive draws of one ``retry.req<id>`` generator, including
+        a request rejected, retried, admitted, dropped and queued
+        again (its jitter generator was rebuilt and advanced)."""
+        config = chaos_config(FULL_PLAN, seed=13)
+        reset_request_ids()
+        tracer = Tracer(capacity=500_000)
+        Simulation(config, tracer=tracer).run()
+        by_request = {}
+        for record in tracer.records_of(TraceKind.REQUEST_RETRY):
+            by_request.setdefault(record.fields["request"], []).append(
+                record.fields
+            )
+        requeued = 0
+        for rid, records in by_request.items():
+            rng = RandomStreams(seed=config.seed).get(f"retry.req{rid}")
+            expected = [
+                config.retry.delay_for(r["attempt"], float(rng.random()))
+                for r in records
+            ]
+            assert [r["delay"] for r in records] == expected, rid
+            attempts = [r["attempt"] for r in records]
+            # A retry rejected again (attempt 2), then queued afresh
+            # (attempt 1) after a later admission and drop.
+            if 2 in attempts and 1 in attempts[attempts.index(2):]:
+                requeued += 1
+        assert requeued > 0
+
+    def test_retry_state_is_bounded_by_the_queue_not_the_run(self):
+        """Per-request jitter generators live only while their request
+        is queued: after a run, the generators reachable from the
+        simulation are its named streams plus one per queued request,
+        at 2 sim-h and at 4x that alike."""
+        for duration_h in (2, 8):
+            alive, pending, named = retry_generators_alive(duration_h)
+            assert not [k for k in named if k.startswith("retry.")]
+            assert alive == pending <= MAX_PENDING
 
 
 class TestFaultPlanValidation:

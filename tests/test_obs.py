@@ -128,9 +128,11 @@ class TestRegistry:
             c.inc(-1)
 
     def test_gauge_set_and_supplier(self):
-        g = Gauge("g")
-        g.set(7)
-        assert g.snapshot() == 7.0
+        # A gauge reads 0 until a later registration sets its supplier.
+        reg = MetricsRegistry()
+        assert reg.gauge("g").snapshot() == 0.0
+        reg.gauge("g", supplier=lambda: 7)
+        assert reg.gauge("g").snapshot() == 7.0
         live = Gauge("live", supplier=lambda: 13)
         assert live.snapshot() == 13.0
 
@@ -170,7 +172,7 @@ class TestRegistry:
     def test_snapshot_structure_is_json_ready(self):
         reg = MetricsRegistry()
         reg.counter("hits").inc(3)
-        reg.gauge("depth").set(2)
+        reg.gauge("depth", supplier=lambda: 2)
         reg.histogram("lat", bounds=(1.0,)).observe(0.5)
         snap = reg.snapshot()
         json.dumps(snap)  # must not raise
@@ -181,12 +183,12 @@ class TestRegistry:
     def test_reset_zeroes_all_instruments(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        reg.gauge("g").set(5)
+        reg.gauge("g", supplier=lambda: 5)
         reg.histogram("h").observe(1.0)
         reg.reset()
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 0.0
-        assert snap["gauges"]["g"] == 0.0
+        assert snap["gauges"]["g"] == 5.0  # a gauge reads live state
         assert snap["histograms"]["h"]["count"] == 0
 
     def test_names_sorted_across_types(self):
@@ -753,7 +755,7 @@ class TestPrometheus:
     def _registry(self):
         reg = MetricsRegistry()
         reg.counter("serve.admits").inc(3)
-        reg.gauge("serve.sessions.active").set(7)
+        reg.gauge("serve.sessions.active", supplier=lambda: 7)
         h = reg.histogram("serve.chunk_latency_ms", bounds=(10.0, 100.0))
         for v in (5.0, 50.0, 500.0):
             h.observe(v)

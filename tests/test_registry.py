@@ -781,14 +781,15 @@ def _is_stub(node):
 
 
 def _bench_names(root):
-    """Every identifier ``bench/*.py`` names: a caller the test does not
-    run (the ledger patches some of them by their string name)."""
+    """Every name ``bench/*.py`` imports, reads as an attribute or spells
+    as a string: a caller the test does not run (the ledger patches
+    some of them by their string name).  Bare names are bench's own
+    locals and builtins; a ``repro`` def they could reach is imported
+    under its name first."""
     names = set()
     for path in (root / "bench").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
@@ -1112,6 +1113,7 @@ class TestEveryFunctionIsReached:
         "obs/spans.py::SpanLog.active": _GATEWAY,
         "obs/spans.py::SpanLog.recent": _GATEWAY,
         "obs/spans.py::SpanLog.recorded": _GATEWAY,
+        "obs/tracer.py::Tracer.emitted": _GATEWAY,
         "obs/tracer.py::Tracer.records":
             "the ring's read side, for FlightRecorder.dump (a signal or "
             "a crash; tests/test_recorder.py)",
@@ -1162,6 +1164,7 @@ class TestEveryFunctionIsReached:
         "serve/top.py::_fmt": _GATEWAY,
         "serve/top.py::_rate": _GATEWAY,
         "serve/top.py::render_top": _GATEWAY,
+        "serve/top.py::run_live": _GATEWAY,
         "serve/top.py::run_trace": _GATEWAY,
         "serve/top.py::trace_samples": _GATEWAY,
         "sim/process.py::PeriodicTimer._tick": _VIEWERS,

@@ -37,19 +37,21 @@ class TestRandomStreams:
         streams = RandomStreams(seed=1)
         assert streams.get("x") is streams.get("x")
 
-    def test_child_is_deterministic(self):
-        a = RandomStreams(seed=3).child("trial-1").get("arrivals").random(5)
-        b = RandomStreams(seed=3).child("trial-1").get("arrivals").random(5)
-        assert np.array_equal(a, b)
+    def test_fresh_restarts_the_stream_get_continues(self):
+        """``fresh`` builds the stream ``get`` caches, uncached: each
+        call starts at the first draw and leaves the cache alone."""
+        streams = RandomStreams(seed=5)
+        first = streams.fresh("retry.req7").random(3)
+        assert np.array_equal(streams.fresh("retry.req7").random(3), first)
+        assert streams.fresh("retry.req7") is not streams.fresh("retry.req7")
+        assert np.array_equal(streams.get("retry.req7").random(3), first)
+        assert not np.array_equal(streams.get("retry.req7").random(3), first)
+        assert list(streams._streams) == ["retry.req7"]
 
-    def test_children_differ_by_key(self):
-        root = RandomStreams(seed=3)
-        a = root.child("trial-1").get("arrivals").random(5)
-        b = root.child("trial-2").get("arrivals").random(5)
-        assert not np.array_equal(a, b)
-
-    def test_child_streams_differ_from_parent(self):
-        root = RandomStreams(seed=3)
-        a = root.get("arrivals").random(5)
-        b = root.child("trial-1").get("arrivals").random(5)
-        assert not np.array_equal(a, b)
+    def test_advanced_fresh_stream_continues_the_sequence(self):
+        """What the retry queue relies on: a new generator advanced past
+        *n* draws yields draw *n + 1* onwards of the same stream."""
+        whole = RandomStreams(seed=5).fresh("retry.req7").random(6)
+        resumed = RandomStreams(seed=5).fresh("retry.req7")
+        resumed.bit_generator.advance(4)
+        assert np.array_equal(resumed.random(2), whole[4:])
