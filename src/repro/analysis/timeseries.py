@@ -50,10 +50,6 @@ class TimeSeries:
         return len(self.snapshots)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
-    @property
     def active_streams(self) -> np.ndarray:
         return np.array([s.active_streams for s in self.snapshots])
 
@@ -76,14 +72,6 @@ class TimeSeries:
     @property
     def paused_streams(self) -> np.ndarray:
         return np.array([s.paused_streams for s in self.snapshots])
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Snapshots with ``start <= time < end``."""
-        out = TimeSeries()
-        for s in self.snapshots:
-            if start <= s.time < end:
-                out.append(s)
-        return out
 
 
 class StateSampler:

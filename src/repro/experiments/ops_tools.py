@@ -18,6 +18,7 @@ Both are *bare* experiments: wall-clock tools, no scale machinery.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 
 from repro.experiments.registry import ExperimentSpec, Progress, register
@@ -57,15 +58,15 @@ def _cmd_ops(args: argparse.Namespace, progress: Progress) -> int:
         reply = ops_query_sync(
             args.host, args.port, args.verb, timeout=args.timeout, **fields
         )
+    except asyncio.TimeoutError:  # an OSError from Python 3.11 on
+        raise SystemExit(
+            f"ops endpoint {args.host}:{args.port} did not answer within "
+            f"{args.timeout:g}s"
+        )
     except (ConnectionError, OSError) as exc:
         raise SystemExit(
             f"cannot reach ops endpoint {args.host}:{args.port} ({exc}) — "
             f"is `repro serve` running with an ops port?"
-        )
-    except TimeoutError:
-        raise SystemExit(
-            f"ops endpoint {args.host}:{args.port} did not answer within "
-            f"{args.timeout:g}s"
         )
     except ValueError as exc:
         raise SystemExit(f"repro ops: {exc}")

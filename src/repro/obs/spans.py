@@ -13,14 +13,15 @@ transition with *both* timestamps:
 or more per span); ``drain`` a force-close during gateway drain; and
 ``close`` the terminal transition carrying the end reason.
 
-Spans live in a :class:`SpanLog` — active spans in a dict, completed
-spans in a bounded ring — and every transition is *also* emitted
-through the attached :class:`~repro.obs.tracer.Tracer` as a
-``session.span`` record (virtual timestamp as the record time, wall
-timestamp as a field), so a JSONL trace replays the full story and the
-flight recorder's postmortem window contains the most recent
-transitions.  The gateway's ops endpoint serves the live view
-(:meth:`SpanLog.active` / :meth:`SpanLog.recent`).
+Spans live in a :class:`SpanLog` — active spans in a dict, the last
+:data:`DEFAULT_SPAN_CAPACITY` completed ones in a ring — and every
+transition is *also* emitted through the attached
+:class:`~repro.obs.tracer.Tracer` as a ``session.span`` record (virtual
+timestamp as the record time, wall timestamp as a field), so a JSONL
+trace replays the full story and the flight recorder's postmortem
+window contains the most recent transitions.  The gateway's ops
+endpoint serves the live view (``ops sessions``: the live session rows
+and :meth:`SpanLog.recent`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.obs.records import TraceKind
 from repro.obs.tracer import Tracer
 
-#: Completed spans retained by default (the live-query window).
+#: Completed spans retained (the live-query window).
 DEFAULT_SPAN_CAPACITY = 1_000
 
 
@@ -110,10 +111,6 @@ class SessionSpan:
         return self.events[-1].phase if self.events else None
 
     @property
-    def closed(self) -> bool:
-        return self.phase in TERMINAL_PHASES
-
-    @property
     def handoffs(self) -> int:
         return sum(
             1 for e in self.events if e.phase is SpanPhase.HANDOFF
@@ -146,22 +143,16 @@ class SpanLog:
     Args:
         tracer: optional tracer mirroring every transition as a
             ``session.span`` record (the replay/postmortem path).
-        capacity: completed spans retained (oldest evicted first);
-            active spans are never evicted — they are bounded by the
-            gateway's live session count.
+
+    The last :data:`DEFAULT_SPAN_CAPACITY` completed spans are retained
+    (oldest evicted first); active spans are never evicted — they are
+    bounded by the gateway's live session count.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        capacity: int = DEFAULT_SPAN_CAPACITY,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = tracer
-        self.capacity = int(capacity)
         self._active: Dict[int, SessionSpan] = {}
-        self._closed: Deque[SessionSpan] = deque(maxlen=self.capacity)
+        self._closed: Deque[SessionSpan] = deque(maxlen=DEFAULT_SPAN_CAPACITY)
         self._recorded = 0
 
     def record(
@@ -218,10 +209,6 @@ class SpanLog:
                 return span
         return None
 
-    def active(self) -> List[SessionSpan]:
-        """Open spans, oldest key first."""
-        return [self._active[k] for k in sorted(self._active)]
-
     def recent(self, limit: Optional[int] = None) -> List[SessionSpan]:
         """Completed spans, newest first (up to *limit*)."""
         spans = list(self._closed)
@@ -239,5 +226,5 @@ class SpanLog:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SpanLog active={len(self._active)} "
-            f"closed={len(self._closed)} capacity={self.capacity}>"
+            f"closed={len(self._closed)}>"
         )

@@ -19,6 +19,7 @@ readable log instead of escape soup.
 
 from __future__ import annotations
 
+import asyncio
 import sys
 import time as _time
 from pathlib import Path
@@ -214,6 +215,11 @@ def run_live(
         while frames is None or rendered < frames:
             try:
                 sample = ops_query_sync(host, port, "health")["health"]
+            except asyncio.TimeoutError:  # an OSError from Python 3.11 on
+                raise SystemExit(
+                    f"ops endpoint {host}:{port} did not answer — is it a "
+                    f"gateway's ops port?"
+                )
             except (ConnectionError, OSError) as exc:
                 raise SystemExit(
                     f"cannot reach ops endpoint {host}:{port} ({exc}) — "

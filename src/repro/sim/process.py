@@ -112,10 +112,6 @@ class PeriodicTimer:
             delay, self._tick, kind=f"timer:{name}"
         )
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def _tick(self) -> None:
         if self._stopped:
             return

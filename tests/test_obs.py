@@ -826,9 +826,7 @@ class TestSpans:
         log.record(1, SpanPhase.ADMIT, 0.2, 5.0, request=9, server=2)
         span = log.record(1, SpanPhase.CLOSE, 9.0, 80.0, reason="finished")
         assert span.video == 3 and span.request == 9 and span.server == 2
-        assert span.closed
         assert span.phase is SpanPhase.CLOSE
-        assert log.active() == []
         assert [s.key for s in log.recent()] == [1]
         assert log.get(1) is span            # findable after close
         assert [e.wall for e in span.events] == pytest.approx([0.1, 0.2, 9.0])
@@ -839,8 +837,9 @@ class TestSpans:
         log = self._log()
         log.record(4, SpanPhase.ACCEPT, 0.0, 1.0, video=0)
         log.record(4, SpanPhase.REJECT, 0.1, 1.0, reason="saturated")
-        assert log.active() == []
-        assert log.recent()[0].closed
+        assert [(s.key, s.phase) for s in log.recent()] == [
+            (4, SpanPhase.REJECT)
+        ]
 
     def test_handoffs_counted(self):
         from repro.obs import SpanPhase
@@ -857,13 +856,16 @@ class TestSpans:
 
     def test_completed_ring_is_bounded(self):
         from repro.obs import SpanLog, SpanPhase
+        from repro.obs.spans import DEFAULT_SPAN_CAPACITY
 
-        log = SpanLog(capacity=3)
-        for key in range(10):
+        log = SpanLog()
+        total = DEFAULT_SPAN_CAPACITY + 7
+        for key in range(total):
             log.record(key, SpanPhase.CLOSE, 0.0, float(key))
-        assert len(log.recent()) == 3
-        assert [s.key for s in log.recent()] == [9, 8, 7]
-        assert log.recorded == 10
+        assert len(log.recent()) == DEFAULT_SPAN_CAPACITY
+        assert [s.key for s in log.recent(3)] == [total - 1, total - 2, total - 3]
+        assert log.get(6) is None and log.get(7) is not None
+        assert log.recorded == total
 
     def test_transitions_mirrored_into_tracer(self):
         from repro.obs import SpanPhase

@@ -11,8 +11,10 @@ and a recorded JSONL trace.
 from __future__ import annotations
 
 import asyncio
+import functools
 import io
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -496,3 +498,21 @@ class TestOpsCli:
         out = capsys.readouterr().out
         assert "repro top [trace]" in out
         assert "server" in out
+
+    def test_silent_endpoint_is_a_timeout(self, monkeypatch):
+        """A listener that accepts and never answers is reported as a
+        timeout by both verbs, not as an unreachable endpoint."""
+        from repro.cli import main
+        from repro.serve import top
+
+        monkeypatch.setattr(
+            top, "ops_query_sync", functools.partial(ops_query_sync, timeout=0.3)
+        )
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()  # the kernel completes the handshake
+            port = str(silent.getsockname()[1])
+            with pytest.raises(SystemExit, match="did not answer within 0.3s"):
+                main(["ops", "--port", port, "--timeout", "0.3"])
+            with pytest.raises(SystemExit, match="did not answer"):
+                main(["top", "--port", port, "--frames", "1"])

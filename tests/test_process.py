@@ -91,7 +91,6 @@ class TestPeriodicTimer:
         timer.stop()
         engine.run_until(10.0)
         assert ticks == [1.0, 2.0]
-        assert timer.stopped
 
     def test_action_may_stop_timer(self, engine):
         ticks = []

@@ -857,38 +857,123 @@ def _keys(entered):
     return {(files[code.co_filename], code.co_firstlineno) for code in entered}
 
 
+def _examples(root):
+    """``{(file, first line)}`` of every function entered while each
+    ``examples/*.py`` runs its ``main()``, output discarded — all but
+    ``serve_loopback.py``, a live run whose path the ``verify`` leg of
+    ``entered_functions`` enters, and ``capacity_planning.py``, ~7 s
+    under the recorder (tests/test_examples.py runs it).  An example
+    that raises exits the process naming it."""
+    import importlib.util
+    import io
+
+    with _entering(set()) as entered:
+        for path in sorted((root / "examples").glob("*.py")):
+            if path.name in ("serve_loopback.py", "capacity_planning.py"):
+                continue
+            spec = importlib.util.spec_from_file_location(path.stem, path)
+            module = importlib.util.module_from_spec(spec)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    spec.loader.exec_module(module)
+                    module.main()
+            except Exception as exc:
+                raise SystemExit(f"examples/{path.name} raised {exc!r}")
+    return _keys(entered)
+
+
+def _scrape(seen):
+    """A ``run_chaos_serve`` probe: once a session span has closed, ask
+    the gateway every ops verb through ``repro ops``, parse the
+    Prometheus text, render one ``repro top`` frame, and keep the leg's
+    tracer in *seen* for ``repro top --trace``.  Every verb must get
+    exactly one reply: ``ops.reply``, or ``ops.error`` for ``chaos``
+    (no chaos plane is armed)."""
+    import asyncio
+
+    from repro.cli import main
+    from repro.obs import parse_prometheus
+    from repro.serve.ops import OPS_VERBS
+
+    def cli(*argv):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:  # `ops chaos`'s error path
+            return str(exc)
+
+    async def probe(gateway):
+        loop = asyncio.get_running_loop()
+        port, answer, replies = str(gateway.ops_port), gateway.ops._answer, []
+
+        def answered(query):
+            header, payload = answer(query)
+            replies.append((query.get("verb"), header["type"], payload))
+            return header, payload
+
+        gateway.ops._answer = answered
+        deadline = loop.time() + 30.0
+        while not gateway.spans.recent(1):
+            assert loop.time() < deadline, "no session span closed"
+            await asyncio.sleep(0.05)
+        for verb in OPS_VERBS:
+            await loop.run_in_executor(None, cli, "ops", "--port", port, verb)
+        assert [reply[:2] for reply in replies] == [
+            (verb, "ops.error" if verb == "chaos" else "ops.reply")
+            for verb in OPS_VERBS
+        ], "an ops verb went unscraped"
+        text = replies[OPS_VERBS.index("prometheus")][2].decode("utf-8")
+        assert any(
+            name.startswith("repro_serve_") for name in parse_prometheus(text)
+        ), text
+        top = ("top", "--port", port, "--frames", "1")
+        assert await loop.run_in_executor(None, cli, *top) == 0
+        seen["tracer"] = gateway.tracer
+
+    return probe
+
+
 @pytest.fixture(scope="module")
 def entered_functions(_workloads, tmp_path_factory):
     """``{(file, first line)}`` of every function entered while each
     workload we run runs: the figure cells (recorded by ``_workloads``),
-    :func:`_capped_runs` under the invariant checker, four cheap CLI
-    verbs and one live ``verify`` leg.  The capped runs go to a child
-    process (this file run as a script) while the live leg, which mostly
-    waits on its wall clock, runs here."""
+    :func:`_capped_runs` under the invariant checker, the examples
+    (:func:`_examples`), four cheap CLI verbs, and one live ``verify``
+    leg scraped by every ``repro ops`` verb and ``repro top`` source
+    (:func:`_scrape`).  The capped runs and the examples go to child
+    processes (this file run as a script) while the live leg, which
+    mostly waits on its wall clock, runs here."""
+    import functools
     import io
     import json
     import os
     import subprocess
 
     from repro.cli import main
-    from repro.experiments.verify import verify
+    from repro.experiments import verify as gate
     from repro.scenario import load_scenario
+    from repro.serve.chaos import run_chaos_serve
 
     root = pathlib.Path(__file__).resolve().parent.parent
     scratch = tmp_path_factory.mktemp("reach")
-    env = dict(
-        os.environ, PYTHONPATH=str(root / "src"),
-        REPRO_WORKERS="1", REPRO_INVARIANTS="1",
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), REPRO_WORKERS="1")
+    env.pop("REPRO_INVARIANTS", None)
+    capped = subprocess.Popen(
+        [sys.executable, __file__], env=dict(env, REPRO_INVARIANTS="1"),
+        stdout=subprocess.PIPE, text=True,
     )
-    child = subprocess.Popen(
-        [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True,
+    examples = subprocess.Popen(
+        [sys.executable, __file__, "examples"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    sink = io.StringIO()
+    sink, seen = io.StringIO(), {}
     try:
         with contextlib.ExitStack() as stack:
             patch = stack.enter_context(pytest.MonkeyPatch.context())
             patch.setenv("REPRO_WORKERS", "1")
             patch.setenv("REPRO_INVARIANTS", "1")
+            patch.setattr(gate, "run_chaos_serve", functools.partial(
+                run_chaos_serve, probe=_scrape(seen),
+            ))
             stack.enter_context(contextlib.redirect_stdout(sink))
             stack.enter_context(contextlib.redirect_stderr(sink))
             entered = stack.enter_context(_entering(set()))
@@ -897,16 +982,21 @@ def entered_functions(_workloads, tmp_path_factory):
                 "--trace-out", str(scratch / "trace.jsonl"), "--profile",
             ]):
                 assert main(argv) == 0, argv
-            verify(
+            gate.verify(
                 load_scenario(root / "scenarios/serve_loopback.json"),
                 postmortem=scratch / "postmortem.jsonl",
             )
-    finally:
-        out, _ = child.communicate()  # never leave the child running
-    assert child.returncode == 0, "the capped runs failed"
+            seen["tracer"].export_jsonl(scratch / "serve.jsonl")
+            assert main(["top", "--trace", str(scratch / "serve.jsonl")]) == 0
+    finally:  # never leave a child running
+        capped_out, _ = capped.communicate()
+        examples_out, examples_err = examples.communicate()
+    assert capped.returncode == 0, "the capped runs failed"
+    assert examples.returncode == 0, examples_err[-2000:]
     return (
         _keys(_workloads[1]) | _keys(entered)
-        | {tuple(key) for key in json.loads(out)}
+        | {tuple(key) for key in json.loads(capped_out)}
+        | {tuple(key) for key in json.loads(examples_out)}
     )
 
 
@@ -956,9 +1046,18 @@ class Kind:
 
 #: Reasons shared by rows of :attr:`TestEveryFunctionIsReached.ALLOWED`.
 _IMPORT = "runs at import time, before the profile starts (registration)"
-_GATEWAY = (
-    "needs a running gateway: the serve / loadgen / ops / top verbs "
-    "(tests/test_serve.py, tests/test_ops.py, CI serve-smoke)"
+_PROCESS = (
+    "the `repro serve` / `repro loadgen` processes: their verbs, signal "
+    "handlers and progress lines (CI serve-smoke; tests/test_serve.py)"
+)
+_CACHE_PANEL = (
+    "the cache panel of `repro top` / `ops health`; cache-only serving is "
+    "a supported mode no committed live scenario runs (ROADMAP item 9(b); "
+    "tests/test_prefix.py)"
+)
+_DUMP = (
+    "the tracer ring's read side, for FlightRecorder.dump (a signal or "
+    "a crash; tests/test_recorder.py)"
 )
 _CHAOS = (
     "the live chaos plane: `repro verify scenarios/chaos_serve.json` "
@@ -988,16 +1087,6 @@ _TRIALS = (
     "results/fidelity_0.05/); every committed workload runs one "
     "(tests/test_stats.py)"
 )
-_VIEWERS = (
-    "examples/interactive_viewers.py, worth keeping as the one view of "
-    "a run over time: paused viewers piling up in the evening "
-    "(tests/test_examples.py)"
-)
-_CROWD = (
-    "examples/flash_crowd.py, worth keeping as the paper's section 4.5 "
-    "argument on one fixed trace replayed under four policies "
-    "(tests/test_examples.py)"
-)
 #: Reached or not by the live leg's wall-clock races, so a row, but
 #: exempt from the stale-row check.
 _RACY = (
@@ -1009,36 +1098,26 @@ _RACY = (
 class TestEveryFunctionIsReached:
     """Code no workload runs is a defect (ROADMAP): every ``def`` in
     ``src/repro`` is entered while the figures with claims, the
-    committed scenarios, the ledger configs, four cheap CLI verbs and
-    one live ``verify`` leg run — or it is exempt by rule (dunders,
-    ``Protocol`` / abstract stubs, names ``bench/*.py`` uses), or it
-    has a row here with its reason."""
+    committed scenarios, the ledger configs, the examples, four cheap
+    CLI verbs and one live ``verify`` leg run — that leg scraped by
+    every ``repro ops`` verb and both ``repro top`` sources — or it is
+    exempt by rule (dunders, ``Protocol`` / abstract stubs, names
+    ``bench/*.py`` uses), or it has a row here with its reason."""
 
     #: Functions kept with no workload entering them, one reason each.
     ALLOWED = {
         "analysis/erlang.py::erlang_b_inverse":
             "examples/capacity_planning.py, worth keeping as the paper's "
-            "Erlang-B model run backwards to size a cluster "
-            "(tests/test_examples.py)",
+            "Erlang-B model run backwards to size a cluster; its main() "
+            "costs ~7 s under the recorder, over the class budget, so "
+            "_examples skips it (tests/test_examples.py runs it)",
         "analysis/export.py::metadata_path": _ALL,
         "analysis/export.py::sweep_to_csv": _ALL,
         "analysis/export.py::write_metadata": _ALL,
-        "analysis/report.py::sparkline": _VIEWERS,
         "analysis/stats.py::_central": _TRIALS,
         "analysis/stats.py::_t_multiplier": _TRIALS,
-        "analysis/timeseries.py::StateSampler._sample": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.active_streams": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.instantaneous_utilization": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.mean_buffers": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.paused_streams": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.times": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.utilization_series": _VIEWERS,
-        "analysis/timeseries.py::TimeSeries.window": _VIEWERS,
         "cli.py::_cmd_trace": _TRACE,
         "cli.py::_run_all": _ALL,
-        "cluster/controller.py::DistributionController.active_count":
-            "the `streams.active` gauge, sampled only by an ops scrape "
-            "(tests/test_ops.py)",
         "cluster/controller.py::DistributionController.check_invariants":
             "the tests' structural oracle: replica held, state ACTIVE and "
             "server_id in sync are checked nowhere else "
@@ -1058,7 +1137,6 @@ class TestEveryFunctionIsReached:
             "workload drains one (tests/test_elastic.py::"
             "TestSoleReplicaEvacuation)",
         "core/elastic.py::_warm_none": _OFF,
-        "core/failover.py::FailoverReport.survival_ratio": _CHAOS,
         "core/policies.py::Policy.describe": _IMPORT,
         "core/replication.py::DynamicReplicator._evict_for":
             "a hot copy that does not fit; the committed replication "
@@ -1068,11 +1146,9 @@ class TestEveryFunctionIsReached:
         "experiments/base.py::_pooled": _POOL,
         "experiments/base.py::_retry_cell": _POOL,
         "experiments/base.py::usable_cpus": _POOL,
-        "experiments/live_serve.py::_cmd_loadgen": _GATEWAY,
-        "experiments/live_serve.py::_cmd_serve": _GATEWAY,
-        "experiments/live_serve.py::_serve_async": _GATEWAY,
-        "experiments/ops_tools.py::_cmd_ops": _GATEWAY,
-        "experiments/ops_tools.py::_cmd_top": _GATEWAY,
+        "experiments/live_serve.py::_cmd_loadgen": _PROCESS,
+        "experiments/live_serve.py::_cmd_serve": _PROCESS,
+        "experiments/live_serve.py::_serve_async": _PROCESS,
         "experiments/prefix.py::_floats": _PREFIX,
         "experiments/prefix.py::baseline_config": _PREFIX,
         "experiments/prefix.py::render_figure": _PREFIX,
@@ -1091,47 +1167,23 @@ class TestEveryFunctionIsReached:
             "the `repro verify` verb; the test calls verify() itself "
             "(CI verify)",
         "faults/invariants.py::InvariantChecker._violate": _RAISE,
-        "obs/prometheus.py::_format_value": _GATEWAY,
-        "obs/prometheus.py::parse_prometheus": _GATEWAY,
-        "obs/prometheus.py::render_prometheus": _GATEWAY,
-        "obs/prometheus.py::sanitize_metric_name": _GATEWAY,
         "obs/recorder.py::FlightRecorder.dump": _RAISE,
-        "obs/recorder.py::FlightRecorder.install_signal_handler": _GATEWAY,
-        "obs/recorder.py::FlightRecorder.uninstall_signal_handler": _GATEWAY,
+        "obs/recorder.py::FlightRecorder.install_signal_handler": _PROCESS,
+        "obs/recorder.py::FlightRecorder.uninstall_signal_handler": _PROCESS,
         "obs/recorder.py::read_postmortem":
             "the postmortem format's reader (docs/OBSERVABILITY.md); "
             "tests/test_recorder.py reads every dump through it",
-        "obs/registry.py::Gauge.snapshot": _GATEWAY,
-        "obs/registry.py::MetricsRegistry.gauges": _GATEWAY,
-        "obs/registry.py::MetricsRegistry.histograms": _GATEWAY,
-        "obs/registry.py::MetricsRegistry.snapshot": _GATEWAY,
-        "obs/spans.py::SessionSpan.closed": _GATEWAY,
-        "obs/spans.py::SessionSpan.handoffs": _GATEWAY,
-        "obs/spans.py::SessionSpan.phase": _GATEWAY,
-        "obs/spans.py::SessionSpan.to_dict": _GATEWAY,
-        "obs/spans.py::SpanEvent.to_dict": _GATEWAY,
-        "obs/spans.py::SpanLog.active": _GATEWAY,
-        "obs/spans.py::SpanLog.recent": _GATEWAY,
-        "obs/spans.py::SpanLog.recorded": _GATEWAY,
-        "obs/tracer.py::Tracer.emitted": _GATEWAY,
-        "obs/tracer.py::Tracer.records":
-            "the ring's read side, for FlightRecorder.dump (a signal or "
-            "a crash; tests/test_recorder.py)",
-        "obs/tracer.py::Tracer.records_of":
-            "examples/trace_debugging.py, worth keeping as the worked "
-            "answer to 'why was this request rejected?' "
-            "(tests/test_examples.py)",
-        "obs/tracer.py::Tracer.summary_table": _TRACE,
-        "obs/tracer.py::iter_jsonl": _GATEWAY,
-        "prefix/cache.py::PrefixCache.bytes_held": _GATEWAY,
+        "obs/tracer.py::Tracer.emitted": _DUMP,
+        "obs/tracer.py::Tracer.records": _DUMP,
+        "prefix/cache.py::PrefixCache.bytes_held": _CACHE_PANEL,
         "prefix/cache.py::plan_none": _OFF,
         "prefix/chaining.py::batch_none": _OFF,
-        "prefix/tier.py::PrefixTier.chained_active": _GATEWAY,
+        "prefix/tier.py::PrefixTier.chained_active": _CACHE_PANEL,
         "prefix/tier.py::PrefixTier.on_drop":
             "a drop while the prefix tier is on; no committed scenario "
             "has both faults and a prefix block (tests/test_prefix.py::"
             "TestTierEndToEnd::test_drop_cascade_under_faults)",
-        "prefix/tier.py::PrefixTier.stats": _GATEWAY,
+        "prefix/tier.py::PrefixTier.stats": _CACHE_PANEL,
         "registry.py::Registry.register._decorator": _IMPORT,
         "scenario.py::save_scenario":
             "the scenario format's writer; tests/test_scenario.py pins "
@@ -1146,31 +1198,11 @@ class TestEveryFunctionIsReached:
         "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
         "serve/gateway.py::ClusterGateway.abort": _CHAOS,
         "serve/gateway.py::ClusterGateway.kill_server_task": _CHAOS,
-        "serve/gateway.py::ClusterGateway.ops_port": _GATEWAY,
-        "serve/loadgen.py::LoadGenerator._progress_line": _GATEWAY,
-        "serve/loadgen.py::LoadGenerator._report_loop": _GATEWAY,
+        "serve/loadgen.py::LoadGenerator._progress_line": _PROCESS,
+        "serve/loadgen.py::LoadGenerator._report_loop": _PROCESS,
         "serve/loadgen.py::_LiveClient._sleep_until": _CHAOS,
-        "serve/ops.py::OpsEndpoint._answer": _GATEWAY,
-        "serve/ops.py::OpsEndpoint._handle": _GATEWAY,
-        "serve/ops.py::format_reply": _GATEWAY,
-        "serve/ops.py::ops_query": _GATEWAY,
-        "serve/ops.py::ops_query._exchange": _GATEWAY,
-        "serve/ops.py::ops_query_sync": _GATEWAY,
         "serve/supervisor.py::TaskSupervisor._trip": _RAISE,
         "serve/supervisor.py::TaskSupervisor.inject_crash": _CHAOS,
-        "serve/telemetry.py::session_table": _GATEWAY,
-        "serve/top.py::_bar": _GATEWAY,
-        "serve/top.py::_emit": _GATEWAY,
-        "serve/top.py::_fmt": _GATEWAY,
-        "serve/top.py::_rate": _GATEWAY,
-        "serve/top.py::render_top": _GATEWAY,
-        "serve/top.py::run_live": _GATEWAY,
-        "serve/top.py::run_trace": _GATEWAY,
-        "serve/top.py::trace_samples": _GATEWAY,
-        "sim/process.py::PeriodicTimer._tick": _VIEWERS,
-        "sim/process.py::PeriodicTimer.stopped": _VIEWERS,
-        "workload/trace.py::Trace.schedule_on": _CROWD,
-        "workload/trace.py::Trace.with_flash_crowd": _CROWD,
     }
 
     @staticmethod
@@ -1223,9 +1255,9 @@ class TestEveryFunctionIsReached:
 
 
 if __name__ == "__main__":
-    # The child process of ``entered_functions``: the capped runs' keys.
+    # The child processes of ``entered_functions``: the keys of the
+    # capped runs, or (argument ``examples``) of the examples.
     import json
 
-    print(json.dumps(sorted(
-        _capped_runs(pathlib.Path(__file__).resolve().parent.parent)
-    )))
+    run = _examples if sys.argv[1:] == ["examples"] else _capped_runs
+    print(json.dumps(sorted(run(pathlib.Path(__file__).resolve().parent.parent))))

@@ -26,17 +26,9 @@ class TestTimeSeries:
         ts.append(Snapshot(1.0, 2, 6.0, 2.0, 10.0, 0))
         ts.append(Snapshot(2.0, 3, 9.0, 3.0, 12.0, 1))
         assert len(ts) == 2
-        assert ts.times.tolist() == [1.0, 2.0]
         assert ts.active_streams.tolist() == [2, 3]
         assert np.allclose(ts.utilization_series(12.0), [0.5, 0.75])
         assert ts.paused_streams.tolist() == [0, 1]
-
-    def test_window(self):
-        ts = TimeSeries()
-        for t in (1.0, 2.0, 3.0, 4.0):
-            ts.append(Snapshot(t, 0, 0.0, 0.0, 0.0, 0))
-        w = ts.window(2.0, 4.0)
-        assert w.times.tolist() == [2.0, 3.0]
 
     def test_invalid_bandwidth_rejected(self):
         ts = TimeSeries()
@@ -48,7 +40,7 @@ class TestStateSampler:
     def test_samples_at_interval(self):
         cluster, sampler = sampled_cluster(interval=10.0)
         cluster.engine.run_until(35.0)
-        assert sampler.series.times.tolist() == [10.0, 20.0, 30.0]
+        assert [s.time for s in sampler.series.snapshots] == [10.0, 20.0, 30.0]
 
     def test_counts_active_streams(self):
         cluster, sampler = sampled_cluster(interval=10.0)
