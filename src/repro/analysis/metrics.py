@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Dict, Optional, Protocol, Sequence
+from weakref import proxy
 
 from repro.obs.registry import MetricsRegistry
 
@@ -125,20 +126,25 @@ class SimulationMetrics:
     )
 
     def __post_init__(self) -> None:
-        # Everything a record_* method touches is bound here, once.
+        # Everything a record_* method touches is bound here, once.  The
+        # suppliers read these fields weakly: the registry is ours, so a
+        # strong read would make every run a reference cycle.
         registry = self.registry
+        owner = proxy(self)
         for name, attr in _RUN_COUNTERS.items():
-            registry.counter(name, supplier=partial(getattr, self, attr))
+            registry.counter(name, supplier=partial(getattr, owner, attr))
         self._chain_lengths = registry.histogram("drm.chain_length")
         self._backoffs = registry.histogram("retry.backoff_seconds")
         self._counter = registry.counter
 
     def _register_key(self, template: str, attr: str, key) -> None:
         """*key* is new in the per-key dict *attr*: register the counter
-        ``template.format(key)`` that reads its entry."""
+        ``template.format(key)`` that reads its entry (weakly, like the
+        run counters)."""
+        owner = proxy(self)
         self._counter(
             template.format(key),
-            supplier=lambda: getattr(self, attr).get(key, 0),
+            supplier=lambda: getattr(owner, attr).get(key, 0),
         )
 
     def reset(self) -> None:

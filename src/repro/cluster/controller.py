@@ -14,6 +14,7 @@ object workload generators talk to.
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
+from weakref import proxy
 
 from repro.analysis.metrics import SimulationMetrics
 from repro.cluster.membership import ClusterMembership
@@ -114,7 +115,9 @@ class DistributionController:
             tracer=tracer,
         )
         registry = self.metrics.registry
-        registry.gauge("streams.active", supplier=lambda: self.active_count)
+        # Read weakly: the registry is reached from here (metrics).
+        owner = proxy(self)
+        registry.gauge("streams.active", supplier=lambda: owner.active_count)
         # Buffer occupancy at transmission finish, in seconds of playback
         # banked — the quantity client staging exists to maximise
         # (Section 3.3's workahead).

@@ -242,9 +242,7 @@ class ElasticScaler:
         self._joiner_disk = sum(
             s.disk_capacity for s in servers.values()
         ) / len(servers)
-        #: The trigger's decision handler — None for one that watches
-        #: nothing, in which case subscribing the scaler adds nothing.
-        self.on_decision = SCALE_TRIGGERS.get(policy.trigger)(self)
+        self._trigger = SCALE_TRIGGERS.get(policy.trigger)
         self._rejections: Deque[float] = deque()
         self._cooldown_until = float("-inf")
         #: Per-draining-server bookkeeping: moved count + in-flight
@@ -558,6 +556,14 @@ class ElasticScaler:
     @property
     def metrics(self) -> SimulationMetrics:
         return self.controller.metrics
+
+    @property
+    def on_decision(self):
+        """The trigger's decision handler — None for one that watches
+        nothing, in which case subscribing the scaler adds nothing.
+        Bound on each read: a scaler holding a bound method of itself
+        would be a reference cycle."""
+        return self._trigger(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -88,13 +88,12 @@ class RetryPolicy(Config):
 
 
 class _Entry:
-    __slots__ = ("request", "rng", "attempt", "event", "delay")
+    __slots__ = ("request", "rng", "attempt", "delay")
 
     def __init__(self, request: Request, rng: np.random.Generator) -> None:
         self.request = request
         self.rng = rng
         self.attempt = 1
-        self.event = None
         self.delay = 0.0
 
 
@@ -195,7 +194,7 @@ class RetryQueue:
         request.retry_draws += 1
         entry.delay = delay
         now = self.engine.now
-        entry.event = self.engine.schedule(
+        self.engine.schedule(
             delay,
             lambda: self._fire(entry),
             kind=f"retry:req{request.request_id}",
@@ -211,7 +210,6 @@ class RetryQueue:
     def _fire(self, entry: _Entry) -> None:
         now = self.engine.now
         request = entry.request
-        entry.event = None
         # Counted at fire time (not scheduling) so `retries` pairs 1:1
         # with the resubmission's arrival tick even if the run ends with
         # retries still queued.

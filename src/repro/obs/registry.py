@@ -20,6 +20,19 @@ instrument once rather than looking it up per event::
     reg.histogram("drm.chain_length").observe(2)
     reg.gauge("streams.active", supplier=lambda: controller.active_count)
     reg.snapshot()                    # -> plain nested dict, JSON-ready
+
+A supplier of a simulation's registry reads its owner *weakly*
+(``weakref.proxy``): the owner holds the registry, so a strong read
+would make every run a reference cycle (docs/PERFORMANCE.md, "A
+finished run frees itself").  Such a registry is read while its owner
+lives; once the owner is gone, :meth:`MetricsRegistry.snapshot` (and so
+the Prometheus text) raises a ``RuntimeError`` naming the instrument
+rather than reporting a stale or zero value::
+
+    owner = weakref.proxy(metrics)
+    reg.counter("requests.accepted", supplier=lambda: owner.accepted)
+    del metrics                       # the last strong reference
+    reg.snapshot()  # RuntimeError: metric requests.accepted: ...
 """
 
 from __future__ import annotations
@@ -34,6 +47,17 @@ DEFAULT_BOUNDS: Sequence[float] = (
     0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1000.0, 2000.0, 5000.0,
 )
+
+
+def _supplied(name: str, supplier: Callable[[], float]) -> float:
+    """Read *supplier*; one that reads a dead owner fails naming *name*."""
+    try:
+        return float(supplier())
+    except ReferenceError:
+        raise RuntimeError(
+            f"metric {name}: the object its supplier reads is gone; "
+            f"read the registry while its run is alive"
+        ) from None
 
 
 class Counter:
@@ -63,7 +87,7 @@ class Counter:
 
     def snapshot(self) -> float:
         if self.supplier is not None:
-            return float(self.supplier())
+            return _supplied(self.name, self.supplier)
         return self.value
 
 
@@ -80,7 +104,7 @@ class Gauge:
 
     def snapshot(self) -> float:
         if self.supplier is not None:
-            return float(self.supplier())
+            return _supplied(self.name, self.supplier)
         return 0.0
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from weakref import proxy
 
 from repro.cluster.profile import DEFAULT_DISK_THROUGHPUT
 from repro.cluster.request import EPS_MB, Request, RequestState
@@ -137,12 +138,13 @@ class PrefixTier:
         self.chain_underruns = 0
         #: Shared feeds lost to a parent drop.
         self.feeds_severed = 0
-        registry = self.metrics.registry
+        # Read weakly: the registry is reached from here (controller).
+        registry, tier = self.metrics.registry, proxy(self)
         registry.gauge(
-            "cache.bytes_held_mb", supplier=lambda: self.cache.bytes_held
+            "cache.bytes_held_mb", supplier=lambda: tier.cache.bytes_held
         )
         registry.gauge(
-            "cache.chained_active", supplier=lambda: float(self.chained_active)
+            "cache.chained_active", supplier=lambda: float(tier.chained_active)
         )
 
     @property
@@ -342,10 +344,15 @@ class PrefixTier:
         now = self.engine.now
         chain = self._chains.pop(request.request_id, None)
         if chain is not None and not chain.finished:
-            # A chained child's *patch* stream was dropped mid-flight.
+            # A chained child's *patch* stream was dropped mid-flight:
+            # with its feed gone, restore the full transfer (as for a
+            # rejected patch) so a retry queue resubmits the real
+            # request, which may then lead streams of its own.
             chain.severed_at = now
             self.feeds_severed += 1
             self._unlink(chain)
+            request.set_video(chain.video)
+            self._chained_ids.discard(request.request_id)
         children = self._children.pop(request.request_id, None)
         for child_chain in children or []:
             if child_chain.finished or child_chain.severed_at is not None:

@@ -75,6 +75,7 @@ class Engine:
     __slots__ = (
         "_now", "_heap", "_seq", "_events_fired",
         "_events_cancelled", "_running", "_trace_fns", "profiler",
+        "__weakref__",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -251,6 +252,17 @@ class Engine:
             self._events_fired = fired
             self._events_cancelled = cancelled
             self._running = False
+
+    def retire(self) -> None:
+        """Drop the agenda and the trace subscribers; the clock and the
+        counters stay readable.
+
+        Pending events and subscribers are bound methods of the model's
+        objects, which hold this engine: without this a finished run is
+        one reference cycle, left to the cyclic collector.
+        """
+        self._heap.clear()
+        self._trace_fns.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -693,7 +693,7 @@ class Simulation:
         total_bw = cfg.system.total_bandwidth
         window = cfg.duration - cfg.warmup
         pending = self.retry_queue.pending if self.retry_queue else 0
-        return SimulationResult(
+        result = SimulationResult(
             config=cfg,
             utilization=metrics.utilization(total_bw, window),
             acceptance_ratio=metrics.acceptance_ratio,
@@ -727,6 +727,28 @@ class Simulation:
             ),
             provenance=provenance,
         )
+        self._retire()
+        return result
+
+    def _retire(self) -> None:
+        """Cut the run's reference cycles, so that dropping the last
+        reference to this Simulation frees its whole graph at once.
+
+        The agenda's events and the managers' pending boundaries are
+        bound methods of objects that hold the engine; the managers'
+        finish hook and the controller's subscribers point back at
+        the controller.  Everything the run counted stays readable.
+        """
+        self.engine.retire()
+        controller = self.controller
+        for manager in controller.managers.values():
+            manager.deactivate(self.config.duration)
+            manager.on_finish = None
+        controller.intercept = None
+        for handlers in (
+            controller.on_decision, controller.on_finish, controller.on_drop,
+        ):
+            handlers.clear()
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

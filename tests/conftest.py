@@ -8,7 +8,9 @@ workload generator in the way.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,6 +67,39 @@ def scratch_registry(registry):
         patch.setattr(registry, "_entries", dict(registry._entries))
         patch.setattr(registry, "_help", dict(registry._help))
         yield registry
+
+
+def left_to_gc() -> Dict[str, int]:
+    """Run the cyclic collector and return the ``repro`` objects it
+    freed, counted by type name: empty when reference counting alone
+    freed everything dropped since the last call (under
+    :func:`cyclic_gc_off`)."""
+    debug = gc.get_debug()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return dict(collections.Counter(
+            type(obj).__qualname__ for obj in gc.garbage
+            if (type(obj).__module__ or "").partition(".")[0] == "repro"
+        ))
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        gc.collect()  # what was saved for counting, freed for real
+
+
+@contextlib.contextmanager
+def cyclic_gc_off():
+    """Automatic cyclic collection off while the block runs, from a
+    clean slate, so that :func:`left_to_gc` sees what the block left."""
+    enabled = gc.isenabled()
+    gc.disable()
+    left_to_gc()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def placed_copies(placement: PlacementMap) -> int:

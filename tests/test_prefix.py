@@ -618,6 +618,64 @@ class TestTierEndToEnd:
         tier.check_invariants()
         assert tier.chain_underruns == 0
 
+    def test_dropped_patch_child_retries_as_the_real_request(self):
+        # prefix x retry x a server crash, driven by hand: a patch
+        # child's own stream is lost with no relocation target, before
+        # spare bandwidth can finish its patch.  The tier restores
+        # the full video before the retry queue queues it, so the
+        # resubmission sends the whole video and may lead a chain.
+        from repro.faults import RetryPolicy
+
+        policy = PrefixPolicy(
+            strategy="none", batching="patch", window_seconds=180.0,
+        )
+        reset_request_ids()
+        sim = Simulation(prefix_config(
+            policy, migration=MigrationPolicy.disabled(),
+            retry=RetryPolicy(base_delay=30.0),
+        ))
+        sim._arrivals.stop()
+        engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
+        failover, queue = sim.failover, sim.retry_queue
+        full = sim.catalog[0]
+        parent, outcome = controller.submit(0)
+        assert outcome is AdmissionOutcome.ACCEPTED
+        engine.run_until(30.0)
+        child, outcome = controller.submit(0)          # a 30 s patch
+        assert outcome is AdmissionOutcome.ACCEPTED
+        assert child.size < full.size
+        assert child.server_id not in (None, parent.server_id)
+        assert sim.metrics.patched == 1
+
+        # No relocation target: every other holder down, and the
+        # parent's server refusing new streams.
+        holders = list(sim.placement_result.placement.holders(0))
+        for sid in holders:
+            if sid not in (parent.server_id, child.server_id):
+                failover.fail_server(sid)
+        sim.servers[parent.server_id].accepting = False
+        report = failover.fail_server(child.server_id)
+        assert report.dropped == [child.request_id]
+        assert child.state is RequestState.DROPPED
+        assert tier.feeds_severed == 1
+        assert child.video is full and child.size == full.size
+        assert child.request_id not in tier._chained_ids
+        assert list(queue._entries) == [child.request_id]
+
+        for sid in holders:
+            failover.restore_server(sid)
+        sim.servers[parent.server_id].accepting = True
+        engine.run_until(100.0)                        # backoff <= 45 s
+        assert child.state is RequestState.ACTIVE
+        assert child.server_id in holders
+        assert queue.pending == 0
+        assert tier._leaders[0] is child               # the newest stream
+        engine.run_until(hours(2))
+        assert child.state is RequestState.FINISHED
+        assert child.bytes_sent == pytest.approx(full.size)
+        tier.check_invariants()
+        assert tier.chain_underruns == 0
+
     def test_prefix_retry_and_crash_faults_together(self):
         from repro.faults import CrashFaults, FaultPlan, RetryPolicy
 

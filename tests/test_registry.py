@@ -26,7 +26,7 @@ from repro.registry import (
 )
 from repro.simulation import SimulationConfig
 
-from conftest import scratch_registry
+from conftest import cyclic_gc_off, left_to_gc, scratch_registry
 
 
 class TestRegistryContract:
@@ -529,19 +529,22 @@ def _entering(seen):
 
 
 def _committed_configs(root):
-    """The config of each committed scenario and ledger workload."""
+    """The config of each committed scenario and ledger workload, by
+    file."""
     import json
 
     from repro.scenario import load_scenario
 
-    configs = [
-        load_scenario(path).config
+    configs = {
+        f"scenarios/{path.name}": load_scenario(path).config
         for path in sorted((root / "scenarios").glob("*.json"))
-    ]
+    }
     for path in sorted((root / "bench/workloads").glob("*.json")):
         raw = json.loads(path.read_text())
         if "config" in raw:
-            configs.append(SimulationConfig.from_dict(raw["config"]))
+            configs[f"bench/workloads/{path.name}"] = (
+                SimulationConfig.from_dict(raw["config"])
+            )
     return configs
 
 
@@ -569,7 +572,7 @@ def _workloads():
             if spec.claims:
                 list(spec.artifacts(0.0005, 0, None))
     assert configs  # the patch reached the sweeps
-    return configs + _committed_configs(root), entered
+    return configs + list(_committed_configs(root).values()), entered
 
 
 @pytest.fixture(scope="module")
@@ -833,19 +836,28 @@ def _functions(package):
 
 
 def _capped_runs(root):
-    """``{(file, first line)}`` of every function entered while each
-    committed scenario and ledger config runs for at most two simulated
-    hours (a config listed twice, the traced ledger twin, runs once)."""
+    """``(entered, left)``: ``{(file, first line)}`` of every function
+    entered while each committed scenario and ledger config runs for at
+    most two simulated hours (a config listed twice, the traced ledger
+    twin, runs once), and, by file, the ``repro`` objects any of those
+    runs left to the cyclic collector once dropped (none: a finished
+    run frees itself)."""
     from repro.simulation import Simulation
 
-    with _entering(set()) as entered:
-        for config in dict.fromkeys(_committed_configs(root)):
+    runs, left = {}, {}
+    with cyclic_gc_off(), _entering(set()) as entered:
+        for name, config in _committed_configs(root).items():
+            runs.setdefault(config, name)
+        for config, name in runs.items():
             duration = min(config.duration, 7200.0)
             Simulation(dataclasses.replace(
                 config, duration=duration,
                 warmup=min(config.warmup, duration / 2),
             )).run()
-    return _keys(entered)
+            leftover = left_to_gc()
+            if leftover:
+                left[name] = leftover
+    return _keys(entered), left
 
 
 def _keys(entered):
@@ -861,7 +873,7 @@ def _examples(root):
     """``{(file, first line)}`` of every function entered while each
     ``examples/*.py`` runs its ``main()``, output discarded — all but
     ``serve_loopback.py``, a live run whose path the ``verify`` leg of
-    ``entered_functions`` enters, and ``capacity_planning.py``, ~7 s
+    ``_reach`` enters, and ``capacity_planning.py``, ~7 s
     under the recorder (tests/test_examples.py runs it).  An example
     that raises exits the process naming it."""
     import importlib.util
@@ -933,15 +945,17 @@ def _scrape(seen):
 
 
 @pytest.fixture(scope="module")
-def entered_functions(_workloads, tmp_path_factory):
-    """``{(file, first line)}`` of every function entered while each
-    workload we run runs: the figure cells (recorded by ``_workloads``),
-    :func:`_capped_runs` under the invariant checker, the examples
-    (:func:`_examples`), four cheap CLI verbs, and one live ``verify``
-    leg scraped by every ``repro ops`` verb and ``repro top`` source
-    (:func:`_scrape`).  The capped runs and the examples go to child
-    processes (this file run as a script) while the live leg, which
-    mostly waits on its wall clock, runs here."""
+def _reach(_workloads, tmp_path_factory):
+    """``(entered, left)``: ``{(file, first line)}`` of every function
+    entered while each workload we run runs — the figure cells
+    (recorded by ``_workloads``), :func:`_capped_runs` under the
+    invariant checker, the examples (:func:`_examples`), four cheap CLI
+    verbs, and one live ``verify`` leg scraped by every ``repro ops``
+    verb and ``repro top`` source (:func:`_scrape`) — and what the
+    capped runs left to the cyclic collector, by file.  The capped runs
+    and the examples go to child processes (this file run as a script)
+    while the live leg, which mostly waits on its wall clock, runs
+    here."""
     import functools
     import io
     import json
@@ -993,18 +1007,19 @@ def entered_functions(_workloads, tmp_path_factory):
         examples_out, examples_err = examples.communicate()
     assert capped.returncode == 0, "the capped runs failed"
     assert examples.returncode == 0, examples_err[-2000:]
+    runs = json.loads(capped_out)
     return (
         _keys(_workloads[1]) | _keys(entered)
-        | {tuple(key) for key in json.loads(capped_out)}
+        | {tuple(key) for key in runs["entered"]}
         | {tuple(key) for key in json.loads(examples_out)}
-    )
+    ), runs["left"]
 
 
 @pytest.fixture(scope="module")
-def unreached_functions(entered_functions):
+def unreached_functions(_reach):
     """Names of the ``def``s in ``src/repro`` no workload entered."""
     return TestEveryFunctionIsReached.unreached(
-        TestEveryFunctionIsReached.package(), entered_functions
+        TestEveryFunctionIsReached.package(), _reach[0]
     )
 
 
@@ -1232,6 +1247,13 @@ class TestEveryFunctionIsReached:
         stale = rows - unreached_functions
         assert not stale, f"allowed, but not an unreached def: {sorted(stale)}"
 
+    def test_every_capped_run_frees_itself(self, _reach):
+        # Reference counting alone frees a dropped run: every committed
+        # feature combination, at no extra simulation (docs/
+        # PERFORMANCE.md, "A finished run frees itself").
+        left = _reach[1]
+        assert not left, f"runs left to the cyclic collector: {left}"
+
     def test_an_unused_function_is_caught(self, tmp_path):
         import importlib.util
 
@@ -1255,9 +1277,14 @@ class TestEveryFunctionIsReached:
 
 
 if __name__ == "__main__":
-    # The child processes of ``entered_functions``: the keys of the
-    # capped runs, or (argument ``examples``) of the examples.
+    # The child processes of ``_reach``: the keys of the capped runs
+    # and what they left to the cyclic collector, or (argument
+    # ``examples``) the keys of the examples.
     import json
 
-    run = _examples if sys.argv[1:] == ["examples"] else _capped_runs
-    print(json.dumps(sorted(run(pathlib.Path(__file__).resolve().parent.parent))))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    if sys.argv[1:] == ["examples"]:
+        print(json.dumps(sorted(_examples(root))))
+    else:
+        entered, left = _capped_runs(root)
+        print(json.dumps({"entered": sorted(entered), "left": left}))

@@ -1,8 +1,12 @@
 """Unit tests for the Simulation facade and its configuration."""
 
+import json
 import math
+import pathlib
+import weakref
 
 import pytest
+from conftest import cyclic_gc_off, left_to_gc
 
 from repro import (
     LARGE_SYSTEM,
@@ -10,8 +14,13 @@ from repro import (
     MigrationPolicy,
     Simulation,
     SimulationConfig,
+    obs,
     run_simulation,
 )
+from repro.core.elastic import ElasticPolicy, ScaleEvent
+from repro.core.replication import ReplicationPolicy
+from repro.faults import CrashFaults, FaultPlan, RetryPolicy
+from repro.prefix import PrefixPolicy
 from repro.units import hours
 
 TINY = SMALL_SYSTEM.scaled(n_videos=60, name="tiny")
@@ -142,8 +151,6 @@ class TestRun:
         assert sim.interactivity is None
 
     def test_replicator_wired_when_policy_given(self):
-        from repro.core.replication import ReplicationPolicy
-
         sim = Simulation(quick_config(replication=ReplicationPolicy()))
         assert sim.replicator is not None
         assert sim.controller.on_decision == [sim.replicator.on_decision]
@@ -160,17 +167,12 @@ class TestLifecycleWiring:
 
     @staticmethod
     def chaos():
-        from repro.faults import CrashFaults, FaultPlan, RetryPolicy
-
         return dict(
             retry=RetryPolicy(),
             faults=FaultPlan(crash=CrashFaults(mtbf=hours(1), mttr=60.0)),
         )
 
     def test_everything_but_the_tier(self):
-        from repro.core.elastic import ElasticPolicy
-        from repro.core.replication import ReplicationPolicy
-
         sim = Simulation(quick_config(
             replication=ReplicationPolicy(),
             elastic=ElasticPolicy(trigger="load"),
@@ -190,8 +192,6 @@ class TestLifecycleWiring:
         assert sim.failover.on_drop is controller.on_drop
 
     def test_tier_first_on_every_list(self):
-        from repro.prefix import PrefixPolicy
-
         sim = Simulation(quick_config(prefix=PrefixPolicy(), **self.chaos()))
         controller, tier = sim.controller, sim.prefix_tier
         assert controller.intercept == tier.intercept
@@ -203,8 +203,6 @@ class TestLifecycleWiring:
         assert sim.failover.on_drop is controller.on_drop
 
     def test_scheduled_elastic_trigger_watches_nothing(self):
-        from repro.core.elastic import ElasticPolicy
-
         sim = Simulation(quick_config(elastic=ElasticPolicy()))
         assert sim.elastic_scaler is not None
         assert sim.controller.on_decision == []
@@ -219,6 +217,104 @@ class TestLifecycleWiring:
         assert controller.on_finish == [] and controller.on_drop == []
         decision = bridge.submit(1.0, 0)
         assert decision.accepted and decision.server in controller.servers
+
+
+def _retire_readings(sim):
+    """Everything the ledger reads off a finished run
+    (``bench/layers.py::counter_metrics``) that the retire step could
+    touch."""
+    return (
+        sim.engine.events_fired,
+        sim.engine.events_cancelled,
+        [m.reallocations for m in sim.controller.managers.values()],
+        sim.registry.snapshot(),
+        sim.prefix_tier.stats() if sim.prefix_tier is not None else None,
+    )
+
+
+def ledger_left_to_gc():
+    """``repro`` objects left to the cyclic collector by one run of each
+    sim ledger config (``bench/workloads``), traced where the workload
+    is, summed: 0 when every run frees itself."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    left = 0
+    with cyclic_gc_off():
+        for path in sorted((root / "bench/workloads").glob("*.json")):
+            raw = json.loads(path.read_text())
+            if raw["kind"] == "sim":
+                Simulation(
+                    SimulationConfig.from_dict(raw["config"]),
+                    tracer=obs.Tracer() if raw.get("tracer") else None,
+                ).run()
+                left += sum(left_to_gc().values())
+    return left
+
+
+class TestARunFreesItself:
+    """A finished run is no reference cycle: dropping the last
+    reference to a Simulation frees its whole graph through reference
+    counting (docs/PERFORMANCE.md, "A finished run frees itself")."""
+
+    #: Feature mixes: name -> (config, traced).
+    MIXES = {
+        "traced large P4": (SimulationConfig(
+            system=LARGE_SYSTEM, migration=MigrationPolicy.paper_default(),
+            staging_fraction=0.2, duration=hours(1.5), seed=1,
+        ), True),
+        "prefix patch": (quick_config(
+            prefix=PrefixPolicy(batching="patch", window_seconds=180.0),
+            staging_fraction=0.3, load=1.3,
+        ), False),
+        "chaos, retry, elastic, invariants": (quick_config(
+            faults=FaultPlan(crash=CrashFaults(mtbf=hours(0.5), mttr=600.0)),
+            retry=RetryPolicy(),
+            elastic=ElasticPolicy(
+                events=(ScaleEvent(time=600.0, action="scale_out"),),
+                trigger="load",
+            ),
+            invariants=True, load=1.3,
+        ), False),
+        "VCR": (quick_config(pause_hazard=1 / 600.0), False),
+        "dynamic replication": (quick_config(
+            replication=ReplicationPolicy(), theta=-0.5,
+        ), False),
+    }
+
+    @pytest.mark.parametrize("mix", list(MIXES))
+    def test_dropping_a_finished_run_frees_it(self, mix, monkeypatch):
+        config, traced = self.MIXES[mix]
+        retire, before = Simulation._retire, []
+
+        def watched(sim):
+            before.append(_retire_readings(sim))
+            retire(sim)
+
+        monkeypatch.setattr(Simulation, "_retire", watched)
+        with cyclic_gc_off():
+            sim = Simulation(config, tracer=obs.Tracer() if traced else None)
+            sim.run()
+            assert before == [_retire_readings(sim)]
+            refs = [
+                weakref.ref(obj) for obj in (
+                    sim.engine, sim.controller, sim.tracer, sim.prefix_tier,
+                ) if obj is not None
+            ]
+            del sim
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert left_to_gc() == {}
+
+    def test_a_registry_that_outlives_its_run_says_so(self):
+        sim = Simulation(quick_config(duration=hours(0.5)))
+        sim.run()
+        registry = sim.registry
+        assert registry.snapshot()["counters"]["requests.arrivals"] > 0
+        del sim
+        # One line naming the first instrument read, never a stale 0.
+        with pytest.raises(RuntimeError, match="^metric cache.chained: ") as exc:
+            registry.snapshot()
+        assert "\n" not in str(exc.value)
+        with pytest.raises(RuntimeError, match=r"^metric [\w.]+: the object"):
+            obs.render_prometheus(registry)
 
 
 class TestSystemPresetsRun:
