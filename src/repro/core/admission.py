@@ -40,11 +40,14 @@ class AdmissionOutcome(enum.Enum):
 
     @property
     def accepted(self) -> bool:
-        return self in (
-            AdmissionOutcome.ACCEPTED,
-            AdmissionOutcome.ACCEPTED_WITH_MIGRATION,
-            AdmissionOutcome.ACCEPTED_CHAINED,
-        )
+        return self in _ACCEPTED
+
+
+_ACCEPTED = frozenset({
+    AdmissionOutcome.ACCEPTED,
+    AdmissionOutcome.ACCEPTED_WITH_MIGRATION,
+    AdmissionOutcome.ACCEPTED_CHAINED,
+})
 
 
 class AdmissionController:

@@ -47,8 +47,7 @@ Optional[ChainPlan]`` returning None to decline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.cluster.request import EPS_MB, Request, RequestState
 from repro.registry import Registry
@@ -58,8 +57,7 @@ from repro.workload.catalog import Video
 BATCHING: Registry = Registry("batching policy")
 
 
-@dataclass(frozen=True)
-class ChainPlan:
+class ChainPlan(NamedTuple):
     """The splice geometry decided at admission time (all Mb / seconds).
 
     Attributes:
@@ -208,14 +206,12 @@ class ChainedSession:
         frontier = vb * max(0.0, horizon - self.parent.playback_start)
         return min(self.video.size, max(plan.gap_mb, frontier))
 
-    def playout(self, now: float) -> float:
-        """Megabits consumed by the child's playback by *now*."""
-        elapsed = max(0.0, now - self.join_time)
-        return min(self.video.size, self.video.view_bandwidth * elapsed)
-
     def margin(self, now: float) -> float:
-        """Delivered minus consumed, Mb — negative means underrun."""
-        return self.contiguous_delivered(now) - self.playout(now)
+        """Delivered minus consumed by the child's playback, Mb —
+        negative means underrun."""
+        video = self.video
+        played = video.view_bandwidth * max(0.0, now - self.join_time)
+        return self.contiguous_delivered(now) - min(video.size, played)
 
     @property
     def delivery_end(self) -> float:

@@ -119,6 +119,7 @@ class PrefixTier:
         self.policy = policy if policy is not None else PrefixPolicy()
         self.strict = bool(strict)
         self.tracer = tracer
+        self.metrics = controller.metrics
         self.cache = PrefixCache(self.policy.capacity_mb)
         self._batching = BATCHING.get(self.policy.batching)
         #: Newest accepted (server-backed) stream per video id.
@@ -127,6 +128,8 @@ class PrefixTier:
         self._chains: Dict[int, ChainedSession] = {}
         #: Live chains by parent request id (drop cascade / finish fanout).
         self._children: Dict[int, List[ChainedSession]] = {}
+        #: Parents whose playout-end event is on the agenda.
+        self._finishing: Set[int] = set()
         #: Patch chains awaiting their admission decision.
         self._pending: Dict[int, ChainedSession] = {}
         #: Ids of requests admitted as chains — never promoted to leader.
@@ -146,10 +149,6 @@ class PrefixTier:
         registry.gauge(
             "cache.chained_active", supplier=lambda: float(tier.chained_active)
         )
-
-    @property
-    def metrics(self):
-        return self.controller.metrics
 
     @property
     def chained_active(self) -> int:
@@ -271,6 +270,8 @@ class PrefixTier:
         """Controller notification: commit/cancel pending patch chains
         and track stream leaders.  Subscribed first: the retry queue
         must see a rejected patch already restored to the full video."""
+        if outcome is AdmissionOutcome.ACCEPTED_CHAINED:
+            return  # a pure chain: committed in intercept, never a leader
         chain = self._pending.pop(request.request_id, None)
         now = self.engine.now
         if chain is not None:
@@ -331,13 +332,14 @@ class PrefixTier:
             self._check_chain(chain, now)
             if chain.parent_finished:
                 self._schedule_child_finish(chain)
-        children = self._children.get(request.request_id)
-        if children:
-            for child_chain in list(children):
-                child_chain.parent_finished = True
-                if child_chain.merged and not child_chain.finished:
-                    self._schedule_child_finish(child_chain)
-                # un-merged patch chains reschedule at merge time
+        merged = None
+        for child_chain in self._children.get(request.request_id, ()):
+            child_chain.parent_finished = True
+            if child_chain.merged:
+                merged = child_chain
+        if merged is not None:
+            # un-merged patch chains reschedule at merge time
+            self._schedule_child_finish(merged)
 
     def on_drop(self, request: Request) -> None:
         """Controller notification: sever chains touching *request*."""
@@ -350,7 +352,11 @@ class PrefixTier:
             # request, which may then lead streams of its own.
             chain.severed_at = now
             self.feeds_severed += 1
-            self._unlink(chain)
+            siblings = self._children.get(chain.parent.request_id)
+            if siblings and chain in siblings:
+                siblings.remove(chain)
+                if not siblings:  # the list goes with its last chain
+                    del self._children[chain.parent.request_id]
             request.set_video(chain.video)
             self._chained_ids.discard(request.request_id)
         children = self._children.pop(request.request_id, None)
@@ -376,41 +382,55 @@ class PrefixTier:
                     )
 
     def _schedule_child_finish(self, chain: ChainedSession) -> None:
-        now = self.engine.now
+        """Put *chain*'s parent's playout-end event on the agenda, once.
+
+        Every child of one parent stops being fed at the same instant
+        (its ``delivery_end``), so one event finishes them all.  A patch
+        that merges after that event has fired gets one of its own, at
+        once.
+        """
+        parent_id = chain.parent.request_id
+        if parent_id in self._finishing:
+            return
+        self._finishing.add(parent_id)
         self.engine.schedule(
-            max(0.0, chain.delivery_end - now),
-            lambda: self._finish_child(chain),
+            max(0.0, chain.delivery_end - self.engine.now),
+            lambda: self._finish_children(parent_id),
             kind="cache:chain_finish",
         )
 
-    def _finish_child(self, chain: ChainedSession) -> None:
-        if chain.finished or chain.severed_at is not None:
-            return
-        now = self.engine.now
-        chain.finished = True
-        child = chain.child
-        self._check_chain(chain, now)
-        self._chains.pop(child.request_id, None)
-        self._chained_ids.discard(child.request_id)  # never decided again
-        self._unlink(chain)
-        if child.state is RequestState.ACTIVE and child.server_id is None:
-            # Pure chained session: the tier owns its whole lifecycle.
-            # (Patch children were already finished by their manager.)
-            child.mark_finished(now)
-            self.metrics.record_finish()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceKind.REQUEST_FINISH, now,
-                    request=child.request_id, server=None,
-                )
+    def _finish_children(self, parent_id: int) -> None:
+        """Finish every merged child of *parent_id*, in sibling order.
 
-    def _unlink(self, chain: ChainedSession) -> None:
-        """Take *chain* off its parent's list, and the list with it."""
-        siblings = self._children.get(chain.parent.request_id)
-        if siblings and chain in siblings:
-            siblings.remove(chain)
-            if not siblings:
-                del self._children[chain.parent.request_id]
+        The parent has finished, so it is never dropped: its list is
+        still here, and it keeps only the patches yet to merge.
+        """
+        self._finishing.discard(parent_id)
+        siblings = self._children[parent_id]
+        now = self.engine.now
+        for chain in siblings:
+            if not chain.merged or chain.finished or chain.severed_at is not None:
+                continue
+            chain.finished = True
+            child = chain.child
+            self._check_chain(chain, now)
+            self._chains.pop(child.request_id, None)
+            self._chained_ids.discard(child.request_id)  # never decided again
+            if child.state is RequestState.ACTIVE and child.server_id is None:
+                # Pure chained session: the tier owns its whole lifecycle.
+                # (Patch children were already finished by their manager.)
+                child.mark_finished(now)
+                self.metrics.record_finish()
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        TraceKind.REQUEST_FINISH, now,
+                        request=child.request_id, server=None,
+                    )
+        left = [chain for chain in siblings if not chain.finished]
+        if left:
+            self._children[parent_id] = left
+        else:
+            del self._children[parent_id]
 
     # ------------------------------------------------------------------
     # Invariants / introspection

@@ -36,6 +36,7 @@ from repro.cluster.request import (
     EPS_MB, Request, RequestState, reset_request_ids,
 )
 from repro.core.admission import AdmissionOutcome
+from repro.faults.invariants import InvariantViolation
 from repro.obs import TraceKind
 from repro.obs.tracer import Tracer
 from repro.prefix import (
@@ -784,6 +785,13 @@ class TestCapacityFigure:
         live = set(tier._chains) | set(tier._pending)
         assert tier._chained_ids <= live
         assert len(tier._chained_ids) < tier.metrics.chained
+        # a pending playout-end event is for a parent with a merged
+        # child it has yet to finish
+        assert tier._finishing
+        assert all(
+            any(c.merged and not c.finished for c in tier._children[p])
+            for p in tier._finishing
+        )
 
     def test_experiment_baseline_strips_only_the_tier(self):
         from repro.experiments.prefix import baseline_config
@@ -800,6 +808,115 @@ class TestCapacityFigure:
         row = result_row(run_fresh(scenario.config))
         json.dumps(row)  # digestable
         assert {"rejection_ratio", "chained", "chain_underruns"} <= set(row)
+
+
+ONE_MINUTE = dataclasses.replace(
+    SMALL_SYSTEM, name="prefix-one-minute", server_bandwidths=(30.0,),
+    disk_capacities=(4000.0,), n_videos=1, video_length_range=(60.0, 60.0),
+    avg_copies=1.0,
+)
+
+
+def chain_finish_times(sim):
+    """Times of the tier's chain-finish engine events, as they fire."""
+    fired = []
+    sim.engine.add_trace(
+        lambda event: fired.append(event.time)
+        if event.kind == "cache:chain_finish" else None
+    )
+    return fired
+
+
+def one_parent_sim(invariants=False):
+    """One 60 s video, no cache, patching within 50 s, arrivals stopped:
+    streams run at exactly the view bandwidth (the client ingest cap),
+    so a 40 s gap's patch merges 80 s in, after the parent's playout
+    has ended at 60 s."""
+    reset_request_ids()
+    policy = PrefixPolicy(strategy="none", batching="patch",
+                          window_seconds=50.0)
+    sim = Simulation(prefix_config(
+        policy, system=ONE_MINUTE, staging_fraction=1.0,
+        client_receive_bandwidth=ONE_MINUTE.view_bandwidth,
+        migration=MigrationPolicy.disabled(), warmup=0.0,
+        invariants=invariants,
+    ))
+    sim._arrivals.stop()
+    return sim
+
+
+class TestPerParentFinish:
+    """Every child of one parent stops being fed at the parent's playout
+    end, so the tier finishes them all in one engine event."""
+
+    def test_one_event_per_parent_on_the_committed_scenario(self):
+        reset_request_ids()
+        sim = Simulation(load_scenario(OVERLOAD_SCENARIO).config)
+        tier = sim.prefix_tier
+        chains = []
+        original = tier._commit
+
+        def commit(chain, now, patched):
+            chains.append(chain)
+            original(chain, now, patched)
+
+        tier._commit = commit
+        fired = chain_finish_times(sim)
+        sim.run()
+        finished = [chain for chain in chains if chain.finished]
+        parents = {chain.parent.request_id for chain in finished}
+        assert len(fired) == len(parents)
+        assert len(parents) < len(finished)   # siblings did share events
+        for chain in finished:
+            if chain.plan.patch_mb <= EPS_MB:  # pure: the tier finishes it
+                assert chain.child.finish_time == pytest.approx(
+                    chain.delivery_end
+                )
+
+    def test_a_late_patch_finishes_through_its_own_event(self):
+        sim = one_parent_sim()
+        engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
+        fired = chain_finish_times(sim)
+        parent, outcome = controller.submit(0)
+        assert outcome is AdmissionOutcome.ACCEPTED
+        pure, outcome = controller.submit(0)          # gap 0: no patch
+        assert outcome is AdmissionOutcome.ACCEPTED_CHAINED
+        engine.run_until(40.0)
+        patch, outcome = controller.submit(0)
+        assert outcome.accepted and patch.server_id is not None
+        pure_chain = tier._chains[pure.request_id]
+        patch_chain = tier._chains[patch.request_id]
+        engine.run_until(hours(1))
+
+        playout_end = pure_chain.delivery_end
+        assert parent.finish_time <= playout_end < patch.finish_time
+        # the parent's event finishes the merged child; the patch that
+        # merges later finishes at its merge instant, in its own event
+        assert fired == [playout_end, patch.finish_time]
+        assert pure.finish_time == playout_end
+        assert pure_chain.finished and patch_chain.finished
+        assert patch_chain.margin(patch.finish_time) >= 0.0
+        assert tier.chain_underruns == 0
+        assert not tier._children and not tier._finishing
+
+    def test_the_batched_finish_checks_every_child(self):
+        sim = one_parent_sim(invariants=True)
+        engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
+        fired = chain_finish_times(sim)
+        parent = controller.submit(0)[0]
+        first, doctored, last = (
+            tier._chains[controller.submit(0)[0].request_id] for _ in range(3)
+        )
+        # A patch that never streamed: past position 0 nothing arrives,
+        # so at the playout end the child is a whole video behind.
+        doctored.plan = ChainPlan(10.0, 30.0, 0.0, 30.0)
+        assert doctored.margin(doctored.delivery_end) < -1e-3
+        with pytest.raises(InvariantViolation) as caught:
+            engine.run_until(hours(1))
+        assert caught.value.invariant == "chain_no_underrun"
+        assert caught.value.subject == f"request {doctored.child.request_id}"
+        assert fired == [parent.playback_start + 60.0]
+        assert first.finished and not last.finished   # sibling order
 
 
 class TestOpsSurface:
