@@ -60,7 +60,6 @@ def replay(trace, staging_fraction, migration):
         duration=DURATION, seed=7,
     )
     sim = Simulation(config)
-    sim._arrivals.stop()  # replace live arrivals with the fixed trace
     hit = {"total": 0, "accepted": 0}
 
     def watch(outcome, request):
@@ -72,8 +71,12 @@ def replay(trace, staging_fraction, migration):
 
     # A plain callable on the controller's decision notifications.
     sim.controller.on_decision.append(watch)
-    trace.schedule_on(sim.engine, sim.controller.submit)
-    result = sim.run()
+    # The fixed trace replaces the configured arrival process: each
+    # request is submitted at its time, then the run is ended.
+    for request in trace:
+        sim.submit(request.time, request.video_id)
+    sim.advance(DURATION)
+    result = sim.finish()
     return result, hit["total"], hit["accepted"]
 
 

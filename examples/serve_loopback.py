@@ -7,15 +7,15 @@ The simulator's EFTF/DRM policy core can serve real TCP connections
 behind ``repro-vod verify`` (docs/ROBUSTNESS.md, "The gate") — and
 reads its report back:
 
-1. the **virtual leg** simulates the scenario twice at the same seed
-   and replays its calibrated Poisson/Zipf arrival trace through a
-   :class:`repro.serve.PolicyBridge`;
+1. the **virtual leg** simulates the scenario twice at the same seed,
+   the first run a :class:`repro.serve.PolicyBridge` recording every
+   arrival's decision;
 2. the **live leg** starts a :class:`repro.serve.ClusterGateway` on an
    ephemeral loopback port — the same
    :class:`~repro.simulation.SimulationConfig`, mounted on asyncio —
-   and replays the same trace with :class:`repro.serve.LoadGenerator`
-   at 40x time compression, one live client (staging buffer + underrun
-   accounting) per arrival;
+   and replays that simulation's own arrivals with
+   :class:`repro.serve.LoadGenerator` at 40x time compression, one
+   live client (staging buffer + underrun accounting) per arrival;
 3. the **checks** hold the run to the **parity contract**: the live
    admit/reject/migrate decision digest must equal the virtual one,
    with zero client underruns, parity clamps and leaked asyncio tasks.

@@ -3,15 +3,16 @@
 "Is this scenario right" is one question with one entry point: run the
 scenario in virtual time, serve it live when it can be served, and
 audit both against the contracts the repository keeps (same-seed
-identity, virtual == live decision digests, zero underruns, the fault /
-elastic / prefix planes' own conservation rules).  What gets run and
+identity, simulation == live decision digests, zero underruns, the
+fault / elastic / prefix planes' own conservation rules).  What gets run and
 what gets checked is read off the scenario itself (:func:`plan`) —
 there is no flag, scenario key or environment variable to choose with
 (docs/ROBUSTNESS.md, "The gate"):
 
 * the **virtual leg** always runs: the simulation twice at the same
-  seed, plus a :meth:`PolicyBridge.replay` of the scenario's arrival
-  trace (the live leg's reference);
+  seed, the first one recording its decisions (a
+  :class:`PolicyBridge` run) — the live leg's reference, since the live
+  load generator replays that run's own arrivals;
 * the **live leg** — :func:`repro.serve.chaos.run_chaos_serve`, a
   gateway and a load generator on loopback — runs iff the gateway
   accepts the config (:func:`serve_refusal`) and the scenario is at
@@ -41,7 +42,6 @@ from repro.serve.bridge import PolicyBridge
 from repro.serve.chaos import ToxicConfig, run_chaos_serve
 from repro.serve.config import ServeConfig
 from repro.serve.gateway import serve_refusal
-from repro.serve.loadgen import arrival_trace
 from repro.simulation import SimulationConfig, run_simulation
 
 #: Longest scenario (virtual seconds) that gets a live leg: 15 wall
@@ -103,11 +103,10 @@ def plan(config: SimulationConfig) -> Dict[str, Any]:
 # The two legs
 # ----------------------------------------------------------------------
 def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
-    """The virtual leg: two same-seed simulations and the trace replay."""
-    first, second = run_simulation(config), run_simulation(config)
+    """The virtual leg: two same-seed simulations, the first recording
+    its decisions (the live leg's reference)."""
     bridge = PolicyBridge(config)
-    bridge.replay(arrival_trace(config))
-    policy = bridge.finalize(config.duration)
+    first, second = bridge.run(), run_simulation(config)
     leg: Dict[str, Any] = {
         # SimulationResult equality covers every measured field (the
         # provenance stamp carries a timestamp and is left out of it).
@@ -115,10 +114,10 @@ def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
         "results": [str(first), str(second)],
         "result": result_row(first),
         "faults_injected": first.faults_injected,
-        "digest": policy["decisions_sha"],
+        "digest": bridge.finalize()["decisions_sha"],
         "membership": bridge.controller.membership.to_dict(),
     }
-    scaler = bridge.sim.elastic_scaler
+    scaler = bridge.elastic_scaler
     if scaler is not None:
         leg["scaler"] = {
             "scale_outs": scaler.scale_outs,
@@ -207,9 +206,10 @@ def _check_faults(report: Dict[str, Any]) -> Iterator[str]:
             "virtual: no fault fired — the fault plan never tripped "
             "(check the scenario's faults block and duration)"
         )
-    # Resilient clients add arrivals the replay does not have, so the
-    # live digests are compared with each other, not with the virtual
-    # one; lost sessions are legal as long as every one is accounted.
+    # Resilient clients add arrivals the simulation does not have, so
+    # the live digests are compared with each other, not with the
+    # virtual one; lost sessions are legal as long as every one is
+    # accounted.
     for side, run in _live_runs(report):
         if not run["chaos"]["failures"]:
             yield (

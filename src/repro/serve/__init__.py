@@ -7,7 +7,8 @@ admission, DRM migration — on wall-clock asyncio connections:
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames (with an
   optional binary payload) spoken over TCP by every component;
 * :mod:`repro.serve.bridge` — :class:`~repro.serve.bridge.PolicyBridge`,
-  the seam that lets live mode and the simulator share one decision
+  the scenario's own simulation fed arrival by arrival and recording
+  each decision, so live mode and the simulator share one decision
   path (the sim-vs-live parity contract);
 * :mod:`repro.serve.gateway` — the distribution controller: acceptor,
   reorder heap, policy loop, membership reconcile, graceful drain;
@@ -17,8 +18,8 @@ admission, DRM migration — on wall-clock asyncio connections:
 * :mod:`repro.serve.telemetry` — the one snapshot of a gateway's state
   that ``serve.stats`` records, ``ops health`` / ``ops stats``, the run
   summary and ``repro top`` all render from;
-* :mod:`repro.serve.loadgen` — a client/load-generator replaying
-  :mod:`repro.workload` arrival processes in real time with a
+* :mod:`repro.serve.loadgen` — a client/load-generator replaying a
+  scenario's own simulated arrivals in real time with a
   time-compression factor, maintaining a staging buffer and reporting
   underruns;
 * :mod:`repro.serve.ops` — the gateway's live telemetry endpoint: a
@@ -41,7 +42,7 @@ ops`` (registered through the experiment registry; see
 :mod:`repro.experiments.ops_tools`).
 """
 
-from repro.serve.bridge import Decision, ParityError, PolicyBridge
+from repro.serve.bridge import Decision, PolicyBridge
 from repro.serve.chaos import (
     ChaosPlane,
     ClientChaos,
@@ -55,6 +56,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.gateway import ClusterGateway
 from repro.serve.loadgen import LoadGenerator, LoadReport, SessionOutcome
 from repro.serve.supervisor import TaskKilled, TaskSupervisor
+from repro.simulation import ParityError
 from repro.serve.ops import (
     OPS_VERBS,
     OpsEndpoint,

@@ -1,28 +1,22 @@
 """PolicyBridge: one decision path for simulator and live gateway.
 
-The parity contract (docs/SERVING.md) in one sentence: *the set of
-admit / reject / migrate decisions for a given arrival trace must be
-byte-identical whether the trace is simulated in virtual time or served
-live over TCP.*  The bridge enforces it structurally rather than by
-testing alone:
+The parity contract (docs/SERVING.md) in one sentence: *the admit /
+reject / migrate decisions of a scenario are byte-identical whether its
+simulation runs in virtual time or the gateway serves its arrivals live
+over TCP.*  The bridge enforces it structurally: it **is** the
+scenario's :class:`repro.Simulation` — same build, substreams, catalog,
+placement and admission — fed through :meth:`Simulation.submit` (one
+TCP frame at a time, or a trace by :meth:`PolicyBridge.replay`) and
+ended by :meth:`Simulation.finish`.  Its one job of its own is
+recording each arrival's decision, and it records a plain
+:meth:`Simulation.run` the same way.  Both paths decide an arrival at
+*t* after every engine event due at *t*, and ``advance(a);
+advance(b)`` fires exactly the events of ``advance(b)``, so pacing
+reads between arrivals cannot change any decision.
 
-* it builds the policy core through the ordinary
-  :class:`repro.Simulation` constructor — same RNG substreams, same
-  catalog, same placement, same :class:`AdmissionController` — so live
-  mode cannot wire the policies differently;
-* the built-in arrival process is stopped at construction; *every*
-  arrival enters through :meth:`submit`, in live mode from a TCP frame
-  and in replay mode from a :class:`repro.workload.trace.Trace`;
-* the engine clock only moves forward through :meth:`advance` /
-  :meth:`submit`, and ``Engine.run_until`` is composable —
-  ``advance(a); advance(b)`` fires exactly the events of
-  ``advance(b)`` — so interleaving pacing reads between arrivals
-  cannot change any decision.
-
-Submitting an arrival earlier than the engine clock would *break*
-parity (virtual time cannot rewind), so :meth:`submit` raises
-:class:`ParityError`; the gateway's guard/reorder machinery exists to
-keep that from ever happening (see :mod:`repro.serve.gateway`).
+Virtual time cannot rewind: :meth:`PolicyBridge.submit` raises
+:class:`repro.simulation.ParityError` for an arrival behind the engine
+clock, which the gateway's guard/reorder machinery exists to prevent.
 """
 
 from __future__ import annotations
@@ -32,14 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro import obs
+from repro.cluster.controller import Decided
 from repro.cluster.request import Request
 from repro.core.admission import AdmissionOutcome
 from repro.simulation import Simulation, SimulationConfig
 from repro.workload.trace import RequestSpec
-
-
-class ParityError(RuntimeError):
-    """An arrival was submitted behind the policy engine's clock."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,8 @@ def decisions_digest(decisions: Iterable[Decision]) -> str:
     )
 
 
-class PolicyBridge:
-    """The policy core of one run, driven by externally supplied arrivals.
+class PolicyBridge(Simulation):
+    """A :class:`Simulation` that records every arrival's decision.
 
     Args:
         config: the full policy configuration (a scenario's config).
@@ -91,8 +82,8 @@ class PolicyBridge:
             a traced simulation.
 
     Attributes:
-        sim: the underlying (arrival-stopped) :class:`Simulation`.
-        decisions: every decision made so far, in submission order.
+        decisions: every arrival's decision so far, in arrival order
+            (retries a retry queue resubmits are not arrivals).
     """
 
     def __init__(
@@ -100,68 +91,41 @@ class PolicyBridge:
         config: SimulationConfig,
         tracer: Optional[obs.Tracer] = None,
     ) -> None:
-        self.config = config
-        self.sim = Simulation(config, tracer=tracer)
-        # Live arrivals come from the caller; the builder's own arrival
-        # process must not inject Poisson traffic alongside them.
-        self.sim._arrivals.stop()
-        self.engine = self.sim.engine
-        self.controller = self.sim.controller
+        super().__init__(config, tracer=tracer)
         self.decisions: List[Decision] = []
-        self._finalized = False
 
     # ------------------------------------------------------------------
+    @property
+    def sim(self) -> Simulation:
+        """The bridge itself, read by the ledger (``bench/``)."""
+        return self
+
     @property
     def now(self) -> float:
         """The policy engine's virtual clock."""
         return self.engine.now
 
-    def advance(self, time: float) -> None:
-        """Run the policy engine forward to virtual *time*.
-
-        Fires every boundary event (finishes, buffer-full, switch-gap
-        ends) scheduled up to *time* — exactly the events a virtual-time
-        simulation would fire.  A no-op when *time* is not ahead of the
-        clock.
-        """
-        if time > self.engine.now:
-            self.engine.run_until(time)
-
-    def submit(self, time: float, video_id: int) -> Decision:
-        """Run one arrival through the shared admission pipeline.
-
-        Args:
-            time: the arrival's virtual time; must be >= the engine
-                clock (arrivals are totally ordered).
-            video_id: requested catalog id.
-
-        Raises:
-            ParityError: when *time* lies behind the engine clock —
-                admitting it "now" would diverge from the virtual-time
-                run of the same trace.
-        """
-        if time < self.engine.now:
-            raise ParityError(
-                f"arrival at virtual t={time:.6f} is behind the policy "
-                f"clock {self.engine.now:.6f}; decisions would diverge "
-                f"from the virtual-time run (widen ServeConfig.guard / "
-                f"reorder_window)"
-            )
-        self.advance(time)
+    def _decide(self, video: int) -> Decided:
         metrics = self.controller.metrics
         migrations_before = metrics.migrations
-        request, outcome = self.controller.submit(video_id)
-        decision = Decision(
+        request, outcome = self.controller.submit(video)
+        self.decisions.append(Decision(
             index=len(self.decisions),
-            time=time,
-            video=video_id,
+            time=self.engine.now,
+            video=video,
             request=request.request_id,
             outcome=outcome.value,
             server=request.server_id,
             migrations=metrics.migrations - migrations_before,
-        )
-        self.decisions.append(decision)
-        return decision
+        ))
+        return request, outcome
+
+    def submit(self, time: float, video_id: int) -> Decision:
+        """:meth:`Simulation.submit`, answered with the recorded
+        decision; raises :class:`~repro.simulation.ParityError` for a
+        *time* behind the engine clock."""
+        super().submit(time, video_id)
+        return self.decisions[-1]
 
     def request_of(self, decision: Decision) -> Optional[Request]:
         """The live :class:`Request` behind an accepted *decision*.
@@ -177,23 +141,17 @@ class PolicyBridge:
 
     # ------------------------------------------------------------------
     def replay(self, specs: Iterable[RequestSpec]) -> List[Decision]:
-        """Feed a whole trace through :meth:`submit` (virtual-time mode).
-
-        This is the reference side of the parity test: the live gateway
-        produces its decisions one TCP frame at a time, this method
-        produces them in a tight loop — both through the exact same
-        code.
-        """
+        """Feed a whole trace through :meth:`submit` (virtual-time mode)."""
         return [self.submit(spec.time, spec.video_id) for spec in specs]
 
     def finalize(self, time: Optional[float] = None) -> dict:
-        """Advance to *time* (default: now), flush accounting, and
-        return a summary of the policy core's view of the run."""
-        if not self._finalized:
-            self._finalized = True
+        """Advance to *time* (default: now) and :meth:`finish`, unless
+        finished already; return a summary of the policy core's view of
+        the run."""
+        if not self._finished:
             if time is not None:
                 self.advance(time)
-            self.controller.finalize(self.engine.now)
+            self.finish()
         metrics = self.controller.metrics
         return {
             "virtual_duration": self.engine.now,
@@ -209,9 +167,3 @@ class PolicyBridge:
                 {"decisions": decisions_digest(self.decisions)}
             ),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<PolicyBridge t={self.engine.now:.6g} "
-            f"decisions={len(self.decisions)}>"
-        )

@@ -375,7 +375,7 @@ class ChaosPlane:
         """Hook the bridge's failover manager; idempotent."""
         if self._armed:
             return self
-        failover = self.gateway.bridge.sim.failover
+        failover = self.gateway.bridge.failover
         if failover is None:
             raise RuntimeError(
                 "scenario has no failover manager — add a `faults` block "
@@ -540,6 +540,8 @@ async def run_chaos_serve(
     whether it fails the run.
     """
     serve = serve if serve is not None else ServeConfig(port=0)
+    # Before the gateway's build: drawing the trace restarts request ids.
+    trace = arrival_trace(config, max_sessions=max_sessions)
     tracer = obs.Tracer()
     gateway_rng = RandomStreams(seed=config.seed).get("chaos.toxic.gateway")
     wrap = (
@@ -562,12 +564,11 @@ async def run_chaos_serve(
     )
     gateway.recorder = recorder
     plane = ChaosPlane(gateway)
-    if gateway.bridge.sim.failover is not None:
+    if gateway.bridge.failover is not None:
         plane.arm()
     await gateway.start()
 
     live = dataclasses.replace(serve, port=gateway.port)
-    trace = arrival_trace(config, max_sessions=max_sessions)
     client_chaos = ClientChaos(
         trace, RandomStreams(seed=config.seed), cut_prob=cut_prob
     )

@@ -45,7 +45,7 @@ from repro import obs
 from repro.cluster.membership import ServerLifecycle
 from repro.obs.spans import SpanPhase
 from repro.serve import telemetry
-from repro.serve.bridge import ParityError, PolicyBridge
+from repro.serve.bridge import PolicyBridge
 from repro.serve.config import ServeConfig
 from repro.serve.ops import OpsEndpoint
 from repro.serve.pacing import Pacer, Session, VirtualClock
@@ -134,7 +134,7 @@ class ClusterGateway:
         self.chaos: Optional[Any] = None
         self.bridge = PolicyBridge(config, tracer=tracer)
         self.clock = VirtualClock(self.serve.compression)
-        self.registry = self.bridge.sim.registry
+        self.registry = self.bridge.registry
         #: Twice-clocked lifecycle spans, live-queryable via the ops
         #: endpoint and mirrored into the trace (docs/OBSERVABILITY.md).
         self.spans = obs.SpanLog(tracer=tracer)
@@ -444,12 +444,7 @@ class ClusterGateway:
             # count it — the parity test asserts this stays at zero.
             self._c_parity_clamps.inc()
             time = self.bridge.now
-        try:
-            decision = self.bridge.submit(time, arrival.video)
-        except ParityError:  # pragma: no cover - clamped above
-            self._c_handshake_errors.inc()
-            self._reject(arrival, "internal error", time)
-            return
+        decision = self.bridge.submit(time, arrival.video)
         if not decision.accepted:
             self._reject(
                 arrival, decision.outcome, decision.time,

@@ -1,11 +1,10 @@
 """Load generator: live clients replaying a workload arrival process.
 
 The client side of docs/SERVING.md.  :func:`arrival_trace` materialises
-the same calibrated Poisson/Zipf workload the simulator would generate
-for a scenario (same seed-derived substreams, same catalog calibration,
-via :mod:`repro.workload`); :class:`LoadGenerator` replays it in wall
-time — each arrival's virtual time divided by the compression factor —
-opening one TCP connection per request.
+the arrivals a scenario's simulation decides — its own arrival process,
+drawn from its own ``arrivals`` stream; :class:`LoadGenerator` replays
+them in wall time — each arrival's virtual time divided by the
+compression factor — opening one TCP connection per request.
 
 Each :class:`_LiveClient` models the paper's client: it requests a
 video, and on admission maintains a **staging buffer** filled by the
@@ -26,8 +25,9 @@ traceback — it is recorded as a *typed* session error
 :class:`~repro.faults.retry.RetryPolicy` attached the client reconnects
 and re-requests with the same bounded-backoff semantics the simulator's
 retry queue uses.  Re-request timestamps are anchored in *virtual* time
-(the drop frame's ``t`` stamp, or the pre-drawn cut time of a chaos
-plan) plus :attr:`ServeConfig.retry_margin` plus a backoff delay drawn
+(the drop frame's ``t`` stamp, or a chaos plan's pre-drawn cut time —
+never before the cut attempt's own request) plus
+:attr:`ServeConfig.retry_margin` plus a backoff delay drawn
 from a per-attempt named substream — so two same-seed chaos runs replay
 byte-identical retry timelines and the parity contract survives client
 failures.
@@ -49,11 +49,9 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.sim.rng import RandomStreams
-from repro.simulation import SimulationConfig
-from repro.workload.arrivals import calibrated_arrival_rate
-from repro.workload.catalog import make_catalog
-from repro.workload.trace import RequestSpec, Trace, generate_trace
-from repro.workload.zipf import ZipfPopularity
+from repro.simulation import Simulation, SimulationConfig
+from repro.workload.arrivals import ARRIVALS
+from repro.workload.trace import RequestSpec, Trace
 
 #: Playback-coverage slack, Mb: absorbs float noise in chunk accounting.
 _EPS_MB = 1e-6
@@ -64,35 +62,25 @@ def arrival_trace(
     duration: Optional[float] = None,
     max_sessions: Optional[int] = None,
 ) -> Trace:
-    """The workload a scenario implies, materialised for live replay.
-
-    Built from the scenario's own seed and calibration — catalog,
-    Zipf(θ) demand and load-calibrated Poisson rate — through the same
-    :mod:`repro.workload` helpers the simulator uses, on a dedicated
-    RNG substream so generating a trace never perturbs a simulation of
-    the same seed.
+    """The arrivals a run of *config* decides, up to *duration*
+    (default: the config's), at most *max_sessions* of them: its own
+    arrival process's draw loop on a fresh copy of its ``arrivals``
+    stream, at the rate and demand its own build stages derive.  That
+    build restarts request ids: draw the trace before the run it feeds.
     """
-    streams = RandomStreams(seed=config.seed)
-    system = config.system
-    catalog = make_catalog(
-        system.n_videos,
-        system.video_length_range,
-        streams.get("catalog"),
-        view_bandwidth=system.view_bandwidth,
+    sim = Simulation(config)
+    draws = ARRIVALS[config.arrivals].draws(
+        sim.arrival_rate, sim.popularity, sim.streams.fresh("arrivals"),
+        **dict(config.arrival_params),
     )
-    popularity = ZipfPopularity(system.n_videos, config.theta)
-    rate = calibrated_arrival_rate(
-        popularity, catalog, system.total_bandwidth, load=config.load
-    )
-    trace = generate_trace(
-        duration if duration is not None else config.duration,
-        rate,
-        popularity,
-        streams.get("serve.trace"),
-    )
-    if max_sessions is not None and len(trace) > max_sessions:
-        trace = Trace(trace.requests[:max_sessions])
-    return trace
+    horizon = config.duration if duration is None else duration
+    specs: List[RequestSpec] = []
+    for time, video in draws:
+        if time > horizon or len(specs) == max_sessions:
+            break
+        if video is not None:
+            specs.append(RequestSpec(time, video))
+    return Trace(specs)
 
 
 @dataclass
@@ -410,6 +398,11 @@ class _LiveClient:
         cut_vt: Optional[float] = (
             getattr(self.faults, "cut_vt", None) if self.faults else None
         )
+        if cut_vt is not None:
+            # A cut drawn for a time before this attempt's request
+            # severs it at its start: re-requesting from the drawn time
+            # could land behind the policy clock.
+            cut_vt = max(cut_vt, t_req)
         playback_t0: Optional[float] = None  # virtual playback origin
         delivered = 0.0                      # this attempt's delivery
         last_server = out.server

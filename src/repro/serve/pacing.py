@@ -157,7 +157,7 @@ class Pacer:
             max(4.0 * serve.to_virtual(serve.tick) * view_mb, 1.0),
             MAX_PAYLOAD_BYTES / serve.bytes_per_megabit,
         )
-        reg = bridge.sim.registry
+        reg = bridge.registry
         self._c_chunks = reg.counter("serve.chunks")
         self._c_chunk_mb = reg.counter("serve.chunk_megabits")
         self._c_retries = reg.counter("serve.send_retries")

@@ -102,7 +102,7 @@ def snapshot(gateway: "ClusterGateway") -> Dict[str, Any]:
     else:
         status = "serving" if clock.anchored else "idle"
     latency = registry.histogram("serve.chunk_latency_ms")
-    tier = getattr(bridge.sim, "prefix_tier", None)
+    tier = bridge.prefix_tier
     counters = {}
     for name, c in sorted(registry.counters().items()):
         if name.startswith(_PREFIX):

@@ -9,11 +9,12 @@ regime where the C-compared heap is the fastest structure there is
 the reproduction:
 
 * **Determinism** — events at equal timestamps fire in scheduling order
-  (FIFO via a sequence counter).  ``seq`` is unique per engine, so the
-  tuple comparison runs in C on the ``(time, seq)`` prefix and never
-  reaches the event object.  Combined with named RNG substreams
-  (:mod:`repro.sim.rng`) this makes every experiment bit-reproducible
-  from its seed.
+  (FIFO via a sequence counter), ``schedule_at(..., last=True)`` ones
+  (the arrival process) after all others.  ``seq`` is unique per
+  engine, so the tuple comparison runs in C on the ``(time, seq)``
+  prefix and never reaches the event object.  Combined with named RNG
+  substreams (:mod:`repro.sim.rng`) this makes every experiment
+  bit-reproducible from its seed.
 * **Lazy cancellation** — the EFTF machinery keeps one boundary event
   per server and reschedules it only when that boundary moves (a
   reallocation that leaves it in place keeps the pending event); a
@@ -51,6 +52,10 @@ from repro.sim.events import Event, EventState
 _PENDING = EventState.PENDING
 _FIRED = EventState.FIRED
 _new_event = object.__new__
+#: Added to the sequence number of a ``schedule_at(..., last=True)``
+#: event: it orders after every plain ``seq`` at the same instant and
+#: stays unique, so the heap still never compares two events.
+_LAST = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -171,14 +176,23 @@ class Engine:
         callback: Callable[[], None],
         payload: Any = None,
         kind: str = "",
+        last: bool = False,
     ) -> Event:
-        """Schedule *callback* at absolute simulation *time* (>= now)."""
+        """Schedule *callback* at absolute simulation *time* (>= now).
+
+        With *last*, the event fires behind every other event at that
+        instant, including ones scheduled there later (FIFO among such
+        events): how the arrival process keeps the same-instant rule
+        (docs/SERVING.md), an arrival at *t* decided after all due at *t*.
+        """
         if not time >= self._now:  # also catches NaN
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={self._now!r}"
             )
         time = float(time)
         self._seq = seq = self._seq + 1
+        if last:
+            seq += _LAST
         event = _new_event(Event)
         event.time = time
         event.seq = seq

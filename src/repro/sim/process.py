@@ -1,10 +1,10 @@
 """Generator-based processes and periodic timers on top of the engine.
 
-Workload generators (Poisson arrivals, failure injectors, popularity
-shifts) read most naturally as coroutines that alternate "wait some
-time" / "do something".  :class:`Process` runs a generator that yields
-non-negative delays; :class:`PeriodicTimer` is the fixed-interval
-special case used by statistics samplers.
+Workload generators (the arrival processes) read most naturally as
+coroutines that alternate "wait until t" / "do something".
+:class:`Process` runs a generator that yields wake-up times;
+:class:`PeriodicTimer` is the fixed-interval special case used by
+statistics samplers.
 """
 
 from __future__ import annotations
@@ -16,18 +16,20 @@ from repro.sim.events import Event
 
 
 class Process:
-    """Drive a generator of delays on an engine.
+    """Drive a generator of wake-up times on an engine.
 
-    The generator yields non-negative floats (seconds to sleep).  When it
-    returns (StopIteration) the process completes; :meth:`stop` cancels
-    the pending sleep and closes the generator.
+    The generator yields absolute times (floats, each >= the clock).
+    The process wakes at each one behind every other event due at that
+    instant (``Engine.schedule_at(..., last=True)``).  When the
+    generator returns the process completes; :meth:`stop` cancels the
+    pending wake-up and closes the generator.
 
     Example:
         >>> eng = Engine()
         >>> ticks = []
         >>> def gen():
-        ...     for _ in range(3):
-        ...         yield 1.0
+        ...     for t in (1.0, 2.0, 3.0):
+        ...         yield t
         ...         ticks.append(eng.now)
         >>> p = Process(eng, gen())
         >>> eng.run_until(3.0)
@@ -57,18 +59,19 @@ class Process:
 
     def _advance(self) -> None:
         try:
-            delay = next(self._gen)
+            time = next(self._gen)
         except StopIteration:
             self._done = True
             self._pending = None
             return
-        if not isinstance(delay, (int, float)) or not delay >= 0.0:
+        if not isinstance(time, (int, float)):
             self._done = True
             raise SimulationError(
-                f"process {self.name!r} yielded invalid delay {delay!r}"
+                f"process {self.name!r} yielded invalid wake-up time {time!r}"
             )
-        self._pending = self.engine.schedule(
-            float(delay), self._advance, kind=self._kind
+        # Raises SimulationError for a time behind the clock.
+        self._pending = self.engine.schedule_at(
+            time, self._advance, kind=self._kind, last=True
         )
 
     def stop(self) -> None:

@@ -11,7 +11,7 @@ code changes.
 Two accessors build the same stream for a key.  :meth:`RandomStreams.get`
 caches it for the factory's lifetime; use it for the bounded set of
 named streams: the run streams (``arrivals``, ``placement``, ``catalog``,
-``clients``, ``interactivity``, ``calibrate``; live, ``serve.trace`` and
+``clients``, ``interactivity``, ``calibrate``; live,
 ``chaos.toxic.gateway``) and the per-server fault and join streams
 (``fault.crash.<sid>``, ``fault.link.<sid>``, ``fault.replica``,
 ``calibrate.join.<sid>``).  :meth:`RandomStreams.fresh`
@@ -19,6 +19,9 @@ builds a new, uncached generator on every call; use it for keys minted
 per request, client or attempt (``retry.req<id>``,
 ``serve.client.<i>.retry<k>``, ``chaos.client.<i>``), so a generator
 lives only as long as its holder does instead of for the whole run.
+The live load generator's ``arrival_trace`` also draws a fresh copy of
+a run's ``arrivals`` stream: the same arrivals, without touching the
+run's own generator.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.metrics import SimulationMetrics
 from repro.cluster.client import ClientProfile, staging_capacity
-from repro.cluster.controller import DistributionController
+from repro.cluster.controller import Decided, DistributionController
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.profile import (
     CalibrationConfig,
@@ -59,12 +59,21 @@ from repro.placement import PLACEMENTS
 from repro.placement.base import PlacementResult
 from repro.prefix import PrefixPolicy, PrefixTier
 from repro.serialize import Config
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.rng import RandomStreams
 from repro.units import DEFAULT_CLIENT_RECEIVE_BANDWIDTH
-from repro.workload.arrivals import ARRIVALS, calibrated_arrival_rate
+from repro.workload.arrivals import (
+    ARRIVALS,
+    PoissonArrivalProcess,
+    calibrated_arrival_rate,
+)
 from repro.workload.catalog import VideoCatalog, make_catalog
 from repro.workload.zipf import ZipfPopularity
+
+
+class ParityError(SimulationError):
+    """An arrival was submitted behind the engine clock: deciding it
+    "now" would diverge from a run that decides it at its own time."""
 
 
 @dataclass(frozen=True)
@@ -267,6 +276,14 @@ class Simulation:
     wiring); :meth:`run` performs the dynamic phase.  A Simulation is
     single-use: call :meth:`run` once.
 
+    **One arrival path.**  :meth:`run` is :meth:`advance` to
+    ``duration`` and :meth:`finish`, with the configured arrival
+    process deciding each arrival on the engine.  A caller with arrivals
+    of its own (the live gateway's :class:`repro.serve.PolicyBridge`, a
+    replayed trace) skips :meth:`run`: it feeds each one through
+    :meth:`submit` and ends with :meth:`finish`.  Both paths decide an
+    arrival at *t* after every engine event due at *t*.
+
     **Build stages.**  Construction is a pipeline of named stages
     (:data:`BUILD_STAGES`), each a ``_build_<stage>`` method that
     documents what exists once it completes:
@@ -305,6 +322,10 @@ class Simulation:
       histograms exist from build time, at zero; snapshot via
       ``sim.registry.snapshot()``.
     """
+
+    #: The arrival process, started by :meth:`run` (none when fed
+    #: through :meth:`submit`).
+    _arrivals: Optional[PoissonArrivalProcess] = None
 
     #: Stage order.  Each stage only consumes products of earlier ones.
     BUILD_STAGES: Tuple[str, ...] = (
@@ -355,7 +376,7 @@ class Simulation:
             hook = self._stage_hooks.get(stage)
             if hook is not None:
                 hook(self)
-        self._ran = False
+        self._finished = False
 
     # ------------------------------------------------------------------
     # Build stages (hook point after each; see class docstring)
@@ -511,10 +532,9 @@ class Simulation:
     def _build_workload(self) -> None:
         """Request generation.
 
-        After: ``self.arrival_rate`` (calibrated to ``config.load``),
-        ``self._arrivals`` (the registered arrival process feeding
-        ``controller.submit``) and ``self.interactivity`` (the VCR
-        pause/resume model, or None).
+        After: ``self.arrival_rate`` (calibrated to ``config.load``) and
+        ``self.interactivity`` (the VCR pause/resume model, or None).
+        The registered arrival process itself starts with :meth:`run`.
         """
         config = self.config
         self.interactivity = None
@@ -534,15 +554,6 @@ class Simulation:
             self.catalog,
             config.system.total_bandwidth,
             load=config.load,
-        )
-        arrival_cls = ARRIVALS[config.arrivals]
-        self._arrivals = arrival_cls(
-            engine=self.engine,
-            rate=self.arrival_rate,
-            popularity=self.popularity,
-            rng=self.streams.get("arrivals"),
-            on_arrival=self.controller.submit,
-            **dict(config.arrival_params),
         )
 
     def _build_faults(self) -> None:
@@ -652,34 +663,77 @@ class Simulation:
     def metrics(self) -> SimulationMetrics:
         return self.controller.metrics
 
+    def advance(self, time: float) -> None:
+        """Fire every engine event due at or before *time* (a no-op for
+        a time behind the clock).  Crossing ``config.warmup`` settles
+        the transfer accounting there and discards everything measured
+        so far — not the trace: the ramp-in records are part of the
+        debugging story."""
+        engine = self.engine
+        if time < engine.now:
+            return
+        warmup = self.config.warmup
+        if engine.now < warmup <= time:
+            engine.run_until(warmup)
+            for manager in self.controller.managers.values():
+                manager.flush(warmup)
+            self.metrics.reset()
+        engine.run_until(time)
+
+    def submit(self, time: float, video: int) -> Decided:
+        """Decide one arrival for *video* at virtual *time* (>= the
+        clock) after every engine event due by then, as :meth:`run`'s
+        own arrivals are (docs/SERVING.md, "The parity contract")."""
+        if time < self.engine.now:
+            raise ParityError(
+                f"arrival at virtual t={time:.6f} is behind the policy "
+                f"clock {self.engine.now:.6f}"
+            )
+        self.advance(time)
+        return self._decide(video)
+
+    def _decide(self, video: int) -> Decided:
+        """Every arrival's decision, on either path (a bridge records it)."""
+        return self.controller.submit(video)
+
     def run(self) -> SimulationResult:
-        """Advance the engine for ``duration`` seconds and measure."""
-        if self._ran:
+        """Start the arrival process, advance to ``duration``, finish."""
+        if self._finished:
             raise RuntimeError("Simulation objects are single-use")
-        self._ran = True
         cfg = self.config
+        self._arrivals = ARRIVALS[cfg.arrivals](
+            engine=self.engine,
+            rate=self.arrival_rate,
+            popularity=self.popularity,
+            rng=self.streams.get("arrivals"),
+            on_arrival=self._decide,
+            **dict(cfg.arrival_params),
+        )
         if self.profiler is not None:
             self.profiler.attach(self.engine)
         try:
-            if cfg.warmup > 0.0:
-                # Run the ramp-in, settle the transfer accounting at the
-                # warmup instant, then discard everything measured so
-                # far.  (The tracer is deliberately *not* cleared: the
-                # ramp-in records are part of the debugging story.)
-                self.engine.run_until(cfg.warmup)
-                for manager in self.controller.managers.values():
-                    manager.flush(cfg.warmup)
-                self.metrics.reset()
-            self.engine.run_until(cfg.duration)
+            self.advance(cfg.duration)
         finally:
             if self.profiler is not None:
                 self.profiler.detach()
-        self._arrivals.stop()
+        return self.finish()
+
+    def finish(self) -> SimulationResult:
+        """End the run at the engine clock and measure it: stop the
+        arrivals, run the invariant checks, settle the accounting, and
+        retire (a finished Simulation frees itself once dropped)."""
+        if self._finished:
+            raise RuntimeError("Simulation objects are single-use")
+        self._finished = True
+        cfg = self.config
+        end = self.engine.now
+        if self._arrivals is not None:
+            self._arrivals.stop()
         if self.invariant_checker is not None:
             self.invariant_checker.check_now()
         if self.prefix_tier is not None:
-            self.prefix_tier.check_invariants(cfg.duration)
-        self.controller.finalize(cfg.duration)
+            self.prefix_tier.check_invariants(end)
+        self.controller.finalize(end)
         provenance = obs.run_provenance(seed=cfg.seed, config=cfg)
         if self.tracer is not None and self._trace_path is not None:
             self.tracer.export_jsonl(
@@ -691,11 +745,13 @@ class Simulation:
             profiling.aggregate(self.profiler)
         metrics = self.metrics
         total_bw = cfg.system.total_bandwidth
-        window = cfg.duration - cfg.warmup
+        window = end - cfg.warmup
         pending = self.retry_queue.pending if self.retry_queue else 0
         result = SimulationResult(
             config=cfg,
-            utilization=metrics.utilization(total_bw, window),
+            utilization=(
+                metrics.utilization(total_bw, window) if window > 0 else 0.0
+            ),
             acceptance_ratio=metrics.acceptance_ratio,
             rejection_ratio=metrics.rejection_ratio,
             arrivals=metrics.arrivals,
@@ -742,7 +798,7 @@ class Simulation:
         self.engine.retire()
         controller = self.controller
         for manager in controller.managers.values():
-            manager.deactivate(self.config.duration)
+            manager.deactivate(self.engine.now)
             manager.on_finish = None
         controller.intercept = None
         for handlers in (

@@ -11,14 +11,16 @@ load equals cluster egress capacity when::
 
     λ * E_p[size] = total_cluster_bandwidth      (Mb/s)
 
-:func:`calibrated_arrival_rate` solves for λ;
-:class:`PoissonArrivalProcess` is an engine process that draws
-exponential inter-arrival times and a Zipf video choice per request.
+:func:`calibrated_arrival_rate` solves for λ.  Each arrival kind
+(:data:`ARRIVALS`) is one draw loop of ``(time, video)`` pairs —
+:class:`PoissonArrivalProcess` draws exponential inter-arrival times
+and a Zipf video choice per request — which a run consumes as an
+engine process and the live load generator as a trace.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -53,11 +55,15 @@ def calibrated_arrival_rate(
 
 
 class PoissonArrivalProcess:
-    """Generate requests with exponential inter-arrival times.
+    """Homogeneous Poisson arrivals, as an engine process.
 
-    Each arrival draws a video id from *popularity* and invokes
-    ``on_arrival(video_id)``.  The process runs until stopped or until
-    the engine's run window ends.
+    Each arrival kind is one draw loop, :meth:`draws`: an endless
+    iterator of ``(time, video)`` in time order (``video`` is None for a
+    candidate the kind drew and discarded).  This one draws exponential
+    inter-arrival times and a Zipf video choice per request.  The
+    process wakes at each time behind every other event due then
+    (docs/SERVING.md, "The parity contract") and hands the video to
+    ``on_arrival``; ``serve.loadgen.arrival_trace`` reads the same loop.
 
     Args:
         engine: the simulation engine.
@@ -65,8 +71,11 @@ class PoissonArrivalProcess:
         popularity: demand distribution (video chooser).
         rng: random stream dedicated to arrivals.
         on_arrival: callback receiving the 0-based video id.
-        max_requests: optional hard cap on generated requests.
+        **params: the kind's own parameters (see :meth:`draws`).
     """
+
+    #: The process's name (its engine events' tag).
+    name = "poisson-arrivals"
 
     def __init__(
         self,
@@ -75,27 +84,35 @@ class PoissonArrivalProcess:
         popularity: ZipfPopularity,
         rng: np.random.Generator,
         on_arrival: Callable[[int], None],
-        max_requests: Optional[int] = None,
+        **params: float,
     ) -> None:
+        draws = self.draws(rate, popularity, rng, **params)
+        self._process = Process(
+            engine, self._feed(draws, on_arrival), name=self.name
+        )
+
+    @staticmethod
+    def _feed(
+        draws: Iterator[Tuple[float, Optional[int]]],
+        on_arrival: Callable[[int], None],
+    ) -> Generator[float, None, None]:
+        for time, video in draws:
+            yield time
+            if video is not None:
+                on_arrival(video)
+
+    @staticmethod
+    def draws(
+        rate: float, popularity: ZipfPopularity, rng: np.random.Generator
+    ) -> Iterator[Tuple[float, Optional[int]]]:
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate}")
-        self.engine = engine
-        self.rate = float(rate)
-        self.popularity = popularity
-        self.rng = rng
-        self.on_arrival = on_arrival
-        self.max_requests = max_requests
-        self.generated = 0
-        self._process = Process(engine, self._run(), name="poisson-arrivals")
-
-    def _run(self) -> Generator[float, None, None]:
-        rng, draw = self.rng, self.popularity.draw
-        scale = 1.0 / self.rate
-        while self.max_requests is None or self.generated < self.max_requests:
-            yield scale * rng.standard_exponential()
-            video_id = draw(rng)
-            self.generated += 1
-            self.on_arrival(video_id)
+        draw = popularity.draw
+        scale = 1.0 / rate
+        time = 0.0
+        while True:
+            time = time + scale * rng.standard_exponential()
+            yield time, draw(rng)
 
     @property
     def done(self) -> bool:
@@ -106,7 +123,7 @@ class PoissonArrivalProcess:
         self._process.stop()
 
 
-class ModulatedArrivalProcess:
+class ModulatedArrivalProcess(PoissonArrivalProcess):
     """Poisson arrivals with periodic rate bursts (prime-time surges).
 
     The instantaneous rate is piecewise constant: within each
@@ -116,37 +133,30 @@ class ModulatedArrivalProcess:
     at the peak rate and accepted with probability ``rate(t) / peak``,
     which keeps the process exact and — because every candidate draws
     the same two variates — bit-reproducible from the RNG stream
-    regardless of which candidates are accepted.
+    regardless of which candidates are accepted.  A rejected candidate
+    is drawn as ``(time, None)``: the process still wakes for it.
 
     The *mean* rate exceeds the base rate, so a load-calibrated config
     offers more than its nominal load during bursts — the point of the
     bursty workload.
 
-    Args:
-        engine: the simulation engine.
-        rate: base arrival rate λ in requests/second.
-        popularity: demand distribution (video chooser).
-        rng: random stream dedicated to arrivals.
-        on_arrival: callback receiving the 0-based video id.
-        burst_interval: seconds between burst starts.
-        burst_length: burst duration per interval (< interval).
-        burst_multiplier: rate factor inside a burst (> 0; values < 1
-            model off-peak lulls instead).
-        max_requests: optional hard cap on generated requests.
+    Parameters of :meth:`draws`: ``burst_interval`` (seconds between
+    burst starts), ``burst_length`` (burst duration per interval,
+    < interval) and ``burst_multiplier`` (rate factor inside a burst,
+    > 0; values < 1 model off-peak lulls instead).
     """
 
-    def __init__(
-        self,
-        engine: Engine,
+    name = "modulated-arrivals"
+
+    @staticmethod
+    def draws(
         rate: float,
         popularity: ZipfPopularity,
         rng: np.random.Generator,
-        on_arrival: Callable[[int], None],
         burst_interval: float = 3600.0,
         burst_length: float = 600.0,
         burst_multiplier: float = 3.0,
-        max_requests: Optional[int] = None,
-    ) -> None:
+    ) -> Iterator[Tuple[float, Optional[int]]]:
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate}")
         if burst_interval <= 0:
@@ -162,51 +172,24 @@ class ModulatedArrivalProcess:
             raise ValueError(
                 f"burst_multiplier must be positive, got {burst_multiplier}"
             )
-        self.engine = engine
-        self.rate = float(rate)
-        self.popularity = popularity
-        self.rng = rng
-        self.on_arrival = on_arrival
-        self.burst_interval = float(burst_interval)
-        self.burst_length = float(burst_length)
-        self.burst_multiplier = float(burst_multiplier)
-        self.max_requests = max_requests
-        self.generated = 0
-        self._peak = self.rate * max(1.0, self.burst_multiplier)
-        self._process = Process(engine, self._run(), name="modulated-arrivals")
-
-    def _rate_at(self, t: float) -> float:
-        phase = t % self.burst_interval
-        if phase < self.burst_length:
-            return self.rate * self.burst_multiplier
-        return self.rate
-
-    def _run(self) -> Generator[float, None, None]:
-        rng, draw = self.rng, self.popularity.draw
-        scale = 1.0 / self._peak
-        while self.max_requests is None or self.generated < self.max_requests:
-            yield scale * rng.standard_exponential()
+        draw = popularity.draw
+        rate, burst_rate = float(rate), float(rate) * float(burst_multiplier)
+        peak = rate * max(1.0, float(burst_multiplier))
+        scale = 1.0 / peak
+        time = 0.0
+        while True:
+            time = time + scale * rng.standard_exponential()
             accept = rng.random()
-            now = self.engine.now
-            if accept * self._peak >= self._rate_at(now):
-                continue  # thinned candidate (off-burst phase)
-            video_id = draw(rng)
-            self.generated += 1
-            self.on_arrival(video_id)
-
-    @property
-    def done(self) -> bool:
-        return self._process.done
-
-    def stop(self) -> None:
-        """Stop generating further arrivals."""
-        self._process.stop()
+            in_burst = time % burst_interval < burst_length
+            if accept * peak >= (burst_rate if in_burst else rate):
+                yield time, None  # thinned candidate (off-burst phase)
+            else:
+                yield time, draw(rng)
 
 
-#: Arrival-process registry used by the simulation builder's workload
-#: stage; entries are factories with the :class:`PoissonArrivalProcess`
-#: constructor signature plus per-process keyword parameters
-#: (``SimulationConfig.arrival_params``).
+#: Arrival-process registry: :class:`PoissonArrivalProcess` and its
+#: subclasses, built by ``Simulation.run`` and drawn by ``arrival_trace``
+#: with the kind's keyword parameters (``SimulationConfig.arrival_params``).
 ARRIVALS: Registry[type] = Registry("arrival process")
 ARRIVALS.register(
     "poisson", PoissonArrivalProcess,

@@ -10,18 +10,20 @@ but a materialised trace is useful for:
   editing a base trace, which the paper lists as future work ("extreme
   variations in request patterns").
 
-The live gateway's load generator (:mod:`repro.serve.loadgen`) replays
-one; ``examples/flash_crowd.py`` mutates one.
+A trace is replayed by submitting each arrival to a
+:class:`repro.Simulation` (``Simulation.submit``, then ``finish``).  The
+live gateway's load generator (:mod:`repro.serve.loadgen`) replays the
+one a scenario's own run decides (``arrival_trace``);
+``examples/flash_crowd.py`` mutates one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from repro.sim.engine import Engine
 from repro.workload.zipf import ZipfPopularity
 
 
@@ -84,20 +86,6 @@ class Trace:
             extra.append(RequestSpec(t, video_id))
             t += float(rng.exponential(1.0 / extra_rate))
         return Trace(self.requests + extra)
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def schedule_on(
-        self, engine: Engine, on_arrival: Callable[[int], None]
-    ) -> None:
-        """Schedule every arrival on *engine* (times are absolute)."""
-        for req in self.requests:
-            engine.schedule_at(
-                req.time,
-                (lambda vid=req.video_id: on_arrival(vid)),
-                kind="trace-arrival",
-            )
 
 
 def generate_trace(

@@ -1,5 +1,6 @@
 """Unit tests for Poisson arrivals and load calibration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -93,13 +94,41 @@ class TestPoissonProcess:
         freqs = np.bincount(seen, minlength=3) / len(seen)
         assert np.allclose(freqs, pop.probabilities, atol=0.02)
 
+    @pytest.mark.parametrize(
+        "process", [PoissonArrivalProcess, ModulatedArrivalProcess]
+    )
+    def test_the_process_decides_its_draw_loop(self, process):
+        # Exactly the loop's arrivals, at their times; a thinned
+        # candidate wakes the process too.
+        pop = ZipfPopularity(5, 0.5)
+        draws = list(itertools.takewhile(
+            lambda draw: draw[0] <= 7200.0,
+            process.draws(0.2, pop, np.random.default_rng(3)),
+        ))
+        engine, seen = Engine(), []
+        process(
+            engine, 0.2, pop, np.random.default_rng(3),
+            lambda video: seen.append((engine.now, video)),
+        )
+        engine.run_until(7200.0)
+        assert seen == [(t, video) for t, video in draws if video is not None]
+        assert engine.events_fired == len(draws)
+
     def test_max_requests_cap(self, rng):
+        # The process ends with its draw loop: a capped loop caps it.
+        class Capped(PoissonArrivalProcess):
+            @staticmethod
+            def draws(rate, popularity, rng):
+                return itertools.islice(
+                    PoissonArrivalProcess.draws(rate, popularity, rng), 7
+                )
+
         engine = Engine()
         pop = ZipfPopularity(2, 1.0)
         seen = []
-        proc = PoissonArrivalProcess(
+        proc = Capped(
             engine, rate=100.0, popularity=pop, rng=rng,
-            on_arrival=seen.append, max_requests=7,
+            on_arrival=seen.append,
         )
         engine.run_until(math.inf)
         assert len(seen) == 7
@@ -161,9 +190,9 @@ class _FixedUniform:
 
 
 class TestScalarDraws:
-    """Both arrival processes draw a delay and a video as Python scalars;
-    every draw equals the one numpy's array path made from the same
-    generator state."""
+    """Both arrival processes' draw loops draw a delay and a video as
+    Python scalars; every draw equals the one numpy's array path made
+    from the same generator state."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -175,15 +204,12 @@ class TestScalarDraws:
     )
     def test_same_sequence_as_the_array_path(self, theta, n, rate, seed, process):
         count = 2000
-        engine = Engine()
-        seen = []
-        process(
-            engine, rate=rate, popularity=ZipfPopularity(n, theta),
-            rng=np.random.default_rng(seed),
-            on_arrival=lambda video: seen.append((engine.now, video)),
-            max_requests=count,
+        draws = process.draws(
+            rate, ZipfPopularity(n, theta), np.random.default_rng(seed)
         )
-        engine.run_until(math.inf)
+        seen = list(itertools.islice(
+            ((t, video) for t, video in draws if video is not None), count
+        ))
         cdf = searchsorted_cdf(n, theta)
         twin = np.random.default_rng(seed)
         assert seen == array_path_arrivals(process, twin, cdf, rate, count)

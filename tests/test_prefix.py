@@ -493,7 +493,6 @@ class TestTierEndToEnd:
         sim = Simulation(prefix_config(
             policy, migration=MigrationPolicy.disabled(),
         ))
-        sim._arrivals.stop()
         engine, controller = sim.engine, sim.controller
         decided = []
         controller.on_decision.append(
@@ -572,7 +571,6 @@ class TestTierEndToEnd:
             # Injector on, but its first crash lies beyond the run.
             faults=FaultPlan(crash=CrashFaults(mtbf=1e12, mttr=1.0)),
         ), tracer=tracer)
-        sim._arrivals.stop()
         engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
         failover, queue = sim.failover, sim.retry_queue
         engine.run_until(600.0)                       # cache warmed
@@ -635,7 +633,6 @@ class TestTierEndToEnd:
             policy, migration=MigrationPolicy.disabled(),
             retry=RetryPolicy(base_delay=30.0),
         ))
-        sim._arrivals.stop()
         engine, controller, tier = sim.engine, sim.controller, sim.prefix_tier
         failover, queue = sim.failover, sim.retry_queue
         full = sim.catalog[0]
@@ -841,7 +838,6 @@ def one_parent_sim(invariants=False):
         migration=MigrationPolicy.disabled(), warmup=0.0,
         invariants=invariants,
     ))
-    sim._arrivals.stop()
     return sim
 
 

@@ -11,8 +11,8 @@ class TestProcess:
         ticks = []
 
         def gen():
-            for _ in range(3):
-                yield 1.5
+            for t in (1.5, 3.0, 4.5):
+                yield t
                 ticks.append(engine.now)
 
         Process(engine, gen())
@@ -27,8 +27,10 @@ class TestProcess:
         ticks = []
 
         def gen():
+            t = 0.0
             while True:
-                yield 1.0
+                t += 1.0
+                yield t
                 ticks.append(engine.now)
 
         p = Process(engine, gen())
@@ -45,6 +47,7 @@ class TestProcess:
         assert p.done
 
     def test_invalid_yield_raises(self, engine):
+        # A wake-up time behind the clock.
         def gen():
             yield -1.0
 
@@ -69,6 +72,23 @@ class TestProcess:
         Process(engine, gen())
         engine.run_until(0.0)
         assert count == [0.0] * 5
+
+    def test_wakes_behind_every_event_due_at_its_instant(self, engine):
+        # Even behind events scheduled at that instant after the wake-up
+        # was queued, and behind what those events schedule there.
+        order = []
+
+        def gen():
+            yield 2.0
+            order.append("process")
+
+        Process(engine, gen())
+        engine.schedule_at(2.0, lambda: (
+            order.append("late"),
+            engine.schedule(0.0, lambda: order.append("chained")),
+        ))
+        engine.run_until(2.0)
+        assert order == ["late", "chained", "process"]
 
 
 class TestPeriodicTimer:

@@ -9,6 +9,8 @@ bad key *and* lists the valid choices, never a bare ``KeyError``.
 import ast
 import contextlib
 import dataclasses
+import hashlib
+import json
 import pathlib
 import re
 import sys
@@ -835,29 +837,54 @@ def _functions(package):
     return found
 
 
-def _capped_runs(root):
-    """``(entered, left)``: ``{(file, first line)}`` of every function
-    entered while each committed scenario and ledger config runs for at
-    most two simulated hours (a config listed twice, the traced ledger
-    twin, runs once), and, by file, the ``repro`` objects any of those
-    runs left to the cyclic collector once dropped (none: a finished
-    run frees itself)."""
-    from repro.simulation import Simulation
+def _result_digest(result):
+    """Digest of every field ``SimulationResult.__eq__`` compares."""
+    fields = {
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result) if f.compare
+    }
+    fields["config"] = fields["config"].to_dict()
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    runs, left = {}, {}
+
+def _capped_runs(root):
+    """``(entered, left, digests, retraced)``: ``{(file, first line)}``
+    of every function entered while each committed scenario and ledger
+    config runs for at most two simulated hours (a config listed twice,
+    the traced ledger twin, runs once); by file, the ``repro`` objects
+    any of those runs left to the cyclic collector once dropped (none:
+    a finished run frees itself); by file, each run's behaviour digests
+    (``result`` and ``decisions``, as tests/golden/behaviour.json holds
+    them); and the files whose ``arrival_trace`` is not the ``(time,
+    video)`` sequence their run decided (none)."""
+    from repro.serve.bridge import PolicyBridge
+    from repro.serve.loadgen import arrival_trace
+
+    runs, left, digests, retraced = {}, {}, {}, []
     with cyclic_gc_off(), _entering(set()) as entered:
         for name, config in _committed_configs(root).items():
             runs.setdefault(config, name)
         for config, name in runs.items():
             duration = min(config.duration, 7200.0)
-            Simulation(dataclasses.replace(
+            config = dataclasses.replace(
                 config, duration=duration,
                 warmup=min(config.warmup, duration / 2),
-            )).run()
+            )
+            trace = [(spec.time, spec.video_id) for spec in arrival_trace(config)]
+            left_to_gc()  # the trace's unrun build is not the run's
+            bridge = PolicyBridge(config)
+            digests[name] = {
+                "result": _result_digest(bridge.run()),
+                "decisions": bridge.finalize()["decisions_sha"],
+            }
+            if [(d.time, d.video) for d in bridge.decisions] != trace:
+                retraced.append(name)
+            del bridge
             leftover = left_to_gc()
             if leftover:
                 left[name] = leftover
-    return _keys(entered), left
+    return _keys(entered), left, digests, retraced
 
 
 def _keys(entered):
@@ -946,13 +973,14 @@ def _scrape(seen):
 
 @pytest.fixture(scope="module")
 def _reach(_workloads, tmp_path_factory):
-    """``(entered, left)``: ``{(file, first line)}`` of every function
+    """``(entered, runs)``: ``{(file, first line)}`` of every function
     entered while each workload we run runs — the figure cells
     (recorded by ``_workloads``), :func:`_capped_runs` under the
     invariant checker, the examples (:func:`_examples`), four cheap CLI
     verbs, and one live ``verify`` leg scraped by every ``repro ops``
-    verb and ``repro top`` source (:func:`_scrape`) — and what the
-    capped runs left to the cyclic collector, by file.  The capped runs
+    verb and ``repro top`` source (:func:`_scrape`) — and the rest of
+    what :func:`_capped_runs` returns, by name (``left``, ``digests``,
+    ``retraced``).  The capped runs
     and the examples go to child processes (this file run as a script)
     while the live leg, which mostly waits on its wall clock, runs
     here."""
@@ -1012,7 +1040,7 @@ def _reach(_workloads, tmp_path_factory):
         _keys(_workloads[1]) | _keys(entered)
         | {tuple(key) for key in runs["entered"]}
         | {tuple(key) for key in json.loads(examples_out)}
-    ), runs["left"]
+    ), runs
 
 
 @pytest.fixture(scope="module")
@@ -1251,7 +1279,7 @@ class TestEveryFunctionIsReached:
         # Reference counting alone frees a dropped run: every committed
         # feature combination, at no extra simulation (docs/
         # PERFORMANCE.md, "A finished run frees itself").
-        left = _reach[1]
+        left = _reach[1]["left"]
         assert not left, f"runs left to the cyclic collector: {left}"
 
     def test_an_unused_function_is_caught(self, tmp_path):
@@ -1276,15 +1304,53 @@ class TestEveryFunctionIsReached:
         )
 
 
+class TestBehaviourGoldens:
+    """"Constant behaviour" is a committed file: the capped runs of
+    :func:`_capped_runs` reproduce tests/golden/behaviour.json (see its
+    README), at no extra simulation."""
+
+    GOLDEN = pathlib.Path(__file__).resolve().parent / "golden/behaviour.json"
+
+    def test_capped_runs_match_the_goldens(self, _reach):
+        golden = json.loads(self.GOLDEN.read_text())
+        digests = _reach[1]["digests"]
+        moved = {
+            name: digests.get(name)
+            for name in sorted(set(golden) | set(digests))
+            if digests.get(name) != golden.get(name)
+        }
+        assert not moved, (
+            "behaviour moved.  If on purpose, paste these entries into "
+            "tests/golden/behaviour.json (null: drop it) and say why in "
+            "CHANGES.md:\n" + "\n".join(
+                f"  {json.dumps(name)}: {json.dumps(new, sort_keys=True)},"
+                for name, new in moved.items()
+            )
+        )
+
+    def test_arrival_trace_is_the_runs_own_arrivals(self, _reach):
+        # The live load generator replays exactly the (time, video)
+        # sequence the simulation of the same config decides: bursty
+        # thinning and a second stream (client_mix) included.
+        assert not _reach[1]["retraced"], (
+            f"arrival_trace differs from the run's arrivals: "
+            f"{_reach[1]['retraced']}"
+        )
+
+
 if __name__ == "__main__":
-    # The child processes of ``_reach``: the keys of the capped runs
-    # and what they left to the cyclic collector, or (argument
-    # ``examples``) the keys of the examples.
+    # The child processes of ``_reach``: the keys of the capped runs,
+    # what they left to the cyclic collector, their behaviour digests
+    # and their arrival-trace mismatches, or (argument ``examples``)
+    # the keys of the examples.
     import json
 
     root = pathlib.Path(__file__).resolve().parent.parent
     if sys.argv[1:] == ["examples"]:
         print(json.dumps(sorted(_examples(root))))
     else:
-        entered, left = _capped_runs(root)
-        print(json.dumps({"entered": sorted(entered), "left": left}))
+        entered, left, digests, retraced = _capped_runs(root)
+        print(json.dumps({
+            "entered": sorted(entered), "left": left,
+            "digests": digests, "retraced": retraced,
+        }))

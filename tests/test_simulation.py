@@ -1,12 +1,13 @@
 """Unit tests for the Simulation facade and its configuration."""
 
+import dataclasses
 import json
 import math
 import pathlib
 import weakref
 
 import pytest
-from conftest import cyclic_gc_off, left_to_gc
+from conftest import cyclic_gc_off, left_to_gc, scratch_registry
 
 from repro import (
     LARGE_SYSTEM,
@@ -17,11 +18,14 @@ from repro import (
     obs,
     run_simulation,
 )
+from repro.cluster.system import SystemConfig
 from repro.core.elastic import ElasticPolicy, ScaleEvent
 from repro.core.replication import ReplicationPolicy
 from repro.faults import CrashFaults, FaultPlan, RetryPolicy
 from repro.prefix import PrefixPolicy
+from repro.serve.bridge import PolicyBridge, decisions_digest
 from repro.units import hours
+from repro.workload.arrivals import ARRIVALS, PoissonArrivalProcess
 
 TINY = SMALL_SYSTEM.scaled(n_videos=60, name="tiny")
 
@@ -219,6 +223,100 @@ class TestLifecycleWiring:
         assert decision.accepted and decision.server in controller.servers
 
 
+#: One server with room for one 3 Mb/s stream, one 60 s video: a
+#: second arrival is admitted only once the first stream has finished.
+ONE_SLOT = SystemConfig(
+    name="one-slot", server_bandwidths=(4.5,), disk_capacities=(1e4,),
+    n_videos=1, video_length_range=(60.0, 60.0), avg_copies=1.0,
+    view_bandwidth=3.0,
+)
+
+
+def fixed_arrivals(arrivals):
+    """An arrival kind whose draw loop is *arrivals*, ``(time, video)``."""
+
+    class Fixed(PoissonArrivalProcess):
+        @staticmethod
+        def draws(rate, popularity, rng):
+            return iter(arrivals)
+
+    return Fixed
+
+
+class TestOneArrivalPath:
+    """A run's own arrival process and :meth:`Simulation.submit` decide
+    alike: an arrival at *t* comes after every engine event due at *t*
+    (docs/SERVING.md, "The parity contract")."""
+
+    CONFIG = SimulationConfig(
+        system=ONE_SLOT, staging_fraction=0.2, duration=600.0, seed=5,
+    )
+
+    def test_an_arrival_at_a_finish_instant_sees_the_slot_freed(self):
+        # The first stream fills its staging buffer before it finishes,
+        # so its finish event is scheduled after the run's arrival
+        # process queued the second arrival: only the rule, not the
+        # scheduling order, puts the finish first.
+        probe, finishes = Simulation(self.CONFIG), []
+        probe.controller.on_finish.append(
+            lambda request, now: finishes.append(now)
+        )
+        probe.submit(1.0, 0)
+        probe.advance(self.CONFIG.duration)
+        (finish,) = finishes
+        arrivals = [(1.0, 0), (finish, 0)]
+
+        fed = PolicyBridge(self.CONFIG)
+        for time, video in arrivals:
+            fed.submit(time, video)
+        fed.finalize(self.CONFIG.duration)
+        with scratch_registry(ARRIVALS):
+            ARRIVALS.register("fixed", fixed_arrivals(arrivals))
+            ran = PolicyBridge(dataclasses.replace(
+                self.CONFIG, arrivals="fixed",
+            ))
+            ran.run()
+        assert [d.outcome for d in fed.decisions] == ["accepted"] * 2
+        assert decisions_digest(ran.decisions) == decisions_digest(
+            fed.decisions
+        )
+
+    def test_run_is_advance_and_finish_over_its_own_arrivals(self):
+        config = quick_config(duration=hours(0.5))
+        ran = PolicyBridge(config)
+        ran_result = ran.run()
+        fed = PolicyBridge(config)
+        for decision in ran.decisions:
+            fed.submit(decision.time, decision.video)
+        fed.advance(config.duration)
+        fed_result = fed.finish()
+        assert decisions_digest(fed.decisions) == decisions_digest(
+            ran.decisions
+        )
+        # The arrival process's own wake-ups are the only difference.
+        assert fed_result == dataclasses.replace(
+            ran_result, events_fired=fed_result.events_fired,
+        )
+
+
+def bridge_left_to_gc():
+    """``repro`` objects left to the cyclic collector by a
+    :class:`PolicyBridge` that replayed ``serve_loopback``'s trace and
+    was finalized: 0 when it frees itself."""
+    from repro.scenario import load_scenario
+    from repro.serve.loadgen import arrival_trace
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    config = load_scenario(root / "scenarios/serve_loopback.json").config
+    trace = arrival_trace(config)
+    with cyclic_gc_off():
+        bridge = PolicyBridge(config)
+        bridge.replay(trace)
+        bridge.finalize()
+        del bridge
+        return sum(left_to_gc().values())
+
+
 def _retire_readings(sim):
     """Everything the ledger reads off a finished run
     (``bench/layers.py::counter_metrics``) that the retire step could
@@ -302,6 +400,9 @@ class TestARunFreesItself:
             del sim
             assert [ref() for ref in refs] == [None] * len(refs)
             assert left_to_gc() == {}
+
+    def test_a_finalized_bridge_frees_itself(self):
+        assert bridge_left_to_gc() == 0
 
     def test_a_registry_that_outlives_its_run_says_so(self):
         sim = Simulation(quick_config(duration=hours(0.5)))

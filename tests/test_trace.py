@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.engine import Engine
 from repro.workload.trace import RequestSpec, Trace, generate_trace
 from repro.workload.zipf import ZipfPopularity
 
@@ -37,14 +36,6 @@ class TestTrace:
         assert len(extra) > 50  # ~100 expected
         assert all(10.0 <= r.time < 30.0 for r in extra)
         assert len(crowded) == len(base) + len(extra)
-
-    def test_schedule_on_replays_in_order(self):
-        engine = Engine()
-        t = Trace([RequestSpec(2.0, 5), RequestSpec(1.0, 3)])
-        seen = []
-        t.schedule_on(engine, lambda vid: seen.append((engine.now, vid)))
-        engine.run_until(2.0)
-        assert seen == [(1.0, 3), (2.0, 5)]
 
 
 class TestGenerateTrace:
