@@ -31,6 +31,7 @@ from repro.scenario import Scenario, load_scenario_or_exit
 from repro.serve.config import ServeConfig
 from repro.serve.gateway import ClusterGateway
 from repro.serve.loadgen import LoadGenerator, arrival_trace
+from repro.simulation import Simulation
 
 
 def _add_wall_flags(p: argparse.ArgumentParser, *, port_required: bool) -> None:
@@ -196,7 +197,7 @@ def _cmd_loadgen(args: argparse.Namespace, progress: Progress) -> int:
         progress_interval=args.progress_interval,
     )
     trace = arrival_trace(
-        scenario.config,
+        Simulation(scenario.config),
         duration=args.duration,
         max_sessions=args.max_sessions,
     )

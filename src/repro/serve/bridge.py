@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.cluster.controller import Decided
@@ -120,29 +120,18 @@ class PolicyBridge(Simulation):
         ))
         return request, outcome
 
-    def submit(self, time: float, video_id: int) -> Decision:
+    def submit(self, time: float, video_id: int) -> Tuple[Decision, Request]:
         """:meth:`Simulation.submit`, answered with the recorded
-        decision; raises :class:`~repro.simulation.ParityError` for a
-        *time* behind the engine clock."""
-        super().submit(time, video_id)
-        return self.decisions[-1]
-
-    def request_of(self, decision: Decision) -> Optional[Request]:
-        """The live :class:`Request` behind an accepted *decision*.
-
-        Looks the request up in the cluster's active sets (requests
-        detach on finish); returns None once it is gone.
-        """
-        for server in self.controller.servers.values():
-            for request in server.iter_active():
-                if request.request_id == decision.request:
-                    return request
-        return None
+        decision and the :class:`Request` it decided (the gateway paces
+        an accepted one); raises :class:`~repro.simulation.ParityError`
+        for a *time* behind the engine clock."""
+        request, _ = super().submit(time, video_id)
+        return self.decisions[-1], request
 
     # ------------------------------------------------------------------
     def replay(self, specs: Iterable[RequestSpec]) -> List[Decision]:
         """Feed a whole trace through :meth:`submit` (virtual-time mode)."""
-        return [self.submit(spec.time, spec.video_id) for spec in specs]
+        return [self.submit(spec.time, spec.video_id)[0] for spec in specs]
 
     def finalize(self, time: Optional[float] = None) -> dict:
         """Advance to *time* (default: now) and :meth:`finish`, unless

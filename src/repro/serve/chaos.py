@@ -540,8 +540,6 @@ async def run_chaos_serve(
     whether it fails the run.
     """
     serve = serve if serve is not None else ServeConfig(port=0)
-    # Before the gateway's build: drawing the trace restarts request ids.
-    trace = arrival_trace(config, max_sessions=max_sessions)
     tracer = obs.Tracer()
     gateway_rng = RandomStreams(seed=config.seed).get("chaos.toxic.gateway")
     wrap = (
@@ -552,6 +550,7 @@ async def run_chaos_serve(
     gateway = ClusterGateway(
         config, serve, tracer=tracer, wrap_writer=wrap
     )
+    trace = arrival_trace(gateway.bridge, max_sessions=max_sessions)
     recorder = obs.FlightRecorder(
         tracer,
         postmortem,

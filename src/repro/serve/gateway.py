@@ -444,7 +444,7 @@ class ClusterGateway:
             # count it — the parity test asserts this stays at zero.
             self._c_parity_clamps.inc()
             time = self.bridge.now
-        decision = self.bridge.submit(time, arrival.video)
+        decision, request = self.bridge.submit(time, arrival.video)
         if not decision.accepted:
             self._reject(
                 arrival, decision.outcome, decision.time,
@@ -452,8 +452,6 @@ class ClusterGateway:
             )
             return
 
-        request = self.bridge.request_of(decision)
-        assert request is not None, "accepted request missing from cluster"
         self.sessions[arrival.seq] = Session(
             arrival.seq, decision, request, arrival.writer
         )

@@ -49,7 +49,7 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.sim.rng import RandomStreams
-from repro.simulation import Simulation, SimulationConfig
+from repro.simulation import Simulation
 from repro.workload.arrivals import ARRIVALS
 from repro.workload.trace import RequestSpec, Trace
 
@@ -58,17 +58,17 @@ _EPS_MB = 1e-6
 
 
 def arrival_trace(
-    config: SimulationConfig,
+    sim: Simulation,
     duration: Optional[float] = None,
     max_sessions: Optional[int] = None,
 ) -> Trace:
-    """The arrivals a run of *config* decides, up to *duration*
-    (default: the config's), at most *max_sessions* of them: its own
-    arrival process's draw loop on a fresh copy of its ``arrivals``
-    stream, at the rate and demand its own build stages derive.  That
-    build restarts request ids: draw the trace before the run it feeds.
+    """The arrivals a run of *sim* decides, up to *duration* (default:
+    its config's), at most *max_sessions* of them: its own arrival
+    process's draw loop on a fresh copy of its ``arrivals`` stream, at
+    the rate and demand its build stages derived.  *sim* is left as it
+    was, run or not.
     """
-    sim = Simulation(config)
+    config = sim.config
     draws = ARRIVALS[config.arrivals].draws(
         sim.arrival_rate, sim.popularity, sim.streams.fresh("arrivals"),
         **dict(config.arrival_params),

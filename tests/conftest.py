@@ -4,14 +4,24 @@ Most core tests want a *micro-cluster*: a couple of hand-built servers,
 a tiny catalog and direct access to the transmission managers, so that
 every admission/migration/scheduling decision is inspectable without a
 workload generator in the way.
+
+The live tests run their gateways and load generators on the *loop
+clock* (:class:`LoopClock`, through :func:`run` or :func:`loop_clock`):
+every wait in ``repro.serve`` reads ``loop.time()``, so a loop whose
+clock skips over its idle waits serves the same virtual-time schedule
+without sitting on the wall.
 """
 
 from __future__ import annotations
 
+import asyncio
 import collections
 import contextlib
 import gc
 import math
+import selectors
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +77,105 @@ def scratch_registry(registry):
         patch.setattr(registry, "_entries", dict(registry._entries))
         patch.setattr(registry, "_help", dict(registry._help))
         yield registry
+
+
+#: Real seconds an idle loop-clock poll waits for I/O before it skips
+#: the clock to the next due timer.
+REAL_POLL = 0.0005
+
+
+class _SkippingSelector(selectors.DefaultSelector):
+    """Never sleeps for a timer: it polls at most :data:`REAL_POLL`
+    seconds for real, and when no I/O got ready in that time it adds
+    the timeout to :attr:`offset`.  Ready I/O is always served before
+    the clock moves, so no time is skipped while a socket has data."""
+
+    #: Seconds skipped so far, added to ``time.monotonic()``.
+    offset = 0.0
+
+    def select(self, timeout=None):
+        if timeout is None:  # no timer: only I/O can wake the loop
+            return super().select(None)
+        ready = super().select(min(timeout, REAL_POLL))
+        if not ready:
+            self.offset += timeout
+        return ready
+
+
+class LoopClock(asyncio.SelectorEventLoop):
+    """An event loop whose ``time()`` is ``monotonic()`` plus the
+    offset its selector has skipped: an idle wait for a timer costs
+    :data:`REAL_POLL` of wall time, whatever its length.  Only for
+    loops whose peers all share the loop: a peer in another thread or
+    process sees the clock jump."""
+
+    def __init__(self) -> None:
+        # Kept here too: a closed loop drops its selector, and a
+        # gateway's summary still reads the clock.
+        self._skips = _SkippingSelector()
+        super().__init__(self._skips)
+
+    def time(self) -> float:
+        return time.monotonic() + self._skips.offset
+
+
+class _LoopClockPolicy(asyncio.DefaultEventLoopPolicy):
+    """A :class:`LoopClock` for the main thread; any other thread (a
+    ``run_in_executor`` peer running ``repro ops``) keeps a wall loop."""
+
+    def new_event_loop(self) -> asyncio.AbstractEventLoop:
+        if threading.current_thread() is threading.main_thread():
+            return LoopClock()
+        return super().new_event_loop()
+
+
+@contextlib.contextmanager
+def loop_clock():
+    """Every loop ``asyncio.run`` makes in the main thread while the
+    block runs is a :class:`LoopClock` (``repro verify``'s live leg)."""
+    previous = asyncio.get_event_loop_policy()
+    asyncio.set_event_loop_policy(_LoopClockPolicy())
+    try:
+        yield
+    finally:
+        asyncio.set_event_loop_policy(previous)
+
+
+def run(coro):
+    """Run *coro* to completion on a fresh :class:`LoopClock` (the live
+    tests stay plain functions)."""
+    with loop_clock():
+        return asyncio.run(coro)
+
+
+async def loopback_pair():
+    """A real TCP loopback (reader, writer) pair plus the peer side,
+    and the listener that accepted it."""
+    accepted = asyncio.get_running_loop().create_future()
+
+    async def _on_connect(reader, writer):
+        if not accepted.done():
+            accepted.set_result((reader, writer))
+
+    server = await asyncio.start_server(_on_connect, host="127.0.0.1", port=0)
+    port = server.sockets[0].getsockname()[1]
+    client_reader, client_writer = await asyncio.open_connection(
+        "127.0.0.1", port
+    )
+    peer_reader, peer_writer = await accepted
+    return server, (client_reader, client_writer), (peer_reader, peer_writer)
+
+
+async def teardown(server, *writers):
+    """Close *writers*, then the listener of :func:`loopback_pair`."""
+    for writer in writers:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+    server.close()
+    await server.wait_closed()
 
 
 def left_to_gc() -> Dict[str, int]:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run
 from repro import obs
 from repro.scenario import load_scenario
 from repro.serve import (
@@ -64,27 +65,22 @@ DOC_PREVIOUS = dict(
 )
 
 
-def run(coro):
-    return asyncio.run(coro)
-
-
 @pytest.fixture(scope="module")
 def scenario():
     return load_scenario(SCENARIO_PATH)
 
 
-async def _wait_for_active(gateway, host, port, minimum, deadline=30.0):
-    """Poll health until *minimum* sessions stream (or the run ends)."""
-    loop = asyncio.get_running_loop()
-    limit = loop.time() + deadline
-    while loop.time() < limit:
+async def _wait_for_active(gateway, host, port, minimum):
+    """Poll health until *minimum* sessions stream; fail once the
+    policy clock has passed the scenario's horizon without them."""
+    while True:
         reply = await ops_query(host, port, "health")
         if reply["health"]["sessions_active"] >= minimum:
             return reply["health"]
+        assert gateway.bridge.now < gateway.config.duration, (
+            f"never reached {minimum} concurrent sessions"
+        )
         await asyncio.sleep(0.05)
-    raise AssertionError(
-        f"never reached {minimum} concurrent sessions within {deadline}s"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -157,11 +153,9 @@ class TestOpsEndpointLive:
         # -- parity: telemetry did not change one decision -------------
         load = report["load"]
         assert load["errors"] == 0 and load["underruns"] == 0
-        reference = PolicyBridge(scenario.config).replay(
-            arrival_trace(scenario.config)
-        )
+        reference = PolicyBridge(scenario.config)
         assert decisions_digest(gateway.bridge.decisions) == (
-            decisions_digest(reference)
+            decisions_digest(reference.replay(arrival_trace(reference)))
         )
         assert report["parity_clamps"] == 0
 
@@ -335,7 +329,7 @@ class TestTopDashboard:
             serve = ServeConfig(port=0, ops_port=0, stats_interval=0.2)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
-            trace = arrival_trace(scenario.config, max_sessions=10)
+            trace = arrival_trace(gateway.bridge, max_sessions=10)
             await LoadGenerator(ServeConfig(port=gateway.port), trace).run()
             await gateway.stop()
             return tracer
@@ -379,7 +373,7 @@ class TestTopDashboard:
             serve = ServeConfig(port=0, ops_port=0, stats_interval=0.1)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
-            trace = arrival_trace(scenario.config, max_sessions=10)
+            trace = arrival_trace(gateway.bridge, max_sessions=10)
             loading = asyncio.ensure_future(
                 LoadGenerator(ServeConfig(port=gateway.port), trace).run()
             )
@@ -406,7 +400,7 @@ class TestTopDashboard:
         async def scenario_run():
             gateway = ClusterGateway(scenario.config, ServeConfig(port=0))
             await gateway.start()
-            trace = arrival_trace(scenario.config, max_sessions=12)
+            trace = arrival_trace(gateway.bridge, max_sessions=12)
             loading = asyncio.ensure_future(
                 LoadGenerator(ServeConfig(port=gateway.port), trace).run()
             )
@@ -438,8 +432,11 @@ class TestTopDashboard:
             gateway = ClusterGateway(scenario.config, serve)
             await gateway.start()
             before = await ops_query(serve.host, gateway.ops_port, "prometheus")
-            _, writer = await asyncio.open_connection(serve.host, gateway.port)
-            await asyncio.sleep(0.3)      # mute past the handshake bound
+            reader, writer = await asyncio.open_connection(
+                serve.host, gateway.port
+            )
+            # Mute: the gateway hangs up at the handshake bound.
+            assert await reader.read() == b""
             after = await ops_query(serve.host, gateway.ops_port, "prometheus")
             health = await ops_query(serve.host, gateway.ops_port, "health")
             writer.close()
@@ -485,7 +482,7 @@ class TestOpsCli:
             serve = ServeConfig(port=0, ops_port=0, stats_interval=0.2)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
-            trace = arrival_trace(scenario.config, max_sessions=8)
+            trace = arrival_trace(gateway.bridge, max_sessions=8)
             await LoadGenerator(ServeConfig(port=gateway.port), trace).run()
             await gateway.stop()
             return tracer

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run
 from repro import obs
 from repro.faults.invariants import InvariantViolation
 from repro.scenario import load_scenario
@@ -180,16 +181,21 @@ class TestGatewayIntegration:
             await write_frame(
                 writer, {"type": "request", "video": 0, "t": 0.0}
             )
-            deadline = asyncio.get_running_loop().time() + 10.0
-            while rec.dumps == 0:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.02)
+            # The first advance after the arrival anchors the clock
+            # kills the policy loop (its trip writes the dump).
+            (policy,) = [
+                task for task in gateway.sup.tasks()
+                if task.get_name() == "serve.policy"
+            ]
+            with pytest.raises(InvariantViolation):
+                await policy
+            assert rec.dumps == 1
             writer.close()
             with pytest.raises(InvariantViolation):
                 await gateway.stop()
             return rec
 
-        rec = run_loop(scenario_run())
+        rec = run(scenario_run())
         pm = obs.read_postmortem(rec.path)
         assert pm["meta"]["reason"] == "invariant_violation"
         assert "policy_loop" in pm["meta"]["detail"]
@@ -210,13 +216,9 @@ class TestGatewayIntegration:
             await gateway.stop()
             return rec
 
-        rec = run_loop(scenario_run())
+        rec = run(scenario_run())
         assert rec.dumps == 0
         assert not rec.path.exists()
-
-
-def run_loop(coro):
-    return asyncio.run(coro)
 
 
 # ----------------------------------------------------------------------

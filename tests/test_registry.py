@@ -28,7 +28,7 @@ from repro.registry import (
 )
 from repro.simulation import SimulationConfig
 
-from conftest import cyclic_gc_off, left_to_gc, scratch_registry
+from conftest import cyclic_gc_off, left_to_gc, loop_clock, scratch_registry
 
 
 class TestRegistryContract:
@@ -871,9 +871,8 @@ def _capped_runs(root):
                 config, duration=duration,
                 warmup=min(config.warmup, duration / 2),
             )
-            trace = [(spec.time, spec.video_id) for spec in arrival_trace(config)]
-            left_to_gc()  # the trace's unrun build is not the run's
             bridge = PolicyBridge(config)
+            trace = [(spec.time, spec.video_id) for spec in arrival_trace(bridge)]
             digests[name] = {
                 "result": _result_digest(bridge.run()),
                 "decisions": bridge.finalize()["decisions_sha"],
@@ -899,8 +898,8 @@ def _keys(entered):
 def _examples(root):
     """``{(file, first line)}`` of every function entered while each
     ``examples/*.py`` runs its ``main()``, output discarded — all but
-    ``serve_loopback.py``, a live run whose path the ``verify`` leg of
-    ``_reach`` enters, and ``capacity_planning.py``, ~7 s
+    ``serve_loopback.py``, a live run whose path the ``serve_loopback``
+    verify of ``_reach`` enters, and ``capacity_planning.py``, ~7 s
     under the recorder (tests/test_examples.py runs it).  An example
     that raises exits the process naming it."""
     import importlib.util
@@ -927,7 +926,9 @@ def _scrape(seen):
     Prometheus text, render one ``repro top`` frame, and keep the leg's
     tracer in *seen* for ``repro top --trace``.  Every verb must get
     exactly one reply: ``ops.reply``, or ``ops.error`` for ``chaos``
-    (no chaos plane is armed)."""
+    (no chaos plane is armed).  The CLI calls run in executor threads,
+    on wall loops of their own, and ask nothing that depends on how far
+    the loop-clock gateway has got."""
     import asyncio
 
     from repro.cli import main
@@ -950,9 +951,10 @@ def _scrape(seen):
             return header, payload
 
         gateway.ops._answer = answered
-        deadline = loop.time() + 30.0
         while not gateway.spans.recent(1):
-            assert loop.time() < deadline, "no session span closed"
+            assert gateway.bridge.now < gateway.config.duration, (
+                "no session span closed"
+            )
             await asyncio.sleep(0.05)
         for verb in OPS_VERBS:
             await loop.run_in_executor(None, cli, "ops", "--port", port, verb)
@@ -977,13 +979,13 @@ def _reach(_workloads, tmp_path_factory):
     entered while each workload we run runs — the figure cells
     (recorded by ``_workloads``), :func:`_capped_runs` under the
     invariant checker, the examples (:func:`_examples`), four cheap CLI
-    verbs, and one live ``verify`` leg scraped by every ``repro ops``
-    verb and ``repro top`` source (:func:`_scrape`) — and the rest of
-    what :func:`_capped_runs` returns, by name (``left``, ``digests``,
-    ``retraced``).  The capped runs
-    and the examples go to child processes (this file run as a script)
-    while the live leg, which mostly waits on its wall clock, runs
-    here."""
+    verbs, and two ``verify`` runs with live legs on the loop clock:
+    ``serve_loopback``, scraped by every ``repro ops`` verb and ``repro
+    top`` source (:func:`_scrape`), and ``chaos_serve``, the chaos
+    plane — and the rest of what :func:`_capped_runs` returns, by name
+    (``left``, ``digests``, ``retraced``).  The capped runs and the
+    examples go to child processes (this file run as a script) while
+    the verify runs go here."""
     import functools
     import io
     import json
@@ -1013,20 +1015,26 @@ def _reach(_workloads, tmp_path_factory):
             patch = stack.enter_context(pytest.MonkeyPatch.context())
             patch.setenv("REPRO_WORKERS", "1")
             patch.setenv("REPRO_INVARIANTS", "1")
-            patch.setattr(gate, "run_chaos_serve", functools.partial(
-                run_chaos_serve, probe=_scrape(seen),
-            ))
             stack.enter_context(contextlib.redirect_stdout(sink))
             stack.enter_context(contextlib.redirect_stderr(sink))
+            stack.enter_context(loop_clock())
             entered = stack.enter_context(_entering(set()))
             for argv in (["list"], ["fig3"], ["fig6"], [
                 "run", "--scenario", str(root / "scenarios/p4_small.json"),
                 "--trace-out", str(scratch / "trace.jsonl"), "--profile",
             ]):
                 assert main(argv) == 0, argv
+            with pytest.MonkeyPatch.context() as scraped:
+                scraped.setattr(gate, "run_chaos_serve", functools.partial(
+                    run_chaos_serve, probe=_scrape(seen),
+                ))
+                gate.verify(
+                    load_scenario(root / "scenarios/serve_loopback.json"),
+                    postmortem=scratch / "postmortem.jsonl",
+                )
             gate.verify(
-                load_scenario(root / "scenarios/serve_loopback.json"),
-                postmortem=scratch / "postmortem.jsonl",
+                load_scenario(root / "scenarios/chaos_serve.json"),
+                postmortem=scratch / "chaos_postmortem.jsonl",
             )
             seen["tracer"].export_jsonl(scratch / "serve.jsonl")
             assert main(["top", "--trace", str(scratch / "serve.jsonl")]) == 0
@@ -1098,14 +1106,6 @@ _CACHE_PANEL = (
     "a supported mode no committed live scenario runs (ROADMAP item 9(b); "
     "tests/test_prefix.py)"
 )
-_DUMP = (
-    "the tracer ring's read side, for FlightRecorder.dump (a signal or "
-    "a crash; tests/test_recorder.py)"
-)
-_CHAOS = (
-    "the live chaos plane: `repro verify scenarios/chaos_serve.json` "
-    "(CI verify; tests/test_chaos_serve.py)"
-)
 _POOL = "the REPRO_WORKERS > 1 pool path (tests/test_parallel_sweep.py, CI artifacts)"
 _RAISE = (
     "a failure path, run only when a check fails "
@@ -1122,8 +1122,8 @@ _PREFIX = (
     "(ROADMAP item 2(c); tests/test_prefix.py)"
 )
 _VERIFY = (
-    "a `repro verify` check for a faults / elastic / prefix block; the "
-    "test's one verify leg has none (CI verify; tests/test_verify.py)"
+    "a `repro verify` check for an elastic / prefix block; neither of "
+    "the test's verify legs has one (CI verify; tests/test_verify.py)"
 )
 _TRIALS = (
     "a cell with two or more trials (--scale >= 0.005, "
@@ -1142,8 +1142,9 @@ class TestEveryFunctionIsReached:
     """Code no workload runs is a defect (ROADMAP): every ``def`` in
     ``src/repro`` is entered while the figures with claims, the
     committed scenarios, the ledger configs, the examples, four cheap
-    CLI verbs and one live ``verify`` leg run — that leg scraped by
-    every ``repro ops`` verb and both ``repro top`` sources — or it is
+    CLI verbs and the live ``verify`` legs of ``serve_loopback`` and
+    ``chaos_serve`` run — the first scraped by every ``repro ops`` verb
+    and both ``repro top`` sources — or it is
     exempt by rule (dunders, ``Protocol`` / abstract stubs, names
     ``bench/*.py`` uses), or it has a row here with its reason."""
 
@@ -1204,20 +1205,16 @@ class TestEveryFunctionIsReached:
         "experiments/registry.py::register_figure.trace_config": _TRACE,
         "experiments/registry.py::register_table": _IMPORT,
         "experiments/verify.py::_check_elastic": _VERIFY,
-        "experiments/verify.py::_check_faults": _VERIFY,
         "experiments/verify.py::_check_prefix": _VERIFY,
         "experiments/verify.py::run_verify_cli":
             "the `repro verify` verb; the test calls verify() itself "
             "(CI verify)",
         "faults/invariants.py::InvariantChecker._violate": _RAISE,
-        "obs/recorder.py::FlightRecorder.dump": _RAISE,
         "obs/recorder.py::FlightRecorder.install_signal_handler": _PROCESS,
         "obs/recorder.py::FlightRecorder.uninstall_signal_handler": _PROCESS,
         "obs/recorder.py::read_postmortem":
             "the postmortem format's reader (docs/OBSERVABILITY.md); "
             "tests/test_recorder.py reads every dump through it",
-        "obs/tracer.py::Tracer.emitted": _DUMP,
-        "obs/tracer.py::Tracer.records": _DUMP,
         "prefix/cache.py::PrefixCache.bytes_held": _CACHE_PANEL,
         "prefix/cache.py::plan_none": _OFF,
         "prefix/chaining.py::batch_none": _OFF,
@@ -1231,21 +1228,10 @@ class TestEveryFunctionIsReached:
         "scenario.py::save_scenario":
             "the scenario format's writer; tests/test_scenario.py pins "
             "load(save(x)) == x byte for byte",
-        "serve/chaos.py::ChaosPlane._on_fail": _CHAOS,
-        "serve/chaos.py::ChaosPlane._on_fail._kill": _CHAOS,
-        "serve/chaos.py::ChaosPlane._on_restore": _CHAOS,
-        "serve/chaos.py::ChaosPlane.arm": _CHAOS,
-        "serve/chaos.py::ToxicConfig.empty": _CHAOS,
-        "serve/chaos.py::ToxicWriter.drain": _CHAOS,
-        "serve/chaos.py::_jittered_latency": _CHAOS,
         "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
-        "serve/gateway.py::ClusterGateway.abort": _CHAOS,
-        "serve/gateway.py::ClusterGateway.kill_server_task": _CHAOS,
+        "serve/gateway.py::ClusterGateway.abort": _RAISE,
         "serve/loadgen.py::LoadGenerator._progress_line": _PROCESS,
         "serve/loadgen.py::LoadGenerator._report_loop": _PROCESS,
-        "serve/loadgen.py::_LiveClient._sleep_until": _CHAOS,
-        "serve/supervisor.py::TaskSupervisor._trip": _RAISE,
-        "serve/supervisor.py::TaskSupervisor.inject_crash": _CHAOS,
     }
 
     @staticmethod

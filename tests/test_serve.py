@@ -15,7 +15,6 @@ Covers the four layers separately and then end-to-end:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import re
 import signal
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run
 from repro.scenario import load_scenario
 from repro.serve import (
     ClusterGateway,
@@ -47,11 +47,6 @@ REPO = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = REPO / "scenarios" / "serve_loopback.json"
 
 
-def run(coro):
-    """Run *coro* in a fresh event loop (tests stay plain functions)."""
-    return asyncio.run(coro)
-
-
 async def feed_reader(data: bytes) -> asyncio.StreamReader:
     """A StreamReader pre-loaded with *data* then EOF (loop-bound)."""
     reader = asyncio.StreamReader()
@@ -66,7 +61,7 @@ def decode(data: bytes):
     async def _run():
         return await read_frame(await feed_reader(data))
 
-    return asyncio.run(_run())
+    return run(_run())
 
 
 @pytest.fixture(scope="module")
@@ -239,16 +234,18 @@ class TestServeConfig:
 # ----------------------------------------------------------------------
 class TestPolicyBridge:
     def test_replay_is_deterministic(self, scenario):
-        trace = arrival_trace(scenario.config, max_sessions=30)
-        a = PolicyBridge(scenario.config).replay(trace)
+        first = PolicyBridge(scenario.config)
+        trace = arrival_trace(first, max_sessions=30)
+        a = first.replay(trace)
         b = PolicyBridge(scenario.config).replay(trace)
         assert decisions_digest(a) == decisions_digest(b)
 
     def test_interleaved_advances_do_not_change_decisions(self, scenario):
         """The formal core of the parity contract: pacing reads between
         arrivals (what the live gateway does) fire the same events."""
-        trace = arrival_trace(scenario.config, max_sessions=30)
-        reference = PolicyBridge(scenario.config).replay(trace)
+        replayed = PolicyBridge(scenario.config)
+        trace = arrival_trace(replayed, max_sessions=30)
+        reference = replayed.replay(trace)
 
         paced = PolicyBridge(scenario.config)
         decisions = []
@@ -259,7 +256,7 @@ class TestPolicyBridge:
             for fraction in (0.31, 0.62, 0.997):
                 paced.advance(paced.now + gap * fraction)
                 gap = spec.time - paced.now
-            decisions.append(paced.submit(spec.time, spec.video_id))
+            decisions.append(paced.submit(spec.time, spec.video_id)[0])
         assert decisions_digest(reference) == decisions_digest(decisions)
 
     def test_submit_behind_clock_raises_parity_error(self, scenario):
@@ -276,8 +273,8 @@ class TestPolicyBridge:
         assert bridge.controller.metrics.arrivals == 0
 
     def test_decision_shape_and_outcomes(self, scenario):
-        trace = arrival_trace(scenario.config)
-        decisions = PolicyBridge(scenario.config).replay(trace)
+        bridge = PolicyBridge(scenario.config)
+        decisions = bridge.replay(arrival_trace(bridge))
         outcomes = {d.outcome for d in decisions}
         # The committed scenario is overdriven on purpose: all three
         # decision classes must appear for the parity test to bite.
@@ -291,7 +288,7 @@ class TestPolicyBridge:
 
     def test_finalize_summary(self, scenario):
         bridge = PolicyBridge(scenario.config)
-        bridge.replay(arrival_trace(scenario.config, max_sessions=10))
+        bridge.replay(arrival_trace(bridge, max_sessions=10))
         summary = bridge.finalize(time=scenario.config.duration * 3)
         assert summary["arrivals"] == 10
         assert summary["decisions"] == 10
@@ -332,7 +329,8 @@ class TestLoopbackEndToEnd:
         """The acceptance loop: the committed scenario, 3 servers,
         dozens of concurrent live sessions, decisions byte-identical
         to the virtual-time run, zero client underruns, no leaks."""
-        trace = arrival_trace(scenario.config)
+        reference = PolicyBridge(scenario.config)
+        trace = arrival_trace(reference)
         load, summary = full_run["load"], full_run["summary"]
 
         assert load["sessions"] == len(trace) >= 20
@@ -342,9 +340,8 @@ class TestLoopbackEndToEnd:
         assert load["accepted"] > 0 and load["rejected"] > 0
 
         # Parity: live decisions == virtual-time replay, byte for byte.
-        reference = PolicyBridge(scenario.config).replay(trace)
         assert json.dumps(summary["decisions"], separators=(",", ":")) == (
-            decisions_digest(reference)
+            decisions_digest(reference.replay(trace))
         )
         assert full_run["parity_clamps"] == 0
         assert summary["serve"]["sessions_active"] == 0
@@ -574,8 +571,7 @@ class TestSendPath:
         def serve_at(tick):
             frames, _, tasks = run(_one_session(
                 scenario.config,
-                ServeConfig(port=0, ops_port=None, compression=200.0,
-                            tick=tick),
+                ServeConfig(port=0, ops_port=None, tick=tick),
             ))
             assert frames[0].type == "admit"
             assert frames[-1].type == "end"
@@ -598,7 +594,7 @@ class TestSendPath:
 
         frames, session, _ = run(_one_session(
             scenario.config,
-            ServeConfig(port=0, ops_port=None, compression=200.0),
+            ServeConfig(port=0, ops_port=None),
             wrap_writer=record,
         ))
         chunks = [f for f in frames if f.type == "chunk"]
@@ -682,7 +678,7 @@ class TestClientAccounting:
             gateway.begin_drain()
             report = await LoadGenerator(
                 ServeConfig(port=gateway.port),
-                arrival_trace(scenario.config, max_sessions=3),
+                arrival_trace(gateway.bridge, max_sessions=3),
             ).run()
             await gateway.stop()
             return report
@@ -697,8 +693,11 @@ class TestClientAccounting:
 # ----------------------------------------------------------------------
 class TestCompressionInvariance:
     def test_decisions_identical_across_compression_factors(self, scenario):
-        config = dataclasses.replace(scenario.config)
-        trace = arrival_trace(config, max_sessions=25)
+        config = scenario.config
+        reference = PolicyBridge(config)
+        trace = arrival_trace(reference, max_sessions=25)
+        # Replayed before another build restarts the request ids.
+        replayed = decisions_digest(reference.replay(trace))
 
         async def run_at(compression):
             gateway = ClusterGateway(
@@ -715,6 +714,4 @@ class TestCompressionInvariance:
 
         fast = run(run_at(120.0))
         slow = run(run_at(60.0))
-        assert fast == slow == decisions_digest(
-            PolicyBridge(config).replay(trace)
-        )
+        assert fast == slow == replayed

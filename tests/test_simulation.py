@@ -219,8 +219,10 @@ class TestLifecycleWiring:
         assert controller.intercept is None
         assert controller.on_decision == []
         assert controller.on_finish == [] and controller.on_drop == []
-        decision = bridge.submit(1.0, 0)
+        decision, request = bridge.submit(1.0, 0)
         assert decision.accepted and decision.server in controller.servers
+        assert request.request_id == decision.request
+        assert request.server_id == decision.server
 
 
 #: One server with room for one 3 Mb/s stream, one 60 s video: a
@@ -308,10 +310,9 @@ def bridge_left_to_gc():
 
     root = pathlib.Path(__file__).resolve().parent.parent
     config = load_scenario(root / "scenarios/serve_loopback.json").config
-    trace = arrival_trace(config)
     with cyclic_gc_off():
         bridge = PolicyBridge(config)
-        bridge.replay(trace)
+        bridge.replay(arrival_trace(bridge))
         bridge.finalize()
         del bridge
         return sum(left_to_gc().values())

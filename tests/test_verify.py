@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import loop_clock
 from repro.cli import main
 from repro.experiments import verify as verify_mod
 from repro.experiments.verify import (
@@ -67,15 +68,18 @@ PLAN = {
 
 @pytest.fixture(scope="module")
 def clean(tmp_path_factory):
-    """``clean(stem)``: the verify report of one committed scenario —
-    run once, shared by every test (doctoring tests deep-copy it)."""
+    """``clean(stem)``: the verify report of one committed scenario,
+    its live leg on the loop clock — run once, shared by every test
+    (doctoring tests deep-copy it)."""
     postmortem = tmp_path_factory.mktemp("verify") / "postmortem.jsonl"
 
     @functools.lru_cache(maxsize=None)
     def report(stem: str) -> dict:
-        return verify(
-            load_scenario(SCENARIOS / f"{stem}.json"), postmortem=postmortem
-        )
+        with loop_clock():
+            return verify(
+                load_scenario(SCENARIOS / f"{stem}.json"),
+                postmortem=postmortem,
+            )
 
     return report
 
