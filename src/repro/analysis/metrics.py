@@ -262,17 +262,21 @@ class SimulationMetrics:
         else:
             self.cache_misses += 1
 
-    def record_chained(self, patched: bool) -> None:
-        """One arrival admitted as a shared (chained) session."""
+    def record_chained(self, patched: bool, prefix_mb: float) -> None:
+        """One arrival admitted as a shared (chained) session, with
+        *prefix_mb* of prefix data served from the cache tier (not
+        server egress).  A pure chain never reaches admission, so it is
+        counted here as an arrival and an acceptance as well; admission
+        counted a patch chain's."""
+        if prefix_mb < 0:
+            raise ValueError(f"negative transfer: {prefix_mb}")
         self.chained += 1
+        self.cache_megabits += prefix_mb
         if patched:
             self.patched += 1
-
-    def record_cache_bytes(self, megabits: float) -> None:
-        """Prefix data served from the cache tier (not server egress)."""
-        if megabits < 0:
-            raise ValueError(f"negative transfer: {megabits}")
-        self.cache_megabits += megabits
+        else:
+            self.arrivals += 1
+            self.accepted += 1
 
     # ------------------------------------------------------------------
     # Derived measures

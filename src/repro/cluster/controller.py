@@ -13,6 +13,7 @@ object workload generators talk to.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 from weakref import proxy
 
@@ -124,6 +125,10 @@ class DistributionController:
         self._buffer_at_finish = registry.histogram(
             "client.buffer_at_finish_seconds"
         )
+        # Request ids seed per-request RNG substreams (retry jitter), so
+        # each simulation numbers its own: a run's ids, and with them
+        # its results, never depend on what else the process built.
+        self._request_ids = count()
         self.intercept: Optional[Callable] = None
         self.on_decision: List[Callable] = []
         self.on_finish: List[Callable] = []
@@ -178,6 +183,7 @@ class DistributionController:
             video=self.catalog[video_id],
             client=self._profile_for(video_id),
             arrival_time=self.engine.now,
+            request_id=next(self._request_ids),
         )
         return self._decide(request, False)
 

@@ -30,7 +30,7 @@ bounded by the eligibility check in :mod:`repro.core.migration`.
 from __future__ import annotations
 
 import enum
-import itertools
+from math import inf
 from typing import Optional, TYPE_CHECKING
 
 from repro.cluster.client import ClientProfile
@@ -42,20 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 #: Float tolerance for "zero megabits" comparisons, chosen far below a
 #: single bit at our scales (videos are 10**3..10**5 Mb).
 EPS_MB: float = 1e-6
-
-
-def reset_request_ids() -> None:
-    """Restart the global request-id counter at zero.
-
-    Request ids are process-global, and they seed per-request RNG
-    substreams (retry jitter keys off ``retry.req<id>``), so leftover
-    counter state from a previous in-process run would change both
-    trace bytes and results.  :class:`repro.Simulation` calls this at
-    construction so every run is hermetic — same seed, same ids, same
-    trace — even in a reused sweep worker process; hand-wired harnesses
-    that build requests directly can call it themselves.
-    """
-    Request._ids = itertools.count()
 
 
 class RequestState(enum.Enum):
@@ -71,7 +57,8 @@ class Request:
     """One admitted (or rejected) stream.
 
     Attributes:
-        request_id: unique, monotonically increasing.
+        request_id: unique within its simulation, in arrival order
+            (the distribution controller numbers its requests).
         video: the requested :class:`~repro.workload.catalog.Video`.
         client: receiving client's :class:`ClientProfile`.
         arrival_time: submission time.
@@ -113,15 +100,14 @@ class Request:
         "floor_key",
     )
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         video: Video,
         client: ClientProfile,
         arrival_time: float,
+        request_id: int,
     ) -> None:
-        self.request_id: int = next(Request._ids)
+        self.request_id = request_id
         self.video = video
         self.client = client
         # Hot-loop copies of video attributes (saves an indirection in
@@ -146,7 +132,7 @@ class Request:
         #: Time playback was paused by the viewer (VCR interactivity);
         #: ``inf`` while playing.  ``playback_start`` shifts forward on
         #: resume so ``bytes_viewed`` stays a single linear formula.
-        self.playback_pause_time = float("inf")
+        self.playback_pause_time = inf
         #: Number of VCR pauses performed so far.
         self.pauses = 0
         self.floor_key: Optional[float] = None
@@ -226,7 +212,7 @@ class Request:
     @property
     def playback_paused(self) -> bool:
         """True while the viewer has hit pause."""
-        return self.playback_pause_time != float("inf")
+        return self.playback_pause_time != inf
 
     def pause_playback(self, now: float) -> None:
         """Viewer pauses; consumption freezes, transmission may continue
@@ -252,7 +238,7 @@ class Request:
                 f"{self.playback_pause_time}"
             )
         self.playback_start += now - self.playback_pause_time
-        self.playback_pause_time = float("inf")
+        self.playback_pause_time = inf
 
     # ------------------------------------------------------------------
     # Retry lifecycle (graceful degradation, repro.faults.retry)

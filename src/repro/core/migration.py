@@ -27,10 +27,12 @@ attach too, and ``hops`` only changes across one), a new open target,
 a member appearing or changing ``up`` / ``accepting``, a new replica
 (:attr:`PlacementMap.version`) or a switch gap ending.  Everything else
 — finishes, failures, link degradation — only removes streams or closes
-targets.  A certificate is stored only where it pays: not for a policy
-with ``switch_delay > 0`` (its buffer test moves with time), and not
-after a walk that met no open target at all (a search is then already
-one slot probe per server, which is what checking would cost).
+targets.  A certificate is stored only for a policy with
+``switch_delay == 0`` (otherwise its buffer test moves with time), and
+only after a walk that met some open target.  A walk that met none
+stores nothing, yet it costs more than one slot probe per server: pass
+1 still reads every stream on the holder, each finding an empty target
+set, and the next search repeats that loop.
 """
 
 from __future__ import annotations

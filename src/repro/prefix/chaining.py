@@ -170,48 +170,45 @@ class ChainedSession:
         self.severed_at: Optional[float] = None
         self.finished = False
 
-    # -- delivery / playout curves (the no-underrun invariant) ---------
-    def patch_bytes(self, now: float) -> float:
-        """Megabits delivered by the catch-up patch stream by *now*."""
-        plan = self.plan
-        if plan.patch_mb <= EPS_MB:
-            return 0.0
-        request = self.child
-        sent = request.bytes_sent
-        if request.state is RequestState.ACTIVE and request.server_id is not None:
-            sent = request.sent_at(max(now, request.last_sync))
-        return min(plan.patch_mb, sent)
+    # -- the no-underrun invariant --------------------------------------
+    def margin(self, now: float) -> float:
+        """Contiguous delivery minus the child's playout by *now*, Mb —
+        negative means underrun.
 
-    def contiguous_delivered(self, now: float) -> float:
-        """Megabits available *contiguously from position 0* by *now*.
-
-        This is the quantity playback actually depends on: bytes from a
-        later splice segment are useless until every earlier segment has
-        filled in.  Piecewise: the cached prefix streams at ``b_view``
-        from the join, the patch follows its server stream, and the feed
-        frontier is the parent's playout position (frozen at
-        ``severed_at`` if the parent was dropped).
+        Only bytes contiguous from position 0 count: the cached prefix
+        streams at ``b_view`` from the join, then the patch as its server
+        stream projects, then the feed up to the parent's playout
+        position (frozen at ``severed_at``).  One frame, no ``min`` /
+        ``max``: the float operations, in order, of the three-curve
+        reference in ``tests/test_prefix.py``, so the two agree exactly.
         """
         plan = self.plan
-        vb = self.video.view_bandwidth
-        elapsed = max(0.0, now - self.join_time)
-        covered = min(plan.prefix_mb, vb * elapsed)
-        if covered + EPS_MB < plan.prefix_mb:
-            return covered  # still draining the cached prefix
-        if plan.patch_mb > EPS_MB:
-            covered = plan.prefix_mb + self.patch_bytes(now)
-            if covered + EPS_MB < plan.gap_mb:
-                return covered  # patch still catching up
-        horizon = now if self.severed_at is None else min(now, self.severed_at)
-        frontier = vb * max(0.0, horizon - self.parent.playback_start)
-        return min(self.video.size, max(plan.gap_mb, frontier))
-
-    def margin(self, now: float) -> float:
-        """Delivered minus consumed by the child's playback, Mb —
-        negative means underrun."""
         video = self.video
-        played = video.view_bandwidth * max(0.0, now - self.join_time)
-        return self.contiguous_delivered(now) - min(video.size, played)
+        vb = video.view_bandwidth
+        size = video.size
+        elapsed = now - self.join_time
+        played = vb * (elapsed if elapsed > 0.0 else 0.0)
+        consumed = played if played < size else size
+        prefix_mb = plan.prefix_mb
+        if played + EPS_MB < prefix_mb:
+            return played - consumed  # still draining the cached prefix
+        patch_mb = plan.patch_mb
+        if patch_mb > EPS_MB:
+            child = self.child
+            sent = child.bytes_sent
+            if child.state is RequestState.ACTIVE and child.server_id is not None:
+                last = child.last_sync
+                sent = sent + child.rate * ((last if last > now else now) - last)
+            covered = prefix_mb + (sent if sent < patch_mb else patch_mb)
+            if covered + EPS_MB < plan.gap_mb:
+                return covered - consumed  # patch still catching up
+        severed = self.severed_at
+        horizon = severed if severed is not None and severed < now else now
+        ahead = horizon - self.parent.playback_start
+        frontier = vb * (ahead if ahead > 0.0 else 0.0)
+        gap_mb = plan.gap_mb
+        delivered = frontier if frontier > gap_mb else gap_mb
+        return (delivered if delivered < size else size) - consumed
 
     @property
     def delivery_end(self) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from weakref import proxy
 
@@ -132,7 +133,7 @@ class PrefixTier:
         self._finishing: Set[int] = set()
         #: Patch chains awaiting their admission decision.
         self._pending: Dict[int, ChainedSession] = {}
-        #: Ids of requests admitted as chains — never promoted to leader.
+        #: Ids of requests admitted as patch chains — never promoted to leader.
         self._chained_ids: Set[int] = set()
         self._warm_queue: Deque[Tuple[int, float]] = deque()
         self._warming = False
@@ -216,13 +217,12 @@ class PrefixTier:
         would stall) or is dropped/rejected.
         """
         leader = self._leaders.get(video_id)
-        if leader is None:
+        if leader is None or leader.playback_pause_time != inf:
             return None
-        if leader.state not in (RequestState.ACTIVE, RequestState.FINISHED):
-            return None
-        if leader.state is RequestState.ACTIVE and leader.server_id is None:
-            return None  # dropped and awaiting re-admission (retry queue)
-        if leader.playback_paused:
+        if leader.state is RequestState.ACTIVE:
+            if leader.server_id is None:
+                return None  # dropped and awaiting re-admission (retry queue)
+        elif leader.state is not RequestState.FINISHED:
             return None
         return leader
 
@@ -261,8 +261,6 @@ class PrefixTier:
             request.set_video(patch)
             self._pending[request.request_id] = chain
             return None
-        self.metrics.record_arrival()
-        self.metrics.record_accept()
         self._commit(chain, now, patched=False)
         return AdmissionOutcome.ACCEPTED_CHAINED
 
@@ -276,6 +274,7 @@ class PrefixTier:
         now = self.engine.now
         if chain is not None:
             if outcome.accepted:
+                self._chained_ids.add(request.request_id)
                 self._commit(chain, now, patched=True)
             else:
                 # Rejected patch: restore the full transfer so a retry
@@ -295,10 +294,9 @@ class PrefixTier:
         child = chain.child
         self._chains[child.request_id] = chain
         self._children.setdefault(chain.parent.request_id, []).append(chain)
-        self._chained_ids.add(child.request_id)
-        self.metrics.record_chained(patched=patched)
-        if chain.plan.prefix_mb > EPS_MB:
-            self.metrics.record_cache_bytes(chain.plan.prefix_mb)
+        prefix_mb = chain.plan.prefix_mb
+        served = prefix_mb if prefix_mb > EPS_MB else 0.0
+        self.metrics.record_chained(patched, served)
         if self.tracer is not None:
             self.tracer.emit(
                 TraceKind.CACHE_CHAIN, now,
@@ -373,7 +371,6 @@ class PrefixTier:
                 # children keep their own server stream; only the
                 # shared remainder is lost.)
                 child.mark_dropped(now)
-                self._chained_ids.discard(child.request_id)
                 self.metrics.record_drop()
                 if self.tracer is not None:
                     self.tracer.emit(

@@ -41,7 +41,6 @@ from repro.cluster.profile import (
     calibrate,
     identity_profile,
 )
-from repro.cluster.request import reset_request_ids
 from repro.cluster.system import SystemConfig
 from repro.core.elastic import ElasticPolicy, ElasticScaler
 from repro.core.migration import MigrationPolicy
@@ -291,11 +290,12 @@ class Simulation:
     ========== =====================================================
     stage      products
     ========== =====================================================
-    rng        ``streams``, ``engine`` (fresh request-id space)
+    rng        ``streams``, ``engine``
     demand     ``catalog``, ``popularity``
     cluster    ``cluster_profile``, ``servers``, ``membership``
     placement  ``placement_result``, ``placement_policy``
-    controller ``controller`` (admission front door, client profiles)
+    controller ``controller`` (admission front door, client profiles,
+               the run's own request-id counter)
     prefix     ``prefix_tier`` (cache + chaining, warming scheduled)
     workload   ``arrival_rate``, arrival process, ``interactivity``
     faults     ``failover``, ``retry_queue``, ``fault_injector``
@@ -385,13 +385,8 @@ class Simulation:
         """Seeded randomness and the event engine.
 
         After: ``self.streams`` (named substream factory rooted at
-        ``config.seed``), ``self.engine``, and a fresh request-id space.
+        ``config.seed``) and ``self.engine``.
         """
-        # Request ids restart at zero per Simulation: ids seed per-request
-        # RNG substreams (retry jitter), so a process-global counter
-        # would make results depend on how many runs a reused sweep
-        # worker had already executed.
-        reset_request_ids()
         self.streams = RandomStreams(seed=self.config.seed)
         self.engine = Engine()
 

@@ -18,6 +18,7 @@ import asyncio
 import collections
 import contextlib
 import gc
+import itertools
 import math
 import selectors
 import threading
@@ -57,6 +58,12 @@ def make_client(
     )
 
 
+#: Ids for hand-built requests (a simulation numbers its own): unique
+#: across the session, as a server's active set and the allocator's rate
+#: maps key streams by id.
+REQUEST_IDS = itertools.count()
+
+
 def make_request(
     video: Optional[Video] = None,
     client: Optional[ClientProfile] = None,
@@ -66,6 +73,7 @@ def make_request(
         video=video if video is not None else make_video(),
         client=client if client is not None else make_client(),
         arrival_time=arrival_time,
+        request_id=next(REQUEST_IDS),
     )
 
 
@@ -264,6 +272,7 @@ class MicroCluster:
             video=self.catalog[video_id],
             client=client if client is not None else make_client(),
             arrival_time=self.engine.now,
+            request_id=next(REQUEST_IDS),
         )
         outcome = self.admission.submit(request, self.engine.now)
         return request, outcome

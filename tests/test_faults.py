@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
 from repro.cluster.membership import ServerLifecycle
-from repro.cluster.request import reset_request_ids
 from repro.core.elastic import ElasticPolicy, ScaleEvent
 from repro.faults import (
     CrashFaults,
@@ -92,7 +91,6 @@ def retry_generators_alive(duration_h):
     ``(alive, pending, named)``: the generators reachable from the
     finished simulation beyond its cached named streams, the requests
     still in its retry queue, and the cached streams' keys."""
-    reset_request_ids()
     sim = Simulation(chaos_config(FULL_PLAN, duration=hours(duration_h)))
     sim.run()
     named = sim.streams._streams
@@ -103,7 +101,6 @@ def retry_generators_alive(duration_h):
 
 def run_traced(config, path):
     """One fresh run; returns (result, exported trace bytes)."""
-    reset_request_ids()  # request ids are process-global state
     tracer = Tracer(capacity=500_000)
     result = Simulation(config, tracer=tracer).run()
     tracer.export_jsonl(path)  # no provenance line: no timestamps
@@ -358,7 +355,6 @@ class TestRetryQueue:
         a request rejected, retried, admitted, dropped and queued
         again (its jitter generator was rebuilt and advanced)."""
         config = chaos_config(FULL_PLAN, seed=13)
-        reset_request_ids()
         tracer = Tracer(capacity=500_000)
         Simulation(config, tracer=tracer).run()
         by_request = {}

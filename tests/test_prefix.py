@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,9 +33,7 @@ from hypothesis import strategies as st
 
 from repro import SMALL_SYSTEM, MigrationPolicy, Simulation, SimulationConfig
 from repro.cluster.client import ClientProfile
-from repro.cluster.request import (
-    EPS_MB, Request, RequestState, reset_request_ids,
-)
+from repro.cluster.request import EPS_MB, Request, RequestState
 from repro.core.admission import AdmissionOutcome
 from repro.faults.invariants import InvariantViolation
 from repro.obs import TraceKind
@@ -74,11 +73,6 @@ def prefix_config(prefix=None, **overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
-
-
-def run_fresh(config, tracer=None):
-    reset_request_ids()  # request ids are process-global state
-    return Simulation(config, tracer=tracer).run()
 
 
 def toy_catalog(lengths, view_bandwidth=1.0):
@@ -317,14 +311,100 @@ def patch_child(rate, last_sync):
     """An active patch stream on server 1, nothing sent by *last_sync*."""
     child = Request(
         Video(video_id=0, length=1.0, view_bandwidth=1.0),
-        ClientProfile(buffer_capacity=0.0), last_sync,
+        ClientProfile(buffer_capacity=0.0), last_sync, request_id=0,
     )
     child.server_id = 1
     child.rate = rate
     return child
 
 
+# -- the reference curves: ChainedSession.margin folds these three ------
+def reference_patch_bytes(chain, now):
+    """Megabits delivered by the catch-up patch stream by *now*."""
+    plan = chain.plan
+    if plan.patch_mb <= EPS_MB:
+        return 0.0
+    request = chain.child
+    sent = request.bytes_sent
+    if request.state is RequestState.ACTIVE and request.server_id is not None:
+        sent = request.sent_at(max(now, request.last_sync))
+    return min(plan.patch_mb, sent)
+
+
+def reference_contiguous(chain, now):
+    """Megabits available *contiguously from position 0* by *now*: the
+    cached prefix streams at ``b_view`` from the join, the patch follows
+    its server stream, and the feed frontier is the parent's playout
+    position (frozen at ``severed_at`` if the parent was dropped)."""
+    plan = chain.plan
+    vb = chain.video.view_bandwidth
+    elapsed = max(0.0, now - chain.join_time)
+    covered = min(plan.prefix_mb, vb * elapsed)
+    if covered + EPS_MB < plan.prefix_mb:
+        return covered  # still draining the cached prefix
+    if plan.patch_mb > EPS_MB:
+        covered = plan.prefix_mb + reference_patch_bytes(chain, now)
+        if covered + EPS_MB < plan.gap_mb:
+            return covered  # patch still catching up
+    horizon = now if chain.severed_at is None else min(now, chain.severed_at)
+    frontier = vb * max(0.0, horizon - chain.parent.playback_start)
+    return min(chain.video.size, max(plan.gap_mb, frontier))
+
+
+def reference_margin(chain, now):
+    """Contiguous delivery minus the child's playout by *now*, Mb."""
+    video = chain.video
+    played = video.view_bandwidth * max(0.0, now - chain.join_time)
+    return reference_contiguous(chain, now) - min(video.size, played)
+
+
+@st.composite
+def chain_states(draw):
+    """A chained session and an instant: any splice geometry (the gap
+    may outlast the video), the child in any state the tier checks or
+    meets, *now* anywhere from before the join to past the playout."""
+    vb = draw(st.floats(0.5, 10.0))
+    gap = draw(st.floats(0.0, 300.0))
+    length = draw(st.floats(1.0, 600.0))
+    gap_mb = vb * gap
+    prefix_mb = gap_mb * draw(st.floats(0.0, 1.0))
+    child_state = draw(st.sampled_from(
+        ["pure", "streaming", "finished", "dropped"]
+    ))
+    patch_mb = 0.0 if child_state == "pure" else gap_mb - prefix_mb
+    join = 50.0
+    now = join + draw(st.floats(-60.0, gap + length + 60.0))
+    child = patch_child(
+        rate=vb * draw(st.floats(0.0, 3.0)),
+        last_sync=now - draw(st.floats(-30.0, 120.0)),  # mostly before now
+    )
+    child.bytes_sent = patch_mb * draw(st.floats(0.0, 1.0))
+    if child_state == "finished":
+        child.bytes_sent = patch_mb
+        child.mark_finished(child.last_sync)
+    elif child_state == "dropped":
+        child.mark_dropped(child.last_sync)
+    video = Video(video_id=0, length=length, view_bandwidth=vb)
+    chain = ChainedSession(
+        child, SimpleNamespace(playback_start=join - gap), video, join,
+        ChainPlan(gap, gap_mb, prefix_mb, patch_mb),
+    )
+    if draw(st.booleans()):
+        chain.severed_at = join + draw(st.floats(0.0, gap + length))
+    return chain, now
+
+
 class TestChainedSessionCurves:
+    @settings(max_examples=400, deadline=None)
+    @given(chain_states())
+    def test_margin_equals_the_reference_bit_for_bit(self, drawn):
+        """The one-frame margin takes the reference curves' float
+        operations in their order: equal values, down to a zero's sign."""
+        chain, now = drawn
+        fused, reference = chain.margin(now), reference_margin(chain, now)
+        assert fused == reference
+        assert math.copysign(1.0, fused) == math.copysign(1.0, reference)
+
     def test_pure_chain_margin_nonnegative_everywhere(self):
         chain = pure_chain()
         for t in np.linspace(10.0, 110.0, 200):
@@ -333,19 +413,19 @@ class TestChainedSessionCurves:
     def test_prefix_phase_tracks_playout_exactly(self):
         chain = pure_chain(gap=10.0, vb=2.0, join=10.0)
         # mid-prefix: delivered = played = vb * elapsed
-        assert chain.contiguous_delivered(15.0) == pytest.approx(10.0)
+        assert reference_contiguous(chain, 15.0) == pytest.approx(10.0)
         assert chain.margin(15.0) == pytest.approx(0.0)
 
     def test_feed_phase_runs_gap_ahead(self):
         chain = pure_chain(gap=10.0, vb=2.0, join=10.0)
         # prefix drained at t=20; feed frontier is the parent playout
-        assert chain.contiguous_delivered(20.0) == pytest.approx(40.0)
+        assert reference_contiguous(chain, 20.0) == pytest.approx(40.0)
         assert chain.margin(20.0) == pytest.approx(20.0)  # vb * gap
 
     def test_delivery_end_is_parent_playout_end(self):
         chain = pure_chain(gap=10.0, vb=2.0, length=100.0, join=10.0)
         assert chain.delivery_end == pytest.approx(100.0)
-        assert chain.contiguous_delivered(100.0) == pytest.approx(200.0)
+        assert reference_contiguous(chain, 100.0) == pytest.approx(200.0)
 
     def test_severed_feed_freezes_and_eventually_underruns(self):
         # Why the tier severs (and stops checking) dropped chains: the
@@ -363,10 +443,10 @@ class TestChainedSessionCurves:
             child, parent, video, 10.0, ChainPlan(10.0, 20.0, 5.0, 15.0)
         )
         # t=12: still draining the 5 Mb prefix (2 Mb/s from t=10)
-        assert chain.contiguous_delivered(12.0) == pytest.approx(4.0)
+        assert reference_contiguous(chain, 12.0) == pytest.approx(4.0)
         # t=13: prefix drained; patch projected at rate 5 from last_sync
         # has its full 15 Mb, so the feed frontier takes over
-        assert chain.contiguous_delivered(13.0) == pytest.approx(26.0)
+        assert reference_contiguous(chain, 13.0) == pytest.approx(26.0)
         assert chain.margin(13.0) == pytest.approx(20.0)
 
     @settings(max_examples=60, deadline=None)
@@ -403,7 +483,6 @@ class TestChainedSessionCurves:
 
 class TestTierEndToEnd:
     def test_warming_fills_cache_through_engine(self, tmp_path):
-        reset_request_ids()
         tracer = Tracer(capacity=100_000)
         policy = PrefixPolicy(capacity_mb=60_000.0, prefix_seconds=60.0,
                               window_seconds=120.0)
@@ -449,7 +528,6 @@ class TestTierEndToEnd:
 
             tier._commit = commit
 
-        reset_request_ids()
         config = prefix_config(policy, invariants=True)
         result = Simulation(config, stage_hooks={"prefix": grab}).run()
         assert result.chained > 0
@@ -472,7 +550,7 @@ class TestTierEndToEnd:
             capacity_mb=60_000.0, prefix_seconds=60.0,
             window_seconds=180.0,
         )
-        result = run_fresh(prefix_config(policy, invariants=True))
+        result = Simulation(prefix_config(policy, invariants=True)).run()
         assert result.chained > 0
         assert result.patched > 0           # gaps beyond the prefix
         assert result.chain_underruns == 0
@@ -489,7 +567,6 @@ class TestTierEndToEnd:
         policy = PrefixPolicy(
             strategy="none", batching="patch", window_seconds=180.0,
         )
-        reset_request_ids()
         sim = Simulation(prefix_config(
             policy, migration=MigrationPolicy.disabled(),
         ))
@@ -525,9 +602,9 @@ class TestTierEndToEnd:
             capacity_mb=5_000.0, prefix_seconds=30.0,
             window_seconds=45.0,
         )
-        result = run_fresh(prefix_config(
+        result = Simulation(prefix_config(
             policy, load=1.8, invariants=True,
-        ))
+        )).run()
         assert result.chained > 0
         assert result.migrations > 0
         assert result.chain_underruns == 0
@@ -546,7 +623,7 @@ class TestTierEndToEnd:
                 crash=CrashFaults(mtbf=hours(0.4), mttr=hours(0.1)),
             ),
         )
-        result = run_fresh(config)
+        result = Simulation(config).run()
         assert result.faults_injected > 0
         assert result.chained > 0
         assert result.chain_underruns == 0   # severed chains don't count
@@ -564,7 +641,6 @@ class TestTierEndToEnd:
             strategy="popularity", batching="window", window_seconds=120.0,
         )
         tracer = Tracer()
-        reset_request_ids()
         sim = Simulation(prefix_config(
             policy, migration=MigrationPolicy.disabled(),
             retry=RetryPolicy(base_delay=30.0),
@@ -628,7 +704,6 @@ class TestTierEndToEnd:
         policy = PrefixPolicy(
             strategy="none", batching="patch", window_seconds=180.0,
         )
-        reset_request_ids()
         sim = Simulation(prefix_config(
             policy, migration=MigrationPolicy.disabled(),
             retry=RetryPolicy(base_delay=30.0),
@@ -682,13 +757,13 @@ class TestTierEndToEnd:
             capacity_mb=60_000.0, prefix_seconds=90.0,
             window_seconds=180.0,
         )
-        result = run_fresh(prefix_config(
+        result = Simulation(prefix_config(
             policy, theta=-0.5, load=1.3, invariants=True,
             retry=RetryPolicy(),
             faults=FaultPlan(
                 crash=CrashFaults(mtbf=hours(0.4), mttr=hours(0.1)),
             ),
-        ))
+        )).run()
         assert result.faults_injected > 0
         assert result.chained > 0
         assert result.dropped > 0
@@ -703,8 +778,8 @@ class TestTierEndToEnd:
             window_seconds=180.0,
         )
         config = prefix_config(policy)
-        res_a = run_fresh(config)
-        res_b = run_fresh(config)
+        res_a = Simulation(config).run()
+        res_b = Simulation(config).run()
         assert res_a == res_b  # provenance excluded from dataclass eq
         assert res_a.chained == res_b.chained > 0
 
@@ -713,8 +788,8 @@ class TestTierEndToEnd:
         # with and without it is the same, or the capacity figure would
         # compare different experiments.
         config = prefix_config(PrefixPolicy(batching="window"))
-        with_tier = run_fresh(config)
-        without = run_fresh(dataclasses.replace(config, prefix=None))
+        with_tier = Simulation(config).run()
+        without = Simulation(dataclasses.replace(config, prefix=None)).run()
         assert with_tier.arrivals == without.arrivals
 
     @settings(max_examples=6, deadline=None)
@@ -741,7 +816,7 @@ class TestTierEndToEnd:
             duration=hours(1), warmup=0.0, load=1.3,
             invariants=True,   # strict: an underrun raises
         )
-        result = run_fresh(config)
+        result = Simulation(config).run()
         assert result.chain_underruns == 0
 
 
@@ -753,8 +828,8 @@ class TestCapacityFigure:
         config = scenario.config
         assert config.load >= 1.0
         assert config.prefix is not None
-        with_tier = run_fresh(config)
-        baseline = run_fresh(dataclasses.replace(config, prefix=None))
+        with_tier = Simulation(config).run()
+        baseline = Simulation(dataclasses.replace(config, prefix=None)).run()
         assert with_tier.rejection_ratio < baseline.rejection_ratio
         assert with_tier.chained > 0
         assert with_tier.chain_underruns == 0
@@ -762,7 +837,7 @@ class TestCapacityFigure:
     def test_committed_window_scenario_runs_clean(self):
         scenario = load_scenario(WINDOW_SCENARIO)
         config = dataclasses.replace(scenario.config, invariants=True)
-        result = run_fresh(config)
+        result = Simulation(config).run()
         assert result.chained > 0
         assert result.patched == 0
         assert result.chain_underruns == 0
@@ -773,7 +848,6 @@ class TestCapacityFigure:
         # id goes once its chain finishes or its pure child is dropped:
         # at the end of a committed run the tier keeps only what a
         # later event can still read.
-        reset_request_ids()
         sim = Simulation(load_scenario(path).config)
         sim.run()
         tier = sim.prefix_tier
@@ -802,7 +876,7 @@ class TestCapacityFigure:
         from repro.experiments.prefix import result_row
 
         scenario = load_scenario(WINDOW_SCENARIO)
-        row = result_row(run_fresh(scenario.config))
+        row = result_row(Simulation(scenario.config).run())
         json.dumps(row)  # digestable
         assert {"rejection_ratio", "chained", "chain_underruns"} <= set(row)
 
@@ -829,7 +903,6 @@ def one_parent_sim(invariants=False):
     streams run at exactly the view bandwidth (the client ingest cap),
     so a 40 s gap's patch merges 80 s in, after the parent's playout
     has ended at 60 s."""
-    reset_request_ids()
     policy = PrefixPolicy(strategy="none", batching="patch",
                           window_seconds=50.0)
     sim = Simulation(prefix_config(
@@ -846,7 +919,6 @@ class TestPerParentFinish:
     end, so the tier finishes them all in one engine event."""
 
     def test_one_event_per_parent_on_the_committed_scenario(self):
-        reset_request_ids()
         sim = Simulation(load_scenario(OVERLOAD_SCENARIO).config)
         tier = sim.prefix_tier
         chains = []
@@ -948,7 +1020,6 @@ class TestOpsSurface:
         from repro.serve import ClusterGateway, ServeConfig
         from repro.serve.telemetry import snapshot
 
-        reset_request_ids()
         config = prefix_config(PrefixPolicy(batching="none"))
         gateway = ClusterGateway(config, ServeConfig(port=0))
         stats = snapshot(gateway)["cache"]
@@ -960,7 +1031,6 @@ class TestOpsSurface:
         from repro.serve import ClusterGateway, ServeConfig
         from repro.serve.telemetry import snapshot
 
-        reset_request_ids()
         gateway = ClusterGateway(prefix_config(None), ServeConfig(port=0))
         assert snapshot(gateway)["cache"] is None
 
@@ -981,7 +1051,6 @@ class TestOpsSurface:
         assert "2 live / 9 total" in frame
 
     def test_tier_stats_shape(self):
-        reset_request_ids()
         sim = Simulation(prefix_config(PrefixPolicy()))
         stats = sim.prefix_tier.stats()
         assert stats["strategy"] == "popularity"

@@ -696,7 +696,6 @@ class TestCompressionInvariance:
         config = scenario.config
         reference = PolicyBridge(config)
         trace = arrival_trace(reference, max_sessions=25)
-        # Replayed before another build restarts the request ids.
         replayed = decisions_digest(reference.replay(trace))
 
         async def run_at(compression):

@@ -301,6 +301,26 @@ class TestOneArrivalPath:
         )
 
 
+class TestRequestIdsPerSimulation:
+    def test_a_build_run_after_another_decides_as_a_fresh_one(self):
+        """Each simulation numbers its own requests, so how builds and
+        runs interleave in one process cannot move a run's ids (they key
+        retry jitter and the decision digest): build A, build B, run B,
+        run A, and A decides as a fresh build does."""
+        from repro.scenario import load_scenario
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        config = load_scenario(root / "scenarios/serve_loopback.json").config
+        fresh = PolicyBridge(config)
+        fresh_result = fresh.run()
+        first, second = PolicyBridge(config), PolicyBridge(config)
+        second.run()
+        assert first.run() == fresh_result
+        assert decisions_digest(first.decisions) == decisions_digest(
+            fresh.decisions
+        )
+
+
 def bridge_left_to_gc():
     """``repro`` objects left to the cyclic collector by a
     :class:`PolicyBridge` that replayed ``serve_loopback``'s trace and
