@@ -84,7 +84,7 @@ class SimulationMetrics:
 
     #: Always 0 — every allocator is minimum-flow, so nothing writes it.
     #: It, ``SimulationResult.underruns`` and the bridge's ``"underruns"``
-    #: key stay only because ``bench/`` and ``repro verify`` read them.
+    #: key stay only because ``bench/`` reads them.
     underruns: int = 0
 
     #: Graceful-degradation accounting (``repro.faults.retry``): every

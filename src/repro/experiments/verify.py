@@ -28,12 +28,12 @@ The report is one JSON object; any entry in its ``failures`` exits 1.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
 
-from repro.experiments.prefix import baseline_config, result_row
 from repro.experiments.registry import ExperimentSpec, Progress, register
 from repro.faults.invariants import InvariantViolation
 from repro.faults.retry import RetryPolicy
@@ -102,6 +102,26 @@ def plan(config: SimulationConfig) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # The two legs
 # ----------------------------------------------------------------------
+def result_row(result) -> Dict[str, Any]:
+    """The deterministic slice of one run's results (JSON-ready)."""
+    return {
+        "arrivals": result.arrivals,
+        "accepted": result.accepted,
+        "rejected": result.rejected,
+        "rejection_ratio": round(result.rejection_ratio, 9),
+        "finished": result.finished,
+        "dropped": result.dropped,
+        "chained": result.chained,
+        "patched": result.patched,
+        "cache_hits": result.cache_hits,
+        "cache_misses": result.cache_misses,
+        "cache_hit_rate": round(result.cache_hit_rate, 9),
+        "cache_megabits": round(result.cache_megabits, 6),
+        "chain_underruns": result.chain_underruns,
+        "megabits_sent": round(result.megabits_sent, 6),
+    }
+
+
 def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
     """The virtual leg: two same-seed simulations, the first recording
     its decisions (the live leg's reference)."""
@@ -125,7 +145,9 @@ def run_virtual(config: SimulationConfig) -> Dict[str, Any]:
             "streams_drained": scaler.streams_drained,
         }
     if config.prefix is not None:
-        leg["baseline"] = result_row(run_simulation(baseline_config(config)))
+        leg["baseline"] = result_row(
+            run_simulation(dataclasses.replace(config, prefix=None))
+        )
     return leg
 
 

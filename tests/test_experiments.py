@@ -250,7 +250,7 @@ class TestRegisteredFigures:
     def test_the_helper_covers_the_sweep_figures(self):
         assert {spec.name for spec in _helper_registered()} == {
             "fig4", "fig5", "fig7", "partial", "ablation", "replication",
-            "vcr", "mix", "svbr", "het", "availability",
+            "vcr", "mix", "svbr", "het", "availability", "prefix",
         }
 
     @pytest.mark.parametrize(

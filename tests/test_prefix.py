@@ -864,16 +864,37 @@ class TestCapacityFigure:
             for p in tier._finishing
         )
 
-    def test_experiment_baseline_strips_only_the_tier(self):
-        from repro.experiments.prefix import baseline_config
+    def test_experiment_baseline_strips_only_the_tier(self, monkeypatch):
+        # The gate's capacity comparison: after the same-seed rerun,
+        # the same config with the tier off.
+        from repro.experiments import verify
 
-        scenario = load_scenario(OVERLOAD_SCENARIO)
-        stripped = baseline_config(scenario.config)
-        assert stripped.prefix is None
-        assert stripped == dataclasses.replace(scenario.config, prefix=None)
+        config = load_scenario(OVERLOAD_SCENARIO).config
+        ran = []
+
+        def run_simulation(config):
+            ran.append(config)
+            return Simulation(config).run()
+
+        monkeypatch.setattr(verify, "run_simulation", run_simulation)
+        leg = verify.run_virtual(config)
+        assert ran == [config, dataclasses.replace(config, prefix=None)]
+        assert leg["baseline"]["chained"] == 0
+        assert leg["baseline"]["rejected"] > leg["result"]["rejected"]
+
+    def test_figure_base_is_the_committed_scenario(self):
+        # The figure declares its base in code; it must stay the config
+        # the gate runs, bar what the sweep sets per cell.
+        from repro.experiments.prefix import BASE
+
+        committed = load_scenario(OVERLOAD_SCENARIO).config
+        assert dataclasses.replace(
+            committed, duration=BASE.duration, warmup=BASE.warmup,
+            seed=BASE.seed,
+        ) == BASE
 
     def test_result_row_is_json_stable(self):
-        from repro.experiments.prefix import result_row
+        from repro.experiments.verify import result_row
 
         scenario = load_scenario(WINDOW_SCENARIO)
         row = result_row(Simulation(scenario.config).run())

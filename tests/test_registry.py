@@ -979,10 +979,11 @@ def _reach(_workloads, tmp_path_factory):
     entered while each workload we run runs — the figure cells
     (recorded by ``_workloads``), :func:`_capped_runs` under the
     invariant checker, the examples (:func:`_examples`), four cheap CLI
-    verbs, and two ``verify`` runs with live legs on the loop clock:
+    verbs, two ``verify`` runs with live legs on the loop clock —
     ``serve_loopback``, scraped by every ``repro ops`` verb and ``repro
     top`` source (:func:`_scrape`), and ``chaos_serve``, the chaos
-    plane — and the rest of what :func:`_capped_runs` returns, by name
+    plane — and the virtual-only ``verify`` of ``prefix_zipf_overload``,
+    the prefix check — and the rest of what :func:`_capped_runs` returns, by name
     (``left``, ``digests``, ``retraced``).  The capped runs and the
     examples go to child processes (this file run as a script) while
     the verify runs go here."""
@@ -1035,6 +1036,9 @@ def _reach(_workloads, tmp_path_factory):
             gate.verify(
                 load_scenario(root / "scenarios/chaos_serve.json"),
                 postmortem=scratch / "chaos_postmortem.jsonl",
+            )
+            gate.verify(
+                load_scenario(root / "scenarios/prefix_zipf_overload.json")
             )
             seen["tracer"].export_jsonl(scratch / "serve.jsonl")
             assert main(["top", "--trace", str(scratch / "serve.jsonl")]) == 0
@@ -1117,13 +1121,9 @@ _ALL = (
     "the test draws the figures without writing them"
 )
 _TRACE = "the `repro trace` verb (tests/test_cli.py); `run --trace-out` streams instead"
-_PREFIX = (
-    "`repro prefix`, the one figure that is not a registered grid "
-    "(ROADMAP item 2(c); tests/test_prefix.py)"
-)
 _VERIFY = (
-    "a `repro verify` check for an elastic / prefix block; neither of "
-    "the test's verify legs has one (CI verify; tests/test_verify.py)"
+    "the `repro verify` check for an elastic block; none of the test's "
+    "verify runs has one (CI verify; tests/test_verify.py)"
 )
 _TRIALS = (
     "a cell with two or more trials (--scale >= 0.005, "
@@ -1142,9 +1142,10 @@ class TestEveryFunctionIsReached:
     """Code no workload runs is a defect (ROADMAP): every ``def`` in
     ``src/repro`` is entered while the figures with claims, the
     committed scenarios, the ledger configs, the examples, four cheap
-    CLI verbs and the live ``verify`` legs of ``serve_loopback`` and
-    ``chaos_serve`` run — the first scraped by every ``repro ops`` verb
-    and both ``repro top`` sources — or it is
+    CLI verbs, the live ``verify`` legs of ``serve_loopback`` and
+    ``chaos_serve`` — the first scraped by every ``repro ops`` verb
+    and both ``repro top`` sources — and ``prefix_zipf_overload``'s
+    ``verify`` run, or it is
     exempt by rule (dunders, ``Protocol`` / abstract stubs, names
     ``bench/*.py`` uses), or it has a row here with its reason."""
 
@@ -1193,11 +1194,6 @@ class TestEveryFunctionIsReached:
         "experiments/live_serve.py::_cmd_loadgen": _PROCESS,
         "experiments/live_serve.py::_cmd_serve": _PROCESS,
         "experiments/live_serve.py::_serve_async": _PROCESS,
-        "experiments/prefix.py::_floats": _PREFIX,
-        "experiments/prefix.py::baseline_config": _PREFIX,
-        "experiments/prefix.py::render_figure": _PREFIX,
-        "experiments/prefix.py::run_prefix_cli": _PREFIX,
-        "experiments/prefix.py::run_report": _PREFIX,
         "experiments/registry.py::register_figure": _IMPORT,
         "experiments/registry.py::register_figure.run_cli":
             "a figure verb (`repro fig4` ...); the test draws the figures "
@@ -1205,7 +1201,6 @@ class TestEveryFunctionIsReached:
         "experiments/registry.py::register_figure.trace_config": _TRACE,
         "experiments/registry.py::register_table": _IMPORT,
         "experiments/verify.py::_check_elastic": _VERIFY,
-        "experiments/verify.py::_check_prefix": _VERIFY,
         "experiments/verify.py::run_verify_cli":
             "the `repro verify` verb; the test calls verify() itself "
             "(CI verify)",

@@ -461,7 +461,6 @@ class TestGoldenScenario:
         ["serve", "--scenario"],
         ["loadgen", "--port", "1", "--scenario"],
         ["verify"],
-        ["prefix"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("content, fragment", [
         (None, "cannot read scenario"),

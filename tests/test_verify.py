@@ -135,6 +135,19 @@ class TestCommittedScenarios:
         # Resilient clients re-request; the replay has no such arrivals.
         assert digests["live"][0] != digests["virtual"]
 
+    def test_fault_runs_account_for_every_kill(self, clean):
+        # What the faults check leaves out: every live kill dumped a
+        # postmortem, every affected session is accounted, and the
+        # chaos decisions replay, not just the admission decisions.
+        runs = clean("chaos_serve")["live"]
+        for run in runs:
+            assert run["postmortem_dumps"] >= run["chaos"]["live_kills"]
+            assert Path(run["postmortem"]).exists()
+            recon = run["reconciliation"]
+            assert recon["affected"] == recon["accounted"]
+        first, second = ([f["t"] for f in run["chaos"]["failures"]] for run in runs)
+        assert first == second
+
 
 def _set(path, value):
     """A doctoring step: report[path[0]][path[1]]... = value."""
