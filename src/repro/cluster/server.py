@@ -55,6 +55,9 @@ class DataServer:
         moved: every other active stream — the ones the next allocator
             pass visits (newly attached, lifted by a trigger, boosted,
             in a switch gap or VCR-paused).
+        walls: the playing streams the last allocator pass found at
+            their buffer wall while still boosted by the pass before
+            (Section 3.3's "buffer full" trigger), in visit order.
         up: False while the server has failed.
         accepting: False while membership keeps the server out of
             admission (joining/warming/draining); streams already here
@@ -110,6 +113,7 @@ class DataServer:
         self.floor: List[Candidate] = []
         self.floor_candidates: List[Candidate] = []
         self.moved: List[Request] = []
+        self.walls: List[Request] = []
         self.attaches = 0
         self.gap_until = 0.0
         self.drm_certificate: Optional[object] = None

@@ -59,7 +59,8 @@ EPS_RATE: float = 1e-9
 #: integrating to ``now``; the server's next boundary (``inf`` if none);
 #: and the streams that finished, in active-list order (the manager
 #: detaches them).  The *irregular* streams — switch-gap, VCR-paused,
-#: boosted — are left in ``server.moved``.
+#: boosted — are left in ``server.moved``, and the boosted streams found
+#: at their buffer wall in ``server.walls``.
 PassResult = Tuple[float, float, Sequence[Request]]
 
 #: A policy's hand-out: (candidate, extra rate) pairs, each extra > 0.
@@ -109,8 +110,13 @@ class BandwidthAllocator(abc.ABC):
 
         *requests* are the server's streams outside its floor order
         (:attr:`DataServer.moved`); the pass leaves ``server.moved`` as
-        the irregular streams.  The boundary is the earlier of the floor
-        order's head and the irregular streams' walls at their new rates.
+        the irregular streams, and ``server.walls`` as the playing
+        streams it found at their buffer wall still boosted by the last
+        pass (Section 3.3's "buffer full" trigger: every stream is
+        attached at rate 0, so a rate above ``b_view + EPS_RATE`` on
+        entry is that pass's boost).  The boundary is the earlier of the
+        floor order's head and the irregular streams' walls at their new
+        rates.
 
         Guarantees (enforced here, not in subclasses):
         * a stream with ``remaining <= EPS_MB`` is returned as finished,
@@ -133,6 +139,7 @@ class BandwidthAllocator(abc.ABC):
         finished: List[Request] = []
         settling: List[Candidate] = []  # playing at b_view unless boosted
         visited: List[Candidate] = []
+        walls: List[Request] = []
         for r in requests:
             # Inline of Request.sync (transfer reported once, by the
             # caller, as `moved`).
@@ -175,17 +182,22 @@ class BandwidthAllocator(abc.ABC):
             ) > EPS_MB
             if not playing:
                 irregular.append(r)
-                if not roomy:
-                    # Viewer hit pause (VCR) and the staging buffer
-                    # cannot absorb more: nothing drains, so the floor
-                    # is exempt — pumping on would overflow the client.
-                    r.rate = 0.0
-                    idle += vb
-                    continue
-            r.rate = vb
-            extra_cap = client.receive_bandwidth - vb
-            if not (roomy and extra_cap > EPS_RATE):
+            if roomy:
+                extra_cap = client.receive_bandwidth - vb
+                if not extra_cap > EPS_RATE:
+                    extra_cap = 0.0
+            elif not playing:
+                # Viewer hit pause (VCR) and the staging buffer cannot
+                # absorb more: nothing drains, so the floor is exempt —
+                # pumping on would overflow the client.
+                r.rate = 0.0
+                idle += vb
+                continue
+            else:
+                if r.rate > vb + EPS_RATE:
+                    walls.append(r)  # the boost ran into the wall
                 extra_cap = 0.0
+            r.rate = vb
             entry = (now + remaining / vb, r.request_id, r, extra_cap)
             if extra_cap:
                 visited.append(entry)
@@ -235,6 +247,7 @@ class BandwidthAllocator(abc.ABC):
             else:
                 irregular.append(r)
         server.moved = irregular
+        server.walls = walls
         # The general wall rule, for the streams the floor order's head
         # does not cover (inlines ``Request.buffer_occupancy``, kept
         # equivalent by tests).

@@ -24,10 +24,10 @@ lazily and rescheduled.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.analysis.metrics import MetricsSink
-from repro.cluster.request import EPS_MB, Request
+from repro.cluster.request import Request
 from repro.cluster.server import DataServer
 from repro.core.schedulers import EPS_RATE, BandwidthAllocator
 from repro.obs.records import TraceKind
@@ -47,8 +47,9 @@ class TransmissionManager:
         on_finish: callback invoked when a stream completes transmission
             (after it has been detached from the server).
         tracer: optional obs tracer for ``stream.buffer_full`` and
-            ``sched.realloc`` records (it re-reads only the streams off
-            their floor, never the whole server).
+            ``sched.realloc`` records (read off ``server.walls`` and
+            ``server.moved`` as the allocator pass left them, never the
+            whole server).
     """
 
     def __init__(
@@ -67,10 +68,6 @@ class TransmissionManager:
         self.on_finish = on_finish
         self.tracer = tracer
         self._event: Optional[Event] = None
-        #: Streams the last pass left above ``b_view`` — the only ones
-        #: that can hit a buffer wall before the next pass (kept while
-        #: tracing only).
-        self._boosted: List[Request] = []
         #: True while finish callbacks run (re-entrancy guard).
         self._finishing = False
         self.reallocations = 0
@@ -161,10 +158,17 @@ class TransmissionManager:
             self.metrics.record_bytes(server.server_id, moved, now)
         tracer = self.tracer
         if tracer is not None:
-            if self._boosted:
-                self._trace_full_buffers(now)
-            self._boosted = [r for r in server.moved
-                             if r.rate > r.view_bandwidth + EPS_RATE]
+            walls = server.walls
+            if len(walls) > 1:  # simultaneous walls go out in active-list order
+                position = {rid: i for i, rid in enumerate(server.active)}
+                walls.sort(key=lambda r: position[r.request_id])
+            for r in walls:
+                tracer.emit(
+                    TraceKind.STREAM_BUFFER_FULL, now,
+                    request=r.request_id, server=server.server_id,
+                )
+            boosted = sum(1 for r in server.moved
+                          if r.rate > r.view_bandwidth + EPS_RATE)
         if finished:
             self._finishing = True
             try:
@@ -179,7 +183,7 @@ class TransmissionManager:
             tracer.emit(
                 TraceKind.SCHED_REALLOC, now,
                 server=server.server_id, allocator=self.allocator.name,
-                streams=len(server.active), boosted=len(self._boosted),
+                streams=len(server.active), boosted=boosted,
             )
         if boundary < now:
             boundary = now
@@ -198,30 +202,6 @@ class TransmissionManager:
         """Finish, buffer-full or pause-end: the pass sees which."""
         self._event = None
         self.reallocate(self.engine.now)
-
-    def _trace_full_buffers(self, now: float) -> None:
-        """Emit ``stream.buffer_full`` for the streams the previous pass
-        left boosted whose clients just ran out of headroom — the wall
-        that pass scheduled this boundary for.  Only those few are
-        re-checked (integrated by now); none is visited just to trace."""
-        active = self.server.active
-        full = [
-            r for r in self._boosted
-            if now < r.playback_pause_time  # a paused viewer cannot fill
-            and r.size - r.bytes_sent > EPS_MB  # finishing, not filling
-            and r.request_id in active  # not migrated or shed since
-            and r.client.buffer_capacity - (
-                r.bytes_sent - (now - r.playback_start) * r.view_bandwidth
-            ) <= EPS_MB
-        ]
-        if len(full) > 1:  # simultaneous walls go out in active-list order
-            position = {rid: i for i, rid in enumerate(active)}
-            full.sort(key=lambda r: position[r.request_id])
-        for r in full:
-            self.tracer.emit(
-                TraceKind.STREAM_BUFFER_FULL, now,
-                request=r.request_id, server=self.server.server_id,
-            )
 
     # ------------------------------------------------------------------
     # End of run

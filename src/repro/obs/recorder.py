@@ -128,8 +128,10 @@ class FlightRecorder:
 
         With an asyncio *loop* the handler runs as a loop callback
         (``loop.add_signal_handler``); otherwise a plain
-        :func:`signal.signal` handler is used.  Returns False on
-        platforms without the signal (Windows) instead of raising.
+        :func:`signal.signal` handler is used, which can land inside
+        :meth:`Tracer.emit` (see :class:`Tracer`), so pass the loop that
+        emits when there is one.  Returns False on platforms without the
+        signal (Windows) instead of raising.
         """
         if signum is None:
             signum = getattr(signal, "SIGUSR2", None)

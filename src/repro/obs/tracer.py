@@ -1,16 +1,22 @@
 """The Tracer: a bounded ring of typed records with JSONL export.
 
-Design constraints (from the tentpole):
+Design constraints:
 
-* **bounded memory** — records land in a ``deque(maxlen=capacity)``;
-  long runs keep the most recent window.  Per-kind *counts* are kept
+* **bounded memory** — the ring is three parallel
+  ``deque(maxlen=capacity)`` columns (times, kinds, field dicts); long
+  runs keep the most recent window.  Per-kind *counts* are kept
   separately and are exact over the whole run even after the ring
   wraps.
 * **cheap when off** — instrumentation sites hold an
   ``Optional[Tracer]`` and guard with one ``is None`` check; no record
   objects are built unless a tracer is attached.
-* **cheap when on** — ``emit`` builds one small object and appends to
-  a deque; no formatting happens until export.
+* **cheap when on** — ``emit`` appends to the three columns and builds
+  no object of its own: the keyword dict it is handed holds atomic
+  values, which the cyclic collector does not track, so a full ring
+  does not drive collections.  :class:`TraceRecord` objects are built
+  only when the ring is read (:meth:`Tracer.records`,
+  :meth:`Tracer.records_of`, :meth:`Tracer.export_jsonl`), and no
+  formatting happens until export.
 
 Example:
     >>> from repro.obs import TraceKind, Tracer
@@ -39,7 +45,12 @@ DEFAULT_CAPACITY = 200_000
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects into a bounded ring buffer.
+    """Collects trace records into a bounded ring buffer, read back as
+    :class:`TraceRecord` objects.
+
+    ``emit`` appends to the three columns one after another, so read the
+    ring between emissions: a reader that interrupts ``emit`` on a full
+    ring (a plain signal handler) would pair neighbouring records.
 
     Args:
         capacity: maximum records retained (oldest evicted first).
@@ -49,50 +60,60 @@ class Tracer:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._ring: deque = deque(maxlen=self.capacity)
+        # The ring, one column per record attribute; the three always
+        # hold the same records.
+        self._times: deque = deque(maxlen=self.capacity)
+        self._kinds: deque = deque(maxlen=self.capacity)
+        self._fields: deque = deque(maxlen=self.capacity)
         #: Exact per-kind emission counts (never truncated by the ring).
         self.counts: Dict[TraceKind, int] = {}
-        self._emitted = 0
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def emit(self, kind: TraceKind, time: float, **fields: Any) -> None:
         """Record one event at simulation *time*."""
-        self._ring.append(TraceRecord(time, kind, fields))
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self._emitted += 1
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._fields.append(fields)
+        counts = self.counts
+        counts[kind] = counts.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Records currently in the ring (<= capacity)."""
-        return len(self._ring)
+        return len(self._times)
 
     @property
     def emitted(self) -> int:
         """Total records emitted over the tracer's lifetime."""
-        return self._emitted
+        return sum(self.counts.values())
 
     @property
     def dropped(self) -> int:
         """Records evicted by the ring bound."""
-        return self._emitted - len(self._ring)
+        return self.emitted - len(self._times)
 
     def records(self) -> Iterator[TraceRecord]:
         """Yield retained records oldest-first."""
-        return iter(self._ring)
+        return map(TraceRecord, self._times, self._kinds, self._fields)
 
     def records_of(self, kind: TraceKind) -> List[TraceRecord]:
         """Retained records of one kind, oldest-first."""
-        return [r for r in self._ring if r.kind is kind]
+        return [
+            TraceRecord(time, k, fields)
+            for time, k, fields in zip(self._times, self._kinds, self._fields)
+            if k is kind
+        ]
 
     def clear(self) -> None:
         """Drop retained records and zero the counts (warmup reset)."""
-        self._ring.clear()
+        self._times.clear()
+        self._kinds.clear()
+        self._fields.clear()
         self.counts = {}
-        self._emitted = 0
 
     # ------------------------------------------------------------------
     # Export
@@ -120,14 +141,14 @@ class Tracer:
                     TraceKind.RUN_META,
                     {
                         "provenance": provenance,
-                        "records": len(self._ring),
-                        "emitted": self._emitted,
+                        "records": len(self),
+                        "emitted": self.emitted,
                         "dropped": self.dropped,
                     },
                 )
                 fh.write(meta.to_json() + "\n")
                 lines += 1
-            for record in self._ring:
+            for record in self.records():
                 fh.write(record.to_json() + "\n")
                 lines += 1
         return lines
@@ -141,14 +162,14 @@ class Tracer:
         for kind in sorted(self.counts, key=lambda k: k.value):
             lines.append(f"{kind.value:<{width}}  {self.counts[kind]}")
         lines.append(
-            f"({self._emitted} emitted, {len(self._ring)} retained, "
+            f"({self.emitted} emitted, {len(self)} retained, "
             f"{self.dropped} evicted by ring bound {self.capacity})"
         )
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Tracer emitted={self._emitted} retained={len(self._ring)} "
+            f"<Tracer emitted={self.emitted} retained={len(self)} "
             f"capacity={self.capacity}>"
         )
 

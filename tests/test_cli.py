@@ -277,13 +277,24 @@ class TestListCommand:
                 assert name in out
 
     def test_list_includes_help_strings(self, capsys):
-        assert main(["list"]) == 0
+        from repro.experiments.registry import ExperimentSpec, register
+
+        with scratch_registry(EXPERIMENTS):
+            register(ExperimentSpec(
+                name="percent-exp", help="overload at 140% of capacity",
+                run_cli=lambda args, progress: 0, bare=True,
+            ))
+            assert main(["list"]) == 0
         out = capsys.readouterr().out
         # Spot-check: help text rides along with the names.
         assert "serve" in out
         assert "loadgen" in out
-        # Stored plain, not escaped for argparse.
-        assert "(>=100%) offered load" in out and "%%" not in out
+        # Stored plain, not escaped for argparse (the parser `main`
+        # built escaped its own copy).
+        lines = [line.split() for line in out.splitlines()]
+        assert ["percent-exp", "overload", "at", "140%", "of",
+                "capacity"] in lines
+        assert "%%" not in out
 
     def test_list_help_is_single_line_per_entry(self, capsys):
         assert main(["list"]) == 0

@@ -63,6 +63,34 @@ class TestTracer:
         assert tr.counts[TraceKind.REQUEST_ARRIVE] == 10
         assert [r.fields["request"] for r in tr.records()] == [7, 8, 9]
 
+    def test_flat_ring_reads_back_as_a_ring_of_records(self):
+        # The ring is three columns; read back it must be what a deque
+        # of whole records would hold, across a wrap.
+        from collections import deque
+
+        kinds = [TraceKind.REQUEST_ARRIVE, TraceKind.REQUEST_ADMIT,
+                 TraceKind.SCHED_REALLOC]
+        tr, ring, counts = Tracer(capacity=3), deque(maxlen=3), {}
+        for i in range(8):
+            kind, fields = kinds[i % 3 if i < 5 else 0], {"request": i}
+            tr.emit(kind, float(i), **fields)
+            ring.append((float(i), kind, fields))
+            counts[kind] = counts.get(kind, 0) + 1
+
+            def rows(records):
+                return [(r.time, r.kind, r.fields) for r in records]
+
+            assert rows(tr.records()) == list(ring)
+            for kind in kinds:
+                assert rows(tr.records_of(kind)) == [
+                    row for row in ring if row[1] is kind
+                ]
+            assert tr.counts == counts
+            assert (len(tr), tr.emitted, tr.dropped) == (
+                len(ring), i + 1, i + 1 - len(ring)
+            )
+        assert tr.dropped == 5
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)

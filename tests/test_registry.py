@@ -848,21 +848,41 @@ def _result_digest(result):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _trace_digest(tracer, scratch):
+    """Digest of the JSONL *tracer* exports, ``run.meta`` left out.  The
+    export runs with :func:`_entering`'s profile paused: under it, it
+    added about 5 s to the capped runs, and ``_reach`` enters the export
+    path in its own traced runs."""
+    path = pathlib.Path(scratch) / "trace.jsonl"
+    previous = sys.getprofile()
+    sys.setprofile(None)
+    try:
+        tracer.export_jsonl(path)
+    finally:
+        sys.setprofile(previous)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 def _capped_runs(root):
     """``(entered, left, digests, retraced)``: ``{(file, first line)}``
     of every function entered while each committed scenario and ledger
-    config runs for at most two simulated hours (a config listed twice,
-    the traced ledger twin, runs once); by file, the ``repro`` objects
-    any of those runs left to the cyclic collector once dropped (none:
-    a finished run frees itself); by file, each run's behaviour digests
-    (``result`` and ``decisions``, as tests/golden/behaviour.json holds
-    them); and the files whose ``arrival_trace`` is not the ``(time,
-    video)`` sequence their run decided (none)."""
+    config runs traced for at most two simulated hours (a config listed
+    twice, the traced ledger twin, runs once); by file, the ``repro``
+    objects any of those runs left to the cyclic collector once dropped
+    (none: a finished run frees itself); by file, each run's behaviour
+    digests (``result``, ``decisions`` and ``trace``, as
+    tests/golden/behaviour.json holds them); and the files whose
+    ``arrival_trace`` is not the ``(time, video)`` sequence their run
+    decided (none)."""
+    import tempfile
+
+    from repro.obs import Tracer
     from repro.serve.bridge import PolicyBridge
     from repro.serve.loadgen import arrival_trace
 
     runs, left, digests, retraced = {}, {}, {}, []
-    with cyclic_gc_off(), _entering(set()) as entered:
+    with tempfile.TemporaryDirectory() as scratch, cyclic_gc_off(), \
+            _entering(set()) as entered:
         for name, config in _committed_configs(root).items():
             runs.setdefault(config, name)
         for config, name in runs.items():
@@ -871,11 +891,12 @@ def _capped_runs(root):
                 config, duration=duration,
                 warmup=min(config.warmup, duration / 2),
             )
-            bridge = PolicyBridge(config)
+            bridge = PolicyBridge(config, tracer=Tracer())
             trace = [(spec.time, spec.video_id) for spec in arrival_trace(bridge)]
             digests[name] = {
                 "result": _result_digest(bridge.run()),
                 "decisions": bridge.finalize()["decisions_sha"],
+                "trace": _trace_digest(bridge.tracer, scratch),
             }
             if [(d.time, d.video) for d in bridge.decisions] != trace:
                 retraced.append(name)

@@ -431,3 +431,67 @@ class TestOnePassPerEvent:
         cluster.engine.run_until(1.0)
         manager.migrate_out(r, 2.0)
         assert TraceKind.STREAM_BUFFER_FULL not in tracer.counts
+
+
+class TestAttachAtRateZero:
+    """The allocator pass reads "above ``b_view`` on entry" as "boosted
+    by this server's last pass" and reports such a stream at its buffer
+    wall as ``stream.buffer_full``.  That holds only while every path
+    hands a stream to a server at rate 0: a path that kept a stale rate
+    would trace a wall that is not there."""
+
+    CONFIGS = (
+        "scenarios/chaos_elastic.json",  # failover moves, elastic drains
+        "scenarios/predictive_vcr.json",  # VCR pauses
+        "scenarios/prefix_batching_window.json",  # the prefix tier
+        "bench/workloads/drm_overload_skew.json",  # DRM chains
+    )
+
+    @staticmethod
+    def config(name):
+        import dataclasses
+        import json
+        import pathlib
+
+        from repro.scenario import load_scenario
+        from repro.simulation import SimulationConfig
+
+        path = pathlib.Path(__file__).resolve().parent.parent / name
+        if name.startswith("scenarios/"):
+            config = load_scenario(path).config
+        else:
+            config = SimulationConfig.from_dict(
+                json.loads(path.read_text())["config"]
+            )
+        duration = min(config.duration, 7200.0)
+        return dataclasses.replace(
+            config, duration=duration, warmup=min(config.warmup, duration / 2)
+        )
+
+    def test_every_attach_path_hands_over_at_rate_zero(self, monkeypatch):
+        import sys
+
+        from repro.cluster.server import DataServer
+        from repro.simulation import Simulation
+
+        attach = DataServer.attach
+        paths, stale = set(), set()
+
+        def spy(server, request):
+            # (manager method, its caller): which path attached it.
+            frame = sys._getframe(1)
+            path = f"{frame.f_back.f_code.co_name} -> {frame.f_code.co_name}"
+            paths.add(path)
+            if request.rate != 0.0:
+                stale.add(path)
+            return attach(server, request)
+
+        monkeypatch.setattr(DataServer, "attach", spy)
+        for name in self.CONFIGS:
+            Simulation(self.config(name)).run()
+        assert not stale, f"attached with a stale rate by: {sorted(stale)}"
+        # Admission, DRM chains, failover moves and elastic drains.
+        assert {
+            "_decide -> admit", "execute_chain -> migrate_in",
+            "_move -> migrate_in", "_drain_tick -> migrate_in",
+        } <= paths, sorted(paths)
