@@ -64,6 +64,10 @@ from repro.units import hours
 PAPER_TRIALS = 5
 PAPER_DURATION_HOURS = 1000.0
 
+#: Floor on a scaled run's measured window, and its excluded ramp-in.
+MIN_MEASURED_HOURS = 4.0
+WARMUP_HOURS = 2.0
+
 #: Prime stride between per-trial seeds (any fixed odd constant works;
 #: RandomStreams decorrelates streams regardless).
 _SEED_STRIDE = 7919
@@ -93,25 +97,20 @@ class ExperimentScale:
         )
 
 
-def resolve_scale(
-    scale: Optional[float] = None,
-    min_hours: float = 4.0,
-    warmup_hours: float = 2.0,
-    max_trials: int = PAPER_TRIALS,
-) -> ExperimentScale:
+def resolve_scale(scale: Optional[float] = None) -> ExperimentScale:
     """Turn a scale factor into durations and trial counts.
 
     ``scale=1`` reproduces the paper's 5×1000 h; the default bench scale
     (0.01) gives 1 trial × 10 measured hours, which preserves every
     qualitative ordering in the paper (verified by the integration
-    tests) at ~1000× less compute.
+    tests) at ~1000× less compute.  The measured window never drops
+    below :data:`MIN_MEASURED_HOURS`, every run warms up for
+    :data:`WARMUP_HOURS`, and trials are capped at the paper's
+    :data:`PAPER_TRIALS`.
 
     Args:
         scale: explicit factor; falls back to ``REPRO_SCALE`` env var,
             then 0.01.
-        min_hours: floor on the measured window.
-        warmup_hours: ramp-in excluded from measurement.
-        max_trials: cap on trials (the paper's 5).
     """
     if scale is None:
         raw = os.environ.get("REPRO_SCALE", "0.01")
@@ -124,11 +123,11 @@ def resolve_scale(
             ) from None
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    measured_hours = max(min_hours, PAPER_DURATION_HOURS * scale)
-    trials = max(1, min(max_trials, round(PAPER_TRIALS * scale * 20)))
+    measured_hours = max(MIN_MEASURED_HOURS, PAPER_DURATION_HOURS * scale)
+    trials = max(1, min(PAPER_TRIALS, round(PAPER_TRIALS * scale * 20)))
     return ExperimentScale(
-        duration=hours(measured_hours + warmup_hours),
-        warmup=hours(warmup_hours),
+        duration=hours(measured_hours + WARMUP_HOURS),
+        warmup=hours(WARMUP_HOURS),
         trials=int(trials),
         scale=scale,
     )

@@ -74,11 +74,6 @@ def _serve_arguments(p: argparse.ArgumentParser) -> None:
         help="flight-recorder dump file — written on SIGUSR2, invariant "
              "violation, or gateway crash (default %(default)s)",
     )
-    p.add_argument(
-        "--stats-interval", type=float, default=1.0, metavar="SECONDS",
-        help="wall seconds between serve.stats trace samples "
-             "(the `repro top --trace` time series; default %(default)s)",
-    )
 
 
 def _loadgen_arguments(p: argparse.ArgumentParser) -> None:
@@ -93,11 +88,6 @@ def _loadgen_arguments(p: argparse.ArgumentParser) -> None:
         help="hard cap on the number of sessions generated",
     )
     p.add_argument(
-        "--progress-interval", type=float, default=2.0, metavar="SECONDS",
-        help="wall seconds between one-line progress reports on stderr "
-             "(default %(default)s)",
-    )
-    p.add_argument(
         "--quiet", action="store_true",
         help="suppress the periodic progress reports",
     )
@@ -106,14 +96,9 @@ def _loadgen_arguments(p: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # repro serve
 # ----------------------------------------------------------------------
-async def _serve_async(scenario: Scenario, args: argparse.Namespace) -> int:
-    serve = ServeConfig(
-        host=args.host,
-        port=args.port,
-        compression=args.compression,
-        ops_port=None if args.ops_port < 0 else args.ops_port,
-        stats_interval=args.stats_interval,
-    )
+async def _serve_async(
+    scenario: Scenario, serve: ServeConfig, args: argparse.Namespace
+) -> int:
     if args.trace_out:
         obs.check_trace_path(args.trace_out)
     # The tracer is always on: its ring is the flight recorder's data
@@ -179,7 +164,16 @@ async def _serve_async(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace, progress: Progress) -> int:
     scenario = load_scenario_or_exit(args.scenario)
-    return asyncio.run(_serve_async(scenario, args))
+    try:
+        serve = ServeConfig(
+            host=args.host,
+            port=args.port,
+            compression=args.compression,
+            ops_port=None if args.ops_port < 0 else args.ops_port,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro serve: {exc}") from None
+    return asyncio.run(_serve_async(scenario, serve, args))
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +184,12 @@ def _cmd_loadgen(args: argparse.Namespace, progress: Progress) -> int:
     if args.port is None:
         raise SystemExit("repro loadgen: --port PORT is required "
                          "(the gateway's bound port)")
-    serve = ServeConfig(
-        host=args.host,
-        port=args.port,
-        compression=args.compression,
-        progress_interval=args.progress_interval,
-    )
+    try:
+        serve = ServeConfig(
+            host=args.host, port=args.port, compression=args.compression
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro loadgen: {exc}") from None
     trace = arrival_trace(
         Simulation(scenario.config),
         duration=args.duration,

@@ -473,8 +473,9 @@ class LoadGenerator:
         trace: the arrival trace to replay; build one with
             :func:`arrival_trace` to reproduce a scenario's workload.
         progress: optional callable given one status line every
-            :attr:`ServeConfig.progress_interval` wall seconds (the CLI
-            prints it to stderr).  ``None`` (default) runs silently.
+            :attr:`ServeConfig.progress_interval` (2) wall seconds;
+            ``repro loadgen`` and ``repro verify`` print it to stderr.
+            ``None`` (default) runs silently.
         retry: optional :class:`~repro.faults.retry.RetryPolicy` making
             every client resilient — disconnects and drops reconnect
             with bounded virtual-time backoff instead of ending the

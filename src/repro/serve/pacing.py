@@ -123,7 +123,8 @@ class Pacer:
     """The session table and the per-server loops that drain it.
 
     Args:
-        serve: wall-clock knobs (tick, send bounds, payload scaling).
+        serve: wall-clock knobs; its constants fix the tick, the send
+            bounds and the payload scaling.
         bridge: the policy core; read for the virtual clock, request
             state and membership, never advanced from here.
         clock: the gateway's virtual clock.

@@ -54,8 +54,8 @@ def trace_samples(path: Union[str, Path]) -> List[Dict[str, Any]]:
     if not samples:
         raise SystemExit(
             f"trace {path!r} holds no serve.stats samples — record one "
-            f"with `repro serve --trace-out` (stats_interval controls "
-            f"the sampling rate)"
+            f"with `repro serve --trace-out` (one sample a wall second "
+            f"while the gateway serves)"
         )
     return samples
 

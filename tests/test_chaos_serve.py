@@ -726,7 +726,7 @@ class TestResilientClient:
 class TestGatewayTimeouts:
     def test_handshake_timeout_counts_error_and_leaks_nothing(self, loopback):
         async def scenario_run():
-            serve = ServeConfig(port=0, handshake_timeout=0.1)
+            serve = ServeConfig(port=0)
             gateway = ClusterGateway(loopback.config, serve)
             await gateway.start()
             # A mute client: connects and never sends a request frame,
@@ -750,21 +750,20 @@ class TestGatewayTimeouts:
     def test_send_timeout_closes_session_after_bounded_retries(
         self, loopback
     ):
-        """A gateway-side stall above send_timeout must burn the retry
-        budget, close the session as ``send_failed``, and leak nothing.
-        A retry waits for the drain again; it never re-writes the frame."""
+        """A gateway-side stall above the whole retry budget (30 s
+        against 4 x 5 s) must burn it, close the session as
+        ``send_failed``, and leak nothing.  A retry waits for the drain
+        again; it never re-writes the frame."""
         toxics = []
 
         def wrap(writer):
             toxics.append(ToxicWriter(
-                writer, ToxicConfig(stall_every=1, stall_seconds=1.0)
+                writer, ToxicConfig(stall_every=1, stall_seconds=30.0)
             ))
             return toxics[-1]
 
         async def scenario_run():
-            serve = ServeConfig(
-                port=0, send_timeout=0.05, send_retries=1
-            )
+            serve = ServeConfig(port=0)
             gateway = ClusterGateway(
                 loopback.config, serve, wrap_writer=wrap
             )
@@ -779,7 +778,7 @@ class TestGatewayTimeouts:
             frames = []
             try:
                 while True:
-                    frame = await read_frame(reader, timeout=5.0)
+                    frame = await read_frame(reader, timeout=60.0)
                     if frame is None:
                         break
                     frames.append(frame)
@@ -811,11 +810,16 @@ class TestGatewayTimeouts:
         assert leaked == []
 
 
-    def test_transient_stall_is_absorbed_by_the_retry_budget(self, loopback):
+    def test_transient_stall_is_absorbed_by_the_retry_budget(
+        self, loopback, monkeypatch
+    ):
         """A stall belongs to the write that triggered it: a retried
         drain waits out only the remainder, so a stall longer than one
         ``send_timeout`` but inside the whole retry budget (0.08 s
-        against 4 x 0.05 s) costs a retry, not the session."""
+        against 4 x 0.05 s) costs a retry, not the session.  The
+        timeout is cut to 0.05 s so the stall stays inside the client's
+        staging buffer."""
+        monkeypatch.setattr(ServeConfig, "send_timeout", 0.05)
         toxics = []
 
         def wrap(writer):
@@ -825,7 +829,7 @@ class TestGatewayTimeouts:
             return toxics[-1]
 
         async def scenario_run():
-            serve = ServeConfig(port=0, send_timeout=0.05, send_retries=3)
+            serve = ServeConfig(port=0)
             gateway = ClusterGateway(
                 loopback.config, serve, wrap_writer=wrap
             )
@@ -851,20 +855,20 @@ class TestGatewayTimeouts:
         assert leaked == []
 
     def test_send_timeout_bounds_a_real_socket_that_stops_reading(
-        self, loopback
+        self, loopback, monkeypatch
     ):
         """No injected stall: a client that never reads lets the kernel
         buffers and then the transport's own fill past the high-water
         mark.  The uncongested fast path must hand over to the bounded
         drain, burn the retry budget and close as ``send_failed``."""
+        # ~12 MB of payload per wall second fills loopback's few MB of
+        # socket buffering, and the whole budget (4 x 0.05 s) runs out,
+        # well before the policy clock passes the scenario's horizon.
+        monkeypatch.setattr(ServeConfig, "bytes_per_megabit", 100_000)
+        monkeypatch.setattr(ServeConfig, "send_timeout", 0.05)
 
         async def scenario_run():
-            # ~12 MB of payload per wall second fills loopback's few MB
-            # of socket buffering well inside the test's patience.
-            serve = ServeConfig(
-                port=0, send_timeout=0.05, send_retries=2,
-                bytes_per_megabit=100_000,
-            )
+            serve = ServeConfig(port=0)
             gateway = ClusterGateway(loopback.config, serve)
             await gateway.start()
             reader, writer = await asyncio.open_connection(
@@ -890,7 +894,7 @@ class TestGatewayTimeouts:
             return summary, gateway.spans, leaked_tasks()
 
         summary, spans, leaked = run(scenario_run())
-        assert summary["serve"]["send_retries"] == 2
+        assert summary["serve"]["send_retries"] == ServeConfig.send_retries
         assert summary["serve"]["sessions_active"] == 0
         (span,) = spans.recent(50)
         assert [

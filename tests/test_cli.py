@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro import SMALL_SYSTEM, SimulationConfig
@@ -330,3 +332,30 @@ class TestScenarioErrorPath:
             main([
                 "run", "--scenario", str(bad), "--theta", "0.5",
             ])
+
+
+class TestServeErrorPath:
+    """A bad wall-clock flag ends ``repro serve`` / ``repro loadgen``
+    with one line, before any event loop starts."""
+
+    LOOPBACK = str(
+        pathlib.Path(__file__).resolve().parent.parent
+        / "scenarios" / "serve_loopback.json"
+    )
+
+    def test_serve_port_out_of_range_is_one_line(self):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--scenario", self.LOOPBACK, "--port", "70000"])
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith("repro serve: port must be a TCP port")
+
+    def test_loadgen_zero_compression_is_one_line(self):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "loadgen", "--scenario", self.LOOPBACK, "--port", "1",
+                "--compression", "0",
+            ])
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith("repro loadgen: compression must be")

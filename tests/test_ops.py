@@ -106,7 +106,7 @@ class TestOpsEndpointLive:
 
         report = run(run_chaos_serve(
             scenario.config,
-            serve=ServeConfig(port=0, ops_port=0, stats_interval=0.2),
+            serve=ServeConfig(port=0, ops_port=0),
             probe=scrape,
             postmortem=tmp_path / "postmortem.jsonl",
         ))
@@ -326,7 +326,7 @@ class TestTopDashboard:
     def test_trace_replay_renders_run(self, scenario, tmp_path):
         async def scenario_run():
             tracer = obs.Tracer()
-            serve = ServeConfig(port=0, ops_port=0, stats_interval=0.2)
+            serve = ServeConfig(port=0, ops_port=0)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
             trace = arrival_trace(gateway.bridge, max_sessions=10)
@@ -370,7 +370,7 @@ class TestTopDashboard:
 
         async def scenario_run():
             tracer = obs.Tracer()
-            serve = ServeConfig(port=0, ops_port=0, stats_interval=0.1)
+            serve = ServeConfig(port=0, ops_port=0)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
             trace = arrival_trace(gateway.bridge, max_sessions=10)
@@ -428,7 +428,7 @@ class TestTopDashboard:
         client moves the latter."""
 
         async def scenario_run():
-            serve = ServeConfig(port=0, ops_port=0, handshake_timeout=0.1)
+            serve = ServeConfig(port=0, ops_port=0)
             gateway = ClusterGateway(scenario.config, serve)
             await gateway.start()
             before = await ops_query(serve.host, gateway.ops_port, "prometheus")
@@ -479,7 +479,7 @@ class TestOpsCli:
 
         async def scenario_run():
             tracer = obs.Tracer()
-            serve = ServeConfig(port=0, ops_port=0, stats_interval=0.2)
+            serve = ServeConfig(port=0, ops_port=0)
             gateway = ClusterGateway(scenario.config, serve, tracer=tracer)
             await gateway.start()
             trace = arrival_trace(gateway.bridge, max_sessions=8)

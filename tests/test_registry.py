@@ -26,6 +26,8 @@ from repro.registry import (
     RegistryError,
     UnknownKeyError,
 )
+from repro.serve.chaos import ToxicConfig
+from repro.serve.config import ServeConfig
 from repro.simulation import SimulationConfig
 
 from conftest import cyclic_gc_off, left_to_gc, loop_clock, scratch_registry
@@ -683,11 +685,54 @@ class _Planted:
     knob: Optional[_IdleKnob] = None
 
 
+@dataclasses.dataclass(frozen=True)
+class _PlantedLive:
+    """The live roots plus a wall-clock knob nothing sets
+    (``test_an_unused_live_field_is_caught``)."""
+
+    serve: ServeConfig
+    toxic: ToxicConfig
+    tick: float = 0.05
+
+
+@pytest.fixture(scope="module")
+def knob_configs(workload_configs):
+    """Every config a workload we run builds: :func:`workload_configs`,
+    ``repro verify``'s :data:`LIVE_SERVE` and :data:`STRESS` (its retry
+    policy and gateway toxic), and the ``serve`` block of every ``live``
+    ledger workload."""
+    from repro.experiments.verify import LIVE_SERVE, STRESS
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    raws = [
+        json.loads(path.read_text())
+        for path in sorted((root / "bench/workloads").glob("*.json"))
+    ]
+    live = [ServeConfig.from_dict(r["serve"]) for r in raws if r["kind"] == "live"]
+    assert live  # the scan reads the ledger
+    return [
+        *workload_configs, STRESS["retry"], STRESS["gateway_toxic"],
+        LIVE_SERVE, *live,
+    ]
+
+
+#: Reason shared by rows of :attr:`TestEveryFieldIsReached.ALLOWED`.
+_STALL = (
+    "the toxic stall, the only way to drive the gateway's send-timeout "
+    "and bounded-retry path, which is safety code (tests/"
+    "test_chaos_serve.py::TestGatewayTimeouts)"
+)
+
+
 class TestEveryFieldIsReached:
     """A settable value is a cost (ROADMAP): every defaulted field of
-    every config :class:`SimulationConfig` reaches is set off its
+    every config :class:`SimulationConfig` reaches, and of the live
+    side's :class:`ServeConfig` and :class:`ToxicConfig`, is set off its
     default by a figure with claims, a committed scenario, a ledger
-    workload or ``repro verify``'s :data:`STRESS` retry policy."""
+    workload (its ``serve`` block too) or ``repro verify``'s
+    :data:`LIVE_SERVE` and :data:`STRESS`."""
+
+    ROOTS = (SimulationConfig, ServeConfig, ToxicConfig)
 
     #: Fields kept with nothing setting them, one reason each.
     ALLOWED = {
@@ -713,13 +758,30 @@ class TestEveryFieldIsReached:
         "SimulationConfig.client_receive_bandwidth":
             "written at its default by bench/workloads/live_loopback.json "
             "and prefix_zipf_overload.json",
+        "ServeConfig.host":
+            "a deployment address (`repro serve` / `repro loadgen "
+            "--host`); every workload serves on loopback",
+        "ServeConfig.port":
+            "a deployment address (`repro serve --port`); every "
+            "in-process gateway binds an ephemeral port, and a load "
+            "generator is given the port its gateway bound",
+        "ServeConfig.ops_port":
+            "`repro serve --ops-port`; the ledger's gateway passes None "
+            "(bench/runners.py) and the verify legs' ops endpoint, "
+            "scraped by the function rule, binds an ephemeral port",
+        "ToxicConfig.stall_every": _STALL,
+        "ToxicConfig.stall_seconds": _STALL,
+        "ToxicConfig.cut_after_bytes":
+            "the toxic mid-frame cut, the only way to hand a peer a "
+            "partial frame (tests/test_chaos_serve.py::"
+            "TestToxicTransports)",
     }
 
     @staticmethod
-    def defaulted(root):
+    def defaulted(*roots):
         """``{Class.field: default}`` for every field with a default."""
         out = {}
-        for cls in _config_classes(root):
+        for cls in {cls for root in roots for cls in _config_classes(root)}:
             for field in dataclasses.fields(cls):
                 if field.default is not dataclasses.MISSING:
                     out[f"{cls.__name__}.{field.name}"] = field.default
@@ -727,41 +789,51 @@ class TestEveryFieldIsReached:
                     out[f"{cls.__name__}.{field.name}"] = field.default_factory()
         return out
 
-    def unset(self, root, workload_configs):
+    def unset(self, roots, configs):
         """Defaulted fields no recorded value sets off their default."""
-        from repro.experiments.verify import STRESS
-
         seen = {}
-        for config in [*workload_configs, STRESS["retry"]]:
+        for config in configs:
             _settings(config, seen)
         return {
-            name for name, default in self.defaulted(root).items()
+            name for name, default in self.defaulted(*roots).items()
             if all(value == default for value in seen.get(name, ()))
         }
 
-    def test_every_defaulted_field_is_reached(self, workload_configs):
-        listed = self.defaulted(SimulationConfig)
+    def test_every_defaulted_field_is_reached(self, knob_configs):
+        listed = self.defaulted(*self.ROOTS)
         # The walk reaches the nested configs, built by a workload or not.
         assert {
             "SimulationConfig.theta", "CrashFaults.correlation",
             "ScaleEvent.server_id", "PrefixPolicy.batching",
+            "ServeConfig.guard", "ToxicConfig.latency",
         } <= set(listed)
-        unreached = self.unset(SimulationConfig, workload_configs) - set(
-            self.ALLOWED
-        )
+        unreached = self.unset(self.ROOTS, knob_configs) - set(self.ALLOWED)
         assert not unreached, (
             f"settable, but no figure with claims, scenario, ledger "
-            f"workload or STRESS sets it off its default: {sorted(unreached)}"
+            f"workload, LIVE_SERVE or STRESS sets it off its default: "
+            f"{sorted(unreached)}"
         )
 
-    def test_every_allowed_field_is_unset(self, workload_configs):
+    def test_every_allowed_field_is_unset(self, knob_configs):
         # A row whose field a workload now sets has no reason left.
-        stale = set(self.ALLOWED) - self.unset(SimulationConfig, workload_configs)
+        stale = set(self.ALLOWED) - self.unset(self.ROOTS, knob_configs)
         assert not stale, f"allowed, but not an unset field: {sorted(stale)}"
 
-    def test_an_unused_field_is_caught(self, workload_configs):
-        unreached = self.unset(_Planted, workload_configs) - set(self.ALLOWED)
+    def test_an_unused_field_is_caught(self, knob_configs):
+        unreached = self.unset([_Planted], knob_configs) - set(self.ALLOWED)
         assert unreached == {"_Planted.knob", "_IdleKnob.level"}
+
+    def test_an_unused_live_field_is_caught(self, knob_configs):
+        unreached = self.unset([_PlantedLive], knob_configs) - set(
+            self.ALLOWED
+        )
+        assert unreached == {"_PlantedLive.tick"}
+
+    def test_every_row_has_a_reason(self):
+        assert all(
+            isinstance(reason, str) and reason.strip()
+            for reason in self.ALLOWED.values()
+        )
 
 
 def _is_stub(node):
@@ -1001,7 +1073,8 @@ def _reach(_workloads, tmp_path_factory):
     (recorded by ``_workloads``), :func:`_capped_runs` under the
     invariant checker, the examples (:func:`_examples`), four cheap CLI
     verbs, two ``verify`` runs with live legs on the loop clock —
-    ``serve_loopback``, scraped by every ``repro ops`` verb and ``repro
+    ``serve_loopback`` through the ``repro verify`` verb (its progress
+    lines included), scraped by every ``repro ops`` verb and ``repro
     top`` source (:func:`_scrape`), and ``chaos_serve``, the chaos
     plane — and the virtual-only ``verify`` of ``prefix_zipf_overload``,
     the prefix check — and the rest of what :func:`_capped_runs` returns, by name
@@ -1050,10 +1123,10 @@ def _reach(_workloads, tmp_path_factory):
                 scraped.setattr(gate, "run_chaos_serve", functools.partial(
                     run_chaos_serve, probe=_scrape(seen),
                 ))
-                gate.verify(
-                    load_scenario(root / "scenarios/serve_loopback.json"),
-                    postmortem=scratch / "postmortem.jsonl",
-                )
+                assert main([
+                    "verify", str(root / "scenarios/serve_loopback.json"),
+                    "--postmortem", str(scratch / "postmortem.jsonl"),
+                ]) == 0
             gate.verify(
                 load_scenario(root / "scenarios/chaos_serve.json"),
                 postmortem=scratch / "chaos_postmortem.jsonl",
@@ -1164,9 +1237,9 @@ class TestEveryFunctionIsReached:
     ``src/repro`` is entered while the figures with claims, the
     committed scenarios, the ledger configs, the examples, four cheap
     CLI verbs, the live ``verify`` legs of ``serve_loopback`` and
-    ``chaos_serve`` — the first scraped by every ``repro ops`` verb
-    and both ``repro top`` sources — and ``prefix_zipf_overload``'s
-    ``verify`` run, or it is
+    ``chaos_serve`` — the first run as the ``repro verify`` verb and
+    scraped by every ``repro ops`` verb and both ``repro top``
+    sources — and ``prefix_zipf_overload``'s ``verify`` run, or it is
     exempt by rule (dunders, ``Protocol`` / abstract stubs, names
     ``bench/*.py`` uses), or it has a row here with its reason."""
 
@@ -1222,9 +1295,6 @@ class TestEveryFunctionIsReached:
         "experiments/registry.py::register_figure.trace_config": _TRACE,
         "experiments/registry.py::register_table": _IMPORT,
         "experiments/verify.py::_check_elastic": _VERIFY,
-        "experiments/verify.py::run_verify_cli":
-            "the `repro verify` verb; the test calls verify() itself "
-            "(CI verify)",
         "faults/invariants.py::InvariantChecker._violate": _RAISE,
         "obs/recorder.py::FlightRecorder.install_signal_handler": _PROCESS,
         "obs/recorder.py::FlightRecorder.uninstall_signal_handler": _PROCESS,
@@ -1246,8 +1316,6 @@ class TestEveryFunctionIsReached:
             "load(save(x)) == x byte for byte",
         "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
         "serve/gateway.py::ClusterGateway.abort": _RAISE,
-        "serve/loadgen.py::LoadGenerator._progress_line": _PROCESS,
-        "serve/loadgen.py::LoadGenerator._report_loop": _PROCESS,
     }
 
     @staticmethod

@@ -186,13 +186,11 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 class TestServeConfig:
     def test_round_trip(self):
-        cfg = ServeConfig(compression=25.0, tick=0.02, guard=0.5)
+        cfg = ServeConfig(compression=25.0, guard=0.5)
         assert ServeConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_with_telemetry_knobs(self):
-        cfg = ServeConfig(
-            ops_port=9402, stats_interval=0.5, progress_interval=3.0
-        )
+        cfg = ServeConfig(ops_port=9402)
         assert ServeConfig.from_dict(cfg.to_dict()) == cfg
         disabled = ServeConfig(ops_port=None)
         assert ServeConfig.from_dict(disabled.to_dict()).ops_port is None
@@ -203,21 +201,25 @@ class TestServeConfig:
 
     def test_guard_must_exceed_reorder_window(self):
         with pytest.raises(ValueError, match="guard"):
-            ServeConfig(guard=0.1, reorder_window=0.1)
+            ServeConfig(guard=ServeConfig.reorder_window)
+
+    def test_retry_margin_must_exceed_guard_and_reorder_window(self):
+        with pytest.raises(ValueError, match="retry_margin"):
+            ServeConfig(guard=ServeConfig.retry_margin)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"compression": 0.0},
-            {"tick": -1.0},
-            {"bytes_per_megabit": 0},
-            {"send_retries": -1},
-            {"drain_timeout": 0.0},
+            {"compression": float("nan")},
+            {"compression": float("inf")},
+            {"startup_slack": -0.1},
+            {"heartbeat_timeout": -1.0},
             {"task_restart_limit": -1},
+            {"port": 70000},
+            {"port": -1},
             {"ops_port": 70000},
             {"ops_port": -1},
-            {"stats_interval": 0.0},
-            {"progress_interval": -2.0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -227,6 +229,12 @@ class TestServeConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="warp_factor"):
             ServeConfig.from_dict({"warp_factor": 9})
+
+    def test_constants_are_not_settable(self):
+        # The wire format and the constructor know only the fields.
+        assert "tick" not in ServeConfig().to_dict()
+        with pytest.raises(ValueError, match="tick"):
+            ServeConfig.from_dict({"tick": 0.02})
 
 
 # ----------------------------------------------------------------------
@@ -563,15 +571,17 @@ async def _serve_one(config, serve, wrap_writer):
 
 
 class TestSendPath:
-    def test_tasks_per_session_do_not_grow_with_chunks(self, scenario):
+    def test_tasks_per_session_do_not_grow_with_chunks(
+        self, scenario, monkeypatch
+    ):
         """Structural form of the perf claim: an uncongested session
         costs the gateway its connection-handler Task and nothing per
         frame, however many chunks it is cut into."""
 
         def serve_at(tick):
+            monkeypatch.setattr(ServeConfig, "tick", tick)
             frames, _, tasks = run(_one_session(
-                scenario.config,
-                ServeConfig(port=0, ops_port=None, tick=tick),
+                scenario.config, ServeConfig(port=0, ops_port=None),
             ))
             assert frames[0].type == "admit"
             assert frames[-1].type == "end"
