@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import SimulationMetrics
-from repro.cluster.membership import ClusterMembership, ServerLifecycle
-from repro.cluster.profile import CalibrationConfig, calibrate_server
+from repro.cluster.membership import ServerLifecycle
+from repro.cluster.profile import calibrate_server
 from repro.cluster.request import Request
 from repro.cluster.server import DataServer, least_loaded
 from repro.core.admission import AdmissionOutcome
@@ -43,14 +43,8 @@ from repro.core.migration import (
     find_migration_chain,
 )
 from repro.obs.records import TraceKind
-from repro.obs.tracer import Tracer
-from repro.placement.base import PlacementMap, PlacementPolicy
 from repro.registry import Registry
 from repro.serialize import Config
-from repro.sim.engine import Engine
-from repro.sim.rng import RandomStreams
-from repro.workload.catalog import VideoCatalog
-from repro.workload.zipf import ZipfPopularity
 
 #: What fires scale-outs beyond the scenario's declared events.  A
 #: registry value is a factory ``(scaler) -> handler | None``; the
@@ -200,42 +194,30 @@ class ElasticPolicy(Config):
 class ElasticScaler:
     """Executes membership changes against a running cluster.
 
-    Built by the simulation's ``observers`` stage when the config has
-    an :class:`ElasticPolicy`; :meth:`start` schedules the declared
-    events, and subscribing the scaler to the controller wires the
-    trigger's decision handler, if it has one.
+    Built by :class:`~repro.simulation.Simulation` from its products
+    when the config has an :class:`ElasticPolicy`, with the declared
+    events scheduled and :meth:`resume_warming` hooked to the run's
+    failover restores; subscribing the scaler to the controller wires
+    the trigger's decision handler, if it has one.
 
     Attributes:
         scale_outs / scale_ins: events executed so far.
         streams_drained: streams migrated off departing servers.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        controller,
-        membership: ClusterMembership,
-        placement: PlacementMap,
-        catalog: VideoCatalog,
-        popularity: ZipfPopularity,
-        placement_policy: PlacementPolicy,
-        policy: ElasticPolicy,
-        streams: RandomStreams,
-        calibration: Optional[CalibrationConfig] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.engine = engine
-        self.controller = controller
-        self.membership = membership
-        self.placement = placement
-        self.catalog = catalog
-        self.popularity = popularity
-        self.placement_policy = placement_policy
-        self.policy = policy
-        self.streams = streams
-        self.calibration = calibration
-        self.tracer = tracer
-        servers = controller.servers
+    def __init__(self, sim) -> None:
+        self.engine = engine = sim.engine
+        self.controller = sim.controller
+        self.membership = sim.membership
+        self.placement = sim.placement_result.placement
+        self.catalog = sim.catalog
+        self.popularity = sim.popularity
+        self.placement_policy = sim.placement_policy
+        self.policy = policy = sim.config.elastic
+        self.streams = sim.streams
+        self.calibration = sim.config.calibration
+        self.tracer = sim.tracer
+        servers = sim.controller.servers
         self._joiner_bandwidth = sum(
             s.nominal_bandwidth for s in servers.values()
         ) / len(servers)
@@ -254,22 +236,19 @@ class ElasticScaler:
         self.scale_outs = 0
         self.scale_ins = 0
         self.streams_drained = 0
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Schedule the declared events."""
-        now = self.engine.now
-        for event in self.policy.events:
-            delay = max(0.0, event.time - now)
+        for event in policy.events:
+            delay = max(0.0, event.time - engine.now)
             if event.action == "scale_out":
-                self.engine.schedule(
+                engine.schedule(
                     delay, self._add_server, kind="elastic:scale_out",
                 )
             else:
-                self.engine.schedule(
+                engine.schedule(
                     delay, lambda e=event: self._scale_in(e),
                     kind="elastic:scale_in",
                 )
+        if sim.failover is not None:
+            sim.failover.on_restore.append(self.resume_warming)
 
     def _observe_rejection(
         self, outcome: AdmissionOutcome, request: Request

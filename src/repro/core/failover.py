@@ -58,8 +58,9 @@ class FailoverManager:
             disk is intact, the node is just down).
         metrics: run counters (dropped streams are recorded).
         on_drop: the controller's drop-notification list, shared by
-            reference like *servers*/*managers*; each stream lost
-            mid-flight is published to it once marked and counted.
+            reference like *servers*/*managers* and kept as
+            :attr:`drop_handlers`; each stream lost mid-flight is
+            published to it once marked and counted.
         tracer: optional obs tracer for fail/recover/drop records.
     """
 
@@ -78,7 +79,9 @@ class FailoverManager:
         self.managers = managers
         self.placement = placement
         self.metrics = metrics
-        self.on_drop = on_drop
+        #: Not ``on_drop``: the controller would subscribe a list of
+        #: handlers as a drop handler.
+        self.drop_handlers = on_drop
         self.tracer = tracer
         self.reports: List[FailoverReport] = []
         #: Called with the :class:`FailoverReport` of each *actual*
@@ -248,7 +251,7 @@ class FailoverManager:
                 TraceKind.REQUEST_DROP, now,
                 request=request.request_id, server=server_id,
             )
-        for notify in self.on_drop:
+        for notify in self.drop_handlers:
             notify(request)
 
     def _relocate(

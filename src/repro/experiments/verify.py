@@ -15,7 +15,8 @@ there is no flag, scenario key or environment variable to choose with
   load generator replays that run's own arrivals;
 * the **live leg** — :func:`repro.serve.chaos.run_chaos_serve`, a
   gateway and a load generator on loopback — runs iff the gateway
-  accepts the config (:func:`serve_refusal`) and the scenario is at
+  accepts the config (no ``"serve"`` row of
+  :data:`repro.simulation.REFUSALS` trips) and the scenario is at
   most :data:`LIVE_MAX_DURATION` virtual seconds long; a scenario with
   a ``faults`` block gets it twice, under :data:`STRESS`;
 * the **checks** (:data:`CHECKS`) each turn the report into problem
@@ -41,8 +42,7 @@ from repro.scenario import Scenario, load_scenario_or_exit
 from repro.serve.bridge import PolicyBridge
 from repro.serve.chaos import ToxicConfig, run_chaos_serve
 from repro.serve.config import ServeConfig
-from repro.serve.gateway import serve_refusal
-from repro.simulation import SimulationConfig, run_simulation
+from repro.simulation import SimulationConfig, refusal, run_simulation
 
 #: Longest scenario (virtual seconds) that gets a live leg: 15 wall
 #: seconds of streaming at :data:`LIVE_SERVE`'s fixed 40x compression.
@@ -72,15 +72,15 @@ STRESS: Dict[str, Any] = {
 
 def plan(config: SimulationConfig) -> Dict[str, Any]:
     """The legs and checks *config* gets, worked out from it alone."""
-    refusal = serve_refusal(config)
-    if refusal is None and config.duration > LIVE_MAX_DURATION:
-        refusal = (
+    why = refusal("serve", config)
+    if why is None and config.duration > LIVE_MAX_DURATION:
+        why = (
             f"duration {config.duration:g} s is over the "
             f"{LIVE_MAX_DURATION:g} s live-leg limit "
             f"({LIVE_SERVE.to_wall(LIVE_MAX_DURATION):g} wall s at "
             f"{LIVE_SERVE.compression:g}x)"
         )
-    live = refusal is None
+    live = why is None
     checks = ["determinism"]
     if live:
         checks.append("live")
@@ -94,7 +94,7 @@ def plan(config: SimulationConfig) -> Dict[str, Any]:
         checks.append("prefix")
     return {
         "legs": ["virtual", "live"] if live else ["virtual"],
-        "skipped": {} if live else {"live": refusal},
+        "skipped": {} if live else {"live": why},
         "checks": checks,
     }
 

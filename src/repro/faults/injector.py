@@ -23,53 +23,34 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.metrics import SimulationMetrics
-from repro.cluster.membership import ClusterMembership, ServerLifecycle
-from repro.core.failover import FailoverManager
-from repro.faults.plan import FaultPlan
-from repro.sim.engine import Engine
-from repro.sim.rng import RandomStreams
-from repro.workload.catalog import VideoCatalog
+from repro.cluster.membership import ServerLifecycle
 
 #: A brownout keeps a fraction of the link drawn uniformly from here.
 LINK_FACTOR_RANGE = (0.3, 0.9)
 
 
 class FaultInjector:
-    """Drive a :class:`FaultPlan` against a live cluster.
+    """Drive the ``faults`` plan of a :class:`~repro.simulation.Simulation`
+    against its cluster: crash / degrade / replica-loss mechanics go
+    through the run's failover manager, draws come from its substreams,
+    counts go to its metrics, and departed members (its membership)
+    are out of reach.
 
-    Args:
-        engine: the simulation engine (clock + agenda).
-        failover: executes crash / degrade / replica-loss mechanics.
-        streams: the run's named RNG substream factory.
-        plan: the declarative chaos schedule.
-        catalog: needed to resolve video ids for replica loss.
-        metrics: fault counters (``faults.*``).
-        membership: lifecycle states; departed servers are out of reach.
-
-    Call :meth:`start` once after construction; the processes then
-    self-perpetuate on the engine agenda.  Events scheduled beyond the
-    run's ``run_until`` horizon simply never fire.
+    Construction starts every configured fault process; the processes
+    then self-perpetuate on the engine agenda.  Events scheduled beyond
+    the run's ``run_until`` horizon simply never fire.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        failover: FailoverManager,
-        streams: RandomStreams,
-        plan: FaultPlan,
-        catalog: VideoCatalog,
-        metrics: SimulationMetrics,
-        membership: ClusterMembership,
-    ) -> None:
-        self.engine = engine
-        self.failover = failover
-        self.streams = streams
-        self.plan = plan
-        self.catalog = catalog
-        self.metrics = metrics
-        self.membership = membership
+    def __init__(self, sim) -> None:
+        self.engine = sim.engine
+        self.failover = sim.failover
+        self.streams = sim.streams
+        self.plan = sim.config.faults
+        self.catalog = sim.catalog
+        self.metrics = sim.metrics
+        self.membership = sim.membership
         self._started = False
+        self.start()
 
     # ------------------------------------------------------------------
     def _departed(self, sid: int) -> bool:

@@ -25,12 +25,9 @@ trace ends with the diagnosis).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
-from repro.cluster.controller import DistributionController
 from repro.obs.records import TraceKind
-from repro.obs.tracer import Tracer
-from repro.sim.engine import Engine
 
 #: Capacity / conservation tolerance, Mb resp. Mb/s.  Wider than
 #: ``EPS_MB`` because ``bytes_sent`` accumulates one multiply-add of
@@ -84,29 +81,20 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Engine trace subscriber asserting the fluid-flow invariants.
 
-    Args:
-        engine: the engine to watch (subscribe via :meth:`attach`).
-        controller: the cluster under test.
-        tracer: optional tracer; violations are mirrored as
-            ``invariant.violation`` records before raising.
+    Built by :class:`~repro.simulation.Simulation`, already subscribed
+    to its engine, over its controller's cluster; violations are
+    mirrored to its tracer as ``invariant.violation`` records before
+    raising.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        controller: DistributionController,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.engine = engine
-        self.controller = controller
-        self.tracer = tracer
+    def __init__(self, sim) -> None:
+        self.engine = sim.engine
+        self.controller = sim.controller
+        self.tracer = sim.tracer
         self._recent: Deque[Tuple[float, str]] = deque(maxlen=WINDOW)
         self._last_time = float("-inf")
         self._count = 0
         self.checks_run = 0
-
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
         self.engine.add_trace(self._on_event)
 
     # ------------------------------------------------------------------

@@ -34,18 +34,14 @@ real viewers); see :class:`repro.analysis.metrics.SimulationMetrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.cluster.controller import DistributionController
 from repro.cluster.request import EPS_MB, Request
 from repro.core.admission import AdmissionOutcome
 from repro.obs.records import TraceKind
-from repro.obs.tracer import Tracer
 from repro.serialize import Config
-from repro.sim.engine import Engine
-from repro.sim.rng import RandomStreams
 
 #: Uniform jitter half-width of a backoff delay.
 JITTER = 0.5
@@ -100,30 +96,20 @@ class _Entry:
 class RetryQueue:
     """Bounded backoff-and-resubmit loop over admission and failover.
 
-    Args:
-        engine: the simulation engine.
-        controller: the cluster front door (resubmissions go through
-            :meth:`DistributionController.resubmit`).
-        streams: the run's RNG substream factory (jitter draws).
-        policy: backoff configuration.
-        tracer: optional obs tracer (``request.retry`` /
-            ``request.retry_exhaust`` records).
+    Built by :class:`~repro.simulation.Simulation` from its engine,
+    controller (resubmissions go through
+    :meth:`DistributionController.resubmit`), RNG substreams (jitter
+    draws), tracer (``request.retry`` / ``request.retry_exhaust``
+    records) and the ``retry`` config block.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        controller: DistributionController,
-        streams: RandomStreams,
-        policy: Optional[RetryPolicy] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.engine = engine
-        self.controller = controller
-        self.streams = streams
-        self.policy = policy or RetryPolicy()
-        self.tracer = tracer
-        self.metrics = controller.metrics
+    def __init__(self, sim) -> None:
+        self.engine = sim.engine
+        self.controller = sim.controller
+        self.streams = sim.streams
+        self.policy: RetryPolicy = sim.config.retry
+        self.tracer = sim.tracer
+        self.metrics = sim.controller.metrics
         self._entries: Dict[int, _Entry] = {}
 
     # ------------------------------------------------------------------

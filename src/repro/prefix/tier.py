@@ -38,6 +38,7 @@ from repro.cluster.request import EPS_MB, Request, RequestState
 from repro.core.admission import AdmissionOutcome
 from repro.faults.invariants import InvariantViolation
 from repro.obs.records import TraceKind
+from repro.obs.runtime import env_invariants_enabled
 from repro.prefix.cache import PREFIX_STRATEGIES, PrefixCache
 from repro.prefix.chaining import BATCHING, ChainedSession
 from repro.serialize import Config
@@ -86,40 +87,26 @@ class PrefixPolicy(Config):
 class PrefixTier:
     """Runtime of the proxy tier for one simulation.
 
-    Args:
-        engine: the simulation engine (warming + deferred completions).
-        controller: the distribution controller this tier fronts.
-        catalog / popularity / placement: the run's workload and replica
-            map (strategies read these).
-        placement_policy: the placement *policy* object, when available
-            — its ``warm_targets`` seam supplies the popularity ranking.
-        policy: the :class:`PrefixPolicy` config block.
-        strict: raise :class:`InvariantViolation` on a chained-session
-            underrun (otherwise underruns are only counted).
-        tracer: optional obs tracer (``cache.*`` records).
+    Built by :class:`~repro.simulation.Simulation` from its products
+    (engine, controller, workload, placement and the ``prefix`` config
+    block), with the initial replication plan computed and warming
+    begun.  ``strict`` (the run checks invariants) raises
+    :class:`InvariantViolation` on a chained-session underrun, which
+    is otherwise only counted.
     """
 
-    def __init__(
-        self,
-        engine,
-        controller,
-        catalog,
-        popularity,
-        placement,
-        placement_policy=None,
-        policy: Optional[PrefixPolicy] = None,
-        strict: bool = False,
-        tracer=None,
-    ) -> None:
-        self.engine = engine
-        self.controller = controller
-        self.catalog = catalog
-        self.popularity = popularity
-        self.placement = placement
-        self.placement_policy = placement_policy
-        self.policy = policy if policy is not None else PrefixPolicy()
-        self.strict = bool(strict)
-        self.tracer = tracer
+    def __init__(self, sim) -> None:
+        config = sim.config
+        self.engine = sim.engine
+        self.controller = controller = sim.controller
+        self.catalog = sim.catalog
+        self.popularity = sim.popularity
+        self.placement = sim.placement_result.placement
+        #: Its ``warm_targets`` seam supplies the popularity ranking.
+        self.placement_policy = sim.placement_policy
+        self.policy: PrefixPolicy = config.prefix
+        self.strict = config.invariants or env_invariants_enabled()
+        self.tracer = sim.tracer
         self.metrics = controller.metrics
         self.cache = PrefixCache(self.policy.capacity_mb)
         self._batching = BATCHING.get(self.policy.batching)
@@ -150,6 +137,7 @@ class PrefixTier:
         registry.gauge(
             "cache.chained_active", supplier=lambda: float(tier.chained_active)
         )
+        self.recompute()
 
     @property
     def chained_active(self) -> int:
@@ -159,10 +147,6 @@ class PrefixTier:
     # ------------------------------------------------------------------
     # Cache warming
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Compute the initial replication plan and begin warming."""
-        self.recompute()
-
     def recompute(self) -> None:
         """Re-plan replication (call after catalog / popularity churn).
 

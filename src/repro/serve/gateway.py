@@ -58,24 +58,7 @@ from repro.serve.protocol import (
     encode_frame,
     read_frame,
 )
-from repro.simulation import SimulationConfig
-
-
-def serve_refusal(config: SimulationConfig) -> Optional[str]:
-    """Why the live gateway cannot serve *config*, or None when it can.
-
-    The gateway's row of the compatibility matrix as a function, so a
-    caller choosing between a live and a virtual-only run (``repro
-    verify``) can ask without constructing a gateway.
-    """
-    if config.prefix is not None and config.prefix.batching != "none":
-        return (
-            "the live gateway cannot serve chained sessions (a "
-            "chained admission has no server stream for the pacing "
-            "loop to drain); use prefix batching='none' for "
-            "cache-only operation, or run the scenario virtually"
-        )
-    return None
+from repro.simulation import SimulationConfig, refusal
 
 
 class _Arrival(NamedTuple):
@@ -94,7 +77,9 @@ class ClusterGateway:
     Args:
         config: the scenario (policy) configuration; decisions come from
             the same :class:`~repro.simulation.Simulation` build a
-            virtual-time run would use.
+            virtual-time run would use.  A config that trips a
+            ``"serve"`` row of :data:`~repro.simulation.REFUSALS` is a
+            ``ValueError`` carrying the row's reason.
         serve: wall-clock runtime knobs; defaults are tuned for
             loopback tests.
         tracer: optional tracer; receives the policy core's records
@@ -118,9 +103,9 @@ class ClusterGateway:
             Callable[[asyncio.StreamWriter], asyncio.StreamWriter]
         ] = None,
     ) -> None:
-        refusal = serve_refusal(config)
-        if refusal is not None:
-            raise ValueError(refusal)
+        why = refusal("serve", config)
+        if why is not None:
+            raise ValueError(why)
         self.config = config
         self.serve = serve if serve is not None else ServeConfig()
         self.tracer = tracer

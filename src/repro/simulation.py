@@ -67,12 +67,47 @@ from repro.workload.arrivals import (
     calibrated_arrival_rate,
 )
 from repro.workload.catalog import VideoCatalog, make_catalog
+from repro.workload.interactivity import InteractivityModel
 from repro.workload.zipf import ZipfPopularity
 
 
 class ParityError(SimulationError):
     """An arrival was submitted behind the engine clock: deciding it
     "now" would diverge from a run that decides it at its own time."""
+
+
+#: The compatibility matrix: one ``(side, test, why)`` row per feature
+#: pair a side refuses.  :class:`SimulationConfig` raises ``why`` for a
+#: ``"sim"`` row whose ``test(config)`` holds; the live gateway
+#: (:class:`repro.serve.ClusterGateway`) for a ``"serve"`` row, and
+#: ``repro verify`` then skips the live leg.  Closing a pair deletes
+#: its row.
+REFUSALS: Tuple[Tuple[str, Callable[["SimulationConfig"], bool], str], ...] = (
+    (
+        "sim",
+        lambda c: c.prefix is not None and c.pause_hazard > 0,
+        "prefix tier and VCR interactivity are incompatible: a paused "
+        "parent stalls the playout relay chained sessions depend on "
+        "(set pause_hazard=0 or prefix=None)",
+    ),
+    (
+        "serve",
+        lambda c: c.prefix is not None and c.prefix.batching != "none",
+        "the live gateway cannot serve chained sessions (a chained "
+        "admission has no server stream for the pacing loop to drain); "
+        "use prefix batching='none' for cache-only operation, or run "
+        "the scenario virtually",
+    ),
+)
+
+
+def refusal(side: str, config: "SimulationConfig") -> Optional[str]:
+    """Why *side* (``"sim"`` / ``"serve"``) refuses *config*, from the
+    first :data:`REFUSALS` row it trips, or None."""
+    for row_side, test, why in REFUSALS:
+        if row_side == side and test(config):
+            return why
+    return None
 
 
 @dataclass(frozen=True)
@@ -134,8 +169,7 @@ class SimulationConfig(Config):
             (:class:`repro.prefix.PrefixPolicy`); ``None`` (default)
             sends every arrival straight to normal admission, as in
             the paper.  Incompatible with VCR interactivity
-            (``pause_hazard > 0``) — a paused parent would stall the
-            playout-relay schedule chained sessions depend on.
+            (``pause_hazard > 0``; see :data:`REFUSALS`).
     """
 
     system: SystemConfig
@@ -163,12 +197,9 @@ class SimulationConfig(Config):
     prefix: Optional[PrefixPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.prefix is not None and self.pause_hazard > 0:
-            raise ValueError(
-                "prefix tier and VCR interactivity are incompatible: "
-                "a paused parent stalls the playout relay chained "
-                "sessions depend on (set pause_hazard=0 or prefix=None)"
-            )
+        why = refusal("sim", self)
+        if why is not None:
+            raise ValueError(why)
         if self.client_mix is not None:
             if not self.client_mix:
                 raise ValueError("client_mix must have at least one class")
@@ -268,6 +299,54 @@ class SimulationResult:
         )
 
 
+def _injects(config: SimulationConfig) -> bool:
+    return config.faults is not None and not config.faults.empty
+
+
+#: The optional planes, one ``(attribute, stage, on, build)`` row each:
+#: build stage *stage* sets ``sim.<attribute>`` to ``build(sim)`` — a
+#: live plane, built from the products of earlier stages — when
+#: ``on(config)``, else to None, and subscribes the plane to the
+#: controller.  Table order is build and subscription order: the
+#: controller notifies in it (see :class:`Simulation`).
+PLANES: Tuple[Tuple[str, str, Callable, Callable], ...] = (
+    ("prefix_tier", "prefix", lambda c: c.prefix is not None, PrefixTier),
+    ("interactivity", "workload", lambda c: c.pause_hazard > 0.0,
+     lambda sim: InteractivityModel(
+         engine=sim.engine,
+         controller=sim.controller,
+         rng=sim.streams.get("interactivity"),
+         pause_hazard=sim.config.pause_hazard,
+         mean_pause_duration=sim.config.mean_pause,
+     )),
+    ("failover", "faults", lambda c: c.retry is not None or _injects(c),
+     lambda sim: FailoverManager(
+         engine=sim.engine,
+         servers=sim.controller.servers,
+         managers=sim.controller.managers,
+         placement=sim.placement_result.placement,
+         metrics=sim.metrics,
+         on_drop=sim.controller.on_drop,
+         tracer=sim.tracer,
+     )),
+    ("retry_queue", "faults", lambda c: c.retry is not None, RetryQueue),
+    ("fault_injector", "faults", _injects, FaultInjector),
+    ("invariant_checker", "observers",
+     lambda c: c.invariants or obs.env_invariants_enabled(),
+     InvariantChecker),
+    ("replicator", "observers", lambda c: c.replication is not None,
+     lambda sim: DynamicReplicator(
+         engine=sim.engine,
+         servers=sim.controller.servers,
+         placement=sim.placement_result.placement,
+         catalog=sim.catalog,
+         policy=sim.config.replication,
+     )),
+    ("elastic_scaler", "observers", lambda c: c.elastic is not None,
+     ElasticScaler),
+)
+
+
 class Simulation:
     """Build and run one configured simulation.
 
@@ -284,8 +363,9 @@ class Simulation:
     arrival at *t* after every engine event due at *t*.
 
     **Build stages.**  Construction is a pipeline of named stages
-    (:data:`BUILD_STAGES`), each a ``_build_<stage>`` method that
-    documents what exists once it completes:
+    (:data:`BUILD_STAGES`).  A stage runs its ``_build_<stage>`` method,
+    if it has one, then builds its :data:`PLANES` rows (each set to None
+    when off):
 
     ========== =====================================================
     stage      products
@@ -297,11 +377,20 @@ class Simulation:
     controller ``controller`` (admission front door, client profiles,
                the run's own request-id counter)
     prefix     ``prefix_tier`` (cache + chaining, warming scheduled)
-    workload   ``arrival_rate``, arrival process, ``interactivity``
+    workload   ``arrival_rate``; ``interactivity``
     faults     ``failover``, ``retry_queue``, ``fault_injector``
-    observers  ``invariant_checker``, ``replicator``, ``elastic_scaler``;
-               every lifecycle observer subscribed to the controller
+               (started)
+    observers  ``invariant_checker``, ``replicator``, ``elastic_scaler``
     ========== =====================================================
+
+    Each plane is subscribed to the controller as it is built, so
+    :data:`PLANES` order is notification order, and load-bearing.  The
+    tier is first: it restores a rejected patch to the full transfer
+    before the retry queue queues it, and severs a dropped parent's
+    chains before the parent is re-queued.  The rest schedule engine
+    events from inside the notification (VCR pause, retry backoff,
+    replica copy, scale-out), so their order fixes same-instant
+    sequence numbers — every digest.
 
     The *stage_hooks* argument is the extension point: a mapping from
     stage name to a ``hook(sim)`` callable invoked right after that
@@ -372,11 +461,26 @@ class Simulation:
         self.registry = obs.MetricsRegistry()
 
         for stage in self.BUILD_STAGES:
-            getattr(self, f"_build_{stage}")()
+            build = getattr(self, f"_build_{stage}", None)
+            if build is not None:
+                build()
+            for attr, plane_stage, on, plane in PLANES:
+                if plane_stage == stage:
+                    built = plane(self) if on(config) else None
+                    setattr(self, attr, built)
+                    if built is not None:
+                        self.controller.subscribe(built)
             hook = self._stage_hooks.get(stage)
             if hook is not None:
                 hook(self)
         self._finished = False
+
+    def __del__(self) -> None:
+        # A build dropped before it finished (never run, or its run
+        # raised) retires here, so it too frees through reference
+        # counting.  A build that raised never set the flag.
+        if self.__dict__.get("_finished") is False:
+            self._retire()
 
     # ------------------------------------------------------------------
     # Build stages (hook point after each; see class docstring)
@@ -500,159 +604,19 @@ class Simulation:
             tracer=self.tracer,
         )
 
-    def _build_prefix(self) -> None:
-        """Prefix-cache / stream-sharing tier (repro.prefix).
-
-        After: ``self.prefix_tier`` with cache warming scheduled — or
-        None when ``config.prefix`` is unset.  It fronts nothing until
-        the ``observers`` stage subscribes it to the controller.
-        """
-        config = self.config
-        self.prefix_tier: Optional[PrefixTier] = None
-        if config.prefix is None:
-            return
-        self.prefix_tier = PrefixTier(
-            engine=self.engine,
-            controller=self.controller,
-            catalog=self.catalog,
-            popularity=self.popularity,
-            placement=self.placement_result.placement,
-            placement_policy=self.placement_policy,
-            policy=config.prefix,
-            strict=config.invariants or obs.env_invariants_enabled(),
-            tracer=self.tracer,
-        )
-        self.prefix_tier.start()
-
     def _build_workload(self) -> None:
         """Request generation.
 
-        After: ``self.arrival_rate`` (calibrated to ``config.load``) and
-        ``self.interactivity`` (the VCR pause/resume model, or None).
+        After: ``self.arrival_rate`` (calibrated to ``config.load``).
         The registered arrival process itself starts with :meth:`run`.
         """
         config = self.config
-        self.interactivity = None
-        if config.pause_hazard > 0.0:
-            from repro.workload.interactivity import InteractivityModel
-
-            self.interactivity = InteractivityModel(
-                engine=self.engine,
-                controller=self.controller,
-                rng=self.streams.get("interactivity"),
-                pause_hazard=config.pause_hazard,
-                mean_pause_duration=config.mean_pause,
-            )
-
         self.arrival_rate = calibrated_arrival_rate(
             self.popularity,
             self.catalog,
             config.system.total_bandwidth,
             load=config.load,
         )
-
-    def _build_faults(self) -> None:
-        """Robustness layer (repro.faults).
-
-        After: ``self.failover`` (built whenever chaos or a retry
-        queue needs it), ``self.retry_queue`` and
-        ``self.fault_injector`` (strictly opt-in, already started).
-        """
-        config = self.config
-        inject = config.faults is not None and not config.faults.empty
-        self.failover: Optional[FailoverManager] = None
-        if inject or config.retry is not None:
-            self.failover = FailoverManager(
-                engine=self.engine,
-                servers=self.controller.servers,
-                managers=self.controller.managers,
-                placement=self.placement_result.placement,
-                metrics=self.metrics,
-                on_drop=self.controller.on_drop,
-                tracer=self.tracer,
-            )
-        self.retry_queue: Optional[RetryQueue] = None
-        if config.retry is not None:
-            self.retry_queue = RetryQueue(
-                engine=self.engine,
-                controller=self.controller,
-                streams=self.streams,
-                policy=config.retry,
-                tracer=self.tracer,
-            )
-        self.fault_injector: Optional[FaultInjector] = None
-        if inject:
-            self.fault_injector = FaultInjector(
-                engine=self.engine,
-                failover=self.failover,
-                streams=self.streams,
-                plan=config.faults,
-                catalog=self.catalog,
-                metrics=self.metrics,
-                membership=self.membership,
-            )
-            self.fault_injector.start()
-
-    def _build_observers(self) -> None:
-        """Online checks, the last observers, and every subscription.
-
-        After: ``self.invariant_checker`` (opt-in conservation checks),
-        ``self.replicator`` (the dynamic-replication extension),
-        ``self.elastic_scaler``, and the controller's ``intercept`` /
-        ``on_decision`` / ``on_finish`` / ``on_drop`` filled in.
-        """
-        config = self.config
-        self.invariant_checker: Optional[InvariantChecker] = None
-        if config.invariants or obs.env_invariants_enabled():
-            self.invariant_checker = InvariantChecker(
-                self.engine, self.controller, tracer=self.tracer
-            )
-            self.invariant_checker.attach()
-
-        self.replicator: Optional[DynamicReplicator] = None
-        if config.replication is not None:
-            self.replicator = DynamicReplicator(
-                engine=self.engine,
-                servers=self.controller.servers,
-                placement=self.placement_result.placement,
-                catalog=self.catalog,
-                policy=config.replication,
-            )
-
-        self.elastic_scaler: Optional[ElasticScaler] = None
-        if config.elastic is not None:
-            self.elastic_scaler = ElasticScaler(
-                engine=self.engine,
-                controller=self.controller,
-                membership=self.membership,
-                placement=self.placement_result.placement,
-                catalog=self.catalog,
-                popularity=self.popularity,
-                placement_policy=self.placement_policy,
-                policy=config.elastic,
-                streams=self.streams,
-                calibration=config.calibration,
-                tracer=self.tracer,
-            )
-            self.elastic_scaler.start()
-            if self.failover is not None:
-                self.failover.on_restore.append(
-                    self.elastic_scaler.resume_warming
-                )
-
-        # Subscription order is notification order, and load-bearing.
-        # The tier is first: it restores a rejected patch to the full
-        # transfer before the retry queue queues it, and severs a
-        # dropped parent's chains before the parent is re-queued.  The
-        # rest schedule engine events from inside the notification (VCR
-        # pause, retry backoff, replica copy, scale-out), so their
-        # order fixes same-instant sequence numbers — every digest.
-        for observer in (
-            self.prefix_tier, self.interactivity, self.retry_queue,
-            self.replicator, self.elastic_scaler,
-        ):
-            if observer is not None:
-                self.controller.subscribe(observer)
 
     @property
     def metrics(self) -> SimulationMetrics:
@@ -783,7 +747,8 @@ class Simulation:
 
     def _retire(self) -> None:
         """Cut the run's reference cycles, so that dropping the last
-        reference to this Simulation frees its whole graph at once.
+        reference to this Simulation frees its whole graph at once: at
+        :meth:`finish`, or on drop for a build that never finished.
 
         The agenda's events and the managers' pending boundaries are
         bound methods of objects that hold the engine; the managers'

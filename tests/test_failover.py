@@ -251,7 +251,7 @@ class TestReplicaLoss:
     def test_on_drop_hook_sees_unrescuable_orphans(self):
         cluster, failover = cluster_with_failover({0: [0]})
         seen = []
-        failover.on_drop.append(seen.append)
+        failover.drop_handlers.append(seen.append)
         a, _ = cluster.submit(0)
         cluster.engine.run_until(1.0)
         failover.lose_replica(0, cluster.catalog[0])

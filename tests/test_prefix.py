@@ -1016,27 +1016,6 @@ class TestOpsSurface:
         with pytest.raises(ValueError, match="batching"):
             ClusterGateway(config, ServeConfig(port=0))
 
-    @pytest.mark.parametrize("batching", ["window", "patch"])
-    def test_serve_refusal_is_the_constructors_rule(self, batching):
-        # The gateway's row of the compatibility matrix, askable
-        # without building a gateway (`repro verify` skips the live leg
-        # on it); the constructor raises the same text.
-        from repro.serve import ClusterGateway, ServeConfig
-        from repro.serve.gateway import serve_refusal
-
-        config = prefix_config(PrefixPolicy(batching=batching))
-        refusal = serve_refusal(config)
-        assert "cannot serve chained sessions" in refusal
-        with pytest.raises(ValueError) as err:
-            ClusterGateway(config, ServeConfig(port=0))
-        assert str(err.value) == refusal
-
-    def test_serve_refusal_passes_cache_only_and_tierless_configs(self):
-        from repro.serve.gateway import serve_refusal
-
-        assert serve_refusal(prefix_config(PrefixPolicy(batching="none"))) is None
-        assert serve_refusal(prefix_config(None)) is None
-
     def test_gateway_cache_stats_in_cache_only_mode(self):
         from repro.serve import ClusterGateway, ServeConfig
         from repro.serve.telemetry import snapshot

@@ -1,9 +1,11 @@
 """Unit tests for the Simulation facade and its configuration."""
 
 import dataclasses
+import gc
 import json
 import math
 import pathlib
+import sys
 import weakref
 
 import pytest
@@ -24,6 +26,7 @@ from repro.core.replication import ReplicationPolicy
 from repro.faults import CrashFaults, FaultPlan, RetryPolicy
 from repro.prefix import PrefixPolicy
 from repro.serve.bridge import PolicyBridge, decisions_digest
+from repro.simulation import PLANES, REFUSALS, refusal
 from repro.units import hours
 from repro.workload.arrivals import ARRIVALS, PoissonArrivalProcess
 
@@ -75,6 +78,72 @@ class TestConfigValidation:
     def test_nonpositive_load_rejected(self):
         with pytest.raises(ValueError):
             quick_config(load=0.0)
+
+
+class TestCompatibilityMatrix:
+    """Every :data:`REFUSALS` row is refused on its side, in its own
+    words, and a config no row trips is refused by neither side."""
+
+    #: Fields that trip each row, keyed by the start of its reason.
+    TRIPS = {
+        "prefix tier and VCR": dict(
+            prefix=PrefixPolicy(), pause_hazard=1 / 600.0,
+        ),
+        "the live gateway cannot serve chained": dict(
+            prefix=PrefixPolicy(batching="window"),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "side, test, why", REFUSALS,
+        ids=[f"{side}{i}" for i, (side, _, _) in enumerate(REFUSALS)],
+    )
+    def test_each_row_is_refused_on_its_side(self, side, test, why):
+        (fields,) = [
+            fields for start, fields in self.TRIPS.items()
+            if why.startswith(start)
+        ]
+        if side == "sim":
+            with pytest.raises(ValueError) as err:
+                quick_config(**fields)
+            assert str(err.value) == why
+            return
+        from repro.experiments import verify
+        from repro.serve import ClusterGateway, ServeConfig
+
+        assert side == "serve"
+        config = quick_config(**fields)
+        assert test(config)
+        with pytest.raises(ValueError) as err:
+            ClusterGateway(config, ServeConfig(port=0))
+        assert str(err.value) == why
+        assert verify.plan(config)["skipped"] == {"live": why}
+
+    @pytest.mark.parametrize("prefix", [
+        None, PrefixPolicy(batching="none"),
+    ], ids=["tierless", "cache-only"])
+    def test_a_config_no_row_trips_is_refused_nowhere(self, prefix):
+        config = quick_config(prefix=prefix)
+        assert [refusal(side, config) for side in ("sim", "serve")] == [
+            None, None,
+        ]
+
+
+class TestBuildStages:
+    def test_the_ledger_stamps_every_stage(self):
+        # bench/layers.py stamps simulation.build.<stage>_s after each
+        # stage, and the ledger refuses a metric BENCHMARK.json does not
+        # declare: a renamed or added stage fails every traced run.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        declared = json.loads((root / "BENCHMARK.json").read_text())
+        prefix, suffix = "simulation.build.", "_s"
+        stamped = tuple(
+            metric["name"][len(prefix):-len(suffix)]
+            for metric in declared["per_layer"]
+            if metric["name"].startswith(prefix)
+        )
+        assert stamped == Simulation.BUILD_STAGES
+        assert {stage for _, stage, _, _ in PLANES} <= set(stamped)
 
 
 class TestRun:
@@ -193,7 +262,7 @@ class TestLifecycleWiring:
         ]
         assert controller.on_finish == []
         assert controller.on_drop == [sim.retry_queue.on_drop]
-        assert sim.failover.on_drop is controller.on_drop
+        assert sim.failover.drop_handlers is controller.on_drop
 
     def test_tier_first_on_every_list(self):
         sim = Simulation(quick_config(prefix=PrefixPolicy(), **self.chaos()))
@@ -204,7 +273,7 @@ class TestLifecycleWiring:
         ]
         assert controller.on_finish == [tier.on_finish]
         assert controller.on_drop == [tier.on_drop, sim.retry_queue.on_drop]
-        assert sim.failover.on_drop is controller.on_drop
+        assert sim.failover.drop_handlers is controller.on_drop
 
     def test_scheduled_elastic_trigger_watches_nothing(self):
         sim = Simulation(quick_config(elastic=ElasticPolicy()))
@@ -321,10 +390,11 @@ class TestRequestIdsPerSimulation:
         )
 
 
-def bridge_left_to_gc():
+def bridge_left_to_gc(finalize=True):
     """``repro`` objects left to the cyclic collector by a
     :class:`PolicyBridge` that replayed ``serve_loopback``'s trace and
-    was finalized: 0 when it frees itself."""
+    was finalized (or, with *finalize* false, dropped as it stood): 0
+    when it frees itself."""
     from repro.scenario import load_scenario
     from repro.serve.loadgen import arrival_trace
 
@@ -333,7 +403,8 @@ def bridge_left_to_gc():
     with cyclic_gc_off():
         bridge = PolicyBridge(config)
         bridge.replay(arrival_trace(bridge))
-        bridge.finalize()
+        if finalize:
+            bridge.finalize()
         del bridge
         return sum(left_to_gc().values())
 
@@ -351,21 +422,32 @@ def _retire_readings(sim):
     )
 
 
-def ledger_left_to_gc():
-    """``repro`` objects left to the cyclic collector by one run of each
-    sim ledger config (``bench/workloads``), traced where the workload
-    is, summed: 0 when every run frees itself."""
+def ledger_configs():
+    """``{name: (config, traced)}`` of the sim ledger workloads
+    (``bench/workloads``)."""
     root = pathlib.Path(__file__).resolve().parent.parent
+    configs = {}
+    for path in sorted((root / "bench/workloads").glob("*.json")):
+        raw = json.loads(path.read_text())
+        if raw["kind"] == "sim":
+            configs[path.stem] = (
+                SimulationConfig.from_dict(raw["config"]), bool(raw.get("tracer"))
+            )
+    return configs
+
+
+def ledger_left_to_gc(run=True):
+    """``repro`` objects left to the cyclic collector by one run (with
+    *run* false, one unrun build) of each sim ledger config, traced
+    where the workload is, summed: 0 when every one frees itself."""
     left = 0
     with cyclic_gc_off():
-        for path in sorted((root / "bench/workloads").glob("*.json")):
-            raw = json.loads(path.read_text())
-            if raw["kind"] == "sim":
-                Simulation(
-                    SimulationConfig.from_dict(raw["config"]),
-                    tracer=obs.Tracer() if raw.get("tracer") else None,
-                ).run()
-                left += sum(left_to_gc().values())
+        for config, traced in ledger_configs().values():
+            sim = Simulation(config, tracer=obs.Tracer() if traced else None)
+            if run:
+                sim.run()
+            del sim
+            left += sum(left_to_gc().values())
     return left
 
 
@@ -422,8 +504,30 @@ class TestARunFreesItself:
             assert [ref() for ref in refs] == [None] * len(refs)
             assert left_to_gc() == {}
 
+    @pytest.mark.parametrize("name", list(ledger_configs()))
+    def test_dropping_an_unrun_build_frees_it(self, name):
+        config, traced = ledger_configs()[name]
+        with cyclic_gc_off():
+            Simulation(config, tracer=obs.Tracer() if traced else None)
+            assert left_to_gc() == {}
+
     def test_a_finalized_bridge_frees_itself(self):
         assert bridge_left_to_gc() == 0
+
+    def test_a_dropped_unfinalized_bridge_frees_itself(self):
+        assert bridge_left_to_gc(finalize=False) == 0
+
+    @pytest.mark.parametrize("hooks", [
+        {"nosuchstage": print}, {"controller": lambda sim: 1 / 0},
+    ], ids=["unknown stage", "hook raises"])
+    def test_a_build_that_raised_drops_quietly(self, hooks, monkeypatch):
+        # Dropping it retires nothing and prints no "Exception ignored".
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Simulation(quick_config(), stage_hooks=hooks)
+        gc.collect()
+        assert unraisable == []
 
     def test_a_registry_that_outlives_its_run_says_so(self):
         sim = Simulation(quick_config(duration=hours(0.5)))
