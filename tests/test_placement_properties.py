@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.server import DataServer
@@ -34,6 +34,17 @@ def placement_problem(draw):
     total_copies = int(round(avg_copies * n_videos))
     total_copies = max(n_videos, min(total_copies, n_videos * n_servers))
     return catalog, n_servers, total_copies, theta, seed
+
+
+
+@st.composite
+def clamp_problem(draw):
+    """Counts already within ``[1, n_servers]``, and that ``n_servers``:
+    drawn in bounds rather than filtered, which most lists would fail."""
+    n_servers = draw(st.integers(min_value=1, max_value=10))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=n_servers),
+                           min_size=1, max_size=50))
+    return counts, n_servers
 
 
 class TestPolicyProperties:
@@ -109,15 +120,13 @@ class TestCountHelpers:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.integers(min_value=1, max_value=10), min_size=1,
-                 max_size=50),
+        clamp_problem(),
         st.integers(min_value=1, max_value=500),
-        st.integers(min_value=1, max_value=10),
         st.integers(min_value=0, max_value=1000),
     )
-    def test_clamp_counts_invariants(self, counts, total, n_servers, seed):
+    def test_clamp_counts_invariants(self, problem, total, seed):
+        counts, n_servers = problem
         arr = np.array(counts, dtype=np.int64)
-        assume((arr <= n_servers).all())
         out = clamp_counts_to_total(
             arr, total, n_servers, np.random.default_rng(seed)
         )

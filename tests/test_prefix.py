@@ -1016,6 +1016,21 @@ class TestOpsSurface:
         with pytest.raises(ValueError, match="batching"):
             ClusterGateway(config, ServeConfig(port=0))
 
+    @pytest.mark.parametrize("batching", ["window", "patch"])
+    def test_serve_refusal_is_the_constructors_rule(self, batching):
+        # The gateway's row of the compatibility matrix, askable
+        # without building a gateway (`repro verify` skips the live leg
+        # on it); the constructor raises the same text.
+        from repro.serve import ClusterGateway, ServeConfig
+        from repro.simulation import refusal
+
+        config = prefix_config(PrefixPolicy(batching=batching))
+        why = refusal("serve", config)
+        assert "cannot serve chained sessions" in why
+        with pytest.raises(ValueError) as err:
+            ClusterGateway(config, ServeConfig(port=0))
+        assert str(err.value) == why
+
     def test_gateway_cache_stats_in_cache_only_mode(self):
         from repro.serve import ClusterGateway, ServeConfig
         from repro.serve.telemetry import snapshot
