@@ -12,7 +12,7 @@ Subcommands regenerate each reproduced artifact::
     repro-vod run --system small --theta 0.3 --staging 0.2 --migrate
     repro-vod run --scenario scenarios/p4_small.json
     repro-vod verify scenarios/chaos_serve.json     # the gate (exit 1 on failure)
-    repro-vod trace fig5 --trace-out fig5.jsonl     # structured trace
+    repro-vod run --theta 0 --trace-out run.jsonl   # one traced run
 
 **Every experiment subcommand is generated from the experiment
 registry** (:mod:`repro.experiments.registry`): importing
@@ -25,8 +25,9 @@ one module — there is no import list or dispatch table here to edit
 ``--scale`` (or REPRO_SCALE) trades fidelity for speed; 1.0 is the
 paper's 5 trials × 1000 h.
 
-Observability (see docs/OBSERVABILITY.md): every subcommand takes
-``--trace-out PATH`` (append structured JSONL trace records) and
+Observability (see docs/OBSERVABILITY.md): ``run``, ``all`` and the
+figure subcommands take ``--trace-out PATH`` (append structured JSONL
+trace records; ``run`` also prints the per-kind record counts) and
 ``--profile`` (per-event-kind wall-clock report on stderr).  Progress
 lines go to **stderr**, so stdout stays machine-readable and composes
 with ``--quiet``.
@@ -45,16 +46,12 @@ from repro import experiments as _experiments  # noqa: F401  (auto-discovery)
 from repro.cluster.system import SYSTEMS
 from repro.core.migration import MigrationPolicy
 from repro.core.schedulers import ALLOCATORS
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    trace_experiments,
-)
+from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.obs import profiler as profiling
 from repro.obs.runtime import PROFILE_VAR, TRACE_OUT_VAR
 from repro.placement import PLACEMENTS
 from repro.scenario import load_scenario_or_exit
-from repro.simulation import Simulation, SimulationConfig, run_simulation
+from repro.simulation import Simulation, SimulationConfig
 from repro.units import hours
 
 
@@ -167,53 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_d["seed"])
     _add_obs(p)
 
-    p = sub.add_parser(
-        "trace",
-        help="run one representative traced simulation; dump JSONL + summary",
-    )
-    p.add_argument("experiment", choices=trace_experiments(),
-                   help="which figure's setup to trace one run of")
-    p.add_argument("--system", default="small", choices=SYSTEMS.names())
-    p.add_argument(
-        "--trace-out", default="trace.jsonl", metavar="PATH",
-        help="JSONL output path (default: trace.jsonl)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="also report per-event-kind wall clock on stderr",
-    )
-    p.add_argument(
-        "--scale", type=float, default=None,
-        help="fidelity factor controlling the traced run's duration",
-    )
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-
     return parser
-
-
-def _ensure_writable(path: str) -> None:
-    """Fail fast (before simulating for minutes) on an unwritable path."""
-    obs.check_trace_path(path, flag="--trace-out")
-
-
-def _cmd_trace(args) -> int:
-    """``repro trace <experiment>``: one traced run, JSONL + summary."""
-    _ensure_writable(args.trace_out)
-    spec = EXPERIMENTS.get(args.experiment)
-    config = spec.trace_config(SYSTEMS.get(args.system), args.seed, args.scale)
-    tracer = obs.Tracer()
-    profiler = obs.EventProfiler() if args.profile else None
-    sim = Simulation(config, tracer=tracer, profiler=profiler)
-    result = sim.run()
-    lines = tracer.export_jsonl(args.trace_out, provenance=result.provenance)
-    print(tracer.summary_table())
-    print(
-        f"wrote {lines} JSONL lines ({len(tracer.counts)} record kinds) "
-        f"to {args.trace_out}"
-    )
-    if profiler is not None:
-        print(profiler.report().render(), file=sys.stderr)
-    return 0
 
 
 @contextlib.contextmanager
@@ -307,12 +258,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _main(args) -> int:
-    if args.command == "trace":
-        return _cmd_trace(args)
-
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        _ensure_writable(trace_out)
+        # Fail fast, before simulating for minutes, on an unwritable path.
+        obs.check_trace_path(trace_out, flag="--trace-out")
     profile = bool(getattr(args, "profile", False))
     if profile:
         # Per-invocation report: drop whatever a previous in-process
@@ -415,14 +364,18 @@ def _dispatch(args) -> int:
         return _cmd_list()
 
     if args.command == "run":
-        config = _run_config(args)
-        result = run_simulation(config)
+        # The JSONL leaves through Simulation.finish (REPRO_TRACE_OUT);
+        # holding the tracer here adds the per-kind counts to stdout.
+        tracer = obs.Tracer() if args.trace_out else None
+        result = Simulation(_run_config(args), tracer=tracer).run()
         print(result)
         print(
             f"  arrivals={result.arrivals} accepted={result.accepted} "
             f"rejected={result.rejected} migrations={result.migrations} "
             f"events={result.events_fired}"
         )
+        if tracer is not None:
+            print(tracer.summary_table())
         return 0
 
     progress = _progress(getattr(args, "quiet", False))

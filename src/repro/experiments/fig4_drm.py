@@ -114,6 +114,4 @@ register_figure(
               lambda r: r.at(_ONE_HOP, -1.5) - r.at(_ONE_HOP, 0.5),
               "<", 0.0, panels=("large",)),
     ],
-    # One representative traced run: mid-theta, DRM on, no staging.
-    trace=(base_config, variants_for("small")[1]),
 )

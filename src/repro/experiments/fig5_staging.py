@@ -99,6 +99,4 @@ register_figure(
               ) - (large.at("20% buffer", 0.25) - large.at("0% buffer", 0.25)),
               ">", -0.01, panels=("small", "large")),
     ],
-    # One representative traced run: 20 % staging, no DRM.
-    trace=(base_config, variants_for((0.2,))[0]),
 )

@@ -136,9 +136,6 @@ register_figure(
               "staging alone improves on the bare baseline",
               lambda r: r.at("P2", 0.25) - r.at("P1", 0.25), ">", 0.0, panels=("small",)),
     ],
-    # One representative traced run: policy P4 (even + DRM + 20 %
-    # staging).
-    trace=(base_config, policy_variant(PAPER_POLICIES["P4"])),
     add_arguments=_cli_arguments,
     options=("policies",),
     preamble=policy_matrix_table,

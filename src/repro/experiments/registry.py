@@ -1,13 +1,12 @@
 """Self-registration of experiments (docs/ARCHITECTURE.md).
 
 Each experiment module ends by publishing an :class:`ExperimentSpec` —
-its CLI name, help text, argument hooks, runner, and optional extras (a
-trace-config factory for ``repro trace``, an artifact generator for
-``repro all``).  A figure (a ``run_*`` function returning a
-:class:`~repro.experiments.base.SweepResult`) declares itself with
-:func:`register_figure`, which builds all of those from a name, a title,
-the run function and the :class:`Claim` list the figure is expected to
-satisfy; a definitional table (Figures 3 and 6) uses
+its CLI name, help text, argument hooks, runner, and an optional
+artifact generator for ``repro all``.  A figure (a ``run_*`` function
+returning a :class:`~repro.experiments.base.SweepResult`) declares
+itself with :func:`register_figure`, which builds all of those from a
+name, a title, the run function and the :class:`Claim` list the figure
+is expected to satisfy; a definitional table (Figures 3 and 6) uses
 :func:`register_table`; the bespoke verbs (``serve``, ``verify`` …) hand
 :func:`register` a spec of their own.  The CLI builds its subcommands
 *from this registry*: adding an experiment is writing one module, not
@@ -23,20 +22,13 @@ top-level subcommand each (``repro fig4`` …).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.system import (
-    LARGE_SYSTEM,
-    SMALL_SYSTEM,
-    SYSTEMS,
-    SystemConfig,
-)
-from repro.experiments.base import SweepResult, Variant, resolve_scale
+from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM, SYSTEMS
+from repro.experiments.base import SweepResult
 from repro.registry import Registry, RegistryError
-from repro.simulation import SimulationConfig
 
 #: A progress callback (one line per grid point) or None when quiet.
 Progress = Optional[Callable[[str], None]]
@@ -128,10 +120,6 @@ class ExperimentSpec:
             the generated subparser (``--system``, ``--policies`` …).
             The common flags (``--scale``/``--seed``/``--quiet``/obs)
             are added by the CLI unless :attr:`bare` is set.
-        trace_config: optional ``(system, seed, scale) ->
-            SimulationConfig`` factory producing one representative
-            traced run; experiments providing it appear as ``repro
-            trace <name>`` choices.
         artifacts: optional ``(scale, seed, progress) -> iterable`` of
             :class:`Artifact` blocks for the ``repro all`` report;
             experiments without it are CLI-only.
@@ -146,9 +134,6 @@ class ExperimentSpec:
     help: str
     run_cli: Callable[[argparse.Namespace, Progress], int]
     add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
-    trace_config: Optional[
-        Callable[[SystemConfig, int, Optional[float]], SimulationConfig]
-    ] = None
     artifacts: Optional[
         Callable[[Optional[float], int, Progress], Iterable[Artifact]]
     ] = None
@@ -177,9 +162,6 @@ def register_figure(
     order: int = 100,
     panels: bool = False,
     claims: Sequence[Claim] = (),
-    trace: Optional[
-        Tuple[Callable[[SystemConfig, int], SimulationConfig], Variant]
-    ] = None,
     add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None,
     options: Sequence[str] = (),
     preamble: Optional[Callable[[], str]] = None,
@@ -198,9 +180,6 @@ def register_figure(
             ``--system`` picks one on the CLI, the report draws both.
         claims: what the figure is expected to show, judged under the
             table on the CLI and in ``repro all`` (see :class:`Claim`).
-        trace: ``(base_config, variant)`` — ``repro trace <name>`` runs
-            ``variant`` applied to ``base_config(system, seed)``, the
-            same base the figure sweeps.
         add_arguments: extra CLI flags; the parsed values named in
             *options* are passed to *run* as keywords.
         preamble: text printed above the table on the CLI.
@@ -255,17 +234,6 @@ def register_figure(
         names = (LARGE_SYSTEM.name, SMALL_SYSTEM.name) if panels else ("",)
         return draw(names, scale, seed, progress)
 
-    def trace_config(
-        system: SystemConfig, seed: int, scale: Optional[float]
-    ) -> SimulationConfig:
-        base_config, variant = trace
-        exp_scale = resolve_scale(scale)
-        return dataclasses.replace(
-            variant.apply(base_config(system, seed)),
-            duration=exp_scale.duration,
-            warmup=exp_scale.warmup,
-        )
-
     def arguments(parser: argparse.ArgumentParser) -> None:
         if panels:
             parser.add_argument(
@@ -280,7 +248,6 @@ def register_figure(
             help=help,
             run_cli=run_cli,
             add_arguments=arguments,
-            trace_config=trace_config if trace is not None else None,
             artifacts=artifacts if stem is not None else None,
             claims=tuple(claims),
             order=order,
@@ -302,13 +269,3 @@ def register_table(
         name=name, help=help, run_cli=run_cli, order=order, bare=True,
         artifacts=lambda scale, seed, progress: [Artifact(stem, table())],
     ))
-
-
-def trace_experiments() -> tuple:
-    """Names of experiments offering a ``repro trace`` setup (sorted)."""
-    return tuple(
-        name
-        for name in EXPERIMENTS.names()
-        if EXPERIMENTS.get(name).trace_config is not None
-    )
-

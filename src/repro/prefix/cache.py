@@ -28,35 +28,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.cluster.request import EPS_MB
 from repro.cluster.server import DataServer
 from repro.registry import Registry
-from repro.workload.zipf import popularity_ranks
 
 #: Pluggable prefix-replication strategies ``(tier) -> {video_id: Mb}``.
 PREFIX_STRATEGIES: Registry = Registry("prefix strategy")
 
 
 def hottest_first(tier) -> List[int]:
-    """Video ids in demand order, hottest first.
-
-    Routed through the placement policy's ``warm_targets`` seam (with an
-    unconstrained proxy server, so nothing is skipped for space) when a
-    placement policy is wired; falls back to a direct argsort of the
-    Zipf demand vector otherwise.  Both paths are deterministic.
-    """
+    """Video ids in demand order, hottest first: the placement policy's
+    ``warm_targets`` seam, asked for every video with an unconstrained
+    proxy server, so nothing is skipped for space.  Deterministic."""
     catalog = tier.catalog
-    if tier.placement_policy is not None:
-        proxy = DataServer(-1, 1.0, catalog.total_size() + 1.0)
-        return list(
-            tier.placement_policy.warm_targets(
-                catalog, tier.popularity, tier.placement, proxy, len(catalog)
-            )
+    proxy = DataServer(-1, 1.0, catalog.total_size() + 1.0)
+    return list(
+        tier.placement_policy.warm_targets(
+            catalog, tier.popularity, tier.placement, proxy, len(catalog)
         )
-    probs = popularity_ranks(len(catalog), tier.popularity.theta)
-    return [int(v) for v in np.argsort(-probs, kind="stable")]
+    )
 
 
 @PREFIX_STRATEGIES.register(

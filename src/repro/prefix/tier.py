@@ -38,7 +38,6 @@ from repro.cluster.request import EPS_MB, Request, RequestState
 from repro.core.admission import AdmissionOutcome
 from repro.faults.invariants import InvariantViolation
 from repro.obs.records import TraceKind
-from repro.obs.runtime import env_invariants_enabled
 from repro.prefix.cache import PREFIX_STRATEGIES, PrefixCache
 from repro.prefix.chaining import BATCHING, ChainedSession
 from repro.serialize import Config
@@ -90,7 +89,7 @@ class PrefixTier:
     Built by :class:`~repro.simulation.Simulation` from its products
     (engine, controller, workload, placement and the ``prefix`` config
     block), with the initial replication plan computed and warming
-    begun.  ``strict`` (the run checks invariants) raises
+    begun.  ``strict`` (the run has an invariant checker) raises
     :class:`InvariantViolation` on a chained-session underrun, which
     is otherwise only counted.
     """
@@ -105,7 +104,7 @@ class PrefixTier:
         #: Its ``warm_targets`` seam supplies the popularity ranking.
         self.placement_policy = sim.placement_policy
         self.policy: PrefixPolicy = config.prefix
-        self.strict = config.invariants or env_invariants_enabled()
+        self.strict = sim.invariant_checker is not None
         self.tracer = sim.tracer
         self.metrics = controller.metrics
         self.cache = PrefixCache(self.policy.capacity_mb)

@@ -116,7 +116,8 @@ class SimulationConfig(Config):
 
     Attributes:
         system: cluster + catalog parameterisation (Figure 3 presets).
-        theta: Zipf demand-uniformity parameter (1 = uniform).
+        theta: Zipf demand-uniformity parameter (1 = uniform; at
+            most 1, where video id is demand rank).
         placement: placement registry key (see ``repro.placement``).
         migration: DRM configuration.
         staging_fraction: client staging buffer as a fraction of the
@@ -213,6 +214,13 @@ class SimulationConfig(Config):
                         f"client_mix staging fractions must be >= 0, "
                         f"got {fraction}"
                     )
+        if self.theta > 1:
+            # Above 1 the Zipf ranking inverts: video id is no longer
+            # demand rank, which placement and prefix warming assume.
+            raise ValueError(
+                f"theta must be <= 1 (1 = uniform; the paper sweeps "
+                f"[-1.5, 1]), got {self.theta}"
+            )
         if self.pause_hazard < 0:
             raise ValueError(
                 f"pause_hazard must be >= 0, got {self.pause_hazard}"
@@ -310,6 +318,9 @@ def _injects(config: SimulationConfig) -> bool:
 #: controller.  Table order is build and subscription order: the
 #: controller notifies in it (see :class:`Simulation`).
 PLANES: Tuple[Tuple[str, str, Callable, Callable], ...] = (
+    ("invariant_checker", "controller",
+     lambda c: c.invariants or obs.env_invariants_enabled(),
+     InvariantChecker),
     ("prefix_tier", "prefix", lambda c: c.prefix is not None, PrefixTier),
     ("interactivity", "workload", lambda c: c.pause_hazard > 0.0,
      lambda sim: InteractivityModel(
@@ -331,9 +342,6 @@ PLANES: Tuple[Tuple[str, str, Callable, Callable], ...] = (
      )),
     ("retry_queue", "faults", lambda c: c.retry is not None, RetryQueue),
     ("fault_injector", "faults", _injects, FaultInjector),
-    ("invariant_checker", "observers",
-     lambda c: c.invariants or obs.env_invariants_enabled(),
-     InvariantChecker),
     ("replicator", "observers", lambda c: c.replication is not None,
      lambda sim: DynamicReplicator(
          engine=sim.engine,
@@ -375,22 +383,25 @@ class Simulation:
     cluster    ``cluster_profile``, ``servers``, ``membership``
     placement  ``placement_result``, ``placement_policy``
     controller ``controller`` (admission front door, client profiles,
-               the run's own request-id counter)
+               the run's own request-id counter); ``invariant_checker``
     prefix     ``prefix_tier`` (cache + chaining, warming scheduled)
     workload   ``arrival_rate``; ``interactivity``
     faults     ``failover``, ``retry_queue``, ``fault_injector``
                (started)
-    observers  ``invariant_checker``, ``replicator``, ``elastic_scaler``
+    observers  ``replicator``, ``elastic_scaler``
     ========== =====================================================
 
     Each plane is subscribed to the controller as it is built, so
     :data:`PLANES` order is notification order, and load-bearing.  The
-    tier is first: it restores a rejected patch to the full transfer
-    before the retry queue queues it, and severs a dropped parent's
-    chains before the parent is re-queued.  The rest schedule engine
-    events from inside the notification (VCR pause, retry backoff,
-    replica copy, scale-out), so their order fixes same-instant
-    sequence numbers — every digest.
+    invariant checker is built first, so every later plane reads "is
+    this run checked" as ``sim.invariant_checker is not None``; it
+    watches the engine and handles no controller notification.  The
+    tier is the first handler: it restores a rejected patch to the
+    full transfer before the retry queue queues it, and severs a
+    dropped parent's chains before the parent is re-queued.  The rest
+    schedule engine events from inside the notification (VCR pause,
+    retry backoff, replica copy, scale-out), so their order fixes
+    same-instant sequence numbers — every digest.
 
     The *stage_hooks* argument is the extension point: a mapping from
     stage name to a ``hook(sim)`` callable invoked right after that

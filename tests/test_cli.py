@@ -4,9 +4,8 @@ import pathlib
 
 import pytest
 
-from repro import SMALL_SYSTEM, SimulationConfig
 from repro.cli import build_parser, main
-from repro.experiments.registry import EXPERIMENTS, trace_experiments
+from repro.experiments.registry import EXPERIMENTS
 
 from conftest import scratch_registry
 
@@ -63,19 +62,6 @@ class TestRegistryDrivenCLI:
             assert "dummy ran" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dummy-exp"])
-
-    def test_trace_choices_come_from_trace_configs(self):
-        from repro.experiments.registry import trace_experiments
-
-        parser = build_parser()
-        for name in trace_experiments():
-            args = parser.parse_args(["trace", name])
-            assert args.experiment == name
-
-    @pytest.mark.parametrize("name", trace_experiments())
-    def test_every_trace_config_builds(self, name):
-        config = EXPERIMENTS.get(name).trace_config(SMALL_SYSTEM, 0, 0.0005)
-        assert isinstance(config, SimulationConfig)
 
     def test_no_hand_maintained_dispatch_left(self):
         # The registry replaced the per-experiment import and dispatch
@@ -171,17 +157,19 @@ class TestObservabilityCLI:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_trace_subcommand_writes_valid_jsonl(self, tmp_path, capsys):
+    def test_run_trace_out_writes_valid_jsonl_and_summary(
+        self, tmp_path, capsys
+    ):
         import json
 
         out = tmp_path / "t.jsonl"
         code = main([
-            "trace", "fig5", "--system", "small",
-            "--scale", "0.001", "--trace-out", str(out),
+            "run", "--system", "small", "--theta", "0", "--staging", "0.2",
+            "--hours", "1", "--warmup-hours", "0.5",
+            "--trace-out", str(out), "--profile",
         ])
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "kind" in stdout and str(out) in stdout
+        captured = capsys.readouterr()
         with open(out) as fh:
             records = [json.loads(line) for line in fh]
         assert records[0]["kind"] == "run.meta"
@@ -189,10 +177,24 @@ class TestObservabilityCLI:
         kinds = {r["kind"] for r in records[1:]}
         assert len(kinds) >= 5
         assert all("t" in r for r in records[1:])
+        # The per-kind summary follows the result on stdout, one row
+        # per kind the file holds; the profile stays on stderr.
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("utilization=")
+        header = next(
+            i for i, line in enumerate(lines) if line.startswith("kind ")
+        )
+        rows = {line.split()[0] for line in lines[header + 2:-1]}
+        assert rows == kinds
+        assert f"({len(records) - 1} emitted" in lines[-1]
+        assert "events/sec" in captured.err
+        assert "events/sec" not in captured.out
 
-    def test_trace_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "fig6"])
+    def test_trace_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fig5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
 
     def test_run_with_profile_reports_to_stderr(self, capsys):
         code = main([

@@ -38,6 +38,7 @@ from repro.core.admission import AdmissionOutcome
 from repro.faults.invariants import InvariantViolation
 from repro.obs import TraceKind
 from repro.obs.tracer import Tracer
+from repro.placement import PLACEMENTS
 from repro.prefix import (
     BATCHING,
     ChainedSession,
@@ -83,14 +84,15 @@ def toy_catalog(lengths, view_bandwidth=1.0):
 
 
 def toy_tier(lengths, theta=0.0, view_bandwidth=1.0, **policy):
-    """The minimal duck-typed tier the planning strategies read."""
+    """The minimal duck-typed tier the planning strategies read, ranking
+    through the placement seam a simulation's tier ranks through."""
     catalog = toy_catalog(lengths, view_bandwidth)
     return SimpleNamespace(
         catalog=catalog,
         popularity=ZipfPopularity(len(catalog), theta),
         policy=PrefixPolicy(**policy),
         placement=None,
-        placement_policy=None,
+        placement_policy=PLACEMENTS.get("even")(),
     )
 
 
@@ -183,14 +185,16 @@ class TestStrategies:
             assert sum(plan.values()) <= tier.policy.capacity_mb + EPS_MB
 
     def test_ranking_matches_popularity_ranks_helper(self):
-        # The satellite: the cache's notion of "popular" is the shared
-        # workload helper, not a private recomputation.
+        # The placement seam ranks by video id; over the theta range a
+        # SimulationConfig admits, that is the shared workload helper's
+        # demand order.
         from repro.prefix.cache import hottest_first
 
-        tier = toy_tier(list(range(10, 110, 10)), theta=-0.5)
-        probs = popularity_ranks(10, -0.5)
-        expected = [int(v) for v in np.argsort(-probs, kind="stable")]
-        assert hottest_first(tier) == expected
+        for theta in (-1.5, -0.5, 0.0, 0.5, 1.0):
+            tier = toy_tier(list(range(10, 110, 10)), theta=theta)
+            probs = popularity_ranks(10, theta)
+            expected = [int(v) for v in np.argsort(-probs, kind="stable")]
+            assert hottest_first(tier) == expected, theta
 
 
 class TestPrefixCache:
@@ -1006,6 +1010,33 @@ class TestPerParentFinish:
         assert caught.value.subject == f"request {doctored.child.request_id}"
         assert fired == [parent.playback_start + 60.0]
         assert first.finished and not last.finished   # sibling order
+
+    @pytest.mark.parametrize("invariants, env", [
+        (False, None), (True, None), (False, "1"),
+    ], ids=["unchecked", "config", "env"])
+    def test_a_planted_underrun_raises_exactly_when_the_run_is_checked(
+        self, monkeypatch, invariants, env
+    ):
+        # One switch: the tier is strict iff the build has a checker,
+        # whether config.invariants or REPRO_INVARIANTS turned it on.
+        if env is None:
+            monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_INVARIANTS", env)
+        sim = one_parent_sim(invariants=invariants)
+        controller, tier = sim.controller, sim.prefix_tier
+        checked = invariants or env is not None
+        assert (sim.invariant_checker is not None) == checked
+        controller.submit(0)
+        planted = tier._chains[controller.submit(0)[0].request_id]
+        planted.plan = ChainPlan(10.0, 30.0, 0.0, 30.0)   # never streams
+        if checked:
+            with pytest.raises(InvariantViolation) as caught:
+                sim.engine.run_until(hours(1))
+            assert caught.value.invariant == "chain_no_underrun"
+        else:
+            sim.engine.run_until(hours(1))
+        assert tier.chain_underruns == 1
 
 
 class TestOpsSurface:

@@ -167,14 +167,6 @@ class TestConcreteRegistries:
         for name, help in EXPERIMENTS.describe().items():
             assert help == EXPERIMENTS.get(name).help
 
-    def test_trace_experiments_offer_trace_config(self):
-        from repro.experiments.registry import EXPERIMENTS, trace_experiments
-
-        names = trace_experiments()
-        assert set(names) == {"fig4", "fig5", "fig7"}
-        for name in names:
-            assert EXPERIMENTS.get(name).trace_config is not None
-
 
 def _two_point_sweep(low, high):
     """A hand-made sweep result: one curve ``u`` over x ∈ {0, 1}."""
@@ -1214,7 +1206,6 @@ _ALL = (
     "`repro all` writes each figure's CSV and sidecar (CI artifacts); "
     "the test draws the figures without writing them"
 )
-_TRACE = "the `repro trace` verb (tests/test_cli.py); `run --trace-out` streams instead"
 _VERIFY = (
     "the `repro verify` check for an elastic block; none of the test's "
     "verify runs has one (CI verify; tests/test_verify.py)"
@@ -1255,7 +1246,6 @@ class TestEveryFunctionIsReached:
         "analysis/export.py::write_metadata": _ALL,
         "analysis/stats.py::_central": _TRIALS,
         "analysis/stats.py::_t_multiplier": _TRIALS,
-        "cli.py::_cmd_trace": _TRACE,
         "cli.py::_run_all": _ALL,
         "cluster/controller.py::DistributionController.check_invariants":
             "the tests' structural oracle: replica held, state ACTIVE and "
@@ -1292,7 +1282,6 @@ class TestEveryFunctionIsReached:
         "experiments/registry.py::register_figure.run_cli":
             "a figure verb (`repro fig4` ...); the test draws the figures "
             "through their artifacts (tests/test_cli.py)",
-        "experiments/registry.py::register_figure.trace_config": _TRACE,
         "experiments/registry.py::register_table": _IMPORT,
         "experiments/verify.py::_check_elastic": _VERIFY,
         "faults/invariants.py::InvariantChecker._violate": _RAISE,

@@ -79,6 +79,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(load=0.0)
 
+    def test_theta_above_one_rejected(self):
+        # Above 1 the hottest video is the last id, not the first, so
+        # every id-ordered ranking (warm_targets) would warm the coldest.
+        with pytest.raises(ValueError) as err:
+            quick_config(theta=1.5)
+        assert str(err.value) == (
+            "theta must be <= 1 (1 = uniform; the paper sweeps [-1.5, 1]), "
+            "got 1.5"
+        )
+        assert quick_config(theta=1.0).theta == 1.0
+
 
 class TestCompatibilityMatrix:
     """Every :data:`REFUSALS` row is refused on its side, in its own
