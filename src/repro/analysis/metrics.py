@@ -51,10 +51,8 @@ _RUN_COUNTERS: Dict[str, str] = {
 class MetricsSink(Protocol):
     """What the transmission layer needs from a metrics object."""
 
-    def record_bytes(
-        self, server_id: Optional[int], megabits: float, now: float
-    ) -> None:
-        """Attribute *megabits* of transfer to *server_id* at time *now*."""
+    def record_bytes(self, server_id: Optional[int], megabits: float) -> None:
+        """Attribute *megabits* of transfer to *server_id*."""
         ...  # pragma: no cover - protocol
 
 
@@ -161,10 +159,8 @@ class SimulationMetrics:
     # ------------------------------------------------------------------
     # Transfer accounting
     # ------------------------------------------------------------------
-    def record_bytes(
-        self, server_id: Optional[int], megabits: float, now: float
-    ) -> None:
-        """MetricsSink implementation (``now`` kept for tracing hooks)."""
+    def record_bytes(self, server_id: Optional[int], megabits: float) -> None:
+        """MetricsSink implementation."""
         if megabits < 0:
             raise ValueError(f"negative transfer: {megabits}")
         self.total_megabits += megabits

@@ -350,11 +350,6 @@ def _cmd_list() -> int:
         width = max((len(name) for name in described), default=0)
         for name, help_text in described.items():
             line = " ".join(str(help_text).split())  # one line, always
-            if registry is PLACEMENTS:
-                # Every placement is membership-capable; show which
-                # elastic lifecycle hooks each class provides.
-                hooks = ", ".join(registry.get(name).lifecycle_hooks())
-                line = f"{line} [lifecycle: {hooks}]"
             print(f"  {name:<{width}}  {line}".rstrip())
     return 0
 

@@ -255,11 +255,6 @@ class DistributionController:
         """Unfinished streams cluster-wide."""
         return sum(s.active_count for s in self.servers.values())
 
-    def total_bandwidth(self) -> float:
-        """Cluster egress capacity, Mb/s (failed servers included — a
-        down node still counts against the utilization denominator)."""
-        return sum(s.bandwidth for s in self.servers.values())
-
     def finalize(self, now: float) -> None:
         """Flush all in-flight transfer accounting at end of run and run
         the metrics consistency checks."""

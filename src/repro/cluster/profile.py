@@ -87,11 +87,6 @@ class ClusterProfile:
                 f"profiles must be unique and ordered by server id, got {ids}"
             )
 
-    @property
-    def total_bandwidth(self) -> float:
-        """Cluster effective egress, Mb/s."""
-        return float(sum(p.bandwidth for p in self.profiles))
-
 
 @dataclass(frozen=True)
 class CalibrationConfig(Config):

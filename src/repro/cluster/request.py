@@ -165,7 +165,7 @@ class Request:
         self.bytes_sent += delta
         self.last_sync = now
         if metrics is not None and delta > 0.0:
-            metrics.record_bytes(self.server_id, delta, now)
+            metrics.record_bytes(self.server_id, delta)
         return delta
 
     # ------------------------------------------------------------------

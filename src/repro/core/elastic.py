@@ -15,9 +15,9 @@ parity contract).  Two registries make the behaviour pluggable:
   (only the scenario's declared events) or ``"load"`` (a rejection
   burst within ``reject_window`` additionally commissions a server).
 * :data:`WARMERS` — which replicas a joiner receives before
-  activating: ``"popular"`` (the placement policy's
-  :meth:`~repro.placement.base.PlacementPolicy.warm_targets`, hottest
-  first) or ``"none"`` (join empty; dynamic replication fills it).
+  activating: ``"popular"`` (the hottest videos that fit its disk —
+  video id is demand rank, so lowest id first) or ``"none"`` (join
+  empty; dynamic replication fills it).
 
 Lifecycle (see :mod:`repro.cluster.membership`)::
 
@@ -79,13 +79,24 @@ SCALE_TRIGGERS.register(
 
 
 def _warm_popular(scaler: "ElasticScaler", server: DataServer) -> List[int]:
-    """Seed the placement policy's hottest fitting videos."""
-    limit = max(
-        1, int(round(scaler.policy.warm_fraction * len(scaler.catalog)))
-    )
-    return scaler.placement_policy.warm_targets(
-        scaler.catalog, scaler.popularity, scaler.placement, server, limit
-    )
+    """The hottest videos *server* does not hold, as many as fit its free
+    disk, up to ``warm_fraction`` of the catalog.  Video id is demand
+    rank (the Zipf model's order), so hottest first is lowest id first."""
+    catalog = scaler.catalog
+    limit = max(1, int(round(scaler.policy.warm_fraction * len(catalog))))
+    targets: List[int] = []
+    budget = server.storage_free
+    for vid in range(len(catalog)):
+        if len(targets) >= limit:
+            break
+        if server.holds(vid):
+            continue
+        size = catalog[vid].size
+        if size > budget:
+            continue
+        targets.append(vid)
+        budget -= size
+    return targets
 
 
 def _warm_none(scaler: "ElasticScaler", server: DataServer) -> List[int]:
@@ -95,8 +106,8 @@ def _warm_none(scaler: "ElasticScaler", server: DataServer) -> List[int]:
 
 WARMERS.register(
     "popular", _warm_popular,
-    help="warm the placement policy's warm_targets (hottest videos "
-         "first, warm_fraction of the catalog)",
+    help="warm the hottest videos that fit (lowest id first, "
+         "warm_fraction of the catalog)",
 )
 WARMERS.register(
     "none", _warm_none,
@@ -211,8 +222,6 @@ class ElasticScaler:
         self.membership = sim.membership
         self.placement = sim.placement_result.placement
         self.catalog = sim.catalog
-        self.popularity = sim.popularity
-        self.placement_policy = sim.placement_policy
         self.policy = policy = sim.config.elastic
         self.streams = sim.streams
         self.calibration = sim.config.calibration
@@ -517,8 +526,7 @@ class ElasticScaler:
         server = self.controller.servers[sid]
         manager = self.controller.managers[sid]
         manager.flush(now)
-        manager.deactivate(now)
-        self.placement_policy.on_server_depart(self.placement, server)
+        manager.deactivate()
         for vid in self.placement.videos_on(sid):
             self.placement.remove_holder(vid, sid)
         server.up = False

@@ -109,7 +109,7 @@ class FailoverManager:
         # Account for everything transmitted up to the failure instant.
         manager.flush(now)
         orphans = server.fail()
-        manager.deactivate(now)
+        manager.deactivate()
         if self.tracer is not None:
             self.tracer.emit(
                 TraceKind.SERVER_FAIL, now,

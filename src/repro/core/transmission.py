@@ -100,7 +100,7 @@ class TransmissionManager:
         self.server.detach(request)
         self.reallocate(now)
 
-    def deactivate(self, now: float) -> None:
+    def deactivate(self) -> None:
         """Stop scheduling (server failed).  Streams must already have
         been detached via :meth:`DataServer.fail`; pending work is
         synced by the failure handler before this call."""
@@ -155,7 +155,7 @@ class TransmissionManager:
             server, server.moved, now
         )
         if moved > 0.0:
-            self.metrics.record_bytes(server.server_id, moved, now)
+            self.metrics.record_bytes(server.server_id, moved)
         tracer = self.tracer
         if tracer is not None:
             walls = server.walls
@@ -214,7 +214,7 @@ class TransmissionManager:
         for r in self.server.iter_active():
             total += r.sync(now)
         if total > 0.0:
-            self.metrics.record_bytes(self.server.server_id, total, now)
+            self.metrics.record_bytes(self.server.server_id, total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -262,13 +262,6 @@ class MetricsRegistry:
             )
 
     # ------------------------------------------------------------------
-    def names(self) -> list:
-        return sorted(
-            list(self._counters)
-            + list(self._gauges)
-            + list(self._histograms)
-        )
-
     def counters(self) -> Dict[str, Counter]:
         """Registered counters by name (read-only view semantics)."""
         return dict(self._counters)

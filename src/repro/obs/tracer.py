@@ -108,13 +108,6 @@ class Tracer:
             if k is kind
         ]
 
-    def clear(self) -> None:
-        """Drop retained records and zero the counts (warmup reset)."""
-        self._times.clear()
-        self._kinds.clear()
-        self._fields.clear()
-        self.counts = {}
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

@@ -93,66 +93,9 @@ class PlacementPolicy(abc.ABC):
     Subclasses implement :meth:`copy_counts`; the shared capacity-aware
     random assignment (``repro.placement.capacity``) turns counts into a
     :class:`PlacementMap`.
-
-    Every policy is additionally **membership-capable**: the elastic
-    scaler (:mod:`repro.core.elastic`) consults :meth:`warm_targets`
-    when a server joins mid-run and :meth:`on_server_depart` when one
-    leaves.  ``repro list`` prints :meth:`lifecycle_hooks` per entry.
     """
 
     name: str = "abstract"
-
-    #: Membership lifecycle hook names (in call order over a server's
-    #: life); :meth:`lifecycle_hooks` reports which a class provides.
-    _LIFECYCLE_HOOKS = ("warm_targets", "on_server_depart")
-
-    @classmethod
-    def lifecycle_hooks(cls) -> Tuple[str, ...]:
-        """Names of the membership hooks this policy implements."""
-        return tuple(
-            name
-            for name in cls._LIFECYCLE_HOOKS
-            if callable(getattr(cls, name, None))
-        )
-
-    def warm_targets(
-        self,
-        catalog: VideoCatalog,
-        popularity: ZipfPopularity,
-        placement: PlacementMap,
-        server: DataServer,
-        limit: int,
-    ) -> List[int]:
-        """Videos worth warming onto a joining *server*, hottest first.
-
-        The default seeds the most popular videos (id order is rank
-        order) the server does not yet hold, respecting its free disk;
-        subclasses may reorder (e.g. a prefix-caching policy would warm
-        prefixes instead).  Deterministic: no RNG involved.
-        """
-        targets: List[int] = []
-        budget = server.storage_free
-        for vid in range(len(catalog)):
-            if len(targets) >= limit:
-                break
-            if server.holds(vid):
-                continue
-            size = catalog[vid].size
-            if size > budget:
-                continue
-            targets.append(vid)
-            budget -= size
-        return targets
-
-    def on_server_depart(
-        self, placement: PlacementMap, server: DataServer
-    ) -> None:
-        """Hook: *server*'s replicas are about to leave *placement*.
-
-        The base implementation does nothing — the elastic scaler
-        removes the holder entries itself; policies that keep side
-        state (caches, shard maps) override this to stay consistent.
-        """
 
     @abc.abstractmethod
     def copy_counts(

@@ -33,8 +33,8 @@ client buffers the early relay bytes, which is why admission requires
 ``docs/CACHING.md``.
 
 Batching policies live in the :data:`BATCHING` registry — callables
-``(tier, request, parent, gap_seconds, prefix_mb, now) ->
-Optional[ChainPlan]`` returning None to decline:
+``(tier, request, gap_seconds, prefix_mb) -> Optional[ChainPlan]``
+returning None to decline:
 
 * ``window`` — chain only when the cached prefix covers the whole gap
   (no patch stream ever opened).
@@ -92,7 +92,7 @@ def _gap_mb(tier, request: Request, gap_seconds: float) -> Optional[float]:
     help="chain when the cached prefix covers the whole join gap",
 )
 def batch_window(
-    tier, request, parent, gap_seconds: float, prefix_mb: float, now: float
+    tier, request, gap_seconds: float, prefix_mb: float
 ) -> Optional[ChainPlan]:
     gap_mb = _gap_mb(tier, request, gap_seconds)
     if gap_mb is None:
@@ -108,7 +108,7 @@ def batch_window(
     help="chain with a truncated catch-up stream for the uncached gap",
 )
 def batch_patch(
-    tier, request, parent, gap_seconds: float, prefix_mb: float, now: float
+    tier, request, gap_seconds: float, prefix_mb: float
 ) -> Optional[ChainPlan]:
     gap_mb = _gap_mb(tier, request, gap_seconds)
     if gap_mb is None:
@@ -122,7 +122,7 @@ def batch_patch(
     help="never chain (cache-only; required by the live gateway)",
 )
 def batch_none(
-    tier, request, parent, gap_seconds: float, prefix_mb: float, now: float
+    tier, request, gap_seconds: float, prefix_mb: float
 ) -> Optional[ChainPlan]:
     return None
 

@@ -6,9 +6,10 @@
 controller's front door and normal admission
 (``controller.subscribe(tier)``):
 
-* at build time it computes a replication plan (via the
+* at build time it computes its replication plan, once (via the
   :data:`~repro.prefix.cache.PREFIX_STRATEGIES` strategy named in the
-  config) and warms the cache through the engine at disk throughput;
+  config), and warms the cache in plan order through the engine at
+  disk throughput;
 * on each arrival the controller offers it the request first
   (:meth:`PrefixTier.intercept`) — the active
   :data:`~repro.prefix.chaining.BATCHING` policy decides whether to
@@ -87,9 +88,9 @@ class PrefixTier:
     """Runtime of the proxy tier for one simulation.
 
     Built by :class:`~repro.simulation.Simulation` from its products
-    (engine, controller, workload, placement and the ``prefix`` config
-    block), with the initial replication plan computed and warming
-    begun.  ``strict`` (the run has an invariant checker) raises
+    (engine, controller, catalog and the ``prefix`` config block),
+    with its replication plan computed and warming begun.  ``strict``
+    (the run has an invariant checker) raises
     :class:`InvariantViolation` on a chained-session underrun, which
     is otherwise only counted.
     """
@@ -99,15 +100,11 @@ class PrefixTier:
         self.engine = sim.engine
         self.controller = controller = sim.controller
         self.catalog = sim.catalog
-        self.popularity = sim.popularity
-        self.placement = sim.placement_result.placement
-        #: Its ``warm_targets`` seam supplies the popularity ranking.
-        self.placement_policy = sim.placement_policy
         self.policy: PrefixPolicy = config.prefix
         self.strict = sim.invariant_checker is not None
         self.tracer = sim.tracer
         self.metrics = controller.metrics
-        self.cache = PrefixCache(self.policy.capacity_mb)
+        self.cache = PrefixCache()
         self._batching = BATCHING.get(self.policy.batching)
         #: Newest accepted (server-backed) stream per video id.
         self._leaders: Dict[int, Request] = {}
@@ -121,8 +118,6 @@ class PrefixTier:
         self._pending: Dict[int, ChainedSession] = {}
         #: Ids of requests admitted as patch chains — never promoted to leader.
         self._chained_ids: Set[int] = set()
-        self._warm_queue: Deque[Tuple[int, float]] = deque()
-        self._warming = False
         #: Chained sessions whose delivery dipped below playout (should
         #: stay 0 — the acceptance gate of the ISSUE of record).
         self.chain_underruns = 0
@@ -136,7 +131,10 @@ class PrefixTier:
         registry.gauge(
             "cache.chained_active", supplier=lambda: float(tier.chained_active)
         )
-        self.recompute()
+        #: The replication plan, ``{video_id: Mb}`` in warming order.
+        self.plan = PREFIX_STRATEGIES.get(self.policy.strategy)(self)
+        self._warm_queue: Deque[Tuple[int, float]] = deque(self.plan.items())
+        self._warm_next()
 
     @property
     def chained_active(self) -> int:
@@ -146,18 +144,6 @@ class PrefixTier:
     # ------------------------------------------------------------------
     # Cache warming
     # ------------------------------------------------------------------
-    def recompute(self) -> None:
-        """Re-plan replication (call after catalog / popularity churn).
-
-        Entries the new plan drops are evicted instantly; new entries
-        queue behind any warm already in flight and stream in at disk
-        throughput, one at a time (the proxy has one ingest path).
-        """
-        plan = PREFIX_STRATEGIES.get(self.policy.strategy)(self)
-        self._warm_queue = deque(self.cache.retarget(plan))
-        if not self._warming:
-            self._warm_next()
-
     def _disk_throughput(self) -> float:
         rates = [
             s.disk_throughput for s in self.controller.servers.values() if s.up
@@ -167,10 +153,10 @@ class PrefixTier:
         return sum(rates) / len(rates)
 
     def _warm_next(self) -> None:
+        """Warm the next prefix of the plan: one at a time, at disk
+        throughput (the proxy has one ingest path)."""
         if not self._warm_queue:
-            self._warming = False
             return
-        self._warming = True
         video_id, mb = self._warm_queue.popleft()
         seconds = mb / self._disk_throughput()
         self.engine.schedule(
@@ -180,7 +166,8 @@ class PrefixTier:
         )
 
     def _finish_warm(self, video_id: int, mb: float, seconds: float) -> None:
-        if self.cache.commit(video_id, mb) and self.tracer is not None:
+        self.cache.entries[video_id] = mb
+        if self.tracer is not None:
             self.tracer.emit(
                 TraceKind.CACHE_WARM, self.engine.now,
                 video=video_id, prefix_mb=round(mb, 6),
@@ -191,7 +178,7 @@ class PrefixTier:
     # ------------------------------------------------------------------
     # Admission path
     # ------------------------------------------------------------------
-    def _live_leader(self, video_id: int, now: float) -> Optional[Request]:
+    def _live_leader(self, video_id: int) -> Optional[Request]:
         """The chainable stream for *video_id*, or None.
 
         A leader stays chainable after its *transmission* finishes — the
@@ -223,11 +210,11 @@ class PrefixTier:
         video_id = request.video.video_id
         prefix_mb = self.cache.warmed_mb(video_id)
         self.metrics.record_cache_lookup(hit=prefix_mb > 0.0)
-        leader = self._live_leader(video_id, now)
+        leader = self._live_leader(video_id)
         if leader is None:
             return None
         plan = self._batching(
-            self, request, leader, now - leader.playback_start, prefix_mb, now
+            self, request, now - leader.playback_start, prefix_mb
         )
         if plan is None:
             return None
@@ -455,7 +442,7 @@ class PrefixTier:
             "capacity_mb": round(self.policy.capacity_mb, 6),
             "bytes_held_mb": round(self.cache.bytes_held, 6),
             "entries": len(self.cache.entries),
-            "pending_warm": len(self._warm_queue) + (1 if self._warming else 0),
+            "pending_warm": len(self.plan) - len(self.cache.entries),
             "hits": m.cache_hits,
             "misses": m.cache_misses,
             "hit_rate": round(m.cache_hit_rate, 6),

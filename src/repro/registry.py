@@ -166,8 +166,5 @@ class Registry(Generic[T]):
     def values(self) -> List[T]:
         return list(self._entries.values())
 
-    def items(self) -> List[Tuple[str, T]]:
-        return list(self._entries.items())
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Registry kind={self.kind!r} names={list(self._entries)}>"

@@ -28,8 +28,9 @@ admission, DRM migration — on wall-clock asyncio connections:
   endpoint");
 * :mod:`repro.serve.supervisor` — heartbeat + restart supervision of
   the gateway's loops (docs/ROBUSTNESS.md, "live chaos");
-* :mod:`repro.serve.chaos` — the live fault plane: toxic transports,
-  deterministic client-side faults, engine-crash mirroring, and
+* :mod:`repro.serve.chaos` — the live fault plane: a gateway-side
+  toxic transport, deterministic client-side cuts, engine-crash
+  mirroring, and
   :func:`run_chaos_serve`, the live leg of ``repro verify``;
 * :mod:`repro.serve.top` — ``repro top``, a curses-free dashboard
   over the ops endpoint or a recorded trace.
@@ -48,7 +49,6 @@ from repro.serve.chaos import (
     ClientChaos,
     ClientFaultPlan,
     ToxicConfig,
-    ToxicReader,
     ToxicWriter,
     run_chaos_serve,
 )
@@ -94,7 +94,6 @@ __all__ = [
     "TaskKilled",
     "TaskSupervisor",
     "ToxicConfig",
-    "ToxicReader",
     "ToxicWriter",
     "encode_frame",
     "format_reply",

@@ -16,12 +16,10 @@ a real transport has:
   (through :meth:`~repro.serve.supervisor.TaskSupervisor.inject_crash`,
   so the trip dumps a postmortem and the task restarts warm) and every
   restore is accounted;
-* **toxic transports** — :class:`ToxicWriter` / :class:`ToxicReader`
-  wrap the frame protocol with injected latency, jitter, periodic
-  stalls and mid-frame cuts, on the gateway side (via
-  ``ClusterGateway(wrap_writer=...)``) and the client side (via each
-  session's :class:`ClientFaultPlan`);
-* **client-side faults** — :class:`ClientChaos` pre-draws, per session
+* **toxic transports** — :class:`ToxicWriter` wraps the gateway's
+  side of the frame protocol (via ``ClusterGateway(wrap_writer=...)``)
+  with injected latency, jitter, periodic stalls and mid-frame cuts;
+* **client-side cuts** — :class:`ClientChaos` pre-draws, per session
   on a named substream, whether and *when* (in virtual time) a client
   severs its own connection, so the resilient load generator's
   reconnect timeline is byte-identical across same-seed runs;
@@ -213,70 +211,28 @@ class ToxicWriter:
         )
 
 
-class ToxicReader:
-    """A StreamReader adding one injected delay per frame read.
-
-    The delay fires on :meth:`read` (the length-prefix read, i.e. once
-    per frame), not on ``readexactly``, so a frame is slowed exactly
-    once.
-    """
-
-    def __init__(
-        self,
-        inner: asyncio.StreamReader,
-        toxic: ToxicConfig,
-        rng: Optional[Any] = None,
-    ) -> None:
-        self.inner = inner
-        self.toxic = toxic
-        self.rng = rng
-        self.reads = 0
-        self.delayed_s = 0.0
-
-    async def read(self, n: int = -1) -> bytes:
-        self.reads += 1
-        delay = _jittered_latency(self.toxic, self.rng)
-        if delay > 0:
-            self.delayed_s += delay
-            await asyncio.sleep(delay)
-        return await self.inner.read(n)
-
-    def __getattr__(self, name: str) -> Any:  # readexactly / at_eof
-        return getattr(self.inner, name)
-
-
 # ----------------------------------------------------------------------
 # Client-side fault plans
 # ----------------------------------------------------------------------
+#: Virtual seconds after its arrival within which a session's pre-drawn
+#: cut fires (uniform draw).
+CUT_DELAY: Tuple[float, float] = (5.0, 30.0)
+
+
 class ClientFaultPlan:
-    """Per-session chaos, pre-drawn so it replays identically.
+    """One session's pre-drawn cut, so it replays identically.
 
     The resilient load-generator client consults this plan (duck-typed,
     see :class:`repro.serve.loadgen._LiveClient`): ``cut_vt`` is the
     virtual chunk stamp at which the client severs its connection once
-    (and re-requests anchored on that exact stamp); :meth:`wrap`
-    installs client-side toxic transports.
+    (and re-requests anchored on that exact stamp).
     """
 
-    __slots__ = ("cut_vt", "cut_done", "toxic", "rng")
+    __slots__ = ("cut_vt", "cut_done")
 
-    def __init__(
-        self,
-        cut_vt: Optional[float] = None,
-        toxic: Optional[ToxicConfig] = None,
-        rng: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, cut_vt: float) -> None:
         self.cut_vt = cut_vt
         self.cut_done = False
-        self.toxic = toxic
-        self.rng = rng
-
-    def wrap(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Tuple[Any, Any]:
-        if self.toxic is None or self.toxic.empty:
-            return reader, writer
-        return ToxicReader(reader, self.toxic, self.rng), writer
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClientFaultPlan cut_vt={self.cut_vt} done={self.cut_done}>"
@@ -293,49 +249,33 @@ class ClientChaos:
 
     Args:
         trace: the arrival trace (cut times are offsets from each
-            session's own arrival).
+            session's own arrival, within :data:`CUT_DELAY`).
         streams: the chaos-side substream factory (scenario seed).
         cut_prob: probability a session severs its own connection once.
-        cut_delay: ``(lo, hi)`` virtual seconds after arrival at which
-            the cut fires (uniform draw).
-        toxic: optional client-side toxic transport profile applied to
-            every session.
     """
 
     def __init__(
-        self,
-        trace: Trace,
-        streams: RandomStreams,
-        cut_prob: float = 0.0,
-        cut_delay: Tuple[float, float] = (5.0, 30.0),
-        toxic: Optional[ToxicConfig] = None,
+        self, trace: Trace, streams: RandomStreams, cut_prob: float = 0.0
     ) -> None:
         if not 0.0 <= cut_prob <= 1.0:
             raise ValueError(f"cut_prob must be in [0, 1], got {cut_prob}")
-        if cut_delay[0] < 0 or cut_delay[1] < cut_delay[0]:
-            raise ValueError(f"bad cut_delay range {cut_delay}")
         self.trace = trace
         self.streams = streams
         self.cut_prob = cut_prob
-        self.cut_delay = cut_delay
-        self.toxic = toxic
         self.cuts_planned = 0
 
     def plan_for(self, index: int) -> Optional[ClientFaultPlan]:
         """The plan for trace position *index* (None when fault-free)."""
         rng = self.streams.fresh(f"chaos.client.{index}")
-        # Fixed draw order: eligibility, then offset — so adding fault
-        # classes later appends draws instead of shifting these.
+        # Fixed draw order: eligibility, then offset — both drawn for
+        # every session, so the cut times stay where they are.
         cut = float(rng.random()) < self.cut_prob
         frac = float(rng.random())
-        if not cut and (self.toxic is None or self.toxic.empty):
+        if not cut:
             return None
-        cut_vt: Optional[float] = None
-        if cut:
-            lo, hi = self.cut_delay
-            cut_vt = self.trace[index].time + lo + frac * (hi - lo)
-            self.cuts_planned += 1
-        return ClientFaultPlan(cut_vt=cut_vt, toxic=self.toxic, rng=rng)
+        lo, hi = CUT_DELAY
+        self.cuts_planned += 1
+        return ClientFaultPlan(self.trace[index].time + lo + frac * (hi - lo))
 
 
 # ----------------------------------------------------------------------

@@ -223,18 +223,19 @@ class _LiveClient:
         serve: wall-clock knobs (must match the gateway's).
         index: the arrival's position in the trace (substream key).
         spec: what to request and when (virtual time).
-        retry: optional bounded-backoff policy; delays are read as
-            *virtual* seconds.  ``None`` disables reconnects.
-        rng: substream factory for backoff jitter draws (required for
-            deterministic retries; ``None`` uses the midpoint draw).
-        faults: optional chaos plan for this session (duck-typed, see
-            :mod:`repro.serve.chaos`): ``cut_vt`` — pre-drawn virtual
-            stamp at which the client deterministically severs its
-            connection once; ``wrap(reader, writer)`` — client-side
-            toxic transport wrapper.
+        rng: substream factory for backoff jitter draws.
         wall_for: maps a virtual time to the shared event-loop clock
             (the load generator's dispatch map), so reconnect sleeps
             land exactly where the timestamp promises.
+        retry: optional bounded-backoff policy; delays are read as
+            *virtual* seconds.  ``None`` disables reconnects.
+        faults: optional per-session hook (duck-typed): ``cut_vt`` —
+            a pre-drawn virtual stamp at which the client severs its
+            connection once (:class:`repro.serve.chaos.ClientFaultPlan`),
+            or None; and, optionally, ``wrap(reader, writer)``, which
+            wraps each connection's streams.  ``bench/runners.py``'s
+            ``_SessionProbe`` wraps them to time ``live_loopback``'s
+            admit latency.
     """
 
     def __init__(
@@ -242,10 +243,10 @@ class _LiveClient:
         serve: ServeConfig,
         index: int,
         spec: RequestSpec,
+        rng: RandomStreams,
+        wall_for: Callable[[float], float],
         retry: Optional[RetryPolicy] = None,
-        rng: Optional[RandomStreams] = None,
         faults: Optional[Any] = None,
-        wall_for: Optional[Callable[[float], float]] = None,
     ) -> None:
         self.serve = serve
         self.index = index
@@ -280,34 +281,23 @@ class _LiveClient:
                     break
                 attempt += 1
                 out.retries = attempt
-                draw = (
-                    float(
-                        self.rng.fresh(
-                            f"serve.client.{self.index}.retry{attempt}"
-                        ).random()
-                    )
-                    if self.rng is not None
-                    else 0.5
+                draw = float(
+                    self.rng.fresh(
+                        f"serve.client.{self.index}.retry{attempt}"
+                    ).random()
                 )
                 t_req = (
                     anchor
                     + self.serve.to_virtual(self.serve.retry_margin)
                     + self.retry.delay_for(attempt, draw)
                 )
-                await self._sleep_until(t_req, anchor)
+                # Park until the re-request's virtual timestamp is due.
+                delay = self.wall_for(t_req) - loop.time()
+                if delay > 0:
+                    await asyncio.sleep(delay)
         finally:
             out.wall_seconds = loop.time() - started
         return out
-
-    async def _sleep_until(self, t_req: float, anchor: float) -> None:
-        """Park until the re-request's virtual timestamp is due."""
-        loop = asyncio.get_running_loop()
-        if self.wall_for is not None:
-            delay = self.wall_for(t_req) - loop.time()
-        else:  # pragma: no cover - standalone client, best effort
-            delay = self.serve.to_wall(t_req - anchor)
-        if delay > 0:
-            await asyncio.sleep(delay)
 
     async def _attempt(self, t_req: float, attempt: int) -> Tuple[str, float]:
         """One connect/request/stream cycle.
@@ -483,9 +473,10 @@ class LoadGenerator:
         seed: root seed of the clients' backoff-jitter substreams;
             use the scenario's seed so two same-seed runs replay
             identical retry timelines.
-        faults: optional per-session chaos-plan factory (index ->
-            plan or ``None``); plans come from
-            :class:`repro.serve.chaos.ClientFaultPlan`.
+        faults: optional per-session hook factory (index -> hook or
+            ``None``): a :class:`repro.serve.chaos.ClientFaultPlan`'s
+            ``cut_vt``, plus an optional ``wrap`` (see
+            :class:`_LiveClient`).
     """
 
     def __init__(
@@ -522,10 +513,10 @@ class LoadGenerator:
             self.serve,
             index,
             spec,
+            self._rng,
+            self._clock.wall_for,
             retry=self.retry,
-            rng=self._rng if self.retry is not None else None,
             faults=self.faults(index) if self.faults is not None else None,
-            wall_for=self._clock.wall_for,
         )
         self._outcomes.append(client.outcome)
         self._active += 1

@@ -52,11 +52,6 @@ class Process:
         self._done = False
         self._advance()
 
-    @property
-    def done(self) -> bool:
-        """True once the generator has finished or been stopped."""
-        return self._done
-
     def _advance(self) -> None:
         try:
             time = next(self._gen)

@@ -381,7 +381,7 @@ class Simulation:
     rng        ``streams``, ``engine``
     demand     ``catalog``, ``popularity``
     cluster    ``cluster_profile``, ``servers``, ``membership``
-    placement  ``placement_result``, ``placement_policy``
+    placement  ``placement_result``
     controller ``controller`` (admission front door, client profiles,
                the run's own request-id counter); ``invariant_checker``
     prefix     ``prefix_tier`` (cache + chaining, warming scheduled)
@@ -551,11 +551,8 @@ class Simulation:
         (:mod:`repro.placement.capacity`).
         """
         config = self.config
-        policy_cls = PLACEMENTS[config.placement]
-        #: Kept for membership lifecycle hooks (warm_targets /
-        #: on_server_depart) — the elastic scaler consults it.
-        self.placement_policy = policy_cls()
-        self.placement_result: PlacementResult = self.placement_policy.allocate(
+        policy = PLACEMENTS[config.placement]()
+        self.placement_result: PlacementResult = policy.allocate(
             self.catalog,
             self.popularity,
             self.servers,
@@ -769,7 +766,7 @@ class Simulation:
         self.engine.retire()
         controller = self.controller
         for manager in controller.managers.values():
-            manager.deactivate(self.engine.now)
+            manager.deactivate()
             manager.on_finish = None
         controller.intercept = None
         for handlers in (

@@ -114,10 +114,6 @@ class PoissonArrivalProcess:
             time = time + scale * rng.standard_exponential()
             yield time, draw(rng)
 
-    @property
-    def done(self) -> bool:
-        return self._process.done
-
     def stop(self) -> None:
         """Stop generating further arrivals."""
         self._process.stop()

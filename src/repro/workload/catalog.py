@@ -80,10 +80,6 @@ class VideoCatalog:
         percentages ("20 % of the average sized video")."""
         return float(self.sizes.mean())
 
-    def total_size(self) -> float:
-        """Sum of all single-copy sizes (Mb)."""
-        return float(self.sizes.sum())
-
     def prefix_sizes(self, prefix_seconds: float) -> np.ndarray:
         """Per-video size (Mb) of the first *prefix_seconds*, catalog order.
 

@@ -126,13 +126,14 @@ class TestPoissonProcess:
         engine = Engine()
         pop = ZipfPopularity(2, 1.0)
         seen = []
-        proc = Capped(
+        Capped(
             engine, rate=100.0, popularity=pop, rng=rng,
             on_arrival=seen.append,
         )
+        # Returns only because the exhausted process left the agenda
+        # empty.
         engine.run_until(math.inf)
         assert len(seen) == 7
-        assert proc.done
 
     def test_stop_halts_generation(self, rng):
         engine = Engine()

@@ -40,7 +40,6 @@ class TestCatalog:
         assert np.allclose(cat.sizes, 200.0)
         assert np.allclose(cat.lengths, 100.0)
         assert cat.mean_size == pytest.approx(200.0)
-        assert cat.total_size() == pytest.approx(800.0)
 
 
 class TestMakeCatalog:

@@ -39,13 +39,12 @@ from repro.serve import (
     TaskKilled,
     TaskSupervisor,
     ToxicConfig,
-    ToxicReader,
     ToxicWriter,
     read_frame,
     run_chaos_serve,
     write_frame,
 )
-from repro.serve.chaos import ClientChaos, leaked_tasks, reconcile
+from repro.serve.chaos import CUT_DELAY, ClientChaos, leaked_tasks, reconcile
 from repro.serve.loadgen import (
     LoadGenerator,
     SessionOutcome,
@@ -147,24 +146,6 @@ class TestToxicTransports:
             return frame
 
         assert run(scenario_run()) is None
-
-    def test_reader_delay_fires_once_per_frame(self):
-        async def scenario_run():
-            server, (cr, cw), (pr, pw) = await loopback_pair()
-            toxic = ToxicReader(pr, ToxicConfig(latency=0.01))
-            pw_unused = pw  # peer only reads in this direction
-            await write_frame(cw, {"type": "admit"}, b"xyz")
-            frame = await read_frame(toxic)
-            await teardown(server, cw, pw_unused)
-            return frame, toxic
-
-        frame, toxic = run(scenario_run())
-        assert frame.type == "admit"
-        assert frame.payload == b"xyz"
-        # One length-prefix read -> one injected delay; the header and
-        # payload readexactly calls add none.
-        assert toxic.reads == 1
-        assert toxic.delayed_s == pytest.approx(0.01)
 
 
 # ----------------------------------------------------------------------
@@ -469,12 +450,11 @@ class TestClientChaos:
 
     def test_cut_times_land_in_the_configured_window(self):
         trace = _trace()
-        chaos = ClientChaos(
-            trace, RandomStreams(seed=3), cut_prob=1.0, cut_delay=(2.0, 6.0)
-        )
+        chaos = ClientChaos(trace, RandomStreams(seed=3), cut_prob=1.0)
+        lo, hi = CUT_DELAY
         for i in range(len(trace)):
             plan = chaos.plan_for(i)
-            assert trace[i].time + 2.0 <= plan.cut_vt <= trace[i].time + 6.0
+            assert trace[i].time + lo <= plan.cut_vt <= trace[i].time + hi
         assert chaos.cuts_planned == len(trace)
 
     def test_fault_free_sessions_get_no_plan(self):
@@ -482,28 +462,9 @@ class TestClientChaos:
         assert all(chaos.plan_for(i) is None for i in range(8))
         assert chaos.cuts_planned == 0
 
-    def test_toxic_only_plan_wraps_reader(self):
-        async def scenario_run():
-            chaos = ClientChaos(
-                _trace(), RandomStreams(seed=3), cut_prob=0.0,
-                toxic=ToxicConfig(latency=0.001),
-            )
-            plan = chaos.plan_for(0)
-            assert plan is not None and plan.cut_vt is None
-            reader, writer = asyncio.StreamReader(), object()
-            wrapped_r, wrapped_w = plan.wrap(reader, writer)
-            assert isinstance(wrapped_r, ToxicReader)
-            assert wrapped_w is writer
-
-        run(scenario_run())
-
     def test_validation(self):
         with pytest.raises(ValueError, match="cut_prob"):
             ClientChaos(_trace(), RandomStreams(seed=0), cut_prob=1.5)
-        with pytest.raises(ValueError, match="cut_delay"):
-            ClientChaos(
-                _trace(), RandomStreams(seed=0), cut_delay=(5.0, 1.0)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -631,9 +592,9 @@ async def _run_client(script, retry=None, seed=7, t=3.0):
         ServeConfig(port=port),
         index=0,
         spec=RequestSpec(time=t, video_id=0),
-        retry=retry,
-        rng=RandomStreams(seed=seed) if retry is not None else None,
+        rng=RandomStreams(seed=seed),
         wall_for=lambda vt: loop.time(),  # re-requests fire immediately
+        retry=retry,
     )
     outcome = await client.run()
     await fake.stop()

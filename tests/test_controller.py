@@ -6,11 +6,15 @@ from repro.cluster.client import ClientProfile
 from repro.cluster.controller import DistributionController
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.server import DataServer
+from repro.cluster.system import SMALL_SYSTEM
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import MigrationPolicy
 from repro.core.schedulers import EFTFAllocator
+from repro.faults import CrashFaults, FaultPlan
 from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
+from repro.simulation import Simulation, SimulationConfig
+from repro.units import hours
 from repro.workload.catalog import VideoCatalog
 
 from conftest import make_video
@@ -154,9 +158,23 @@ class TestSubmit:
 
 class TestAccounting:
     def test_total_bandwidth_includes_down_servers(self):
-        engine, controller = build_controller(n_servers=3, bandwidth=5.0)
-        controller.servers[1].fail()
-        assert controller.total_bandwidth() == pytest.approx(15.0)
+        # Utilization's denominator is the configured cluster bandwidth:
+        # a server that crashed mid-run still counts against it.
+        config = SimulationConfig(
+            system=SMALL_SYSTEM.scaled(n_videos=40, name="accounting-tiny"),
+            theta=0.0,
+            duration=hours(1),
+            warmup=0.0,
+            seed=5,
+            faults=FaultPlan(crash=CrashFaults(mtbf=600.0, mttr=600.0)),
+        )
+        sim = Simulation(config)
+        result = sim.run()
+        assert sim.failover.reports
+        assert result.utilization == pytest.approx(
+            sim.metrics.total_megabits
+            / (config.system.total_bandwidth * config.duration)
+        )
 
     def test_finalize_flushes_and_checks(self):
         engine, controller = build_controller()

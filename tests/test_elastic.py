@@ -10,6 +10,9 @@ Covered:
   names the valid choices); their round trip is part of the config
   property in tests/test_scenario.py;
 * the :class:`StorageError` deficit message (drain/warm diagnostics);
+* the ``"popular"`` warmer's list for a joiner: lowest id first, held
+  and oversized titles skipped, at most ``warm_fraction`` of the
+  catalog;
 * end to end: a scenario with a rolling restart, a mid-run scale-out
   and a load trigger runs with the invariant checker on — zero
   underruns, zero drops, every server ends active or departed, and the
@@ -23,6 +26,8 @@ Covered:
   member before it departs.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.membership import ClusterMembership, ServerLifecycle
@@ -35,6 +40,7 @@ from repro.core.elastic import (
 )
 from repro.registry import UnknownKeyError
 from repro.simulation import Simulation, SimulationConfig
+from repro.workload.catalog import VideoCatalog
 
 from conftest import make_video
 
@@ -135,6 +141,26 @@ class TestStorageErrorMessage:
         assert "video 9" in message
         assert "100 Mb free" in message
         assert "short by 150 Mb" in message
+
+
+# ----------------------------------------------------------------------
+# The joiner's warm list
+# ----------------------------------------------------------------------
+class TestPopularWarmer:
+    def test_hottest_fitting_titles_up_to_warm_fraction(self):
+        # Sizes in Mb (1 Mb/s): video 2 (950 Mb) outgrows the joiner's
+        # 900 Mb free once video 0 is planned; video 1 is already held.
+        lengths = [100.0, 100.0, 950.0, 100.0, 100.0, 100.0, 100.0, 100.0]
+        catalog = VideoCatalog(videos=tuple(
+            make_video(video_id=i, length=ln) for i, ln in enumerate(lengths)
+        ))
+        server = DataServer(9, bandwidth=100.0, disk_capacity=1000.0)
+        server.store_replica(catalog[1])
+        scaler = SimpleNamespace(
+            catalog=catalog, policy=ElasticPolicy(warm_fraction=0.5)
+        )
+        # Videos 6 and 7 would fit, but 0.5 of 8 titles is 4.
+        assert WARMERS.get("popular")(scaler, server) == [0, 3, 4, 5]
 
 
 # ----------------------------------------------------------------------

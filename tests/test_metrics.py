@@ -8,27 +8,27 @@ from repro.analysis.metrics import SimulationMetrics
 class TestTransferAccounting:
     def test_record_bytes_totals_and_per_server(self):
         m = SimulationMetrics()
-        m.record_bytes(0, 100.0, now=1.0)
-        m.record_bytes(1, 50.0, now=2.0)
-        m.record_bytes(0, 25.0, now=3.0)
+        m.record_bytes(0, 100.0)
+        m.record_bytes(1, 50.0)
+        m.record_bytes(0, 25.0)
         assert m.total_megabits == pytest.approx(175.0)
         assert m.bytes_per_server == {0: pytest.approx(125.0), 1: pytest.approx(50.0)}
 
     def test_none_server_counts_toward_total_only(self):
         m = SimulationMetrics()
-        m.record_bytes(None, 10.0, now=0.0)
+        m.record_bytes(None, 10.0)
         assert m.total_megabits == 10.0
         assert m.bytes_per_server == {}
 
     def test_negative_transfer_rejected(self):
         with pytest.raises(ValueError):
-            SimulationMetrics().record_bytes(0, -1.0, now=0.0)
+            SimulationMetrics().record_bytes(0, -1.0)
 
 
 class TestUtilization:
     def test_definition(self):
         m = SimulationMetrics()
-        m.record_bytes(0, 500.0, now=0.0)
+        m.record_bytes(0, 500.0)
         # 500 Mb sent / (10 Mb/s × 100 s sendable) = 0.5
         assert m.utilization(total_bandwidth=10.0, duration=100.0) == pytest.approx(0.5)
 
@@ -76,7 +76,7 @@ class TestAdmissionCounters:
 class TestReset:
     def test_reset_zeroes_everything(self):
         m = SimulationMetrics()
-        m.record_bytes(0, 10.0, now=0.0)
+        m.record_bytes(0, 10.0)
         m.record_arrival()
         m.record_accept()
         m.record_migration(1)

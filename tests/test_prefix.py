@@ -8,8 +8,8 @@ record (docs/CACHING.md):
   against the registries at construction (a typo fails immediately
   with the full choice list);
 * **planning** — the replication strategies produce deterministic plans
-  that respect the capacity budget, and the cache's retarget/commit
-  protocol survives plan churn (stale warms are ignored);
+  that respect the capacity budget, and the tier warms its plan once,
+  in plan order, through the engine;
 * **merge math** — a chained session's contiguous delivery curve never
   dips below its playout line, proved both analytically (hypothesis
   sweeps over the splice geometry) and end-to-end (full simulations
@@ -38,7 +38,6 @@ from repro.core.admission import AdmissionOutcome
 from repro.faults.invariants import InvariantViolation
 from repro.obs import TraceKind
 from repro.obs.tracer import Tracer
-from repro.placement import PLACEMENTS
 from repro.prefix import (
     BATCHING,
     ChainedSession,
@@ -50,8 +49,7 @@ from repro.prefix import (
 from repro.registry import UnknownKeyError
 from repro.scenario import load_scenario
 from repro.units import hours
-from repro.workload import Video, VideoCatalog, ZipfPopularity
-from repro.workload.zipf import popularity_ranks
+from repro.workload import Video, VideoCatalog
 
 TINY = SMALL_SYSTEM.scaled(n_videos=40, name="prefix-tiny")
 
@@ -83,16 +81,11 @@ def toy_catalog(lengths, view_bandwidth=1.0):
     ))
 
 
-def toy_tier(lengths, theta=0.0, view_bandwidth=1.0, **policy):
-    """The minimal duck-typed tier the planning strategies read, ranking
-    through the placement seam a simulation's tier ranks through."""
-    catalog = toy_catalog(lengths, view_bandwidth)
+def toy_tier(lengths, view_bandwidth=1.0, **policy):
+    """The minimal duck-typed tier the planning strategies read."""
     return SimpleNamespace(
-        catalog=catalog,
-        popularity=ZipfPopularity(len(catalog), theta),
+        catalog=toy_catalog(lengths, view_bandwidth),
         policy=PrefixPolicy(**policy),
-        placement=None,
-        placement_policy=PLACEMENTS.get("even")(),
     )
 
 
@@ -154,7 +147,7 @@ class TestPrefixPolicy:
 
 
 class TestStrategies:
-    def test_popularity_packs_hottest_first_and_backfills(self):
+    def test_popularity_packs_hottest_titles_and_backfills(self):
         # prefixes [30, 30, 30, 10]; capacity 70 fits the two hottest
         # plus the short tail video 3, skipping (not stopping at) 2.
         tier = toy_tier(
@@ -166,9 +159,9 @@ class TestStrategies:
         assert list(plan) == [0, 1, 3]  # warming order = rank order
 
     def test_popularity_respects_skew_direction(self):
-        # theta < 1 means video 0 is hottest; the single slot goes to it.
-        tier = toy_tier([100, 100], theta=0.0,
-                        capacity_mb=30.0, prefix_seconds=30.0)
+        # Video 0 is hottest (id order is demand rank); the single slot
+        # goes to it.
+        tier = toy_tier([100, 100], capacity_mb=30.0, prefix_seconds=30.0)
         assert list(PREFIX_STRATEGIES.get("popularity")(tier)) == [0]
 
     def test_none_holds_nothing(self):
@@ -184,66 +177,15 @@ class TestStrategies:
             plan = PREFIX_STRATEGIES.get(name)(tier)
             assert sum(plan.values()) <= tier.policy.capacity_mb + EPS_MB
 
-    def test_ranking_matches_popularity_ranks_helper(self):
-        # The placement seam ranks by video id; over the theta range a
-        # SimulationConfig admits, that is the shared workload helper's
-        # demand order.
-        from repro.prefix.cache import hottest_first
-
-        for theta in (-1.5, -0.5, 0.0, 0.5, 1.0):
-            tier = toy_tier(list(range(10, 110, 10)), theta=theta)
-            probs = popularity_ranks(10, theta)
-            expected = [int(v) for v in np.argsort(-probs, kind="stable")]
-            assert hottest_first(tier) == expected, theta
-
 
 class TestPrefixCache:
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity_mb"):
-            PrefixCache(-1.0)
-
-    def test_retarget_returns_pending_in_plan_order(self):
-        cache = PrefixCache(100.0)
-        pending = cache.retarget({3: 20.0, 1: 10.0})
-        assert pending == [(3, 20.0), (1, 10.0)]
-        assert cache.bytes_held == 0.0  # nothing warmed yet
-
-    def test_commit_and_lookup(self):
-        cache = PrefixCache(100.0)
-        cache.retarget({1: 10.0})
-        assert cache.commit(1, 10.0) is True
+    def test_lookup(self):
+        cache = PrefixCache()
+        assert cache.bytes_held == 0.0
+        cache.entries[1] = 10.0
         assert cache.warmed_mb(1) == 10.0
         assert cache.warmed_mb(2) == 0.0
         assert cache.bytes_held == 10.0
-
-    def test_stale_commit_ignored(self):
-        cache = PrefixCache(100.0)
-        cache.retarget({1: 10.0})
-        cache.retarget({2: 10.0})  # plan churn before the warm lands
-        assert cache.commit(1, 10.0) is False
-        assert cache.warmed_mb(1) == 0.0
-
-    def test_retarget_evicts_dropped_and_resized_entries(self):
-        cache = PrefixCache(100.0)
-        cache.retarget({1: 10.0, 2: 20.0})
-        cache.commit(1, 10.0)
-        cache.commit(2, 20.0)
-        pending = cache.retarget({2: 25.0, 3: 5.0})
-        assert cache.warmed_mb(1) == 0.0      # dropped: evicted instantly
-        assert cache.warmed_mb(2) == 0.0      # resized: must re-warm
-        assert pending == [(2, 25.0), (3, 5.0)]
-
-    def test_retarget_keeps_already_warmed_entries(self):
-        cache = PrefixCache(100.0)
-        cache.retarget({1: 10.0})
-        cache.commit(1, 10.0)
-        assert cache.retarget({1: 10.0, 2: 5.0}) == [(2, 5.0)]
-        assert cache.warmed_mb(1) == 10.0
-
-    def test_oversubscribed_plan_rejected(self):
-        cache = PrefixCache(25.0)
-        with pytest.raises(ValueError, match="capacity"):
-            cache.retarget({1: 20.0, 2: 10.0})
 
 
 def gate_tier(window_seconds=120.0):
@@ -260,34 +202,32 @@ def gate_request(view_bandwidth=2.0, buffer_capacity=1e9):
 class TestBatchingPolicies:
     def test_window_pure_chain_when_prefix_covers_gap(self):
         plan = BATCHING.get("window")(
-            gate_tier(), gate_request(), None, 10.0, 20.0, 0.0
+            gate_tier(), gate_request(), 10.0, 20.0
         )
         assert plan == ChainPlan(10.0, 20.0, 20.0, 0.0)
 
     def test_window_declines_uncovered_gap(self):
         assert BATCHING.get("window")(
-            gate_tier(), gate_request(), None, 10.0, 19.0, 0.0
+            gate_tier(), gate_request(), 10.0, 19.0
         ) is None
 
     def test_patch_covers_the_remainder(self):
         plan = BATCHING.get("patch")(
-            gate_tier(), gate_request(), None, 10.0, 5.0, 0.0
+            gate_tier(), gate_request(), 10.0, 5.0
         )
         assert plan == ChainPlan(10.0, 20.0, 5.0, 15.0)
 
     def test_patch_caps_prefix_at_gap(self):
         plan = BATCHING.get("patch")(
-            gate_tier(), gate_request(), None, 2.0, 50.0, 0.0
+            gate_tier(), gate_request(), 2.0, 50.0
         )
         assert plan == ChainPlan(2.0, 4.0, 4.0, 0.0)
 
     @pytest.mark.parametrize("name", ["window", "patch"])
     def test_gap_outside_window_declines(self, name):
         batch = BATCHING.get(name)
-        assert batch(gate_tier(30.0), gate_request(), None,
-                     31.0, 1e9, 0.0) is None
-        assert batch(gate_tier(30.0), gate_request(), None,
-                     -1.0, 1e9, 0.0) is None
+        assert batch(gate_tier(30.0), gate_request(), 31.0, 1e9) is None
+        assert batch(gate_tier(30.0), gate_request(), -1.0, 1e9) is None
 
     @pytest.mark.parametrize("name", ["window", "patch"])
     def test_small_client_buffer_declines(self, name):
@@ -295,12 +235,12 @@ class TestBatchingPolicies:
         # gap_mb must not be chained.
         request = gate_request(view_bandwidth=3.0, buffer_capacity=29.0)
         assert BATCHING.get(name)(
-            gate_tier(), request, None, 10.0, 1e9, 0.0
+            gate_tier(), request, 10.0, 1e9
         ) is None
 
     def test_none_never_chains(self):
         assert BATCHING.get("none")(
-            gate_tier(), gate_request(), None, 0.0, 1e9, 0.0
+            gate_tier(), gate_request(), 0.0, 1e9
         ) is None
 
 
@@ -493,12 +433,21 @@ class TestTierEndToEnd:
         sim = Simulation(prefix_config(policy), tracer=tracer)
         tier = sim.prefix_tier
         assert tier is not None
-        assert tier.cache.bytes_held == 0.0   # warms are engine events
-        assert tier._warming
-        sim.run()
-        plan_total = sum(tier.cache._target.values())
-        assert tier.cache.bytes_held == pytest.approx(plan_total)
-        assert tier.stats()["pending_warm"] == 0
+        plan = list(tier.plan)
+        assert plan
+        # Warms are engine events: nothing is held at build time.
+        assert tier.cache.bytes_held == 0.0
+        pending = [tier.stats()["pending_warm"]]
+        assert pending == [len(plan)]
+        while pending[-1]:
+            sim.advance(sim.engine.now + 5.0)
+            # Entries land one at a time, in plan order.
+            held = list(tier.cache.entries)
+            assert held == plan[:len(held)]
+            pending.append(tier.stats()["pending_warm"])
+            assert pending[-1] == len(plan) - len(held)
+        assert pending == sorted(pending, reverse=True)
+        assert tier.cache.bytes_held == pytest.approx(sum(tier.plan.values()))
         path = tmp_path / "trace.jsonl"
         tracer.export_jsonl(path)
         warms = [
@@ -506,12 +455,13 @@ class TestTierEndToEnd:
             for line in path.read_text().splitlines()
             if json.loads(line).get("kind") == "cache.warm"
         ]
-        assert len(warms) == len(tier.cache.entries)
+        assert [warm["video"] for warm in warms] == plan
         # the first warm lands exactly one prefix / disk-throughput in
         first = warms[0]
         assert first["t"] == pytest.approx(first["seconds"])
+        disk = [server.disk_throughput for server in sim.servers]
         assert first["seconds"] == pytest.approx(
-            first["prefix_mb"] / tier._disk_throughput()
+            first["prefix_mb"] / (sum(disk) / len(disk))
         )
 
     def test_window_batching_pure_chains_no_underruns(self):

@@ -20,8 +20,10 @@ class TestProcess:
         assert ticks == [1.5, 3.0, 4.5]
 
     def test_done_after_generator_exhausts(self, engine):
-        p = Process(engine, iter([]))
-        assert p.done
+        # An exhausted generator leaves nothing on the agenda.
+        Process(engine, iter([]))
+        engine.run_until(10.0)
+        assert engine.events_fired == 0
 
     def test_stop_cancels_pending_sleep(self, engine):
         ticks = []
@@ -38,13 +40,13 @@ class TestProcess:
         p.stop()
         engine.run_until(10.0)
         assert ticks == [1.0, 2.0]
-        assert p.done
 
     def test_stop_is_idempotent(self, engine):
         p = Process(engine, iter([1.0]))
         p.stop()
         p.stop()
-        assert p.done
+        engine.run_until(5.0)
+        assert engine.events_fired == 0
 
     def test_invalid_yield_raises(self, engine):
         # A wake-up time behind the clock.

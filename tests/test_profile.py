@@ -72,8 +72,10 @@ class TestHeterogeneousTwins:
         same cluster capacity as its homogeneous twin's."""
         rng = np.random.default_rng(seed)
         het = heterogeneous_bandwidth(SMALL_SYSTEM, spread, rng)
-        assert identity_profile(het).total_bandwidth == pytest.approx(
-            identity_profile(SMALL_SYSTEM).total_bandwidth
+        het_servers = het.build_servers(identity_profile(het))
+        twin_servers = SMALL_SYSTEM.build_servers(identity_profile(SMALL_SYSTEM))
+        assert sum(s.bandwidth for s in het_servers) == pytest.approx(
+            sum(s.bandwidth for s in twin_servers)
         )
 
 

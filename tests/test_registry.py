@@ -94,7 +94,6 @@ class TestRegistryContract:
         assert reg.names() == ("a", "b")
         assert list(reg) == ["b", "a"]
         assert reg.values() == [2, 1]
-        assert reg.items() == [("b", 2), ("a", 1)]
 
     def test_describe(self):
         reg = self.make()
@@ -489,10 +488,11 @@ def _selects(config):
     yield "allocators", config.scheduler
     yield "placements", config.placement
     yield "arrivals", config.arrivals
-    for name, system in SYSTEMS.items():
-        if system == config.system:
+    for name in SYSTEMS:
+        if SYSTEMS[name] == config.system:
             yield "systems", name
-    for name, policy in PAPER_POLICIES.items():
+    for name in PAPER_POLICIES:
+        policy = PAPER_POLICIES[name]
         if (policy.placement, policy.migration_policy(), policy.staging_fraction) == (
             config.placement, config.migration, config.staging_fraction
         ):
@@ -849,30 +849,11 @@ def _is_stub(node):
     return False
 
 
-def _bench_names(root):
-    """Every name ``bench/*.py`` imports, reads as an attribute or spells
-    as a string: a caller the test does not run (the ledger patches
-    some of them by their string name).  Bare names are bench's own
-    locals and builtins; a ``repro`` def they could reach is imported
-    under its name first."""
-    names = set()
-    for path in (root / "bench").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
-
-
 def _functions(package):
     """``{(file, first line): "module/path.py::Qual.name"}`` for every
-    ``def`` under *package* that is not exempt by rule: dunders, stubs
-    and the names ``bench/*.py`` uses.  The first line is the first
-    decorator's, as in the function's code object."""
-    bench = _bench_names(pathlib.Path(__file__).resolve().parent.parent)
+    ``def`` under *package* that is not exempt by rule: dunders and
+    stubs.  The first line is the first decorator's, as in the
+    function's code object."""
     found = {}
 
     def visit(node, path, prefix):
@@ -884,7 +865,6 @@ def _functions(package):
                 if not (
                     (name.startswith("__") and name.endswith("__"))
                     or _is_stub(child)
-                    or name in bench
                 ):
                     line = min(
                         [child.lineno]
@@ -1150,8 +1130,8 @@ def unreached_functions(_reach):
 
 
 #: A module for ``test_an_unused_function_is_caught``: ``idle`` is the
-#: one def that is neither entered nor exempt (a dunder, a stub, a name
-#: ``bench/*.py`` uses); ``cached`` is keyed by its decorator's line.
+#: one def that is neither entered nor exempt (a dunder or a stub);
+#: ``cached`` is keyed by its decorator's line.
 _PLANTED = """
 import functools
 
@@ -1179,9 +1159,6 @@ class Kind:
     def stub(self):
         \"\"\"An abstract hook.\"\"\"
         raise NotImplementedError
-
-    def detach(self):
-        return 4
 """
 
 
@@ -1197,6 +1174,10 @@ _CACHE_PANEL = (
     "tests/test_prefix.py)"
 )
 _POOL = "the REPRO_WORKERS > 1 pool path (tests/test_parallel_sweep.py, CI artifacts)"
+_BENCH = (
+    "a `bench/run.py` workload calls it (BENCHMARK.json; CI ledger-smoke); "
+    "the test does not run the ledger"
+)
 _RAISE = (
     "a failure path, run only when a check fails "
     "(tests/test_faults.py, tests/test_chaos_serve.py)"
@@ -1231,8 +1212,8 @@ class TestEveryFunctionIsReached:
     ``chaos_serve`` — the first run as the ``repro verify`` verb and
     scraped by every ``repro ops`` verb and both ``repro top``
     sources — and ``prefix_zipf_overload``'s ``verify`` run, or it is
-    exempt by rule (dunders, ``Protocol`` / abstract stubs, names
-    ``bench/*.py`` uses), or it has a row here with its reason."""
+    exempt by rule (dunders, ``Protocol`` / abstract stubs), or it has a
+    row here with its reason."""
 
     #: Functions kept with no workload entering them, one reason each.
     ALLOWED = {
@@ -1246,6 +1227,10 @@ class TestEveryFunctionIsReached:
         "analysis/export.py::write_metadata": _ALL,
         "analysis/stats.py::_central": _TRIALS,
         "analysis/stats.py::_t_multiplier": _TRIALS,
+        "analysis/timeseries.py::StateSampler.stop":
+            "the sampler's off switch; examples/interactive_viewers.py "
+            "samples to the horizon, so no run stops one early "
+            "(tests/test_timeseries.py)",
         "cli.py::_run_all": _ALL,
         "cluster/controller.py::DistributionController.check_invariants":
             "the tests' structural oracle: replica held, state ACTIVE and "
@@ -1274,10 +1259,13 @@ class TestEveryFunctionIsReached:
         "experiments/base.py::_get_pool": _POOL,
         "experiments/base.py::_pooled": _POOL,
         "experiments/base.py::_retry_cell": _POOL,
+        "experiments/base.py::shutdown_pool": _BENCH,
         "experiments/base.py::usable_cpus": _POOL,
+        "experiments/base.py::warm_pool": _BENCH,
         "experiments/live_serve.py::_cmd_loadgen": _PROCESS,
         "experiments/live_serve.py::_cmd_serve": _PROCESS,
         "experiments/live_serve.py::_serve_async": _PROCESS,
+        "experiments/registry.py::register": _IMPORT,
         "experiments/registry.py::register_figure": _IMPORT,
         "experiments/registry.py::register_figure.run_cli":
             "a figure verb (`repro fig4` ...); the test draws the figures "
@@ -1299,12 +1287,21 @@ class TestEveryFunctionIsReached:
             "has both faults and a prefix block (tests/test_prefix.py::"
             "TestTierEndToEnd::test_drop_cascade_under_faults)",
         "prefix/tier.py::PrefixTier.stats": _CACHE_PANEL,
+        "registry.py::Registry.register": _IMPORT,
         "registry.py::Registry.register._decorator": _IMPORT,
         "scenario.py::save_scenario":
             "the scenario format's writer; tests/test_scenario.py pins "
             "load(save(x)) == x byte for byte",
+        "serve/bridge.py::PolicyBridge.replay": _BENCH,
+        "serve/bridge.py::PolicyBridge.sim": _BENCH,
+        "serve/config.py::ServeConfig.to_wall": _BENCH,
         "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
         "serve/gateway.py::ClusterGateway.abort": _RAISE,
+        "sim/engine.py::Engine.events_cancelled": _BENCH,
+        "sim/process.py::PeriodicTimer.stop":
+            "StateSampler.stop's timer side, which no run calls "
+            "(tests/test_process.py)",
+        "workload/trace.py::Trace.duration": _PROCESS,
     }
 
     @staticmethod

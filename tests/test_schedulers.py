@@ -288,7 +288,7 @@ def eager_pass(name, link, requests, now):
     A stream that has a floor key keeps it as its projected finish: the
     same quantity, computed when the stream entered the floor order, so
     that ties in exact arithmetic break as the lazy pass breaks them
-    (:class:`Lockstep` checks the stored key against a recomputed one).
+    (:class:`Lockstep` checks the stored key against a fresh computation).
     """
     base = 0.0
     finished, candidates = [], []

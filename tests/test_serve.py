@@ -643,6 +643,7 @@ class TestClientAccounting:
         """A gateway that falls behind the view bandwidth must be
         caught by the client's staging-buffer model."""
         from repro.serve.loadgen import _LiveClient
+        from repro.sim.rng import RandomStreams
 
         async def scenario_run():
             async def slacker_gateway(reader, writer):
@@ -669,8 +670,10 @@ class TestClientAccounting:
             )
             port = server.sockets[0].getsockname()[1]
             serve = ServeConfig(port=port)
+            loop = asyncio.get_running_loop()
             outcome = await _LiveClient(
-                serve, 0, RequestSpec(0.0, 0)
+                serve, 0, RequestSpec(0.0, 0), RandomStreams(seed=0),
+                lambda vt: loop.time(),
             ).run()
             server.close()
             await server.wait_closed()

@@ -81,7 +81,8 @@ class TestConfigValidation:
 
     def test_theta_above_one_rejected(self):
         # Above 1 the hottest video is the last id, not the first, so
-        # every id-ordered ranking (warm_targets) would warm the coldest.
+        # every id-ordered ranking (the prefix plan, the joiner warmer)
+        # would pick the coldest.
         with pytest.raises(ValueError) as err:
             quick_config(theta=1.5)
         assert str(err.value) == (

@@ -249,7 +249,7 @@ class TestBoundaryBookkeeping:
         r, _ = cluster.submit(0, client=make_client())
         cancelled = manager._event
         cluster.engine.run_until(5.0)
-        manager.deactivate(5.0)
+        manager.deactivate()
         assert manager._event is None and not is_pending(cancelled)
         manager.reallocate(5.0)
         assert is_pending(manager._event) and manager._event.time == cancelled.time
