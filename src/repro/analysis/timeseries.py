@@ -94,7 +94,7 @@ class StateSampler:
         self.engine = engine
         self.controller = controller
         self.series = TimeSeries()
-        self._timer = PeriodicTimer(
+        PeriodicTimer(
             engine, interval, self._sample, first=start, name="state-sampler"
         )
 
@@ -130,7 +130,3 @@ class StateSampler:
                 per_server_active=per_server,
             )
         )
-
-    def stop(self) -> None:
-        """Stop sampling (idempotent)."""
-        self._timer.stop()

@@ -22,9 +22,7 @@ Derived quantities (Section 3.3 of the paper):
   constant.
 
 The **minimum-flow invariant** (every unfinished request transmits at
-``rate >= b_view``) guarantees ``buffer(t) >= 0``; the only exception is
-a migration switch gap, which is allowed to eat into the buffer and is
-bounded by the eligibility check in :mod:`repro.core.migration`.
+``rate >= b_view``) guarantees ``buffer(t) >= 0``.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ class Request:
         hops: number of times this stream has been migrated.
         retry_draws: backoff jitter draws taken from the request's
             ``retry.req<id>`` stream so far (:mod:`repro.faults.retry`).
-        paused_until: end of a migration switch gap during which the
-            stream receives no data (0 when not paused).  Set before the
-            move attaches the stream to its new server, which records it
-            (:attr:`DataServer.gap_until`).
         floor_key: projected finish while the stream sits in its
             server's floor order (see :class:`DataServer`), else None.
     """
@@ -92,7 +86,6 @@ class Request:
         "playback_start",
         "hops",
         "retry_draws",
-        "paused_until",
         "finish_time",
         "reject_reason",
         "playback_pause_time",
@@ -124,7 +117,6 @@ class Request:
         self.playback_start = float(arrival_time)
         self.hops = 0
         self.retry_draws = 0
-        self.paused_until = 0.0
         self.finish_time: Optional[float] = None
         #: Why admission last refused this request (``no_replica`` /
         #: ``holders_full`` / ``chain_exhausted``); ``None`` if it never did.
@@ -200,10 +192,6 @@ class Request:
         """Workahead the client can still absorb, Mb."""
         by_capacity = self.client.buffer_capacity - self.buffer_occupancy(now)
         return max(0.0, min(by_capacity, self.remaining(now)))
-
-    def is_paused(self, now: float) -> bool:
-        """True during a migration switch gap."""
-        return now < self.paused_until
 
     # ------------------------------------------------------------------
     # VCR interactivity (paper future work: "interactivity in

@@ -44,7 +44,7 @@ class DataServer:
         active: unfinished requests currently assigned here, keyed by
             request id (insertion-ordered for determinism).
         floor: the *floor order* — the active streams playing at exactly
-            their ``b_view``, outside a switch gap and not VCR-paused, as
+            their ``b_view`` and not VCR-paused, as
             candidate entries sorted by (projected finish, request id).
             Their ``(bytes_sent, last_sync, rate)`` are left alone (only
             a flush syncs them): at ``b_view`` neither the projected
@@ -53,8 +53,8 @@ class DataServer:
         floor_candidates: the entries of :attr:`floor` whose client can
             take spare bandwidth, in the same order.
         moved: every other active stream — the ones the next allocator
-            pass visits (newly attached, lifted by a trigger, boosted,
-            in a switch gap or VCR-paused).
+            pass visits (newly attached, lifted by a trigger, boosted
+            or VCR-paused).
         walls: the playing streams the last allocator pass found at
             their buffer wall while still boosted by the pass before
             (Section 3.3's "buffer full" trigger), in visit order.
@@ -68,9 +68,6 @@ class DataServer:
             and failover moves alike).  Only :meth:`attach` adds to
             :attr:`active`, so an unchanged count means the active set
             has at most lost streams since it was last read.
-        gap_until: the latest ``paused_until`` of any stream attached
-            here (a switch gap is set before the move attaches): once
-            ``now`` passes it, no stream here is in a gap.
         drm_certificate: what the last failed DRM walk from this server
             read, kept so a later search can skip the walk while none of
             it has changed (see :mod:`repro.core.migration`); None when
@@ -115,7 +112,6 @@ class DataServer:
         self.moved: List[Request] = []
         self.walls: List[Request] = []
         self.attaches = 0
-        self.gap_until = 0.0
         self.drm_certificate: Optional[object] = None
 
     # ------------------------------------------------------------------
@@ -230,8 +226,6 @@ class DataServer:
         request.server_id = self.server_id
         self.moved.append(request)
         self.attaches += 1
-        if request.paused_until > self.gap_until:
-            self.gap_until = request.paused_until
 
     def detach(self, request: Request) -> None:
         """Remove a stream (finished, migrated away, or dropped)."""

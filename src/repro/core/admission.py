@@ -141,7 +141,7 @@ class AdmissionController:
 
         self.metrics.record_migration_attempt()
         chain = find_migration_chain(
-            video_id, servers, self.placement, self.migration_policy, now
+            video_id, servers, self.placement, self.migration_policy
         )
         if chain is None:
             if tracer is not None:
@@ -154,9 +154,7 @@ class AdmissionController:
                 TraceKind.DRM_CHAIN, now, video=video_id, length=len(chain),
                 path=[(step.source_id, step.target_id) for step in chain],
             )
-        execute_chain(
-            chain, self.managers, self.migration_policy, now, tracer=tracer
-        )
+        execute_chain(chain, self.managers, now, tracer=tracer)
         freed = servers[chain[-1].source_id]
         if not freed.has_slot_for(request):
             raise RuntimeError(

@@ -455,8 +455,6 @@ class ElasticScaler:
         now = self.engine.now
         managers = self.controller.managers
         for request in list(server.iter_active()):
-            if request.is_paused(now):
-                continue
             target = self._direct_target(sid, request)
             if target is None:
                 target = self._chain_target(sid, request, now)
@@ -503,13 +501,12 @@ class ElasticScaler:
             k: v for k, v in self.controller.servers.items() if k != sid
         }
         chain = find_migration_chain(
-            request.video.video_id, others, self.placement,
-            RESCUE_POLICY, now,
+            request.video.video_id, others, self.placement, RESCUE_POLICY
         )
         if chain is None:
             return None
         execute_chain(
-            chain, self.controller.managers, RESCUE_POLICY, now,
+            chain, self.controller.managers, now,
             tracer=self.tracer, cause="drain",
         )
         freed = self.controller.servers[chain[-1].source_id]

@@ -267,11 +267,11 @@ class FailoverManager:
             self._move(request, target.server_id, now)
             return True
         chain = find_migration_chain(
-            video_id, self.servers, self.placement, RESCUE_POLICY, now
+            video_id, self.servers, self.placement, RESCUE_POLICY
         )
         if chain is not None:
             execute_chain(
-                chain, self.managers, RESCUE_POLICY, now,
+                chain, self.managers, now,
                 tracer=self.tracer, cause="failover",
             )
             freed = self.servers[chain[-1].source_id]

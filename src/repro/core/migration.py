@@ -11,10 +11,9 @@ that the smallest settings already capture almost all the benefit):
 * **hops per request** — how many times any single stream may be moved
   over its lifetime (1 is "almost as good" as unlimited).
 
-Migration is only safe with client staging: the switch gap is played
-out of the staging buffer.  With ``switch_delay > 0`` a stream is
-eligible only if its current buffer covers the gap; the migrated stream
-is *paused* (rate 0) on the target server until the gap ends.
+A move is instantaneous: the stream leaves its source and keeps
+transmitting at its target at the same instant, so it needs no staging
+buffer to cover a gap.
 
 Under overload almost every search fails, and mostly for the reason
 the previous one did.  So a holder whose walk failed keeps a
@@ -24,20 +23,17 @@ drain — skips the holder while the certificate holds.  A failure can
 only turn into a chain through a new stream on a server the walk
 entered (:attr:`DataServer.attaches`: migrations and failover moves
 attach too, and ``hops`` only changes across one), a new open target,
-a member appearing or changing ``up`` / ``accepting``, a new replica
-(:attr:`PlacementMap.version`) or a switch gap ending.  Everything else
-— finishes, failures, link degradation — only removes streams or closes
-targets.  A certificate is stored only for a policy with
-``switch_delay == 0`` (otherwise its buffer test moves with time), and
-only after a walk that met some open target.  A walk that met none
-stores nothing, yet it costs more than one slot probe per server: pass
-1 still reads every stream on the holder, each finding an empty target
-set, and the next search repeats that loop.
+a member appearing or changing ``up`` / ``accepting`` or a new replica
+(:attr:`PlacementMap.version`).  Everything else — finishes, failures,
+link degradation — only removes streams or closes targets.  A
+certificate is stored only after a walk that met some open target.  A
+walk that met none stores nothing, yet it costs more than one slot
+probe per server: pass 1 still reads every stream on the holder, each
+finding an empty target set, and the next search repeats that loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,14 +54,11 @@ class MigrationPolicy(Config):
         max_chain_length: streams displaced per admission (paper: 1).
         max_hops_per_request: lifetime migration bound per stream;
             ``None`` means unlimited ("unrestricted hops").
-        switch_delay: seconds of transmission gap during a migration;
-            eligibility requires the client buffer to cover it.
     """
 
     enabled: bool = False
     max_chain_length: int = 1
     max_hops_per_request: Optional[int] = 1
-    switch_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_chain_length < 1:
@@ -79,10 +72,6 @@ class MigrationPolicy(Config):
             raise ValueError(
                 f"max_hops_per_request must be >= 0 or None, got "
                 f"{self.max_hops_per_request}"
-            )
-        if self.switch_delay < 0:
-            raise ValueError(
-                f"switch_delay must be >= 0, got {self.switch_delay}"
             )
 
     @classmethod
@@ -103,8 +92,8 @@ class MigrationPolicy(Config):
 
 
 #: Chain bounds for moves made to *rescue* streams rather than admit one
-#: (failover orphans, elastic drains): chain length 1, unlimited hops and
-#: zero switch delay, so a rescue never gaps transmission.
+#: (failover orphans, elastic drains): chain length 1 and unlimited hops,
+#: so no earlier move keeps a stream from being rescued.
 RESCUE_POLICY = MigrationPolicy.unlimited_hops()
 
 
@@ -121,23 +110,12 @@ class MigrationStep:
     target_id: int
 
 
-def _eligible(request: Request, policy: MigrationPolicy, now: float) -> bool:
-    """Can this stream be displaced right now?"""
-    if request.is_paused(now):
-        return False  # already mid-switch
-    if (
-        policy.max_hops_per_request is not None
-        and request.hops >= policy.max_hops_per_request
-    ):
-        return False
-    if policy.switch_delay > 0.0:
-        # Streams on other servers are not synced to `now` during a
-        # search: project the transfer instead of reading a stale one.
-        sent = min(request.size, request.sent_at(now))
-        needed = policy.switch_delay * request.view_bandwidth
-        if sent - request.bytes_viewed(now) < needed:
-            return False
-    return True
+def _eligible(request: Request, policy: MigrationPolicy) -> bool:
+    """May this stream be displaced, by its hop budget?"""
+    return (
+        policy.max_hops_per_request is None
+        or request.hops < policy.max_hops_per_request
+    )
 
 
 #: Slot predicate: can *server* take one more stream played at
@@ -169,25 +147,22 @@ class _Certificate:
     It holds while the search asks the same question of a cluster that
     can only have lost chains since: same policy, members (``(id, up,
     accepting)`` of every server in the ``servers`` argument) and
-    placement version; no attach on a server the walk entered; no
-    switch gap on those servers ended; and, per view bandwidth the walk
-    looked up, the open targets now are a *subset* of the open targets
-    then.  The subset test lets it outlive a finish that opens a server
-    the next arrival fills again.  The slot test reaches a walk
-    only through those sets, which are rebuilt with the caller's, so it
-    need not be the same one.
+    placement version; no attach on a server the walk entered; and, per
+    view bandwidth the walk looked up, the open targets now are a
+    *subset* of the open targets then.  The subset test lets it outlive
+    a finish that opens a server the next arrival fills again.  The slot
+    test reaches a walk only through those sets, which are rebuilt with
+    the caller's, so it need not be the same one.
     """
 
     __slots__ = (
         "policy", "placement", "version", "members", "entered", "open_of",
-        "expiry",
     )
 
     def __init__(
         self, policy: MigrationPolicy, placement: PlacementMap,
         members: Tuple[tuple, ...], entered: Set[int],
         open_of: Dict[float, Set[int]], servers: Dict[int, DataServer],
-        now: float,
     ) -> None:
         self.policy = policy
         self.placement = placement
@@ -198,25 +173,16 @@ class _Certificate:
         # search returns, and what a later walk of the same search adds
         # is as true as the rest.
         self.open_of = open_of
-        expiry = math.inf  # the first switch gap on them to end
-        for sid in entered:
-            server = servers[sid]
-            if server.gap_until > now:
-                for r in server.iter_active():
-                    if now < r.paused_until < expiry:
-                        expiry = r.paused_until
-        self.expiry = expiry
 
     def holds(
         self, servers: Dict[int, DataServer], placement: PlacementMap,
-        policy: MigrationPolicy, now: float, slot_test: SlotTest,
+        policy: MigrationPolicy, slot_test: SlotTest,
         members: Tuple[tuple, ...], open_of: Dict[float, Set[int]],
     ) -> bool:
         """Would the walk fail again?  Open-target sets it has to build
         go into *open_of*, the current search's, for its walks to use."""
         if not (
-            now < self.expiry
-            and self.placement is placement
+            self.placement is placement
             and self.version == placement.version
             and (self.policy is policy or self.policy == policy)
             and self.members == members
@@ -241,7 +207,6 @@ def find_migration_chain(
     servers: Dict[int, DataServer],
     placement: PlacementMap,
     policy: MigrationPolicy,
-    now: float,
     slot_test: SlotTest = DataServer.has_slot,
 ) -> Optional[List[MigrationStep]]:
     """Search for a displacement chain that frees a slot on some holder
@@ -282,29 +247,28 @@ def find_migration_chain(
     no_direct: Set[int] = set()
     open_of: Dict[float, Set[int]] = {}
     members = None  # read once per search, and only if a certificate asks
-    certify = policy.switch_delay == 0.0
     for holder in entry_holders:
         cert = holder.drm_certificate
         if cert is not None:
             if members is None:
                 members = _members(servers)
             if cert.holds(
-                servers, placement, policy, now, slot_test, members, open_of
+                servers, placement, policy, slot_test, members, open_of
             ):
                 continue
         entered: Set[int] = set()
         chain = _free_slot(
-            holder, servers, placement, policy, now, {holder.server_id},
+            holder, servers, placement, policy, {holder.server_id},
             slot_test, movable_of, no_direct, open_of, entered,
         )
         if chain is not None:
             return chain
         cert = None
-        if certify and any(open_of.values()):
+        if any(open_of.values()):
             if members is None:
                 members = _members(servers)
             cert = _Certificate(
-                policy, placement, members, entered, open_of, servers, now
+                policy, placement, members, entered, open_of, servers
             )
         holder.drm_certificate = cert
     return None
@@ -312,7 +276,7 @@ def find_migration_chain(
 
 def _free_slot(
     server: DataServer, servers: Dict[int, DataServer],
-    placement: PlacementMap, policy: MigrationPolicy, now: float,
+    placement: PlacementMap, policy: MigrationPolicy,
     visited: Set[int], slot_test: SlotTest,
     movable_of: Dict[int, List[Request]], no_direct: Set[int],
     open_of: Dict[float, Set[int]], entered: Set[int],
@@ -346,7 +310,7 @@ def _free_slot(
                 direct.append((r.request_id, r))
         open_on_path = False
         for _, r in sorted(direct):
-            if _eligible(r, policy, now):
+            if _eligible(r, policy):
                 open_ids = open_of[r.view_bandwidth]
                 for tid in placement.holders(r.video.video_id):
                     if tid in open_ids and tid != sid:
@@ -362,7 +326,7 @@ def _free_slot(
         movable = movable_of.get(sid)
         if movable is None:
             movable = movable_of[sid] = [
-                r for r in server.iter_active() if _eligible(r, policy, now)
+                r for r in server.iter_active() if _eligible(r, policy)
             ]
             movable.sort(key=lambda r: r.request_id)
         tried = set(visited)  # on the path, or already asked from here
@@ -375,7 +339,7 @@ def _free_slot(
                 if target is None or not (target.up and target.accepting):
                     continue
                 sub = _free_slot(
-                    target, servers, placement, policy, now, visited | {tid},
+                    target, servers, placement, policy, visited | {tid},
                     slot_test, movable_of, no_direct, open_of, entered,
                 )
                 if sub is not None:
@@ -386,20 +350,17 @@ def _free_slot(
 def execute_chain(
     chain: Sequence[MigrationStep],
     managers: Dict[int, "TransmissionManager"],  # noqa: F821 - hint only
-    policy: MigrationPolicy,
     now: float,
     tracer: Optional[Tracer] = None,
     cause: str = "admission",
 ) -> None:
     """Carry out a chain: each stream leaves its source (syncing its
-    transfer accounting there), optionally pauses for the switch gap,
-    and joins its target.  With a *tracer*, each displacement emits a
-    ``request.migrate`` record tagged with its *cause*."""
+    transfer accounting there) and joins its target.  With a *tracer*,
+    each displacement emits a ``request.migrate`` record tagged with its
+    *cause*."""
     for step in chain:
         request = step.request
         managers[step.source_id].migrate_out(request, now)
-        if policy.switch_delay > 0.0:
-            request.paused_until = now + policy.switch_delay
         request.hops += 1
         managers[step.target_id].migrate_in(request, now)
         if tracer is not None:

@@ -22,17 +22,14 @@ optimal among minimum-flow algorithms.  The alternatives here exist to
 
 Allocation is **one pass per server event**
 (:meth:`BandwidthAllocator.allocate_into`), and it visits only the
-streams that move.  A stream playing at exactly ``b_view`` (outside a
-switch gap, not VCR-paused) sits in its server's *floor order*
+streams that move.  A stream playing at exactly ``b_view`` (not
+VCR-paused) sits in its server's *floor order*
 (:attr:`DataServer.floor`), untouched: its buffer occupancy and its
 projected finish are constant there, so neither its spare candidacy nor
 its place in the EFTF order can change.  The pass integrates the others,
 retires the finished streams off the head of the floor order, and walks
 the spare down the merged candidate order, integrating each floor stream
 it reaches before boosting it, and returns the server's next boundary.
-A paused stream (mid-migration switch gap) gets rate 0 — its playback
-is covered by the staging buffer, which the migration eligibility check
-guarantees.
 
 Performance note: this is the simulator's innermost loop, so the sync
 and eligibility arithmetic is inlined on request attributes rather than
@@ -58,8 +55,8 @@ EPS_RATE: float = 1e-9
 #: What one pass hands the transmission manager: Mb transferred while
 #: integrating to ``now``; the server's next boundary (``inf`` if none);
 #: and the streams that finished, in active-list order (the manager
-#: detaches them).  The *irregular* streams — switch-gap, VCR-paused,
-#: boosted — are left in ``server.moved``, and the boosted streams found
+#: detaches them).  The *irregular* streams — VCR-paused, boosted — are
+#: left in ``server.moved``, and the boosted streams found
 #: at their buffer wall in ``server.walls``.
 PassResult = Tuple[float, float, Sequence[Request]]
 
@@ -121,7 +118,6 @@ class BandwidthAllocator(abc.ABC):
         Guarantees (enforced here, not in subclasses):
         * a stream with ``remaining <= EPS_MB`` is returned as finished,
           rate untouched — no floor, no boundary, no candidacy;
-        * switch-gap streams get 0;
         * all other streams get >= view bandwidth (minimum flow), bar
           a VCR-paused viewer whose staging buffer is full;
         * the sum never exceeds the server link;
@@ -165,11 +161,6 @@ class BandwidthAllocator(abc.ABC):
             if remaining <= EPS_MB:
                 finished.append(r)
                 idle += vb
-                continue
-            if now < r.paused_until:
-                r.rate = 0.0
-                idle += vb
-                irregular.append(r)
                 continue
             playing = now < r.playback_pause_time
             # Inline of Request.headroom: the capacity side here, the
@@ -253,43 +244,39 @@ class BandwidthAllocator(abc.ABC):
         # equivalent by tests).
         boundary = floor[0][0] if floor else math.inf
         for r in irregular:
-            if now < r.paused_until:
-                t = r.paused_until
-            else:
-                rate = r.rate
-                vb = r.view_bandwidth
-                sent = r.bytes_sent
-                # A VCR-paused viewer consumes nothing: the buffer only
-                # ever fills, never drains.
-                playing = now < r.playback_pause_time
-                drain = vb if playing else 0.0
-                if rate < drain - EPS_RATE:
-                    # Minimum flow: a live, playing stream always has
-                    # rate >= b_view.
-                    raise RuntimeError(
-                        f"playing stream {r.request_id} at {rate} Mb/s, "
-                        f"below its view bandwidth {vb}, on server "
-                        f"{server.server_id}"
+            rate = r.rate
+            vb = r.view_bandwidth
+            sent = r.bytes_sent
+            # A VCR-paused viewer consumes nothing: the buffer only
+            # ever fills, never drains.
+            playing = now < r.playback_pause_time
+            drain = vb if playing else 0.0
+            if rate < drain - EPS_RATE:
+                # Minimum flow: a live, playing stream always has
+                # rate >= b_view.
+                raise RuntimeError(
+                    f"playing stream {r.request_id} at {rate} Mb/s, "
+                    f"below its view bandwidth {vb}, on server "
+                    f"{server.server_id}"
+                )
+            if rate <= EPS_RATE:
+                # VCR-paused with a full buffer: legitimately idle
+                # until the viewer resumes.
+                continue
+            t = now + (r.size - sent) / rate
+            surplus = rate - drain
+            if surplus > EPS_RATE:
+                capacity = r.client.buffer_capacity
+                if capacity < math.inf:
+                    played_until = now if playing else r.playback_pause_time
+                    headroom = capacity - (
+                        sent - (played_until - r.playback_start) * vb
                     )
-                if rate <= EPS_RATE:
-                    # VCR-paused with a full buffer: legitimately idle
-                    # until the viewer resumes.
-                    continue
-                t = now + (r.size - sent) / rate
-                surplus = rate - drain
-                if surplus > EPS_RATE:
-                    capacity = r.client.buffer_capacity
-                    if capacity < math.inf:
-                        played_until = (now if playing
-                                        else r.playback_pause_time)
-                        headroom = capacity - (
-                            sent - (played_until - r.playback_start) * vb
-                        )
-                        if headroom < 0.0:
-                            headroom = 0.0
-                        t_full = now + headroom / surplus
-                        if t_full < t:
-                            t = t_full
+                    if headroom < 0.0:
+                        headroom = 0.0
+                    t_full = now + headroom / surplus
+                    if t_full < t:
+                        t = t_full
             if t < boundary:
                 boundary = t
         if len(finished) > 1:

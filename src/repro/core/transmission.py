@@ -8,8 +8,6 @@ boundaries.  Boundaries are (Section 3.3's EFTF trigger list):
   and frees its minimum-flow floor;
 * **buffer full** — a boosted stream's client runs out of headroom; its
   surplus is redistributed (the stream drops back to ``b_view``);
-* **switch-gap end** — a migrated stream's pause expires and it rejoins
-  the minimum-flow floor;
 * ("buffer empty" is in the paper's trigger list but is unreachable for
   minimum-flow algorithms with immediate playback — while unfinished a
   stream receives at least its drain rate; we assert rather than handle

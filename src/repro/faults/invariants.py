@@ -12,7 +12,7 @@ to *now* and checking there covers the whole interval:
 * **per-server capacity** — ``sum(rates) <= B_server`` on every up
   server (degraded links use the degraded capacity);
 * **no-underrun** — ``bytes_viewed(now) <= bytes_sent(now)`` for every
-  stream outside a migration switch gap;
+  stream;
 * **clock / heap monotonicity** — fired event times never decrease.
 
 A failed assertion raises :class:`InvariantViolation` carrying the
@@ -144,10 +144,9 @@ class InvariantChecker:
                         f"bytes_sent {sent:.6f} > size {r.video.size:.6f}",
                     )
                 viewed = r.bytes_viewed(now)
-                if now >= r.paused_until and sent - viewed < -EPS_CHECK:
-                    # Outside a migration switch gap a stream transmits
-                    # at >= its drain rate (minimum flow), so the client
-                    # buffer can never go negative.
+                if sent - viewed < -EPS_CHECK:
+                    # A stream transmits at >= its drain rate (minimum
+                    # flow), so the client buffer can never go negative.
                     self._violate(
                         "no_underrun",
                         f"request {r.request_id}",

@@ -187,8 +187,6 @@ class Histogram:
                     out[q] = lo + fraction * (hi - lo)
                     break
                 cumulative += n
-            else:  # pragma: no cover - rank <= count always lands
-                out[q] = self.max
         return out
 
     def snapshot(self) -> Dict[str, Any]:

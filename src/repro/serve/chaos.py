@@ -118,13 +118,12 @@ class ToxicConfig:
         )
 
 
-def _jittered_latency(toxic: ToxicConfig, rng: Optional[Any]) -> float:
-    """One frame's injected latency: uniform in ``latency * (1 ± jitter)``
-    (the midpoint without an *rng*)."""
+def _jittered_latency(toxic: ToxicConfig, rng: Any) -> float:
+    """One frame's injected latency: uniform in ``latency * (1 ± jitter)``,
+    drawn from *rng*."""
     delay = toxic.latency
     if delay and toxic.jitter:
-        draw = float(rng.random()) if rng is not None else 0.5
-        delay *= 1.0 - toxic.jitter + 2.0 * toxic.jitter * draw
+        delay *= 1.0 - toxic.jitter + 2.0 * toxic.jitter * float(rng.random())
     return delay
 
 
@@ -149,7 +148,7 @@ class ToxicWriter:
         self,
         inner: asyncio.StreamWriter,
         toxic: ToxicConfig,
-        rng: Optional[Any] = None,
+        rng: Any,
     ) -> None:
         self.inner = inner
         self.toxic = toxic

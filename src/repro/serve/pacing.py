@@ -193,7 +193,7 @@ class Pacer:
 
         Sessions follow their request's ``server_id``, so a DRM
         migration hands the stream to the target server's loop at the
-        next tick — the live analogue of the switch gap.  When elastic
+        next tick.  When elastic
         scale-in departs the server, the loop returns cleanly once its
         last session has been handed off (a clean factory return ends
         supervision without a restart).

@@ -83,7 +83,8 @@ class Process:
 
 
 class PeriodicTimer:
-    """Call a function every ``interval`` seconds until stopped.
+    """Call a function every ``interval`` seconds, for as long as the
+    engine runs.
 
     The first call happens at ``now + interval`` (or at ``first`` when
     given).  Used by the statistics sampler to take utilization
@@ -104,24 +105,11 @@ class PeriodicTimer:
         self.interval = float(interval)
         self.action = action
         self.name = name
-        self._stopped = False
         delay = self.interval if first is None else float(first) - engine.now
-        self._pending: Optional[Event] = engine.schedule(
-            delay, self._tick, kind=f"timer:{name}"
-        )
+        engine.schedule(delay, self._tick, kind=f"timer:{name}")
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         self.action()
-        if not self._stopped:  # action may stop us
-            self._pending = self.engine.schedule(
-                self.interval, self._tick, kind=f"timer:{self.name}"
-            )
-
-    def stop(self) -> None:
-        """Stop ticking; idempotent."""
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
+        self.engine.schedule(
+            self.interval, self._tick, kind=f"timer:{self.name}"
+        )

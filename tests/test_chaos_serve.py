@@ -87,11 +87,16 @@ class TestToxicConfig:
         assert not ToxicConfig(cut_after_bytes=100).empty
 
 
+def _toxic_stream():
+    """The jitter stream :func:`run_chaos_serve` hands its gateway toxic."""
+    return RandomStreams(seed=0).get("chaos.toxic.gateway")
+
+
 class TestToxicTransports:
     def test_latency_delays_but_delivers_intact(self):
         async def scenario_run():
             server, (cr, cw), (pr, pw) = await loopback_pair()
-            toxic = ToxicWriter(cw, ToxicConfig(latency=0.02))
+            toxic = ToxicWriter(cw, ToxicConfig(latency=0.02), _toxic_stream())
             t0 = asyncio.get_running_loop().time()
             await write_frame(toxic, {"type": "request", "video": 3})
             frame = await read_frame(pr)
@@ -113,7 +118,8 @@ class TestToxicTransports:
         async def scenario_run():
             server, (cr, cw), (pr, pw) = await loopback_pair()
             toxic = ToxicWriter(
-                cw, ToxicConfig(stall_every=1, stall_seconds=0.5)
+                cw, ToxicConfig(stall_every=1, stall_seconds=0.5),
+                _toxic_stream(),
             )
             with pytest.raises(asyncio.TimeoutError):
                 await write_frame(toxic, {"type": "chunk"}, timeout=0.05)
@@ -126,7 +132,9 @@ class TestToxicTransports:
     def test_cut_mid_frame_leaves_partial_bytes_and_poisons_writer(self):
         async def scenario_run():
             server, (cr, cw), (pr, pw) = await loopback_pair()
-            toxic = ToxicWriter(cw, ToxicConfig(cut_after_bytes=10))
+            toxic = ToxicWriter(
+                cw, ToxicConfig(cut_after_bytes=10), _toxic_stream()
+            )
             with pytest.raises(ConnectionResetError, match="mid-frame"):
                 await write_frame(
                     toxic, {"type": "chunk", "seq": 0}, b"\x00" * 64
@@ -719,7 +727,8 @@ class TestGatewayTimeouts:
 
         def wrap(writer):
             toxics.append(ToxicWriter(
-                writer, ToxicConfig(stall_every=1, stall_seconds=30.0)
+                writer, ToxicConfig(stall_every=1, stall_seconds=30.0),
+                _toxic_stream(),
             ))
             return toxics[-1]
 
@@ -785,7 +794,8 @@ class TestGatewayTimeouts:
 
         def wrap(writer):
             toxics.append(ToxicWriter(
-                writer, ToxicConfig(stall_every=3, stall_seconds=0.08)
+                writer, ToxicConfig(stall_every=3, stall_seconds=0.08),
+                _toxic_stream(),
             ))
             return toxics[-1]
 

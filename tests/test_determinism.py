@@ -48,16 +48,6 @@ class TestBitReproducibility:
         )
         assert a == b
 
-    def test_with_switch_delay(self):
-        a, b = run_twice(
-            staging_fraction=0.2,
-            migration=MigrationPolicy(
-                enabled=True, max_chain_length=2,
-                max_hops_per_request=None, switch_delay=2.0,
-            ),
-        )
-        assert a == b
-
     def test_with_replication(self):
         a, b = run_twice(
             theta=-1.0,

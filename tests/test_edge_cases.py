@@ -125,7 +125,7 @@ class TestMigrationEdgeCases:
         )
         chain = find_migration_chain(
             0, cluster.servers, cluster.placement,
-            MigrationPolicy.paper_default(), now=0.0,
+            MigrationPolicy.paper_default(),
         )
         assert chain is None  # nothing to displace
 

@@ -106,20 +106,6 @@ class TestPeriodicTimer:
         engine.run_until(5.0)
         assert ticks == [0.5, 2.5, 4.5]
 
-    def test_stop_halts_ticking(self, engine):
-        ticks = []
-        timer = PeriodicTimer(engine, 1.0, lambda: ticks.append(engine.now))
-        engine.run_until(2.5)
-        timer.stop()
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_action_may_stop_timer(self, engine):
-        ticks = []
-        timer = PeriodicTimer(engine, 1.0, lambda: (ticks.append(engine.now), timer.stop()))
-        engine.run_until(5.0)
-        assert ticks == [1.0]
-
     def test_nonpositive_interval_rejected(self, engine):
         with pytest.raises(SimulationError):
             PeriodicTimer(engine, 0.0, lambda: None)

@@ -15,6 +15,7 @@ import pathlib
 import re
 import sys
 import threading
+from inspect import CO_OPTIMIZED
 from typing import Optional
 
 import pytest
@@ -505,23 +506,81 @@ def _selects(config):
         yield "batching policies", config.prefix.batching
 
 
+def _code_lines(code):
+    """The lines of *code* a line event can report: its line table less
+    a ``def``'s first line (its first decorator's), which only the
+    entry instruction carries."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    if not code.co_name.startswith("<"):  # not a lambda or comprehension
+        lines.discard(code.co_firstlineno)
+    return lines
+
+
+class _Entered:
+    """What ran while an :func:`_entering` block ran: ``codes``, the code
+    object of every Python function entered, and ``pending``, for each
+    entered ``src/repro`` function's code, the lines of
+    :func:`_code_lines` it has not run yet."""
+
+    def __init__(self):
+        self.codes = set()
+        self.pending = {}
+
+    def lines(self):
+        """``(ran, unrun)``: ``{(file, line)}`` of the ``pending`` code's
+        lines that ran, and of those that did not."""
+        ran, unrun = set(), set()
+        for code, pending in self.pending.items():
+            path = str(pathlib.Path(code.co_filename).resolve())
+            ran.update((path, line) for line in _code_lines(code) - pending)
+            unrun.update((path, line) for line in pending)
+        return ran, unrun
+
+
 @contextlib.contextmanager
-def _entering(seen):
-    """Add the code object of every Python function entered while the
-    block runs, in any thread, to the set *seen*."""
+def _entering(package=None):
+    """Record, in any thread, what runs while the block runs, as an
+    :class:`_Entered`.  Only the functions under *package* (default
+    ``src/repro``) are traced line by line, each until every line it
+    has has run."""
+    package = str(package or TestEveryFunctionIsReached.package())
+    entered, inside, tracers = _Entered(), {}, {}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
+    def tracer(code):
+        name = code.co_filename
+        if name not in inside:
+            inside[name] = str(pathlib.Path(name).resolve()).startswith(package)
+        if not (inside[name] and code.co_flags & CO_OPTIMIZED):
+            return None  # outside, or a module or class body
+        pending = entered.pending[code] = _code_lines(code)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    threading.setprofile(profile)
+        def line(frame, event, arg):
+            if event == "line":
+                pending.discard(frame.f_lineno)
+                if not pending:  # every line has run: stop tracing it
+                    tracers[code] = None
+                    return None
+            return line
+
+        return line if pending else None
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        entered.codes.add(code)
+        try:
+            return tracers[code]
+        except KeyError:
+            local = tracers[code] = tracer(code)
+            return local
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    threading.settrace(call)
     try:
-        yield seen
+        yield entered
     finally:
-        threading.setprofile(None)
-        sys.setprofile(previous)
+        threading.settrace(None)
+        sys.settrace(previous)
 
 
 def _committed_configs(root):
@@ -549,7 +608,7 @@ def _workloads():
     """``(configs, entered)``: every config a figure with claims, a
     committed scenario or a ledger workload runs — the figures' cells
     recorded as they are built (one trial, one simulated minute each,
-    in-process) — and the code objects entered while the cells ran."""
+    in-process) — and what ran while the cells ran (:class:`_Entered`)."""
     from repro.experiments import base
     from repro.experiments.registry import EXPERIMENTS
 
@@ -561,7 +620,7 @@ def _workloads():
         configs.append(config)
         return real(dataclasses.replace(config, duration=60.0, warmup=0.0))
 
-    with pytest.MonkeyPatch.context() as patch, _entering(set()) as entered:
+    with pytest.MonkeyPatch.context() as patch, _entering() as entered:
         patch.setenv("REPRO_WORKERS", "1")
         patch.setattr(base, "_run_one", record)
         for spec in EXPERIMENTS.values():
@@ -708,11 +767,16 @@ def knob_configs(workload_configs):
     ]
 
 
-#: Reason shared by rows of :attr:`TestEveryFieldIsReached.ALLOWED`.
+#: Reasons shared by rows of :attr:`TestEveryFieldIsReached.ALLOWED`
+#: and :attr:`TestEveryLineIsReached.ALLOWED`.
 _STALL = (
     "the toxic stall, the only way to drive the gateway's send-timeout "
     "and bounded-retry path, which is safety code (tests/"
     "test_chaos_serve.py::TestGatewayTimeouts)"
+)
+_CUT = (
+    "the toxic mid-frame cut, the only way to hand a peer a partial "
+    "frame (tests/test_chaos_serve.py::TestToxicTransports)"
 )
 
 
@@ -728,10 +792,6 @@ class TestEveryFieldIsReached:
 
     #: Fields kept with nothing setting them, one reason each.
     ALLOWED = {
-        "MigrationPolicy.switch_delay":
-            "the paper's 'request transfer can take some time' "
-            "(docs/PAPER_MAP.md); TestSwitchDelay and the switch-gap "
-            "whole run set it",
         "ElasticPolicy.drain_interval":
             "written at its default by bench/workloads/chaos_elastic_churn.json",
         "ElasticPolicy.warm_fraction":
@@ -763,10 +823,7 @@ class TestEveryFieldIsReached:
             "scraped by the function rule, binds an ephemeral port",
         "ToxicConfig.stall_every": _STALL,
         "ToxicConfig.stall_seconds": _STALL,
-        "ToxicConfig.cut_after_bytes":
-            "the toxic mid-frame cut, the only way to hand a peer a "
-            "partial frame (tests/test_chaos_serve.py::"
-            "TestToxicTransports)",
+        "ToxicConfig.cut_after_bytes": _CUT,
     }
 
     @staticmethod
@@ -894,24 +951,24 @@ def _result_digest(result):
 
 def _trace_digest(tracer, scratch):
     """Digest of the JSONL *tracer* exports, ``run.meta`` left out.  The
-    export runs with :func:`_entering`'s profile paused: under it, it
+    export runs with :func:`_entering`'s recorder paused: under it, it
     added about 5 s to the capped runs, and ``_reach`` enters the export
     path in its own traced runs."""
     path = pathlib.Path(scratch) / "trace.jsonl"
-    previous = sys.getprofile()
-    sys.setprofile(None)
+    previous = sys.gettrace()
+    sys.settrace(None)
     try:
         tracer.export_jsonl(path)
     finally:
-        sys.setprofile(previous)
+        sys.settrace(previous)
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def _capped_runs(root):
-    """``(entered, left, digests, retraced)``: ``{(file, first line)}``
-    of every function entered while each committed scenario and ledger
-    config runs traced for at most two simulated hours (a config listed
-    twice, the traced ledger twin, runs once); by file, the ``repro``
+    """``(reached, left, digests, retraced)``: :func:`_reached` of what
+    ran while each committed scenario and ledger config ran traced for
+    at most two simulated hours (a config listed twice, the traced
+    ledger twin, runs once); by file, the ``repro``
     objects any of those runs left to the cyclic collector once dropped
     (none: a finished run frees itself); by file, each run's behaviour
     digests (``result``, ``decisions`` and ``trace``, as
@@ -926,7 +983,7 @@ def _capped_runs(root):
 
     runs, left, digests, retraced = {}, {}, {}, []
     with tempfile.TemporaryDirectory() as scratch, cyclic_gc_off(), \
-            _entering(set()) as entered:
+            _entering() as entered:
         for name, config in _committed_configs(root).items():
             runs.setdefault(config, name)
         for config, name in runs.items():
@@ -948,21 +1005,32 @@ def _capped_runs(root):
             leftover = left_to_gc()
             if leftover:
                 left[name] = leftover
-    return _keys(entered), left, digests, retraced
+    return _reached(entered), left, digests, retraced
 
 
-def _keys(entered):
-    """``{(file, first line)}`` of the code objects in *entered*."""
+def _keys(codes):
+    """``{(file, first line)}`` of the code objects in *codes*."""
     files = {
         name: str(pathlib.Path(name).resolve())
-        for name in {code.co_filename for code in entered}
+        for name in {code.co_filename for code in codes}
     }
-    return {(files[code.co_filename], code.co_firstlineno) for code in entered}
+    return {(files[code.co_filename], code.co_firstlineno) for code in codes}
+
+
+def _reached(entered):
+    """The :class:`_Entered` *entered* as JSON-ready lists: ``entered``,
+    the :func:`_keys` of its functions, and ``ran`` and ``unrun``, its
+    :meth:`_Entered.lines`."""
+    ran, unrun = entered.lines()
+    return {
+        "entered": sorted(_keys(entered.codes)),
+        "ran": sorted(ran), "unrun": sorted(unrun),
+    }
 
 
 def _examples(root):
-    """``{(file, first line)}`` of every function entered while each
-    ``examples/*.py`` runs its ``main()``, output discarded — all but
+    """:func:`_reached` of what ran while each ``examples/*.py`` ran its
+    ``main()``, output discarded — all but
     ``serve_loopback.py``, a live run whose path the ``serve_loopback``
     verify of ``_reach`` enters, and ``capacity_planning.py``, ~7 s
     under the recorder (tests/test_examples.py runs it).  An example
@@ -970,7 +1038,7 @@ def _examples(root):
     import importlib.util
     import io
 
-    with _entering(set()) as entered:
+    with _entering() as entered:
         for path in sorted((root / "examples").glob("*.py")):
             if path.name in ("serve_loopback.py", "capacity_planning.py"):
                 continue
@@ -982,7 +1050,7 @@ def _examples(root):
                     module.main()
             except Exception as exc:
                 raise SystemExit(f"examples/{path.name} raised {exc!r}")
-    return _keys(entered)
+    return _reached(entered)
 
 
 def _scrape(seen):
@@ -1040,19 +1108,22 @@ def _scrape(seen):
 
 @pytest.fixture(scope="module")
 def _reach(_workloads, tmp_path_factory):
-    """``(entered, runs)``: ``{(file, first line)}`` of every function
-    entered while each workload we run runs — the figure cells
+    """``(entered, runs, lines)``: ``{(file, first line)}`` of every
+    function entered while each workload we run runs — the figure cells
     (recorded by ``_workloads``), :func:`_capped_runs` under the
-    invariant checker, the examples (:func:`_examples`), four cheap CLI
+    invariant checker, the examples (:func:`_examples`), five cheap CLI
     verbs, two ``verify`` runs with live legs on the loop clock —
     ``serve_loopback`` through the ``repro verify`` verb (its progress
     lines included), scraped by every ``repro ops`` verb and ``repro
     top`` source (:func:`_scrape`), and ``chaos_serve``, the chaos
     plane — and the virtual-only ``verify`` of ``prefix_zipf_overload``,
-    the prefix check — and the rest of what :func:`_capped_runs` returns, by name
-    (``left``, ``digests``, ``retraced``).  The capped runs and the
-    examples go to child processes (this file run as a script) while
-    the verify runs go here."""
+    the prefix check, then ``repro top --trace`` of the scraped leg, a
+    final frame and the ``--follow`` flip-book — the rest of what
+    :func:`_capped_runs` returns, by name (``left``, ``digests``,
+    ``retraced``), and ``(ran, unrun)``, the ``{(file, line)}`` that ran
+    in the functions entered and those that never did.  The capped runs
+    and the examples go to child processes (this file run as a script)
+    while the verify runs go here."""
     import functools
     import io
     import json
@@ -1085,10 +1156,13 @@ def _reach(_workloads, tmp_path_factory):
             stack.enter_context(contextlib.redirect_stdout(sink))
             stack.enter_context(contextlib.redirect_stderr(sink))
             stack.enter_context(loop_clock())
-            entered = stack.enter_context(_entering(set()))
+            entered = stack.enter_context(_entering())
             for argv in (["list"], ["fig3"], ["fig6"], [
                 "run", "--scenario", str(root / "scenarios/p4_small.json"),
                 "--trace-out", str(scratch / "trace.jsonl"), "--profile",
+            ], [
+                "run", "--system", "small", "--theta", "0", "--hours", "1",
+                "--warmup-hours", "0",
             ]):
                 assert main(argv) == 0, argv
             with pytest.MonkeyPatch.context() as scraped:
@@ -1106,19 +1180,23 @@ def _reach(_workloads, tmp_path_factory):
             gate.verify(
                 load_scenario(root / "scenarios/prefix_zipf_overload.json")
             )
-            seen["tracer"].export_jsonl(scratch / "serve.jsonl")
-            assert main(["top", "--trace", str(scratch / "serve.jsonl")]) == 0
+            trace = str(scratch / "serve.jsonl")
+            seen["tracer"].export_jsonl(trace)
+            assert main(["top", "--trace", trace]) == 0
+            follow = ["top", "--trace", trace, "--follow", "--interval", "0"]
+            assert main(follow) == 0
     finally:  # never leave a child running
         capped_out, _ = capped.communicate()
         examples_out, examples_err = examples.communicate()
     assert capped.returncode == 0, "the capped runs failed"
     assert examples.returncode == 0, examples_err[-2000:]
     runs = json.loads(capped_out)
-    return (
-        _keys(_workloads[1]) | _keys(entered)
-        | {tuple(key) for key in runs["entered"]}
-        | {tuple(key) for key in json.loads(examples_out)}
-    ), runs
+    parts = (runs, json.loads(examples_out), _reached(_workloads[1]), _reached(entered))
+
+    def union(field):
+        return {tuple(key) for part in parts for key in part[field]}
+
+    return union("entered"), runs, (union("ran"), union("unrun"))
 
 
 @pytest.fixture(scope="module")
@@ -1179,8 +1257,8 @@ _BENCH = (
     "the test does not run the ledger"
 )
 _RAISE = (
-    "a failure path, run only when a check fails "
-    "(tests/test_faults.py, tests/test_chaos_serve.py)"
+    "a failure path, run only when a check fails (tests/test_faults.py, "
+    "tests/test_chaos_serve.py, tests/test_verify.py)"
 )
 _OFF = "a registry off-switch TestEveryKeyIsReached.ALLOWED keeps"
 _ALL = (
@@ -1196,18 +1274,26 @@ _TRIALS = (
     "results/fidelity_0.05/); every committed workload runs one "
     "(tests/test_stats.py)"
 )
-#: Reached or not by the live leg's wall-clock races, so a row, but
+#: Reached or not by the live legs' wall-clock races, so a row, but
 #: exempt from the stale-row check.
 _RACY = (
-    "the deferred drain when the kernel did not take a control frame "
-    "whole; the live leg reaches it only under load (tests/test_serve.py)"
+    "timing: whether a live leg reaches it depends on how the kernel and "
+    "the event loop interleave, not on the workload (tests/test_serve.py)"
+)
+_SOLE = (
+    "a drained server holding a sole replica; no committed workload "
+    "drains one (tests/test_elastic.py::TestSoleReplicaEvacuation)"
+)
+_FULL_DISK = (
+    "a hot copy that does not fit; the committed replication scenario "
+    "never fills a disk (tests/test_replication.py::TestEviction)"
 )
 
 
 class TestEveryFunctionIsReached:
     """Code no workload runs is a defect (ROADMAP): every ``def`` in
     ``src/repro`` is entered while the figures with claims, the
-    committed scenarios, the ledger configs, the examples, four cheap
+    committed scenarios, the ledger configs, the examples, five cheap
     CLI verbs, the live ``verify`` legs of ``serve_loopback`` and
     ``chaos_serve`` — the first run as the ``repro verify`` verb and
     scraped by every ``repro ops`` verb and both ``repro top``
@@ -1227,10 +1313,6 @@ class TestEveryFunctionIsReached:
         "analysis/export.py::write_metadata": _ALL,
         "analysis/stats.py::_central": _TRIALS,
         "analysis/stats.py::_t_multiplier": _TRIALS,
-        "analysis/timeseries.py::StateSampler.stop":
-            "the sampler's off switch; examples/interactive_viewers.py "
-            "samples to the horizon, so no run stops one early "
-            "(tests/test_timeseries.py)",
         "cli.py::_run_all": _ALL,
         "cluster/controller.py::DistributionController.check_invariants":
             "the tests' structural oracle: replica held, state ACTIVE and "
@@ -1246,16 +1328,10 @@ class TestEveryFunctionIsReached:
         "cluster/system.py::SystemConfig.scaled":
             "ROADMAP item 2(b)'s catalog-size sweep; tests build reduced "
             "systems with it (tests/test_system.py)",
-        "core/elastic.py::ElasticScaler._finish_evacuation":
-            "a drained server holding a sole replica; no committed "
-            "workload drains one (tests/test_elastic.py::"
-            "TestSoleReplicaEvacuation)",
+        "core/elastic.py::ElasticScaler._finish_evacuation": _SOLE,
         "core/elastic.py::_warm_none": _OFF,
         "core/policies.py::Policy.describe": _IMPORT,
-        "core/replication.py::DynamicReplicator._evict_for":
-            "a hot copy that does not fit; the committed replication "
-            "scenario never fills a disk (tests/test_replication.py::"
-            "TestEviction)",
+        "core/replication.py::DynamicReplicator._evict_for": _FULL_DISK,
         "experiments/base.py::_get_pool": _POOL,
         "experiments/base.py::_pooled": _POOL,
         "experiments/base.py::_retry_cell": _POOL,
@@ -1295,12 +1371,11 @@ class TestEveryFunctionIsReached:
         "serve/bridge.py::PolicyBridge.replay": _BENCH,
         "serve/bridge.py::PolicyBridge.sim": _BENCH,
         "serve/config.py::ServeConfig.to_wall": _BENCH,
+        # The deferred drain when the kernel did not take a control
+        # frame whole.
         "serve/gateway.py::ClusterGateway._respond._flush": _RACY,
         "serve/gateway.py::ClusterGateway.abort": _RAISE,
         "sim/engine.py::Engine.events_cancelled": _BENCH,
-        "sim/process.py::PeriodicTimer.stop":
-            "StateSampler.stop's timer side, which no run calls "
-            "(tests/test_process.py)",
         "workload/trace.py::Trace.duration": _PROCESS,
     }
 
@@ -1349,9 +1424,409 @@ class TestEveryFunctionIsReached:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        with _entering(set()) as entered:
+        with _entering(package) as entered:
             module.used()
-        assert self.unreached(package, _keys(entered)) == {"mod.py::idle"}
+        assert self.unreached(package, _keys(entered.codes)) == {"mod.py::idle"}
+
+    def test_every_row_has_a_reason(self):
+        assert all(
+            isinstance(reason, str) and reason.strip()
+            for reason in self.ALLOWED.values()
+        )
+
+
+def _lines(package):
+    """``(owners, exempt)`` over every line of a function body under
+    *package* that a line event can report (:func:`_code_lines` of each
+    function's code, compiled as an import compiles it): the
+    ``{(file, line): "module/path.py::Qual.name"}`` of its innermost
+    ``def``, and ``{(file, line): category}`` of the lines exempt by
+    rule — ``except`` (a handler, its ``except`` line included),
+    ``raise``, ``assert`` and ``def`` (a nested ``def``'s decorators and
+    header)."""
+    owners, exempt = {}, {}
+
+    def visit(node, where, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, f"{prefix}{child.name}.", owner)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{where}::{prefix}{child.name}"
+                for line in range(child.lineno, child.end_lineno + 1):
+                    owner[line] = name
+                visit(child, where, f"{prefix}{child.name}.", owner)
+            else:
+                visit(child, where, prefix, owner)
+
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        owner, category = {}, {}
+        visit(tree, path.relative_to(package).as_posix(), "", owner)
+        for node in ast.walk(tree):  # outer nodes first: they win
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                span = range(first, max(node.lineno, node.body[0].lineno - 1) + 1)
+            elif isinstance(node, (ast.ExceptHandler, ast.Raise, ast.Assert)):
+                span = range(node.lineno, node.end_lineno + 1)
+            else:
+                continue
+            kind = {
+                ast.ExceptHandler: "except", ast.Raise: "raise",
+                ast.Assert: "assert",
+            }.get(type(node), "def")
+            for line in span:
+                category.setdefault(line, kind)
+        codes = [compile(source, str(path), "exec")]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if hasattr(c, "co_lines")]
+            if code.co_flags & CO_OPTIMIZED:
+                for line in _code_lines(code):
+                    if line in owner:
+                        owners[(str(path), line)] = owner[line]
+                    if line in category:
+                        exempt[(str(path), line)] = category[line]
+    return owners, exempt
+
+
+@pytest.fixture(scope="module")
+def unrun_lines(_reach):
+    """``{"module/path.py::Qual.name": [line, ...]}``: the lines no
+    workload ran, exempt ones left out, of each ``def`` in
+    ``src/repro`` that one entered."""
+    return TestEveryLineIsReached.unrun(
+        TestEveryFunctionIsReached.package(), *_reach[2]
+    )
+
+
+#: Reasons shared by rows of :attr:`TestEveryLineIsReached.ALLOWED`.
+_GUARD = (
+    "an early return for a call no workload makes: a repeat, an empty "
+    "input or a member already gone (the module's tests)"
+)
+_FLOAT = "a float guard: clamps what rounding pushes past its bound"
+_PEER = (
+    "a peer that breaks the protocol or hangs up early; the live legs' "
+    "clients and probes keep to it (tests/test_serve.py, tests/test_ops.py)"
+)
+_CHAIN = (
+    "an order of parent finish, merge, drop and re-admission the "
+    "committed prefix scenarios do not produce (tests/test_prefix.py)"
+)
+_DECODED = (
+    "a value already decoded (a config, a tuple or a scalar), as a "
+    "config built in Python passes it (tests/test_scenario.py)"
+)
+_PAUSE = (
+    "a wall-clock pause between frames; the test asks for one frame, "
+    "or for --interval 0 (tests/test_ops.py)"
+)
+_VCR = (
+    "a VCR pause due on a stream already paused or played out, or over "
+    "max_pauses_per_stream (tests/test_interactivity.py)"
+)
+#: Run once per process, so reached or not by the rule's workloads as
+#: the tests before them ran: a row, but exempt from the stale-row check.
+_ONCE = (
+    "a per-process first-call setup; in the full suite an earlier test "
+    "may already have made it (tests/test_obs.py)"
+)
+
+
+#: A module for ``test_an_unused_line_is_caught``: ``used`` runs, and
+#: of its lines only the ``return 1`` never does; the rest that never
+#: run are exempt by rule.
+_PLANTED_BRANCH = """
+def used(flag=False):
+    if flag:
+        return 1
+    try:
+        assert not flag, "never"
+    except AssertionError:
+        flag = True
+    if flag:
+        raise ValueError(flag)
+
+    def nested():
+        return 2
+
+    return [value for value in (3, 4)]
+"""
+
+
+class TestEveryLineIsReached:
+    """A branch no workload runs is a defect too (ROADMAP item 25): in
+    every ``def`` in ``src/repro`` that the workloads of
+    :class:`TestEveryFunctionIsReached` enter, every line ran, or it is
+    exempt by rule (``raise``, ``except`` handlers, ``assert``, and
+    ``def`` / decorator lines: see :func:`_lines`), or the ``def`` has a
+    row here with its reason."""
+
+    #: Functions kept with a line no workload runs, one reason each.
+    ALLOWED = {
+        "analysis/erlang.py::erlang_b": _GUARD,
+        "analysis/report.py::sparkline":
+            "a series with a missing point (a cell that did not run); "
+            "every committed figure has all its cells (tests/test_report.py)",
+        "analysis/stats.py::summarize": _TRIALS,
+        "cli.py::_dispatch": _ALL,
+        "cli.py::_obs_env":
+            "restores an observability variable set before the verb; the "
+            "test runs with none set (tests/test_cli.py)",
+        "cluster/membership.py::ClusterMembership.members":
+            "the call with no states; every caller names the states it "
+            "wants (tests/test_elastic.py)",
+        "cluster/request.py::Request.pause_playback": _GUARD,
+        "cluster/request.py::Request.resume_playback": _GUARD,
+        "cluster/server.py::DataServer.detach": _FLOAT,
+        "cluster/server.py::DataServer.store_replica": _GUARD,
+        "cluster/system.py::SystemConfig.from_dict":
+            "a system given as a bare preset name, or a preset with "
+            "overrides; committed configs give `{\"preset\": ...}` "
+            "(tests/test_system.py)",
+        "core/elastic.py::ElasticPolicy.__post_init__":
+            "scale events built in Python as a list; from_dict gives a "
+            "tuple (tests/test_elastic.py)",
+        "core/elastic.py::ElasticScaler._add_server":
+            "a joiner with nothing to warm; every committed joiner warms "
+            "(tests/test_elastic.py)",
+        "core/elastic.py::ElasticScaler._drain_tick":
+            "a drain tick after its drain ended, or on a server that "
+            "crashed while draining (tests/test_elastic.py)",
+        "core/elastic.py::ElasticScaler._evacuate_sole_replicas": _SOLE,
+        "core/elastic.py::ElasticScaler._scale_in": _GUARD,
+        "core/elastic.py::ElasticScaler._warm_next":
+            "a warm title the joiner's disk cannot hold "
+            "(tests/test_elastic.py)",
+        "core/elastic.py::_warm_popular":
+            "a title the joiner holds already or that is over the warm "
+            "budget (tests/test_elastic.py)",
+        "core/failover.py::FailoverManager.lose_replica":
+            "a lost replica the server does not hold, or one with "
+            "streams on it (tests/test_failover.py)",
+        "core/migration.py::_free_slot":
+            "a target on the walk's own path, or a down or closed one, met "
+            "in pass 2 (tests/test_migration.py's random searches)",
+        "core/migration.py::find_migration_chain":
+            "a disabled policy; every caller checks `enabled` first "
+            "(tests/test_migration.py)",
+        "core/replication.py::DynamicReplicator._choose_target":
+            "a hot title every up server holds (tests/test_replication.py)",
+        "core/replication.py::DynamicReplicator._finish_copy":
+            "a copy target that crashed mid-copy; no committed run has "
+            "both replication and crashes (tests/test_replication.py)",
+        "core/replication.py::DynamicReplicator._start_copy": _FULL_DISK,
+        "core/schedulers.py::BandwidthAllocator.allocate_into":
+            "a client that cannot take more than its view bandwidth, a "
+            "float guard, and two streams finishing at one boundary "
+            "(tests/test_schedulers.py's lockstep property)",
+        "core/schedulers.py::ProportionalShareAllocator._share_spare":
+            "the capping rounds: an even share larger than a client can "
+            "take (tests/test_schedulers.py)",
+        "core/transmission.py::TransmissionManager.reallocate":
+            "two buffer walls at one traced boundary, and a boundary "
+            "already past (tests/test_transmission.py)",
+        "experiments/base.py::_worker_count": _POOL,
+        "experiments/base.py::resolve_scale":
+            "the REPRO_SCALE default; every caller passes a scale "
+            "(tests/test_experiments.py)",
+        "experiments/base.py::run_sweep":
+            "a cell retried after a pool failure, a cell with trials still "
+            "to come, and the progress lines; the test draws the figures "
+            "quietly, one trial a cell (tests/test_parallel_sweep.py)",
+        "experiments/fig7_policies.py::run_fig7":
+            "a subset of the policies; the figure draws all eight "
+            "(tests/test_experiments.py)",
+        "experiments/registry.py::Claim.judge":
+            "a cross-panel claim with one panel drawn (`repro fig4 "
+            "--system small`) (tests/test_registry.py::TestClaims)",
+        "experiments/verify.py::_check_determinism": _RAISE,
+        "experiments/verify.py::_check_faults": _RAISE,
+        "experiments/verify.py::_check_live": _RAISE,
+        "experiments/verify.py::_check_parity": _RAISE,
+        "experiments/verify.py::_check_prefix": _RAISE,
+        "experiments/verify.py::audit": _RAISE,
+        "experiments/verify.py::plan":
+            "a scenario over the live-leg limit (scenarios/chaos_soak.json) "
+            "or with an elastic block (CI verify; tests/test_verify.py)",
+        "experiments/verify.py::run_verify_cli":
+            "`repro verify --out`, and the failure lines (CI verify; "
+            "tests/test_verify.py)",
+        "experiments/verify.py::run_virtual": _VERIFY,
+        "faults/injector.py::FaultInjector._crash":
+            "a crash due on a server that has departed "
+            "(tests/test_faults.py)",
+        "faults/injector.py::FaultInjector._degrade":
+            "a link fault due on a server that has departed "
+            "(tests/test_faults.py)",
+        "faults/invariants.py::InvariantChecker._on_event": _RAISE,
+        "faults/invariants.py::InvariantChecker.check_now": _RAISE,
+        "faults/retry.py::RetryQueue._enqueue":
+            "a full retry queue (MAX_PENDING) (tests/test_faults.py)",
+        "obs/logging.py::get_logger": _ONCE,
+        "obs/logging.py::progress_printer":
+            "`--quiet`; the test's verbs print their progress "
+            "(tests/test_cli.py)",
+        "obs/profiler.py::EventProfiler.report":
+            "a report read while the profiler is still attached "
+            "(tests/test_obs.py)",
+        "obs/profiler.py::aggregate_report": _GUARD,
+        "obs/prometheus.py::_format_value":
+            "an infinite sample; no metric a workload exports is one "
+            "(tests/test_obs.py)",
+        "obs/prometheus.py::sanitize_metric_name":
+            "a metric name that starts with a digit (tests/test_obs.py)",
+        "obs/registry.py::Gauge.snapshot":
+            "a gauge with no supplier (tests/test_obs.py)",
+        "obs/registry.py::Histogram.percentiles": _FLOAT,
+        "obs/registry.py::MetricsRegistry.gauge":
+            "a gauge registered again with a new supplier "
+            "(tests/test_obs.py)",
+        "obs/spans.py::SpanLog.get":
+            "a span looked up after it closed (tests/test_obs.py)",
+        "obs/tracer.py::Tracer.summary_table": _GUARD,
+        "placement/base.py::clamp_counts_to_total":
+            "counts over the total, or under it with every title on every "
+            "server (tests/test_placement_properties.py)",
+        "placement/partial.py::PartialPredictivePlacement.copy_counts":
+            "a fixed boost, or a budget the cold titles cannot pay "
+            "(tests/test_placement_policies.py)",
+        "prefix/cache.py::plan_popularity":
+            "a title with an empty prefix (tests/test_prefix.py)",
+        "prefix/chaining.py::batch_window":
+            "a gap the prefix does not cover under window batching "
+            "(tests/test_prefix.py::TestBatchingPolicies)",
+        "prefix/tier.py::PrefixTier._check_chain": _RAISE,
+        "prefix/tier.py::PrefixTier._commit": _CHAIN,
+        "prefix/tier.py::PrefixTier._disk_throughput":
+            "no up server to read a prefix from (tests/test_prefix.py)",
+        "prefix/tier.py::PrefixTier._finish_children": _CHAIN,
+        "prefix/tier.py::PrefixTier._live_leader": _CHAIN,
+        "prefix/tier.py::PrefixTier._schedule_child_finish": _CHAIN,
+        "prefix/tier.py::PrefixTier.on_decision": _CHAIN,
+        "prefix/tier.py::PrefixTier.on_finish": _CHAIN,
+        "scenario.py::load_scenario": _RAISE,
+        "serialize.py::_load_config": _DECODED,
+        "serialize.py::_load_pairs": _DECODED,
+        "serialize.py::_tuplify": _DECODED,
+        "serialize.py::check_fields": _RAISE,
+        "serialize.py::load_fields": _RAISE,
+        "serve/bridge.py::PolicyBridge.finalize":
+            "finalize at a time past the bridge's clock; the gateway "
+            "advances it first (tests/test_serve.py)",
+        "serve/chaos.py::ChaosPlane._on_fail._kill": _RACY,
+        "serve/chaos.py::ChaosPlane.arm": _GUARD,
+        "serve/chaos.py::ToxicConfig.empty":
+            "the test stops at a non-zero latency: every toxic a workload "
+            "builds has one (tests/test_chaos_serve.py::TestToxicConfig)",
+        "serve/chaos.py::ToxicWriter.drain": _STALL,
+        "serve/chaos.py::ToxicWriter.write": _CUT,
+        "serve/chaos.py::leaked_tasks": _RAISE,
+        "serve/chaos.py::reconcile":
+            "a session lost, errored or unaccounted for in a chaos run; "
+            "chaos_serve's all recover (tests/test_chaos_serve.py::"
+            "TestReconcile)",
+        "serve/gateway.py::ClusterGateway._process_arrival":
+            "an arrival after a drain began, and a parity clamp, which the "
+            "verify gate fails on (tests/test_serve.py)",
+        "serve/gateway.py::ClusterGateway._reconcile_membership":
+            "a membership change under a live gateway; no committed live "
+            "scenario has an elastic block (tests/test_serve.py)",
+        "serve/gateway.py::ClusterGateway._serve_connection": _PEER,
+        "serve/gateway.py::ClusterGateway.drain":
+            "sessions still open when a drain starts; the live legs drain "
+            "after their last session (tests/test_serve.py)",
+        "serve/gateway.py::ClusterGateway.stop":
+            "a side task still running at stop (tests/test_serve.py)",
+        "serve/loadgen.py::LoadGenerator.run": _GUARD,
+        "serve/loadgen.py::_LiveClient._attempt": _BENCH,
+        "serve/loadgen.py::_LiveClient._session": _PEER,
+        "serve/loadgen.py::_LiveClient.run":
+            "a session that ends lost after its last retry "
+            "(tests/test_chaos_serve.py)",
+        "serve/ops.py::OpsEndpoint._answer":
+            "an unknown frame or verb, a bad `recent`, and `ops chaos` with "
+            "a chaos plane armed (tests/test_ops.py)",
+        "serve/ops.py::OpsEndpoint._handle": _PEER,
+        "serve/pacing.py::Pacer.close_session":
+            "a session closed by a drain (tests/test_serve.py)",
+        # A tick before the clock is anchored.
+        "serve/pacing.py::Pacer.server_loop": _RACY,
+        "serve/pacing.py::Pacer.try_send": _STALL,
+        "serve/pacing.py::VirtualClock.virtual": _GUARD,
+        "serve/protocol.py::_bounded":
+            "the Python 3.10 path (asyncio.timeout is 3.11+); CI's 3.10 "
+            "test job runs it",
+        # A length prefix split across reads.
+        "serve/protocol.py::read_frame._read": _RACY,
+        "serve/supervisor.py::TaskSupervisor._trip": _RAISE,
+        "serve/supervisor.py::TaskSupervisor._watch": _RAISE,
+        "serve/supervisor.py::TaskSupervisor.beat": _GUARD,
+        "serve/supervisor.py::TaskSupervisor.inject_crash": _GUARD,
+        "serve/top.py::_emit":
+            "a terminal; the test's output is not one (tests/test_ops.py)",
+        "serve/top.py::_rate": _GUARD,
+        "serve/top.py::render_top": _CACHE_PANEL,
+        "serve/top.py::run_live": _PAUSE,
+        "serve/top.py::run_trace": _PAUSE,
+        "sim/events.py::Event.cancel": _GUARD,
+        "sim/process.py::Process._advance": _RAISE,
+        "sim/process.py::Process.stop": _GUARD,
+        "simulation.py::Simulation.__init__":
+            "the REPRO_TRACE_OUT switch (tests/test_obs.py) and the "
+            "build-stage hooks `bench/run.py` times (BENCHMARK.json)",
+        "workload/interactivity.py::InteractivityModel._pause": _VCR,
+        "workload/interactivity.py::InteractivityModel._resume": _VCR,
+        "workload/interactivity.py::InteractivityModel._schedule_pause": _VCR,
+    }
+
+    @staticmethod
+    def unrun(package, ran, unrun):
+        """``{name: [line, ...]}`` of the lines in *unrun* and not in
+        *ran* (``{(file, line)}`` each) that are not exempt, by the
+        ``def`` under *package* that owns them."""
+        owners, exempt = _lines(package)
+        found = {}
+        for key in sorted(unrun - ran):
+            if key in owners and key not in exempt:
+                found.setdefault(owners[key], []).append(key[1])
+        return found
+
+    def test_every_line_is_reached(self, unrun_lines):
+        missing = {
+            name: lines for name, lines in unrun_lines.items()
+            if name not in self.ALLOWED
+        }
+        assert not missing, (
+            f"in a function a workload enters, but no workload runs it: "
+            f"{missing}"
+        )
+
+    def test_every_allowed_function_has_an_unrun_line(self, unrun_lines):
+        # A row whose every line a workload now runs, or whose function
+        # is gone, has no reason left.
+        rows = {
+            name for name, why in self.ALLOWED.items()
+            if why is not _RACY and why is not _ONCE
+        }
+        stale = rows - set(unrun_lines)
+        assert not stale, f"allowed, but every line runs: {sorted(stale)}"
+
+    def test_an_unused_line_is_caught(self, tmp_path):
+        import importlib.util
+
+        package = tmp_path / "planted"
+        package.mkdir()
+        (package / "mod.py").write_text(_PLANTED_BRANCH)
+        spec = importlib.util.spec_from_file_location(
+            "planted_branch", package / "mod.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with _entering(package) as entered:
+            module.used()
+        assert self.unrun(package, *entered.lines()) == {"mod.py::used": [4]}
 
     def test_every_row_has_a_reason(self):
         assert all(
@@ -1403,10 +1878,9 @@ if __name__ == "__main__":
 
     root = pathlib.Path(__file__).resolve().parent.parent
     if sys.argv[1:] == ["examples"]:
-        print(json.dumps(sorted(_examples(root))))
+        print(json.dumps(_examples(root)))
     else:
-        entered, left, digests, retraced = _capped_runs(root)
+        reached, left, digests, retraced = _capped_runs(root)
         print(json.dumps({
-            "entered": sorted(entered), "left": left,
-            "digests": digests, "retraced": retraced,
+            **reached, "left": left, "digests": digests, "retraced": retraced,
         }))

@@ -128,12 +128,6 @@ class TestDerivedQuantities:
         r.sync(100.0)
         assert r.remaining(100.0) <= EPS_MB
 
-    def test_pause_window(self):
-        r = make_request()
-        r.paused_until = 5.0
-        assert r.is_paused(4.9)
-        assert not r.is_paused(5.0)
-
     def test_minimum_flow_keeps_buffer_nonnegative(self):
         """At rate exactly b_view the buffer never goes negative."""
         r = make_request()

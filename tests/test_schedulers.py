@@ -20,7 +20,7 @@ from repro.core.schedulers import (
 )
 
 from repro.core.failover import FailoverManager
-from repro.core.migration import MigrationPolicy, MigrationStep, execute_chain
+from repro.core.migration import MigrationStep, execute_chain
 from repro.core.transmission import TransmissionManager
 from repro.placement.base import PlacementMap
 from repro.sim.engine import Engine
@@ -60,20 +60,6 @@ class TestMinimumFlow:
         rates = rates_of(NoWorkaheadAllocator(), srv, reqs, 0.0)
         for r in reqs:
             assert rates[r.request_id] == pytest.approx(r.view_bandwidth)
-
-    def test_paused_request_gets_zero(self):
-        srv = server(bandwidth=10.0)
-        r = attached_request(srv)
-        r.paused_until = 5.0
-        rates = rates_of(EFTFAllocator(), srv, [r], 0.0)
-        assert rates[r.request_id] == 0.0
-
-    def test_pause_expiry_restores_flow(self):
-        srv = server(bandwidth=10.0)
-        r = attached_request(srv)
-        r.paused_until = 5.0
-        rates = rates_of(EFTFAllocator(), srv, [r], 5.0)
-        assert rates[r.request_id] >= r.view_bandwidth
 
     def test_overcommit_raises(self):
         srv = server(bandwidth=2.0)
@@ -298,9 +284,6 @@ def eager_pass(name, link, requests, now):
         if remaining <= EPS_MB:
             finished.append(r)
             continue
-        if r.is_paused(now):
-            r.rate = 0.0
-            continue
         vb = r.view_bandwidth
         playing = now < r.playback_pause_time
         played_until = now if playing else r.playback_pause_time
@@ -342,8 +325,6 @@ def eager_pass(name, link, requests, now):
 
 def _next_wall(r, rate, now):
     """When *r*'s linear evolution at *rate* next needs attention."""
-    if r.is_paused(now):
-        return r.paused_until  # switch-gap end
     if rate <= EPS_RATE:
         return math.inf  # VCR-paused with a full buffer
     vb = r.view_bandwidth
@@ -463,8 +444,7 @@ class Lockstep:
 @st.composite
 def cluster_scripts(draw):
     """Two servers' lives: streams (server, admit time, client, optional
-    arrival in a switch gap, optional VCR pause / resume) and cluster
-    operations (bare trigger, migration with or without a switch gap,
+    VCR pause / resume) and cluster operations (bare trigger, migration,
     link degrade and restore, server fail and restore).  Values come
     from small sets so that coincidences are the norm: simultaneous
     admissions, finishes and buffer walls, a trigger at a boundary's own
@@ -486,7 +466,6 @@ def cluster_scripts(draw):
             buffer=draw(st.sampled_from([0.0, 5.0, 18.0, math.inf])),
             receive=draw(st.sampled_from([math.inf, 2 * vb, 4.5])),
             admit=draw(st.sampled_from([0.0, 1.0, 2.5])),
-            gap=draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])),
             pause=draw(st.sampled_from([None, None, 3.0, 7.5, 12.0])),
             resume_after=draw(st.sampled_from([None, 1.0, 30.0])),
         ))
@@ -498,7 +477,7 @@ def cluster_scripts(draw):
             ]),
             st.integers(0, len(streams) - 1),  # a stream, or its server
             times,
-            st.sampled_from([0.0, 0.5, 2.0, 0.5]),  # switch gap / factor
+            st.booleans(),  # the link factor: 0.5 or 0.25
         ),
         max_size=6,
     ))
@@ -508,7 +487,7 @@ def cluster_scripts(draw):
 def play(name, script):
     """Run *script* with every pass in lockstep with the eager one;
     returns the requests and the megabits they were sent, by the
-    metrics plus what they arrived with."""
+    metrics."""
     specs, ops, headroom = script
     engine = Engine()
     metrics = SimulationMetrics()
@@ -521,12 +500,7 @@ def play(name, script):
             client=make_client(spec["buffer"], spec["receive"]),
             arrival_time=spec["admit"],
         )
-        if spec["gap"]:
-            # Arrives mid-migration, its gap covered by staged data.
-            r.paused_until = spec["admit"] + spec["gap"]
-            r.bytes_sent = spec["vb"] * spec["gap"] + 1.0
         requests.append(r)
-    staged = sum(r.bytes_sent for r in requests)
     servers, harnesses = {}, {}
     for sid in (0, 1):
         floor = sum(s["vb"] for s in specs if s["server"] == sid)
@@ -559,17 +533,14 @@ def play(name, script):
             if attached(r):
                 managers[r.server_id].reallocate(engine.now, changed=r)
 
-    def migrate(r, gap):
+    def migrate(r):
         now = engine.now
-        if not attached(r) or r.is_paused(now):
+        if not attached(r):
             return
-        if r.sent_at(now) - r.bytes_viewed(now) < gap * r.view_bandwidth:
-            return  # DRM eligibility: the buffer must cover the gap
         source = r.server_id
         target = 1 - source
         if servers[target].up and servers[target].has_slot_for(r):
-            policy = MigrationPolicy(enabled=True, switch_delay=gap)
-            execute_chain([MigrationStep(r, source, target)], managers, policy, now)
+            execute_chain([MigrationStep(r, source, target)], managers, now)
 
     def operate(op, index, value):
         sid = specs[index]["server"]
@@ -577,7 +548,7 @@ def play(name, script):
             if servers[sid].up:
                 managers[sid].reallocate(engine.now)
         elif op == "migrate":
-            migrate(requests[index], value)
+            migrate(requests[index])
         elif op == "restore_link":
             failover.restore_link(sid)
         elif op == "restore":
@@ -614,7 +585,7 @@ def play(name, script):
     for sid, server in servers.items():
         if server.up:
             managers[sid].flush(400.0)
-    return requests, metrics.total_megabits + staged
+    return requests, metrics.total_megabits
 
 
 @st.composite
@@ -628,7 +599,7 @@ def schedule_states(draw):
     for i in range(draw(st.integers(1, 10))):
         vb = draw(st.sampled_from([1.0, 1.5, 3.0]))
         start = draw(st.floats(0.0, then))
-        kind = draw(st.sampled_from(["playing", "vcr", "gap", "finished"]))
+        kind = draw(st.sampled_from(["playing", "vcr", "finished"]))
         r = make_request(
             video=make_video(
                 video_id=i, view_bandwidth=vb,
@@ -646,10 +617,6 @@ def schedule_states(draw):
             played_until = draw(st.floats(start, then))
             r.playback_pause_time = played_until
             r.pauses = 1
-        if kind == "gap":
-            r.paused_until = now + draw(st.floats(0.1, 10.0))
-        elif draw(st.booleans()):
-            r.paused_until = then  # a switch gap that has ended
         viewed = min(r.size, vb * (played_until - start))
         r.bytes_sent = (
             r.size if kind == "finished" else draw(st.floats(viewed, r.size))

@@ -77,9 +77,3 @@ class TestStateSampler:
         cluster.engine.run_until(10.0)
         assert sampler.series.paused_streams[0] == 1
 
-    def test_stop_halts_sampling(self):
-        cluster, sampler = sampled_cluster(interval=10.0)
-        cluster.engine.run_until(15.0)
-        sampler.stop()
-        cluster.engine.run_until(100.0)
-        assert len(sampler.series) == 1
