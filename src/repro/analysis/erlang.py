@@ -40,8 +40,6 @@ def erlang_b(servers: int, offered_load: float) -> float:
         raise ValueError(f"servers must be >= 0, got {servers}")
     if offered_load < 0:
         raise ValueError(f"offered load must be >= 0, got {offered_load}")
-    if offered_load == 0.0:
-        return 0.0 if servers > 0 else 1.0
     b = 1.0
     for k in range(1, servers + 1):
         b = offered_load * b / (k + offered_load * b)

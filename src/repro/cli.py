@@ -5,7 +5,7 @@ Subcommands regenerate each reproduced artifact::
     repro-vod fig4 --system large --scale 0.02
     repro-vod fig5 --system small
     repro-vod fig3 | fig6                           # the two tables
-    repro-vod fig7 --system large --policies P1,P4,P8
+    repro-vod fig7 --system large                   # P1-P8
     repro-vod svbr | partial | het | ablation       # full-version extras
     repro-vod replication | vcr | mix | availability   # extension studies
     repro-vod all --outdir results                  # everything, CSVs, claims
@@ -22,8 +22,8 @@ runner and ``repro all`` artifacts.  Adding an experiment is writing
 one module — there is no import list or dispatch table here to edit
 (docs/ARCHITECTURE.md).
 
-``--scale`` (or REPRO_SCALE) trades fidelity for speed; 1.0 is the
-paper's 5 trials × 1000 h.
+``--scale`` trades fidelity for speed; 1.0 is the paper's 5 trials ×
+1000 h, and the default 0.01 gives 1 trial × 10 measured hours.
 
 Observability (see docs/OBSERVABILITY.md): ``run``, ``all`` and the
 figure subcommands take ``--trace-out PATH`` (append structured JSONL
@@ -75,7 +75,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scale", type=float, default=None,
         help="fidelity factor (1.0 = paper's 5 trials x 1000h; "
-             "default from REPRO_SCALE or 0.01)",
+             "default 0.01)",
     )
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
@@ -270,9 +270,7 @@ def _main(args) -> int:
     with _obs_env(trace_out, profile):
         rc = _dispatch(args)
     if profile:
-        report = profiling.aggregate_report()
-        if report is not None:
-            print(report.render(), file=sys.stderr)
+        print(profiling.aggregate_report().render(), file=sys.stderr)
     return rc
 
 

@@ -107,10 +107,8 @@ class ClusterMembership:
         return self.states[server_id]
 
     def members(self, *states: ServerLifecycle) -> List[int]:
-        """Server ids currently in any of *states* (all when empty),
-        sorted for determinism."""
-        if not states:
-            return sorted(self.states)
+        """Server ids currently in any of *states*, sorted for
+        determinism."""
         return sorted(
             sid for sid, st in self.states.items() if st in states
         )

@@ -27,7 +27,7 @@ from repro.analysis.report import render_table
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.server import DataServer
 from repro.registry import Registry
-from repro.serialize import Config, check_fields, load_fields
+from repro.serialize import Config
 from repro.units import DEFAULT_VIEW_BANDWIDTH, gb_to_mb, mb_to_gb, minutes
 
 
@@ -52,9 +52,6 @@ class SystemConfig(Config):
     video_length_range: Tuple[float, float]
     avg_copies: float = 2.2
     view_bandwidth: float = DEFAULT_VIEW_BANDWIDTH
-
-    #: A preset name (``"small"``) stands for the whole block.
-    _shorthand = (str,)
 
     def __post_init__(self) -> None:
         if len(self.server_bandwidths) != len(self.disk_capacities):
@@ -130,23 +127,13 @@ class SystemConfig(Config):
 
     @classmethod
     def from_dict(cls, data) -> "SystemConfig":
-        """Build from a dict, or resolve the preset shorthand.
-
-        Scenario files may name a registered preset instead of spelling
-        out every server (``"small"`` or ``{"preset": "small"}``); any
-        further keys then override the preset's fields.  Unknown keys
-        raise an actionable error.
+        """Build from a dict of every field, or resolve a registered
+        preset named instead (``{"preset": "small"}``, no other key).
+        Unknown keys raise an actionable error.
         """
-        if isinstance(data, str):
-            return SYSTEMS.get(data)
-        check_fields(cls, data, extra=("preset",))
-        if "preset" not in data:
-            return super().from_dict(data)
-        overrides = dict(data)
-        preset = SYSTEMS.get(overrides.pop("preset"))
-        if not overrides:
-            return preset
-        return replace(preset, **load_fields(cls, overrides))
+        if set(data) == {"preset"}:
+            return SYSTEMS.get(data["preset"])
+        return super().from_dict(data)
 
 
 def homogeneous(

@@ -171,8 +171,6 @@ class ElasticPolicy(Config):
     cooldown: float = 300.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
         for event in self.events:
             if not isinstance(event, ScaleEvent):
                 raise ValueError(

@@ -229,8 +229,6 @@ def find_migration_chain(
         step's ``source_id`` is the holder of *video_id* that ends up
         with the free slot.
     """
-    if not policy.enabled:
-        return None
     # Non-accepting holders (joining/draining members) are skipped:
     # freeing a slot there would not help the newcomer, which the
     # membership gate refuses regardless.

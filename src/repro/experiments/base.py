@@ -3,9 +3,8 @@
 The paper's full fidelity is **5 trials × 1000 simulated hours** per
 data point.  A pure-Python single run of the large system costs a few
 hundred milliseconds per simulated hour, so experiments take a
-``scale`` knob (also settable via the ``REPRO_SCALE`` environment
-variable) that proportionally shrinks duration and trial count while
-preserving the curve shapes.  Each recorded result notes its scale.
+``scale`` knob that proportionally shrinks duration and trial count
+while preserving the curve shapes.  Each recorded result notes its scale.
 
 Parallelism is **grid-level and chunked**: :func:`run_sweep` flattens
 the whole (x × variant × trial) grid into one task list, slices it
@@ -109,18 +108,9 @@ def resolve_scale(scale: Optional[float] = None) -> ExperimentScale:
     :data:`PAPER_TRIALS`.
 
     Args:
-        scale: explicit factor; falls back to ``REPRO_SCALE`` env var,
-            then 0.01.
+        scale: the factor; None (no ``--scale``) means 0.01.
     """
-    if scale is None:
-        raw = os.environ.get("REPRO_SCALE", "0.01")
-        try:
-            scale = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SCALE must be a number (the fidelity factor, "
-                f"e.g. REPRO_SCALE=0.01), got {raw!r}"
-            ) from None
+    scale = 0.01 if scale is None else scale
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     measured_hours = max(MIN_MEASURED_HOURS, PAPER_DURATION_HOURS * scale)

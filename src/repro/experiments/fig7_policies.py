@@ -12,7 +12,7 @@ predictive policies (P5–P8) win.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.analysis.report import render_table
 from repro.cluster.system import LARGE_SYSTEM, SystemConfig
@@ -72,32 +72,18 @@ def base_config(system: SystemConfig, seed: int) -> SimulationConfig:
 def run_fig7(
     system: SystemConfig = LARGE_SYSTEM,
     theta_values: Optional[List[float]] = None,
-    policies: Optional[Sequence[str]] = None,
     scale: Optional[float] = None,
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Reproduce one panel of Figure 7 (utilization vs θ per policy)."""
-    chosen: Dict[str, Policy] = (
-        {name: PAPER_POLICIES[name] for name in policies}
-        if policies is not None
-        else PAPER_POLICIES
-    )
     return run_sweep(
         base_config(system, seed),
         theta_values if theta_values is not None else THETA_GRID,
-        [policy_variant(p) for p in chosen.values()],
+        [policy_variant(p) for p in PAPER_POLICIES.values()],
         resolve_scale(scale),
         base_seed=seed,
         progress=progress,
-    )
-
-
-def _cli_arguments(parser) -> None:
-    parser.add_argument(
-        "--policies", default=None,
-        type=lambda text: text.split(",") if text else None,
-        help="comma-separated subset, e.g. P1,P4,P8",
     )
 
 
@@ -136,8 +122,6 @@ register_figure(
               "staging alone improves on the bare baseline",
               lambda r: r.at("P2", 0.25) - r.at("P1", 0.25), ">", 0.0, panels=("small",)),
     ],
-    add_arguments=_cli_arguments,
-    options=("policies",),
     preamble=policy_matrix_table,
 )
 

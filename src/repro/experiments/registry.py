@@ -22,13 +22,14 @@ top-level subcommand each (``repro fig4`` …).
 from __future__ import annotations
 
 import argparse
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.system import LARGE_SYSTEM, SMALL_SYSTEM, SYSTEMS
 from repro.experiments.base import SweepResult
-from repro.registry import Registry, RegistryError
+from repro.registry import Registry
 
 #: A progress callback (one line per grid point) or None when quiet.
 Progress = Optional[Callable[[str], None]]
@@ -71,16 +72,18 @@ class Claim:
     ) -> Tuple[Optional[bool], str]:
         """``(passed, report line)`` against *results* (panel name →
         result, ``""`` for a single-system figure); ``passed`` is None —
-        said in the line, never a pass — when a panel or a curve the
-        claim reads was not drawn."""
-        skip = f"SKIP  {self.name}  not evaluated (needs %s)"
+        said in the line, never a pass — when a panel the claim reads
+        was not drawn, and False when its measure cannot be computed
+        (an arithmetic error, or a value that is not finite)."""
         wanted = self.panels or ("",)
         if not set(wanted) <= set(results):
-            return None, skip % "both panels"
+            return None, f"SKIP  {self.name}  not evaluated (needs both panels)"
         try:
             value = self.measure(*(results[name] for name in wanted))
-        except KeyError as curve:  # ``fig7 --policies P1,P4``
-            return None, skip % f"curve {curve}"
+            if not math.isfinite(value):
+                raise ArithmeticError(f"measured {value}")
+        except ArithmeticError as why:
+            return False, f"FAIL  {self.name}  {why}  ({self.quote})"
         passed = bool(_COMPARE[self.op](value, self.bound))
         return passed, (
             f"{'PASS' if passed else 'FAIL'}  {self.name}  "
@@ -117,7 +120,7 @@ class ExperimentSpec:
         run_cli: ``(args, progress) -> int`` — run the experiment from
             parsed CLI args and print its report to stdout.
         add_arguments: optional hook adding experiment-specific flags to
-            the generated subparser (``--system``, ``--policies`` …).
+            the generated subparser (``--system``, ``--port`` …).
             The common flags (``--scale``/``--seed``/``--quiet``/obs)
             are added by the CLI unless :attr:`bare` is set.
         artifacts: optional ``(scale, seed, progress) -> iterable`` of
@@ -162,8 +165,6 @@ def register_figure(
     order: int = 100,
     panels: bool = False,
     claims: Sequence[Claim] = (),
-    add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None,
-    options: Sequence[str] = (),
     preamble: Optional[Callable[[], str]] = None,
 ) -> ExperimentSpec:
     """Publish a figure: build its :class:`ExperimentSpec` from *run*.
@@ -180,22 +181,17 @@ def register_figure(
             ``--system`` picks one on the CLI, the report draws both.
         claims: what the figure is expected to show, judged under the
             table on the CLI and in ``repro all`` (see :class:`Claim`).
-        add_arguments: extra CLI flags; the parsed values named in
-            *options* are passed to *run* as keywords.
         preamble: text printed above the table on the CLI.
     """
 
-    def draw(
-        names: Sequence[str], scale, seed, progress, **kwargs
-    ) -> Iterable[Artifact]:
+    def draw(names: Sequence[str], scale, seed, progress) -> Iterable[Artifact]:
         """Run, render and judge the panels *names* in order (``("",)``
         for a single-system figure)."""
         results = {}
         for panel in names:
-            if panels:
-                kwargs["system"] = SYSTEMS[panel]
+            system = {"system": SYSTEMS[panel]} if panels else {}
             results[panel] = result = run(
-                scale=scale, seed=seed, progress=progress, **kwargs
+                scale=scale, seed=seed, progress=progress, **system
             )
             # A claim goes under the last table it reads; when that
             # panel is not coming (a one-panel CLI run) it says so.
@@ -216,12 +212,8 @@ def register_figure(
             )
 
     def run_cli(args: argparse.Namespace, progress: Progress) -> int:
-        kwargs = {dest: getattr(args, dest) for dest in options}
         names = (args.system,) if panels else ("",)
-        try:
-            (drawn,) = draw(names, args.scale, args.seed, progress, **kwargs)
-        except RegistryError as exc:
-            raise SystemExit(str(exc))
+        (drawn,) = draw(names, args.scale, args.seed, progress)
         if preamble is not None:
             print(preamble())
             print()
@@ -235,19 +227,16 @@ def register_figure(
         return draw(names, scale, seed, progress)
 
     def arguments(parser: argparse.ArgumentParser) -> None:
-        if panels:
-            parser.add_argument(
-                "--system", default="large", choices=SYSTEMS.names()
-            )
-        if add_arguments is not None:
-            add_arguments(parser)
+        parser.add_argument(
+            "--system", default="large", choices=SYSTEMS.names()
+        )
 
     return register(
         ExperimentSpec(
             name=name,
             help=help,
             run_cli=run_cli,
-            add_arguments=arguments,
+            add_arguments=arguments if panels else None,
             artifacts=artifacts if stem is not None else None,
             claims=tuple(claims),
             order=order,

@@ -114,10 +114,6 @@ class EventProfiler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def events(self) -> int:
-        return self._events
-
     def report(self) -> ProfileReport:
         wall = self._wall
         if self._started_at is not None:  # still attached: include so far
@@ -152,10 +148,8 @@ def aggregate(profiler: EventProfiler) -> None:
     profiler.merge_into(_AGGREGATE)
 
 
-def aggregate_report() -> Optional[ProfileReport]:
-    """The process-wide report, or None if nothing was profiled."""
-    if _AGGREGATE.events == 0:
-        return None
+def aggregate_report() -> ProfileReport:
+    """The process-wide report."""
     return _AGGREGATE.report()
 
 

@@ -92,20 +92,16 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value computed by a supplier (0 until it has one)."""
+    """A point-in-time value computed by a supplier."""
 
     __slots__ = ("name", "supplier")
 
-    def __init__(
-        self, name: str, supplier: Optional[Callable[[], float]] = None
-    ) -> None:
+    def __init__(self, name: str, supplier: Callable[[], float]) -> None:
         self.name = name
         self.supplier = supplier
 
     def snapshot(self) -> float:
-        if self.supplier is not None:
-            return _supplied(self.name, self.supplier)
-        return 0.0
+        return _supplied(self.name, self.supplier)
 
 
 class Histogram:
@@ -229,15 +225,11 @@ class MetricsRegistry:
             inst.supplier = supplier
         return inst
 
-    def gauge(
-        self, name: str, supplier: Optional[Callable[[], float]] = None
-    ) -> Gauge:
+    def gauge(self, name: str, supplier: Callable[[], float]) -> Gauge:
         inst = self._gauges.get(name)
         if inst is None:
             self._check_free(name)
             inst = self._gauges[name] = Gauge(name, supplier)
-        elif supplier is not None:
-            inst.supplier = supplier
         return inst
 
     def histogram(

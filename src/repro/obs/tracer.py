@@ -148,9 +148,7 @@ class Tracer:
 
     def summary_table(self) -> str:
         """ASCII table of per-kind counts (exact, whole-run)."""
-        if not self.counts:
-            return "trace: no records"
-        width = max(len(k.value) for k in self.counts)
+        width = max([len(k.value) for k in self.counts] + [len("kind")])
         lines = [f"{'kind':<{width}}  count", f"{'-' * width}  -----"]
         for kind in sorted(self.counts, key=lambda k: k.value):
             lines.append(f"{kind.value:<{width}}  {self.counts[kind]}")

@@ -8,9 +8,9 @@ and ``from_dict`` are derived from ``dataclasses.fields`` and
 provenance sidecars.  One rule per hint shape, none per field:
 
 * **nested config** (``X`` or ``Optional[X]``, ``X`` a :class:`Config`):
-  dumped through ``X.to_dict``; loaded from an ``X``, a mapping, or
-  ``None`` when the hint is optional.  Anything else raises a
-  :class:`ValueError` naming the key and the expected class;
+  dumped through ``X.to_dict``; loaded from a mapping, or ``None`` when
+  the hint is optional.  Anything else raises a :class:`ValueError`
+  naming the key and the expected class;
 * **tuple of configs** (``Tuple[X, ...]``): a JSON list of mappings,
   one per config;
 * **string-keyed pairs** (``Tuple[Tuple[str, V], ...]``): dumped as a
@@ -21,14 +21,10 @@ provenance sidecars.  One rule per hint shape, none per field:
 ``from_dict`` accepts **partial** dicts: a missing key falls back to
 the dataclass default, a missing *required* key raises ``"<Cls> dict is
 missing required key '<k>'"``, and an unknown key raises naming the
-key and the valid field names (:func:`check_fields`) — a typo in a
-scenario file must not silently vanish.  The contract, pinned by
-property tests: ``Cls.from_dict(cfg.to_dict()) == cfg``.
-
-The one declared special case is ``SystemConfig``'s preset shorthand
-(a preset name, or ``{"preset": name, ...overrides}``): its
-``from_dict`` resolves the preset and hands every field to
-:func:`load_fields`.  Each class's hints are resolved once per process.
+key and the valid field names — a typo in a scenario file must not
+silently vanish.  The contract, pinned by property tests:
+``Cls.from_dict(cfg.to_dict()) == cfg``.  Each class's hints are
+resolved once per process.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import dataclasses
 import functools
 import typing
 from collections.abc import Mapping
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 #: Converts one field value to or from its JSON form (None: as is).
 Codec = Optional[Callable[[Any], Any]]
@@ -48,10 +44,6 @@ class Config:
     """Base of every config dataclass: the hint-driven wire format."""
 
     __slots__ = ()
-
-    #: Types ``from_dict`` accepts in place of a mapping (a declared
-    #: shorthand); the nested-config rule routes them to it.
-    _shorthand: ClassVar[Tuple[type, ...]] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible dict in field order; round-trips via
@@ -64,39 +56,26 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Config":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        kwargs = load_fields(cls, data)
-        for key in _plan(cls)[1]:
+        """Build from a (possibly partial) dict, each field converted by
+        its hint's rule; an unknown key raises, naming every unknown key
+        and the valid choices."""
+        codecs, required = _plan(cls)
+        if any(key not in codecs for key in data):
+            keys = ", ".join(repr(k) for k in sorted(set(data) - set(codecs)))
+            raise ValueError(
+                f"unknown {cls.__name__} key(s) {keys}; "
+                f"valid keys: {', '.join(sorted(codecs))}"
+            )
+        kwargs = {}
+        for key, value in data.items():
+            load = codecs[key][1]
+            kwargs[key] = value if load is None else load(value)
+        for key in required:
             if key not in kwargs:
                 raise ValueError(
                     f"{cls.__name__} dict is missing required key {key!r}"
                 )
         return cls(**kwargs)
-
-
-def check_fields(cls: Type, data: Mapping, *, extra: tuple = ()) -> None:
-    """Reject keys of *data* that are neither fields of dataclass *cls*
-    nor in *extra*, naming every unknown key and the valid choices."""
-    valid = {f.name for f in dataclasses.fields(cls)} | set(extra)
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        keys = ", ".join(repr(k) for k in unknown)
-        raise ValueError(
-            f"unknown {cls.__name__} key(s) {keys}; "
-            f"valid keys: {', '.join(sorted(valid))}"
-        )
-
-
-def load_fields(cls: Type[Config], data: Mapping) -> Dict[str, Any]:
-    """The fields present in *data*, each converted by its hint's rule."""
-    codecs = _plan(cls)[0]
-    if any(key not in codecs for key in data):
-        check_fields(cls, data)
-    kwargs = {}
-    for key, value in data.items():
-        load = codecs[key][1]
-        kwargs[key] = value if load is None else load(value)
-    return kwargs
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,9 +128,9 @@ def _dump_config(value: Optional[Config]) -> Optional[Dict[str, Any]]:
 
 
 def _load_config(key: str, cls: Type[Config], optional: bool, value: Any):
-    if isinstance(value, cls) or (value is None and optional):
+    if value is None and optional:
         return value
-    if isinstance(value, (Mapping, *cls._shorthand)):
+    if isinstance(value, Mapping):
         return cls.from_dict(value)
     raise ValueError(
         f"{key!r} must be a mapping (a serialized {cls.__name__}), "
@@ -160,8 +139,6 @@ def _load_config(key: str, cls: Type[Config], optional: bool, value: Any):
 
 
 def _load_pairs(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return value
     if isinstance(value, Mapping):
         value = value.items()
     return tuple((name, item) for name, item in value)

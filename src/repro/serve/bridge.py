@@ -133,13 +133,10 @@ class PolicyBridge(Simulation):
         """Feed a whole trace through :meth:`submit` (virtual-time mode)."""
         return [self.submit(spec.time, spec.video_id)[0] for spec in specs]
 
-    def finalize(self, time: Optional[float] = None) -> dict:
-        """Advance to *time* (default: now) and :meth:`finish`, unless
-        finished already; return a summary of the policy core's view of
-        the run."""
+    def finalize(self) -> dict:
+        """:meth:`finish` at the bridge's clock, unless finished already;
+        return a summary of the policy core's view of the run."""
         if not self._finished:
-            if time is not None:
-                self.advance(time)
             self.finish()
         metrics = self.controller.metrics
         return {

@@ -311,9 +311,7 @@ class ChaosPlane:
         self._armed = False
 
     def arm(self) -> "ChaosPlane":
-        """Hook the bridge's failover manager; idempotent."""
-        if self._armed:
-            return self
+        """Hook the bridge's failover manager (once per plane)."""
         failover = self.gateway.bridge.failover
         if failover is None:
             raise RuntimeError(

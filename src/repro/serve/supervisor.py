@@ -156,16 +156,15 @@ class TaskSupervisor:
         return entry.task
 
     def beat(self, name: str) -> None:
-        """Record one loop iteration (called from inside the loop).
+        """Record one iteration of the loop spawned as *name* (called
+        from inside it).
 
         Also where a swallowed kill lands: ``asyncio.wait_for`` (the
         send deadline on Python 3.10) returns its inner result when
         that completes in the tick the cancellation arrives, so a loop
         killed mid-send may not see it.
         """
-        entry = self._entries.get(name)
-        if entry is None:
-            return
+        entry = self._entries[name]
         if entry.kill_reason is not None:
             raise asyncio.CancelledError(entry.kill_reason)
         entry.last_beat = asyncio.get_running_loop().time()

@@ -70,9 +70,8 @@ class Process:
         )
 
     def stop(self) -> None:
-        """Cancel the pending wakeup and close the generator."""
-        if self._done:
-            return
+        """Cancel the pending wakeup and close the generator (a no-op
+        once it has completed)."""
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None

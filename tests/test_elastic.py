@@ -26,12 +26,14 @@ Covered:
   member before it departs.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster.membership import ClusterMembership, ServerLifecycle
 from repro.cluster.server import DataServer, StorageError
+from repro.cluster.system import SMALL_SYSTEM
 from repro.core.elastic import (
     SCALE_TRIGGERS,
     WARMERS,
@@ -225,14 +227,13 @@ class TestElasticEndToEnd:
         membership = sim.membership
         assert membership.epoch > 0
         # Nothing may end mid-lifecycle at the horizon.
-        for sid in membership.members():
-            assert membership.state(sid) in (
-                ServerLifecycle.ACTIVE, ServerLifecycle.DEPARTED,
-            )
+        assert membership.members(
+            ServerLifecycle.ACTIVE, ServerLifecycle.DEPARTED,
+        ) == sorted(membership.states)
         # The scheduled drain of server 2 completed.
         assert membership.state(2) is ServerLifecycle.DEPARTED
         # The scale-out's joiner took over (ids are never reused).
-        assert 3 in membership.members()
+        assert 3 in membership.states
 
     def test_same_seed_runs_identical(self):
         one_sim, one = _run_elastic(_elastic_config())
@@ -256,7 +257,7 @@ class TestCrashWhileWarming:
         from repro.units import hours
 
         config = SimulationConfig.from_dict({
-            "system": {"preset": "small", "n_videos": 60},
+            "system": dataclasses.replace(SMALL_SYSTEM, n_videos=60).to_dict(),
             "theta": 0.3,
             "migration": {"enabled": True},
             "staging_fraction": 0.2,

@@ -47,15 +47,10 @@ class TestResolveScale:
         assert s.trials == 1
         assert s.duration - s.warmup == pytest.approx(hours(4))
 
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
+    def test_default_is_the_bench_scale(self):
         s = resolve_scale(None)
-        assert s.scale == 0.5
-        assert s.trials == 5
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
-        assert resolve_scale(0.001).scale == 0.001
+        assert s.scale == 0.01
+        assert s == resolve_scale(0.01)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -139,12 +134,11 @@ class TestExperimentModules:
         )
         assert set(result.curves) == {"0% buffer", "20% buffer"}
 
-    def test_fig7_micro_run_with_policy_subset(self):
+    def test_fig7_micro_run(self):
         result = fig7_policies.run_fig7(
-            system=TINY, theta_values=[0.5],
-            policies=["P1", "P4"], scale=MICRO,
+            system=TINY, theta_values=[0.5], scale=MICRO,
         )
-        assert set(result.curves) == {"P1", "P4"}
+        assert set(result.curves) == {f"P{i}" for i in range(1, 9)}
 
     def test_fig6_table_lists_all_policies(self):
         table = fig7_policies.policy_matrix_table()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.profile import ServerProfile
 from repro.cluster.server import DataServer
-from repro.core import migration
+from repro.core import admission, migration
 from repro.core.admission import AdmissionOutcome
 from repro.core.migration import (
     RESCUE_POLICY,
@@ -68,13 +68,22 @@ class TestChainSearch:
         assert chain[0].source_id == 0
         assert chain[0].target_id == 1
 
-    def test_no_chain_when_disabled(self):
-        cluster = chain_cluster()
+    def test_no_chain_when_disabled(self, monkeypatch):
+        # Admission checks `enabled` before it searches: a disabled
+        # policy rejects without walking the cluster.
+        cluster = build_micro_cluster(
+            server_specs=[(1.0, 1e9)] * 3,
+            videos=[make_video(video_id=i) for i in range(3)],
+            holders={0: [0, 1], 1: [1, 2], 2: [0]},
+            migration=MigrationPolicy.disabled(),
+        )
+        monkeypatch.setattr(
+            admission, "find_migration_chain",
+            lambda *args, **kwargs: pytest.fail("searched while disabled"),
+        )
         cluster.submit(0)
-        assert find_migration_chain(
-            2, cluster.servers, cluster.placement,
-            MigrationPolicy.disabled(),
-        ) is None
+        _, outcome = cluster.submit(2)
+        assert outcome is AdmissionOutcome.REJECTED
 
     def test_chain_length_one_fails_when_two_needed(self):
         cluster = chain_cluster(max_chain=1)

@@ -20,7 +20,6 @@ from repro.experiments import client_mix, heterogeneity, svbr
 from repro.experiments.base import (
     ExperimentScale,
     Variant,
-    resolve_scale,
     run_sweep,
     trial_seeds,
 )
@@ -351,20 +350,11 @@ class TestEnvValidation:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             base_mod._worker_count()
 
-    def test_malformed_repro_scale_names_the_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        with pytest.raises(ValueError, match="REPRO_SCALE"):
-            resolve_scale(None)
-
     def test_workers_floor_is_one(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "0")
         assert base_mod._worker_count() == 1
         monkeypatch.setenv("REPRO_WORKERS", "-3")
         assert base_mod._worker_count() == 1
-
-    def test_explicit_scale_still_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")  # malformed but unused
-        assert resolve_scale(0.001).scale == 0.001
 
 
 class TestUsableCpus:

@@ -264,6 +264,55 @@ class TestClaims:
         assert report.count("DUMMY.small_ends_higher") == 1
         assert report.index("DUMMY (small system)") < report.index("PASS  DUMMY.")
 
+    @pytest.mark.parametrize("measure, why", [
+        (lambda r: r.at("u", 1.0) / (r.at("u", 0.0) - 0.5), "division by zero"),
+        (lambda r: float("nan"), "measured nan"),
+    ], ids=["zero-divisor", "nan"])
+    def test_an_uncomputable_claim_fails_with_its_reason(
+        self, only, capsys, tmp_path, measure, why
+    ):
+        from repro.cli import main
+        from repro.experiments.registry import Claim, register_figure
+
+        only(register_figure(
+            "dummy-fig", "registered by a test",
+            lambda scale, seed, progress: _two_point_sweep(0.5, 0.7),
+            title="DUMMY: two points", stem="dummy",
+            claims=[Claim("DUMMY.ratio", "a ratio", measure, ">", 0.0)],
+        ))
+        assert main(["dummy-fig", "--quiet"]) == 1
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "DUMMY.ratio" in line
+        ]
+        assert line.startswith("FAIL  DUMMY.ratio  ") and why in line
+        assert line.endswith("(a ratio)")
+        assert main(["all", "--quiet", "--outdir", str(tmp_path)]) == 1
+        assert "claims: 0 passed, 1 failed" in capsys.readouterr().out
+
+    def test_near_full_fails_when_a_full_buffer_gains_nothing(self):
+        from repro.analysis.stats import summarize
+        from repro.experiments.base import SweepResult, resolve_scale
+        from repro.experiments.registry import EXPERIMENTS
+
+        (claim,) = [
+            claim for claim in EXPERIMENTS.get("fig5").claims
+            if claim.name == "FIG5.twenty_percent_near_full.small"
+        ]
+        flat = SweepResult(
+            x_label="theta",
+            x_values=[0.0],
+            curves={
+                name: [summarize([0.5])]
+                for name in ("0% buffer", "20% buffer", "100% buffer")
+            },
+            metric="utilization",
+            scale=resolve_scale(0.0005),
+        )
+        passed, line = claim.judge({"small": flat})
+        assert passed is False
+        assert "full-buffer gain 0.0000 is not positive" in line
+
     def test_every_figure_in_the_report_declares_claims(self):
         from repro.experiments.registry import EXPERIMENTS
 
@@ -1442,7 +1491,9 @@ def _lines(package):
     ``{(file, line): "module/path.py::Qual.name"}`` of its innermost
     ``def``, and ``{(file, line): category}`` of the lines exempt by
     rule — ``except`` (a handler, its ``except`` line included),
-    ``raise``, ``assert`` and ``def`` (a nested ``def``'s decorators and
+    ``raise`` (a ``raise``, and every statement of a block inside a
+    compound statement that ends in one: the lines that build its
+    message), ``assert`` and ``def`` (a nested ``def``'s decorators and
     header)."""
     owners, exempt = {}, {}
 
@@ -1477,6 +1528,18 @@ def _lines(package):
             }.get(type(node), "def")
             for line in span:
                 category.setdefault(line, kind)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                continue
+            for name in ("body", "orelse", "finalbody"):
+                # A lambda's or a conditional expression's body is a node.
+                block = getattr(node, name, None)
+                if isinstance(block, list) and block and isinstance(
+                    block[-1], ast.Raise
+                ):
+                    for line in range(block[0].lineno, block[-1].end_lineno + 1):
+                        category.setdefault(line, "raise")
         codes = [compile(source, str(path), "exec")]
         while codes:
             code = codes.pop()
@@ -1501,10 +1564,6 @@ def unrun_lines(_reach):
 
 
 #: Reasons shared by rows of :attr:`TestEveryLineIsReached.ALLOWED`.
-_GUARD = (
-    "an early return for a call no workload makes: a repeat, an empty "
-    "input or a member already gone (the module's tests)"
-)
 _FLOAT = "a float guard: clamps what rounding pushes past its bound"
 _PEER = (
     "a peer that breaks the protocol or hangs up early; the live legs' "
@@ -1513,10 +1572,6 @@ _PEER = (
 _CHAIN = (
     "an order of parent finish, merge, drop and re-admission the "
     "committed prefix scenarios do not produce (tests/test_prefix.py)"
-)
-_DECODED = (
-    "a value already decoded (a config, a tuple or a scalar), as a "
-    "config built in Python passes it (tests/test_scenario.py)"
 )
 _PAUSE = (
     "a wall-clock pause between frames; the test asks for one frame, "
@@ -1546,7 +1601,8 @@ def used(flag=False):
     except AssertionError:
         flag = True
     if flag:
-        raise ValueError(flag)
+        why = f"flag {flag}"
+        raise ValueError(why)
 
     def nested():
         return 2
@@ -1565,7 +1621,6 @@ class TestEveryLineIsReached:
 
     #: Functions kept with a line no workload runs, one reason each.
     ALLOWED = {
-        "analysis/erlang.py::erlang_b": _GUARD,
         "analysis/report.py::sparkline":
             "a series with a missing point (a cell that did not run); "
             "every committed figure has all its cells (tests/test_report.py)",
@@ -1574,20 +1629,21 @@ class TestEveryLineIsReached:
         "cli.py::_obs_env":
             "restores an observability variable set before the verb; the "
             "test runs with none set (tests/test_cli.py)",
-        "cluster/membership.py::ClusterMembership.members":
-            "the call with no states; every caller names the states it "
-            "wants (tests/test_elastic.py)",
-        "cluster/request.py::Request.pause_playback": _GUARD,
-        "cluster/request.py::Request.resume_playback": _GUARD,
+        "cluster/request.py::Request.pause_playback":
+            "a viewer already paused: the retry queue pauses a stream a "
+            "fault drops (faults/retry.py), which VCR may have paused; "
+            "faults x VCR is not refused, so the guard is safety code "
+            "(tests/test_interactivity.py)",
+        "cluster/request.py::Request.resume_playback":
+            "a viewer already playing: the retry queue and VCR both "
+            "resume a stream (faults/retry.py, workload/interactivity.py); "
+            "faults x VCR is not refused, so the guard is safety code "
+            "(tests/test_interactivity.py)",
         "cluster/server.py::DataServer.detach": _FLOAT,
-        "cluster/server.py::DataServer.store_replica": _GUARD,
-        "cluster/system.py::SystemConfig.from_dict":
-            "a system given as a bare preset name, or a preset with "
-            "overrides; committed configs give `{\"preset\": ...}` "
-            "(tests/test_system.py)",
-        "core/elastic.py::ElasticPolicy.__post_init__":
-            "scale events built in Python as a list; from_dict gives a "
-            "tuple (tests/test_elastic.py)",
+        "cluster/server.py::DataServer.store_replica":
+            "a replica the server holds already, an idempotent store: the "
+            "placement layout, DynamicReplicator and the elastic warmer "
+            "each store titles the target lacks (tests/test_controller.py)",
         "core/elastic.py::ElasticScaler._add_server":
             "a joiner with nothing to warm; every committed joiner warms "
             "(tests/test_elastic.py)",
@@ -1595,7 +1651,10 @@ class TestEveryLineIsReached:
             "a drain tick after its drain ended, or on a server that "
             "crashed while draining (tests/test_elastic.py)",
         "core/elastic.py::ElasticScaler._evacuate_sole_replicas": _SOLE,
-        "core/elastic.py::ElasticScaler._scale_in": _GUARD,
+        "core/elastic.py::ElasticScaler._scale_in":
+            "a declared scale_in of the last active server, or of one "
+            "already draining, departed or crashed (elastic x faults; "
+            "tests/test_elastic.py)",
         "core/elastic.py::ElasticScaler._warm_next":
             "a warm title the joiner's disk cannot hold "
             "(tests/test_elastic.py)",
@@ -1608,9 +1667,6 @@ class TestEveryLineIsReached:
         "core/migration.py::_free_slot":
             "a target on the walk's own path, or a down or closed one, met "
             "in pass 2 (tests/test_migration.py's random searches)",
-        "core/migration.py::find_migration_chain":
-            "a disabled policy; every caller checks `enabled` first "
-            "(tests/test_migration.py)",
         "core/replication.py::DynamicReplicator._choose_target":
             "a hot title every up server holds (tests/test_replication.py)",
         "core/replication.py::DynamicReplicator._finish_copy":
@@ -1628,16 +1684,10 @@ class TestEveryLineIsReached:
             "two buffer walls at one traced boundary, and a boundary "
             "already past (tests/test_transmission.py)",
         "experiments/base.py::_worker_count": _POOL,
-        "experiments/base.py::resolve_scale":
-            "the REPRO_SCALE default; every caller passes a scale "
-            "(tests/test_experiments.py)",
         "experiments/base.py::run_sweep":
             "a cell retried after a pool failure, a cell with trials still "
             "to come, and the progress lines; the test draws the figures "
             "quietly, one trial a cell (tests/test_parallel_sweep.py)",
-        "experiments/fig7_policies.py::run_fig7":
-            "a subset of the policies; the figure draws all eight "
-            "(tests/test_experiments.py)",
         "experiments/registry.py::Claim.judge":
             "a cross-panel claim with one panel drawn (`repro fig4 "
             "--system small`) (tests/test_registry.py::TestClaims)",
@@ -1671,21 +1721,14 @@ class TestEveryLineIsReached:
         "obs/profiler.py::EventProfiler.report":
             "a report read while the profiler is still attached "
             "(tests/test_obs.py)",
-        "obs/profiler.py::aggregate_report": _GUARD,
         "obs/prometheus.py::_format_value":
             "an infinite sample; no metric a workload exports is one "
             "(tests/test_obs.py)",
         "obs/prometheus.py::sanitize_metric_name":
             "a metric name that starts with a digit (tests/test_obs.py)",
-        "obs/registry.py::Gauge.snapshot":
-            "a gauge with no supplier (tests/test_obs.py)",
         "obs/registry.py::Histogram.percentiles": _FLOAT,
-        "obs/registry.py::MetricsRegistry.gauge":
-            "a gauge registered again with a new supplier "
-            "(tests/test_obs.py)",
         "obs/spans.py::SpanLog.get":
             "a span looked up after it closed (tests/test_obs.py)",
-        "obs/tracer.py::Tracer.summary_table": _GUARD,
         "placement/base.py::clamp_counts_to_total":
             "counts over the total, or under it with every title on every "
             "server (tests/test_placement_properties.py)",
@@ -1706,22 +1749,17 @@ class TestEveryLineIsReached:
         "prefix/tier.py::PrefixTier._schedule_child_finish": _CHAIN,
         "prefix/tier.py::PrefixTier.on_decision": _CHAIN,
         "prefix/tier.py::PrefixTier.on_finish": _CHAIN,
-        "scenario.py::load_scenario": _RAISE,
-        "serialize.py::_load_config": _DECODED,
-        "serialize.py::_load_pairs": _DECODED,
-        "serialize.py::_tuplify": _DECODED,
-        "serialize.py::check_fields": _RAISE,
-        "serialize.py::load_fields": _RAISE,
-        "serve/bridge.py::PolicyBridge.finalize":
-            "finalize at a time past the bridge's clock; the gateway "
-            "advances it first (tests/test_serve.py)",
+        "serialize.py::_load_config":
+            "a `null` optional block (faults, retry, prefix ...), as "
+            "save_scenario writes a run without one (tests/test_scenario.py)",
+        "serialize.py::_tuplify":
+            "a `null` client_mix, as save_scenario writes a run without "
+            "one (tests/test_scenario.py)",
         "serve/chaos.py::ChaosPlane._on_fail._kill": _RACY,
-        "serve/chaos.py::ChaosPlane.arm": _GUARD,
         "serve/chaos.py::ToxicConfig.empty":
             "the test stops at a non-zero latency: every toxic a workload "
             "builds has one (tests/test_chaos_serve.py::TestToxicConfig)",
         "serve/chaos.py::ToxicWriter.drain": _STALL,
-        "serve/chaos.py::ToxicWriter.write": _CUT,
         "serve/chaos.py::leaked_tasks": _RAISE,
         "serve/chaos.py::reconcile":
             "a session lost, errored or unaccounted for in a chaos run; "
@@ -1739,7 +1777,9 @@ class TestEveryLineIsReached:
             "after their last session (tests/test_serve.py)",
         "serve/gateway.py::ClusterGateway.stop":
             "a side task still running at stop (tests/test_serve.py)",
-        "serve/loadgen.py::LoadGenerator.run": _GUARD,
+        "serve/loadgen.py::LoadGenerator.run":
+            "`repro loadgen` over an empty trace: `--max-sessions 0`, or a "
+            "`--duration` before the first arrival (tests/test_serve.py)",
         "serve/loadgen.py::_LiveClient._attempt": _BENCH,
         "serve/loadgen.py::_LiveClient._session": _PEER,
         "serve/loadgen.py::_LiveClient.run":
@@ -1754,7 +1794,9 @@ class TestEveryLineIsReached:
         # A tick before the clock is anchored.
         "serve/pacing.py::Pacer.server_loop": _RACY,
         "serve/pacing.py::Pacer.try_send": _STALL,
-        "serve/pacing.py::VirtualClock.virtual": _GUARD,
+        "serve/pacing.py::VirtualClock.virtual":
+            "the gateway's vt_lag gauge scraped (`repro ops`, /metrics) "
+            "before the first session anchors the clock (tests/test_serve.py)",
         "serve/protocol.py::_bounded":
             "the Python 3.10 path (asyncio.timeout is 3.11+); CI's 3.10 "
             "test job runs it",
@@ -1762,17 +1804,21 @@ class TestEveryLineIsReached:
         "serve/protocol.py::read_frame._read": _RACY,
         "serve/supervisor.py::TaskSupervisor._trip": _RAISE,
         "serve/supervisor.py::TaskSupervisor._watch": _RAISE,
-        "serve/supervisor.py::TaskSupervisor.beat": _GUARD,
-        "serve/supervisor.py::TaskSupervisor.inject_crash": _GUARD,
+        "serve/supervisor.py::TaskSupervisor.inject_crash":
+            "a live kill of a server loop that is between restarts or "
+            "already tripped: ChaosPlane's kills through "
+            "ClusterGateway.kill_server_task (tests/test_chaos_serve.py)",
         "serve/top.py::_emit":
             "a terminal; the test's output is not one (tests/test_ops.py)",
-        "serve/top.py::_rate": _GUARD,
+        "serve/top.py::_rate":
+            "two `repro top` samples with one uptime: a frame repeated "
+            "before the gateway's clock moves (tests/test_ops.py)",
         "serve/top.py::render_top": _CACHE_PANEL,
         "serve/top.py::run_live": _PAUSE,
         "serve/top.py::run_trace": _PAUSE,
-        "sim/events.py::Event.cancel": _GUARD,
-        "sim/process.py::Process._advance": _RAISE,
-        "sim/process.py::Process.stop": _GUARD,
+        "sim/events.py::Event.cancel":
+            "an event already fired or cancelled: Process.stop after a "
+            "wake-up time the engine refused (tests/test_engine.py)",
         "simulation.py::Simulation.__init__":
             "the REPRO_TRACE_OUT switch (tests/test_obs.py) and the "
             "build-stage hooks `bench/run.py` times (BENCHMARK.json)",

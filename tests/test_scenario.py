@@ -8,8 +8,8 @@ Four contracts:
   surviving an actual JSON encode/decode (hypothesis property).
 * **One schema** — every config class the type-hint walk reaches, and
   ``ServeConfig``, serializes through :class:`repro.serialize.Config`
-  alone; only ``SystemConfig.from_dict`` (the preset shorthand) is its
-  own.
+  alone; only ``SystemConfig.from_dict`` (the ``{"preset": name}`` form)
+  is its own.
 * **Actionable errors** — unknown keys in any config dict name the bad
   key and the valid field names; a wrongly-typed nested block or a
   missing required key fails the load, not the run; malformed scenario
@@ -238,7 +238,7 @@ class TestRoundTrip:
         assert SimulationConfig.from_dict(payload) == cfg
 
     def test_partial_dict_uses_defaults(self):
-        cfg = SimulationConfig.from_dict({"system": "small"})
+        cfg = SimulationConfig.from_dict({"system": {"preset": "small"}})
         defaults = SimulationConfig(system=SMALL_SYSTEM, theta=cfg.theta)
         assert cfg.system == SMALL_SYSTEM
         assert cfg.placement == defaults.placement
@@ -247,19 +247,18 @@ class TestRoundTrip:
         assert cfg.faults is None and cfg.retry is None
 
     def test_system_preset_shorthand_forms_agree(self):
-        by_string = SimulationConfig.from_dict({"system": "small"})
         by_preset = SimulationConfig.from_dict(
             {"system": {"preset": "small"}}
         )
         by_value = SimulationConfig.from_dict(
             {"system": SMALL_SYSTEM.to_dict()}
         )
-        assert by_string == by_preset == by_value
+        assert by_preset == by_value
 
-    def test_preset_with_field_override(self):
-        cfg = SystemConfig.from_dict({"preset": "small", "n_videos": 42})
-        assert cfg.n_videos == 42
-        assert cfg.server_bandwidths == SMALL_SYSTEM.server_bandwidths
+    def test_a_preset_takes_no_other_key(self):
+        # A preset is the whole block: a field beside it is unknown.
+        with pytest.raises(ValueError, match="unknown SystemConfig key"):
+            SystemConfig.from_dict({"preset": "small", "n_videos": 42})
 
     def test_nested_fault_plan_round_trip(self):
         plan = FaultPlan(
@@ -284,6 +283,8 @@ WRONG_NESTED = [
                    "got int"),
     ({"prefix": "window"}, "'prefix' must be a mapping (a serialized "
                            "PrefixPolicy), got str"),
+    ({"system": "small"}, "'system' must be a mapping (a serialized "
+                          "SystemConfig), got str"),
 ]
 
 
@@ -307,16 +308,19 @@ class TestActionableErrors:
         assert {f.name for f in dataclasses.fields(cls)} <= set(valid)
 
     @pytest.mark.parametrize("payload, fragment", WRONG_NESTED,
-                             ids=["migration", "retry", "prefix"])
+                             ids=["migration", "retry", "prefix", "system"])
     def test_wrongly_typed_nested_block_rejected(self, payload, fragment):
         with pytest.raises(ValueError) as exc:
-            SimulationConfig.from_dict({"system": "small", **payload})
+            SimulationConfig.from_dict(
+                {"system": {"preset": "small"}, **payload}
+            )
         assert fragment in str(exc.value)
 
     @pytest.mark.parametrize("payload, fragment", [
         ({"theta": 0.5}, "SimulationConfig dict is missing required key "
                          "'system'"),
-        ({"system": "small", "faults": {"crash": {"mtbf": 100.0}}},
+        ({"system": {"preset": "small"},
+          "faults": {"crash": {"mtbf": 100.0}}},
          "CrashFaults dict is missing required key 'mttr'"),
     ], ids=["system", "crash-mttr"])
     def test_missing_required_key_rejected(self, payload, fragment):
@@ -365,7 +369,8 @@ class TestScenarioFiles:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(
-            {"name": "x", "config": {"system": "small"}, "author": "me"}
+            {"name": "x", "config": {"system": {"preset": "small"}},
+             "author": "me"}
         ))
         with pytest.raises(ValueError, match="'author'.*valid keys"):
             load_scenario(path)
@@ -379,7 +384,7 @@ class TestScenarioFiles:
     def test_config_typo_names_file(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps(
-            {"config": {"system": "small", "thteta": 0.5}}
+            {"config": {"system": {"preset": "small"}, "thteta": 0.5}}
         ))
         with pytest.raises(ValueError) as exc:
             load_scenario(path)
@@ -398,7 +403,9 @@ class TestScenarioFiles:
         # No dedicated validation is left for the deleted class: an old
         # scenario file is refused by the generic paths.
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({"config": {"system": "small", **extra}}))
+        path.write_text(json.dumps(
+            {"config": {"system": {"preset": "small"}, **extra}}
+        ))
         with pytest.raises(ValueError) as exc:
             load_scenario(path)
         assert "old.json" in str(exc.value)
@@ -466,15 +473,17 @@ class TestGoldenScenario:
     @pytest.mark.parametrize("content, fragment", [
         (None, "cannot read scenario"),
         ('{"name": "cut", "config": {"system": "sma', "not valid JSON"),
-        ('{"config": {"system": "small"}, "confg": 1}',
+        ('{"config": {"system": {"preset": "small"}}, "confg": 1}',
          "unknown scenario key(s) 'confg'"),
-        ('{"config": {"system": "small", "thetta": 0.1}}', "invalid config"),
+        ('{"config": {"system": {"preset": "small"}, "thetta": 0.1}}',
+         "invalid config"),
         *[
-            (json.dumps({"config": {"system": "small", **payload}}), fragment)
+            (json.dumps({"config": {"system": {"preset": "small"}, **payload}}),
+             fragment)
             for payload, fragment in WRONG_NESTED
         ],
     ], ids=["missing", "truncated", "unknown-key", "unknown-config-key",
-            "migration-bool", "retry-int", "prefix-str"])
+            "migration-bool", "retry-int", "prefix-str", "system-str"])
     def test_every_scenario_verb_exits_with_one_line(
         self, tmp_path, argv, content, fragment
     ):

@@ -297,7 +297,8 @@ class TestPolicyBridge:
     def test_finalize_summary(self, scenario):
         bridge = PolicyBridge(scenario.config)
         bridge.replay(arrival_trace(bridge, max_sessions=10))
-        summary = bridge.finalize(time=scenario.config.duration * 3)
+        bridge.advance(scenario.config.duration * 3)
+        summary = bridge.finalize()
         assert summary["arrivals"] == 10
         assert summary["decisions"] == 10
         assert summary["accepted"] + summary["rejected"] == 10

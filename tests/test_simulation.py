@@ -352,7 +352,8 @@ class TestOneArrivalPath:
         fed = PolicyBridge(self.CONFIG)
         for time, video in arrivals:
             fed.submit(time, video)
-        fed.finalize(self.CONFIG.duration)
+        fed.advance(self.CONFIG.duration)
+        fed.finalize()
         with scratch_registry(ARRIVALS):
             ARRIVALS.register("fixed", fixed_arrivals(arrivals))
             ran = PolicyBridge(dataclasses.replace(
